@@ -29,6 +29,13 @@ from .simulator import (NoiseModel, post_selection_rate, read_noise,
                         sample_shots, write_noise)
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _out(args, name):
     path = getattr(args, name, None)
     if path is None:
@@ -258,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--circuit", required=True)
     s.add_argument("--noise")
     s.add_argument("--graph")
-    s.add_argument("--shots", type=int, default=1000)
+    s.add_argument("--shots", type=_positive_int, default=1000)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_simulate)
@@ -276,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
         b.add_argument("--queue-cap", type=int, default=400)
         b.add_argument("--out", required=True)
         if qaoa:
-            b.add_argument("--shots", type=int, default=10_000)
+            b.add_argument("--shots", type=_positive_int, default=10_000)
             b.add_argument("--noise")
 
     bd = sub.add_parser("bench-depth", help="compile-only depth sweep")

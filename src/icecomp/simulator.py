@@ -10,21 +10,41 @@ gate, single-qubit depolarizing with probability p_idle on every idle qubit
 after each two-qubit layer (this is what makes depth costly), and readout
 flips with probability p_meas.  All rates scale with a global multiplier.
 
+Sampling.  Shot i draws everything from its own generator, seeded by
+(seed, i).  An encoded shot first draws whether each noise site fires.  A
+shot on which no Pauli fires picks its bits from the exact noiseless
+distribution (exact_bit_distribution) and applies its readout flips.  Up
+to its first Pauli event any other shot runs the noiseless circuit, so
+sample_shots advances one noiseless sweep state layer by layer, and a shot
+starts its trajectory from a copy of the sweep at the layer of its first
+event.  The sweep collapses each mid-circuit measurement and reset onto
+its likelier outcome.  A resumed shot draws for those earlier collapses as
+StateVector.measure/reset would; if a draw disagrees, the shot's state is
+not the sweep's, and the shot runs again from layer 0 with a fresh
+generator.  The sweep stops at the horizon, the first layer holding a
+trailing measurement, whose outcomes are random: shots whose first event
+lies later start there.  Every shot so makes the same draws and the same
+floating-point operations, in the same order, as a trajectory run from
+|0...0>, and its record is the same.  sample_logical_shots does the same
+per gate step.
+
 Qubit i is bit i of the state index (little-endian).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .circuit import Gate, GateKind, LayerSchedule, PhysicalCircuit, layered_schedule
+from .circuit import (MEASURE_KINDS, Gate, GateKind, PhysicalCircuit,
+                      layered_schedule)
 from .gadgets import ParityCheck
 from .faults import PauliString
-from .maxcut import LogicalCircuit, ProblemGraph, energy as bit_energy
+from .maxcut import (LogicalCircuit, MixerGate, PhaseGate, ProblemGraph,
+                     energy as bit_energy)
 
 DEFAULT_QUBIT_CAP = 16
 
@@ -229,14 +249,37 @@ def write_noise(model: NoiseModel) -> str:
             f"p_meas {model.p_meas!r}\nscale {model.scale!r}\n")
 
 
+class NoiseFormatError(ValueError):
+    """A malformed noise file; the message starts with the line number."""
+
+
+_NOISE_FIELDS = ("p2", "p1", "p_idle", "p_meas", "scale")
+
+
 def read_noise(text: str) -> NoiseModel:
+    """Parse `name value` lines (as written by write_noise); `#` starts a
+    comment.  Unset fields keep their defaults."""
     vals = {}
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        name, value = line.split()
-        vals[name] = float(value)
+        tok = line.split()
+        if len(tok) != 2:
+            raise NoiseFormatError(
+                f"line {lineno}: expected 'name value', got {line!r}")
+        name, value = tok
+        if name not in _NOISE_FIELDS:
+            raise NoiseFormatError(
+                f"line {lineno}: unknown parameter {name!r}; expected one "
+                f"of {', '.join(_NOISE_FIELDS)}")
+        if name in vals:
+            raise NoiseFormatError(f"line {lineno}: {name} set twice")
+        try:
+            vals[name] = float(value)
+            NoiseModel(**{name: vals[name]})
+        except ValueError as e:
+            raise NoiseFormatError(f"line {lineno}: {name}: {e}") from None
     return NoiseModel(**vals)
 
 
@@ -297,6 +340,168 @@ def _per_shot_rng(seed: int, shot: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, shot)))
 
 
+def _trailing_start(gates: Sequence[Gate]) -> int:
+    """Index where the trailing block of measurements (and barriers) begins."""
+    start = len(gates)
+    while start > 0 and gates[start - 1].kind in (
+        GateKind.MEASURE_Z, GateKind.MEASURE_X, GateKind.BARRIER
+    ):
+        start -= 1
+    return start
+
+
+_SITE_KIND = {GateKind.H: "1q", GateKind.X: "1q", GateKind.Z: "1q",
+              GateKind.MEASURE_Z: "meas", GateKind.MEASURE_X: "meas",
+              GateKind.RESET: "reset"}
+
+
+class _ShotPlan:
+    """Fixed traversal script of a physical circuit for trajectory sampling.
+
+    Per schedule layer: its gates, each with its noise site ("2q", "1q" and
+    "meas" sites are numbered in traversal order), then the idle qubits of a
+    layer holding a two-qubit gate.  A shot draws one Bernoulli vector per
+    site family up front, so its first Pauli event is known before any
+    state is touched."""
+
+    def __init__(self, circuit: PhysicalCircuit, eff: NoiseModel,
+                 inject: Sequence[tuple[int, PauliString]]):
+        sched = layered_schedule(circuit)
+        self.gates = circuit.gates
+        self.num_qubits = circuit.num_qubits
+        self.num_clbits = circuit.num_clbits
+        self.inject: dict[int, list[PauliString]] = {}
+        for gi, pauli in inject:
+            self.inject.setdefault(gi, []).append(pauli)
+
+        self.layers = []
+        self.meas_clbits: list[int] = []   # per measurement site
+        site_layers: dict[str, list[int]] = {"2q": [], "1q": [], "meas": [],
+                                             "reset": [], "idle": []}
+        for layer, layer_gates in enumerate(sched.layers):
+            touched = {q for gi in layer_gates for q in self.gates[gi].qubits}
+            has_2q = any(self.gates[gi].is_two_qubit for gi in layer_gates)
+            idle = [q for q in range(self.num_qubits) if q not in touched] \
+                if has_2q else []
+            sites = []
+            for gi in layer_gates:
+                g = self.gates[gi]
+                cat = "2q" if g.is_two_qubit else _SITE_KIND[g.kind]
+                sites.append((cat, len(site_layers[cat])))
+                site_layers[cat].append(layer)
+                if cat == "meas":
+                    self.meas_clbits.append(g.clbit)
+            self.layers.append((layer_gates, sites, idle,
+                                len(site_layers["idle"])))
+            site_layers["idle"].extend([layer] * len(idle))
+        self.site_layers = site_layers
+        self.event_sites = tuple(
+            (len(site_layers[cat]), p) for cat, p in (
+                ("2q", eff.p2), ("1q", eff.p1), ("meas", eff.p_meas),
+                ("idle", eff.p_idle)))
+
+        # the horizon: the first layer holding a trailing measurement.  The
+        # trailing block has random outcomes, so the noiseless sweep stops
+        # here and every trajectory runs it itself.
+        tail = range(_trailing_start(self.gates), len(self.gates))
+        self.horizon = min((sched.gate_layer[gi] for gi in tail
+                            if self.gates[gi].kind in MEASURE_KINDS),
+                           default=len(self.layers))
+        self.first_inject = min((sched.gate_layer[gi] for gi in self.inject
+                                 if gi in sched.gate_layer),
+                                default=self.horizon)
+
+    def draw(self, seed: int, shot: int):
+        """The shot's generator and its event vectors (2q, 1q, meas, idle)."""
+        rng = _per_shot_rng(seed, shot)
+        events = tuple(rng.random(n) < p if n else ()
+                       for n, p in self.event_sites)
+        return rng, events
+
+    def start_layer(self, events) -> int | None:
+        """Layer at which the shot's trajectory must start: its first Pauli
+        event (fired site or injection), capped at the horizon.  None for a
+        shot with no Pauli event at all."""
+        e2, e1, _, ei = events
+        starts = [self.site_layers[cat][int(fired.argmax())]
+                  for fired, cat in ((e2, "2q"), (e1, "1q"), (ei, "idle"))
+                  if len(fired) and fired.any()]
+        if self.inject:
+            starts.append(self.first_inject)
+        return min(starts + [self.horizon]) if starts else None
+
+    def advance(self, sweep: StateVector, layer: int,
+                outcomes: list[tuple[float, int, Gate, int | None]]) -> None:
+        """Run one layer noiselessly.  A measurement or reset collapses onto
+        its likelier outcome; (p1, outcome, gate, meas site) is recorded so
+        a shot can check its own draw against it."""
+        layer_gates, sites, _, _ = self.layers[layer]
+        for gi, (cat, si) in zip(layer_gates, sites):
+            g = self.gates[gi]
+            if cat in ("meas", "reset"):
+                q = g.qubits[0]
+                if g.kind is GateKind.MEASURE_X:
+                    sweep.apply_h(q)
+                p1 = sweep.prob_one(q)
+                v = 1 if p1 > 0.5 else 0
+                sweep.collapse(q, v)
+                if cat == "reset" and v:
+                    sweep.apply_x(q)
+                outcomes.append((p1, v, g, si if cat == "meas" else None))
+            else:
+                _apply_gate(sweep, g)
+
+    def resume(self, seed: int, shot: int, sweep: StateVector, layer: int,
+               outcomes: Sequence[tuple[float, int, Gate, int | None]],
+               cap: int) -> list[int]:
+        """The shot's bits, its trajectory started from the sweep at `layer`.
+
+        The shot first draws for every earlier measurement and reset exactly
+        as StateVector.measure/reset would.  If a draw disagrees with the
+        sweep's outcome the shot's state differs from the sweep's, and it
+        runs again from layer 0 with a fresh generator."""
+        rng, events = self.draw(seed, shot)
+        em = events[2]
+        bits = [0] * self.num_clbits
+        for p1, v, g, si in outcomes:
+            if (1 if rng.random() < p1 else 0) != v:
+                rng, events = self.draw(seed, shot)
+                return self.run(StateVector(self.num_qubits, cap=cap),
+                                [0] * self.num_clbits, rng, events, 0)
+            if si is not None:
+                bits[g.clbit] = v ^ 1 if em[si] else v
+        return self.run(sweep.copy(), bits, rng, events, layer)
+
+    def run(self, state: StateVector, bits: list[int], rng: np.random.Generator,
+            events, start: int) -> list[int]:
+        """One trajectory from the start of layer `start` to the end."""
+        e2, e1, em, ei = events
+        for layer_gates, sites, idle, idle_base in self.layers[start:]:
+            for gi, (cat, si) in zip(layer_gates, sites):
+                g = self.gates[gi]
+                if cat == "meas":
+                    if g.kind is GateKind.MEASURE_X:
+                        state.apply_h(g.qubits[0])
+                    v = state.measure(g.qubits[0], rng)
+                    if em[si]:
+                        v ^= 1
+                    bits[g.clbit] = v
+                elif cat == "reset":
+                    state.reset(g.qubits[0], rng)
+                else:
+                    _apply_gate(state, g)
+                    if cat == "2q" and e2[si]:
+                        _apply_random_pauli(state, g.qubits, rng)
+                    elif cat == "1q" and e1[si]:
+                        _apply_random_pauli(state, g.qubits, rng)
+                for pauli in self.inject.get(gi, ()):
+                    state.apply_pauli(pauli)
+            for off, q in enumerate(idle):
+                if ei[idle_base + off]:
+                    _apply_random_pauli(state, (q,), rng)
+        return bits
+
+
 def sample_shots(circuit: PhysicalCircuit, noise: NoiseModel, shots: int,
                  seed: int,
                  checks: Sequence[ParityCheck] = (),
@@ -305,38 +510,22 @@ def sample_shots(circuit: PhysicalCircuit, noise: NoiseModel, shots: int,
                  cap: int = DEFAULT_QUBIT_CAP) -> list[ShotRecord]:
     """Trajectory sampling of a physical circuit under the noise model.
 
+    Shot i draws from its own generator, seeded by (seed, i), so its record
+    does not depend on the other shots.  A shot on which no Pauli event
+    fires picks its bits from the exact noiseless distribution and applies
+    its readout flips.  Every other shot starts its trajectory at the layer
+    of its first Pauli event, capped at the horizon (the first layer of the
+    trailing measurement block), from a copy of one noiseless sweep state
+    per call.  A shot whose own draw for an earlier mid-circuit measurement
+    or reset disagrees with the sweep's outcome runs from layer 0 instead.
+    The records equal those of running every trajectory from layer 0; see
+    the module docstring.
+
     `inject` lists deterministic Pauli errors applied after given gate
     indices in every shot (used for fault cross-checks)."""
-    eff = noise.effective()
-    sched = layered_schedule(circuit)
-    inject_map: dict[int, list[PauliString]] = {}
-    for gi, pauli in inject:
-        inject_map.setdefault(gi, []).append(pauli)
-
-    # fixed traversal script: per layer its gates, then its idle slots
-    layer_plan = []
-    n_2q = n_1q = n_meas = n_idle = 0
-    for layer_gates in sched.layers:
-        touched = {q for gi in layer_gates for q in circuit.gates[gi].qubits}
-        has_2q = any(circuit.gates[gi].is_two_qubit for gi in layer_gates)
-        idle = [q for q in range(circuit.num_qubits) if q not in touched] \
-            if has_2q else []
-        sites = []
-        for gi in layer_gates:
-            g = circuit.gates[gi]
-            if g.is_two_qubit:
-                sites.append(("2q", n_2q))
-                n_2q += 1
-            elif g.kind in (GateKind.H, GateKind.X, GateKind.Z):
-                sites.append(("1q", n_1q))
-                n_1q += 1
-            elif g.kind in (GateKind.MEASURE_Z, GateKind.MEASURE_X):
-                sites.append(("meas", n_meas))
-                n_meas += 1
-            else:
-                sites.append((None, 0))
-        layer_plan.append((layer_gates, sites, idle, n_idle))
-        n_idle += len(idle)
+    if shots < 0:
+        raise ValueError(f"shots must be nonnegative, got {shots}")
+    plan = _ShotPlan(circuit, noise.effective(), inject)
 
     # outcome distribution of the noise-free circuit, for the (common) shots
     # on which no Pauli event fires
@@ -344,55 +533,35 @@ def sample_shots(circuit: PhysicalCircuit, noise: NoiseModel, shots: int,
     ideal_bits = [b for b, _ in ideal]
     ideal_cum = np.cumsum([p for _, p in ideal])
 
-    records = []
+    records: list[ShotRecord | None] = [None] * shots
+    buckets: dict[int, list[int]] = {}
     for shot in range(shots):
-        rng = _per_shot_rng(seed, shot)
-        e2 = rng.random(n_2q) < eff.p2 if n_2q else ()
-        e1 = rng.random(n_1q) < eff.p1 if n_1q else ()
-        em = rng.random(n_meas) < eff.p_meas if n_meas else ()
-        ei = rng.random(n_idle) < eff.p_idle if n_idle else ()
-        pauli_free = not (np.any(e2) or np.any(e1) or np.any(ei)) and not inject_map
-        if pauli_free:
-            pick = int(np.searchsorted(ideal_cum, rng.random()))
-            bits = list(ideal_bits[min(pick, len(ideal_bits) - 1)])
-            mi = 0
-            for layer_gates, sites, idle, _ in layer_plan:
-                for gi, (cat, _) in zip(layer_gates, sites):
-                    if cat == "meas":
-                        if em[mi]:
-                            bits[circuit.gates[gi].clbit] ^= 1
-                        mi += 1
-            records.append(make_record(bits, checks, decode))
+        rng, events = plan.draw(seed, shot)
+        start = plan.start_layer(events)
+        if start is not None:
+            buckets.setdefault(start, []).append(shot)
             continue
-        state = StateVector(circuit.num_qubits, cap=cap)
-        bits = [0] * circuit.num_clbits
-        for layer_gates, sites, idle, idle_base in layer_plan:
-            for gi, (cat, si) in zip(layer_gates, sites):
-                g = circuit.gates[gi]
-                if cat == "meas":
-                    if g.kind is GateKind.MEASURE_X:
-                        state.apply_h(g.qubits[0])
-                    v = state.measure(g.qubits[0], rng)
-                    if em[si]:
-                        v ^= 1
-                    bits[g.clbit] = v
-                else:
-                    _apply_gate(state, g, bits, rng, _SILENT)
-                    if cat == "2q" and e2[si]:
-                        _apply_random_pauli(state, g.qubits, rng)
-                    elif cat == "1q" and e1[si]:
-                        _apply_random_pauli(state, g.qubits, rng)
-                for pauli in inject_map.get(gi, ()):
-                    state.apply_pauli(pauli)
-            for off, q in enumerate(idle):
-                if ei[idle_base + off]:
-                    _apply_random_pauli(state, (q,), rng)
-        records.append(make_record(bits, checks, decode))
+        pick = int(np.searchsorted(ideal_cum, rng.random()))
+        bits = list(ideal_bits[min(pick, len(ideal_bits) - 1)])
+        for si in np.flatnonzero(events[2]):
+            bits[plan.meas_clbits[si]] ^= 1
+        records[shot] = make_record(bits, checks, decode)
+
+    if buckets:
+        sweep = StateVector(circuit.num_qubits, cap=cap)
+        outcomes: list[tuple[float, int, Gate, int | None]] = []
+        last = max(buckets)
+        for layer in range(last + 1):
+            for shot in buckets.get(layer, ()):
+                bits = plan.resume(seed, shot, sweep, layer, outcomes, cap)
+                records[shot] = make_record(bits, checks, decode)
+            if layer < last:
+                plan.advance(sweep, layer, outcomes)
     return records
 
 
-def _apply_gate(state: StateVector, g: Gate, bits: list[int],
-                rng: np.random.Generator, eff: NoiseModel) -> None:
+def _apply_gate(state: StateVector, g: Gate) -> None:
+    """A unitary gate (or a barrier, which does nothing)."""
     kind = g.kind
     if kind is GateKind.CNOT:
         state.apply_cx(*g.qubits)
@@ -406,19 +575,6 @@ def _apply_gate(state: StateVector, g: Gate, bits: list[int],
         state.apply_x(g.qubits[0])
     elif kind is GateKind.Z:
         state.apply_z(g.qubits[0])
-    elif kind is GateKind.MEASURE_Z:
-        v = state.measure(g.qubits[0], rng)
-        if eff.p_meas > 0 and rng.random() < eff.p_meas:
-            v ^= 1
-        bits[g.clbit] = v
-    elif kind is GateKind.MEASURE_X:
-        state.apply_h(g.qubits[0])
-        v = state.measure(g.qubits[0], rng)
-        if eff.p_meas > 0 and rng.random() < eff.p_meas:
-            v ^= 1
-        bits[g.clbit] = v
-    elif kind is GateKind.RESET:
-        state.reset(g.qubits[0], rng)
     elif kind is GateKind.BARRIER:
         pass
     else:  # pragma: no cover
@@ -446,11 +602,7 @@ def exact_bit_distribution(circuit: PhysicalCircuit,
         inject_map.setdefault(gi, []).append(pauli)
 
     gates = circuit.gates
-    tail_start = len(gates)
-    while tail_start > 0 and gates[tail_start - 1].kind in (
-        GateKind.MEASURE_Z, GateKind.MEASURE_X, GateKind.BARRIER
-    ):
-        tail_start -= 1
+    tail_start = _trailing_start(gates)
 
     branches: list[tuple[float, StateVector, list[int]]] = [
         (1.0, StateVector(circuit.num_qubits, cap=cap), [0] * circuit.num_clbits)
@@ -481,7 +633,7 @@ def exact_bit_distribution(circuit: PhysicalCircuit,
             branches = new_branches
         else:
             for _, state, bits in branches:
-                _apply_gate(state, g, bits, rng=None, eff=_SILENT)
+                _apply_gate(state, g)
         for pauli in inject_map.get(gi, ()):
             for _, state, _ in branches:
                 state.apply_pauli(pauli)
@@ -513,13 +665,6 @@ def exact_bit_distribution(circuit: PhysicalCircuit,
             key = tuple(nb)
             dist[key] = dist.get(key, 0.0) + weight * pm
     return dist
-
-
-_SILENT = NoiseModel(p2=0, p1=0, p_idle=0, p_meas=0, scale=0)
-
-
-def _unitary_gate_guard():  # pragma: no cover
-    pass
 
 
 def exact_logical_distribution(circuit: PhysicalCircuit,
@@ -577,47 +722,95 @@ def _phase_layer_layers(gates, k) -> list[list]:
     return layers
 
 
+def _logical_steps(lc: LogicalCircuit, eff: NoiseModel
+                   ) -> list[tuple[PhaseGate | MixerGate | None, float,
+                                   tuple[int, ...]]]:
+    """Fixed traversal script of the unencoded circuit after the initial
+    Hadamards: (gate, p, support) steps, each a gate (None for an idle
+    slot) followed by a Pauli event with probability p on the support.
+
+    Phase rotations are two-qubit gates, ASAP-layered per phase layer with
+    idle noise charged per layer; mixer rotations are single-qubit."""
+    steps = []
+    for gates, mixer in zip(lc.phase_layers, lc.mixer_layers):
+        for layer in _phase_layer_layers(gates, lc.k):
+            touched = set()
+            for g in layer:
+                steps.append((g, eff.p2, (g.u, g.v)))
+                touched.update((g.u, g.v))
+            steps.extend((None, eff.p_idle, (q,))
+                         for q in range(lc.k) if q not in touched)
+        steps.extend((m, eff.p1, (m.qubit,)) for m in mixer)
+    return steps
+
+
+def _apply_logical_gate(state: StateVector,
+                        g: PhaseGate | MixerGate | None) -> None:
+    if isinstance(g, PhaseGate):
+        state.apply_rzz(g.u, g.v, g.angle)
+    elif g is not None:
+        state.apply_rx(g.qubit, g.angle)
+
+
 def sample_logical_shots(lc: LogicalCircuit, noise: NoiseModel, shots: int,
                          seed: int, cap: int = DEFAULT_QUBIT_CAP
                          ) -> list[ShotRecord]:
     """Unencoded reference under the same noise model.
 
-    Phase rotations are two-qubit gates (ASAP-layered per phase layer, with
-    idle noise charged per layer); mixer rotations are single-qubit."""
+    A step's event test draws one uniform when its p > 0.  Until the first
+    test fires no draw depends on the state, so a shot draws all its tests
+    at once (one vector draw gives the same numbers as one draw per test)
+    and is bucketed by its first fired test.  One noiseless sweep runs
+    through the steps; a shot redraws up to its first event, resumes from a
+    copy of the sweep there, and a shot with no event measures a copy of
+    the final noiseless state."""
+    if shots < 0:
+        raise ValueError(f"shots must be nonnegative, got {shots}")
     eff = noise.effective()
-    records = []
-    phase_layers = [
-        _phase_layer_layers(gates, lc.k) for gates in lc.phase_layers
-    ]
+    steps = _logical_steps(lc, eff)
+    tested = [i for i, (_, p, _) in enumerate(steps) if p > 0]
+    probs = np.array([steps[i][1] for i in tested])
+    buckets: dict[int, list[int]] = {}
     for shot in range(shots):
-        rng = _per_shot_rng(seed, shot)
-        state = StateVector(lc.k, cap=cap)
-        for q in range(lc.k):
-            state.apply_h(q)
-        for layers, mixer in zip(phase_layers, lc.mixer_layers):
-            for layer in layers:
-                touched = set()
-                for g in layer:
-                    state.apply_rzz(g.u, g.v, g.angle)
-                    touched.update((g.u, g.v))
-                    if eff.p2 > 0 and rng.random() < eff.p2:
-                        _apply_random_pauli(state, (g.u, g.v), rng)
-                if eff.p_idle > 0:
-                    for q in range(lc.k):
-                        if q not in touched and rng.random() < eff.p_idle:
-                            _apply_random_pauli(state, (q,), rng)
-            for m in mixer:
-                state.apply_rx(m.qubit, m.angle)
-                if eff.p1 > 0 and rng.random() < eff.p1:
-                    _apply_random_pauli(state, (m.qubit,), rng)
+        fired = _per_shot_rng(seed, shot).random(len(tested)) < probs
+        first = int(fired.argmax()) if fired.any() else len(tested)
+        buckets.setdefault(first, []).append(shot)
+
+    def finish(state: StateVector, rng: np.random.Generator,
+               start: int) -> ShotRecord:
+        for g, p, support in steps[start:]:
+            _apply_logical_gate(state, g)
+            if p > 0 and rng.random() < p:
+                _apply_random_pauli(state, support, rng)
         bits = []
         for q in range(lc.k):
             v = state.measure(q, rng)
             if eff.p_meas > 0 and rng.random() < eff.p_meas:
                 v ^= 1
             bits.append(v)
-        logical = sum(b << i for i, b in enumerate(bits))
-        records.append(ShotRecord(tuple(bits), (), True, logical))
+        logical = sum(b << q for q, b in enumerate(bits))
+        return ShotRecord(tuple(bits), (), True, logical)
+
+    records: list[ShotRecord | None] = [None] * shots
+    sweep = StateVector(lc.k, cap=cap)
+    for q in range(lc.k):
+        sweep.apply_h(q)
+    test = 0
+    for i, (g, p, support) in enumerate(steps):
+        _apply_logical_gate(sweep, g)
+        if p <= 0:
+            continue
+        for shot in buckets.get(test, ()):
+            rng = _per_shot_rng(seed, shot)
+            rng.random(test + 1)
+            state = sweep.copy()
+            _apply_random_pauli(state, support, rng)
+            records[shot] = finish(state, rng, i + 1)
+        test += 1
+    for shot in buckets.get(len(tested), ()):
+        rng = _per_shot_rng(seed, shot)
+        rng.random(len(tested))
+        records[shot] = finish(sweep.copy(), rng, len(steps))
     return records
 
 

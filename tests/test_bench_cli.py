@@ -118,6 +118,16 @@ class TestCli:
         assert len(rows) == 50
         assert {"shot", "accepted", "decoded", "energy"} <= set(rows[0])
 
+    @pytest.mark.parametrize("command", ["simulate", "bench-qaoa"])
+    def test_shots_below_one_rejected(self, tmp_path, capsys, command):
+        extra = (["--circuit", "c.txt"] if command == "simulate"
+                 else ["--sizes", "6"])
+        with pytest.raises(SystemExit) as exc:
+            main(["--out-dir", str(tmp_path), command, *extra,
+                  "--shots", "0", "--out", "x.csv"])
+        assert exc.value.code == 2
+        assert "must be at least 1" in capsys.readouterr().err
+
     def test_verify_ft_cli(self, tmp_path):
         self.run("--out-dir", str(tmp_path), "verify-ft", "--gadget",
                  "final_new", "--k", "4", "--perms", "1",

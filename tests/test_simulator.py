@@ -3,19 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from icecomp.circuit import ComponentRole, PhysicalCircuit
+from icecomp.circuit import ComponentRole, GateKind, PhysicalCircuit, \
+    layered_schedule
 from icecomp.compiler import CompileConfig, GadgetSet, compile_baseline, \
     compile_cooptimized
 from icecomp.faults import PauliString
 from icecomp.maxcut import (GraphKind, QaoaParams, build_qaoa, cut_value,
                             generate_instance, make_graph, ramp_params)
-from icecomp.simulator import (NoiseModel, StateVector, accepted_distribution,
+from icecomp.simulator import (NoiseFormatError, NoiseModel, ShotRecord,
+                               StateVector, accepted_distribution,
                                energy_distribution, exact_bit_distribution,
                                exact_logical_distribution,
-                               logical_exact_distribution, post_selection_rate,
-                               postprocess_truncate, read_noise, sample_shots,
-                               sample_logical_shots, total_variation,
-                               write_noise, SimulatorError)
+                               logical_exact_distribution, make_record,
+                               post_selection_rate, postprocess_truncate,
+                               read_noise, sample_shots, sample_logical_shots,
+                               total_variation, write_noise, SimulatorError)
 
 
 class TestStateVector:
@@ -159,6 +161,255 @@ class TestShots:
         assert total_variation(emp, ref) < 0.08
 
 
+# ---------------------------------------------------------------------------
+# Reference samplers: every noisy shot replays its whole trajectory from
+# |0...0>, one shot at a time.  sample_shots and sample_logical_shots start
+# trajectories from a shared noiseless sweep and must give equal records.
+# ---------------------------------------------------------------------------
+
+def _ref_rng(seed, shot):
+    return np.random.default_rng(np.random.SeedSequence((seed, shot)))
+
+
+def _ref_random_pauli(state, qubits, rng):
+    code = int(rng.integers(1, 4 ** len(qubits)))
+    for q in qubits:
+        p = code % 4
+        code //= 4
+        if p == 1:
+            state.apply_x(q)
+        elif p == 2:
+            state.apply_y(q)
+        elif p == 3:
+            state.apply_z(q)
+
+
+def _ref_apply(state, g, rng):
+    kind = g.kind
+    if kind is GateKind.CNOT:
+        state.apply_cx(*g.qubits)
+    elif kind is GateKind.RZZ:
+        state.apply_rzz(g.qubits[0], g.qubits[1], g.angle)
+    elif kind is GateKind.RXX:
+        state.apply_rxx(g.qubits[0], g.qubits[1], g.angle)
+    elif kind is GateKind.H:
+        state.apply_h(g.qubits[0])
+    elif kind is GateKind.X:
+        state.apply_x(g.qubits[0])
+    elif kind is GateKind.Z:
+        state.apply_z(g.qubits[0])
+    elif kind is GateKind.RESET:
+        state.reset(g.qubits[0], rng)
+
+
+def reference_sample_shots(circuit, noise, shots, seed, checks=(),
+                           decode=None, inject=()):
+    eff = noise.effective()
+    sched = layered_schedule(circuit)
+    inject_map = {}
+    for gi, pauli in inject:
+        inject_map.setdefault(gi, []).append(pauli)
+    layer_plan = []
+    n_2q = n_1q = n_meas = n_idle = 0
+    for layer_gates in sched.layers:
+        touched = {q for gi in layer_gates for q in circuit.gates[gi].qubits}
+        has_2q = any(circuit.gates[gi].is_two_qubit for gi in layer_gates)
+        idle = [q for q in range(circuit.num_qubits) if q not in touched] \
+            if has_2q else []
+        sites = []
+        for gi in layer_gates:
+            g = circuit.gates[gi]
+            if g.is_two_qubit:
+                sites.append(("2q", n_2q))
+                n_2q += 1
+            elif g.kind in (GateKind.H, GateKind.X, GateKind.Z):
+                sites.append(("1q", n_1q))
+                n_1q += 1
+            elif g.kind in (GateKind.MEASURE_Z, GateKind.MEASURE_X):
+                sites.append(("meas", n_meas))
+                n_meas += 1
+            else:
+                sites.append((None, 0))
+        layer_plan.append((layer_gates, sites, idle, n_idle))
+        n_idle += len(idle)
+    ideal = sorted(exact_bit_distribution(circuit).items())
+    ideal_bits = [b for b, _ in ideal]
+    ideal_cum = np.cumsum([p for _, p in ideal])
+
+    records = []
+    for shot in range(shots):
+        rng = _ref_rng(seed, shot)
+        e2 = rng.random(n_2q) < eff.p2 if n_2q else ()
+        e1 = rng.random(n_1q) < eff.p1 if n_1q else ()
+        em = rng.random(n_meas) < eff.p_meas if n_meas else ()
+        ei = rng.random(n_idle) < eff.p_idle if n_idle else ()
+        if not (np.any(e2) or np.any(e1) or np.any(ei)) and not inject_map:
+            pick = int(np.searchsorted(ideal_cum, rng.random()))
+            bits = list(ideal_bits[min(pick, len(ideal_bits) - 1)])
+            mi = 0
+            for layer_gates, sites, idle, _ in layer_plan:
+                for gi, (cat, _) in zip(layer_gates, sites):
+                    if cat == "meas":
+                        if em[mi]:
+                            bits[circuit.gates[gi].clbit] ^= 1
+                        mi += 1
+            records.append(make_record(bits, checks, decode))
+            continue
+        state = StateVector(circuit.num_qubits)
+        bits = [0] * circuit.num_clbits
+        for layer_gates, sites, idle, idle_base in layer_plan:
+            for gi, (cat, si) in zip(layer_gates, sites):
+                g = circuit.gates[gi]
+                if cat == "meas":
+                    if g.kind is GateKind.MEASURE_X:
+                        state.apply_h(g.qubits[0])
+                    v = state.measure(g.qubits[0], rng)
+                    if em[si]:
+                        v ^= 1
+                    bits[g.clbit] = v
+                else:
+                    _ref_apply(state, g, rng)
+                    if cat == "2q" and e2[si]:
+                        _ref_random_pauli(state, g.qubits, rng)
+                    elif cat == "1q" and e1[si]:
+                        _ref_random_pauli(state, g.qubits, rng)
+                for pauli in inject_map.get(gi, ()):
+                    state.apply_pauli(pauli)
+            for off, q in enumerate(idle):
+                if ei[idle_base + off]:
+                    _ref_random_pauli(state, (q,), rng)
+        records.append(make_record(bits, checks, decode))
+    return records
+
+
+def _ref_phase_layers(gates, k):
+    frontier = [0] * k
+    layers = []
+    for g in gates:
+        layer = max(frontier[g.u], frontier[g.v])
+        while len(layers) <= layer:
+            layers.append([])
+        layers[layer].append(g)
+        frontier[g.u] = frontier[g.v] = layer + 1
+    return layers
+
+
+def reference_sample_logical_shots(lc, noise, shots, seed):
+    eff = noise.effective()
+    records = []
+    phase_layers = [_ref_phase_layers(gates, lc.k) for gates in lc.phase_layers]
+    for shot in range(shots):
+        rng = _ref_rng(seed, shot)
+        state = StateVector(lc.k)
+        for q in range(lc.k):
+            state.apply_h(q)
+        for layers, mixer in zip(phase_layers, lc.mixer_layers):
+            for layer in layers:
+                touched = set()
+                for g in layer:
+                    state.apply_rzz(g.u, g.v, g.angle)
+                    touched.update((g.u, g.v))
+                    if eff.p2 > 0 and rng.random() < eff.p2:
+                        _ref_random_pauli(state, (g.u, g.v), rng)
+                if eff.p_idle > 0:
+                    for q in range(lc.k):
+                        if q not in touched and rng.random() < eff.p_idle:
+                            _ref_random_pauli(state, (q,), rng)
+            for m in mixer:
+                state.apply_rx(m.qubit, m.angle)
+                if eff.p1 > 0 and rng.random() < eff.p1:
+                    _ref_random_pauli(state, (m.qubit,), rng)
+        bits = []
+        for q in range(lc.k):
+            v = state.measure(q, rng)
+            if eff.p_meas > 0 and rng.random() < eff.p_meas:
+                v ^= 1
+            bits.append(v)
+        logical = sum(b << i for i, b in enumerate(bits))
+        records.append(ShotRecord(tuple(bits), (), True, logical))
+    return records
+
+
+def _mid_measure_circuit():
+    # random mid-circuit outcomes (mz, then mx) and a reset in the sweep's
+    # path, so shots whose draws disagree with the sweep replay from layer
+    # 0; the trailing mz on qubit 3 is scheduled before the last gates, so
+    # the horizon cuts the sweep short of them
+    c = PhysicalCircuit(4, 5)
+    c.begin_component(0, ComponentRole.INIT)
+    c.h(0)
+    c.cx(0, 1)
+    c.mz(0, 0)
+    c.rzz(1, 2, 0.3)
+    c.mx(1, 1)
+    c.reset(0)
+    c.h(2)
+    c.cx(2, 3)
+    c.rxx(0, 2, 0.7)
+    c.cx(2, 1)
+    c.rzz(0, 1, 0.2)
+    c.h(2)
+    c.mz(3, 4)
+    c.mz(0, 2)
+    c.mz(1, 3)
+    return c
+
+
+class TestBitIdentity:
+    """Records equal (==) to a whole-trajectory replay of every shot."""
+
+    graph = generate_instance(GraphKind.REGULAR_3, 6, seed=2)
+    params = ramp_params(1)
+
+    @pytest.fixture(scope="class")
+    def circuits(self):
+        z2 = compile_cooptimized(self.graph, self.params, CompileConfig(
+            num_syndromes=1, gadget_set=GadgetSet.NEW, use_z2=True,
+            resynthesize=True, queue_cap=50))
+        base = compile_baseline(self.graph, self.params, CompileConfig(
+            num_syndromes=1, gadget_set=GadgetSet.OLD))
+        return {"resynth+z2": z2, "baseline": base}
+
+    @pytest.mark.parametrize("mode", ["resynth+z2", "baseline"])
+    @pytest.mark.parametrize("scale", [0.0, 1.0, 4.0])
+    def test_encoded(self, circuits, mode, scale):
+        enc = circuits[mode]
+        args = (enc.circuit, NoiseModel(scale=scale), 80, 17)
+        kw = dict(checks=enc.checks, decode=enc.decode)
+        assert sample_shots(*args, **kw) == reference_sample_shots(*args, **kw)
+
+    def test_injected(self, circuits):
+        enc = circuits["resynth+z2"]
+        circ = enc.circuit
+        mid = [i for i, g in enumerate(circ.gates) if g.is_two_qubit][5]
+        inject = [(mid, PauliString.from_ops([(circ.gates[mid].qubits[0], "Y")]))]
+        args = (circ, NoiseModel(scale=1.0), 40, 5)
+        kw = dict(checks=enc.checks, decode=enc.decode, inject=inject)
+        assert sample_shots(*args, **kw) == reference_sample_shots(*args, **kw)
+
+    def test_random_mid_circuit_measurement(self):
+        circ = _mid_measure_circuit()
+        args = (circ, NoiseModel(scale=40.0), 400, 3)
+        assert sample_shots(*args) == reference_sample_shots(*args)
+
+    @pytest.mark.parametrize("noise", [
+        NoiseModel(scale=0.0), NoiseModel(scale=1.0), NoiseModel(scale=30.0),
+        NoiseModel(p1=0.0, p_idle=0.0, scale=30.0)])
+    def test_unencoded(self, noise):
+        lc = build_qaoa(self.graph, self.params)
+        assert sample_logical_shots(lc, noise, 150, 9) == \
+            reference_sample_logical_shots(lc, noise, 150, 9)
+
+    def test_negative_shots_rejected(self, circuits):
+        enc = circuits["resynth+z2"]
+        with pytest.raises(ValueError, match="shots"):
+            sample_shots(enc.circuit, NoiseModel(), -1, 0)
+        with pytest.raises(ValueError, match="shots"):
+            sample_logical_shots(build_qaoa(self.graph, self.params),
+                                 NoiseModel(), -1, 0)
+        assert sample_shots(enc.circuit, NoiseModel(), 0, 0) == []
+
+
 class TestEnergyTools:
     def test_point_mass(self):
         g = make_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
@@ -219,6 +470,19 @@ class TestNoiseModel:
             NoiseModel(p2=1.5)
         with pytest.raises(ValueError):
             NoiseModel(scale=-1.0)
+
+    @pytest.mark.parametrize("text, line, what", [
+        ("p2 0.1 0.2\n", 1, "name value"),
+        ("p2 0.001\n\np3 0.1\n", 3, "unknown"),
+        ("# comment\np2\n", 2, "name value"),
+        ("p2 abc\n", 1, "convert"),
+        ("p2 1.5\n", 1, "p2 must be"),
+        ("p2 0.1\np2 0.2\n", 2, "twice"),
+    ])
+    def test_malformed_file(self, text, line, what):
+        with pytest.raises(NoiseFormatError, match=f"line {line}: .*{what}"):
+            read_noise(text)
+        assert issubclass(NoiseFormatError, ValueError)
 
     def test_scaling_clips(self):
         m = NoiseModel(p2=0.5, scale=4.0)
