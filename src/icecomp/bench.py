@@ -73,16 +73,13 @@ class SweepSpec:
                     yield k, d, seed, g
 
 
-def mode_config(mode: str, s: int, queue_cap: int,
-                gadget_set: GadgetSet | None = None) -> CompileConfig:
+def mode_config(mode: str, s: int, queue_cap: int) -> CompileConfig:
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; valid: {MODES}")
     if mode == "baseline":
-        gs = gadget_set or GadgetSet.OLD
-        return CompileConfig(num_syndromes=s, gadget_set=gs)
-    gs = gadget_set or GadgetSet.NEW
+        return CompileConfig(num_syndromes=s, gadget_set=GadgetSet.OLD)
     return CompileConfig(
-        num_syndromes=s, gadget_set=gs,
+        num_syndromes=s, gadget_set=GadgetSet.NEW,
         use_z2=(mode == "resynth+z2"),
         resynthesize=(mode in ("resynth", "resynth+z2")),
         queue_cap=queue_cap,
@@ -90,9 +87,8 @@ def mode_config(mode: str, s: int, queue_cap: int,
 
 
 def compile_mode(graph: ProblemGraph, params: QaoaParams, mode: str, s: int,
-                 queue_cap: int, gadget_set: GadgetSet | None = None
-                 ) -> EncodedCircuit:
-    cfg = mode_config(mode, s, queue_cap, gadget_set)
+                 queue_cap: int) -> EncodedCircuit:
+    cfg = mode_config(mode, s, queue_cap)
     if mode == "baseline":
         return compile_baseline(graph, params, cfg)
     return compile_cooptimized(graph, params, cfg)

@@ -70,9 +70,7 @@ def cmd_compile(args) -> int:
         gadget_set=GadgetSet(args.gadgets),
         use_z2=args.z2,
         resynthesize=args.resynth,
-        expansion_width=args.width,
         queue_cap=args.queue_cap,
-        seed=args.seed,
     )
     t0 = time.perf_counter()
     if args.mode == "baseline":
@@ -244,9 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--mode", choices=("baseline", "coopt"), default="coopt")
     c.add_argument("--z2", action="store_true")
     c.add_argument("--resynth", action="store_true")
-    c.add_argument("--width", type=int, default=3)
     c.add_argument("--queue-cap", type=int, default=2000)
-    c.add_argument("--seed", type=int, default=0)
     c.add_argument("--out", required=True)
     c.add_argument("--report")
     c.set_defaults(func=cmd_compile)
@@ -309,7 +305,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    ap = build_parser()
+    args = ap.parse_args(argv)
+    if args.command == "compile" and args.mode == "baseline" \
+            and (args.z2 or args.resynth):
+        ap.error("compile --mode baseline takes neither --z2 nor --resynth")
     os.makedirs(args.out_dir, exist_ok=True)
     return args.func(args)
 

@@ -5,14 +5,21 @@ qubit is 0 and the bottom qubit is k+1.  Phase rotations map to RZZ on the
 two data qubits, mixer rotations to RXX anchored on the top qubit (or the
 bottom qubit as well, when the circuit is flagged globally flip-symmetric).
 
+Both compilers start from one component plan, `_build_task`: the init
+gadget, then the p phase/mixer layers with the s syndromes inserted at
+`syndrome_insertion_points` (syndrome i writes classical bits 1+2i and
+2+2i), then the final measurement.  The baseline splices each gadget
+between full-width barriers and list-schedules each run of algorithmic
+components between them.
+
 The co-compiler searches over circuit states: each node is a prefix of
 scheduled layers plus per-component progress cursors.  Nodes are ranked by
 F = G + H where G is the layer count so far and H the max weighted degree
-of the uncompiled-interaction graph.  Expansion picks up to `width`
-children by maximum-weight matching over the executable-gate graph, with
-at most one syndrome block per layer; syndrome internals follow the
-fault-tolerant pipeline templates, with the pair-to-slot binding chosen
-during the search when resynthesis is enabled.
+of the uncompiled-interaction graph.  Expansion picks up to
+`EXPANSION_WIDTH` children by maximum-weight matching over the
+executable-gate graph, with at most one syndrome block per layer; syndrome
+internals follow the fault-tolerant pipeline templates, with the
+pair-to-slot binding chosen during the search when resynthesis is enabled.
 """
 
 from __future__ import annotations
@@ -20,19 +27,20 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import re
 import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import networkx as nx
 
-from .circuit import (ComponentRole, Gate, GateKind, PhysicalCircuit,
-                      layered_schedule, two_qubit_depth)
+from .circuit import (CircuitError, ComponentRole, Gate, GateKind,
+                      PhysicalCircuit, layered_schedule, read_circuit,
+                      two_qubit_depth, write_circuit)
 from .gadgets import (Gadget, GadgetKind, IcebergLayout, ParityCheck,
                       build_gadget, gadget_role, syndrome_lag_schedule)
-from .maxcut import (LogicalCircuit, MixerGate, PhaseGate, ProblemGraph,
-                     QaoaParams, build_qaoa)
+from .maxcut import PhaseGate, ProblemGraph, QaoaParams, build_qaoa
 
 
 class CompileError(ValueError):
@@ -44,24 +52,24 @@ class GadgetSet(Enum):
     NEW = "new"
 
 
+# children per best-first expansion (one per distinct matching)
+EXPANSION_WIDTH = 3
+
+
 @dataclass(frozen=True)
 class CompileConfig:
     num_syndromes: int = 3
     gadget_set: GadgetSet = GadgetSet.NEW
     use_z2: bool = False
     resynthesize: bool = False
-    expansion_width: int = 3
     # best-first node budget before falling back to a greedy rollout from
     # the best frontier node; compile quality saturates by a few hundred
     # nodes on every family tested, so sweeps keep this small
     queue_cap: int = 2000
-    seed: int = 0
 
     def validate(self, layout: IcebergLayout, graph: ProblemGraph) -> None:
         if self.num_syndromes < 0:
             raise CompileError("num_syndromes must be >= 0")
-        if self.expansion_width < 1:
-            raise CompileError("expansion_width must be >= 1")
         if (self.gadget_set is GadgetSet.NEW and self.num_syndromes > 0
                 and layout.n % 4 != 0):
             raise CompileError(
@@ -119,21 +127,21 @@ def _rebase(gadget: Gadget, clbit_offset: int, component: int):
     return gates, checks, decode
 
 
-def _schedule_chunk(chunk: list[tuple[int, ComponentRole, list]], t_qubit: int
+def _schedule_chunk(chunk: list[_AlgComp], t_qubit: int
                     ) -> list[tuple[int, object]]:
     """List-schedule one algorithmic chunk (phase/mixer components between
-    two gadget fences) and return (component_id, gate_spec) in layer order.
+    two gadget fences) and return (component pos, gate spec) in layer order.
 
     The mixer chain on the top qubit is the critical path, so every layer
     schedules a ready mixer when one exists, then fills the remaining
     qubits with ready phase gates, heaviest remaining degree first."""
-    remaining: list[set[int]] = [set(range(len(gates))) for _, _, gates in chunk]
+    remaining: list[set[int]] = [set(range(len(c.gates))) for c in chunk]
     # per component and qubit: how many of its gates still touch the qubit
     touch: list[dict[int, int]] = []
-    for _, role, gates in chunk:
+    for comp in chunk:
         tc: dict[int, int] = {}
-        for g in gates:
-            qs = (g.u + 1, g.v + 1) if role is ComponentRole.PHASE_LAYER \
+        for g in comp.gates:
+            qs = (g.u + 1, g.v + 1) if comp.role is ComponentRole.PHASE_LAYER \
                 else (t_qubit, g.qubit + 1)
             for q in qs:
                 tc[q] = tc.get(q, 0) + 1
@@ -151,9 +159,10 @@ def _schedule_chunk(chunk: list[tuple[int, ComponentRole, list]], t_qubit: int
         busy: set[int] = set()
         placed_any = False
         # one mixer per layer keeps the top-qubit chain moving
-        for ci, (cid, role, gates) in enumerate(chunk):
-            if role is not ComponentRole.MIXER_LAYER or t_qubit in busy:
+        for ci, comp in enumerate(chunk):
+            if comp.role is not ComponentRole.MIXER_LAYER or t_qubit in busy:
                 continue
+            gates = comp.gates
             best = None
             for gi in sorted(remaining[ci]):
                 mg = gates[gi]
@@ -171,15 +180,16 @@ def _schedule_chunk(chunk: list[tuple[int, ComponentRole, list]], t_qubit: int
                 remaining[ci].discard(gi)
                 touch[ci][t_qubit] -= 1
                 touch[ci][q] -= 1
-                out.append((cid, mg))
+                out.append((comp.pos, mg))
                 busy |= {t_qubit, q}
                 total -= 1
                 placed_any = True
                 break
         # fill with phase gates
-        for ci, (cid, role, gates) in enumerate(chunk):
-            if role is not ComponentRole.PHASE_LAYER:
+        for ci, comp in enumerate(chunk):
+            if comp.role is not ComponentRole.PHASE_LAYER:
                 continue
+            gates = comp.gates
             cands = []
             for gi in sorted(remaining[ci]):
                 pg = gates[gi]
@@ -195,7 +205,7 @@ def _schedule_chunk(chunk: list[tuple[int, ComponentRole, list]], t_qubit: int
                 remaining[ci].discard(gi)
                 touch[ci][a] -= 1
                 touch[ci][b] -= 1
-                out.append((cid, pg))
+                out.append((comp.pos, pg))
                 busy |= {a, b}
                 total -= 1
                 placed_any = True
@@ -256,30 +266,20 @@ def compile_baseline(graph: ProblemGraph, params: QaoaParams,
                      cfg: CompileConfig) -> EncodedCircuit:
     """Insert default-order gadgets around the algorithmic circuit.
 
-    Gadgets are fenced with full-width barriers (protecting their structure
-    from any later rescheduling); algorithmic components in between are left
-    to ASAP layering.  Mixers anchor on the top qubit only."""
-    layout = IcebergLayout(graph.num_vertices)
-    cfg.validate(layout, graph)
-    init_kind, syn_kind, final_kind = _gadget_kinds(cfg.gadget_set)
-    lc = build_qaoa(graph, params)
-    s = cfg.num_syndromes
-    n = layout.n
-
-    init_g = build_gadget(init_kind, layout.k)
-    syn_gs = [build_gadget(syn_kind, layout.k) for _ in range(s)]
-    final_g = build_gadget(final_kind, layout.k)
-    final_off = 1 + 2 * s
-    num_clbits = final_off + final_g.num_clbits
-
-    circ = PhysicalCircuit(layout.num_qubits, num_clbits)
+    Walks the component plan of `_build_task` (built with resynthesis off:
+    the baseline ignores `resynthesize` and `use_z2`).  Gadgets are fenced
+    with full-width barriers (protecting their structure from any later
+    rescheduling); each run of algorithmic components between two gadgets
+    is list-scheduled by `_schedule_chunk`.  Mixers anchor on the top qubit
+    only."""
+    task = _build_task(graph, params, replace(cfg, resynthesize=False))
+    layout = task.layout
+    circ = PhysicalCircuit(layout.num_qubits, task.num_clbits)
     checks: list[ParityCheck] = []
-    cid = itertools.count()
 
-    def splice(gadget: Gadget, off: int):
+    def splice(gadget: Gadget, off: int, c: int):
         # full-width fences: the naive flow never co-schedules algorithmic
         # gates into gadget spans
-        c = next(cid)
         circ.begin_component(c, gadget_role(gadget.kind))
         gates, gchecks, gdecode = _rebase(gadget, off, c)
         circ.barrier(component=c)
@@ -289,43 +289,23 @@ def compile_baseline(graph: ProblemGraph, params: QaoaParams,
         checks.extend(gchecks)
         return gdecode
 
-    splice(init_g, 0)
-
-    alg: list[tuple[ComponentRole, list]] = []
-    for t in range(params.p):
-        alg.append((ComponentRole.PHASE_LAYER, lc.phase_layers[t]))
-        alg.append((ComponentRole.MIXER_LAYER, lc.mixer_layers[t]))
-    points = syndrome_insertion_points([len(g) for _, g in alg], s)
-
-    # walk chunk by chunk: schedule each algorithmic chunk, fence syndromes
-    next_syn = 0
-    chunk: list[tuple[int, ComponentRole, list]] = []
-
-    def flush_chunk():
-        nonlocal chunk
-        if not chunk:
-            return
-        for c, role, _ in chunk:
-            circ.begin_component(c, role)
+    for fenced, run in itertools.groupby(
+            task.components, key=lambda c: isinstance(c, _FragComp)):
+        if fenced:
+            for comp in run:
+                splice(comp.gadget, comp.clbit_offset, comp.pos)
+            continue
+        chunk = list(run)
+        for comp in chunk:
+            circ.begin_component(comp.pos, comp.role)
         for c, spec in _schedule_chunk(chunk, layout.t):
             if isinstance(spec, PhaseGate):
                 circ.rzz(spec.u + 1, spec.v + 1, spec.angle, component=c)
             else:
                 circ.rxx(layout.t, spec.qubit + 1, spec.angle, component=c)
-        chunk = []
 
-    for pos in range(len(alg) + 1):
-        while next_syn < s and points[next_syn] == pos:
-            flush_chunk()
-            splice(syn_gs[next_syn], 1 + 2 * next_syn)
-            next_syn += 1
-        if pos == len(alg):
-            flush_chunk()
-            break
-        role, gates = alg[pos]
-        chunk.append((next(cid), role, list(gates)))
-
-    decode = splice(final_g, final_off)
+    decode = splice(append_final_measurement(task, {}),
+                    task.final_clbit_offset, len(task.components))
     circ.validate()
     enc = EncodedCircuit(circ, layout, tuple(checks), decode, graph, params,
                          cfg, mode="baseline")
@@ -371,18 +351,30 @@ class _FragComp:
 class _AlgComp:
     pos: int
     role: ComponentRole
-    component_id: int
     gates: list            # PhaseGate or MixerGate
-    qubits: list[frozenset[int]]   # per gate, possible qubit sets handled ad hoc
 
 
 @dataclass
 class _SynComp:
+    """A new-style syndrome whose data qubits are bound to pipeline slots
+    by the search, one pair per binding stage.  Its progress is (stage,
+    bindings), bindings[j] being the (u, v) pair on `slots_of_pair(j)`."""
     pos: int
-    syn_index: int
     clbit_offset: int
-    binding_stages: frozenset[int]
     n: int
+    binding_stages: frozenset[int]
+    schedule: list[tuple[int, int]]   # per stage: (X slot, Z slot)
+    last_stage: tuple[int, ...]       # per slot: its last coupling stage
+
+    @staticmethod
+    def build(pos: int, off: int, n: int) -> "_SynComp":
+        m = n // 2 - 2
+        binding = frozenset({0, *range(2, 2 + m), n - 2})
+        sched = syndrome_lag_schedule(n)
+        last = [0] * n
+        for stage, (xs, zs) in enumerate(sched):
+            last[xs] = last[zs] = stage
+        return _SynComp(pos, off, n, binding, sched, tuple(last))
 
     def slots_of_pair(self, pair_idx: int) -> tuple[int, int]:
         m = self.n // 2 - 2
@@ -393,6 +385,14 @@ class _SynComp:
         i = pair_idx - 1
         return (2 + i, 2 + m + i)
 
+    def slot_qubits(self, bindings: tuple) -> dict[int, int]:
+        """Slot -> data qubit for every slot bound so far."""
+        out: dict[int, int] = {}
+        for j, (u, v) in enumerate(bindings):
+            su, sv = self.slots_of_pair(j)
+            out[su], out[sv] = u, v
+        return out
+
 
 @dataclass
 class CompileTask:
@@ -401,7 +401,6 @@ class CompileTask:
     params: QaoaParams
     cfg: CompileConfig
     components: list
-    init_gadget: Gadget
     final_kind: GadgetKind
     final_clbit_offset: int
     num_clbits: int
@@ -409,6 +408,10 @@ class CompileTask:
 
 def _build_task(graph: ProblemGraph, params: QaoaParams,
                 cfg: CompileConfig) -> CompileTask:
+    """The component plan shared by both compilers: the init gadget, then
+    phase/mixer layers with the syndromes at `syndrome_insertion_points`.
+    A component's position is its component id; the final measurement
+    takes the next one."""
     layout = IcebergLayout(graph.num_vertices)
     cfg.validate(layout, graph)
     init_kind, syn_kind, final_kind = _gadget_kinds(cfg.gadget_set)
@@ -427,31 +430,26 @@ def _build_task(graph: ProblemGraph, params: QaoaParams,
         alg.append((ComponentRole.MIXER_LAYER, lc.mixer_layers[t]))
     points = syndrome_insertion_points([len(g) for _, g in alg], s)
 
-    components: list = []
-    components.append(_FragComp.build(0, init_g, 0))
+    components: list = [_FragComp.build(0, init_g, 0)]
     next_syn = 0
-    cpos = 1
     for pos in range(len(alg) + 1):
         while next_syn < s and points[next_syn] == pos:
+            cpos = len(components)
             off = 1 + 2 * next_syn
             if cfg.resynthesize and syn_kind is GadgetKind.SYNDROME_NEW:
-                m = layout.n // 2 - 2
-                binding = frozenset({0} | set(range(2, 2 + m)) | {layout.n - 2})
-                components.append(_SynComp(cpos, next_syn, off, binding, layout.n))
+                components.append(_SynComp.build(cpos, off, layout.n))
             else:
                 g = build_gadget(syn_kind, layout.k)
                 components.append(_FragComp.build(cpos, g, off))
-            cpos += 1
             next_syn += 1
         if pos == len(alg):
             break
         role, gates = alg[pos]
-        components.append(_AlgComp(cpos, role, cpos, list(gates), []))
-        cpos += 1
+        components.append(_AlgComp(len(components), role, list(gates)))
 
     final_off = 1 + 2 * s
     final_len = (layout.n + 2) if final_kind is GadgetKind.FINAL_OLD else (layout.n + 1)
-    return CompileTask(layout, graph, params, cfg, components, init_g,
+    return CompileTask(layout, graph, params, cfg, components,
                        final_kind, final_off, final_off + final_len)
 
 
@@ -471,9 +469,6 @@ class SearchNode:
     @property
     def f(self) -> int:
         return self.g + self.h
-
-    def key(self):
-        return self.progress
 
 
 def _initial_progress(task: CompileTask) -> tuple:
@@ -544,11 +539,12 @@ def build_uncompiled_graph(node: SearchNode) -> dict[int, float]:
             stage, bindings = prog
             if stage >= comp.n:
                 continue
-            remaining = _syn_remaining_couplings(comp, stage, bindings)
+            slot_q = comp.slot_qubits(bindings)
+            remaining = _syn_remaining_couplings(comp, stage, slot_q)
             for q, cnt in remaining.items():
                 deg[q] += cnt
                 anc += cnt
-            bound = {q for pair in bindings for q in pair}
+            bound = set(slot_q.values())
             for q in layout.data:
                 if q not in bound:
                     deg[q] += 2
@@ -558,22 +554,14 @@ def build_uncompiled_graph(node: SearchNode) -> dict[int, float]:
 
 
 def _syn_remaining_couplings(comp: _SynComp, stage: int,
-                             bindings: tuple) -> dict[int, int]:
+                             slot_q: dict[int, int]) -> dict[int, int]:
     """Remaining ancilla couplings per already-bound data qubit.
 
     Qubits not yet bound to a slot owe two couplings each; the heuristic
     accounts for those separately."""
-    if stage >= comp.n:
-        return {}
-    sched = syndrome_lag_schedule(comp.n)
-    slot_q: dict[int, int] = {}
-    for j, (u, v) in enumerate(bindings):
-        su, sv = comp.slots_of_pair(j)
-        slot_q[su] = u
-        slot_q[sv] = v
     out: dict[int, int] = {}
     for L in range(stage, comp.n):
-        for slot in sched[L]:
+        for slot in comp.schedule[L]:
             if slot in slot_q:
                 q = slot_q[slot]
                 out[q] = out.get(q, 0) + 1
@@ -661,17 +649,12 @@ def build_executable_graph(node: SearchNode) -> ExecutableGraph:
                     free.discard(anchor)
         else:
             stage, bindings = prog
-            sched = syndrome_lag_schedule(comp.n)
-            slot_q: dict[int, int] = {}
-            for j, (u, v) in enumerate(bindings):
-                su, sv = comp.slots_of_pair(j)
-                slot_q[su], slot_q[sv] = u, v
-            xs, zs = sched[stage]
+            slot_q = comp.slot_qubits(bindings)
             ax, az = layout.ancilla0, layout.ancilla1
             if ax not in free or az not in free:
                 pass  # ancillas blocked by an earlier unfinished component
             elif stage in comp.binding_stages:
-                bound = {q for pair in bindings for q in pair}
+                bound = set(slot_q.values())
                 eligible = sorted(
                     (q for q in layout.data if q in free and q not in bound),
                     key=lambda q: (-deg.get(q, 0.0), q),
@@ -682,25 +665,15 @@ def build_executable_graph(node: SearchNode) -> ExecutableGraph:
                     if pair not in edges:
                         edges[pair] = ("bind", comp.pos, (u, v))
             else:
+                xs, zs = comp.schedule[stage]
                 qx, qz = slot_q[xs], slot_q[zs]
                 forced.append(("synstep", comp.pos, (qx, qz)))
                 forced_qubits |= {qx, qz, ax, az}
                 free -= {qx, qz}
-            # reserve: ancillas and every data qubit still owing couplings
-            bound = {q for pair in bindings for q in pair}
-            done_slots = set()
-            for L in range(stage):
-                a, c = sched[L]
-                done_slots.add((L, "x"))
-            # a data qubit is finished with this syndrome when both its
-            # couplings have fired, i.e. both its slots are before `stage`
-            finished: set[int] = set()
-            for j, (u, v) in enumerate(bindings):
-                su, sv = comp.slots_of_pair(j)
-                for q, s_own, s_other in ((u, su, sv), (v, sv, su)):
-                    last = max(_slot_layers(sched, s_own))
-                    if last < stage:
-                        finished.add(q)
+            # reserve: ancillas and every data qubit still owing couplings;
+            # a bound qubit is finished once its slot's last stage has run
+            finished = {q for slot, q in slot_q.items()
+                        if comp.last_stage[slot] < stage}
             for q in layout.data:
                 if q not in finished:
                     free.discard(q)
@@ -708,10 +681,6 @@ def build_executable_graph(node: SearchNode) -> ExecutableGraph:
             free.discard(az)
     weights = {pair: weight(*sorted(pair)) for pair in edges}
     return ExecutableGraph(edges, weights, forced, frozenset(forced_qubits))
-
-
-def _slot_layers(sched, slot: int) -> list[int]:
-    return [L for L, (xs, zs) in enumerate(sched) if xs == slot or zs == slot]
 
 
 # -- expansion ----------------------------------------------------------------
@@ -749,12 +718,9 @@ def _matchings(exe: ExecutableGraph, width: int,
     return out or [[]]
 
 
-def expand(node: SearchNode, width: int | None = None) -> list[SearchNode]:
-    task = node.task
+def expand(node: SearchNode, width: int = EXPANSION_WIDTH) -> list[SearchNode]:
     if is_goal(node):
         return []
-    if width is None:
-        width = task.cfg.expansion_width
     exe = build_executable_graph(node)
     children: list[SearchNode] = []
     for layer in _matchings(exe, width, exe.forced_qubits):
@@ -826,23 +792,6 @@ def _emit(node: SearchNode) -> EncodedCircuit:
     layout = task.layout
     layers = _collect_layers(node)
 
-    # resolve syndrome bindings into gadget fragments
-    frag_of: dict[int, Gadget] = {}
-    off_of: dict[int, int] = {}
-    for comp, prog in zip(task.components, node.progress):
-        if isinstance(comp, _FragComp):
-            frag_of[comp.pos] = comp.gadget
-            off_of[comp.pos] = comp.clbit_offset
-        elif isinstance(comp, _SynComp):
-            stage, bindings = prog
-            order = [0] * comp.n
-            for j, (u, v) in enumerate(bindings):
-                su, sv = comp.slots_of_pair(j)
-                order[su], order[sv] = u, v
-            frag_of[comp.pos] = build_gadget(GadgetKind.SYNDROME_NEW,
-                                             layout.k, tuple(order))
-            off_of[comp.pos] = comp.clbit_offset
-
     # per-component 2Q schedule position -> layer index
     frag_gate_layer: dict[tuple[int, int], int] = {}
     alg_gates_at_layer: list[list[Gate]] = [[] for _ in layers]
@@ -860,7 +809,7 @@ def _emit(node: SearchNode) -> EncodedCircuit:
                 pg = comp.gates[item[2]]
                 alg_gates_at_layer[L].append(
                     Gate(GateKind.RZZ, (pg.u + 1, pg.v + 1), angle=pg.angle,
-                         component=comp.component_id)
+                         component=pos)
                 )
                 qubit_free_layer[pg.u + 1] = L + 1
                 qubit_free_layer[pg.v + 1] = L + 1
@@ -869,7 +818,7 @@ def _emit(node: SearchNode) -> EncodedCircuit:
                 anchor = item[3]
                 alg_gates_at_layer[L].append(
                     Gate(GateKind.RXX, (anchor, mg.qubit + 1), angle=mg.angle,
-                         component=comp.component_id)
+                         component=pos)
                 )
                 qubit_free_layer[anchor] = L + 1
                 qubit_free_layer[mg.qubit + 1] = L + 1
@@ -878,103 +827,85 @@ def _emit(node: SearchNode) -> EncodedCircuit:
                 frag_gate_layer[(pos, 2 * step)] = L
                 frag_gate_layer[(pos, 2 * step + 1)] = L
                 syn_step_counter[pos] = step + 1
-                if kind == "bind":
-                    u, v = item[2]
-                    qubit_free_layer[u] = L + 1
-                    qubit_free_layer[v] = L + 1
-                else:
-                    qx, qz = item[2]
-                    qubit_free_layer[qx] = L + 1
-                    qubit_free_layer[qz] = L + 1
+                for q in item[2]:      # the bound pair or (qx, qz)
+                    qubit_free_layer[q] = L + 1
 
     # assemble: [(sort_key, Gate)], fragment 1Q gates woven around their
     # neighboring 2Q gates
     entries: list[tuple[tuple, Gate]] = []
     seq = itertools.count()
     checks: list[ParityCheck] = []
-    decode: dict[int, frozenset[int]] | None = None
-    num_clbits = task.num_clbits
 
     for L, gates in enumerate(alg_gates_at_layer):
         for g in gates:
             entries.append(((L, 1, next(seq)), g))
 
     component_roles: dict[int, ComponentRole] = {}
-    for comp in task.components:
+    for comp, prog in zip(task.components, node.progress):
+        pos = comp.pos
         if isinstance(comp, _AlgComp):
-            component_roles[comp.component_id] = comp.role
-
-    for comp in task.components:
-        if isinstance(comp, (_FragComp, _SynComp)):
-            pos = comp.pos
-            gadget = frag_of[pos]
-            gates, gchecks, gdecode = _rebase(gadget, off_of[pos], pos)
-            checks.extend(gchecks)
-            if gdecode:
-                decode = gdecode
-            component_roles[pos] = gadget_role(gadget.kind)
-            # map fragment 2Q index order -> scheduled layers
-            twoq_positions = [i for i, g in enumerate(gadget.fragment.gates)
-                              if g.is_two_qubit]
-            layer_by_frag_idx: dict[int, int] = {}
-            if isinstance(comp, _FragComp):
-                for sched_idx, (fi, _) in enumerate(comp.twoq):
-                    layer_by_frag_idx[fi] = frag_gate_layer[(pos, sched_idx)]
+            component_roles[pos] = comp.role
+            continue
+        if isinstance(comp, _FragComp):
+            gadget = comp.gadget
+        else:
+            slot_q = comp.slot_qubits(prog[1])
+            gadget = build_gadget(GadgetKind.SYNDROME_NEW, layout.k,
+                                  tuple(slot_q[i] for i in range(comp.n)))
+        gates, gchecks, _ = _rebase(gadget, comp.clbit_offset, pos)
+        checks.extend(gchecks)
+        component_roles[pos] = gadget_role(gadget.kind)
+        # the i-th 2Q gate of the fragment is the component's i-th
+        # scheduled 2Q step
+        twoq_positions = [i for i, g in enumerate(gadget.fragment.gates)
+                          if g.is_two_qubit]
+        layer_by_frag_idx = {fi: frag_gate_layer[(pos, idx)]
+                             for idx, fi in enumerate(twoq_positions)}
+        for fi in twoq_positions:
+            entries.append(((layer_by_frag_idx[fi], 1, next(seq)), gates[fi]))
+        # weave: a non-2Q gate rides with the next 2Q gate on its qubit,
+        # else trails after the previous one
+        for fi, g in enumerate(gates):
+            orig = gadget.fragment.gates[fi]
+            if orig.is_two_qubit or orig.kind is GateKind.BARRIER:
+                continue
+            nxt = None
+            prv = None
+            for fj in range(fi + 1, len(gates)):
+                o2 = gadget.fragment.gates[fj]
+                if o2.is_two_qubit and set(o2.qubits) & set(orig.qubits):
+                    nxt = layer_by_frag_idx[fj]
+                    break
+            for fj in range(fi - 1, -1, -1):
+                o2 = gadget.fragment.gates[fj]
+                if o2.is_two_qubit and set(o2.qubits) & set(orig.qubits):
+                    prv = layer_by_frag_idx[fj]
+                    break
+            if nxt is not None:
+                entries.append(((nxt, 0, fi), g))
+            elif prv is not None:
+                entries.append(((prv, 2, fi), g))
             else:
-                for order_idx, fi in enumerate(twoq_positions):
-                    layer_by_frag_idx[fi] = frag_gate_layer[(pos, order_idx)]
-            # weave: a non-2Q gate rides with the next 2Q gate on its qubit,
-            # else trails after the previous one
-            last_line: dict[int, int] = {}
-            for fi, g in enumerate(gates):
-                orig = gadget.fragment.gates[fi]
-                if orig.is_two_qubit:
-                    L = layer_by_frag_idx[fi]
-                    entries.append(((L, 1, next(seq)), g))
-                    for q in orig.qubits:
-                        last_line[q] = L
-            for fi, g in enumerate(gates):
-                orig = gadget.fragment.gates[fi]
-                if orig.is_two_qubit or orig.kind is GateKind.BARRIER:
-                    continue
-                nxt = None
-                prv = None
-                for fj in range(fi + 1, len(gates)):
-                    o2 = gadget.fragment.gates[fj]
-                    if o2.is_two_qubit and set(o2.qubits) & set(orig.qubits):
-                        nxt = layer_by_frag_idx[fj]
-                        break
-                for fj in range(fi - 1, -1, -1):
-                    o2 = gadget.fragment.gates[fj]
-                    if o2.is_two_qubit and set(o2.qubits) & set(orig.qubits):
-                        prv = layer_by_frag_idx[fj]
-                        break
-                if nxt is not None:
-                    entries.append(((nxt, 0, fi), g))
-                elif prv is not None:
-                    entries.append(((prv, 2, fi), g))
-                else:
-                    entries.append(((0, 0, fi), g))
+                entries.append(((0, 0, fi), g))
 
     # final measurement, appended after everything
     final_g = append_final_measurement(task, qubit_free_layer)
     fgates, fchecks, fdecode = _rebase(final_g, task.final_clbit_offset,
                                        len(task.components))
     checks.extend(fchecks)
-    decode = fdecode
     component_roles[len(task.components)] = gadget_role(final_g.kind)
     L_end = len(layers)
-    for i, g in enumerate(fgates):
+    for g in fgates:
         entries.append(((L_end, 1, next(seq)), g))
 
     entries.sort(key=lambda e: e[0])
-    circ = PhysicalCircuit(layout.num_qubits, num_clbits)
+    circ = PhysicalCircuit(layout.num_qubits, task.num_clbits)
     for cidx in sorted(component_roles):
         circ.begin_component(cidx, component_roles[cidx])
     for _, g in entries:
         circ.add(g)
     circ.validate()
-    enc = EncodedCircuit(circ, layout, tuple(checks), decode, task.graph,
+    enc = EncodedCircuit(circ, layout, tuple(checks), fdecode, task.graph,
                          task.params, task.cfg, mode="coopt")
     enc.meta["depth_2q"] = two_qubit_depth(circ)
     enc.meta["twoq_gates"] = circ.two_qubit_gate_count()
@@ -1002,10 +933,9 @@ def compile_cooptimized(graph: ProblemGraph, params: QaoaParams,
     t0 = time.perf_counter()
     while heap:
         _, _, _, _, node = heapq.heappop(heap)
-        key = node.key()
-        if key in seen:
+        if node.progress in seen:
             continue
-        seen.add(key)
+        seen.add(node.progress)
         if is_goal(node):
             goal = node
             break
@@ -1015,7 +945,7 @@ def compile_cooptimized(graph: ProblemGraph, params: QaoaParams,
             best_frontier = node
             break
         for child in expand(node):
-            if child.key() in seen:
+            if child.progress in seen:
                 continue
             heapq.heappush(heap, (child.f, child.h, -child.g,
                                   next(counter), child))
@@ -1034,20 +964,11 @@ def compile_cooptimized(graph: ProblemGraph, params: QaoaParams,
     return enc
 
 
-def heuristic_source_bound(graph: ProblemGraph, params: QaoaParams,
-                           cfg: CompileConfig) -> int:
-    """H at the source node for a compile task (the depth estimate)."""
-    task = _build_task(graph, params, cfg)
-    return source_node(task).h
-
-
 # ---------------------------------------------------------------------------
 # Serialization of compiled circuits with their classical maps
 # ---------------------------------------------------------------------------
 
 def write_encoded(enc: EncodedCircuit) -> str:
-    from .circuit import write_circuit
-
     parts = [write_circuit(enc.circuit)]
     for c in enc.checks:
         bits = " ".join(f"c{b}" for b in sorted(c.bits))
@@ -1058,27 +979,51 @@ def write_encoded(enc: EncodedCircuit) -> str:
     return "".join(parts)
 
 
+def _clbits(toks: list[str]) -> frozenset[int]:
+    out = set()
+    for t in toks:
+        m = re.fullmatch(r"c([0-9]+)", t)
+        if m is None:
+            raise CircuitError(f"expected a classical bit c<int>, got {t!r}")
+        out.add(int(m.group(1)))
+    return frozenset(out)
+
+
 def read_encoded(text: str):
-    """Parse circuit text with trailing check/logical lines.
+    """Parse circuit text with `check cA cB ... = 0|1` and
+    `logical i = cA ^ cB ...` lines.
 
-    Returns (circuit, checks, decode)."""
-    from .circuit import read_circuit
-
+    Returns (circuit, checks, decode).  A malformed line raises
+    CircuitError naming the line, as `read_circuit` does."""
     circuit_lines = []
     checks: list[ParityCheck] = []
     decode: dict[int, frozenset[int]] = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        tok = line.split()
-        if tok and tok[0] == "check":
-            eq = tok.index("=")
-            bits = frozenset(int(t[1:]) for t in tok[1:eq])
-            checks.append(ParityCheck(bits, int(tok[eq + 1])))
-        elif tok and tok[0] == "logical":
-            i = int(tok[1])
-            bits = frozenset(int(t[1:]) for t in tok[3:] if t != "^")
-            decode[i] = bits
-        else:
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        tok = raw.split("#", 1)[0].split()
+        if not tok or tok[0] not in ("check", "logical"):
             circuit_lines.append(raw)
+            continue
+        # keep the circuit's own line numbers
+        circuit_lines.append("")
+        try:
+            if tok[0] == "check":
+                if tok.count("=") != 1 or tok[-2] != "=" \
+                        or tok[-1] not in ("0", "1"):
+                    raise CircuitError("a check is 'check cA cB ... = 0|1'")
+                checks.append(ParityCheck(_clbits(tok[1:-2]), int(tok[-1])))
+            else:
+                terms = tok[3:]
+                if len(tok) < 3 or tok[2] != "=" \
+                        or not re.fullmatch("[0-9]+", tok[1]) \
+                        or any(t != "^" for t in terms[1::2]) \
+                        or (terms and len(terms) % 2 == 0):
+                    raise CircuitError("a decode line is "
+                                       "'logical i = cA ^ cB ...'")
+                i = int(tok[1])
+                if i in decode:
+                    raise CircuitError(f"logical {i} decoded twice")
+                decode[i] = _clbits(terms[0::2])
+        except CircuitError as e:
+            raise CircuitError(f"line {lineno}: {e}") from None
     circuit = read_circuit("\n".join(circuit_lines))
     return circuit, tuple(checks), decode

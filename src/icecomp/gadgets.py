@@ -80,21 +80,6 @@ class IcebergLayout:
         return self.data
 
 
-@dataclass(frozen=True)
-class StabilizerPair:
-    """Supports of S_z and S_x: both are the full data register."""
-
-    layout: IcebergLayout
-
-    @property
-    def z_support(self) -> frozenset[int]:
-        return frozenset(self.layout.data)
-
-    @property
-    def x_support(self) -> frozenset[int]:
-        return frozenset(self.layout.data)
-
-
 class GadgetKind(Enum):
     INIT_OLD = "init_old"
     INIT_NEW = "init_new"
@@ -420,44 +405,6 @@ def permute_gadget(gadget: Gadget, perm: Sequence[int]) -> Gadget:
         raise GadgetError(f"perm must permute {n} slots, got {perm}")
     new_order = tuple(gadget.implicit_order[p] for p in perm)
     return build_gadget(gadget.kind, gadget.layout.k, new_order)
-
-
-# ---------------------------------------------------------------------------
-# Logical rotations
-# ---------------------------------------------------------------------------
-
-def encode_rotation(pauli: str, angle: float, layout: IcebergLayout,
-                    use_bottom: bool = False, z2_allowed: bool = False):
-    """Physical gate implementing a logical rotation exp(-i*angle*P).
-
-    pauli is "X<i>" for a mixer rotation on logical qubit i, or "Z<i>Z<j>"
-    for a phase rotation.  Mixer rotations anchor on the top qubit, or on
-    the bottom qubit when use_bottom is set, which is sound only for
-    compilations flagged as globally flip-symmetric (z2_allowed).
-    """
-    from .circuit import Gate, GateKind
-
-    spec = pauli.replace(" ", "")
-    if spec.startswith("X"):
-        i = int(spec[1:])
-        if not 1 <= i <= layout.k:
-            raise GadgetError(f"logical index {i} out of range")
-        if use_bottom and not z2_allowed:
-            raise GadgetError("bottom-anchored mixer requires the Z2 symmetry flag")
-        anchor = layout.b if use_bottom else layout.t
-        return Gate(GateKind.RXX, (anchor, i), angle=angle)
-    if spec.startswith("Z"):
-        body = spec[1:].split("Z")
-        if len(body) != 2:
-            raise GadgetError(f"cannot parse Pauli spec {pauli!r}")
-        i, j = int(body[0]), int(body[1])
-        for idx in (i, j):
-            if not 1 <= idx <= layout.k:
-                raise GadgetError(f"logical index {idx} out of range")
-        if i == j:
-            raise GadgetError("ZZ rotation needs two distinct logical qubits")
-        return Gate(GateKind.RZZ, (i, j), angle=angle)
-    raise GadgetError(f"cannot parse Pauli spec {pauli!r}")
 
 
 def gadget_cost_table(k: int) -> dict[GadgetKind, tuple[int, int]]:

@@ -242,7 +242,11 @@ def write_graph(graph: ProblemGraph) -> str:
 
 
 def read_graph(text: str) -> ProblemGraph:
-    k = None
+    """Parse a `graph k m` header and m `edge u v [w]` lines.
+
+    A malformed line, a second header or an edge count other than m raises
+    ValueError naming the line."""
+    header: tuple[int, int, int] | None = None     # (line, k, m)
     edges: list[tuple[int, int]] = []
     weights: list[float] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -250,15 +254,28 @@ def read_graph(text: str) -> ProblemGraph:
         if not line:
             continue
         tok = line.split()
-        if tok[0] == "graph":
-            k = int(tok[1])
-        elif tok[0] == "edge":
-            edges.append((int(tok[1]), int(tok[2])))
-            weights.append(float(tok[3]) if len(tok) > 3 else 1.0)
-        else:
-            raise ValueError(f"line {lineno}: unknown directive {tok[0]!r}")
-    if k is None:
+        try:
+            if tok[0] == "graph":
+                if len(tok) != 3:
+                    raise ValueError("the header is 'graph k m'")
+                if header is not None:
+                    raise ValueError("second 'graph' header")
+                header = (lineno, int(tok[1]), int(tok[2]))
+            elif tok[0] == "edge":
+                if len(tok) not in (3, 4):
+                    raise ValueError("an edge is 'edge u v [w]'")
+                edges.append((int(tok[1]), int(tok[2])))
+                weights.append(float(tok[3]) if len(tok) > 3 else 1.0)
+            else:
+                raise ValueError(f"unknown directive {tok[0]!r}")
+        except ValueError as e:
+            raise ValueError(f"line {lineno}: {e}") from None
+    if header is None:
         raise ValueError("missing 'graph k m' header")
+    lineno, k, m = header
+    if m != len(edges):
+        raise ValueError(f"line {lineno}: header declares {m} edges, "
+                         f"the file has {len(edges)}")
     return make_graph(k, edges, weights)
 
 

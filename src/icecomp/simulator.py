@@ -178,9 +178,11 @@ class StateVector:
         a = self._axis1(q)[:, 1, :]
         return float(np.sum(a.real * a.real + a.imag * a.imag))
 
-    def collapse(self, q: int, value: int) -> float:
-        """Project qubit q onto |value>, renormalize; returns branch prob."""
-        p1 = self.prob_one(q)
+    def collapse(self, q: int, value: int, p1: float) -> float:
+        """Project qubit q onto |value>, renormalize; returns branch prob.
+
+        p1 is `prob_one(q)` of the current state, which every caller has
+        already computed to pick `value`."""
         p = p1 if value == 1 else 1.0 - p1
         if p <= 0.0:
             raise SimulatorError("collapse onto zero-probability branch")
@@ -192,12 +194,13 @@ class StateVector:
     def measure(self, q: int, rng: np.random.Generator) -> int:
         p1 = self.prob_one(q)
         value = 1 if rng.random() < p1 else 0
-        self.collapse(q, value)
+        self.collapse(q, value, p1)
         return value
 
     def reset(self, q: int, rng: np.random.Generator) -> None:
-        value = 1 if rng.random() < self.prob_one(q) else 0
-        self.collapse(q, value)
+        p1 = self.prob_one(q)
+        value = 1 if rng.random() < p1 else 0
+        self.collapse(q, value, p1)
         if value == 1:
             self.apply_x(q)
 
@@ -444,7 +447,7 @@ class _ShotPlan:
                     sweep.apply_h(q)
                 p1 = sweep.prob_one(q)
                 v = 1 if p1 > 0.5 else 0
-                sweep.collapse(q, v)
+                sweep.collapse(q, v, p1)
                 if cat == "reset" and v:
                     sweep.apply_x(q)
                 outcomes.append((p1, v, g, si if cat == "meas" else None))
@@ -622,7 +625,7 @@ def exact_bit_distribution(circuit: PhysicalCircuit,
                     outcomes.append(1)
                 for v in outcomes:
                     st = state.copy() if len(outcomes) > 1 else state
-                    p = st.collapse(g.qubits[0], v)
+                    p = st.collapse(g.qubits[0], v, p1)
                     nb = bits if g.kind is GateKind.RESET else list(bits)
                     if g.kind is GateKind.RESET:
                         if v == 1:

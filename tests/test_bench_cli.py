@@ -128,6 +128,14 @@ class TestCli:
         assert exc.value.code == 2
         assert "must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--z2", "--resynth"])
+    def test_baseline_rejects_coopt_flags(self, tmp_path, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["--out-dir", str(tmp_path), "compile", "--graph", "g.txt",
+                  "--mode", "baseline", flag, "--out", "c.txt"])
+        assert exc.value.code == 2
+        assert "--mode baseline takes neither" in capsys.readouterr().err
+
     def test_verify_ft_cli(self, tmp_path):
         self.run("--out-dir", str(tmp_path), "verify-ft", "--gadget",
                  "final_new", "--k", "4", "--perms", "1",

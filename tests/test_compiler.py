@@ -1,12 +1,14 @@
+import hashlib
+
 import pytest
 
-from icecomp.circuit import ComponentRole, GateKind, two_qubit_depth
+from icecomp.circuit import (CircuitError, ComponentRole, GateKind,
+                             two_qubit_depth)
 from icecomp.compiler import (CompileConfig, CompileError, GadgetSet,
                               SearchNode, _build_task, build_executable_graph,
                               build_uncompiled_graph, compile_baseline,
                               compile_cooptimized, expand, heuristic_cost,
-                              heuristic_source_bound, is_goal,
-                              predetermine_init_order, read_encoded,
+                              is_goal, predetermine_init_order, read_encoded,
                               source_node, syndrome_insertion_points,
                               write_encoded)
 from icecomp.maxcut import (GraphKind, QaoaParams, build_qaoa,
@@ -319,3 +321,76 @@ class TestEncodedIO:
         assert circuit.gates == enc.circuit.gates
         assert checks == enc.checks
         assert decode == enc.decode
+
+    @pytest.mark.parametrize("line, msg", [
+        ("check c1 c2", "a check is"),
+        ("check c1 = 2", "a check is"),
+        ("check c1 = 0 = 1", "a check is"),
+        ("check x0 = 0", "c<int>"),
+        ("check c = 0", "c<int>"),
+        ("check c-1 = 0", "c<int>"),
+        ("logical", "a decode line is"),
+        ("logical x = c1", "a decode line is"),
+        ("logical 1 c1", "a decode line is"),
+        ("logical 1 = c1 c2", "a decode line is"),
+        ("logical 1 = c1 ^", "a decode line is"),
+        ("logical 1 = c1 ^ y2", "c<int>"),
+    ])
+    def test_malformed_lines_name_the_line(self, line, msg):
+        text = "qubits 2 clbits 3\ncx 0 1\ncheck c0 = 0\n" + line + "\n"
+        with pytest.raises(CircuitError, match=f"line 4: .*{msg}"):
+            read_encoded(text)
+
+    def test_repeated_logical_rejected(self):
+        text = "qubits 1 clbits 2\nlogical 1 = c0\nlogical 1 = c1\n"
+        with pytest.raises(CircuitError, match="line 3: logical 1"):
+            read_encoded(text)
+
+    def test_circuit_errors_keep_their_line(self):
+        text = "qubits 2 clbits 1\ncheck c0 = 0\nfoo 0\n"
+        with pytest.raises(CircuitError, match="line 3: "):
+            read_encoded(text)
+
+
+class TestGolden:
+    """sha256 of `write_encoded` for 3-regular k=6 seed 3, p=2, s=1.
+
+    A compiler change that moves any compiled circuit must update these
+    hashes, and say why."""
+
+    HASHES = {
+        "baseline-old": "b7d306e8df98265383b4ca28eed56fce"
+                        "db941e45c62e637234c8d541de154c2b",
+        "baseline-new": "22e3f06340b97a1ed0af64007350c713"
+                        "ca195132dee7099cefbdbb3a9cef5e5a",
+        "plain": "a8f2eb404cb6f932b7003a6376c6893f"
+                 "c35b4cbfecdb9c88b714d4015a1ea7cb",
+        "resynth": "e9cf948a528cdb4f51cea01438c02100"
+                   "8fb72ec480f9882004747f2349295d66",
+        "resynth+z2": "e718ce109edd795166a68defedbd7bdf"
+                      "6f60728062d01cf67f33a98543e4d710",
+    }
+
+    @pytest.mark.parametrize("mode", sorted(HASHES))
+    def test_write_encoded_hash(self, mode):
+        g = generate_instance(GraphKind.REGULAR_3, 6, seed=3)
+        params = ramp_params(2)
+        if mode.startswith("baseline"):
+            gs = GadgetSet.OLD if mode == "baseline-old" else GadgetSet.NEW
+            enc = compile_baseline(g, params, CompileConfig(
+                num_syndromes=1, gadget_set=gs))
+        else:
+            enc = compile_cooptimized(g, params, CompileConfig(
+                num_syndromes=1, gadget_set=GadgetSet.NEW, queue_cap=150,
+                resynthesize=mode != "plain", use_z2=mode == "resynth+z2"))
+        digest = hashlib.sha256(write_encoded(enc).encode()).hexdigest()
+        assert digest == self.HASHES[mode]
+
+    def test_baseline_ignores_coopt_flags(self):
+        g = generate_instance(GraphKind.REGULAR_3, 6, seed=3)
+        plain = compile_baseline(g, ramp_params(2), CompileConfig(
+            num_syndromes=1, gadget_set=GadgetSet.NEW))
+        flagged = compile_baseline(g, ramp_params(2), CompileConfig(
+            num_syndromes=1, gadget_set=GadgetSet.NEW, resynthesize=True,
+            use_z2=True))
+        assert write_encoded(flagged) == write_encoded(plain)

@@ -7,10 +7,9 @@ import pytest
 from icecomp.circuit import ComponentRole, GateKind, PhysicalCircuit, \
     two_qubit_depth
 from icecomp.gadgets import (Gadget, GadgetError, GadgetKind, IcebergLayout,
-                             StabilizerPair, build_gadget, encode_rotation,
-                             final_new, final_old, gadget_cost_table,
-                             init_new, init_old, permute_gadget, syndrome_new,
-                             syndrome_old)
+                             build_gadget, final_new, final_old,
+                             gadget_cost_table, init_new, init_old,
+                             permute_gadget, syndrome_new, syndrome_old)
 from icecomp.simulator import StateVector, exact_bit_distribution, decode_bits
 
 ALL_KINDS = list(GadgetKind)
@@ -32,10 +31,6 @@ class TestLayout:
             IcebergLayout(3)
         with pytest.raises(GadgetError):
             IcebergLayout(0)
-
-    def test_stabilizer_supports(self):
-        pair = StabilizerPair(IcebergLayout(4))
-        assert pair.x_support == pair.z_support == frozenset(range(6))
 
 
 class TestCostTable:
@@ -184,33 +179,3 @@ class TestFinalDecode:
         lay = g.layout
         for i, bits in g.decode.items():
             assert bits == frozenset({i, lay.b})
-
-
-class TestEncodeRotation:
-    def setup_method(self):
-        self.layout = IcebergLayout(6)
-
-    def test_top_anchor(self):
-        g = encode_rotation("X3", 0.7, self.layout)
-        assert g.kind is GateKind.RXX
-        assert g.qubits == (0, 3) and g.angle == 0.7
-
-    def test_bottom_anchor_needs_flag(self):
-        with pytest.raises(GadgetError):
-            encode_rotation("X3", 0.7, self.layout, use_bottom=True)
-        g = encode_rotation("X3", 0.7, self.layout, use_bottom=True,
-                            z2_allowed=True)
-        assert g.qubits == (7, 3)
-
-    def test_phase_rotation_unchanged(self):
-        g = encode_rotation("Z1Z2", 0.4, self.layout)
-        assert g.kind is GateKind.RZZ
-        assert g.qubits == (1, 2)
-
-    def test_bad_specs(self):
-        with pytest.raises(GadgetError):
-            encode_rotation("X9", 0.1, self.layout)
-        with pytest.raises(GadgetError):
-            encode_rotation("Z1Z1", 0.1, self.layout)
-        with pytest.raises(GadgetError):
-            encode_rotation("Y2", 0.1, self.layout)

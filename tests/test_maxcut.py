@@ -173,6 +173,26 @@ class TestFiles:
         g = make_graph(3, [(0, 2)], weights=[1.25])
         assert read_graph(write_graph(g)).edges == g.edges
 
+    def test_edge_count_must_match_header(self):
+        with pytest.raises(ValueError, match="line 1: header declares 5"):
+            read_graph("graph 3 5\nedge 0 1\n")
+
+    @pytest.mark.parametrize("text, line", [
+        ("graph\n", 1),
+        ("graph 3\n", 1),
+        ("graph 3 1 7\nedge 0 1\n", 1),
+        ("graph 3 1\nedge 0\n", 2),
+        ("graph 3 1\nedge\n", 2),
+        ("graph 3 1\nedge 0 1 1.0 2\n", 2),
+        ("graph 3 1\nedge 0 x\n", 2),
+        ("graph 3 1\n# c\nedge 0 1 w\n", 3),
+        ("graph 3 1\nedge 0 1\ngraph 3 1\n", 3),
+        ("graph 3 1\nnode 0\n", 2),
+    ])
+    def test_malformed_line_named(self, text, line):
+        with pytest.raises(ValueError, match=f"^line {line}: "):
+            read_graph(text)
+
     def test_params_roundtrip(self):
         p = ramp_params(4)
         assert read_params(write_params(p)) == p
