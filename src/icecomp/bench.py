@@ -14,7 +14,7 @@ import json
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -216,10 +216,7 @@ def run_energy_bench(spec: SweepSpec) -> list[dict]:
         enc_mode = "resynth+z2" if "resynth+z2" in spec.modes else spec.modes[-1]
         enc = compile_mode(graph, params, enc_mode, s, spec.queue_cap)
         for scale in spec.noise_scales:
-            noise = NoiseModel(
-                p2=spec.noise.p2, p1=spec.noise.p1, p_idle=spec.noise.p_idle,
-                p_meas=spec.noise.p_meas, scale=scale,
-            )
+            noise = replace(spec.noise, scale=scale)
             for variant, sampler in (
                 ("encoded", lambda: sample_shots(
                     enc.circuit, noise, spec.shots, seed=seed,

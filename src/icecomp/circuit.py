@@ -10,7 +10,8 @@ that owns it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field
 from enum import Enum
 
 
@@ -76,7 +77,7 @@ class Gate:
         if any(q < 0 for q in self.qubits):
             raise CircuitError(f"negative qubit index: {self.qubits}")
         if self.kind in ROTATION_KINDS:
-            if self.angle is None or not _finite(self.angle):
+            if self.angle is None or not math.isfinite(self.angle):
                 raise CircuitError(f"{self.kind.value} needs a finite angle")
         elif self.angle is not None:
             raise CircuitError(f"{self.kind.value} takes no angle")
@@ -89,10 +90,6 @@ class Gate:
     @property
     def is_two_qubit(self) -> bool:
         return self.kind in TWO_QUBIT_KINDS
-
-
-def _finite(x: float) -> bool:
-    return x == x and x not in (float("inf"), float("-inf"))
 
 
 @dataclass
@@ -188,7 +185,6 @@ class PhysicalCircuit:
 @dataclass
 class LayerSchedule:
     layers: list[list[int]]          # gate indices per layer
-    depth_all: int
     depth_2q: int
     gate_layer: dict[int, int]       # gate index -> layer index (0-based)
 
@@ -226,7 +222,6 @@ def layered_schedule(circuit: PhysicalCircuit) -> LayerSchedule:
             frontier[q] = layer + 1
     return LayerSchedule(
         layers=layers,
-        depth_all=len(layers),
         depth_2q=sum(has_2q),
         gate_layer=gate_layer,
     )

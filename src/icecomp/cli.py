@@ -159,14 +159,14 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _spec_from_args(args, **overrides) -> SweepSpec:
+def _spec_from_args(args) -> SweepSpec:
     kind = GraphKind.REGULAR_3 if args.family == "regular3" \
         else GraphKind.ERDOS_RENYI
     noise = NoiseModel()
     if getattr(args, "noise", None):
         with open(args.noise) as fh:
             noise = read_noise(fh.read())
-    spec = SweepSpec(
+    return SweepSpec(
         family=kind,
         sizes=tuple(args.sizes),
         densities=tuple(args.densities or ()),
@@ -178,9 +178,6 @@ def _spec_from_args(args, **overrides) -> SweepSpec:
         noise=noise,
         queue_cap=args.queue_cap,
     )
-    for key, value in overrides.items():
-        setattr(spec, key, value)
-    return spec
 
 
 def _run_bench(args, runner, name) -> int:

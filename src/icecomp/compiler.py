@@ -35,6 +35,7 @@ from typing import Sequence
 
 import networkx as nx
 
+# layered_schedule is not called here; perfbench's tracer patches this binding
 from .circuit import (CircuitError, ComponentRole, Gate, GateKind,
                       PhysicalCircuit, layered_schedule, read_circuit,
                       two_qubit_depth, write_circuit)
@@ -90,10 +91,6 @@ class EncodedCircuit:
     config: CompileConfig
     mode: str
     meta: dict = field(default_factory=dict)
-
-    @property
-    def depth_2q(self) -> int:
-        return two_qubit_depth(self.circuit)
 
     def gate_multiset(self) -> dict:
         out: dict = {}
@@ -325,26 +322,20 @@ class _FragComp:
     pos: int
     gadget: Gadget
     clbit_offset: int
-    twoq: list[tuple[int, tuple[int, ...]]]      # (fragment index, qubits)
-    preds: list[frozenset[int]]                   # into twoq, by qubit overlap
-    all_qubits: frozenset[int]
+    twoq: list[tuple[int, ...]]          # qubits of the 2Q gates, in order
+    preds: list[frozenset[int]]          # into twoq, per qubit
 
     @staticmethod
     def build(pos: int, gadget: Gadget, off: int) -> "_FragComp":
-        twoq = [(i, g.qubits) for i, g in enumerate(gadget.fragment.gates)
-                if g.is_two_qubit]
+        twoq = [g.qubits for g in gadget.fragment.gates if g.is_two_qubit]
+        # a gate's predecessors: the latest earlier 2Q gate on each qubit
         preds: list[frozenset[int]] = []
-        for idx, (fi, qs) in enumerate(twoq):
-            dep = set()
-            for jdx in range(idx - 1, -1, -1):
-                if set(twoq[jdx][1]) & set(qs):
-                    dep.add(jdx)
-                    # direct predecessor per qubit is enough
-                    if all(any(q in twoq[m][1] for m in dep) for q in qs):
-                        break
-            preds.append(frozenset(dep))
-        qubits = frozenset(q for _, qs in twoq for q in qs)
-        return _FragComp(pos, gadget, off, twoq, preds, qubits)
+        latest: dict[int, int] = {}
+        for idx, qs in enumerate(twoq):
+            preds.append(frozenset(latest[q] for q in qs if q in latest))
+            for q in qs:
+                latest[q] = idx
+        return _FragComp(pos, gadget, off, twoq, preds)
 
 
 @dataclass
@@ -529,8 +520,7 @@ def build_uncompiled_graph(node: SearchNode) -> dict[int, float]:
                     deg[comp.gates[i].qubit + 1] += 1
         elif isinstance(comp, _FragComp):
             for i in prog:
-                _, qs = comp.twoq[i]
-                for q in qs:
+                for q in comp.twoq[i]:
                     if q in deg:
                         deg[q] += 1
                     else:
@@ -609,14 +599,14 @@ def build_executable_graph(node: SearchNode) -> ExecutableGraph:
             done = frozenset(range(len(comp.twoq))) - prog
             for i in sorted(prog):
                 if comp.preds[i] <= done:
-                    qs = comp.twoq[i][1]
+                    qs = comp.twoq[i]
                     if all(q in free for q in qs):
                         pair = frozenset(qs)
                         if pair not in edges:
                             edges[pair] = ("frag", comp.pos, i)
             # reserve every qubit the unfinished fragment still touches
             for i in prog:
-                for q in comp.twoq[i][1]:
+                for q in comp.twoq[i]:
                     free.discard(q)
         elif isinstance(comp, _AlgComp):
             if comp.role is ComponentRole.PHASE_LAYER:
@@ -700,22 +690,16 @@ def _matchings(exe: ExecutableGraph, width: int,
         for p in sorted(avail, key=lambda p: tuple(sorted(p))):
             a, b = sorted(p)
             g.add_edge(a, b, weight=exe.weights[p])
+        # every weight counts the edge's own pending gate, so it is positive
+        # and a maximum-weight matching is maximal (and not empty)
         match = nx.max_weight_matching(g, maxcardinality=False)
-        chosen = {frozenset(e) for e in match}
-        # extend to a maximal matching, heaviest first
-        used = {q for p in chosen for q in p}
-        for p in sorted(avail, key=lambda p: (-exe.weights[p], tuple(sorted(p)))):
-            if not (p & used):
-                chosen.add(p)
-                used |= p
-        layer = sorted(chosen, key=lambda p: (-exe.weights[p], tuple(sorted(p))))
+        layer = sorted((frozenset(e) for e in match),
+                       key=lambda p: (-exe.weights[p], tuple(sorted(p))))
         if layer in out:
             break
         out.append(layer)
-        if not layer:
-            break
         removed.add(layer[0])
-    return out or [[]]
+    return out
 
 
 def expand(node: SearchNode, width: int = EXPANSION_WIDTH) -> list[SearchNode]:
@@ -730,8 +714,6 @@ def expand(node: SearchNode, width: int = EXPANSION_WIDTH) -> list[SearchNode]:
         if not items:
             continue
         children.append(_apply_layer(node, tuple(items)))
-    if not children and exe.forced:
-        children.append(_apply_layer(node, tuple(exe.forced)))
     if not children:
         raise CompileError("search stalled: no executable gates and not at goal")
     return children
@@ -792,9 +774,12 @@ def _emit(node: SearchNode) -> EncodedCircuit:
     layout = task.layout
     layers = _collect_layers(node)
 
-    # per-component 2Q schedule position -> layer index
+    # entries: [(sort_key, Gate)]; phase and mixer gates go in directly,
+    # fragment 2Q steps are mapped to their layers first
+    entries: list[tuple[tuple, Gate]] = []
+    seq = itertools.count()
+    checks: list[ParityCheck] = []
     frag_gate_layer: dict[tuple[int, int], int] = {}
-    alg_gates_at_layer: list[list[Gate]] = [[] for _ in layers]
     syn_step_counter: dict[int, int] = {}
     qubit_free_layer: dict[int, int] = {}
     for L, items in enumerate(layers):
@@ -803,23 +788,21 @@ def _emit(node: SearchNode) -> EncodedCircuit:
             comp = task.components[pos]
             if kind == "frag":
                 frag_gate_layer[(pos, item[2])] = L
-                for q in comp.twoq[item[2]][1]:
+                for q in comp.twoq[item[2]]:
                     qubit_free_layer[q] = L + 1
             elif kind == "phase":
                 pg = comp.gates[item[2]]
-                alg_gates_at_layer[L].append(
-                    Gate(GateKind.RZZ, (pg.u + 1, pg.v + 1), angle=pg.angle,
-                         component=pos)
-                )
+                entries.append(((L, 1, next(seq)), Gate(
+                    GateKind.RZZ, (pg.u + 1, pg.v + 1), angle=pg.angle,
+                    component=pos)))
                 qubit_free_layer[pg.u + 1] = L + 1
                 qubit_free_layer[pg.v + 1] = L + 1
             elif kind == "mixer":
                 mg = comp.gates[item[2]]
                 anchor = item[3]
-                alg_gates_at_layer[L].append(
-                    Gate(GateKind.RXX, (anchor, mg.qubit + 1), angle=mg.angle,
-                         component=pos)
-                )
+                entries.append(((L, 1, next(seq)), Gate(
+                    GateKind.RXX, (anchor, mg.qubit + 1), angle=mg.angle,
+                    component=pos)))
                 qubit_free_layer[anchor] = L + 1
                 qubit_free_layer[mg.qubit + 1] = L + 1
             elif kind in ("bind", "synstep"):
@@ -829,16 +812,6 @@ def _emit(node: SearchNode) -> EncodedCircuit:
                 syn_step_counter[pos] = step + 1
                 for q in item[2]:      # the bound pair or (qx, qz)
                     qubit_free_layer[q] = L + 1
-
-    # assemble: [(sort_key, Gate)], fragment 1Q gates woven around their
-    # neighboring 2Q gates
-    entries: list[tuple[tuple, Gate]] = []
-    seq = itertools.count()
-    checks: list[ParityCheck] = []
-
-    for L, gates in enumerate(alg_gates_at_layer):
-        for g in gates:
-            entries.append(((L, 1, next(seq)), g))
 
     component_roles: dict[int, ComponentRole] = {}
     for comp, prog in zip(task.components, node.progress):
@@ -857,36 +830,36 @@ def _emit(node: SearchNode) -> EncodedCircuit:
         component_roles[pos] = gadget_role(gadget.kind)
         # the i-th 2Q gate of the fragment is the component's i-th
         # scheduled 2Q step
-        twoq_positions = [i for i, g in enumerate(gadget.fragment.gates)
-                          if g.is_two_qubit]
-        layer_by_frag_idx = {fi: frag_gate_layer[(pos, idx)]
-                             for idx, fi in enumerate(twoq_positions)}
-        for fi in twoq_positions:
-            entries.append(((layer_by_frag_idx[fi], 1, next(seq)), gates[fi]))
-        # weave: a non-2Q gate rides with the next 2Q gate on its qubit,
-        # else trails after the previous one
-        for fi, g in enumerate(gates):
-            orig = gadget.fragment.gates[fi]
-            if orig.is_two_qubit or orig.kind is GateKind.BARRIER:
+        frag = gadget.fragment.gates
+        twoq_layer = {fi: frag_gate_layer[(pos, idx)] for idx, fi in
+                      enumerate(fi for fi, g in enumerate(frag)
+                                if g.is_two_qubit)}
+        for fi, L in twoq_layer.items():
+            entries.append(((L, 1, next(seq)), gates[fi]))
+        # weave: a 1Q gate rides with the next 2Q gate on its qubit, else
+        # trails after the previous one
+        nxt: dict[int, int] = {}          # qubit -> layer of its next 2Q gate
+        rides: dict[int, int] = {}
+        for fi in range(len(frag) - 1, -1, -1):
+            if fi in twoq_layer:
+                for q in frag[fi].qubits:
+                    nxt[q] = twoq_layer[fi]
+            elif frag[fi].kind is not GateKind.BARRIER \
+                    and frag[fi].qubits[0] in nxt:
+                rides[fi] = nxt[frag[fi].qubits[0]]
+        prv: dict[int, int] = {}          # qubit -> layer of its last 2Q gate
+        for fi, g in enumerate(frag):
+            if fi in twoq_layer:
+                for q in g.qubits:
+                    prv[q] = twoq_layer[fi]
+            elif g.kind is GateKind.BARRIER:
                 continue
-            nxt = None
-            prv = None
-            for fj in range(fi + 1, len(gates)):
-                o2 = gadget.fragment.gates[fj]
-                if o2.is_two_qubit and set(o2.qubits) & set(orig.qubits):
-                    nxt = layer_by_frag_idx[fj]
-                    break
-            for fj in range(fi - 1, -1, -1):
-                o2 = gadget.fragment.gates[fj]
-                if o2.is_two_qubit and set(o2.qubits) & set(orig.qubits):
-                    prv = layer_by_frag_idx[fj]
-                    break
-            if nxt is not None:
-                entries.append(((nxt, 0, fi), g))
-            elif prv is not None:
-                entries.append(((prv, 2, fi), g))
+            elif fi in rides:
+                entries.append(((rides[fi], 0, fi), gates[fi]))
+            elif g.qubits[0] in prv:
+                entries.append(((prv[g.qubits[0]], 2, fi), gates[fi]))
             else:
-                entries.append(((0, 0, fi), g))
+                entries.append(((0, 0, fi), gates[fi]))
 
     # final measurement, appended after everything
     final_g = append_final_measurement(task, qubit_free_layer)

@@ -71,10 +71,6 @@ class PauliString:
     def restricted(self, mask: int) -> "PauliString":
         return PauliString(self.xmask & mask, self.zmask & mask)
 
-    @property
-    def identity(self) -> bool:
-        return self.xmask == 0 and self.zmask == 0
-
     def weight(self) -> int:
         return (self.xmask | self.zmask).bit_count()
 
@@ -315,6 +311,16 @@ def classify_terminal(terminal: PauliString, flips: frozenset[int],
 _SINGLE = ("X", "Y", "Z")
 
 
+def _two_qubit_paulis(a: int, b: int):
+    """(label, Pauli) for the 15 non-identity Paulis on qubits (a, b), the
+    label's first letter acting on a: "IX", "IY", ..., "ZZ"."""
+    for pa in "IXYZ":
+        for pb in "IXYZ":
+            if pa + pb != "II":
+                yield pa + pb, PauliString.from_ops(
+                    (q, p) for q, p in ((a, pa), (b, pb)) if p != "I")
+
+
 def enumerate_fault_locations(circuit: PhysicalCircuit,
                               gate_indices: Sequence[int] | None = None
                               ) -> list[FaultLocation]:
@@ -332,12 +338,8 @@ def enumerate_fault_locations(circuit: PhysicalCircuit,
             for p in _SINGLE:
                 locs.append(FaultLocation(i, PauliString.from_ops([(qs[0], p)])))
         else:
-            for pa in ("I",) + _SINGLE:
-                for pb in ("I",) + _SINGLE:
-                    if pa == pb == "I":
-                        continue
-                    ops = [(q, p) for q, p in zip(qs, (pa, pb)) if p != "I"]
-                    locs.append(FaultLocation(i, PauliString.from_ops(ops)))
+            locs.extend(FaultLocation(i, pauli)
+                        for _, pauli in _two_qubit_paulis(*qs))
     return locs
 
 
@@ -394,14 +396,5 @@ def classify_rotation_faults(layout: IcebergLayout, logical_index: int,
     full = (1 << layout.n) - 1
     s_x = PauliString(xmask=full)
     s_z = PauliString(zmask=full)
-    out: dict[str, bool] = {}
-    for pa in ("I", "X", "Y", "Z"):
-        for pb in ("I", "X", "Y", "Z"):
-            if pa == pb == "I":
-                continue
-            ops = [(q, p) for q, p in ((anchor, pa), (logical_index, pb))
-                   if p != "I"]
-            pauli = PauliString.from_ops(ops)
-            escapes = pauli.commutes(s_x) and pauli.commutes(s_z)
-            out[pa + pb] = escapes
-    return out
+    return {label: pauli.commutes(s_x) and pauli.commutes(s_z)
+            for label, pauli in _two_qubit_paulis(anchor, logical_index)}

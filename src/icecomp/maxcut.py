@@ -286,35 +286,49 @@ def write_params(params: QaoaParams) -> str:
 
 
 def read_params(text: str) -> QaoaParams:
-    p = None
-    gammas: list[float] | None = None
-    betas: list[float] | None = None
-    for raw in text.splitlines():
+    """Parse `p N` (optional), `gammas: [...]` and `betas: [...]` lines.
+
+    A malformed, unknown or repeated line raises ValueError naming the
+    line."""
+    vals: dict[str, tuple[int, object]] = {}     # name -> (line, value)
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("p "):
-            p = int(line.split()[1])
-        elif line.startswith("gammas"):
-            gammas = _parse_list(line)
-        elif line.startswith("betas"):
-            betas = _parse_list(line)
-    if gammas is None or betas is None:
+        tok = line.split()
+        name, colon, body = line.partition(":")
+        name = name.strip()
+        try:
+            if tok[0] == "p" and len(tok) == 2:
+                name, value = "p", int(tok[1])
+            elif name in ("gammas", "betas") and colon:
+                value = _parse_list(body)
+            else:
+                raise ValueError(f"expected 'p N', 'gammas: [...]' or "
+                                 f"'betas: [...]', got {line!r}")
+            if name in vals:
+                raise ValueError(f"{name} set twice")
+        except ValueError as e:
+            raise ValueError(f"line {lineno}: {e}") from None
+        vals[name] = (lineno, value)
+    if "gammas" not in vals or "betas" not in vals:
         raise ValueError("params file needs 'gammas: [...]' and 'betas: [...]'")
-    params = QaoaParams(tuple(gammas), tuple(betas))
-    if p is not None and params.p != p:
-        raise ValueError(f"declared p={p} but got {params.p} angles")
+    params = QaoaParams(tuple(vals["gammas"][1]), tuple(vals["betas"][1]))
+    if "p" in vals and params.p != vals["p"][1]:
+        raise ValueError(f"line {vals['p'][0]}: declared p={vals['p'][1]} "
+                         f"but got {params.p} angles")
     return params
 
 
-def _parse_list(line: str) -> list[float]:
-    body = line.split(":", 1)[1].strip()
+def _parse_list(body: str) -> list[float]:
+    body = body.strip()
     if not (body.startswith("[") and body.endswith("]")):
-        raise ValueError(f"expected a [...] list in {line!r}")
+        raise ValueError(f"expected a [...] list, got {body!r}")
     inner = body[1:-1].strip()
-    if not inner:
-        return []
-    return [float(x) for x in inner.split(",")]
+    values = [float(x) for x in inner.split(",")] if inner else []
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError("angles must be finite")
+    return values
 
 
 def ramp_params(p: int, gamma_max: float = 0.7, beta_max: float = -0.7

@@ -26,7 +26,9 @@ trailing measurement, whose outcomes are random: shots whose first event
 lies later start there.  Every shot so makes the same draws and the same
 floating-point operations, in the same order, as a trajectory run from
 |0...0>, and its record is the same.  sample_logical_shots does the same
-per gate step.
+per gate step: a shot redraws the event tests before the step of its first
+fired test, then runs that step and the rest from a copy of the sweep taken
+before it.
 
 Qubit i is bit i of the state index (little-endian).
 """
@@ -47,6 +49,8 @@ from .maxcut import (LogicalCircuit, MixerGate, PhaseGate, ProblemGraph,
                      energy as bit_energy)
 
 DEFAULT_QUBIT_CAP = 16
+BRANCH_TOL = 1e-10      # exact_bit_distribution: branching threshold
+MAX_BRANCHES = 64       # exact_bit_distribution: branch budget
 
 
 class SimulatorError(RuntimeError):
@@ -63,10 +67,11 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 class StateVector:
     """Dense little-endian statevector with in-place strided gate kernels."""
 
-    def __init__(self, num_qubits: int, cap: int = DEFAULT_QUBIT_CAP):
-        if num_qubits > cap:
+    def __init__(self, num_qubits: int):
+        if num_qubits > DEFAULT_QUBIT_CAP:
             raise SimulatorError(
-                f"{num_qubits} qubits exceeds the dense-simulation cap {cap}"
+                f"{num_qubits} qubits exceeds the dense-simulation cap "
+                f"{DEFAULT_QUBIT_CAP}"
             )
         self.n = num_qubits
         self.amp = np.zeros(1 << num_qubits, dtype=np.complex128)
@@ -228,8 +233,8 @@ class NoiseModel:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
-        if self.scale < 0.0:
-            raise ValueError("scale must be nonnegative")
+        if not 0.0 <= self.scale < math.inf:
+            raise ValueError("scale must be finite and nonnegative")
 
     def effective(self) -> "NoiseModel":
         s = self.scale
@@ -240,11 +245,6 @@ class NoiseModel:
             p_meas=min(1.0, self.p_meas * s),
             scale=1.0,
         )
-
-    @property
-    def silent(self) -> bool:
-        e = self.effective()
-        return e.p2 == e.p1 == e.p_idle == e.p_meas == 0.0
 
 
 def write_noise(model: NoiseModel) -> str:
@@ -284,9 +284,6 @@ def read_noise(text: str) -> NoiseModel:
         except ValueError as e:
             raise NoiseFormatError(f"line {lineno}: {name}: {e}") from None
     return NoiseModel(**vals)
-
-
-_PAULI1 = ("X", "Y", "Z")
 
 
 def _apply_random_pauli(state: StateVector, qubits: Sequence[int],
@@ -455,8 +452,8 @@ class _ShotPlan:
                 _apply_gate(sweep, g)
 
     def resume(self, seed: int, shot: int, sweep: StateVector, layer: int,
-               outcomes: Sequence[tuple[float, int, Gate, int | None]],
-               cap: int) -> list[int]:
+               outcomes: Sequence[tuple[float, int, Gate, int | None]]
+               ) -> list[int]:
         """The shot's bits, its trajectory started from the sweep at `layer`.
 
         The shot first draws for every earlier measurement and reset exactly
@@ -469,7 +466,7 @@ class _ShotPlan:
         for p1, v, g, si in outcomes:
             if (1 if rng.random() < p1 else 0) != v:
                 rng, events = self.draw(seed, shot)
-                return self.run(StateVector(self.num_qubits, cap=cap),
+                return self.run(StateVector(self.num_qubits),
                                 [0] * self.num_clbits, rng, events, 0)
             if si is not None:
                 bits[g.clbit] = v ^ 1 if em[si] else v
@@ -509,8 +506,8 @@ def sample_shots(circuit: PhysicalCircuit, noise: NoiseModel, shots: int,
                  seed: int,
                  checks: Sequence[ParityCheck] = (),
                  decode: Mapping[int, frozenset[int]] | None = None,
-                 inject: Sequence[tuple[int, PauliString]] = (),
-                 cap: int = DEFAULT_QUBIT_CAP) -> list[ShotRecord]:
+                 inject: Sequence[tuple[int, PauliString]] = ()
+                 ) -> list[ShotRecord]:
     """Trajectory sampling of a physical circuit under the noise model.
 
     Shot i draws from its own generator, seeded by (seed, i), so its record
@@ -532,7 +529,7 @@ def sample_shots(circuit: PhysicalCircuit, noise: NoiseModel, shots: int,
 
     # outcome distribution of the noise-free circuit, for the (common) shots
     # on which no Pauli event fires
-    ideal = sorted(exact_bit_distribution(circuit, cap=cap).items())
+    ideal = sorted(exact_bit_distribution(circuit).items())
     ideal_bits = [b for b, _ in ideal]
     ideal_cum = np.cumsum([p for _, p in ideal])
 
@@ -551,12 +548,12 @@ def sample_shots(circuit: PhysicalCircuit, noise: NoiseModel, shots: int,
         records[shot] = make_record(bits, checks, decode)
 
     if buckets:
-        sweep = StateVector(circuit.num_qubits, cap=cap)
+        sweep = StateVector(circuit.num_qubits)
         outcomes: list[tuple[float, int, Gate, int | None]] = []
         last = max(buckets)
         for layer in range(last + 1):
             for shot in buckets.get(layer, ()):
-                bits = plan.resume(seed, shot, sweep, layer, outcomes, cap)
+                bits = plan.resume(seed, shot, sweep, layer, outcomes)
                 records[shot] = make_record(bits, checks, decode)
             if layer < last:
                 plan.advance(sweep, layer, outcomes)
@@ -589,15 +586,12 @@ def _apply_gate(state: StateVector, g: Gate) -> None:
 # ---------------------------------------------------------------------------
 
 def exact_bit_distribution(circuit: PhysicalCircuit,
-                           inject: Sequence[tuple[int, PauliString]] = (),
-                           branch_tol: float = 1e-10,
-                           max_branches: int = 64,
-                           cap: int = DEFAULT_QUBIT_CAP
+                           inject: Sequence[tuple[int, PauliString]] = ()
                            ) -> dict[tuple[int, ...], float]:
     """Exact joint distribution over the classical bits.
 
     Mid-circuit measurements branch only when both outcomes have probability
-    above branch_tol (noiseless encoded circuits keep a single branch); the
+    above BRANCH_TOL (noiseless encoded circuits keep a single branch); the
     trailing block of measurements is evaluated jointly from amplitudes.
     """
     inject_map: dict[int, list[PauliString]] = {}
@@ -608,7 +602,7 @@ def exact_bit_distribution(circuit: PhysicalCircuit,
     tail_start = _trailing_start(gates)
 
     branches: list[tuple[float, StateVector, list[int]]] = [
-        (1.0, StateVector(circuit.num_qubits, cap=cap), [0] * circuit.num_clbits)
+        (1.0, StateVector(circuit.num_qubits), [0] * circuit.num_clbits)
     ]
     for gi in range(tail_start):
         g = gates[gi]
@@ -619,9 +613,9 @@ def exact_bit_distribution(circuit: PhysicalCircuit,
                     state.apply_h(g.qubits[0])
                 p1 = state.prob_one(g.qubits[0])
                 outcomes = []
-                if p1 < 1.0 - branch_tol:
+                if p1 < 1.0 - BRANCH_TOL:
                     outcomes.append(0)
-                if p1 > branch_tol:
+                if p1 > BRANCH_TOL:
                     outcomes.append(1)
                 for v in outcomes:
                     st = state.copy() if len(outcomes) > 1 else state
@@ -640,7 +634,7 @@ def exact_bit_distribution(circuit: PhysicalCircuit,
         for pauli in inject_map.get(gi, ()):
             for _, state, _ in branches:
                 state.apply_pauli(pauli)
-        if len(branches) > max_branches:
+        if len(branches) > MAX_BRANCHES:
             raise SimulatorError("mid-circuit branch budget exceeded")
 
     # trailing measurements, jointly
@@ -673,11 +667,10 @@ def exact_bit_distribution(circuit: PhysicalCircuit,
 def exact_logical_distribution(circuit: PhysicalCircuit,
                                checks: Sequence[ParityCheck],
                                decode: Mapping[int, frozenset[int]],
-                               inject: Sequence[tuple[int, PauliString]] = (),
-                               cap: int = DEFAULT_QUBIT_CAP
+                               inject: Sequence[tuple[int, PauliString]] = ()
                                ) -> tuple[float, dict[int, float]]:
     """(acceptance probability, post-selected decoded logical distribution)."""
-    raw = exact_bit_distribution(circuit, inject=inject, cap=cap)
+    raw = exact_bit_distribution(circuit, inject=inject)
     acc = 0.0
     out: dict[int, float] = {}
     for bits, p in raw.items():
@@ -694,35 +687,19 @@ def exact_logical_distribution(circuit: PhysicalCircuit,
 # Unencoded (logical) reference simulation
 # ---------------------------------------------------------------------------
 
-def logical_statevector(lc: LogicalCircuit, cap: int = DEFAULT_QUBIT_CAP
-                        ) -> StateVector:
-    state = StateVector(lc.k, cap=cap)
+def logical_exact_distribution(lc: LogicalCircuit) -> dict[int, float]:
+    state = StateVector(lc.k)
     for q in range(lc.k):
         state.apply_h(q)
+    # phase gates in edge order: the ASAP order of _logical_steps gives the
+    # same state with other rounding
     for phase, mixer in zip(lc.phase_layers, lc.mixer_layers):
         for g in phase:
             state.apply_rzz(g.u, g.v, g.angle)
         for m in mixer:
             state.apply_rx(m.qubit, m.angle)
-    return state
-
-
-def logical_exact_distribution(lc: LogicalCircuit,
-                               cap: int = DEFAULT_QUBIT_CAP) -> dict[int, float]:
-    probs = logical_statevector(lc, cap=cap).probabilities()
+    probs = state.probabilities()
     return {x: float(p) for x, p in enumerate(probs) if p > 1e-15}
-
-
-def _phase_layer_layers(gates, k) -> list[list]:
-    frontier = [0] * k
-    layers: list[list] = []
-    for g in gates:
-        layer = max(frontier[g.u], frontier[g.v])
-        while len(layers) <= layer:
-            layers.append([])
-        layers[layer].append(g)
-        frontier[g.u] = frontier[g.v] = layer + 1
-    return layers
 
 
 def _logical_steps(lc: LogicalCircuit, eff: NoiseModel
@@ -736,9 +713,13 @@ def _logical_steps(lc: LogicalCircuit, eff: NoiseModel
     idle noise charged per layer; mixer rotations are single-qubit."""
     steps = []
     for gates, mixer in zip(lc.phase_layers, lc.mixer_layers):
-        for layer in _phase_layer_layers(gates, lc.k):
+        rzz = PhysicalCircuit(lc.k)
+        for g in gates:
+            rzz.rzz(g.u, g.v, g.angle)
+        for layer in layered_schedule(rzz).layers:
             touched = set()
-            for g in layer:
+            for gi in layer:
+                g = gates[gi]
                 steps.append((g, eff.p2, (g.u, g.v)))
                 touched.update((g.u, g.v))
             steps.extend((None, eff.p_idle, (q,))
@@ -756,17 +737,18 @@ def _apply_logical_gate(state: StateVector,
 
 
 def sample_logical_shots(lc: LogicalCircuit, noise: NoiseModel, shots: int,
-                         seed: int, cap: int = DEFAULT_QUBIT_CAP
-                         ) -> list[ShotRecord]:
+                         seed: int) -> list[ShotRecord]:
     """Unencoded reference under the same noise model.
 
     A step's event test draws one uniform when its p > 0.  Until the first
     test fires no draw depends on the state, so a shot draws all its tests
     at once (one vector draw gives the same numbers as one draw per test)
-    and is bucketed by its first fired test.  One noiseless sweep runs
-    through the steps; a shot redraws up to its first event, resumes from a
-    copy of the sweep there, and a shot with no event measures a copy of
-    the final noiseless state."""
+    and is bucketed by the step of its first fired test; a shot with no
+    event goes to the bucket past the last step.  One noiseless sweep runs
+    through the steps.  A shot redraws the tests of the earlier steps and
+    resumes from a copy of the sweep taken before its bucket's step, so it
+    runs that step itself, as a sample_shots shot runs the layer of its
+    first event."""
     if shots < 0:
         raise ValueError(f"shots must be nonnegative, got {shots}")
     eff = noise.effective()
@@ -776,7 +758,7 @@ def sample_logical_shots(lc: LogicalCircuit, noise: NoiseModel, shots: int,
     buckets: dict[int, list[int]] = {}
     for shot in range(shots):
         fired = _per_shot_rng(seed, shot).random(len(tested)) < probs
-        first = int(fired.argmax()) if fired.any() else len(tested)
+        first = tested[int(fired.argmax())] if fired.any() else len(steps)
         buckets.setdefault(first, []).append(shot)
 
     def finish(state: StateVector, rng: np.random.Generator,
@@ -795,25 +777,20 @@ def sample_logical_shots(lc: LogicalCircuit, noise: NoiseModel, shots: int,
         return ShotRecord(tuple(bits), (), True, logical)
 
     records: list[ShotRecord | None] = [None] * shots
-    sweep = StateVector(lc.k, cap=cap)
+    sweep = StateVector(lc.k)
     for q in range(lc.k):
         sweep.apply_h(q)
-    test = 0
-    for i, (g, p, support) in enumerate(steps):
-        _apply_logical_gate(sweep, g)
-        if p <= 0:
-            continue
-        for shot in buckets.get(test, ()):
+    test = 0    # tests of the steps before step i
+    for i in range(len(steps) + 1):
+        for shot in buckets.get(i, ()):
             rng = _per_shot_rng(seed, shot)
-            rng.random(test + 1)
-            state = sweep.copy()
-            _apply_random_pauli(state, support, rng)
-            records[shot] = finish(state, rng, i + 1)
-        test += 1
-    for shot in buckets.get(len(tested), ()):
-        rng = _per_shot_rng(seed, shot)
-        rng.random(len(tested))
-        records[shot] = finish(sweep.copy(), rng, len(steps))
+            rng.random(test)
+            records[shot] = finish(sweep.copy(), rng, i)
+        if i < len(steps):
+            g, p, _ = steps[i]
+            _apply_logical_gate(sweep, g)
+            if p > 0:
+                test += 1
     return records
 
 

@@ -200,3 +200,23 @@ class TestFiles:
     def test_params_mismatch(self):
         with pytest.raises(ValueError):
             read_params("p 3\ngammas: [0.1]\nbetas: [0.2]\n")
+
+    @pytest.mark.parametrize("text, line, what", [
+        ("gammas 0.1\n", 1, "expected 'p N'"),
+        ("foo: 1\ngammas: [0.1]\nbetas: [0.2]\n", 1, "'foo: 1'"),
+        ("gammas: [0.1]\nbetas: [0.2]\ngammas: [0.3]\n", 3, "gammas set twice"),
+        ("p 1\np 1\ngammas: [0.1]\nbetas: [0.2]\n", 2, "p set twice"),
+        ("p\ngammas: [0.1]\nbetas: [0.2]\n", 1, "expected 'p N'"),
+        ("p 1.5\ngammas: [0.1]\nbetas: [0.2]\n", 1, "int"),
+        ("# c\ngammas: 0.1\nbetas: [0.2]\n", 2, r"\[\.\.\.\] list"),
+        ("gammas: [0.1,,0.2]\nbetas: [0.2]\n", 1, "float"),
+        ("gammas: [nan]\nbetas: [0.2]\n", 1, "finite"),
+        ("gammas: [0.1]\n\nbetas: [0.2]\np 2\n", 4, "declared p=2"),
+    ])
+    def test_params_malformed_line_named(self, text, line, what):
+        with pytest.raises(ValueError, match=f"^line {line}: .*{what}"):
+            read_params(text)
+
+    def test_params_need_both_lists(self):
+        with pytest.raises(ValueError, match="needs 'gammas"):
+            read_params("p 1\ngammas: [0.1]\n")

@@ -487,3 +487,11 @@ class TestNoiseModel:
     def test_scaling_clips(self):
         m = NoiseModel(p2=0.5, scale=4.0)
         assert m.effective().p2 == 1.0
+
+    @pytest.mark.parametrize("scale", [math.nan, math.inf])
+    def test_non_finite_scale_rejected(self, scale):
+        # inf would make effective() give every rate, zero ones too, 1.0
+        with pytest.raises(ValueError, match="scale must be finite"):
+            NoiseModel(p1=0.0, p_idle=0.0, scale=scale)
+        with pytest.raises(NoiseFormatError, match="line 2: scale: "):
+            read_noise(f"p2 0.001\nscale {scale}\n")
