@@ -22,8 +22,9 @@ import numpy as np
 from . import __version__
 from .compiler import (CompileConfig, EncodedCircuit, GadgetSet,
                        compile_baseline, compile_cooptimized)
-from .maxcut import (GraphKind, ProblemGraph, QaoaParams, brute_force_optimum,
-                     build_qaoa, cut_value, generate_instance, ramp_params)
+from .maxcut import (GraphKind, ProblemGraph, QaoaParams, approximation_ratio,
+                     brute_force_optimum, build_qaoa, cut_value,
+                     generate_instance, ramp_params, success_probability)
 from .simulator import (NoiseModel, ShotRecord, accepted_distribution,
                         energy_distribution, logical_exact_distribution,
                         post_selection_rate, postprocess_truncate,
@@ -37,6 +38,7 @@ REPORT_COLUMNS = [
 ]
 
 MODES = ("baseline", "coopt", "resynth", "resynth+z2")
+BOOTSTRAP_ROUNDS = 60   # resamples behind tv_bootstrap_se
 
 
 def default_outdir() -> str:
@@ -56,10 +58,9 @@ class SweepSpec:
     noise: NoiseModel = field(default_factory=NoiseModel)
     noise_scales: tuple[float, ...] = (1.0,)
     queue_cap: int = 400
-    params: QaoaParams | None = None
 
     def angles(self) -> QaoaParams:
-        return self.params if self.params is not None else ramp_params(self.p)
+        return ramp_params(self.p)
 
     def instances(self) -> Iterable[tuple[int, float | None, int, ProblemGraph]]:
         densities: Sequence[float | None] = self.densities or (None,)
@@ -153,14 +154,13 @@ def proportion_se(p: float, n: int) -> float:
 
 
 def tv_bootstrap_se(records_energies: Sequence[float],
-                    ref: Mapping[float, float], rounds: int = 60,
-                    seed: int = 0) -> float:
+                    ref: Mapping[float, float], seed: int = 0) -> float:
     if not records_energies:
         return float("nan")
     rng = np.random.default_rng(seed)
     arr = np.asarray(records_energies)
     tvs = []
-    for _ in range(rounds):
+    for _ in range(BOOTSTRAP_ROUNDS):
         sample = rng.choice(arr, size=len(arr), replace=True)
         dist: dict[float, float] = {}
         for e in sample:
@@ -174,7 +174,7 @@ def run_qaoa_bench(spec: SweepSpec) -> list[dict]:
     for k, d, seed, graph in spec.instances():
         f_max = brute_force_optimum(graph)
         exact = logical_exact_distribution(build_qaoa(graph, spec.angles()))
-        ar_exact = sum(p * cut_value(graph, x) for x, p in exact.items()) / f_max
+        ar_exact = approximation_ratio(exact, graph, f_max)
         for s in spec.syndromes:
             for mode in spec.modes:
                 enc = compile_mode(graph, spec.angles(), mode, s, spec.queue_cap)
@@ -184,9 +184,8 @@ def run_qaoa_bench(spec: SweepSpec) -> list[dict]:
                 psr = post_selection_rate(recs)
                 n_acc = sum(1 for r in recs if r.accepted)
                 ar, ar_se = ar_with_se(recs, graph, f_max)
-                dist = accepted_distribution(recs)
-                succ = sum(p for x, p in dist.items()
-                           if cut_value(graph, x) == f_max)
+                succ = success_probability(accepted_distribution(recs),
+                                           graph, f_max)
                 rows.append(_row(
                     bench="qaoa", family=spec.family.value, k=k, p=spec.p,
                     s=s, density="" if d is None else d, seed=seed, mode=mode,

@@ -285,8 +285,13 @@ def read_circuit(text: str) -> PhysicalCircuit:
                     raise CircuitError("header is 'qubits N clbits M'")
                 circ.num_qubits = int(tok[1])
                 circ.num_clbits = int(tok[3])
+                if circ.num_qubits < 0 or circ.num_clbits < 0:
+                    raise CircuitError("negative qubit or clbit count")
                 declared_header = True
             elif tok[0] == "component":
+                if len(tok) != 3:
+                    raise CircuitError("a component line is "
+                                       "'component ID ROLE'")
                 cid = int(tok[1])
                 role = _ROLE_BY_NAME.get(tok[2])
                 if role is None:

@@ -29,15 +29,15 @@ encoded angle.  Otherwise the context decides:
     is harmless only if no check bit and no decoded logical bit flips.
 
 Gadget fragments contain no rotations, so for them the frame pass is plain
-Clifford propagation.  `propagate_pauli` keeps the older propagation that
-branches at every anticommuting rotation; `run_fault` does not use it.
+Clifford propagation.  `propagate_pauli` is the one propagation pass, so
+every fault gets one `FaultReport`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .circuit import Gate, GateKind, PhysicalCircuit
 from .gadgets import Gadget, GadgetKind, IcebergLayout, ParityCheck
@@ -71,9 +71,6 @@ class PauliString:
     def restricted(self, mask: int) -> "PauliString":
         return PauliString(self.xmask & mask, self.zmask & mask)
 
-    def weight(self) -> int:
-        return (self.xmask | self.zmask).bit_count()
-
     def label(self, num_qubits: int) -> str:
         out = []
         for q in range(num_qubits):
@@ -103,27 +100,19 @@ class FaultLocation:
 
 
 @dataclass(frozen=True)
-class Branch:
+class FaultReport:
+    """The verdict on one fault, from its frame at the circuit end."""
+
+    location: FaultLocation
     terminal: PauliString
     flipped_bits: frozenset[int]
     classification: FaultClass
     flipped_rotations: frozenset[int]
 
-
-@dataclass(frozen=True)
-class FaultReport:
-    """The verdict on one fault; the frame pass gives a single `Branch`."""
-
-    location: FaultLocation
-    branch: Branch
-
     @property
-    def branches(self) -> tuple[Branch, ...]:
-        return (self.branch,)
-
-    @property
-    def classification(self) -> FaultClass:
-        return self.branch.classification
+    def branches(self) -> tuple["FaultReport", ...]:
+        """(self,): the frame pass gives one verdict per fault."""
+        return (self,)
 
     @property
     def is_logical(self) -> bool:
@@ -134,41 +123,7 @@ class FaultReport:
         return self.classification is FaultClass.DETECTED_BY_CHECK
 
 
-def propagate_pauli(circuit: PhysicalCircuit, start: int, pauli: PauliString,
-                    max_branches: int = 4096) -> list[tuple[PauliString, frozenset[int]]]:
-    """Push a Pauli inserted after gate index `start` to the circuit end.
-
-    At every rotation that anticommutes with the incoming Pauli the
-    propagation splits in two: the Pauli unchanged, and the Pauli times the
-    rotation's generator.  The branch count can so grow exponentially, and
-    more than `max_branches` raises RuntimeError.  `run_fault` no longer
-    uses this; it takes the exact, non-branching `propagate_frame`.
-
-    Returns the branch list [(terminal, flipped classical bits)].
-    """
-    branches: dict[tuple[int, int], set[int]] = {(pauli.xmask, pauli.zmask): set()}
-    for g in circuit.gates[start + 1:]:
-        new: dict[tuple[int, int], set[int]] = {}
-        for (x, z), flips in branches.items():
-            nx, nz, extra, gen = _step(g, x, z)
-            fl = flips if extra is None else flips ^ {extra}
-            keys = [(nx, nz)] if gen is None \
-                else [(nx, nz), (nx ^ gen[0], nz ^ gen[1])]
-            for key in keys:
-                if key in new and new[key] != fl:
-                    # same Pauli with different flip history: keep both by
-                    # folding flips (conservative: should not occur in the
-                    # contexts exercised here)
-                    new[key] = new[key] | fl
-                else:
-                    new[key] = set(fl)
-        branches = new
-        if len(branches) > max_branches:
-            raise RuntimeError("fault propagation branch budget exceeded")
-    return [(PauliString(x, z), frozenset(f)) for (x, z), f in branches.items()]
-
-
-def propagate_frame(circuit: PhysicalCircuit, start: int, pauli: PauliString
+def propagate_pauli(circuit: PhysicalCircuit, start: int, pauli: PauliString
                     ) -> tuple[PauliString, frozenset[int], frozenset[int]]:
     """Push a Pauli inserted after gate index `start` to the circuit end as
     a Pauli frame, which passes every rotation unchanged and flips the sign
@@ -181,21 +136,20 @@ def propagate_frame(circuit: PhysicalCircuit, start: int, pauli: PauliString
     flips: set[int] = set()
     rotations: list[int] = []
     for i in range(start + 1, len(circuit.gates)):
-        x, z, bit, gen = _step(circuit.gates[i], x, z)
+        x, z, bit, anti = _step(circuit.gates[i], x, z)
         if bit is not None:
             flips ^= {bit}
-        if gen is not None:
+        if anti:
             rotations.append(i)
     return PauliString(x, z), frozenset(flips), frozenset(rotations)
 
 
-def _step(g: Gate, x: int, z: int
-          ) -> tuple[int, int, int | None, tuple[int, int] | None]:
+def _step(g: Gate, x: int, z: int) -> tuple[int, int, int | None, bool]:
     """Push the Pauli (x, z) through one gate.
 
-    Returns (xmask, zmask, flipped clbit or None, generator or None).  The
-    Pauli passes a rotation unchanged; the generator, as (xmask, zmask), is
-    that of a rotation which anticommutes with the Pauli.
+    Returns (xmask, zmask, flipped clbit or None, whether the gate is a
+    rotation that anticommutes with the Pauli).  The Pauli passes a
+    rotation unchanged.
     """
     kind = g.kind
     if kind is GateKind.CNOT:
@@ -204,36 +158,31 @@ def _step(g: Gate, x: int, z: int
             x ^= 1 << t
         if (z >> t) & 1:
             z ^= 1 << c
-        return x, z, None, None
+        return x, z, None, False
     elif kind is GateKind.H:
         q = g.qubits[0]
         xb, zb = (x >> q) & 1, (z >> q) & 1
         x = (x & ~(1 << q)) | (zb << q)
         z = (z & ~(1 << q)) | (xb << q)
-        return x, z, None, None
+        return x, z, None, False
     elif kind in (GateKind.X, GateKind.Z, GateKind.BARRIER):
-        return x, z, None, None
+        return x, z, None, False
     elif kind is GateKind.RZZ or kind is GateKind.RXX:
         a, b = g.qubits
-        gen = 1 << a | 1 << b
-        if kind is GateKind.RZZ:
-            anti = ((x & gen).bit_count()) % 2 == 1
-            gx, gz = 0, gen
-        else:
-            anti = ((z & gen).bit_count()) % 2 == 1
-            gx, gz = gen, 0
-        return x, z, None, (gx, gz) if anti else None
+        # RZZ anticommutes with the X part on (a, b), RXX with the Z part
+        part = x if kind is GateKind.RZZ else z
+        return x, z, None, (part & (1 << a | 1 << b)).bit_count() % 2 == 1
     elif kind is GateKind.MEASURE_Z:
         q = g.qubits[0]
         flip = g.clbit if (x >> q) & 1 else None
-        return x, z & ~(1 << q), flip, None
+        return x, z & ~(1 << q), flip, False
     elif kind is GateKind.MEASURE_X:
         q = g.qubits[0]
         flip = g.clbit if (z >> q) & 1 else None
-        return x & ~(1 << q), z, flip, None
+        return x & ~(1 << q), z, flip, False
     elif kind is GateKind.RESET:
         q = g.qubits[0]
-        return x & ~(1 << q), z & ~(1 << q), None, None
+        return x & ~(1 << q), z & ~(1 << q), None, False
     else:  # pragma: no cover
         raise NotImplementedError(kind)
 
@@ -251,9 +200,6 @@ class VerifyContext:
     decode: dict[int, frozenset[int]] | None
     harmless: str            # "code", "plus_state", or "outcomes"
     trailing_checks: bool    # ideal S_x/S_z measurement afterwards?
-
-    def data_mask(self) -> int:
-        return (1 << self.layout.n) - 1
 
 
 def context_for_gadget(gadget: Gadget) -> VerifyContext:
@@ -285,7 +231,7 @@ def classify_terminal(terminal: PauliString, flips: frozenset[int],
         )):
             return FaultClass.LOGICAL_ERROR
         return FaultClass.STABILIZER_EQUIVALENT
-    full = ctx.data_mask()
+    full = (1 << ctx.layout.n) - 1
     data = terminal.restricted(full)
     # ideal trailing stabilizer checks catch odd-weight components
     if ctx.trailing_checks:
@@ -321,13 +267,9 @@ def _two_qubit_paulis(a: int, b: int):
                     (q, p) for q, p in ((a, pa), (b, pb)) if p != "I")
 
 
-def enumerate_fault_locations(circuit: PhysicalCircuit,
-                              gate_indices: Sequence[int] | None = None
-                              ) -> list[FaultLocation]:
+def enumerate_fault_locations(circuit: PhysicalCircuit) -> list[FaultLocation]:
     locs: list[FaultLocation] = []
-    indices = range(len(circuit.gates)) if gate_indices is None else gate_indices
-    for i in indices:
-        g = circuit.gates[i]
+    for i, g in enumerate(circuit.gates):
         if g.kind is GateKind.BARRIER:
             continue
         if g.kind in (GateKind.MEASURE_Z, GateKind.MEASURE_X):
@@ -349,10 +291,10 @@ def run_fault(circuit: PhysicalCircuit, loc: FaultLocation,
         term, flips, rotations = \
             PauliString(), frozenset({loc.flip_bit}), frozenset()
     else:
-        term, flips, rotations = propagate_frame(circuit, loc.gate_index,
+        term, flips, rotations = propagate_pauli(circuit, loc.gate_index,
                                                  loc.pauli)
     cls = classify_terminal(term, flips, ctx, rotations)
-    return FaultReport(loc, Branch(term, flips, cls, rotations))
+    return FaultReport(loc, term, flips, cls, rotations)
 
 
 @dataclass

@@ -30,8 +30,12 @@ class ProblemGraph:
     seed: int | None = None
 
     def __post_init__(self):
+        if self.num_vertices < 0:
+            raise ValueError(f"negative vertex count {self.num_vertices}")
         seen = set()
         for u, v, w in self.edges:
+            if not math.isfinite(w):
+                raise ValueError(f"edge ({u},{v}) weight {w} is not finite")
             if u == v:
                 raise ValueError(f"self-loop on vertex {u}")
             if not (0 <= u < self.num_vertices and 0 <= v < self.num_vertices):
@@ -92,7 +96,7 @@ def generate_instance(kind: GraphKind, k: int, density: float | None = None,
 # Cut values and optima
 # ---------------------------------------------------------------------------
 
-def _as_int(bits, width: int) -> int:
+def _as_int(bits) -> int:
     if isinstance(bits, (int, np.integer)):
         return int(bits)
     value = 0
@@ -103,7 +107,7 @@ def _as_int(bits, width: int) -> int:
 
 
 def cut_value(graph: ProblemGraph, bits) -> float:
-    x = _as_int(bits, graph.num_vertices)
+    x = _as_int(bits)
     total = 0.0
     for u, v, w in graph.edges:
         if ((x >> u) ^ (x >> v)) & 1:
@@ -261,11 +265,15 @@ def read_graph(text: str) -> ProblemGraph:
                 if header is not None:
                     raise ValueError("second 'graph' header")
                 header = (lineno, int(tok[1]), int(tok[2]))
+                if header[1] < 0:
+                    raise ValueError("negative vertex count")
             elif tok[0] == "edge":
                 if len(tok) not in (3, 4):
                     raise ValueError("an edge is 'edge u v [w]'")
                 edges.append((int(tok[1]), int(tok[2])))
                 weights.append(float(tok[3]) if len(tok) > 3 else 1.0)
+                if not math.isfinite(weights[-1]):
+                    raise ValueError("the weight must be finite")
             else:
                 raise ValueError(f"unknown directive {tok[0]!r}")
         except ValueError as e:
@@ -331,15 +339,14 @@ def _parse_list(body: str) -> list[float]:
     return values
 
 
-def ramp_params(p: int, gamma_max: float = 0.7, beta_max: float = -0.7
-                ) -> QaoaParams:
+def ramp_params(p: int) -> QaoaParams:
     """Linear-ramp schedule used as the default fixed-angle input.
 
     With rotation angle theta meaning exp(-i*theta*P), MaxCut wants the
     phase angles ramping up from 0 and the mixer angles ramping to 0 from
-    the negative side."""
+    the negative side, both of magnitude up to 0.7."""
     ts = [(t + 0.5) / p for t in range(p)]
     return QaoaParams(
-        gammas=tuple(gamma_max * t for t in ts),
-        betas=tuple(beta_max * (1.0 - t) for t in ts),
+        gammas=tuple(0.7 * t for t in ts),
+        betas=tuple(-0.7 * (1.0 - t) for t in ts),
     )

@@ -366,6 +366,10 @@ class TestEncodedIO:
         ("logical 1 = c1 c2", "a decode line is"),
         ("logical 1 = c1 ^", "a decode line is"),
         ("logical 1 = c1 ^ y2", "c<int>"),
+        ("qubits -2 clbits 3", "negative"),
+        ("qubits 2 clbits -1", "negative"),
+        ("component 0 INIT extra", "'component ID ROLE'"),
+        ("component 0", "'component ID ROLE'"),
     ])
     def test_malformed_lines_name_the_line(self, line, msg):
         text = "qubits 2 clbits 3\ncx 0 1\ncheck c0 = 0\n" + line + "\n"

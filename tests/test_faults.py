@@ -1,14 +1,16 @@
+import hashlib
 import random
 
 import pytest
 
 from icecomp.circuit import ComponentRole, PhysicalCircuit
-from icecomp.compiler import CompileConfig, GadgetSet, compile_cooptimized
+from icecomp.compiler import (CompileConfig, GadgetSet, compile_baseline,
+                              compile_cooptimized)
 from icecomp.faults import (FaultClass, FaultLocation, PauliString,
                             VerifyContext, check_gadget_ft,
                             classify_rotation_faults, classify_terminal,
                             context_for_gadget, enumerate_fault_locations,
-                            propagate_frame, propagate_pauli, run_fault)
+                            propagate_pauli, run_fault)
 from icecomp.gadgets import GadgetKind, IcebergLayout, build_gadget
 from icecomp.maxcut import GraphKind, generate_instance, ramp_params
 from icecomp.simulator import exact_logical_distribution, total_variation
@@ -27,53 +29,44 @@ def clifford_circuit(gates, n=4):
 class TestPropagationRules:
     def test_x_through_cnot_control(self):
         c = clifford_circuit([("cx", 0, 1)])
-        [(term, flips)] = propagate_pauli(c, -1, P([(0, "X")]))
+        term, _, _ = propagate_pauli(c, -1, P([(0, "X")]))
         assert term == P([(0, "X"), (1, "X")])
 
     def test_z_through_cnot_target(self):
         c = clifford_circuit([("cx", 0, 1)])
-        [(term, _)] = propagate_pauli(c, -1, P([(1, "Z")]))
+        term, _, _ = propagate_pauli(c, -1, P([(1, "Z")]))
         assert term == P([(0, "Z"), (1, "Z")])
 
     def test_h_swaps_xz(self):
         c = clifford_circuit([("h", 0)])
-        [(term, _)] = propagate_pauli(c, -1, P([(0, "X")]))
+        term, _, _ = propagate_pauli(c, -1, P([(0, "X")]))
         assert term == P([(0, "Z")])
 
     def test_commuting_rotation_passes(self):
         c = PhysicalCircuit(2, 0)
         c.begin_component(0, ComponentRole.PHASE_LAYER)
         c.rzz(0, 1, 0.3)
-        branches = propagate_pauli(c, -1, P([(0, "Z")]))
-        assert branches == [(P([(0, "Z")]), frozenset())]
-
-    def test_anticommuting_rotation_branches(self):
-        c = PhysicalCircuit(2, 0)
-        c.begin_component(0, ComponentRole.PHASE_LAYER)
-        c.rzz(0, 1, 0.3)
-        branches = propagate_pauli(c, -1, P([(0, "X")]))
-        terms = {t for t, _ in branches}
-        assert terms == {P([(0, "X")]),
-                         P([(0, "X")]) * P([(0, "Z"), (1, "Z")])}
+        assert propagate_pauli(c, -1, P([(0, "Z")])) == \
+            (P([(0, "Z")]), frozenset(), frozenset())
 
     def test_frame_passes_anticommuting_rotation(self):
         c = PhysicalCircuit(2, 0)
         c.begin_component(0, ComponentRole.PHASE_LAYER)
         c.rzz(0, 1, 0.3)
         c.rzz(0, 1, 0.2)
-        term, flips, rotations = propagate_frame(c, 0, P([(0, "X")]))
+        term, flips, rotations = propagate_pauli(c, 0, P([(0, "X")]))
         assert (term, flips, rotations) == (P([(0, "X")]), frozenset(),
                                             frozenset({1}))
-        _, _, rotations = propagate_frame(c, -1, P([(0, "Z")]))
+        _, _, rotations = propagate_pauli(c, -1, P([(0, "Z")]))
         assert rotations == frozenset()
 
     def test_measurement_flip_recorded(self):
         c = PhysicalCircuit(1, 1)
         c.begin_component(0, ComponentRole.FINAL_MEAS)
         c.mz(0, 0)
-        [(_, flips)] = propagate_pauli(c, -1, P([(0, "X")]))
+        _, flips, _ = propagate_pauli(c, -1, P([(0, "X")]))
         assert flips == frozenset({0})
-        [(_, flips)] = propagate_pauli(c, -1, P([(0, "Z")]))
+        _, flips, _ = propagate_pauli(c, -1, P([(0, "Z")]))
         assert flips == frozenset()
 
     def test_homomorphism_on_random_cliffords(self):
@@ -89,9 +82,9 @@ class TestPropagationRules:
             c = clifford_circuit(gates)
             p = P([(rng.randrange(4), rng.choice("XYZ"))])
             q = P([(rng.randrange(4), rng.choice("XYZ"))])
-            [(tp, _)] = propagate_pauli(c, -1, p)
-            [(tq, _)] = propagate_pauli(c, -1, q)
-            [(tpq, _)] = propagate_pauli(c, -1, p * q)
+            tp, _, _ = propagate_pauli(c, -1, p)
+            tq, _, _ = propagate_pauli(c, -1, q)
+            tpq, _, _ = propagate_pauli(c, -1, p * q)
             assert tpq == tp * tq
 
 
@@ -207,7 +200,7 @@ class TestWholeCircuitFaults:
         locs = [loc for loc in enumerate_fault_locations(enc.circuit)
                 if loc.flip_bit is None]
         # Z0 Y5 after gate 47 ran out of the branch budget of the branching
-        # propagation
+        # propagation that preceded the frame pass
         sample = [FaultLocation(47, P([(0, "Z"), (5, "Y")]))] \
             + random.Random(11).sample(locs, 50)
         _, ref = exact_logical_distribution(enc.circuit, enc.checks,
@@ -227,3 +220,72 @@ class TestWholeCircuitFaults:
             if cls is FaultClass.STABILIZER_EQUIVALENT:
                 assert total_variation(dist, ref) <= 1e-9, loc
         assert seen == set(FaultClass)
+
+
+def _verdict_digest(circuit, ctx):
+    """sha256 over (gate index, Pauli masks or flipped bit, verdict,
+    terminal masks, flipped bits, flipped rotations) of every fault."""
+    verdicts = []
+    for loc in enumerate_fault_locations(circuit):
+        rep = run_fault(circuit, loc, ctx)
+        fault = loc.flip_bit if loc.pauli is None \
+            else (loc.pauli.xmask, loc.pauli.zmask)
+        verdicts.append((loc.gate_index, fault, rep.classification.value,
+                         (rep.terminal.xmask, rep.terminal.zmask),
+                         sorted(rep.flipped_bits),
+                         sorted(rep.flipped_rotations)))
+    return hashlib.sha256(repr(verdicts).encode()).hexdigest()
+
+
+class TestVerdictGolden:
+    """Hashes of every fault verdict: the six gadget kinds at criterion 3's
+    sizes, and criterion 7's s=1 circuits (3-regular k=10 seed 0, p=3,
+    queue_cap 200).  A change to any verdict must update these, and say
+    why."""
+
+    GADGETS = {
+        GadgetKind.INIT_OLD: "c0f37be027fd2adfffecd261c7af2b9d"
+                             "c66b7b6d88e55958c386ed40ac651d3f",
+        GadgetKind.INIT_NEW: "5fbbe2325f26d310047e1a9eb083202b"
+                             "bbfc6ad554574a596b551d642a086f74",
+        GadgetKind.SYNDROME_OLD: "d36ce8eb8d7ba0a8fc31ced11e3371df"
+                                 "cb0346e1e552e44ca02ca569b457fdf8",
+        GadgetKind.SYNDROME_NEW: "6b92cc32fc90b4dcac5bc451769cef8c"
+                                 "4faebba80448cbcc3fc3c826ce59450d",
+        GadgetKind.FINAL_OLD: "77c6af2da08e39906a45c0121b46ef04"
+                              "b7952380813b85ab12457d94154878fc",
+        GadgetKind.FINAL_NEW: "ff97c3a050264cbbbb8eae8485abf430"
+                              "d1cf25cf60b3a0a9e4fc39337423f19c",
+    }
+
+    CRITERION_7 = {
+        "baseline-old": "2aa5502de85e84f308da3abb1e634d11"
+                        "9e45ec3a8ced9dd62745d10d74b65bb2",
+        "resynth": "5887bfc0f5cb8e77ce24747d3a8b8cc3"
+                   "d2baaf77675ed7ec227e049b1e2f5e96",
+        "resynth+z2": "620a8e6e1d61a6433d846775e5457bfe"
+                      "ea3b76147a60f70a4cd1510c865958fa",
+    }
+
+    @pytest.mark.parametrize("kind", list(GADGETS))
+    def test_gadget_verdicts(self, kind):
+        k = 6 if kind in (GadgetKind.SYNDROME_OLD,
+                          GadgetKind.SYNDROME_NEW) else 4
+        gadget = build_gadget(kind, k)
+        assert _verdict_digest(gadget.fragment,
+                               context_for_gadget(gadget)) == \
+            self.GADGETS[kind]
+
+    @pytest.mark.parametrize("mode", sorted(CRITERION_7))
+    def test_criterion_7_verdicts(self, mode):
+        g = generate_instance(GraphKind.REGULAR_3, 10, seed=0)
+        if mode == "baseline-old":
+            enc = compile_baseline(g, ramp_params(3), CompileConfig(
+                num_syndromes=1, gadget_set=GadgetSet.OLD))
+        else:
+            enc = compile_cooptimized(g, ramp_params(3), CompileConfig(
+                num_syndromes=1, gadget_set=GadgetSet.NEW, queue_cap=200,
+                resynthesize=True, use_z2=mode == "resynth+z2"))
+        ctx = VerifyContext(enc.layout, enc.checks, enc.decode,
+                            harmless="outcomes", trailing_checks=False)
+        assert _verdict_digest(enc.circuit, ctx) == self.CRITERION_7[mode]

@@ -2,12 +2,14 @@
 
 Each reader must give back what its writer wrote, and on any other text
 either parse it or raise the format's ValueError subclass, never an
-IndexError, KeyError or TypeError from inside the parser."""
+IndexError, KeyError or TypeError from inside the parser.  A graph or
+circuit it does parse has non-negative counts and finite weights."""
 
+import math
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from icecomp.circuit import (CircuitError, ComponentRole, Gate, GateKind,
                              PhysicalCircuit)
@@ -134,19 +136,41 @@ ENCODED_WORDS = ["qubits", "clbits", "component", "INIT", "SYNDROME",
                  "x", "z", "mz", "mx", "reset", "barrier", "0.3"]
 
 
-@pytest.mark.parametrize("read, error, words", [
-    (read_graph, ValueError, GRAPH_WORDS),
-    (read_params, ValueError, PARAMS_WORDS),
-    (read_noise, NoiseFormatError, NOISE_WORDS),
-    (read_encoded, CircuitError, ENCODED_WORDS),
+def _sane_graph(g):
+    assert g.num_vertices >= 0
+    assert all(math.isfinite(w) for _, _, w in g.edges)
+
+
+def _sane_encoded(parsed):
+    circuit = parsed[0]
+    assert circuit.num_qubits >= 0 and circuit.num_clbits >= 0
+
+
+# texts that once parsed into a graph or circuit failing the sanity checks;
+# random token soups rarely form a whole valid file, so these are run first
+GRAPH_EXAMPLES = ["graph -1 0", "graph 2 1\nedge 0 1 nan",
+                  "graph 2 1\nedge 0 1 inf"]
+ENCODED_EXAMPLES = ["qubits -2 clbits -1", "qubits 2 clbits -1"]
+
+
+@pytest.mark.parametrize("read, error, words, sane, examples", [
+    (read_graph, ValueError, GRAPH_WORDS, _sane_graph, GRAPH_EXAMPLES),
+    (read_params, ValueError, PARAMS_WORDS, None, []),
+    (read_noise, NoiseFormatError, NOISE_WORDS, None, []),
+    (read_encoded, CircuitError, ENCODED_WORDS, _sane_encoded,
+     ENCODED_EXAMPLES),
 ], ids=["graph", "params", "noise", "encoded"])
-def test_fuzz_parses_or_raises_format_error(read, error, words):
-    @FUZZ
-    @given(texts(words))
+def test_fuzz_parses_or_raises_format_error(read, error, words, sane,
+                                            examples):
     def check(text):
         try:
-            read(text)
+            parsed = read(text)
         except error:
-            pass
+            return
+        if sane is not None:
+            sane(parsed)
 
-    check()
+    check = given(texts(words))(check)
+    for text in examples:
+        check = example(text)(check)
+    FUZZ(check)()

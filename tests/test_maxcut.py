@@ -188,10 +188,24 @@ class TestFiles:
         ("graph 3 1\n# c\nedge 0 1 w\n", 3),
         ("graph 3 1\nedge 0 1\ngraph 3 1\n", 3),
         ("graph 3 1\nnode 0\n", 2),
+        ("graph -1 0\n", 1),
+        ("graph 3 1\nedge 0 1 nan\n", 2),
+        ("graph 3 1\n\nedge 0 1 inf\n", 3),
+        ("graph 3 1\nedge 0 1 -inf\n", 2),
     ])
     def test_malformed_line_named(self, text, line):
         with pytest.raises(ValueError, match=f"^line {line}: "):
             read_graph(text)
+
+    @pytest.mark.parametrize("k, weight, what", [
+        (-1, None, "negative vertex count"),
+        (3, float("nan"), "not finite"),
+        (3, float("inf"), "not finite"),
+    ])
+    def test_make_graph_rejects_bad_values(self, k, weight, what):
+        edges, weights = ([], None) if weight is None else ([(0, 1)], [weight])
+        with pytest.raises(ValueError, match=what):
+            make_graph(k, edges, weights)
 
     def test_params_roundtrip(self):
         p = ramp_params(4)
