@@ -145,29 +145,35 @@ class PhysicalCircuit:
     # -- validation ----------------------------------------------------------
 
     def validate(self) -> None:
-        for g in self.gates:
+        bad = self._first_invalid_gate()
+        if bad is not None:
+            raise CircuitError(bad[1])
+
+    def _first_invalid_gate(self) -> tuple[int, str] | None:
+        """(index, reason) of the first gate validate() would reject."""
+        for i, g in enumerate(self.gates):
             if any(q >= self.num_qubits for q in g.qubits):
-                raise CircuitError(f"qubit index out of range in {g}")
+                return i, f"qubit index out of range in {g}"
             if g.clbit is not None and g.clbit >= self.num_clbits:
-                raise CircuitError(f"classical bit out of range in {g}")
+                return i, f"classical bit out of range in {g}"
             if g.component not in self.components and self.components:
-                raise CircuitError(f"gate tagged with undeclared component {g.component}")
+                return i, f"gate tagged with undeclared component {g.component}"
         # cross-component dependency: per qubit, component order must be
         # non-decreasing along the gate list, else a later component's gate
         # would run before an earlier component finished on that qubit.
         order = {cid: i for i, cid in enumerate(self.components)}
         if order:
             last = [-1] * self.num_qubits
-            for g in self.gates:
+            for i, g in enumerate(self.gates):
                 if g.kind is GateKind.BARRIER:
                     continue
                 pos = order[g.component]
                 for q in g.qubits:
                     if pos < last[q]:
-                        raise CircuitError(
-                            f"component ordering violated on qubit {q} by {g}"
-                        )
+                        return i, (f"component ordering violated on qubit "
+                                   f"{q} by {g}")
                     last[q] = pos
+        return None
 
     def two_qubit_gate_count(self) -> int:
         return sum(1 for g in self.gates if g.is_two_qubit)
@@ -274,6 +280,7 @@ def read_circuit(text: str) -> PhysicalCircuit:
     component = 0
     declared_header = False
     seen_components: dict[int, ComponentRole] = {}
+    gate_lines: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -300,8 +307,8 @@ def read_circuit(text: str) -> PhysicalCircuit:
                     seen_components[cid] = role
                 component = cid
             else:
-                g = _parse_gate(tok, component)
-                circ.add(g)
+                circ.add(_parse_gate(tok, component))
+                gate_lines.append(lineno)
         except CircuitError as e:
             raise CircuitError(f"line {lineno}: {e}") from None
         except (ValueError, IndexError):
@@ -315,7 +322,9 @@ def read_circuit(text: str) -> PhysicalCircuit:
         circ.num_clbits = 1 + max(
             (g.clbit for g in circ.gates if g.clbit is not None), default=-1
         )
-    circ.validate()
+    bad = circ._first_invalid_gate()
+    if bad is not None:
+        raise CircuitError(f"line {gate_lines[bad[0]]}: {bad[1]}")
     return circ
 
 

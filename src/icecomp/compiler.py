@@ -695,8 +695,8 @@ def _matchings(exe: ExecutableGraph, width: int,
         match = nx.max_weight_matching(g, maxcardinality=False)
         layer = sorted((frozenset(e) for e in match),
                        key=lambda p: (-exe.weights[p], tuple(sorted(p))))
-        if layer in out:
-            break
+        # each earlier layer holds its own layer[0], now in `removed`, so
+        # this layer differs from all of them
         out.append(layer)
         removed.add(layer[0])
     return out

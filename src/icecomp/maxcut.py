@@ -34,16 +34,7 @@ class ProblemGraph:
             raise ValueError(f"negative vertex count {self.num_vertices}")
         seen = set()
         for u, v, w in self.edges:
-            if not math.isfinite(w):
-                raise ValueError(f"edge ({u},{v}) weight {w} is not finite")
-            if u == v:
-                raise ValueError(f"self-loop on vertex {u}")
-            if not (0 <= u < self.num_vertices and 0 <= v < self.num_vertices):
-                raise ValueError(f"edge ({u},{v}) out of range")
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise ValueError(f"duplicate edge {key}")
-            seen.add(key)
+            _check_edge(u, v, w, self.num_vertices, seen)
 
     @property
     def num_edges(self) -> int:
@@ -59,6 +50,22 @@ class ProblemGraph:
             deg[u] += 1
             deg[v] += 1
         return deg
+
+
+def _check_edge(u: int, v: int, w: float, num_vertices: int,
+                seen: set[tuple[int, int]]) -> None:
+    """Raise ValueError unless (u, v, w) is a valid new edge; record it in
+    `seen`."""
+    if not math.isfinite(w):
+        raise ValueError(f"edge ({u},{v}) weight {w} is not finite")
+    if u == v:
+        raise ValueError(f"self-loop on vertex {u}")
+    if not (0 <= u < num_vertices and 0 <= v < num_vertices):
+        raise ValueError(f"edge ({u},{v}) out of range")
+    key = (min(u, v), max(u, v))
+    if key in seen:
+        raise ValueError(f"duplicate edge {key}")
+    seen.add(key)
 
 
 def make_graph(num_vertices: int, edges: Iterable[tuple[int, int]],
@@ -248,11 +255,13 @@ def write_graph(graph: ProblemGraph) -> str:
 def read_graph(text: str) -> ProblemGraph:
     """Parse a `graph k m` header and m `edge u v [w]` lines.
 
-    A malformed line, a second header or an edge count other than m raises
-    ValueError naming the line."""
+    A malformed line, a second header, an edge count other than m, or an
+    edge that is out of range, a self-loop, repeated or of non-finite
+    weight raises ValueError naming the line."""
     header: tuple[int, int, int] | None = None     # (line, k, m)
     edges: list[tuple[int, int]] = []
     weights: list[float] = []
+    edge_lines: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -272,8 +281,7 @@ def read_graph(text: str) -> ProblemGraph:
                     raise ValueError("an edge is 'edge u v [w]'")
                 edges.append((int(tok[1]), int(tok[2])))
                 weights.append(float(tok[3]) if len(tok) > 3 else 1.0)
-                if not math.isfinite(weights[-1]):
-                    raise ValueError("the weight must be finite")
+                edge_lines.append(lineno)
             else:
                 raise ValueError(f"unknown directive {tok[0]!r}")
         except ValueError as e:
@@ -284,6 +292,12 @@ def read_graph(text: str) -> ProblemGraph:
     if m != len(edges):
         raise ValueError(f"line {lineno}: header declares {m} edges, "
                          f"the file has {len(edges)}")
+    seen: set[tuple[int, int]] = set()
+    for lineno, (u, v), w in zip(edge_lines, edges, weights):
+        try:
+            _check_edge(u, v, w, k, seen)
+        except ValueError as e:
+            raise ValueError(f"line {lineno}: {e}") from None
     return make_graph(k, edges, weights)
 
 

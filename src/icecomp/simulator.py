@@ -30,11 +30,19 @@ per gate step: a shot redraws the event tests before the step of its first
 fired test, then runs that step and the rest from a copy of the sweep taken
 before it.
 
+The gate kernels work on the whole array at once, but each amplitude gets
+the same IEEE operations in the same order as in a per-block update (see
+StateVector), so the records do not depend on how a kernel walks the array.
+prob_one keeps its per-half np.sum: np.sum adds pairwise in an order set
+by the shape of the array it is given, so summing any other array would
+move p1 in its last bits, and with it a measurement draw.
+
 Qubit i is bit i of the state index (little-endian).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -64,8 +72,26 @@ class SimulatorError(RuntimeError):
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
+@functools.lru_cache(maxsize=None)
+def _parity_mask(n: int, a: int, b: int) -> np.ndarray:
+    """Boolean array over the 2^n indices: bit a differs from bit b.  At
+    most n(n-1)/2 masks of 2^n bytes each per n (7.7 MB at the cap)."""
+    idx = np.arange(1 << n)
+    mask = (((idx >> a) ^ (idx >> b)) & 1).astype(bool)
+    mask.flags.writeable = False    # shared by every caller
+    return mask
+
+
 class StateVector:
-    """Dense little-endian statevector with in-place strided gate kernels."""
+    """Dense little-endian statevector with whole-array gate kernels.
+
+    Each kernel makes a few passes over the whole array and gives every
+    amplitude the same IEEE operations, in the same order, as a per-block
+    update would: RXX and RX give x*c + (s*y), with y the partner amplitude
+    read through a reversed view; RZZ multiplies by the phase of the
+    amplitude's parity.  X and CX are permutations.  So the states, and
+    every record drawn from them, do not depend on the kernels' form.
+    prob_one is left as it was; see the module docstring."""
 
     def __init__(self, num_qubits: int):
         if num_qubits > DEFAULT_QUBIT_CAP:
@@ -96,10 +122,7 @@ class StateVector:
     # -- gates --------------------------------------------------------------
 
     def apply_x(self, q: int) -> None:
-        v = self._axis1(q)
-        tmp = v[:, 0, :].copy()
-        v[:, 0, :] = v[:, 1, :]
-        v[:, 1, :] = tmp
+        self.amp = self._axis1(q)[:, ::-1, :].reshape(-1)
 
     def apply_z(self, q: int) -> None:
         v = self._axis1(q)
@@ -123,48 +146,31 @@ class StateVector:
 
     def apply_cx(self, c: int, t: int) -> None:
         v = self._axis2(c, t)
-        lo, hi = (c, t) if c < t else (t, c)
-        if c == hi:
-            a, b = v[:, 1, :, 0, :], v[:, 1, :, 1, :]
+        if c > t:
+            w = v[:, 1]
+            w[...] = w[:, :, ::-1, :]
         else:
-            a, b = v[:, 0, :, 1, :], v[:, 1, :, 1, :]
-        tmp = a.copy()
-        a[...] = b
-        b[...] = tmp
+            w = v[:, :, :, 1]
+            w[...] = w[:, ::-1, :, :]
 
     def apply_rzz(self, a: int, b: int, theta: float) -> None:
-        v = self._axis2(a, b)
         even = complex(math.cos(theta), -math.sin(theta))
-        odd = even.conjugate()
-        v[:, 0, :, 0, :] *= even
-        v[:, 1, :, 1, :] *= even
-        v[:, 0, :, 1, :] *= odd
-        v[:, 1, :, 0, :] *= odd
+        odd = _parity_mask(self.n, min(a, b), max(a, b))
+        # amplitude times phase, in this order: numpy's vector complex
+        # multiply can round x*y and y*x differently in the last bit
+        self.amp *= np.where(odd, even.conjugate(), even)
 
     def apply_rxx(self, a: int, b: int, theta: float) -> None:
         v = self._axis2(a, b)
-        c = math.cos(theta)
-        s = -1j * math.sin(theta)
-        for pa, pb in (((0, 0), (1, 1)), ((0, 1), (1, 0))):
-            blk_a = v[:, pa[0], :, pa[1], :]
-            blk_b = v[:, pb[0], :, pb[1], :]
-            tmp = blk_a.copy()
-            blk_a *= c
-            blk_a += s * blk_b
-            blk_b *= c
-            blk_b += s * tmp
+        tmp = v[:, ::-1, :, ::-1, :] * (-1j * math.sin(theta))
+        v *= math.cos(theta)
+        v += tmp
 
     def apply_rx(self, q: int, theta: float) -> None:
         v = self._axis1(q)
-        c = math.cos(theta)
-        s = -1j * math.sin(theta)
-        a = v[:, 0, :]
-        b = v[:, 1, :]
-        tmp = a.copy()
-        a *= c
-        a += s * b
-        b *= c
-        b += s * tmp
+        tmp = v[:, ::-1, :] * (-1j * math.sin(theta))
+        v *= math.cos(theta)
+        v += tmp
 
     def apply_pauli(self, pauli: PauliString) -> None:
         for q in range(self.n):

@@ -370,6 +370,8 @@ class TestEncodedIO:
         ("qubits 2 clbits -1", "negative"),
         ("component 0 INIT extra", "'component ID ROLE'"),
         ("component 0", "'component ID ROLE'"),
+        ("cx 0 5", "qubit index out of range"),
+        ("mz 1 3", "classical bit out of range"),
     ])
     def test_malformed_lines_name_the_line(self, line, msg):
         text = "qubits 2 clbits 3\ncx 0 1\ncheck c0 = 0\n" + line + "\n"

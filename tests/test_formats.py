@@ -3,9 +3,11 @@
 Each reader must give back what its writer wrote, and on any other text
 either parse it or raise the format's ValueError subclass, never an
 IndexError, KeyError or TypeError from inside the parser.  A graph or
-circuit it does parse has non-negative counts and finite weights."""
+circuit it does parse has non-negative counts and finite weights, and an
+error it raises names the offending line."""
 
 import math
+import re
 from types import SimpleNamespace
 
 import pytest
@@ -146,26 +148,37 @@ def _sane_encoded(parsed):
     assert circuit.num_qubits >= 0 and circuit.num_clbits >= 0
 
 
-# texts that once parsed into a graph or circuit failing the sanity checks;
-# random token soups rarely form a whole valid file, so these are run first
+# texts that once parsed into a graph or circuit failing the sanity checks,
+# or raised without naming their line; random token soups rarely form a
+# whole valid file, so these are run first
 GRAPH_EXAMPLES = ["graph -1 0", "graph 2 1\nedge 0 1 nan",
-                  "graph 2 1\nedge 0 1 inf"]
-ENCODED_EXAMPLES = ["qubits -2 clbits -1", "qubits 2 clbits -1"]
+                  "graph 2 1\nedge 0 1 inf", "graph 2 1\nedge 0 5",
+                  "graph 2 1\nedge 1 1", "graph 2 2\nedge 0 1\nedge 1 0"]
+ENCODED_EXAMPLES = ["qubits -2 clbits -1", "qubits 2 clbits -1",
+                    "qubits 2 clbits 1\ncx 0 5", "qubits 2 clbits 1\nmz 0 3",
+                    "component 0 INIT\nh 0\ncomponent 1 SYNDROME\nh 0\n"
+                    "component 0 INIT\nh 0"]
+# every error names its line, but for a file-level one
+GRAPH_NAMED = r"line \d+: |missing 'graph k m' header"
+ENCODED_NAMED = r"line \d+: "
 
 
-@pytest.mark.parametrize("read, error, words, sane, examples", [
-    (read_graph, ValueError, GRAPH_WORDS, _sane_graph, GRAPH_EXAMPLES),
-    (read_params, ValueError, PARAMS_WORDS, None, []),
-    (read_noise, NoiseFormatError, NOISE_WORDS, None, []),
+@pytest.mark.parametrize("read, error, words, sane, examples, named", [
+    (read_graph, ValueError, GRAPH_WORDS, _sane_graph, GRAPH_EXAMPLES,
+     GRAPH_NAMED),
+    (read_params, ValueError, PARAMS_WORDS, None, [], None),
+    (read_noise, NoiseFormatError, NOISE_WORDS, None, [], None),
     (read_encoded, CircuitError, ENCODED_WORDS, _sane_encoded,
-     ENCODED_EXAMPLES),
+     ENCODED_EXAMPLES, ENCODED_NAMED),
 ], ids=["graph", "params", "noise", "encoded"])
 def test_fuzz_parses_or_raises_format_error(read, error, words, sane,
-                                            examples):
+                                            examples, named):
     def check(text):
         try:
             parsed = read(text)
-        except error:
+        except error as e:
+            if named is not None:
+                assert re.match(named, str(e)), str(e)
             return
         if sane is not None:
             sane(parsed)

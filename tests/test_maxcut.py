@@ -192,6 +192,11 @@ class TestFiles:
         ("graph 3 1\nedge 0 1 nan\n", 2),
         ("graph 3 1\n\nedge 0 1 inf\n", 3),
         ("graph 3 1\nedge 0 1 -inf\n", 2),
+        ("graph 2 1\nedge 0 5\n", 2),
+        ("graph 2 1\n# c\nedge -1 1\n", 3),
+        ("graph 3 1\nedge 1 1\n", 2),
+        ("graph 3 2\nedge 0 1\nedge 1 0\n", 3),
+        ("edge 0 1\nedge 0 2\ngraph 2 2\n", 2),
     ])
     def test_malformed_line_named(self, text, line):
         with pytest.raises(ValueError, match=f"^line {line}: "):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -18,6 +19,31 @@ from icecomp.simulator import (NoiseFormatError, NoiseModel, ShotRecord,
                                post_selection_rate, postprocess_truncate,
                                read_noise, sample_shots, sample_logical_shots,
                                total_variation, write_noise, SimulatorError)
+
+
+_X = np.array([[0, 1], [1, 0]], dtype=complex)
+_Z = np.diag([1.0, -1.0]).astype(complex)
+_H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
+_P0, _P1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+_ONE_QUBIT = {"x": _X, "y": _X @ _Z, "z": _Z, "h": _H}   # y: Z then X
+
+
+def _dense(n, ops):
+    """kron of the 2x2 matrices in `ops` (qubit -> matrix, identity
+    elsewhere); qubit 0 is the last factor, so bit i of the index is qubit
+    i."""
+    out = np.eye(1)
+    for q in reversed(range(n)):
+        out = np.kron(out, ops.get(q, np.eye(2)))
+    return out
+
+
+def _random_state(n, seed):
+    rng = np.random.default_rng(seed)
+    amp = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    sv = StateVector(n)
+    sv.amp = amp / np.linalg.norm(amp)
+    return sv
 
 
 class TestStateVector:
@@ -54,6 +80,45 @@ class TestStateVector:
         rng = np.random.default_rng(0)
         v = sv.measure(0, rng)
         assert sv.prob_one(0) == pytest.approx(float(v))
+
+    # every kernel against its np.kron matrix on a random 5-qubit state
+    N, THETA = 5, 0.83
+
+    def _check_dense(self, seed, apply, matrix):
+        sv = _random_state(self.N, seed)
+        want = matrix @ sv.amp
+        apply(sv)
+        assert np.allclose(sv.amp, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("name", ["x", "y", "z", "h", "rx"])
+    def test_one_qubit_kernel_matches_dense(self, name):
+        n, c, s = self.N, math.cos(self.THETA), math.sin(self.THETA)
+        for q in range(n):
+            if name == "rx":
+                matrix = c * np.eye(1 << n) - 1j * s * _dense(n, {q: _X})
+                apply = lambda sv: sv.apply_rx(q, self.THETA)
+            else:
+                matrix = _dense(n, {q: _ONE_QUBIT[name]})
+                apply = lambda sv: getattr(sv, "apply_" + name)(q)
+            self._check_dense(q, apply, matrix)
+
+    @pytest.mark.parametrize("name", ["cx", "rzz", "rxx"])
+    def test_two_qubit_kernel_matches_dense(self, name):
+        n, c, s = self.N, math.cos(self.THETA), math.sin(self.THETA)
+        for a in range(n):
+            for b in range(n):
+                if a == b:
+                    continue
+                if name == "cx":
+                    matrix = _dense(n, {a: _P0}) + _dense(n, {a: _P1, b: _X})
+                    apply = lambda sv: sv.apply_cx(a, b)
+                else:
+                    pauli = _Z if name == "rzz" else _X
+                    matrix = c * np.eye(1 << n) \
+                        - 1j * s * _dense(n, {a: pauli, b: pauli})
+                    apply = lambda sv: getattr(sv, "apply_" + name)(
+                        a, b, self.THETA)
+                self._check_dense(a * n + b, apply, matrix)
 
 
 class TestExactDistributions:
@@ -408,6 +473,43 @@ class TestBitIdentity:
             sample_logical_shots(build_qaoa(self.graph, self.params),
                                  NoiseModel(), -1, 0)
         assert sample_shots(enc.circuit, NoiseModel(), 0, 0) == []
+
+
+class TestRecordGolden:
+    """sha256 of the records of criterion 7's s=1 resynth+z2 circuit
+    (3-regular k=10 seed 0, p=3, queue_cap 200) and of its unencoded
+    circuit: 1,000 shots, seed 0, noise scale 1.0.  A change that moves any
+    draw or any amplitude's rounding shows here; it must update these, and
+    say why."""
+
+    ENCODED = ("17fa9d248046a5e0e0a57758bfbb465a"
+               "04aa56ecbf9fcf15119a470c8187847e")
+    UNENCODED = ("473488e281d68447f28d12db5c494c9c"
+                 "3ff4dbf22ab7a6efb58266ebf90d080c")
+
+    graph = generate_instance(GraphKind.REGULAR_3, 10, seed=0)
+    params = ramp_params(3)
+
+    @staticmethod
+    def _digest(records):
+        h = hashlib.sha256()
+        for r in records:
+            h.update(f"{r.bits} {r.check_values} {r.accepted} "
+                     f"{r.logical}\n".encode())
+        return h.hexdigest()
+
+    def test_encoded(self):
+        enc = compile_cooptimized(self.graph, self.params, CompileConfig(
+            num_syndromes=1, gadget_set=GadgetSet.NEW, queue_cap=200,
+            resynthesize=True, use_z2=True))
+        recs = sample_shots(enc.circuit, NoiseModel(scale=1.0), 1000, 0,
+                            checks=enc.checks, decode=enc.decode)
+        assert self._digest(recs) == self.ENCODED
+
+    def test_unencoded(self):
+        lc = build_qaoa(self.graph, self.params)
+        recs = sample_logical_shots(lc, NoiseModel(scale=1.0), 1000, 0)
+        assert self._digest(recs) == self.UNENCODED
 
 
 class TestEnergyTools:
