@@ -36,6 +36,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def _out(args, name):
     path = getattr(args, name, None)
     if path is None:
@@ -225,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--k", type=int, required=True)
     g.add_argument("--density", type=float)
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--p", type=int, default=3)
+    g.add_argument("--p", type=_nonnegative_int, default=3)
     g.add_argument("--out", required=True)
     g.add_argument("--params-out")
     g.set_defaults(func=cmd_gen)
@@ -233,13 +240,13 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("compile", help="compile an encoded circuit")
     c.add_argument("--graph", required=True)
     c.add_argument("--params")
-    c.add_argument("--p", type=int, default=3)
-    c.add_argument("--syndromes", type=int, default=3)
+    c.add_argument("--p", type=_nonnegative_int, default=3)
+    c.add_argument("--syndromes", type=_nonnegative_int, default=3)
     c.add_argument("--gadgets", choices=("old", "new"), default="new")
     c.add_argument("--mode", choices=("baseline", "coopt"), default="coopt")
     c.add_argument("--z2", action="store_true")
     c.add_argument("--resynth", action="store_true")
-    c.add_argument("--queue-cap", type=int, default=2000)
+    c.add_argument("--queue-cap", type=_nonnegative_int, default=2000)
     c.add_argument("--out", required=True)
     c.add_argument("--report")
     c.set_defaults(func=cmd_compile)
@@ -269,11 +276,12 @@ def build_parser() -> argparse.ArgumentParser:
         b.add_argument("--sizes", type=int, nargs="+", required=True)
         b.add_argument("--densities", type=float, nargs="*")
         b.add_argument("--num-seeds", type=int, default=10)
-        b.add_argument("--p", type=int, default=10)
-        b.add_argument("--syndromes", type=int, nargs="+", default=[3])
+        b.add_argument("--p", type=_nonnegative_int, default=10)
+        b.add_argument("--syndromes", type=_nonnegative_int, nargs="+",
+                       default=[3])
         b.add_argument("--modes", nargs="+",
                        default=["baseline", "resynth", "resynth+z2"])
-        b.add_argument("--queue-cap", type=int, default=400)
+        b.add_argument("--queue-cap", type=_nonnegative_int, default=400)
         b.add_argument("--out", required=True)
         if qaoa:
             b.add_argument("--shots", type=_positive_int, default=10_000)

@@ -359,6 +359,8 @@ def ramp_params(p: int) -> QaoaParams:
     With rotation angle theta meaning exp(-i*theta*P), MaxCut wants the
     phase angles ramping up from 0 and the mixer angles ramping to 0 from
     the negative side, both of magnitude up to 0.7."""
+    if p < 0:
+        raise ValueError(f"p must be >= 0, got {p}")
     ts = [(t + 0.5) / p for t in range(p)]
     return QaoaParams(
         gammas=tuple(0.7 * t for t in ts),

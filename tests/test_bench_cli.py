@@ -128,6 +128,21 @@ class TestCli:
         assert exc.value.code == 2
         assert "must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag)
+        for command in ("compile", "bench-depth", "bench-qaoa",
+                        "bench-energy")
+        for flag in ("--p", "--syndromes", "--queue-cap")
+    ])
+    def test_negative_counts_rejected(self, tmp_path, capsys, command, flag):
+        extra = (["--graph", "g.txt"] if command == "compile"
+                 else ["--sizes", "6"])
+        with pytest.raises(SystemExit) as exc:
+            main(["--out-dir", str(tmp_path), command, *extra,
+                  flag, "-1", "--out", "x.txt"])
+        assert exc.value.code == 2
+        assert "must be at least 0" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag", ["--z2", "--resynth"])
     def test_baseline_rejects_coopt_flags(self, tmp_path, capsys, flag):
         with pytest.raises(SystemExit) as exc:

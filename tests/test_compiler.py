@@ -2,6 +2,7 @@ import hashlib
 
 import pytest
 
+from icecomp import compiler
 from icecomp.circuit import (CircuitError, ComponentRole, GateKind,
                              two_qubit_depth)
 from icecomp.compiler import (EXPANSION_WIDTH, CompileConfig, CompileError,
@@ -29,6 +30,12 @@ class TestConfig:
         # no syndromes: fine
         compile_baseline(g, ramp_params(1), CompileConfig(
             num_syndromes=0, gadget_set=GadgetSet.NEW))
+
+    def test_negative_queue_cap_rejected(self):
+        g = generate_instance(GraphKind.REGULAR_3, 6, seed=0)
+        with pytest.raises(CompileError, match="queue_cap"):
+            compile_cooptimized(g, ramp_params(1), CompileConfig(
+                num_syndromes=1, queue_cap=-5))
 
     def test_z2_needs_unweighted(self):
         g = make_graph(6, [(0, 1)], weights=[2.0])
@@ -242,6 +249,40 @@ class TestHeuristic:
             assert node.h <= prev
             prev = node.h
 
+    @pytest.mark.parametrize("kind, k, density, p, s, gs, resynth, z2", [
+        (GraphKind.REGULAR_3, 6, None, 2, 1, GadgetSet.NEW, False, False),
+        (GraphKind.REGULAR_3, 10, None, 3, 2, GadgetSet.NEW, True, False),
+        (GraphKind.REGULAR_3, 6, None, 2, 1, GadgetSet.NEW, True, True),
+        (GraphKind.REGULAR_3, 6, None, 3, 1, GadgetSet.OLD, True, False),
+        (GraphKind.ERDOS_RENYI, 6, 0.8, 2, 1, GadgetSet.NEW, True, True),
+        (GraphKind.ERDOS_RENYI, 10, 0.5, 3, 1, GadgetSet.NEW, False, False),
+        (GraphKind.ERDOS_RENYI, 10, 0.5, 3, 2, GadgetSet.NEW, True, True),
+        (GraphKind.ERDOS_RENYI, 10, 0.8, 2, 1, GadgetSet.NEW, True, False),
+        (GraphKind.ERDOS_RENYI, 10, 0.8, 2, 2, GadgetSet.OLD, False, False),
+    ])
+    def test_carried_degrees_match_scratch(self, monkeypatch, kind, k,
+                                           density, p, s, gs, resynth, z2):
+        # every node of a width-3 search and of the greedy rollout after it
+        # carries the degrees a parentless node computes from scratch
+        created = []
+        apply_layer = compiler._apply_layer
+
+        def recording(node, items):
+            child = apply_layer(node, items)
+            created.append(child)
+            return child
+
+        monkeypatch.setattr(compiler, "_apply_layer", recording)
+        g = generate_instance(kind, k, density=density, seed=0)
+        enc = compile_cooptimized(g, ramp_params(p), CompileConfig(
+            num_syndromes=s, gadget_set=gs, resynthesize=resynth, use_z2=z2,
+            queue_cap=40))
+        assert enc.meta["budget_exhausted"]
+        assert len(created) > 40
+        for node in created:
+            scratch = SearchNode(node.task, node.progress, 0, 0, None, ())
+            assert node.deg == build_uncompiled_graph(scratch)
+
 
 class TestExecutableGraph:
     def test_constraint_blocks_cross_component(self):
@@ -390,7 +431,8 @@ class TestEncodedIO:
 
 
 class TestGolden:
-    """sha256 of `write_encoded` for 3-regular k=6 seed 3, p=2, s=1.
+    """sha256 of `write_encoded` for 3-regular k=6 seed 3, p=2, s=1, and
+    for the criterion-7 and dense instances below.
 
     A compiler change that moves any compiled circuit must update these
     hashes, and say why."""
@@ -425,6 +467,17 @@ class TestGolden:
                            "b5c26199d2abd6ac090cb059347275bc",
     }
 
+    # ER k=10 d=0.8 seed 0, p=2, s=1, queue_cap 200: the phase-heavy
+    # instance with the largest matchings
+    DENSE = {
+        "plain": "6e6c0f03a5a6eec5d1a066dfda159394"
+                 "6e00045ee8485b549a5622b65d2f851e",
+        "resynth": "5908bcbf5184316e8af84e73589016c0"
+                   "2fde9296199553f75fdf4c362e9d83a5",
+        "resynth+z2": "af4e37a4edc3139b363898e2a301ce58"
+                      "dfd831e76667fac42153536fb37b3be4",
+    }
+
     @staticmethod
     def _digest(g, params, s, queue_cap, mode):
         if mode.startswith("baseline"):
@@ -449,6 +502,12 @@ class TestGolden:
         g = generate_instance(GraphKind.REGULAR_3, 10, seed=0)
         assert self._digest(g, ramp_params(3), s, 200, mode) == \
             self.CRITERION_7[(s, mode)]
+
+    @pytest.mark.parametrize("mode", sorted(DENSE))
+    def test_dense_er_circuit_hash(self, mode):
+        g = generate_instance(GraphKind.ERDOS_RENYI, 10, density=0.8, seed=0)
+        assert self._digest(g, ramp_params(2), 1, 200, mode) == \
+            self.DENSE[mode]
 
     def test_baseline_ignores_coopt_flags(self):
         g = generate_instance(GraphKind.REGULAR_3, 6, seed=3)

@@ -163,6 +163,11 @@ class TestQaoaBuild:
         with pytest.raises(ValueError):
             QaoaParams((float("inf"),), (0.1,))
 
+    def test_ramp_params_rejects_negative_p(self):
+        assert ramp_params(0) == QaoaParams((), ())
+        with pytest.raises(ValueError, match="p must be >= 0"):
+            ramp_params(-2)
+
 
 class TestFiles:
     def test_graph_roundtrip(self):
