@@ -29,18 +29,16 @@ from .simulator import (NoiseModel, post_selection_rate, read_noise,
                         sample_shots, write_noise)
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
-    return value
+def _int_at_least(lo: int):
+    """An argparse type: an int no smaller than `lo`."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {lo}, got {value}")
+        return value
+    parse.__name__ = "int"     # argparse names the type on a bad literal
+    return parse
 
 
 def _out(args, name):
@@ -232,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--k", type=int, required=True)
     g.add_argument("--density", type=float)
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--p", type=_nonnegative_int, default=3)
+    g.add_argument("--p", type=_int_at_least(0), default=3)
     g.add_argument("--out", required=True)
     g.add_argument("--params-out")
     g.set_defaults(func=cmd_gen)
@@ -240,13 +238,13 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("compile", help="compile an encoded circuit")
     c.add_argument("--graph", required=True)
     c.add_argument("--params")
-    c.add_argument("--p", type=_nonnegative_int, default=3)
-    c.add_argument("--syndromes", type=_nonnegative_int, default=3)
+    c.add_argument("--p", type=_int_at_least(0), default=3)
+    c.add_argument("--syndromes", type=_int_at_least(0), default=3)
     c.add_argument("--gadgets", choices=("old", "new"), default="new")
     c.add_argument("--mode", choices=("baseline", "coopt"), default="coopt")
     c.add_argument("--z2", action="store_true")
     c.add_argument("--resynth", action="store_true")
-    c.add_argument("--queue-cap", type=_nonnegative_int, default=2000)
+    c.add_argument("--queue-cap", type=_int_at_least(0), default=2000)
     c.add_argument("--out", required=True)
     c.add_argument("--report")
     c.set_defaults(func=cmd_compile)
@@ -265,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--circuit", required=True)
     s.add_argument("--noise")
     s.add_argument("--graph")
-    s.add_argument("--shots", type=_positive_int, default=1000)
+    s.add_argument("--shots", type=_int_at_least(1), default=1000)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_simulate)
@@ -276,15 +274,15 @@ def build_parser() -> argparse.ArgumentParser:
         b.add_argument("--sizes", type=int, nargs="+", required=True)
         b.add_argument("--densities", type=float, nargs="*")
         b.add_argument("--num-seeds", type=int, default=10)
-        b.add_argument("--p", type=_nonnegative_int, default=10)
-        b.add_argument("--syndromes", type=_nonnegative_int, nargs="+",
+        b.add_argument("--p", type=_int_at_least(0), default=10)
+        b.add_argument("--syndromes", type=_int_at_least(0), nargs="+",
                        default=[3])
         b.add_argument("--modes", nargs="+",
                        default=["baseline", "resynth", "resynth+z2"])
-        b.add_argument("--queue-cap", type=_nonnegative_int, default=400)
+        b.add_argument("--queue-cap", type=_int_at_least(0), default=400)
         b.add_argument("--out", required=True)
         if qaoa:
-            b.add_argument("--shots", type=_positive_int, default=10_000)
+            b.add_argument("--shots", type=_int_at_least(1), default=10_000)
             b.add_argument("--noise")
 
     bd = sub.add_parser("bench-depth", help="compile-only depth sweep")

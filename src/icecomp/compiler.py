@@ -565,8 +565,8 @@ def build_uncompiled_graph(node: SearchNode) -> dict[int, float]:
 
     A node without a parent sums `_component_load` over every component.
     A child starts from its parent's degrees and removes what its layer
-    scheduled: one coupling per endpoint of a phase or fragment gate, and
-    the old-minus-new load of a touched mixer (its z2 top/bottom split
+    scheduled: the load of each phase or fragment gate, and the
+    old-minus-new load of a touched mixer (its z2 top/bottom split
     depends on how many mixers are left) or syndrome (a binding changes
     its slot map).  Degrees are whole numbers, so both ways give the same
     floats."""
@@ -589,23 +589,15 @@ def build_uncompiled_graph(node: SearchNode) -> dict[int, float]:
     else:
         deg = dict(parent.deg)
         anc = 2.0 * deg[-1]
-        n = task.layout.n
         reload: set[int] = set()
         for item in node.layer_items:
-            kind, pos = item[0], item[1]
-            comp = components[pos]
-            if kind == "phase":
-                pg = comp.gates[item[2]]
-                deg[pg.u + 1] -= 1
-                deg[pg.v + 1] -= 1
-            elif kind == "frag":
-                for q in comp.twoq[item[2]]:
-                    if q < n:
-                        deg[q] -= 1
-                    else:
-                        anc -= 1
+            # a phase or fragment load is a sum over gates, so a scheduled
+            # gate takes away its own; re-loading a whole phase layer
+            # instead costs 3.5x the heuristic time on the benchmark
+            if item[0] in ("phase", "frag"):
+                add(item[1], (item[2],), -1)
             else:
-                reload.add(pos)
+                reload.add(item[1])
         for pos in reload:
             add(pos, parent.progress[pos], -1)
             add(pos, node.progress[pos], 1)

@@ -1,4 +1,7 @@
 import importlib.util
+import json
+import shlex
+import sys
 from pathlib import Path
 
 import pytest
@@ -27,3 +30,31 @@ def test_summarize_counts_wins_by_direction():
     p50 = out["metrics"]["op_p50_ms"]
     assert (p50["after_wins"], p50["ties"]) == (2, 1)
     assert p50["before_iqr"] == 0.0
+
+
+def test_main_records_invocation_and_benchmark_run_length(
+        tmp_path, monkeypatch):
+    for side in ("before", "after"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "after" / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 7,
+        "end_to_end": [{"name": "work_per_s", "better": "higher"}]}))
+    calls = []
+
+    def fake_run(root, workload, seed, seconds, out):
+        calls.append((root.name, seed, seconds))
+        return f"run {root.name}", {"work_per_s": float(root.name == "after")}
+
+    monkeypatch.setattr(bench_pairs, "_run", fake_run)
+    monkeypatch.chdir(tmp_path)
+    argv = ["--before", "before", "--after", "after", "--workload",
+            "compile", "--seeds", "5", "6", "--runs-dir", "runs",
+            "--out", "B.json"]
+    assert bench_pairs.main(argv) == 0
+    assert calls == [("before", 5, 7), ("after", 5, 7),
+                     ("after", 6, 7), ("before", 6, 7)]
+    doc = json.loads((tmp_path / "B.json").read_text())
+    assert doc["tool_commands"] == [shlex.join(
+        ["python3", sys.argv[0], *argv])]
+    assert doc["summary"]["compile"]["metrics"]["work_per_s"][
+        "after_wins"] == 2

@@ -2,23 +2,27 @@
 
     python3 tools/bench_pairs.py --before PARENT_DIR --after CHANGE_DIR \\
         --labels parent change --workload compile --seeds 101 102 103 \\
-        --seconds 20 --runs-dir runs/ --out BENCH_x.json [--append]
+        --runs-dir runs/ --out BENCH_x.json [--append]
 
 Each pair runs ``perfbench/run.py --workload W --seed S --seconds T --trace 0
---out FILE`` once in each checkout, the before checkout first in even pairs
+--out FILE`` once in each checkout, with T the ``run_seconds`` of the after
+checkout's ``BENCHMARK.json``, the before checkout first in even pairs
 and the after checkout first in odd ones, so slow drift of the host does not
 favour one side.  Each checkout imports its own ``src/``.  The BENCH file
-keeps, per pair, the end-to-end metrics of both runs and the exact commands,
-and per workload and metric the medians, the before quartiles and how many
-pairs the after side won (by the direction ``BENCHMARK.json`` gives).
-Commands are recorded as run from the root of the labelled checkout.
-``--append`` adds pairs to an existing BENCH file.
+keeps, per pair, the end-to-end metrics of both runs and the commands, and
+per workload and metric the medians, the before quartiles and how many pairs
+the after side won (by the direction ``BENCHMARK.json`` gives).  A pair's
+commands are recorded as run from the root of the labelled checkout, with
+the ``--out`` file named as kept under ``--runs-dir``.  ``tool_commands``
+keeps each invocation of this tool word for word, so give it paths relative
+to where it runs.  ``--append`` adds pairs to an existing BENCH file.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import shlex
 import statistics
 import subprocess
 import sys
@@ -78,7 +82,6 @@ def main(argv=None) -> int:
                     help="names of the two checkouts in the BENCH file")
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seeds", type=int, nargs="+", required=True)
-    ap.add_argument("--seconds", type=float, default=20.0)
     ap.add_argument("--runs-dir", required=True, type=Path,
                     help="where each run's --out file is kept")
     ap.add_argument("--out", required=True, type=Path)
@@ -86,16 +89,14 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     with open(args.after / "BENCHMARK.json") as fh:
-        end_to_end = json.load(fh)["end_to_end"]
+        bench = json.load(fh)
     doc = {"checkouts": dict(zip(("before", "after"), args.labels)),
            "pairs": []}
     if args.append and args.out.exists():
         with open(args.out) as fh:
             doc = json.load(fh)
-    doc.setdefault("tool_commands", []).append(" ".join([
-        "python3 tools/bench_pairs.py", "--before", doc["checkouts"]["before"],
-        "--after", doc["checkouts"]["after"], "--workload", args.workload,
-        "--seeds", *map(str, args.seeds), "--seconds", str(args.seconds)]))
+    doc.setdefault("tool_commands", []).append(shlex.join(
+        ["python3", sys.argv[0], *(sys.argv[1:] if argv is None else argv)]))
     args.runs_dir.mkdir(parents=True, exist_ok=True)
     for seed in args.seeds:
         i = len(doc["pairs"])
@@ -105,13 +106,14 @@ def main(argv=None) -> int:
         for side in sides:
             root = getattr(args, side)
             out = args.runs_dir / f"{args.workload}-{seed}-{side}.json"
-            cmd, metrics = _run(root, args.workload, seed, args.seconds, out)
+            cmd, metrics = _run(root, args.workload, seed,
+                                bench["run_seconds"], out)
             pair["commands"][side] = cmd
             pair[side] = metrics
         doc["pairs"].append(pair)
         print(json.dumps({k: pair[k] for k in ("workload", "seed", "order")}),
               flush=True)
-    doc["summary"] = summarize(doc["pairs"], end_to_end)
+    doc["summary"] = summarize(doc["pairs"], bench["end_to_end"])
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
