@@ -20,9 +20,8 @@ from .bench import (SweepSpec, default_outdir, emit_plotdata, read_rows,
                     write_manifest, write_rows)
 from .compiler import (CompileConfig, GadgetSet, compile_baseline,
                        compile_cooptimized, read_encoded, write_encoded)
-from .faults import check_gadget_ft, enumerate_fault_locations, run_fault, \
-    context_for_gadget
-from .gadgets import GadgetKind, build_gadget
+from .faults import check_gadget_ft, context_for_gadget, fault_reports
+from .gadgets import GadgetError, GadgetKind, build_gadget
 from .maxcut import (GraphKind, cut_value, generate_instance, ramp_params,
                      read_graph, read_params, write_graph, write_params)
 from .simulator import (NoiseModel, post_selection_rate, read_noise,
@@ -114,7 +113,11 @@ def cmd_verify_ft(args) -> int:
     rows = []
     failures = 0
     for order in orders:
-        gadget = build_gadget(kind, args.k, order)
+        try:
+            gadget = build_gadget(kind, args.k, order)
+        except GadgetError as exc:      # a k this gadget kind cannot take
+            print(f"icecomp verify-ft: error: {exc}", file=sys.stderr)
+            return 2
         summary = check_gadget_ft(gadget)
         tag = "PASS" if summary.passed else "FAIL"
         if not summary.passed:
@@ -123,9 +126,9 @@ def cmd_verify_ft(args) -> int:
         print(f"{kind.value} k={args.k} order={label}: {tag} "
               f"({summary.total} faults, {summary.num_logical} logical escapes)")
         if args.csv:
-            ctx = context_for_gadget(gadget)
-            for loc in enumerate_fault_locations(gadget.fragment):
-                rep = run_fault(gadget.fragment, loc, ctx)
+            for rep in fault_reports(gadget.fragment,
+                                     context_for_gadget(gadget)):
+                loc = rep.location
                 rows.append([label, loc.gate_index,
                              loc.describe(gadget.fragment),
                              rep.classification.value])
@@ -227,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gen", help="generate a MaxCut instance")
     g.add_argument("--kind", choices=("regular3", "er"), default="regular3")
-    g.add_argument("--k", type=int, required=True)
+    g.add_argument("--k", type=_int_at_least(2), required=True)
     g.add_argument("--density", type=float)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--p", type=_int_at_least(0), default=3)
@@ -252,8 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify-ft", help="exhaustive single-fault check")
     v.add_argument("--gadget", required=True,
                    choices=[k.value for k in GadgetKind])
-    v.add_argument("--k", type=int, default=6)
-    v.add_argument("--perms", type=int, default=0,
+    v.add_argument("--k", type=_int_at_least(2), default=6)
+    v.add_argument("--perms", type=_int_at_least(0), default=0,
                    help="additional random implicit orders to verify")
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--csv")
@@ -271,9 +274,10 @@ def build_parser() -> argparse.ArgumentParser:
     def bench_common(b, qaoa=False):
         b.add_argument("--family", choices=("regular3", "er"),
                        default="regular3")
-        b.add_argument("--sizes", type=int, nargs="+", required=True)
+        b.add_argument("--sizes", type=_int_at_least(2), nargs="+",
+                       required=True)
         b.add_argument("--densities", type=float, nargs="*")
-        b.add_argument("--num-seeds", type=int, default=10)
+        b.add_argument("--num-seeds", type=_int_at_least(1), default=10)
         b.add_argument("--p", type=_int_at_least(0), default=10)
         b.add_argument("--syndromes", type=_int_at_least(0), nargs="+",
                        default=[3])

@@ -1,16 +1,37 @@
 """Exhaustive single-fault Pauli propagation and fault-tolerance checks.
 
 Faults are Pauli errors placed after one gate (or a classical flip of one
-measurement).  `run_fault` pushes a fault to the end of the circuit as a
-Pauli frame, in one exact pass that never branches.  Through CNOT/H/X/Z the
-frame takes the Clifford action on Pauli masks.  Every other unitary here is
-a Pauli rotation exp(-i theta P), and a Pauli E that anticommutes with P
-passes it as exp(-i theta P) E = E exp(+i theta P): E goes on unchanged and
-only that rotation's sign flips (the Pauli-frame rule of Stim, Gidney,
-arXiv:2103.02202).  Measurements record a classical flip whenever the frame
-anticommutes with the measured operator; resets clear the frame on their
-qubit.  So the faulty circuit gives the outcomes of the fault-free circuit
-with the flipped rotations negated, with the flipped bits inverted.
+measurement).  A fault's verdict rests on its Pauli frame at the circuit
+end.  Through CNOT/H/X/Z the frame takes the Clifford action on Pauli
+masks.  Every other unitary here is a Pauli rotation exp(-i theta P), and a
+Pauli E that anticommutes with P passes it as exp(-i theta P) E =
+E exp(+i theta P): E goes on unchanged and only that rotation's sign flips
+(the Pauli-frame rule of Stim, Gidney, arXiv:2103.02202).  Measurements
+record a classical flip whenever the frame anticommutes with the measured
+operator; resets clear the frame on their qubit.  So the faulty circuit
+gives the outcomes of the fault-free circuit with the flipped rotations
+negated, with the flipped bits inverted.
+
+Each of these rules is linear over GF(2).  A fault's response (its terminal
+Pauli, its flipped bits and its flipped rotations, each a bit mask) is the
+XOR of the responses of its X_q and Z_q factors.  So one backward sweep
+gives every single-fault response of a circuit exactly.  Walking from the
+last gate to the first, `_Sweep` keeps, for each qubit q, the responses
+rx[q] and rz[q] of X_q and Z_q inserted at the current point, and each gate
+updates only its own qubits' entries:
+
+  * CNOT(c, t) maps X_c to X_c X_t and Z_t to Z_c Z_t: rx[c] ^= rx[t] and
+    rz[t] ^= rz[c];
+  * H swaps rx[q] and rz[q];
+  * RZZ (RXX) toggles its rotation's bit on rx (rz) of both its qubits;
+  * a Z (X) measurement toggles its clbit on rx[q] (rz[q]) and zeroes the
+    other entry, whose Pauli it absorbs;
+  * a reset zeroes both entries; X, Z and barriers change nothing.
+
+A fault after gate i is then the XOR of at most four entries at that point,
+and costs O(1) int work.  `fault_reports` and `check_gadget_ft` take every
+verdict of a circuit from one sweep; `propagate_pauli` runs the same sweep
+from the end down to one fault's gate.
 
 The verdicts rest on two conditions of the circuit: every rotation
 generator commutes with S_x and S_z, so negated rotations keep the state in
@@ -28,15 +49,15 @@ encoded angle.  Otherwise the context decides:
   * final gadgets and whole circuits are judged purely on outcomes: a fault
     is harmless only if no check bit and no decoded logical bit flips.
 
-Gadget fragments contain no rotations, so for them the frame pass is plain
-Clifford propagation.  `propagate_pauli` is the one propagation pass, so
-every fault gets one `FaultReport`.
+`classify_terminal` is that rule; gadget fragments contain no rotations, so
+for them the frame is plain Clifford propagation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Iterable
 
 from .circuit import Gate, GateKind, PhysicalCircuit
@@ -132,59 +153,136 @@ def propagate_pauli(circuit: PhysicalCircuit, start: int, pauli: PauliString
     Returns (terminal Pauli, flipped classical bits, gate indices of the
     sign-flipped rotations).
     """
-    x, z = pauli.xmask, pauli.zmask
-    flips: set[int] = set()
-    rotations: list[int] = []
-    for i in range(start + 1, len(circuit.gates)):
-        x, z, bit, anti = _step(circuit.gates[i], x, z)
-        if bit is not None:
-            flips ^= {bit}
-        if anti:
-            rotations.append(i)
-    return PauliString(x, z), frozenset(flips), frozenset(rotations)
+    if start < -1:       # would index the gate list from its end
+        raise ValueError(f"fault position {start} is before the circuit")
+    sweep = _Sweep(circuit)
+    rx, rz = sweep.run(start)
+    r = 0
+    for q in _bits(pauli.xmask):
+        r ^= rx[q]
+    for q in _bits(pauli.zmask):
+        r ^= rz[q]
+    x, z, flips, rotations = sweep.unpack(r)
+    return PauliString(x, z), _bits(flips), _bits(rotations)
 
 
-def _step(g: Gate, x: int, z: int) -> tuple[int, int, int | None, bool]:
-    """Push the Pauli (x, z) through one gate.
+class _Sweep:
+    """The backward sweep over one circuit (module docstring).
 
-    Returns (xmask, zmask, flipped clbit or None, whether the gate is a
-    rotation that anticommutes with the Pauli).  The Pauli passes a
-    rotation unchanged.
+    A response packs its four masks into one int, so that one XOR combines
+    two responses: the terminal x mask in bits [0, n), the terminal z mask
+    in [n, 2n), clbit c at 2n + c, and the rotation of gate i at
+    `rot` + i, above every clbit.
     """
-    kind = g.kind
-    if kind is GateKind.CNOT:
-        c, t = g.qubits
-        if (x >> c) & 1:
-            x ^= 1 << t
-        if (z >> t) & 1:
-            z ^= 1 << c
-        return x, z, None, False
-    elif kind is GateKind.H:
-        q = g.qubits[0]
-        xb, zb = (x >> q) & 1, (z >> q) & 1
-        x = (x & ~(1 << q)) | (zb << q)
-        z = (z & ~(1 << q)) | (xb << q)
-        return x, z, None, False
-    elif kind in (GateKind.X, GateKind.Z, GateKind.BARRIER):
-        return x, z, None, False
-    elif kind is GateKind.RZZ or kind is GateKind.RXX:
+
+    def __init__(self, circuit: PhysicalCircuit):
+        gates = circuit.gates
+        self.gates = gates
+        self.n = n = circuit.num_qubits
+        self.qubits = (1 << n) - 1
+        self.cl = 2 * n
+        self.rot = self.cl + max([circuit.num_clbits, *(
+            g.clbit + 1 for g in gates if g.clbit is not None)])
+        self.clbits = (1 << (self.rot - self.cl)) - 1
+
+    def run(self, stop: int = -1, per_gate: list | None = None
+            ) -> tuple[list[int], list[int]]:
+        """Sweep from the circuit end down to just after gate `stop` and
+        return (rx, rz) there: rx[q] and rz[q] are the responses of X_q and
+        Z_q inserted after gate `stop`.  With a `per_gate` list, also set
+        per_gate[i] to the responses of the faults after gate i."""
+        n, gates, rot, cl = self.n, self.gates, self.rot, self.cl
+        rx = [1 << q for q in range(n)]
+        rz = [1 << (n + q) for q in range(n)]
+        for i in range(len(gates) - 1, stop, -1):
+            g = gates[i]
+            if per_gate is not None:
+                per_gate[i] = self.responses(g, rx, rz)
+            kind = g.kind
+            if kind is GateKind.CNOT:
+                c, t = g.qubits
+                rx[c] ^= rx[t]
+                rz[t] ^= rz[c]
+            elif kind is GateKind.RZZ or kind is GateKind.RXX:
+                a, b = g.qubits
+                r = rx if kind is GateKind.RZZ else rz
+                r[a] ^= 1 << (rot + i)
+                r[b] ^= 1 << (rot + i)
+            elif kind is GateKind.H:
+                q = g.qubits[0]
+                rx[q], rz[q] = rz[q], rx[q]
+            elif kind is GateKind.MEASURE_Z:
+                q = g.qubits[0]
+                rx[q] ^= 1 << (cl + g.clbit)
+                rz[q] = 0
+            elif kind is GateKind.MEASURE_X:
+                q = g.qubits[0]
+                rz[q] ^= 1 << (cl + g.clbit)
+                rx[q] = 0
+            elif kind is GateKind.RESET:
+                q = g.qubits[0]
+                rx[q] = rz[q] = 0
+            elif kind not in (GateKind.X, GateKind.Z, GateKind.BARRIER):
+                raise NotImplementedError(kind)  # pragma: no cover
+        return rx, rz
+
+    def per_gate(self) -> list[list[int]]:
+        """The responses of every fault, by gate index (`responses`)."""
+        per_gate: list[list[int]] = [[]] * len(self.gates)
+        self.run(per_gate=per_gate)
+        return per_gate
+
+    def responses(self, g: Gate, rx: list[int], rz: list[int]) -> list[int]:
+        """Responses of the faults after gate `g`, in the order of
+        `_locations_at`, from the entries after `g`."""
+        if g.kind is GateKind.BARRIER:
+            return []
+        if g.kind is GateKind.MEASURE_Z or g.kind is GateKind.MEASURE_X:
+            return [1 << (self.cl + g.clbit)]
+        if len(g.qubits) == 1:
+            x, z = rx[g.qubits[0]], rz[g.qubits[0]]
+            return [x, x ^ z, z]
         a, b = g.qubits
-        # RZZ anticommutes with the X part on (a, b), RXX with the Z part
-        part = x if kind is GateKind.RZZ else z
-        return x, z, None, (part & (1 << a | 1 << b)).bit_count() % 2 == 1
-    elif kind is GateKind.MEASURE_Z:
-        q = g.qubits[0]
-        flip = g.clbit if (x >> q) & 1 else None
-        return x, z & ~(1 << q), flip, False
-    elif kind is GateKind.MEASURE_X:
-        q = g.qubits[0]
-        flip = g.clbit if (z >> q) & 1 else None
-        return x & ~(1 << q), z, flip, False
-    elif kind is GateKind.RESET:
-        q = g.qubits[0]
-        return x & ~(1 << q), z & ~(1 << q), None, False
-    else:  # pragma: no cover
-        raise NotImplementedError(kind)
+        pa = (0, rx[a], rx[a] ^ rz[a], rz[a])     # I, X, Y, Z on a
+        pb = (0, rx[b], rx[b] ^ rz[b], rz[b])
+        return [ra ^ rb for ra in pa for rb in pb][1:]
+
+    def unpack(self, r: int) -> tuple[int, int, int, int]:
+        """(terminal x mask, terminal z mask, flipped clbit mask, mask of
+        the flipped rotations' gate indices) of a response."""
+        return (r & self.qubits, (r >> self.n) & self.qubits,
+                (r >> self.cl) & self.clbits, r >> self.rot)
+
+    def verdict(self, r: int, ctx: "VerifyContext") -> FaultClass:
+        """`_verdict` on a response (the same fields as `unpack`)."""
+        q = self.qubits
+        return _verdict(r & q, (r >> self.n) & q, (r >> self.cl) & self.clbits,
+                        r >> self.rot != 0, ctx)
+
+    def report(self, loc: FaultLocation, r: int,
+               ctx: "VerifyContext") -> FaultReport:
+        x, z, flips, rotations = self.unpack(r)
+        return FaultReport(loc, PauliString(x, z), _bits(flips),
+                           _verdict(x, z, flips, rotations != 0, ctx),
+                           _bits(rotations))
+
+
+def _bits(mask: int) -> frozenset[int]:
+    """The indices of the set bits of a non-negative int."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return frozenset(out)
+
+
+def _mask(bits: Iterable[int]) -> int:
+    """The int whose set bits are `bits`, counted with parity."""
+    m = 0
+    for b in bits:
+        m ^= 1 << b
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +298,12 @@ class VerifyContext:
     decode: dict[int, frozenset[int]] | None
     harmless: str            # "code", "plus_state", or "outcomes"
     trailing_checks: bool    # ideal S_x/S_z measurement afterwards?
+
+    @cached_property
+    def masks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(check masks, decoded-bit masks) over the clbits."""
+        return (tuple(_mask(c.bits) for c in self.checks),
+                tuple(_mask(bits) for bits in (self.decode or {}).values()))
 
 
 def context_for_gadget(gadget: Gadget) -> VerifyContext:
@@ -222,30 +326,37 @@ def classify_terminal(terminal: PauliString, flips: frozenset[int],
                       rotations: frozenset[int] = frozenset()) -> FaultClass:
     """Verdict on a fault from its frame: the terminal Pauli, the flipped
     classical bits and the sign-flipped rotations (module docstring)."""
-    if any(sum(1 for b in c.bits if b in flips) % 2 == 1 for c in ctx.checks):
-        return FaultClass.DETECTED_BY_CHECK
+    return _verdict(terminal.xmask, terminal.zmask, _mask(flips),
+                    bool(rotations), ctx)
+
+
+def _verdict(x: int, z: int, flips: int, rotated: bool,
+             ctx: VerifyContext) -> FaultClass:
+    """`classify_terminal` on masks: the terminal's x and z masks and the
+    flipped clbits, and whether any rotation flipped."""
+    checks, decode = ctx.masks
+    for m in checks:
+        if (flips & m).bit_count() & 1:
+            return FaultClass.DETECTED_BY_CHECK
     if ctx.harmless == "outcomes":
-        if rotations or (ctx.decode and any(
-            sum(1 for b in bits if b in flips) % 2 == 1
-            for bits in ctx.decode.values()
-        )):
+        if rotated or any((flips & m).bit_count() & 1 for m in decode):
             return FaultClass.LOGICAL_ERROR
         return FaultClass.STABILIZER_EQUIVALENT
     full = (1 << ctx.layout.n) - 1
-    data = terminal.restricted(full)
+    x &= full
+    z &= full
     # ideal trailing stabilizer checks catch odd-weight components
-    if ctx.trailing_checks:
-        if data.xmask.bit_count() % 2 == 1 or data.zmask.bit_count() % 2 == 1:
-            return FaultClass.DETECTED_BY_CHECK
-    if rotations:
+    if ctx.trailing_checks and (x.bit_count() & 1 or z.bit_count() & 1):
+        return FaultClass.DETECTED_BY_CHECK
+    if rotated:
         return FaultClass.LOGICAL_ERROR
     if ctx.harmless == "plus_state":
         # stabilizer group of |+...+>: even X-strings, optionally times S_z
-        if data.zmask in (0, full) and data.xmask.bit_count() % 2 == 0:
+        if z in (0, full) and x.bit_count() % 2 == 0:
             return FaultClass.STABILIZER_EQUIVALENT
         return FaultClass.LOGICAL_ERROR
     # bare code: {I, S_x, S_z, S_x S_z}
-    if data.xmask in (0, full) and data.zmask in (0, full):
+    if x in (0, full) and z in (0, full):
         return FaultClass.STABILIZER_EQUIVALENT
     return FaultClass.LOGICAL_ERROR
 
@@ -267,22 +378,22 @@ def _two_qubit_paulis(a: int, b: int):
                     (q, p) for q, p in ((a, pa), (b, pb)) if p != "I")
 
 
+def _locations_at(i: int, g: Gate) -> list[FaultLocation]:
+    """The faults after gate `g` at index `i`, in enumeration order."""
+    if g.kind is GateKind.BARRIER:
+        return []
+    if g.kind in (GateKind.MEASURE_Z, GateKind.MEASURE_X):
+        return [FaultLocation(i, flip_bit=g.clbit)]
+    qs = g.qubits
+    if len(qs) == 1:
+        return [FaultLocation(i, PauliString.from_ops([(qs[0], p)]))
+                for p in _SINGLE]
+    return [FaultLocation(i, pauli) for _, pauli in _two_qubit_paulis(*qs)]
+
+
 def enumerate_fault_locations(circuit: PhysicalCircuit) -> list[FaultLocation]:
-    locs: list[FaultLocation] = []
-    for i, g in enumerate(circuit.gates):
-        if g.kind is GateKind.BARRIER:
-            continue
-        if g.kind in (GateKind.MEASURE_Z, GateKind.MEASURE_X):
-            locs.append(FaultLocation(i, flip_bit=g.clbit))
-            continue
-        qs = g.qubits
-        if len(qs) == 1:
-            for p in _SINGLE:
-                locs.append(FaultLocation(i, PauliString.from_ops([(qs[0], p)])))
-        else:
-            locs.extend(FaultLocation(i, pauli)
-                        for _, pauli in _two_qubit_paulis(*qs))
-    return locs
+    return [loc for i, g in enumerate(circuit.gates)
+            for loc in _locations_at(i, g)]
 
 
 def run_fault(circuit: PhysicalCircuit, loc: FaultLocation,
@@ -295,6 +406,16 @@ def run_fault(circuit: PhysicalCircuit, loc: FaultLocation,
                                                  loc.pauli)
     cls = classify_terminal(term, flips, ctx, rotations)
     return FaultReport(loc, term, flips, cls, rotations)
+
+
+def fault_reports(circuit: PhysicalCircuit,
+                  ctx: VerifyContext) -> list[FaultReport]:
+    """`run_fault` of every fault of `enumerate_fault_locations`, in that
+    order, from one backward sweep."""
+    sweep = _Sweep(circuit)
+    return [sweep.report(loc, r, ctx)
+            for i, (g, rs) in enumerate(zip(circuit.gates, sweep.per_gate()))
+            for loc, r in zip(_locations_at(i, g), rs)]
 
 
 @dataclass
@@ -314,16 +435,25 @@ class FtSummary:
 
 
 def check_gadget_ft(gadget: Gadget) -> FtSummary:
-    """Exhaustive single-fault enumeration over one gadget fragment."""
+    """Exhaustive single-fault enumeration over one gadget fragment, from
+    one backward sweep; reports are built for the escapes only."""
+    circuit = gadget.fragment
     ctx = context_for_gadget(gadget)
+    sweep = _Sweep(circuit)
     summary = FtSummary(gadget.kind)
-    for loc in enumerate_fault_locations(gadget.fragment):
-        rep = run_fault(gadget.fragment, loc, ctx)
-        summary.total += 1
-        cls = rep.classification
-        summary.counts[cls] = summary.counts.get(cls, 0) + 1
-        if rep.is_logical:
-            summary.escapes.append(rep)
+    verdicts = []
+    for i, rs in enumerate(sweep.per_gate()):
+        for j, r in enumerate(rs):
+            cls = sweep.verdict(r, ctx)
+            verdicts.append(cls)
+            if cls is FaultClass.LOGICAL_ERROR:
+                loc = _locations_at(i, circuit.gates[i])[j]
+                summary.escapes.append(sweep.report(loc, r, ctx))
+    # counted at the end, in order of first occurrence: an Enum hashes in
+    # Python, which would cost more per fault than the verdict itself
+    summary.total = len(verdicts)
+    summary.counts = {cls: verdicts.count(cls) for cls in sorted(
+        (c for c in FaultClass if c in verdicts), key=verdicts.index)}
     return summary
 
 

@@ -87,8 +87,8 @@ def generate_instance(kind: GraphKind, k: int, density: float | None = None,
                       seed: int = 0) -> ProblemGraph:
     """Deterministic instance generation (networkx with an explicit seed)."""
     if kind is GraphKind.REGULAR_3:
-        if (3 * k) % 2 != 0:
-            raise ValueError("3-regular graph needs 3k even")
+        if k < 4 or k % 2 != 0:
+            raise ValueError("3-regular graph needs an even k >= 4")
         g = nx.random_regular_graph(3, k, seed=seed)
         return make_graph(k, g.edges(), kind=kind, seed=seed)
     if kind is GraphKind.ERDOS_RENYI:

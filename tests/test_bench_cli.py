@@ -8,6 +8,8 @@ from icecomp.bench import (REPORT_COLUMNS, SweepSpec, emit_plotdata,
                            read_rows, run_depth_sweep, run_energy_bench,
                            run_qaoa_bench, write_manifest, write_rows)
 from icecomp.cli import main
+from icecomp.faults import enumerate_fault_locations
+from icecomp.gadgets import GadgetKind, build_gadget
 from icecomp.maxcut import GraphKind
 from icecomp.simulator import NoiseModel
 
@@ -143,6 +145,38 @@ class TestCli:
         assert exc.value.code == 2
         assert "must be at least 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["gen", "--k", "-4", "--out", "g.txt"], "at least 2, got -4"),
+        (["bench-depth", "--sizes", "-6", "--out", "d.csv"],
+         "at least 2, got -6"),
+        (["bench-qaoa", "--sizes", "6", "0", "--out", "d.csv"],
+         "at least 2, got 0"),
+        (["bench-depth", "--sizes", "6", "--num-seeds", "-1",
+          "--out", "d.csv"], "at least 1, got -1"),
+        (["bench-energy", "--sizes", "6", "--num-seeds", "0",
+          "--out", "d.csv"], "at least 1, got 0"),
+        (["verify-ft", "--gadget", "init_new", "--k", "-4"],
+         "at least 2, got -4"),
+        (["verify-ft", "--gadget", "init_new", "--perms", "-2"],
+         "at least 0, got -2"),
+    ])
+    def test_counts_below_bound_rejected(self, tmp_path, capsys, argv,
+                                         message):
+        with pytest.raises(SystemExit) as exc:
+            main(["--out-dir", str(tmp_path), *argv])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not os.listdir(tmp_path)
+
+    @pytest.mark.parametrize("gadget, k", [("init_new", 3),
+                                           ("syndrome_new", 4)])
+    def test_verify_ft_unsupported_k(self, tmp_path, capsys, gadget, k):
+        assert main(["--out-dir", str(tmp_path), "verify-ft", "--gadget",
+                     gadget, "--k", str(k)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("icecomp verify-ft: error: ")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("flag", ["--z2", "--resynth"])
     def test_baseline_rejects_coopt_flags(self, tmp_path, capsys, flag):
         with pytest.raises(SystemExit) as exc:
@@ -158,6 +192,11 @@ class TestCli:
         with open(os.path.join(str(tmp_path), "ft.csv")) as fh:
             rows = list(csv.DictReader(fh))
         assert all(r["classification"] != "logical" for r in rows)
+        # one row per fault of each of the two orders
+        faults = len(enumerate_fault_locations(
+            build_gadget(GadgetKind.FINAL_NEW, 4).fragment))
+        assert len(rows) == 2 * faults
+        assert rows[0]["order"] == "default"
 
     def test_bench_and_report_cli(self, tmp_path):
         out = str(tmp_path)

@@ -169,7 +169,13 @@ class TestCooptimized:
         enc = compile_cooptimized(self.graph, self.params,
                                   self.cfg(queue_cap=1))
         assert enc.meta["budget_exhausted"]
-        assert is_goal if enc.circuit.gates else False  # circuit emitted
+        # the greedy fallback still emits every logical rotation
+        full = compile_cooptimized(self.graph, self.params, self.cfg())
+
+        def rotations(e):
+            return {key: n for key, n in e.gate_multiset().items()
+                    if key[0] in (GateKind.RZZ, GateKind.RXX)}
+        assert rotations(enc) and rotations(enc) == rotations(full)
 
     def test_p0(self):
         enc = compile_cooptimized(self.graph, QaoaParams((), ()), self.cfg())

@@ -3,14 +3,14 @@ import random
 
 import pytest
 
-from icecomp.circuit import ComponentRole, PhysicalCircuit
+from icecomp.circuit import ComponentRole, GateKind, PhysicalCircuit
 from icecomp.compiler import (CompileConfig, GadgetSet, compile_baseline,
                               compile_cooptimized)
 from icecomp.faults import (FaultClass, FaultLocation, PauliString,
                             VerifyContext, check_gadget_ft,
                             classify_rotation_faults, classify_terminal,
                             context_for_gadget, enumerate_fault_locations,
-                            propagate_pauli, run_fault)
+                            fault_reports, propagate_pauli, run_fault)
 from icecomp.gadgets import GadgetKind, IcebergLayout, build_gadget
 from icecomp.maxcut import GraphKind, generate_instance, ramp_params
 from icecomp.simulator import exact_logical_distribution, total_variation
@@ -59,6 +59,11 @@ class TestPropagationRules:
                                             frozenset({1}))
         _, _, rotations = propagate_pauli(c, -1, P([(0, "Z")]))
         assert rotations == frozenset()
+
+    def test_start_before_circuit_rejected(self):
+        c = clifford_circuit([("cx", 0, 1)])
+        with pytest.raises(ValueError):
+            propagate_pauli(c, -2, P([(0, "X")]))
 
     def test_measurement_flip_recorded(self):
         c = PhysicalCircuit(1, 1)
@@ -125,13 +130,7 @@ class TestGadgetCertification:
             assert summary.passed, (kind, order, summary.escapes[:3])
 
     def test_negative_control_missing_check_escapes(self):
-        # drop the verification ancilla's parity check: staircase faults
-        # must now escape as logical errors
-        gadget = build_gadget(GadgetKind.INIT_OLD, 4)
-        crippled = type(gadget)(gadget.kind, gadget.layout,
-                                gadget.implicit_order, gadget.fragment,
-                                checks=(), decode=None)
-        summary = check_gadget_ft(crippled)
+        summary = check_gadget_ft(_crippled_init_old())
         assert summary.num_logical > 0
 
     def test_x_before_syndrome_detected(self):
@@ -141,6 +140,14 @@ class TestGadgetCertification:
         loc = FaultLocation(0, PauliString.from_ops([(0, "X")]))
         rep = run_fault(gadget.fragment, loc, context_for_gadget(gadget))
         assert rep.classification is FaultClass.DETECTED_BY_CHECK
+
+
+def _crippled_init_old():
+    """INIT_OLD k=4 without the verification ancilla's parity check, so its
+    staircase faults escape as logical errors."""
+    gadget = build_gadget(GadgetKind.INIT_OLD, 4)
+    return type(gadget)(gadget.kind, gadget.layout, gadget.implicit_order,
+                        gadget.fragment, checks=(), decode=None)
 
 
 class TestClassifyTerminal:
@@ -220,6 +227,124 @@ class TestWholeCircuitFaults:
             if cls is FaultClass.STABILIZER_EQUIVALENT:
                 assert total_variation(dist, ref) <= 1e-9, loc
         assert seen == set(FaultClass)
+
+
+def _forward_frame(circuit, start, pauli):
+    """Reference: push a Pauli inserted after gate `start` forward gate by
+    gate, as (terminal, flipped clbits, flipped rotations)."""
+    x, z = pauli.xmask, pauli.zmask
+    flips, rotations = set(), set()
+    for i in range(start + 1, len(circuit.gates)):
+        g = circuit.gates[i]
+        bits = [1 << q for q in g.qubits]
+        if g.kind is GateKind.CNOT:
+            c, t = bits
+            x ^= t if x & c else 0
+            z ^= c if z & t else 0
+        elif g.kind is GateKind.H:
+            q, = bits
+            if bool(x & q) != bool(z & q):
+                x, z = x ^ q, z ^ q
+        elif g.kind in (GateKind.RZZ, GateKind.RXX):
+            part = x if g.kind is GateKind.RZZ else z
+            if sum(bool(part & b) for b in bits) % 2:
+                rotations.add(i)
+        elif g.kind is GateKind.MEASURE_Z:
+            q, = bits
+            if x & q:
+                flips ^= {g.clbit}
+            z &= ~q
+        elif g.kind is GateKind.MEASURE_X:
+            q, = bits
+            if z & q:
+                flips ^= {g.clbit}
+            x &= ~q
+        elif g.kind is GateKind.RESET:
+            q, = bits
+            x, z = x & ~q, z & ~q
+    return PauliString(x, z), frozenset(flips), frozenset(rotations)
+
+
+class TestOneSweep:
+    """`fault_reports` and `check_gadget_ft` take every verdict from one
+    backward sweep; each must equal `run_fault` on the faults one by one."""
+
+    GADGETS = [(kind, k) for kind in GadgetKind for k in (4, 6, 10)
+               if (kind, k) != (GadgetKind.SYNDROME_NEW, 4)]
+
+    @pytest.mark.parametrize("kind, k", GADGETS)
+    def test_gadget_reports(self, kind, k):
+        gadget = build_gadget(kind, k)
+        ctx = context_for_gadget(gadget)
+        c = gadget.fragment
+        assert fault_reports(c, ctx) == \
+            [run_fault(c, loc, ctx) for loc in enumerate_fault_locations(c)]
+
+    def test_random_circuits_match_forward_push(self):
+        rng = random.Random(9)
+        kinds = ("cx", "h", "x", "z", "rzz", "rxx", "mz", "mx", "reset",
+                 "barrier")
+        ctx = VerifyContext(IcebergLayout(2), (), None, harmless="outcomes",
+                            trailing_checks=False)
+        for _ in range(30):
+            c = PhysicalCircuit(4, 3)
+            c.begin_component(0, ComponentRole.PHASE_LAYER)
+            for _ in range(25):
+                kind = rng.choice(kinds)
+                a, b = rng.sample(range(4), 2)
+                if kind == "cx":
+                    c.cx(a, b)
+                elif kind in ("rzz", "rxx"):
+                    getattr(c, kind)(a, b, 0.3)
+                elif kind in ("mz", "mx"):
+                    getattr(c, kind)(a, rng.randrange(3))
+                elif kind == "barrier":
+                    c.barrier((a, b))
+                else:
+                    getattr(c, kind)(a)
+            start = rng.randrange(-1, len(c.gates))
+            pauli = PauliString(rng.randrange(16), rng.randrange(16))
+            assert propagate_pauli(c, start, pauli) == \
+                _forward_frame(c, start, pauli)
+            for rep in fault_reports(c, ctx):
+                if rep.location.pauli is not None:
+                    assert (rep.terminal, rep.flipped_bits,
+                            rep.flipped_rotations) == _forward_frame(
+                        c, rep.location.gate_index, rep.location.pauli)
+
+    @pytest.mark.parametrize("mode", ["baseline-old", "resynth",
+                                      "resynth+z2"])
+    def test_criterion_7_reports(self, mode):
+        g = generate_instance(GraphKind.REGULAR_3, 10, seed=0)
+        if mode == "baseline-old":
+            enc = compile_baseline(g, ramp_params(3), CompileConfig(
+                num_syndromes=1, gadget_set=GadgetSet.OLD))
+        else:
+            enc = compile_cooptimized(g, ramp_params(3), CompileConfig(
+                num_syndromes=1, gadget_set=GadgetSet.NEW, queue_cap=200,
+                resynthesize=True, use_z2=mode == "resynth+z2"))
+        ctx = VerifyContext(enc.layout, enc.checks, enc.decode,
+                            harmless="outcomes", trailing_checks=False)
+        c = enc.circuit
+        reports = fault_reports(c, ctx)
+        assert reports == \
+            [run_fault(c, loc, ctx) for loc in enumerate_fault_locations(c)]
+        assert any(rep.flipped_rotations for rep in reports)
+
+    @pytest.mark.parametrize("gadget", [
+        build_gadget(kind, k) for kind, k in GADGETS] + [_crippled_init_old()],
+        ids=lambda g: f"{g.kind.value}-{g.layout.k}-{len(g.checks)}checks")
+    def test_summary_matches_recount(self, gadget):
+        ctx = context_for_gadget(gadget)
+        reports = [run_fault(gadget.fragment, loc, ctx)
+                   for loc in enumerate_fault_locations(gadget.fragment)]
+        counts = {}
+        for rep in reports:
+            counts[rep.classification] = counts.get(rep.classification, 0) + 1
+        summary = check_gadget_ft(gadget)
+        assert summary.total == len(reports)
+        assert list(summary.counts.items()) == list(counts.items())
+        assert summary.escapes == [rep for rep in reports if rep.is_logical]
 
 
 def _verdict_digest(circuit, ctx):

@@ -40,6 +40,11 @@ class TestGeneration:
         with pytest.raises(ValueError):
             generate_instance(GraphKind.REGULAR_3, 5, seed=1)
 
+    @pytest.mark.parametrize("k", [-4, 0, 2])
+    def test_regular3_too_small(self, k):
+        with pytest.raises(ValueError, match="even k >= 4"):
+            generate_instance(GraphKind.REGULAR_3, k, seed=1)
+
     def test_er_zero_density(self):
         g = generate_instance(GraphKind.ERDOS_RENYI, 10, density=0.0, seed=3)
         assert g.num_edges == 0
