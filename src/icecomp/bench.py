@@ -282,6 +282,14 @@ FIGURES = {
 }
 
 
+def _x_order(x) -> tuple:
+    """Sort key of an x value: numerically when it parses as a number."""
+    try:
+        return (0, float(x))
+    except (TypeError, ValueError):
+        return (1, str(x))
+
+
 def emit_plotdata(rows: Sequence[Mapping], figure_id: str) -> str:
     """Tidy long-format plot data: one line per (x, mode) group with
     mean/min/max, ready for any plotting tool."""
@@ -304,8 +312,9 @@ def emit_plotdata(rows: Sequence[Mapping], figure_id: str) -> str:
     out = io.StringIO()
     print(f"# figure {figure_id}: columns x mode variant n mean min max",
           file=out)
-    for (x, mode, variant), vals in sorted(groups.items(),
-                                           key=lambda kv: str(kv[0])):
+    for (x, mode, variant), vals in sorted(
+            groups.items(),
+            key=lambda kv: (_x_order(kv[0][0]), str(kv[0][1:]))):
         mean = sum(vals) / len(vals)
         print(f"{x} {mode or '-'} {variant or '-'} {len(vals)} "
               f"{mean:.6g} {min(vals):.6g} {max(vals):.6g}", file=out)

@@ -40,6 +40,11 @@ def _int_at_least(lo: int):
     return parse
 
 
+def _fail(command: str, exc: Exception) -> int:
+    print(f"icecomp {command}: error: {exc}", file=sys.stderr)
+    return 2
+
+
 def _out(args, name):
     path = getattr(args, name, None)
     if path is None:
@@ -51,7 +56,11 @@ def _out(args, name):
 
 def cmd_gen(args) -> int:
     kind = GraphKind.REGULAR_3 if args.kind == "regular3" else GraphKind.ERDOS_RENYI
-    g = generate_instance(kind, args.k, density=args.density, seed=args.seed)
+    try:
+        g = generate_instance(kind, args.k, density=args.density,
+                              seed=args.seed)
+    except ValueError as exc:       # a size or density the family rejects
+        return _fail("gen", exc)
     with open(_out(args, "out"), "w") as fh:
         fh.write(write_graph(g))
     if args.params_out:
@@ -116,8 +125,7 @@ def cmd_verify_ft(args) -> int:
         try:
             gadget = build_gadget(kind, args.k, order)
         except GadgetError as exc:      # a k this gadget kind cannot take
-            print(f"icecomp verify-ft: error: {exc}", file=sys.stderr)
-            return 2
+            return _fail("verify-ft", exc)
         summary = check_gadget_ft(gadget)
         tag = "PASS" if summary.passed else "FAIL"
         if not summary.passed:
@@ -192,6 +200,14 @@ def _run_bench(args, runner, name) -> int:
     spec = _spec_from_args(args)
     if name == "energy":
         spec.noise_scales = tuple(args.scales)
+    try:
+        # reject every size and density the family cannot take before the
+        # first compile
+        for k in spec.sizes:
+            for d in spec.densities or (None,):
+                generate_instance(spec.family, k, density=d)
+    except ValueError as exc:
+        return _fail(args.command, exc)
     rows = runner(spec)
     out = _out(args, "out")
     write_rows(rows, out)
@@ -267,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--noise")
     s.add_argument("--graph")
     s.add_argument("--shots", type=_int_at_least(1), default=1000)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=_int_at_least(0), default=0)
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_simulate)
 

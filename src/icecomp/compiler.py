@@ -8,9 +8,12 @@ bottom qubit as well, when the circuit is flagged globally flip-symmetric).
 Both compilers start from one component plan, `_build_task`: the init
 gadget, then the p phase/mixer layers with the s syndromes inserted at
 `syndrome_insertion_points` (syndrome i writes classical bits 1+2i and
-2+2i), then the final measurement.  The baseline splices each gadget
-between full-width barriers and list-schedules each run of algorithmic
-components between them.
+2+2i), then the final measurement.  The plan fixes the physical qubits
+of every rotation and fixed gadget gate once, anchors included: one
+qubit tuple per phase or gadget gate, one per anchor a mixer may use.
+Scheduling, the heuristic and emission read qubits only from it.  The
+baseline splices each gadget between full-width barriers and
+list-schedules each run of algorithmic components between them.
 
 The co-compiler searches over circuit states: each node is a prefix of
 scheduled layers plus per-component progress cursors.  Nodes are ranked by
@@ -46,7 +49,7 @@ from .circuit import (CircuitError, ComponentRole, Gate, GateKind,
                       two_qubit_depth, write_circuit)
 from .gadgets import (Gadget, GadgetKind, IcebergLayout, ParityCheck,
                       build_gadget, gadget_role, syndrome_lag_schedule)
-from .maxcut import PhaseGate, ProblemGraph, QaoaParams, build_qaoa
+from .maxcut import ProblemGraph, QaoaParams, build_qaoa
 
 
 class CompileError(ValueError):
@@ -131,23 +134,28 @@ def _rebase(gadget: Gadget, clbit_offset: int, component: int):
     return gates, checks, decode
 
 
-def _schedule_chunk(chunk: list[_AlgComp], t_qubit: int
-                    ) -> list[tuple[int, object]]:
+def _rotation_gate(comp: _GateComp, i: int, qubits: tuple[int, int]) -> Gate:
+    """Rotation i of a phase or mixer layer, on one of its qubit options."""
+    kind = GateKind.RZZ if comp.role is ComponentRole.PHASE_LAYER \
+        else GateKind.RXX
+    return Gate(kind, qubits, angle=comp.gates[i].angle, component=comp.pos)
+
+
+def _schedule_chunk(chunk: list[_GateComp]) -> list[tuple[_GateComp, int]]:
     """List-schedule one algorithmic chunk (phase/mixer components between
-    two gadget fences) and return (component pos, gate spec) in layer order.
+    two gadget fences) and return (component, gate index) in layer order.
+    Every gate runs on its first qubit option, so mixers anchor on top.
 
     The mixer chain on the top qubit is the critical path, so every layer
     schedules a ready mixer when one exists, then fills the remaining
     qubits with ready phase gates, heaviest remaining degree first."""
-    remaining: list[set[int]] = [set(range(len(c.gates))) for c in chunk]
+    remaining: list[set[int]] = [set(range(len(c.qubits))) for c in chunk]
     # per component and qubit: how many of its gates still touch the qubit
     touch: list[dict[int, int]] = []
     for comp in chunk:
         tc: dict[int, int] = {}
-        for g in comp.gates:
-            qs = (g.u + 1, g.v + 1) if comp.role is ComponentRole.PHASE_LAYER \
-                else (t_qubit, g.qubit + 1)
-            for q in qs:
+        for options in comp.qubits:
+            for q in options[0]:
                 tc[q] = tc.get(q, 0) + 1
         touch.append(tc)
 
@@ -157,64 +165,55 @@ def _schedule_chunk(chunk: list[_AlgComp], t_qubit: int
             for cj in range(ci)
         )
 
-    out: list[tuple[int, object]] = []
+    def place(ci: int, gi: int) -> None:
+        remaining[ci].discard(gi)
+        for q in chunk[ci].qubits[gi][0]:
+            touch[ci][q] -= 1
+            busy.add(q)
+        out.append((chunk[ci], gi))
+
+    out: list[tuple[_GateComp, int]] = []
     total = sum(len(r) for r in remaining)
     while total:
         busy: set[int] = set()
-        placed_any = False
+        placed = 0
         # one mixer per layer keeps the top-qubit chain moving
         for ci, comp in enumerate(chunk):
-            if comp.role is not ComponentRole.MIXER_LAYER or t_qubit in busy:
+            if comp.role is not ComponentRole.MIXER_LAYER:
                 continue
-            gates = comp.gates
             best = None
             for gi in sorted(remaining[ci]):
-                mg = gates[gi]
-                q = mg.qubit + 1
-                if q in busy or not ready(ci, (t_qubit, q)):
+                qs = comp.qubits[gi][0]
+                if not ready(ci, qs):
                     continue
+                q = qs[1]
                 load = sum(touch[cj].get(q, 0)
                            for cj in range(ci + 1, len(chunk)))
                 cand = (-load, q, gi)
                 if best is None or cand < best:
                     best = cand
             if best is not None:
-                _, q, gi = best
-                mg = gates[gi]
-                remaining[ci].discard(gi)
-                touch[ci][t_qubit] -= 1
-                touch[ci][q] -= 1
-                out.append((comp.pos, mg))
-                busy |= {t_qubit, q}
-                total -= 1
-                placed_any = True
+                place(ci, best[2])
+                placed += 1
                 break
         # fill with phase gates
         for ci, comp in enumerate(chunk):
             if comp.role is not ComponentRole.PHASE_LAYER:
                 continue
-            gates = comp.gates
             cands = []
             for gi in sorted(remaining[ci]):
-                pg = gates[gi]
-                a, b = pg.u + 1, pg.v + 1
-                if a in busy or b in busy or not ready(ci, (a, b)):
+                a, b = qs = comp.qubits[gi][0]
+                if a in busy or b in busy or not ready(ci, qs):
                     continue
                 w = touch[ci].get(a, 0) + touch[ci].get(b, 0)
                 cands.append((-w, a, b, gi))
             for _, a, b, gi in sorted(cands):
-                if a in busy or b in busy:
-                    continue
-                pg = gates[gi]
-                remaining[ci].discard(gi)
-                touch[ci][a] -= 1
-                touch[ci][b] -= 1
-                out.append((comp.pos, pg))
-                busy |= {a, b}
-                total -= 1
-                placed_any = True
-        if not placed_any:
+                if a not in busy and b not in busy:
+                    place(ci, gi)
+                    placed += 1
+        if not placed:
             raise CompileError("chunk scheduler stalled")
+        total -= placed
     return out
 
 
@@ -274,8 +273,8 @@ def compile_baseline(graph: ProblemGraph, params: QaoaParams,
     the baseline ignores `resynthesize` and `use_z2`).  Gadgets are fenced
     with full-width barriers (protecting their structure from any later
     rescheduling); each run of algorithmic components between two gadgets
-    is list-scheduled by `_schedule_chunk`.  Mixers anchor on the top qubit
-    only."""
+    is list-scheduled by `_schedule_chunk`, which puts each mixer on its
+    top anchor."""
     task = _build_task(graph, params, replace(cfg, resynthesize=False))
     layout = task.layout
     circ = PhysicalCircuit(layout.num_qubits, task.num_clbits)
@@ -294,7 +293,7 @@ def compile_baseline(graph: ProblemGraph, params: QaoaParams,
         return gdecode
 
     for fenced, run in itertools.groupby(
-            task.components, key=lambda c: isinstance(c, _FragComp)):
+            task.components, key=lambda c: c.gadget is not None):
         if fenced:
             for comp in run:
                 splice(comp.gadget, comp.clbit_offset, comp.pos)
@@ -302,14 +301,11 @@ def compile_baseline(graph: ProblemGraph, params: QaoaParams,
         chunk = list(run)
         for comp in chunk:
             circ.begin_component(comp.pos, comp.role)
-        for c, spec in _schedule_chunk(chunk, layout.t):
-            if isinstance(spec, PhaseGate):
-                circ.rzz(spec.u + 1, spec.v + 1, spec.angle, component=c)
-            else:
-                circ.rxx(layout.t, spec.qubit + 1, spec.angle, component=c)
+        for comp, i in _schedule_chunk(chunk):
+            circ.add(_rotation_gate(comp, i, comp.qubits[i][0]))
 
-    decode = splice(append_final_measurement(task, {}),
-                    task.final_clbit_offset, len(task.components))
+    decode = splice(task.final, task.final_clbit_offset,
+                    len(task.components))
     circ.validate()
     enc = EncodedCircuit(circ, layout, tuple(checks), decode, graph, params,
                          cfg, mode="baseline")
@@ -323,33 +319,23 @@ def compile_baseline(graph: ProblemGraph, params: QaoaParams,
 # ---------------------------------------------------------------------------
 
 @dataclass
-class _FragComp:
-    """A fixed-structure gadget scheduled gate by gate (init; syndromes when
-    resynthesis is off; any old-style syndrome)."""
-    pos: int
-    gadget: Gadget
-    clbit_offset: int
-    twoq: list[tuple[int, ...]]          # qubits of the 2Q gates, in order
-    preds: list[frozenset[int]]          # into twoq, per qubit
+class _GateComp:
+    """A component whose gates run on qubits the plan fixes: a phase or
+    mixer layer, or a fixed-structure gadget scheduled gate by gate (init;
+    syndromes when resynthesis is off; any old-style syndrome).
 
-    @staticmethod
-    def build(pos: int, gadget: Gadget, off: int) -> "_FragComp":
-        twoq = [g.qubits for g in gadget.fragment.gates if g.is_two_qubit]
-        # a gate's predecessors: the latest earlier 2Q gate on each qubit
-        preds: list[frozenset[int]] = []
-        latest: dict[int, int] = {}
-        for idx, qs in enumerate(twoq):
-            preds.append(frozenset(latest[q] for q in qs if q in latest))
-            for q in qs:
-                latest[q] = idx
-        return _FragComp(pos, gadget, off, twoq, preds)
-
-
-@dataclass
-class _AlgComp:
+    `qubits[i]` lists the physical qubit tuples gate i may run on: one
+    for a phase or gadget gate, and for a mixer its data qubit with the
+    top anchor, then with the bottom anchor when z2 anchoring is on.
+    `preds[i]` are the gates that must run before gate i (the latest
+    earlier 2Q gate on each of its qubits; none for a rotation)."""
     pos: int
     role: ComponentRole
-    gates: list            # PhaseGate or MixerGate
+    qubits: list[tuple[tuple[int, ...], ...]]
+    preds: list[frozenset[int]]
+    gates: list = field(default_factory=list)   # PhaseGate or MixerGate
+    gadget: Gadget | None = None    # a fragment; gate i is its i-th 2Q gate
+    clbit_offset: int = 0
 
 
 @dataclass
@@ -399,7 +385,7 @@ class CompileTask:
     params: QaoaParams
     cfg: CompileConfig
     components: list
-    final_kind: GadgetKind
+    final: Gadget                  # in the default order
     final_clbit_offset: int
     num_clbits: int
 
@@ -409,18 +395,31 @@ def _build_task(graph: ProblemGraph, params: QaoaParams,
     """The component plan shared by both compilers: the init gadget, then
     phase/mixer layers with the syndromes at `syndrome_insertion_points`.
     A component's position is its component id; the final measurement
-    takes the next one."""
+    takes the next one.  The plan fixes every gate's qubits, and with
+    them the mixer anchors."""
     layout = IcebergLayout(graph.num_vertices)
     cfg.validate(layout, graph)
     init_kind, syn_kind, final_kind = _gadget_kinds(cfg.gadget_set)
     lc = build_qaoa(graph, params)
     s = cfg.num_syndromes
+    anchors = (layout.t, layout.b) if cfg.use_z2 else (layout.t,)
+
+    def gadget_comp(gadget: Gadget, off: int) -> _GateComp:
+        twoq = [g.qubits for g in gadget.fragment.gates if g.is_two_qubit]
+        preds: list[frozenset[int]] = []
+        latest: dict[int, int] = {}
+        for idx, qs in enumerate(twoq):
+            preds.append(frozenset(latest[q] for q in qs if q in latest))
+            for q in qs:
+                latest[q] = idx
+        return _GateComp(len(components), gadget_role(gadget.kind),
+                         [(qs,) for qs in twoq], preds, gadget=gadget,
+                         clbit_offset=off)
 
     if cfg.resynthesize:
         init_order = predetermine_init_order(graph, cfg.gadget_set)
     else:
         init_order = None
-    init_g = build_gadget(init_kind, layout.k, init_order)
 
     alg: list[tuple[ComponentRole, list]] = []
     for t in range(params.p):
@@ -428,27 +427,35 @@ def _build_task(graph: ProblemGraph, params: QaoaParams,
         alg.append((ComponentRole.MIXER_LAYER, lc.mixer_layers[t]))
     points = syndrome_insertion_points([len(g) for _, g in alg], s)
 
-    components: list = [_FragComp.build(0, init_g, 0)]
+    components: list = []
+    components.append(gadget_comp(
+        build_gadget(init_kind, layout.k, init_order), 0))
     next_syn = 0
     for pos in range(len(alg) + 1):
         while next_syn < s and points[next_syn] == pos:
-            cpos = len(components)
             off = 1 + 2 * next_syn
             if cfg.resynthesize and syn_kind is GadgetKind.SYNDROME_NEW:
-                components.append(_SynComp.build(cpos, off, layout.n))
+                components.append(
+                    _SynComp.build(len(components), off, layout.n))
             else:
-                g = build_gadget(syn_kind, layout.k)
-                components.append(_FragComp.build(cpos, g, off))
+                components.append(
+                    gadget_comp(build_gadget(syn_kind, layout.k), off))
             next_syn += 1
         if pos == len(alg):
             break
         role, gates = alg[pos]
-        components.append(_AlgComp(len(components), role, list(gates)))
+        if role is ComponentRole.PHASE_LAYER:
+            qubits = [((g.u + 1, g.v + 1),) for g in gates]
+        else:
+            qubits = [tuple((a, g.qubit + 1) for a in anchors)
+                      for g in gates]
+        components.append(_GateComp(len(components), role, qubits,
+                                    [frozenset()] * len(gates), list(gates)))
 
+    final = build_gadget(final_kind, layout.k)
     final_off = 1 + 2 * s
-    final_len = (layout.n + 2) if final_kind is GadgetKind.FINAL_OLD else (layout.n + 1)
-    return CompileTask(layout, graph, params, cfg, components,
-                       final_kind, final_off, final_off + final_len)
+    return CompileTask(layout, graph, params, cfg, components, final,
+                       final_off, final_off + final.num_clbits)
 
 
 # ---------------------------------------------------------------------------
@@ -483,15 +490,9 @@ class SearchNode:
 
 
 def _initial_progress(task: CompileTask) -> tuple:
-    prog = []
-    for comp in task.components:
-        if isinstance(comp, _FragComp):
-            prog.append(frozenset(range(len(comp.twoq))))
-        elif isinstance(comp, _SynComp):
-            prog.append((0, ()))           # (stage, bindings)
-        else:
-            prog.append(frozenset(range(len(comp.gates))))
-    return tuple(prog)
+    return tuple((0, ()) if isinstance(comp, _SynComp)    # (stage, bindings)
+                 else frozenset(range(len(comp.qubits)))
+                 for comp in task.components)
 
 
 def _is_done(comp, prog) -> bool:
@@ -516,30 +517,20 @@ def _component_load(task: CompileTask, comp, prog
     layout = task.layout
     load: dict[int, int] = {}
     anc = 0
-    if isinstance(comp, _AlgComp):
-        if comp.role is ComponentRole.PHASE_LAYER:
-            for i in prog:
-                pg = comp.gates[i]
-                load[pg.u + 1] = load.get(pg.u + 1, 0) + 1
-                load[pg.v + 1] = load.get(pg.v + 1, 0) + 1
-        elif prog:
-            m = len(prog)
-            # z2 anchoring alternates the mixers between top and bottom
-            if task.cfg.use_z2:
-                load[layout.t] = (m + 1) // 2
-                load[layout.b] = m // 2
-            else:
-                load[layout.t] = m
-            for i in prog:
-                q = comp.gates[i].qubit + 1
-                load[q] = load.get(q, 0) + 1
-    elif isinstance(comp, _FragComp):
+    if isinstance(comp, _GateComp):
+        qubits, n = comp.qubits, layout.n
         for i in prog:
-            for q in comp.twoq[i]:
-                if q < layout.n:
+            for q in qubits[i][0]:
+                if q < n:
                     load[q] = load.get(q, 0) + 1
                 else:
                     anc += 1
+        if prog and len(qubits[i]) == 2:
+            # z2 mixers (two qubit options each, like the last gate i)
+            # alternate between the top and the bottom anchor
+            (top, _), (bottom, _) = qubits[i]
+            load[top] -= len(prog) // 2
+            load[bottom] = load.get(bottom, 0) + len(prog) // 2
     else:
         stage, bindings = prog
         if stage < comp.n:
@@ -635,10 +626,13 @@ class ExecutableGraph:
     forced_qubits: frozenset[int]
 
 
+_PAYLOAD = {ComponentRole.PHASE_LAYER: "phase",
+            ComponentRole.MIXER_LAYER: "mixer"}
+
+
 def build_executable_graph(node: SearchNode) -> ExecutableGraph:
     task = node.task
     layout = task.layout
-    cfg = task.cfg
     deg = node.deg
 
     free: set[int] = set(range(layout.num_qubits))
@@ -656,48 +650,21 @@ def build_executable_graph(node: SearchNode) -> ExecutableGraph:
             break
         if _is_done(comp, prog):
             continue
-        if isinstance(comp, _FragComp):
-            done = frozenset(range(len(comp.twoq))) - prog
+        if isinstance(comp, _GateComp):
+            kind = _PAYLOAD.get(comp.role, "frag")
+            qubits, preds = comp.qubits, comp.preds
             for i in sorted(prog):
-                if comp.preds[i] <= done:
-                    qs = comp.twoq[i]
-                    if all(q in free for q in qs):
+                # a gate is ready once none of its predecessors is pending
+                if preds[i] and not preds[i].isdisjoint(prog):
+                    continue
+                for qs in qubits[i]:
+                    if free.issuperset(qs):
                         pair = frozenset(qs)
                         if pair not in edges:
-                            edges[pair] = ("frag", comp.pos, i)
-            # reserve every qubit the unfinished fragment still touches
-            for i in prog:
-                for q in comp.twoq[i]:
-                    free.discard(q)
-        elif isinstance(comp, _AlgComp):
-            if comp.role is ComponentRole.PHASE_LAYER:
-                for i in sorted(prog):
-                    pg = comp.gates[i]
-                    a, b = pg.u + 1, pg.v + 1
-                    if a in free and b in free:
-                        pair = frozenset((a, b))
-                        if pair not in edges:
-                            edges[pair] = ("phase", comp.pos, i)
-                for i in prog:
-                    pg = comp.gates[i]
-                    free.discard(pg.u + 1)
-                    free.discard(pg.v + 1)
-            else:
-                anchors = (layout.t, layout.b) if cfg.use_z2 else (layout.t,)
-                for i in sorted(prog):
-                    mg = comp.gates[i]
-                    q = mg.qubit + 1
-                    if q not in free:
-                        continue
-                    for anchor in anchors:
-                        if anchor in free:
-                            pair = frozenset((anchor, q))
-                            if pair not in edges:
-                                edges[pair] = ("mixer", comp.pos, i, anchor)
-                for i in prog:
-                    free.discard(comp.gates[i].qubit + 1)
-                for anchor in anchors:
-                    free.discard(anchor)
+                            edges[pair] = (kind, comp.pos, i, qs)
+            # reserve every qubit the unfinished component may still touch
+            free.difference_update(*itertools.chain.from_iterable(
+                map(qubits.__getitem__, prog)))
         else:
             stage, bindings = prog
             slot_q = comp.slot_qubits(bindings)
@@ -821,13 +788,12 @@ def append_final_measurement(task: CompileTask, qubit_free_layer: dict[int, int]
                              ) -> Gadget:
     """Pick the final gadget's implicit order greedily: qubits that idle
     earliest are read out (coupled) first."""
+    if not task.cfg.resynthesize:
+        return task.final
     layout = task.layout
-    if task.cfg.resynthesize:
-        order = tuple(sorted(layout.data,
-                             key=lambda q: (qubit_free_layer.get(q, 0), q)))
-    else:
-        order = None
-    return build_gadget(task.final_kind, layout.k, order)
+    order = tuple(sorted(layout.data,
+                         key=lambda q: (qubit_free_layer.get(q, 0), q)))
+    return build_gadget(task.final.kind, layout.k, order)
 
 
 def _emit(node: SearchNode) -> EncodedCircuit:
@@ -847,45 +813,34 @@ def _emit(node: SearchNode) -> EncodedCircuit:
         for item in items:
             kind, pos = item[0], item[1]
             comp = task.components[pos]
-            if kind == "frag":
-                frag_gate_layer[(pos, item[2])] = L
-                for q in comp.twoq[item[2]]:
-                    qubit_free_layer[q] = L + 1
-            elif kind == "phase":
-                pg = comp.gates[item[2]]
-                entries.append(((L, 1, next(seq)), Gate(
-                    GateKind.RZZ, (pg.u + 1, pg.v + 1), angle=pg.angle,
-                    component=pos)))
-                qubit_free_layer[pg.u + 1] = L + 1
-                qubit_free_layer[pg.v + 1] = L + 1
-            elif kind == "mixer":
-                mg = comp.gates[item[2]]
-                anchor = item[3]
-                entries.append(((L, 1, next(seq)), Gate(
-                    GateKind.RXX, (anchor, mg.qubit + 1), angle=mg.angle,
-                    component=pos)))
-                qubit_free_layer[anchor] = L + 1
-                qubit_free_layer[mg.qubit + 1] = L + 1
-            elif kind in ("bind", "synstep"):
+            if kind in ("bind", "synstep"):
                 step = syn_step_counter.get(pos, 0)
                 frag_gate_layer[(pos, 2 * step)] = L
                 frag_gate_layer[(pos, 2 * step + 1)] = L
                 syn_step_counter[pos] = step + 1
-                for q in item[2]:      # the bound pair or (qx, qz)
-                    qubit_free_layer[q] = L + 1
+                qubits = item[2]       # the bound pair or (qx, qz)
+            else:
+                qubits = item[3]
+                if comp.gadget is None:
+                    entries.append(((L, 1, next(seq)),
+                                    _rotation_gate(comp, item[2], qubits)))
+                else:
+                    frag_gate_layer[(pos, item[2])] = L
+            for q in qubits:
+                qubit_free_layer[q] = L + 1
 
     component_roles: dict[int, ComponentRole] = {}
     for comp, prog in zip(task.components, node.progress):
         pos = comp.pos
-        if isinstance(comp, _AlgComp):
-            component_roles[pos] = comp.role
-            continue
-        if isinstance(comp, _FragComp):
-            gadget = comp.gadget
-        else:
+        if isinstance(comp, _SynComp):
             slot_q = comp.slot_qubits(prog[1])
             gadget = build_gadget(GadgetKind.SYNDROME_NEW, layout.k,
                                   tuple(slot_q[i] for i in range(comp.n)))
+        elif comp.gadget is None:
+            component_roles[pos] = comp.role
+            continue
+        else:
+            gadget = comp.gadget
         gates, gchecks, _ = _rebase(gadget, comp.clbit_offset, pos)
         checks.extend(gchecks)
         component_roles[pos] = gadget_role(gadget.kind)

@@ -89,9 +89,6 @@ class PauliString:
             + (self.zmask & other.xmask).bit_count()
         return overlap % 2 == 0
 
-    def restricted(self, mask: int) -> "PauliString":
-        return PauliString(self.xmask & mask, self.zmask & mask)
-
     def label(self, num_qubits: int) -> str:
         out = []
         for q in range(num_qubits):

@@ -88,12 +88,12 @@ def generate_instance(kind: GraphKind, k: int, density: float | None = None,
     """Deterministic instance generation (networkx with an explicit seed)."""
     if kind is GraphKind.REGULAR_3:
         if k < 4 or k % 2 != 0:
-            raise ValueError("3-regular graph needs an even k >= 4")
+            raise ValueError(f"3-regular graph needs an even k >= 4, got {k}")
         g = nx.random_regular_graph(3, k, seed=seed)
         return make_graph(k, g.edges(), kind=kind, seed=seed)
     if kind is GraphKind.ERDOS_RENYI:
         if density is None or not (0.0 <= density <= 1.0):
-            raise ValueError("density must be in [0, 1]")
+            raise ValueError(f"density must be in [0, 1], got {density}")
         g = nx.gnp_random_graph(k, density, seed=seed)
         return make_graph(k, g.edges(), kind=kind, seed=seed)
     raise ValueError("generate_instance handles REGULAR_3 and ERDOS_RENYI")

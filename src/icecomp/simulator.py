@@ -356,6 +356,24 @@ def _trailing_start(gates: Sequence[Gate]) -> int:
     return start
 
 
+def _inject_map(gates: Sequence[Gate],
+                inject: Sequence[tuple[int, PauliString]]
+                ) -> dict[int, list[PauliString]]:
+    """Injected Paulis by gate index.  Each index must name a gate before
+    the trailing measurement block that is not a barrier, the places a
+    fault location can name."""
+    tail = _trailing_start(gates)
+    out: dict[int, list[PauliString]] = {}
+    for gi, pauli in inject:
+        if not 0 <= gi < tail or gates[gi].kind is GateKind.BARRIER:
+            raise ValueError(
+                f"cannot inject after gate {gi}: it must index a gate "
+                f"before the trailing measurements (index {tail}) that is "
+                f"not a barrier")
+        out.setdefault(gi, []).append(pauli)
+    return out
+
+
 _SITE_KIND = {GateKind.H: "1q", GateKind.X: "1q", GateKind.Z: "1q",
               GateKind.MEASURE_Z: "meas", GateKind.MEASURE_X: "meas",
               GateKind.RESET: "reset"}
@@ -376,9 +394,7 @@ class _ShotPlan:
         self.gates = circuit.gates
         self.num_qubits = circuit.num_qubits
         self.num_clbits = circuit.num_clbits
-        self.inject: dict[int, list[PauliString]] = {}
-        for gi, pauli in inject:
-            self.inject.setdefault(gi, []).append(pauli)
+        self.inject = _inject_map(self.gates, inject)
 
         self.layers = []
         self.meas_clbits: list[int] = []   # per measurement site
@@ -413,8 +429,7 @@ class _ShotPlan:
         self.horizon = min((sched.gate_layer[gi] for gi in tail
                             if self.gates[gi].kind in MEASURE_KINDS),
                            default=len(self.layers))
-        self.first_inject = min((sched.gate_layer[gi] for gi in self.inject
-                                 if gi in sched.gate_layer),
+        self.first_inject = min((sched.gate_layer[gi] for gi in self.inject),
                                 default=self.horizon)
 
     def draw(self, seed: int, shot: int):
@@ -528,7 +543,9 @@ def sample_shots(circuit: PhysicalCircuit, noise: NoiseModel, shots: int,
     the module docstring.
 
     `inject` lists deterministic Pauli errors applied after given gate
-    indices in every shot (used for fault cross-checks)."""
+    indices in every shot (used for fault cross-checks); an index in the
+    trailing measurement block, out of range or naming a barrier raises
+    ValueError."""
     if shots < 0:
         raise ValueError(f"shots must be nonnegative, got {shots}")
     plan = _ShotPlan(circuit, noise.effective(), inject)
@@ -599,12 +616,10 @@ def exact_bit_distribution(circuit: PhysicalCircuit,
     Mid-circuit measurements branch only when both outcomes have probability
     above BRANCH_TOL (noiseless encoded circuits keep a single branch); the
     trailing block of measurements is evaluated jointly from amplitudes.
+    `inject` is checked and applied as in `sample_shots`.
     """
-    inject_map: dict[int, list[PauliString]] = {}
-    for gi, pauli in inject:
-        inject_map.setdefault(gi, []).append(pauli)
-
     gates = circuit.gates
+    inject_map = _inject_map(gates, inject)
     tail_start = _trailing_start(gates)
 
     branches: list[tuple[float, StateVector, list[int]]] = [

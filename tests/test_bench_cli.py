@@ -67,6 +67,18 @@ class TestPlotData:
         fields = lines[0].split()
         assert len(fields) == 7
 
+    @pytest.mark.parametrize("as_text", [False, True])
+    def test_x_sorted_numerically(self, as_text):
+        # CSV rows carry k as text; '14' < '22' < '6' as strings
+        rows = [{"bench": "depth", "k": str(k) if as_text else k,
+                 "mode": mode, "depth_2q": 10 * k}
+                for k in (22, 6, 14) for mode in ("resynth", "baseline")]
+        text = emit_plotdata(rows, "depth-vs-k")
+        lines = [l.split()[:2] for l in text.splitlines()
+                 if not l.startswith("#")]
+        assert lines == [[k, mode] for k in ("6", "14", "22")
+                         for mode in ("baseline", "resynth")]
+
     def test_unknown_figure_lists_valid(self, small_depth_spec):
         rows = run_depth_sweep(small_depth_spec)
         with pytest.raises(ValueError, match="depth-vs-k"):
@@ -159,6 +171,8 @@ class TestCli:
          "at least 2, got -4"),
         (["verify-ft", "--gadget", "init_new", "--perms", "-2"],
          "at least 0, got -2"),
+        (["simulate", "--circuit", "c.txt", "--seed", "-1",
+          "--out", "s.csv"], "at least 0, got -1"),
     ])
     def test_counts_below_bound_rejected(self, tmp_path, capsys, argv,
                                          message):
@@ -166,6 +180,28 @@ class TestCli:
             main(["--out-dir", str(tmp_path), *argv])
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
+        assert not os.listdir(tmp_path)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["gen", "--kind", "er", "--k", "6", "--out", "g.txt"],
+         "density must be in [0, 1], got None"),
+        (["bench-depth", "--sizes", "6", "5", "--out", "d.csv"],
+         "needs an even k >= 4, got 5"),
+        (["bench-qaoa", "--sizes", "2", "--out", "d.csv"],
+         "needs an even k >= 4, got 2"),
+        (["bench-energy", "--family", "er", "--sizes", "6",
+          "--out", "d.csv"], "density must be in [0, 1], got None"),
+    ])
+    def test_instance_arguments_rejected(self, tmp_path, capsys, monkeypatch,
+                                         argv, message):
+        def no_compile(*args, **kwargs):
+            raise AssertionError("compiled before rejecting an argument")
+
+        monkeypatch.setattr("icecomp.bench.compile_mode", no_compile)
+        assert main(["--out-dir", str(tmp_path), *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"icecomp {argv[0]}: error: ")
+        assert message in err and err.count("\n") == 1
         assert not os.listdir(tmp_path)
 
     @pytest.mark.parametrize("gadget, k", [("init_new", 3),

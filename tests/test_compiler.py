@@ -484,6 +484,23 @@ class TestGolden:
                       "dfd831e76667fac42153536fb37b3be4",
     }
 
+    # the benchmark's instance sizes: 3-regular k=22 seed 0 and ER k=22
+    # d=0.8 seed 0, p=10, s=3, queue_cap 200
+    PAPER_SCALE = {
+        ("erdos_renyi", "baseline-old"): "03b0c1384414163f14e1e2ea03989c28"
+                                         "9c304986e234f42ad708fa0d19eef1de",
+        ("erdos_renyi", "resynth"): "34ceb8d71f81e335f17c0ea9204f0a23"
+                                    "082533b849ed796082e949878a794329",
+        ("erdos_renyi", "resynth+z2"): "97848eabad57af2d9a3180b6223150e1"
+                                       "e579ab0ac8246febb9bce6941fafe08b",
+        ("regular3", "baseline-old"): "2b8cfeaa2283c35c7bcc44a55c32103f"
+                                      "9b40ce63a717d1214e2e8c701d5caa2d",
+        ("regular3", "resynth"): "522e4fe73f280b650488ef18f55edffa"
+                                 "16a607579dc1e7713d82b78e3c82dafa",
+        ("regular3", "resynth+z2"): "2917fc394401bbb445ae9cf2dfe22b7f"
+                                    "a8d7465f09597b41a2256c04e32edbfe",
+    }
+
     @staticmethod
     def _digest(g, params, s, queue_cap, mode):
         if mode.startswith("baseline"):
@@ -514,6 +531,14 @@ class TestGolden:
         g = generate_instance(GraphKind.ERDOS_RENYI, 10, density=0.8, seed=0)
         assert self._digest(g, ramp_params(2), 1, 200, mode) == \
             self.DENSE[mode]
+
+    @pytest.mark.parametrize("family, mode", sorted(PAPER_SCALE))
+    def test_paper_scale_circuit_hash(self, family, mode):
+        g = generate_instance(GraphKind(family), 22,
+                              density=0.8 if family == "erdos_renyi"
+                              else None, seed=0)
+        assert self._digest(g, ramp_params(10), 3, 200, mode) == \
+            self.PAPER_SCALE[(family, mode)]
 
     def test_baseline_ignores_coopt_flags(self):
         g = generate_instance(GraphKind.REGULAR_3, 6, seed=3)

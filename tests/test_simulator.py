@@ -206,6 +206,28 @@ class TestShots:
                                 [(target, "X")]))])
         assert post_selection_rate(recs) == 0.0
 
+    @pytest.mark.parametrize("gi", [1, 3, 4, 5, -1])
+    def test_inject_outside_fault_locations_rejected(self, gi):
+        # gate 1 is a barrier, 3 and 4 are the trailing measurements, 5 and
+        # -1 index no gate; both simulators reject all of them alike
+        circ = PhysicalCircuit(2, 2)
+        circ.h(0)
+        circ.barrier()
+        circ.cx(0, 1)
+        circ.mz(0, 0)
+        circ.mz(1, 1)
+        inject = [(gi, PauliString.from_ops([(1, "X")]))]
+        with pytest.raises(ValueError, match=f"inject after gate {gi}"):
+            exact_bit_distribution(circ, inject=inject)
+        with pytest.raises(ValueError, match=f"inject after gate {gi}"):
+            sample_shots(circ, NoiseModel(scale=0.0), 4, 0, inject=inject)
+        # the same X after the CNOT is a fault location, and both agree
+        ok = [(2, PauliString.from_ops([(1, "X")]))]
+        assert set(exact_bit_distribution(circ, inject=ok)) == \
+            {(0, 1), (1, 0)}
+        assert {r.bits for r in sample_shots(circ, NoiseModel(scale=0.0), 40,
+                                             0, inject=ok)} == {(0, 1), (1, 0)}
+
     def test_deeper_circuit_lower_acceptance(self):
         base = compile_baseline(self.graph, self.params, CompileConfig(
             num_syndromes=1, gadget_set=GadgetSet.OLD))
