@@ -502,10 +502,13 @@ class TestRecordGolden:
     (3-regular k=10 seed 0, p=3, queue_cap 200) and of its unencoded
     circuit: 1,000 shots, seed 0, noise scale 1.0.  A change that moves any
     draw or any amplitude's rounding shows here; it must update these, and
-    say why."""
+    say why.  VERDICTS digests the same encoded records without the bits of
+    rejected shots: every verdict, check value and accepted record."""
 
     ENCODED = ("17fa9d248046a5e0e0a57758bfbb465a"
                "04aa56ecbf9fcf15119a470c8187847e")
+    VERDICTS = ("41415e6679e2e8e57577f454a3c0e669"
+                "28b09ed4aec78dacc6522fde031fc316")
     UNENCODED = ("473488e281d68447f28d12db5c494c9c"
                  "3ff4dbf22ab7a6efb58266ebf90d080c")
 
@@ -513,20 +516,28 @@ class TestRecordGolden:
     params = ramp_params(3)
 
     @staticmethod
-    def _digest(records):
+    def _digest(records, rejected_bits=True):
         h = hashlib.sha256()
         for r in records:
-            h.update(f"{r.bits} {r.check_values} {r.accepted} "
+            bits = r.bits if r.accepted or rejected_bits else None
+            h.update(f"{bits} {r.check_values} {r.accepted} "
                      f"{r.logical}\n".encode())
         return h.hexdigest()
 
-    def test_encoded(self):
+    @pytest.fixture(scope="class")
+    def encoded_records(self):
         enc = compile_cooptimized(self.graph, self.params, CompileConfig(
             num_syndromes=1, gadget_set=GadgetSet.NEW, queue_cap=200,
             resynthesize=True, use_z2=True))
-        recs = sample_shots(enc.circuit, NoiseModel(scale=1.0), 1000, 0,
+        return sample_shots(enc.circuit, NoiseModel(scale=1.0), 1000, 0,
                             checks=enc.checks, decode=enc.decode)
-        assert self._digest(recs) == self.ENCODED
+
+    def test_encoded(self, encoded_records):
+        assert self._digest(encoded_records) == self.ENCODED
+
+    def test_encoded_verdicts(self, encoded_records):
+        assert self._digest(encoded_records, rejected_bits=False) == \
+            self.VERDICTS
 
     def test_unencoded(self):
         lc = build_qaoa(self.graph, self.params)
