@@ -59,6 +59,12 @@ class SweepSpec:
     noise_scales: tuple[float, ...] = (1.0,)
     queue_cap: int = 400
 
+    def __post_init__(self):
+        # a 3-regular instance has no density: sweeping one would compile
+        # each graph once per density and label its rows with all of them
+        if self.family is GraphKind.REGULAR_3 and self.densities:
+            raise ValueError("a 3-regular sweep takes no densities")
+
     def angles(self) -> QaoaParams:
         return ramp_params(self.p)
 

@@ -197,17 +197,17 @@ def _spec_from_args(args) -> SweepSpec:
 
 
 def _run_bench(args, runner, name) -> int:
-    spec = _spec_from_args(args)
-    if name == "energy":
-        spec.noise_scales = tuple(args.scales)
     try:
         # reject every size and density the family cannot take before the
         # first compile
+        spec = _spec_from_args(args)
         for k in spec.sizes:
             for d in spec.densities or (None,):
                 generate_instance(spec.family, k, density=d)
     except ValueError as exc:
         return _fail(args.command, exc)
+    if name == "energy":
+        spec.noise_scales = tuple(args.scales)
     rows = runner(spec)
     out = _out(args, "out")
     write_rows(rows, out)

@@ -269,13 +269,14 @@ def compile_baseline(graph: ProblemGraph, params: QaoaParams,
                      cfg: CompileConfig) -> EncodedCircuit:
     """Insert default-order gadgets around the algorithmic circuit.
 
-    Walks the component plan of `_build_task` (built with resynthesis off:
-    the baseline ignores `resynthesize` and `use_z2`).  Gadgets are fenced
+    Walks the component plan of `_build_task` (built with resynthesis and
+    z2 anchoring off: the baseline ignores `resynthesize` and `use_z2`).  Gadgets are fenced
     with full-width barriers (protecting their structure from any later
     rescheduling); each run of algorithmic components between two gadgets
     is list-scheduled by `_schedule_chunk`, which puts each mixer on its
     top anchor."""
-    task = _build_task(graph, params, replace(cfg, resynthesize=False))
+    task = _build_task(graph, params,
+                       replace(cfg, resynthesize=False, use_z2=False))
     layout = task.layout
     circ = PhysicalCircuit(layout.num_qubits, task.num_clbits)
     checks: list[ParityCheck] = []

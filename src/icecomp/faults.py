@@ -31,7 +31,9 @@ updates only its own qubits' entries:
 A fault after gate i is then the XOR of at most four entries at that point,
 and costs O(1) int work.  `fault_reports` and `check_gadget_ft` take every
 verdict of a circuit from one sweep; `propagate_pauli` runs the same sweep
-from the end down to one fault's gate.
+from the end down to one fault's gate.  The simulator takes the entries
+after every gate (`_Sweep.entries`) to reject noisy shots from their
+frames.
 
 The verdicts rest on two conditions of the circuit: every rotation
 generator commutes with S_x and S_z, so negated rotations keep the state in
@@ -182,19 +184,22 @@ class _Sweep:
             g.clbit + 1 for g in gates if g.clbit is not None)])
         self.clbits = (1 << (self.rot - self.cl)) - 1
 
-    def run(self, stop: int = -1, per_gate: list | None = None
-            ) -> tuple[list[int], list[int]]:
+    def run(self, stop: int = -1, per_gate: list | None = None,
+            record=None) -> tuple[list[int], list[int]]:
         """Sweep from the circuit end down to just after gate `stop` and
         return (rx, rz) there: rx[q] and rz[q] are the responses of X_q and
         Z_q inserted after gate `stop`.  With a `per_gate` list, also set
-        per_gate[i] to the responses of the faults after gate i."""
+        per_gate[i] to record(gate i, rx, rz) of the entries after gate i;
+        `record` defaults to `responses`, the responses of the faults after
+        gate i."""
         n, gates, rot, cl = self.n, self.gates, self.rot, self.cl
+        record = record or self.responses
         rx = [1 << q for q in range(n)]
         rz = [1 << (n + q) for q in range(n)]
         for i in range(len(gates) - 1, stop, -1):
             g = gates[i]
             if per_gate is not None:
-                per_gate[i] = self.responses(g, rx, rz)
+                per_gate[i] = record(g, rx, rz)
             kind = g.kind
             if kind is GateKind.CNOT:
                 c, t = g.qubits
@@ -228,6 +233,15 @@ class _Sweep:
         per_gate: list[list[int]] = [[]] * len(self.gates)
         self.run(per_gate=per_gate)
         return per_gate
+
+    def entries(self) -> tuple[list, list[tuple[int, int]]]:
+        """(after, start): after[i] is (`responses` of the faults after gate
+        i, [(rx[q], rz[q]) for each qubit q of gate i] after gate i), and
+        start[q] is (rx[q], rz[q]) at the circuit start."""
+        after: list = [None] * len(self.gates)
+        rx, rz = self.run(per_gate=after, record=lambda g, rx, rz: (
+            self.responses(g, rx, rz), [(rx[q], rz[q]) for q in g.qubits]))
+        return after, list(zip(rx, rz))
 
     def responses(self, g: Gate, rx: list[int], rz: list[int]) -> list[int]:
         """Responses of the faults after gate `g`, in the order of

@@ -23,12 +23,36 @@ StateVector.measure/reset would; if a draw disagrees, the shot's state is
 not the sweep's, and the shot runs again from layer 0 with a fresh
 generator.  The sweep stops at the horizon, the first layer holding a
 trailing measurement, whose outcomes are random: shots whose first event
-lies later start there.  Every shot so makes the same draws and the same
-floating-point operations, in the same order, as a trajectory run from
-|0...0>, and its record is the same.  sample_logical_shots does the same
-per gate step: a shot redraws the event tests before the step of its first
-fired test, then runs that step and the rest from a copy of the sweep taken
-before it.
+lies later start there.  Every such shot so makes the same draws and the
+same floating-point operations, in the same order, as a trajectory run
+from |0...0>, and its record is the same.  sample_logical_shots does the
+same per gate step: a shot redraws the event tests before the step of its
+first fired test, then runs that step and the rest from a copy of the
+sweep taken before it.
+
+Rejection from the Pauli frame.  A Pauli a noise site applies passes the
+rest of the circuit as a Pauli frame (see the faults module): the shot
+gives the outcomes of the noiseless circuit with the frame's rotations
+negated and its clbits flipped.  One backward faults._Sweep pass per
+circuit gives the response of every Pauli every site can apply.  So
+before touching any state, sample_shots walks an event shot's fired sites
+in traversal order and draws each one's Pauli code after the uniforms of
+the measurements and resets before that site: these are the draws its
+trajectory makes, so this is the trajectory's frame.  The checks are a
+function of the frame alone when the guard holds: there are checks, each
+clbit is measured at most once, the noiseless check values are
+deterministic, and no rotation generator (Z_aZ_b after an RZZ, X_aX_b
+after an RXX), taken as a fault right after its own gate, flips a check
+parity.  By induction over the first sign-flipped rotation the checks are
+then deterministic under every pattern of rotation signs.  Under the guard
+a shot whose frame breaks a check is rejected without a trajectory.  Its
+record holds accepted False, logical None and the exact check values (the
+noiseless ones XOR the frame's flips, which the trajectory gives too).
+Its bits are an ideal sample (the shot's next uniform into the ideal
+distribution) with the frame's clbit flips and readout flips applied:
+exact in distribution when no rotation flipped; otherwise only their
+check parities are simulated.  Every other shot runs as above, and every
+accepted record is the trajectory's, bit for bit.
 
 The gate kernels work on the whole array at once, but each amplitude gets
 the same IEEE operations in the same order as in a per-block update (see
@@ -52,7 +76,7 @@ import numpy as np
 from .circuit import (MEASURE_KINDS, Gate, GateKind, PhysicalCircuit,
                       layered_schedule)
 from .gadgets import ParityCheck
-from .faults import PauliString
+from .faults import PauliString, _Sweep, _bits, _mask
 from .maxcut import (LogicalCircuit, MixerGate, PhaseGate, ProblemGraph,
                      energy as bit_energy)
 
@@ -385,8 +409,10 @@ class _ShotPlan:
     Per schedule layer: its gates, each with its noise site ("2q", "1q" and
     "meas" sites are numbered in traversal order), then the idle qubits of a
     layer holding a two-qubit gate.  A shot draws one Bernoulli vector per
-    site family up front, so its first Pauli event is known before any
-    state is touched."""
+    site family up front, so its first Pauli event, and with _FrameTables
+    its Pauli frame, are known before any state is touched.  A shot that
+    needs a trajectory resumes it from the noiseless sweep (`advance`,
+    `resume`, `run`)."""
 
     def __init__(self, circuit: PhysicalCircuit, eff: NoiseModel,
                  inject: Sequence[tuple[int, PauliString]]):
@@ -523,6 +549,164 @@ class _ShotPlan:
         return bits
 
 
+# codes of _apply_random_pauli (code % 4 on qubits[0], code // 4 on
+# qubits[1]) -> index in faults._Sweep.responses (4 p_a + p_b - 1)
+_SWEEP_INDEX_2Q = tuple(4 * (c % 4) + c // 4 - 1 for c in range(1, 16))
+
+
+class _FrameTables:
+    """What sample_shots needs of a circuit whatever the noise: the sorted
+    ideal distribution with its cumulative sums, the Pauli-frame response
+    of every Pauli a noise site can apply, from one backward faults._Sweep
+    pass, and the guard (module docstring).  Built from the circuit and its
+    _ShotPlan, and cached by the circuit's content (_frame_tables).
+
+    Pauli sites are numbered in traversal order.  For each, `slots` is the
+    number of measurements and resets before it, whose draws its trajectory
+    makes first, and `responses` its responses by _apply_random_pauli code
+    minus 1.  A gate's site takes the entries right after the gate; an idle
+    site after layer l on q takes them after q's last gate before l, or at
+    the circuit start."""
+
+    def __init__(self, circuit: PhysicalCircuit, plan: "_ShotPlan"):
+        ideal = sorted(exact_bit_distribution(circuit).items())
+        self.ideal_bits = [b for b, _ in ideal]
+        self.ideal_cum = np.cumsum([p for _, p in ideal])
+        self.meas_clbits = list(plan.meas_clbits)
+
+        sweep = _Sweep(circuit)
+        self.cl, self.clmask = sweep.cl, sweep.clbits
+        after, last = sweep.entries()
+        self.slots: list[int] = []
+        self.responses: list[list[int]] = []
+        # per site family, the index in `slots` of each of its sites (the
+        # plan numbers a family's sites in traversal order too)
+        pos: dict[str, list[int]] = {"2q": [], "1q": [], "idle": []}
+        # per gate, the entries of every qubit right after it in traversal
+        # order, where an injected Pauli acts
+        self.after_gate: dict[int, tuple[tuple[int, int], ...]] = {}
+        rotation_flips = set()
+        slot = 0
+        for layer_gates, sites, idle, _ in plan.layers:
+            for gi, (cat, _) in zip(layer_gates, sites):
+                g = plan.gates[gi]
+                rs, own = after[gi]
+                for q, e in zip(g.qubits, own):
+                    last[q] = e
+                self.after_gate[gi] = tuple(last)
+                if cat in ("meas", "reset"):
+                    slot += 1
+                    continue
+                if g.kind is GateKind.RZZ or g.kind is GateKind.RXX:
+                    # the rotation's generator Z_aZ_b (X_aX_b) as a fault
+                    (xa, za), (xb, zb) = own
+                    r = za ^ zb if g.kind is GateKind.RZZ else xa ^ xb
+                    rotation_flips.add((r >> self.cl) & self.clmask)
+                if cat == "2q":
+                    rs = [rs[j] for j in _SWEEP_INDEX_2Q]
+                pos[cat].append(len(self.slots))
+                self.slots.append(slot)
+                self.responses.append(rs)
+            for q in idle:
+                x, z = last[q]
+                pos["idle"].append(len(self.slots))
+                self.slots.append(slot)
+                self.responses.append([x, x ^ z, z])    # X, Y, Z
+        self.pos = {cat: np.array(p, dtype=np.intp) for cat, p in pos.items()}
+        self.rotation_flips = frozenset(rotation_flips)
+        self.clbits_once = len(set(self.meas_clbits)) == len(self.meas_clbits)
+        self._guards: dict[tuple[ParityCheck, ...], tuple | None] = {}
+
+    def guard(self, checks: Sequence[ParityCheck]
+              ) -> tuple[tuple[int, int], ...] | None:
+        """Per check, (clbit mask, the flip parity under which the check
+        keeps its expected value) when a shot's checks are a function of its
+        frame alone (module docstring); None otherwise."""
+        key = tuple(checks)
+        if key not in self._guards:
+            self._guards[key] = self._guard(key)
+        return self._guards[key]
+
+    def _guard(self, checks: tuple[ParityCheck, ...]):
+        if not checks or not self.clbits_once:
+            return None
+        values = {decode_bits(b, checks, None)[0] for b in self.ideal_bits}
+        if len(values) != 1:
+            return None
+        masks = [_mask(c.bits) for c in checks]
+        if any((f & m).bit_count() & 1
+               for f in self.rotation_flips for m in masks):
+            return None
+        (ideal,) = values
+        return tuple((m, v ^ c.expected)
+                     for m, v, c in zip(masks, ideal, checks))
+
+    def inject_frame(self, inject: Mapping[int, list[PauliString]]) -> int:
+        """The response of every injected Pauli, XORed."""
+        frame = 0
+        for gi, paulis in inject.items():
+            entries = self.after_gate[gi]
+            for pauli in paulis:
+                for q in _bits(pauli.xmask):
+                    frame ^= entries[q][0]
+                for q in _bits(pauli.zmask):
+                    frame ^= entries[q][1]
+        return frame
+
+    def flips(self, rng: np.random.Generator, events, frame: int) -> int:
+        """The clbit flips of a shot: its Pauli frame from `frame` on, each
+        fired site's Pauli drawn as its trajectory draws it (after the
+        uniforms of the measurements and resets before that site), and its
+        readout flips."""
+        e2, e1, em, ei = events
+        fired = np.sort(np.concatenate([
+            self.pos[cat][np.flatnonzero(e)]
+            for cat, e in (("2q", e2), ("1q", e1), ("idle", ei))]))
+        drawn = 0
+        for s in fired.tolist():
+            if self.slots[s] > drawn:
+                rng.random(self.slots[s] - drawn)
+                drawn = self.slots[s]
+            rs = self.responses[s]
+            frame ^= rs[int(rng.integers(1, len(rs) + 1)) - 1]
+        return ((frame >> self.cl) & self.clmask) ^ self.readout(em)
+
+    def readout(self, em) -> int:
+        out = 0
+        for si in np.flatnonzero(em):
+            out ^= 1 << self.meas_clbits[si]
+        return out
+
+    def ideal_sample(self, rng: np.random.Generator, flips: int) -> list[int]:
+        """Bits from the shot's next uniform into the ideal cumulative, with
+        `flips` applied."""
+        pick = int(np.searchsorted(self.ideal_cum, rng.random()))
+        bits = list(self.ideal_bits[min(pick, len(self.ideal_bits) - 1)])
+        for c in _bits(flips):
+            bits[c] ^= 1
+        return bits
+
+
+def _keeps_checks(guard: tuple[tuple[int, int], ...], flips: int) -> bool:
+    """Whether a shot whose clbits flip by `flips` keeps every check."""
+    return all(((flips & m).bit_count() & 1) == want for m, want in guard)
+
+
+_FRAME_TABLES: dict[tuple, _FrameTables] = {}   # least recently used first
+_FRAME_TABLES_MAX = 8
+
+
+def _frame_tables(circuit: PhysicalCircuit, plan: "_ShotPlan") -> _FrameTables:
+    """The circuit's _FrameTables, cached by content: a PhysicalCircuit is
+    mutable, so its identity does not name its gates."""
+    key = (circuit.num_qubits, circuit.num_clbits, tuple(circuit.gates))
+    tables = _FRAME_TABLES.pop(key, None) or _FrameTables(circuit, plan)
+    _FRAME_TABLES[key] = tables
+    if len(_FRAME_TABLES) > _FRAME_TABLES_MAX:
+        del _FRAME_TABLES[next(iter(_FRAME_TABLES))]
+    return tables
+
+
 def sample_shots(circuit: PhysicalCircuit, noise: NoiseModel, shots: int,
                  seed: int,
                  checks: Sequence[ParityCheck] = (),
@@ -534,13 +718,18 @@ def sample_shots(circuit: PhysicalCircuit, noise: NoiseModel, shots: int,
     Shot i draws from its own generator, seeded by (seed, i), so its record
     does not depend on the other shots.  A shot on which no Pauli event
     fires picks its bits from the exact noiseless distribution and applies
-    its readout flips.  Every other shot starts its trajectory at the layer
-    of its first Pauli event, capped at the horizon (the first layer of the
-    trailing measurement block), from a copy of one noiseless sweep state
-    per call.  A shot whose own draw for an earlier mid-circuit measurement
-    or reset disagrees with the sweep's outcome runs from layer 0 instead.
-    The records equal those of running every trajectory from layer 0; see
-    the module docstring.
+    its readout flips.  When the guard holds (the checks are a function of
+    the Pauli frame alone), a shot whose frame breaks a check is rejected
+    without a trajectory: its check values are exact, and its bits an ideal
+    sample with the frame's flips applied.  Every other shot starts its
+    trajectory at the layer of its first Pauli event, capped at the horizon
+    (the first layer of the trailing measurement block), from a copy of one
+    noiseless sweep state per call.  A shot whose own draw for an earlier
+    mid-circuit measurement or reset disagrees with the sweep's outcome runs
+    from layer 0 instead.  Every record equals that of running its
+    trajectory from layer 0, but for the bits of frame-rejected shots; see
+    the module docstring.  The ideal distribution and the frame tables are
+    cached by the circuit's content.
 
     `inject` lists deterministic Pauli errors applied after given gate
     indices in every shot (used for fault cross-checks); an index in the
@@ -549,26 +738,24 @@ def sample_shots(circuit: PhysicalCircuit, noise: NoiseModel, shots: int,
     if shots < 0:
         raise ValueError(f"shots must be nonnegative, got {shots}")
     plan = _ShotPlan(circuit, noise.effective(), inject)
-
-    # outcome distribution of the noise-free circuit, for the (common) shots
-    # on which no Pauli event fires
-    ideal = sorted(exact_bit_distribution(circuit).items())
-    ideal_bits = [b for b, _ in ideal]
-    ideal_cum = np.cumsum([p for _, p in ideal])
+    tables = _frame_tables(circuit, plan)
+    guard = tables.guard(checks)
+    if guard is not None:
+        inject_frame = tables.inject_frame(plan.inject)
 
     records: list[ShotRecord | None] = [None] * shots
     buckets: dict[int, list[int]] = {}
     for shot in range(shots):
         rng, events = plan.draw(seed, shot)
         start = plan.start_layer(events)
-        if start is not None:
+        if start is None:
+            flips = tables.readout(events[2])
+        elif guard is None or _keeps_checks(
+                guard, flips := tables.flips(rng, events, inject_frame)):
             buckets.setdefault(start, []).append(shot)
             continue
-        pick = int(np.searchsorted(ideal_cum, rng.random()))
-        bits = list(ideal_bits[min(pick, len(ideal_bits) - 1)])
-        for si in np.flatnonzero(events[2]):
-            bits[plan.meas_clbits[si]] ^= 1
-        records[shot] = make_record(bits, checks, decode)
+        records[shot] = make_record(tables.ideal_sample(rng, flips), checks,
+                                    decode)
 
     if buckets:
         sweep = StateVector(circuit.num_qubits)

@@ -36,6 +36,12 @@ class TestSweeps:
                           sorted(base, key=lambda r: (r["k"], r["seed"]))):
             assert zr["depth_2q"] <= br["depth_2q"]
 
+    def test_regular3_densities_rejected(self):
+        with pytest.raises(ValueError, match="3-regular sweep takes no"):
+            SweepSpec(family=GraphKind.REGULAR_3, densities=(0.1, 0.2))
+        assert SweepSpec(family=GraphKind.ERDOS_RENYI,
+                         densities=(0.1, 0.2)).densities == (0.1, 0.2)
+
     def test_qaoa_bench_smoke(self):
         spec = SweepSpec(sizes=(6,), seeds=(0,), p=1, syndromes=(1,),
                          modes=("baseline", "resynth+z2"), shots=300,
@@ -191,6 +197,8 @@ class TestCli:
          "needs an even k >= 4, got 2"),
         (["bench-energy", "--family", "er", "--sizes", "6",
           "--out", "d.csv"], "density must be in [0, 1], got None"),
+        (["bench-depth", "--sizes", "6", "--densities", "0.1", "0.2",
+          "--out", "d.csv"], "a 3-regular sweep takes no densities"),
     ])
     def test_instance_arguments_rejected(self, tmp_path, capsys, monkeypatch,
                                          argv, message):

@@ -541,10 +541,15 @@ class TestGolden:
             self.PAPER_SCALE[(family, mode)]
 
     def test_baseline_ignores_coopt_flags(self):
-        g = generate_instance(GraphKind.REGULAR_3, 6, seed=3)
-        plain = compile_baseline(g, ramp_params(2), CompileConfig(
-            num_syndromes=1, gadget_set=GadgetSet.NEW))
-        flagged = compile_baseline(g, ramp_params(2), CompileConfig(
-            num_syndromes=1, gadget_set=GadgetSet.NEW, resynthesize=True,
-            use_z2=True))
-        assert write_encoded(flagged) == write_encoded(plain)
+        # z2 anchoring needs an unweighted instance, but the baseline never
+        # anchors on the bottom qubit, so a weighted one compiles too
+        r3 = generate_instance(GraphKind.REGULAR_3, 6, seed=3)
+        weighted = make_graph(6, [(u, v) for u, v, _ in r3.edges],
+                              (0.5, 1.0, 2.0) * 3)
+        for g in (r3, weighted):
+            plain = compile_baseline(g, ramp_params(2), CompileConfig(
+                num_syndromes=1, gadget_set=GadgetSet.NEW))
+            flagged = compile_baseline(g, ramp_params(2), CompileConfig(
+                num_syndromes=1, gadget_set=GadgetSet.NEW, resynthesize=True,
+                use_z2=True))
+            assert write_encoded(flagged) == write_encoded(plain)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -8,7 +9,9 @@ from icecomp.circuit import ComponentRole, GateKind, PhysicalCircuit, \
     layered_schedule
 from icecomp.compiler import CompileConfig, GadgetSet, compile_baseline, \
     compile_cooptimized
+from icecomp.bench import MODES, compile_mode
 from icecomp.faults import PauliString
+from icecomp.gadgets import ParityCheck
 from icecomp.maxcut import (GraphKind, QaoaParams, build_qaoa, cut_value,
                             generate_instance, make_graph, ramp_params)
 from icecomp.simulator import (NoiseFormatError, NoiseModel, ShotRecord,
@@ -18,7 +21,8 @@ from icecomp.simulator import (NoiseFormatError, NoiseModel, ShotRecord,
                                logical_exact_distribution, make_record,
                                post_selection_rate, postprocess_truncate,
                                read_noise, sample_shots, sample_logical_shots,
-                               total_variation, write_noise, SimulatorError)
+                               total_variation, write_noise, SimulatorError,
+                               _ShotPlan, _frame_tables)
 
 
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -227,6 +231,16 @@ class TestShots:
             {(0, 1), (1, 0)}
         assert {r.bits for r in sample_shots(circ, NoiseModel(scale=0.0), 40,
                                              0, inject=ok)} == {(0, 1), (1, 0)}
+
+    def test_circuit_changed_between_calls(self):
+        # the ideal distribution is cached by the circuit's gates, not by
+        # the (mutable) circuit object
+        circ = PhysicalCircuit(1, 1)
+        circ.x(0)
+        silent = NoiseModel(scale=0.0)
+        assert {r.bits for r in sample_shots(circ, silent, 20, 0)} == {(0,)}
+        circ.mz(0, 0)
+        assert {r.bits for r in sample_shots(circ, silent, 20, 0)} == {(1,)}
 
     def test_deeper_circuit_lower_acceptance(self):
         base = compile_baseline(self.graph, self.params, CompileConfig(
@@ -442,8 +456,22 @@ def _mid_measure_circuit():
     return c
 
 
+def _without_rejected_bits(records):
+    """The records with the bits of rejected shots left out: sample_shots
+    decides a rejected shot from its Pauli frame and draws its bits from the
+    ideal distribution, so only its check values are the trajectory's."""
+    return [r if r.accepted else dataclasses.replace(r, bits=None)
+            for r in records]
+
+
+def _frame_guard(circuit, checks):
+    plan = _ShotPlan(circuit, NoiseModel().effective(), ())
+    return _frame_tables(circuit, plan).guard(checks)
+
+
 class TestBitIdentity:
-    """Records equal (==) to a whole-trajectory replay of every shot."""
+    """Records equal (==) to a whole-trajectory replay of every shot, but
+    for the bits of shots rejected on their Pauli frame."""
 
     graph = generate_instance(GraphKind.REGULAR_3, 6, seed=2)
     params = ramp_params(1)
@@ -463,7 +491,8 @@ class TestBitIdentity:
         enc = circuits[mode]
         args = (enc.circuit, NoiseModel(scale=scale), 80, 17)
         kw = dict(checks=enc.checks, decode=enc.decode)
-        assert sample_shots(*args, **kw) == reference_sample_shots(*args, **kw)
+        assert _without_rejected_bits(sample_shots(*args, **kw)) == \
+            _without_rejected_bits(reference_sample_shots(*args, **kw))
 
     def test_injected(self, circuits):
         enc = circuits["resynth+z2"]
@@ -472,12 +501,56 @@ class TestBitIdentity:
         inject = [(mid, PauliString.from_ops([(circ.gates[mid].qubits[0], "Y")]))]
         args = (circ, NoiseModel(scale=1.0), 40, 5)
         kw = dict(checks=enc.checks, decode=enc.decode, inject=inject)
-        assert sample_shots(*args, **kw) == reference_sample_shots(*args, **kw)
+        assert _without_rejected_bits(sample_shots(*args, **kw)) == \
+            _without_rejected_bits(reference_sample_shots(*args, **kw))
 
     def test_random_mid_circuit_measurement(self):
+        # no checks: no shot is decided on its frame, and every record is
+        # the trajectory's, bits included
         circ = _mid_measure_circuit()
         args = (circ, NoiseModel(scale=40.0), 400, 3)
         assert sample_shots(*args) == reference_sample_shots(*args)
+
+    def test_rotation_flipping_a_check(self):
+        # RXX(0.4) undoes RXX(-0.4), so the check on bit 0 is deterministic;
+        # but their generator X0X1 flips it.  A Y0 between them flips bit 0
+        # on its frame, yet it also flips the second rotation's sign, and
+        # the shot keeps the check with probability sin^2(0.8).  The guard
+        # is off, and every record is the trajectory's.
+        circ = PhysicalCircuit(2, 2)
+        circ.rxx(0, 1, -0.4)
+        circ.rxx(0, 1, 0.4)
+        circ.mz(0, 0)
+        circ.mz(1, 1)
+        checks = (ParityCheck(frozenset({0})),)
+        assert _frame_guard(circ, checks) is None
+        args = (circ, NoiseModel(scale=100.0), 400, 3)
+        recs = sample_shots(*args, checks=checks)
+        assert recs == reference_sample_shots(*args, checks=checks)
+        assert 0 < post_selection_rate(recs) < 1
+
+    def test_clbit_measured_twice(self):
+        # an X on qubit 0 after the CNOT flips the first outcome, which the
+        # frame counts, but the second measurement overwrites clbit 0 and
+        # the check keeps its value.  The guard is off, and every record is
+        # the trajectory's.
+        circ = PhysicalCircuit(2, 1)
+        circ.cx(0, 1)
+        circ.mz(0, 0)
+        circ.x(0)
+        circ.mz(1, 0)
+        checks = (ParityCheck(frozenset({0})),)
+        assert _frame_guard(circ, checks) is None
+        args = (circ, NoiseModel(scale=100.0), 400, 3)
+        assert sample_shots(*args, checks=checks) == \
+            reference_sample_shots(*args, checks=checks)
+
+    @pytest.mark.parametrize("k, p, s", [(6, 1, 1), (10, 3, 2)])
+    def test_guard_holds_for_every_mode(self, k, p, s):
+        g = generate_instance(GraphKind.REGULAR_3, k, seed=0)
+        for mode in MODES:
+            enc = compile_mode(g, ramp_params(p), mode, s, 100)
+            assert _frame_guard(enc.circuit, enc.checks) is not None, mode
 
     @pytest.mark.parametrize("noise", [
         NoiseModel(scale=0.0), NoiseModel(scale=1.0), NoiseModel(scale=30.0),
@@ -505,8 +578,8 @@ class TestRecordGolden:
     say why.  VERDICTS digests the same encoded records without the bits of
     rejected shots: every verdict, check value and accepted record."""
 
-    ENCODED = ("17fa9d248046a5e0e0a57758bfbb465a"
-               "04aa56ecbf9fcf15119a470c8187847e")
+    ENCODED = ("519bf32a98a704f6eb367bcf3598ca28"
+               "e3ebb7f898387cfea843c7b7408e9f35")
     VERDICTS = ("41415e6679e2e8e57577f454a3c0e669"
                 "28b09ed4aec78dacc6522fde031fc316")
     UNENCODED = ("473488e281d68447f28d12db5c494c9c"
