@@ -21,9 +21,8 @@ F = G + H where G is the layer count so far and H the max weighted degree
 of the uncompiled-interaction graph.  A node's degree vector is filled
 once when it is created: a child carries its parent's and removes only
 what its layer scheduled, so no node re-walks every pending gate.  The
-degrees stay floats, since networkx matches all-int weights in integer
-arithmetic and breaks ties differently (613 of 9,599 all-integer matchings
-recorded from the benchmark's compiles changed).  Expansion picks up to
+degrees are floats; `matching.max_weight_matching`, a copy of networkx
+3.6.1's, matches int and float weights alike.  Expansion picks up to
 `EXPANSION_WIDTH` children by maximum-weight matching over the
 executable-gate graph, with at most one syndrome block per layer; syndrome
 internals follow the fault-tolerant pipeline templates, with the
@@ -41,14 +40,13 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Sequence
 
-import networkx as nx
-
 # layered_schedule is not called here; perfbench's tracer patches this binding
 from .circuit import (CircuitError, ComponentRole, Gate, GateKind,
                       PhysicalCircuit, layered_schedule, read_circuit,
                       two_qubit_depth, write_circuit)
 from .gadgets import (Gadget, GadgetKind, IcebergLayout, ParityCheck,
                       build_gadget, gadget_role, syndrome_lag_schedule)
+from .matching import max_weight_matching
 from .maxcut import ProblemGraph, QaoaParams, build_qaoa
 
 
@@ -470,10 +468,8 @@ class SearchNode:
     `deg` holds the weighted degrees of the uncompiled-interaction graph,
     filled once at creation by `build_uncompiled_graph`: from scratch for a
     node without a parent, else carried from the parent's minus what this
-    layer scheduled.  They stay floats: networkx's `max_weight_matching`
-    switches to integer arithmetic when every weight is an int, and on the
-    9,599 all-integer matchings recorded from the benchmark's compiles that
-    changed 613 results."""
+    layer scheduled.  They are floats; the matcher (a copy of networkx
+    3.6.1's) gives the same matching for int and float weights."""
     task: CompileTask
     progress: tuple        # per component
     g: int
@@ -715,13 +711,10 @@ def _matchings(exe: ExecutableGraph, width: int,
         avail = [p for p in pairs if p not in removed]
         if not avail:
             break
-        g = nx.Graph()
-        for p in sorted(avail, key=lambda p: tuple(sorted(p))):
-            a, b = sorted(p)
-            g.add_edge(a, b, weight=exe.weights[p])
         # every weight counts the edge's own pending gate, so it is positive
         # and a maximum-weight matching is maximal (and not empty)
-        match = nx.max_weight_matching(g, maxcardinality=False)
+        match = max_weight_matching(sorted(
+            (*sorted(p), exe.weights[p]) for p in avail))
         layer = sorted((frozenset(e) for e in match),
                        key=lambda p: (-exe.weights[p], tuple(sorted(p))))
         # each earlier layer holds its own layer[0], now in `removed`, so

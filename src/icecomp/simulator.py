@@ -384,8 +384,11 @@ def _inject_map(gates: Sequence[Gate],
                 inject: Sequence[tuple[int, PauliString]]
                 ) -> dict[int, list[PauliString]]:
     """Injected Paulis by gate index.  Each index must name a gate before
-    the trailing measurement block that is not a barrier, the places a
-    fault location can name."""
+    the trailing measurement block that is not a barrier, and each Pauli
+    must act only on that gate's qubits: the places a fault location can
+    name.  (A Pauli on another qubit would land at different points in
+    the schedule-layer order of `sample_shots` and the gate-list order of
+    `exact_bit_distribution`.)"""
     tail = _trailing_start(gates)
     out: dict[int, list[PauliString]] = {}
     for gi, pauli in inject:
@@ -394,6 +397,12 @@ def _inject_map(gates: Sequence[Gate],
                 f"cannot inject after gate {gi}: it must index a gate "
                 f"before the trailing measurements (index {tail}) that is "
                 f"not a barrier")
+        support = pauli.xmask | pauli.zmask
+        own = sum(1 << q for q in gates[gi].qubits)
+        if support & ~own:
+            raise ValueError(
+                f"cannot inject after gate {gi}: the Pauli acts on qubits "
+                f"outside the gate's {gates[gi].qubits}")
         out.setdefault(gi, []).append(pauli)
     return out
 

@@ -210,27 +210,51 @@ class TestShots:
                                 [(target, "X")]))])
         assert post_selection_rate(recs) == 0.0
 
-    @pytest.mark.parametrize("gi", [1, 3, 4, 5, -1])
-    def test_inject_outside_fault_locations_rejected(self, gi):
-        # gate 1 is a barrier, 3 and 4 are the trailing measurements, 5 and
-        # -1 index no gate; both simulators reject all of them alike
+    @staticmethod
+    def _barrier_circuit():
         circ = PhysicalCircuit(2, 2)
         circ.h(0)
         circ.barrier()
         circ.cx(0, 1)
         circ.mz(0, 0)
         circ.mz(1, 1)
+        return circ
+
+    @staticmethod
+    def _off_gate_circuit():
+        circ = PhysicalCircuit(3, 3)
+        circ.h(0)
+        circ.h(0)
+        circ.cx(1, 2)
+        for q in range(3):
+            circ.mz(q, q)
+        return circ
+
+    @pytest.mark.parametrize("circuit, gi", [
+        pytest.param("_barrier_circuit", gi, id=str(gi))
+        for gi in (1, 3, 4, 5, -1)] + [
+        # X on qubit 1 after gate 1 (an H on qubit 0): the CNOT on qubit 1
+        # comes later in the gate list but sits in the first schedule
+        # layer, so the two simulators would place the X differently
+        pytest.param("_off_gate_circuit", 1, id="off-gate-qubit")])
+    def test_inject_outside_fault_locations_rejected(self, circuit, gi):
+        # gate 1 of the barrier circuit is a barrier, 3 and 4 are the
+        # trailing measurements, 5 and -1 index no gate; both simulators
+        # reject all of them alike
+        circ = getattr(self, circuit)()
         inject = [(gi, PauliString.from_ops([(1, "X")]))]
         with pytest.raises(ValueError, match=f"inject after gate {gi}"):
             exact_bit_distribution(circ, inject=inject)
         with pytest.raises(ValueError, match=f"inject after gate {gi}"):
             sample_shots(circ, NoiseModel(scale=0.0), 4, 0, inject=inject)
-        # the same X after the CNOT is a fault location, and both agree
-        ok = [(2, PauliString.from_ops([(1, "X")]))]
-        assert set(exact_bit_distribution(circ, inject=ok)) == \
-            {(0, 1), (1, 0)}
-        assert {r.bits for r in sample_shots(circ, NoiseModel(scale=0.0), 40,
-                                             0, inject=ok)} == {(0, 1), (1, 0)}
+        if circuit == "_barrier_circuit":
+            # the same X after the CNOT is a fault location, and both agree
+            ok = [(2, PauliString.from_ops([(1, "X")]))]
+            assert set(exact_bit_distribution(circ, inject=ok)) == \
+                {(0, 1), (1, 0)}
+            assert {r.bits for r in sample_shots(
+                circ, NoiseModel(scale=0.0), 40, 0, inject=ok)} == \
+                {(0, 1), (1, 0)}
 
     def test_circuit_changed_between_calls(self):
         # the ideal distribution is cached by the circuit's gates, not by

@@ -13,8 +13,8 @@ _spec.loader.exec_module(bench_pairs)
 
 
 def test_summarize_counts_wins_by_direction():
-    specs = [{"name": "work_per_s", "better": "higher"},
-             {"name": "op_p50_ms", "better": "lower"}]
+    specs = [{"name": "work_per_s", "better": "higher", "bound": 0.25},
+             {"name": "op_p50_ms", "better": "lower", "bound": 0.25}]
     pairs = [{"workload": "compile",
               "before": {"work_per_s": b, "op_p50_ms": 10.0},
               "after": {"work_per_s": a, "op_p50_ms": m}}
@@ -27,9 +27,51 @@ def test_summarize_counts_wins_by_direction():
     assert work["before_median"] == pytest.approx(1.15)
     assert work["after_median"] == pytest.approx(2.05)
     assert work["gap_exceeds_before_iqr"]
+    assert work["after_vs_before"] == pytest.approx(2.05 / 1.15)
+    assert work["verdict"] == "within_bound"   # 3 wins of 4 is no gain
     p50 = out["metrics"]["op_p50_ms"]
     assert (p50["after_wins"], p50["ties"]) == (2, 1)
     assert p50["before_iqr"] == 0.0
+    assert p50["verdict"] == "within_bound"
+
+
+BEFORE = [10.0, 10.2, 9.8, 10.1, 9.9, 10.0, 10.3, 9.7, 10.0, 10.1]
+
+
+@pytest.mark.parametrize("better, after, bound, expected", [
+    # 9 of 10 pairs won, median gap 2.0 against a before IQR of 0.25
+    ("higher", [12.0] * 9 + [9.0], 0.25, "gain"),
+    ("lower", [8.0] * 9 + [11.0], 0.25, "gain"),
+    # 8 of 10 won: no gain, and 20% better is within a 25% bound
+    ("higher", [12.0] * 8 + [9.0] * 2, 0.25, "within_bound"),
+    # every pair won, but by less than the before IQR
+    ("higher", [b + 0.01 for b in BEFORE], 0.25, "within_bound"),
+    # the median worse by 30% against a 25% bound, in either direction
+    ("higher", [7.0] * 10, 0.25, "worse"),
+    ("lower", [13.0] * 10, 0.25, "worse"),
+    # worse by 2%, inside the 25% bound
+    ("higher", [9.8] * 10, 0.25, "within_bound"),
+    ("lower", [10.2] * 10, 0.25, "within_bound"),
+    # a before IQR of 0.25 (2.5%) is wider than a 1% bound, and the after
+    # runs do not all beat the before runs
+    ("higher", [9.95] * 10, 0.01, "unresolved"),
+    ("lower", [10.0] * 10, 0.01, "unresolved"),
+])
+def test_verdict(better, after, bound, expected):
+    assert bench_pairs.verdict(BEFORE, after, better, bound) == expected
+
+
+def test_verdict_wide_spread_resolved_when_every_run_beats():
+    # the before IQR (2.5) is wider than the bound; every after run reads
+    # better than every before run, a gain only when the median gap
+    # exceeds that IQR
+    before = [1.0, 2.0, 3.0, 4.0]
+    assert bench_pairs.verdict(before, [5.5, 5.6, 5.7, 5.8], "higher",
+                               0.1) == "gain"
+    assert bench_pairs.verdict(before, [4.1, 4.2, 4.3, 4.4], "higher",
+                               0.1) == "within_bound"
+    assert bench_pairs.verdict(before, [1.0, 2.0, 3.0, 4.0], "higher",
+                               0.1) == "unresolved"
 
 
 def test_main_records_invocation_and_benchmark_run_length(
@@ -38,7 +80,8 @@ def test_main_records_invocation_and_benchmark_run_length(
         (tmp_path / side).mkdir()
     (tmp_path / "after" / "BENCHMARK.json").write_text(json.dumps({
         "run_seconds": 7,
-        "end_to_end": [{"name": "work_per_s", "better": "higher"}]}))
+        "end_to_end": [{"name": "work_per_s", "better": "higher",
+                        "bound": 0.25}]}))
     calls = []
 
     def fake_run(root, workload, seed, seconds, out):

@@ -10,12 +10,14 @@ checkout's ``BENCHMARK.json``, the before checkout first in even pairs
 and the after checkout first in odd ones, so slow drift of the host does not
 favour one side.  Each checkout imports its own ``src/``.  The BENCH file
 keeps, per pair, the end-to-end metrics of both runs and the commands, and
-per workload and metric the medians, the before quartiles and how many pairs
-the after side won (by the direction ``BENCHMARK.json`` gives).  A pair's
-commands are recorded as run from the root of the labelled checkout, with
-the ``--out`` file named as kept under ``--runs-dir``.  ``tool_commands``
-keeps each invocation of this tool word for word, so give it paths relative
-to where it runs.  ``--append`` adds pairs to an existing BENCH file.
+per workload and metric the medians and their ratio, the before quartiles,
+how many pairs the after side won (by the direction ``BENCHMARK.json``
+gives) and a verdict against the metric's ``bound`` (see `verdict`).  A
+pair's commands are recorded as run from the root of the labelled checkout,
+with the ``--out`` file named as kept under ``--runs-dir``.
+``tool_commands`` keeps each invocation of this tool word for word, so give
+it paths relative to where it runs.  ``--append`` adds pairs to an existing
+BENCH file.
 """
 
 from __future__ import annotations
@@ -46,8 +48,44 @@ def _run(root: Path, workload: str, seed: int, seconds: float,
     return " ".join(["python3", *args, out.name]), metrics
 
 
+def _iqr(xs: list[float]) -> float:
+    q1, _, q3 = statistics.quantiles(xs, n=4) if len(xs) > 1 else (xs[0],) * 3
+    return q3 - q1
+
+
+def _wins(before: list[float], after: list[float], sign: int) -> int:
+    return sum(sign * (a - b) > 0 for a, b in zip(after, before))
+
+
+def verdict(before: list[float], after: list[float], better: str,
+            bound: float) -> str:
+    """One metric's verdict over paired runs, `bound` a fraction of the
+    before median:
+
+    * ``gain``: the after side wins at least 9 of 10 pairs (ties count for
+      neither) and its median is better by more than the before IQR;
+    * ``worse``: the after median is worse by more than the bound;
+    * ``unresolved``: the before IQR is wider than the bound, and not every
+      after run is better than every before run;
+    * ``within_bound``: anything else.
+    """
+    sign = 1 if better == "higher" else -1
+    med_b, med_a = statistics.median(before), statistics.median(after)
+    gap = sign * (med_a - med_b)   # > 0: the after median is better
+    if 10 * _wins(before, after, sign) >= 9 * len(before) and \
+            gap > _iqr(before):
+        return "gain"
+    if gap < -bound * abs(med_b):
+        return "worse"
+    all_better = min(sign * a for a in after) > max(sign * b for b in before)
+    if _iqr(before) > bound * abs(med_b) and not all_better:
+        return "unresolved"
+    return "within_bound"
+
+
 def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
-    """Per workload and metric: medians, before quartiles, after wins."""
+    """Per workload and metric: medians and their ratio, before quartiles,
+    after wins and the verdict against the metric's bound."""
     out: dict = {}
     for workload in sorted({p["workload"] for p in pairs}):
         rows = [p for p in pairs if p["workload"] == workload]
@@ -57,18 +95,17 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
             before = [p["before"][name] for p in rows]
             after = [p["after"][name] for p in rows]
             sign = 1 if spec["better"] == "higher" else -1
-            q1, _, q3 = (statistics.quantiles(before, n=4)
-                         if len(before) > 1 else (before[0],) * 3)
+            med_b, med_a = statistics.median(before), statistics.median(after)
             per_metric[name] = {
-                "before_median": statistics.median(before),
-                "after_median": statistics.median(after),
-                "before_iqr": q3 - q1,
-                "after_wins": sum(sign * (a - b) > 0
-                                  for a, b in zip(after, before)),
+                "before_median": med_b,
+                "after_median": med_a,
+                "after_vs_before": med_a / med_b if med_b else None,
+                "before_iqr": _iqr(before),
+                "after_wins": _wins(before, after, sign),
                 "ties": sum(a == b for a, b in zip(after, before)),
-                "gap_exceeds_before_iqr":
-                    abs(statistics.median(after) - statistics.median(before))
-                    > q3 - q1,
+                "gap_exceeds_before_iqr": abs(med_a - med_b) > _iqr(before),
+                "verdict": verdict(before, after, spec["better"],
+                                   spec["bound"]),
             }
         out[workload] = {"pairs": len(rows), "metrics": per_metric}
     return out
