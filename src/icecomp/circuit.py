@@ -201,11 +201,14 @@ def layered_schedule(circuit: PhysicalCircuit) -> LayerSchedule:
     Each gate goes to the earliest layer after every previous gate that
     shares one of its qubits, after any barrier fence covering those qubits,
     and therefore (given a component-ordered gate list, which validate()
-    enforces) after its cross-component dependencies.  Gates within one
-    layer share no qubit.
+    enforces) after its cross-component dependencies.  A measurement also
+    goes after every previous measurement into its clbit, so the last write
+    in the gate list is the last one run.  Gates within one layer share no
+    qubit.
     """
     circuit.validate()
     frontier = [0] * circuit.num_qubits   # next free layer per qubit, 1-based
+    written: dict[int, int] = {}          # the same per clbit
     layers: list[list[int]] = []
     has_2q: list[bool] = []
     gate_layer: dict[int, int] = {}
@@ -217,6 +220,9 @@ def layered_schedule(circuit: PhysicalCircuit) -> LayerSchedule:
                 frontier[q] = fence
             continue
         layer = max(frontier[q] for q in g.qubits) if g.qubits else 0
+        if g.clbit is not None:
+            layer = max(layer, written.get(g.clbit, 0))
+            written[g.clbit] = layer + 1
         while len(layers) <= layer:
             layers.append([])
             has_2q.append(False)

@@ -15,9 +15,10 @@ import random
 import sys
 import time
 
-from .bench import (SweepSpec, default_outdir, emit_plotdata, read_rows,
-                    run_depth_sweep, run_energy_bench, run_qaoa_bench,
-                    write_manifest, write_rows)
+from .bench import (FIGURES, SweepSpec, default_outdir, emit_plotdata,
+                    mode_config, read_rows, run_depth_sweep,
+                    run_energy_bench, run_qaoa_bench, write_manifest,
+                    write_rows)
 from .compiler import (CompileConfig, GadgetSet, compile_baseline,
                        compile_cooptimized, read_encoded, write_encoded)
 from .faults import check_gadget_ft, context_for_gadget, fault_reports
@@ -85,6 +86,10 @@ def cmd_compile(args) -> int:
         resynthesize=args.resynth,
         queue_cap=args.queue_cap,
     )
+    try:
+        cfg.check(graph)
+    except ValueError as exc:       # a k or flag this compile cannot take
+        return _fail("compile", exc)
     t0 = time.perf_counter()
     if args.mode == "baseline":
         enc = compile_baseline(graph, params, cfg)
@@ -198,12 +203,17 @@ def _spec_from_args(args) -> SweepSpec:
 
 def _run_bench(args, runner, name) -> int:
     try:
-        # reject every size and density the family cannot take before the
-        # first compile
+        # reject every instance the family cannot generate, and every
+        # compile the compiler would reject, before the first compile
         spec = _spec_from_args(args)
-        for k in spec.sizes:
-            for d in spec.densities or (None,):
-                generate_instance(spec.family, k, density=d)
+        for k, _, _, graph in spec.instances():
+            for mode in spec.modes:
+                for s in spec.syndromes:
+                    try:
+                        mode_config(mode, s, spec.queue_cap).check(graph)
+                    except ValueError as exc:
+                        raise ValueError(f"k={k}, {mode}, s={s}: {exc}") \
+                            from None
     except ValueError as exc:
         return _fail(args.command, exc)
     if name == "energy":
@@ -321,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     r = sub.add_parser("report", help="emit tidy plot data from a bench CSV")
     r.add_argument("--csv", required=True)
-    r.add_argument("--figure", required=True)
+    r.add_argument("--figure", required=True, choices=sorted(FIGURES))
     r.add_argument("--out")
     r.set_defaults(func=cmd_report)
     return ap

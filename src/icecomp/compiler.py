@@ -13,7 +13,10 @@ of every rotation and fixed gadget gate once, anchors included: one
 qubit tuple per phase or gadget gate, one per anchor a mixer may use.
 Scheduling, the heuristic and emission read qubits only from it.  The
 baseline splices each gadget between full-width barriers and
-list-schedules each run of algorithmic components between them.
+list-schedules each run of algorithmic components between them
+(`_schedule_chunk`).  That scheduler keeps a readiness index, per qubit
+the lowest component still touching it, and running per-qubit totals of
+the pending gates, so no layer re-walks the earlier or later components.
 
 The co-compiler searches over circuit states: each node is a prefix of
 scheduled layers plus per-component progress cursors.  Nodes are ranked by
@@ -24,7 +27,12 @@ what its layer scheduled, so no node re-walks every pending gate.  The
 degrees are floats; `matching.max_weight_matching`, a copy of networkx
 3.6.1's, matches int and float weights alike.  Expansion picks up to
 `EXPANSION_WIDTH` children by maximum-weight matching over the
-executable-gate graph, with at most one syndrome block per layer; syndrome
+executable-gate graph, with at most one syndrome block per layer.  A
+child shares its parent's progress frozenset of every component its layer
+did not touch, so `_GateComp.reserved` keeps, per progress seen, the
+qubits the component reserves: the executable graph walks them only for
+the components the layer changed, and skips a component whose qubits
+are all reserved already.  Syndrome
 internals follow the fault-tolerant pipeline templates, with the
 pair-to-slot binding chosen during the search when resynthesis is enabled.
 """
@@ -87,6 +95,14 @@ class CompileConfig:
         if self.use_z2 and not graph.unweighted:
             raise CompileError("Z2 mixer anchoring needs an unweighted instance")
 
+    def check(self, graph: ProblemGraph) -> IcebergLayout:
+        """The code layout of `graph` after every check a compile makes
+        before its first gate: an even k (`IcebergLayout`), then
+        `validate`.  Raises GadgetError or CompileError (both ValueError)."""
+        layout = IcebergLayout(graph.num_vertices)
+        self.validate(layout, graph)
+        return layout
+
 
 @dataclass
 class EncodedCircuit:
@@ -146,28 +162,38 @@ def _schedule_chunk(chunk: list[_GateComp]) -> list[tuple[_GateComp, int]]:
 
     The mixer chain on the top qubit is the critical path, so every layer
     schedules a ready mixer when one exists, then fills the remaining
-    qubits with ready phase gates, heaviest remaining degree first."""
+    qubits with ready phase gates, heaviest remaining degree first.
+
+    A gate is ready once no earlier component of the chunk still touches
+    its qubits: `first[q]` is the lowest component that does, advanced when
+    that component's last gate on q is placed.  A ready gate has no earlier
+    pending gate on its qubits, so the load of the later components on q
+    is the running total `pending[q]` less the component's own count."""
     remaining: list[set[int]] = [set(range(len(c.qubits))) for c in chunk]
     # per component and qubit: how many of its gates still touch the qubit
     touch: list[dict[int, int]] = []
-    for comp in chunk:
+    pending: dict[int, int] = {}
+    first: dict[int, int] = {}
+    for ci, comp in enumerate(chunk):
         tc: dict[int, int] = {}
         for options in comp.qubits:
             for q in options[0]:
                 tc[q] = tc.get(q, 0) + 1
+                pending[q] = pending.get(q, 0) + 1
+                first.setdefault(q, ci)
         touch.append(tc)
-
-    def ready(ci: int, qs: tuple[int, ...]) -> bool:
-        return all(
-            all(touch[cj].get(q, 0) == 0 for q in qs)
-            for cj in range(ci)
-        )
 
     def place(ci: int, gi: int) -> None:
         remaining[ci].discard(gi)
         for q in chunk[ci].qubits[gi][0]:
             touch[ci][q] -= 1
+            pending[q] -= 1
             busy.add(q)
+            if not touch[ci][q]:
+                cj = ci + 1
+                while cj < len(chunk) and not touch[cj].get(q, 0):
+                    cj += 1
+                first[q] = cj
         out.append((chunk[ci], gi))
 
     out: list[tuple[_GateComp, int]] = []
@@ -181,12 +207,10 @@ def _schedule_chunk(chunk: list[_GateComp]) -> list[tuple[_GateComp, int]]:
                 continue
             best = None
             for gi in sorted(remaining[ci]):
-                qs = comp.qubits[gi][0]
-                if not ready(ci, qs):
+                t, q = comp.qubits[gi][0]
+                if first[t] < ci or first[q] < ci:
                     continue
-                q = qs[1]
-                load = sum(touch[cj].get(q, 0)
-                           for cj in range(ci + 1, len(chunk)))
+                load = pending[q] - touch[ci][q]
                 cand = (-load, q, gi)
                 if best is None or cand < best:
                     best = cand
@@ -200,10 +224,10 @@ def _schedule_chunk(chunk: list[_GateComp]) -> list[tuple[_GateComp, int]]:
                 continue
             cands = []
             for gi in sorted(remaining[ci]):
-                a, b = qs = comp.qubits[gi][0]
-                if a in busy or b in busy or not ready(ci, qs):
+                a, b = comp.qubits[gi][0]
+                if a in busy or b in busy or first[a] < ci or first[b] < ci:
                     continue
-                w = touch[ci].get(a, 0) + touch[ci].get(b, 0)
+                w = touch[ci][a] + touch[ci][b]
                 cands.append((-w, a, b, gi))
             for _, a, b, gi in sorted(cands):
                 if a not in busy and b not in busy:
@@ -335,6 +359,19 @@ class _GateComp:
     gates: list = field(default_factory=list)   # PhaseGate or MixerGate
     gadget: Gadget | None = None    # a fragment; gate i is its i-th 2Q gate
     clbit_offset: int = 0
+    # progress -> reserved(progress); a child shares its parent's progress
+    # of every component its layer did not touch
+    _reserved: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)
+
+    def reserved(self, prog: frozenset[int]) -> tuple[int, ...]:
+        """Every qubit the pending gates `prog` may still touch (a tuple
+        keeps the cache small)."""
+        out = self._reserved.get(prog)
+        if out is None:
+            out = self._reserved[prog] = tuple(
+                {q for i in prog for qs in self.qubits[i] for q in qs})
+        return out
 
 
 @dataclass
@@ -396,8 +433,7 @@ def _build_task(graph: ProblemGraph, params: QaoaParams,
     A component's position is its component id; the final measurement
     takes the next one.  The plan fixes every gate's qubits, and with
     them the mixer anchors."""
-    layout = IcebergLayout(graph.num_vertices)
-    cfg.validate(layout, graph)
+    layout = cfg.check(graph)
     init_kind, syn_kind, final_kind = _gadget_kinds(cfg.gadget_set)
     lc = build_qaoa(graph, params)
     s = cfg.num_syndromes
@@ -561,6 +597,7 @@ def build_uncompiled_graph(node: SearchNode) -> dict[int, float]:
     task = node.task
     parent = node.parent
     components = task.components
+    n = task.layout.n
 
     def add(pos: int, prog, sign: int) -> None:
         nonlocal anc
@@ -580,10 +617,15 @@ def build_uncompiled_graph(node: SearchNode) -> dict[int, float]:
         reload: set[int] = set()
         for item in node.layer_items:
             # a phase or fragment load is a sum over gates, so a scheduled
-            # gate takes away its own; re-loading a whole phase layer
-            # instead costs 3.5x the heuristic time on the benchmark
+            # gate takes away its own, one per qubit (the ancilla count for
+            # an ancilla); re-loading a whole phase layer instead costs 3.5x
+            # the heuristic time on the benchmark
             if item[0] in ("phase", "frag"):
-                add(item[1], (item[2],), -1)
+                for q in item[3]:
+                    if q < n:
+                        deg[q] -= 1
+                    else:
+                        anc -= 1
             else:
                 reload.add(item[1])
         for pos in reload:
@@ -631,16 +673,18 @@ def build_executable_graph(node: SearchNode) -> ExecutableGraph:
     task = node.task
     layout = task.layout
     deg = node.deg
-
+    anc = deg[-1]      # an ancilla's weight: the merged-ancilla vertex's
     free: set[int] = set(range(layout.num_qubits))
     edges: dict[frozenset[int], tuple] = {}
+    weights: dict[frozenset[int], float] = {}
     forced: list[tuple] = []
     forced_qubits: set[int] = set()
 
-    def weight(a: int, b: int) -> float:
-        wa = deg.get(a, deg[-1] if a >= layout.n else 0.0)
-        wb = deg.get(b, deg[-1] if b >= layout.n else 0.0)
-        return wa + wb
+    def add_edge(qs: tuple[int, int], payload: tuple) -> None:
+        pair = frozenset(qs)
+        if pair not in edges:
+            edges[pair] = payload
+            weights[pair] = deg.get(qs[0], anc) + deg.get(qs[1], anc)
 
     for comp, prog in zip(task.components, node.progress):
         if not free:
@@ -648,6 +692,9 @@ def build_executable_graph(node: SearchNode) -> ExecutableGraph:
         if _is_done(comp, prog):
             continue
         if isinstance(comp, _GateComp):
+            reserved = comp.reserved(prog)
+            if free.isdisjoint(reserved):
+                continue    # every qubit it may touch is reserved already
             kind = _PAYLOAD.get(comp.role, "frag")
             qubits, preds = comp.qubits, comp.preds
             for i in sorted(prog):
@@ -656,12 +703,9 @@ def build_executable_graph(node: SearchNode) -> ExecutableGraph:
                     continue
                 for qs in qubits[i]:
                     if free.issuperset(qs):
-                        pair = frozenset(qs)
-                        if pair not in edges:
-                            edges[pair] = (kind, comp.pos, i, qs)
+                        add_edge(qs, (kind, comp.pos, i, qs))
             # reserve every qubit the unfinished component may still touch
-            free.difference_update(*itertools.chain.from_iterable(
-                map(qubits.__getitem__, prog)))
+            free.difference_update(reserved)
         else:
             stage, bindings = prog
             slot_q = comp.slot_qubits(bindings)
@@ -676,9 +720,7 @@ def build_executable_graph(node: SearchNode) -> ExecutableGraph:
                 )
                 if len(eligible) >= 2:
                     u, v = eligible[0], eligible[1]
-                    pair = frozenset((u, v))
-                    if pair not in edges:
-                        edges[pair] = ("bind", comp.pos, (u, v))
+                    add_edge((u, v), ("bind", comp.pos, (u, v)))
             else:
                 xs, zs = comp.schedule[stage]
                 qx, qz = slot_q[xs], slot_q[zs]
@@ -694,7 +736,6 @@ def build_executable_graph(node: SearchNode) -> ExecutableGraph:
                     free.discard(q)
             free.discard(ax)
             free.discard(az)
-    weights = {pair: weight(*sorted(pair)) for pair in edges}
     return ExecutableGraph(edges, weights, forced, frozenset(forced_qubits))
 
 
@@ -702,25 +743,25 @@ def build_executable_graph(node: SearchNode) -> ExecutableGraph:
 
 def _matchings(exe: ExecutableGraph, width: int,
                forced_qubits: frozenset[int]) -> list[list[frozenset[int]]]:
-    pairs = [p for p in exe.edges if not (p & forced_qubits)]
-    if not pairs:
+    # the matcher's input, sorted once: each layer's graph is this list
+    # without the pairs earlier layers removed
+    avail = sorted((*sorted(p), exe.weights[p]) for p in exe.edges
+                   if not (p & forced_qubits))
+    if not avail:
         return [[]]
     out: list[list[frozenset[int]]] = []
-    removed: set[frozenset[int]] = set()
     for _ in range(width):
-        avail = [p for p in pairs if p not in removed]
         if not avail:
             break
         # every weight counts the edge's own pending gate, so it is positive
         # and a maximum-weight matching is maximal (and not empty)
-        match = max_weight_matching(sorted(
-            (*sorted(p), exe.weights[p]) for p in avail))
+        match = max_weight_matching(avail)
         layer = sorted((frozenset(e) for e in match),
                        key=lambda p: (-exe.weights[p], tuple(sorted(p))))
-        # each earlier layer holds its own layer[0], now in `removed`, so
-        # this layer differs from all of them
+        # each earlier layer holds its own layer[0], now removed, so this
+        # layer differs from all of them
         out.append(layer)
-        removed.add(layer[0])
+        avail.remove((*sorted(layer[0]), exe.weights[layer[0]]))
     return out
 
 

@@ -24,7 +24,9 @@ so every per-vertex and per-blossom map is a list indexed by that number
 (networkx keys dicts by vertex and by blossom object).  `blossomdual`
 stays a dict of the live blossoms in creation order.  Each neighbour entry
 holds the doubled edge weight, and the zero-slack edges are kept per
-vertex.  Slacks and deltas keep networkx's doubled scale.
+vertex.  Slacks and deltas keep networkx's doubled scale.  The scan loop's
+two least-slack comparisons and the delta2 scan compute `slack` inline,
+with the same operations in the same order; every other caller calls it.
 """
 
 from __future__ import annotations
@@ -413,13 +415,15 @@ def max_weight_matching(edges: Iterable[tuple[int, int, float]]
                             labeledge[w] = (v, w)
                     elif label[bw] == 1:
                         # least-slack edge to a different S-blossom
-                        if bestedge[bv] is None or \
-                                kslack < slack(*bestedge[bv]):
+                        e = bestedge[bv]
+                        if e is None or kslack < (dualvar[e[0]] + dualvar[e[1]]
+                                                  - nbrs[e[0]][e[1]]):
                             bestedge[bv] = (v, w)
                     elif label[w] is None:
                         # least-slack edge reaching free (or unreached) w
-                        if bestedge[w] is None or \
-                                kslack < slack(*bestedge[w]):
+                        e = bestedge[w]
+                        if e is None or kslack < (dualvar[e[0]] + dualvar[e[1]]
+                                                  - nbrs[e[0]][e[1]]):
                             bestedge[w] = (v, w)
 
             if augmented:
@@ -431,12 +435,13 @@ def max_weight_matching(edges: Iterable[tuple[int, int, float]]
             deltaedge = deltablossom = None
             # delta2: least slack of an edge from an S-vertex to a free one
             for v in range(n):
-                if label[inblossom[v]] is None and bestedge[v] is not None:
-                    d = slack(*bestedge[v])
+                e = bestedge[v]
+                if label[inblossom[v]] is None and e is not None:
+                    d = dualvar[e[0]] + dualvar[e[1]] - nbrs[e[0]][e[1]]
                     if d < delta:
                         delta = d
                         deltatype = 2
-                        deltaedge = bestedge[v]
+                        deltaedge = e
             # delta3: half the least slack of an edge between S-blossoms
             for bs in (range(n), blossomdual):
                 for b in bs:

@@ -13,7 +13,8 @@ flips with probability p_meas.  All rates scale with a global multiplier.
 Sampling.  Shot i draws everything from its own generator, seeded by
 (seed, i).  An encoded shot first draws whether each noise site fires.  A
 shot on which no Pauli fires picks its bits from the exact noiseless
-distribution (exact_bit_distribution) and applies its readout flips.  Up
+distribution (exact_bit_distribution) and applies its readout flips; a
+clbit measured twice keeps its last write, and that measurement's flip.  Up
 to its first Pauli event any other shot runs the noiseless circuit, so
 sample_shots advances one noiseless sweep state layer by layer, and a shot
 starts its trajectory from a copy of the sweep at the layer of its first
@@ -582,6 +583,9 @@ class _FrameTables:
         self.ideal_bits = [b for b, _ in ideal]
         self.ideal_cum = np.cumsum([p for _, p in ideal])
         self.meas_clbits = list(plan.meas_clbits)
+        last = {c: si for si, c in enumerate(self.meas_clbits)}
+        self.readout_flips = [1 << c if last[c] == si else 0
+                              for si, c in enumerate(self.meas_clbits)]
 
         sweep = _Sweep(circuit)
         self.cl, self.clmask = sweep.cl, sweep.clbits
@@ -681,9 +685,11 @@ class _FrameTables:
         return ((frame >> self.cl) & self.clmask) ^ self.readout(em)
 
     def readout(self, em) -> int:
+        """The clbit flips of a shot's readout events `em`, one per
+        measurement; the flip of an overwritten measurement is lost."""
         out = 0
         for si in np.flatnonzero(em):
-            out ^= 1 << self.meas_clbits[si]
+            out ^= self.readout_flips[si]
         return out
 
     def ideal_sample(self, rng: np.random.Generator, flips: int) -> list[int]:
@@ -864,11 +870,11 @@ def exact_bit_distribution(circuit: PhysicalCircuit,
         probs = state.probabilities()
         idx = np.arange(len(probs))
         sig = np.zeros(len(probs), dtype=np.int64)
-        positions: dict[int, int] = {}
-        for g in tail:
-            pos = positions.setdefault(g.clbit, len(positions))
-            sig |= (((idx >> g.qubits[0]) & 1) << pos).astype(np.int64)
-        order = sorted(positions, key=positions.get)
+        # clbit -> the qubit of its last measurement: the last write wins
+        last = {g.clbit: g.qubits[0] for g in tail}
+        for pos, q in enumerate(last.values()):
+            sig |= (((idx >> q) & 1) << pos).astype(np.int64)
+        order = list(last)
         mass = np.bincount(sig, weights=probs, minlength=1)
         for s, pm in enumerate(mass):
             if pm <= 1e-15:

@@ -10,7 +10,7 @@ from icecomp.bench import (REPORT_COLUMNS, SweepSpec, emit_plotdata,
 from icecomp.cli import main
 from icecomp.faults import enumerate_fault_locations
 from icecomp.gadgets import GadgetKind, build_gadget
-from icecomp.maxcut import GraphKind
+from icecomp.maxcut import GraphKind, make_graph, write_graph
 from icecomp.simulator import NoiseModel
 
 
@@ -211,6 +211,58 @@ class TestCli:
         assert err.startswith(f"icecomp {argv[0]}: error: ")
         assert message in err and err.count("\n") == 1
         assert not os.listdir(tmp_path)
+
+    @pytest.mark.parametrize("graph, flags, message", [
+        # an odd k, as `gen --kind er --k 5` writes
+        (make_graph(5, [(0, 1), (1, 2), (3, 4)]), [],
+         "k must be even"),
+        # NEW syndromes need k+2 divisible by 4
+        (make_graph(16, [(i, i + 1) for i in range(15)]),
+         ["--syndromes", "1"], "k+2 divisible by 4"),
+        (make_graph(6, [(0, 1), (2, 3)], weights=[2.0, 1.0]),
+         ["--z2", "--resynth"], "needs an unweighted instance"),
+    ])
+    def test_compile_config_rejected(self, tmp_path, capsys, monkeypatch,
+                                     graph, flags, message):
+        def no_compile(*args, **kwargs):
+            raise AssertionError("compiled before rejecting the config")
+
+        monkeypatch.setattr("icecomp.cli.compile_baseline", no_compile)
+        monkeypatch.setattr("icecomp.cli.compile_cooptimized", no_compile)
+        path = tmp_path / "g.txt"
+        path.write_text(write_graph(graph))
+        out = tmp_path / "out"
+        assert main(["--out-dir", str(out), "compile", "--graph", str(path),
+                     *flags, "--out", "c.txt", "--report", "r.csv"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("icecomp compile: error: ")
+        assert message in err and err.count("\n") == 1
+        assert not os.listdir(out)
+
+    @pytest.mark.parametrize("command", ["bench-depth", "bench-qaoa",
+                                         "bench-energy"])
+    def test_bench_config_rejected(self, tmp_path, capsys, monkeypatch,
+                                   command):
+        # k=6 compiles, but k=8 cannot take a NEW syndrome: nothing runs
+        def no_compile(*args, **kwargs):
+            raise AssertionError("compiled before rejecting the config")
+
+        monkeypatch.setattr("icecomp.bench.compile_mode", no_compile)
+        assert main(["--out-dir", str(tmp_path), command, "--sizes", "6",
+                     "8", "--syndromes", "1", "--out", "d.csv"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"icecomp {command}: error: k=8, resynth, "
+                              "s=1: new syndrome gadget needs k+2")
+        assert err.count("\n") == 1
+        assert not os.listdir(tmp_path)
+
+    def test_report_unknown_figure(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--out-dir", str(tmp_path), "report", "--csv", "d.csv",
+                  "--figure", "nope"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'nope'" in err and "depth-vs-k" in err
 
     @pytest.mark.parametrize("gadget, k", [("init_new", 3),
                                            ("syndrome_new", 4)])

@@ -1,18 +1,23 @@
 import hashlib
+import itertools
+import random
 
 import pytest
 
 from icecomp import compiler
 from icecomp.circuit import (CircuitError, ComponentRole, GateKind,
                              two_qubit_depth)
-from icecomp.compiler import (EXPANSION_WIDTH, CompileConfig, CompileError,
-                              GadgetSet, SearchNode, _build_task, _matchings,
+from icecomp.compiler import (_PAYLOAD, EXPANSION_WIDTH, CompileConfig,
+                              CompileError, ExecutableGraph, GadgetSet,
+                              SearchNode, _build_task, _GateComp, _is_done,
+                              _matchings, _schedule_chunk,
                               build_executable_graph,
                               build_uncompiled_graph, compile_baseline,
                               compile_cooptimized, expand, heuristic_cost,
                               is_goal, predetermine_init_order, read_encoded,
                               source_node, syndrome_insertion_points,
                               write_encoded)
+from icecomp.matching import max_weight_matching
 from icecomp.maxcut import (GraphKind, QaoaParams, build_qaoa,
                             generate_instance, make_graph, ramp_params)
 
@@ -182,6 +187,41 @@ class TestCooptimized:
         assert enc.meta["twoq_gates"] == (6 + 3) + (2 * 6 + 4) + (6 + 3)
 
 
+# width-3 searches with queue_cap 40, each running out of budget and
+# finishing with a greedy rollout
+SEARCH_CASES = [
+    (GraphKind.REGULAR_3, 6, None, 2, 1, GadgetSet.NEW, False, False),
+    (GraphKind.REGULAR_3, 10, None, 3, 2, GadgetSet.NEW, True, False),
+    (GraphKind.REGULAR_3, 6, None, 2, 1, GadgetSet.NEW, True, True),
+    (GraphKind.REGULAR_3, 6, None, 3, 1, GadgetSet.OLD, True, False),
+    (GraphKind.ERDOS_RENYI, 6, 0.8, 2, 1, GadgetSet.NEW, True, True),
+    (GraphKind.ERDOS_RENYI, 10, 0.5, 3, 1, GadgetSet.NEW, False, False),
+    (GraphKind.ERDOS_RENYI, 10, 0.5, 3, 2, GadgetSet.NEW, True, True),
+    (GraphKind.ERDOS_RENYI, 10, 0.8, 2, 1, GadgetSet.NEW, True, False),
+    (GraphKind.ERDOS_RENYI, 10, 0.8, 2, 2, GadgetSet.OLD, False, False),
+]
+
+
+def _created_nodes(monkeypatch, kind, k, density, p, s, gs, resynth, z2):
+    """Every node `_apply_layer` creates in one SEARCH_CASES compile."""
+    created = []
+    apply_layer = compiler._apply_layer
+
+    def recording(node, items):
+        child = apply_layer(node, items)
+        created.append(child)
+        return child
+
+    monkeypatch.setattr(compiler, "_apply_layer", recording)
+    g = generate_instance(kind, k, density=density, seed=0)
+    enc = compile_cooptimized(g, ramp_params(p), CompileConfig(
+        num_syndromes=s, gadget_set=gs, resynthesize=resynth, use_z2=z2,
+        queue_cap=40))
+    assert enc.meta["budget_exhausted"]
+    assert len(created) > 40
+    return created
+
+
 class TestHeuristic:
     def test_goal_is_zero(self):
         g = star6()
@@ -255,36 +295,14 @@ class TestHeuristic:
             assert node.h <= prev
             prev = node.h
 
-    @pytest.mark.parametrize("kind, k, density, p, s, gs, resynth, z2", [
-        (GraphKind.REGULAR_3, 6, None, 2, 1, GadgetSet.NEW, False, False),
-        (GraphKind.REGULAR_3, 10, None, 3, 2, GadgetSet.NEW, True, False),
-        (GraphKind.REGULAR_3, 6, None, 2, 1, GadgetSet.NEW, True, True),
-        (GraphKind.REGULAR_3, 6, None, 3, 1, GadgetSet.OLD, True, False),
-        (GraphKind.ERDOS_RENYI, 6, 0.8, 2, 1, GadgetSet.NEW, True, True),
-        (GraphKind.ERDOS_RENYI, 10, 0.5, 3, 1, GadgetSet.NEW, False, False),
-        (GraphKind.ERDOS_RENYI, 10, 0.5, 3, 2, GadgetSet.NEW, True, True),
-        (GraphKind.ERDOS_RENYI, 10, 0.8, 2, 1, GadgetSet.NEW, True, False),
-        (GraphKind.ERDOS_RENYI, 10, 0.8, 2, 2, GadgetSet.OLD, False, False),
-    ])
+    @pytest.mark.parametrize("kind, k, density, p, s, gs, resynth, z2",
+                             SEARCH_CASES)
     def test_carried_degrees_match_scratch(self, monkeypatch, kind, k,
                                            density, p, s, gs, resynth, z2):
         # every node of a width-3 search and of the greedy rollout after it
         # carries the degrees a parentless node computes from scratch
-        created = []
-        apply_layer = compiler._apply_layer
-
-        def recording(node, items):
-            child = apply_layer(node, items)
-            created.append(child)
-            return child
-
-        monkeypatch.setattr(compiler, "_apply_layer", recording)
-        g = generate_instance(kind, k, density=density, seed=0)
-        enc = compile_cooptimized(g, ramp_params(p), CompileConfig(
-            num_syndromes=s, gadget_set=gs, resynthesize=resynth, use_z2=z2,
-            queue_cap=40))
-        assert enc.meta["budget_exhausted"]
-        assert len(created) > 40
+        created = _created_nodes(monkeypatch, kind, k, density, p, s, gs,
+                                 resynth, z2)
         for node in created:
             scratch = SearchNode(node.task, node.progress, 0, 0, None, ())
             assert node.deg == build_uncompiled_graph(scratch)
@@ -553,3 +571,254 @@ class TestGolden:
                 num_syndromes=1, gadget_set=GadgetSet.NEW, resynthesize=True,
                 use_z2=True))
             assert write_encoded(flagged) == write_encoded(plain)
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the scheduler, executable graph and matchings as they were before
+# the readiness index, the reused reservations and the once-sorted matcher
+# input, kept word for word but for their names.  Every output of the
+# compiler's versions must equal theirs.
+# ---------------------------------------------------------------------------
+
+def reference_schedule_chunk(chunk: list[_GateComp]) -> list[tuple[_GateComp, int]]:
+    """List-schedule one algorithmic chunk (phase/mixer components between
+    two gadget fences) and return (component, gate index) in layer order.
+    Every gate runs on its first qubit option, so mixers anchor on top.
+
+    The mixer chain on the top qubit is the critical path, so every layer
+    schedules a ready mixer when one exists, then fills the remaining
+    qubits with ready phase gates, heaviest remaining degree first."""
+    remaining: list[set[int]] = [set(range(len(c.qubits))) for c in chunk]
+    # per component and qubit: how many of its gates still touch the qubit
+    touch: list[dict[int, int]] = []
+    for comp in chunk:
+        tc: dict[int, int] = {}
+        for options in comp.qubits:
+            for q in options[0]:
+                tc[q] = tc.get(q, 0) + 1
+        touch.append(tc)
+
+    def ready(ci: int, qs: tuple[int, ...]) -> bool:
+        return all(
+            all(touch[cj].get(q, 0) == 0 for q in qs)
+            for cj in range(ci)
+        )
+
+    def place(ci: int, gi: int) -> None:
+        remaining[ci].discard(gi)
+        for q in chunk[ci].qubits[gi][0]:
+            touch[ci][q] -= 1
+            busy.add(q)
+        out.append((chunk[ci], gi))
+
+    out: list[tuple[_GateComp, int]] = []
+    total = sum(len(r) for r in remaining)
+    while total:
+        busy: set[int] = set()
+        placed = 0
+        # one mixer per layer keeps the top-qubit chain moving
+        for ci, comp in enumerate(chunk):
+            if comp.role is not ComponentRole.MIXER_LAYER:
+                continue
+            best = None
+            for gi in sorted(remaining[ci]):
+                qs = comp.qubits[gi][0]
+                if not ready(ci, qs):
+                    continue
+                q = qs[1]
+                load = sum(touch[cj].get(q, 0)
+                           for cj in range(ci + 1, len(chunk)))
+                cand = (-load, q, gi)
+                if best is None or cand < best:
+                    best = cand
+            if best is not None:
+                place(ci, best[2])
+                placed += 1
+                break
+        # fill with phase gates
+        for ci, comp in enumerate(chunk):
+            if comp.role is not ComponentRole.PHASE_LAYER:
+                continue
+            cands = []
+            for gi in sorted(remaining[ci]):
+                a, b = qs = comp.qubits[gi][0]
+                if a in busy or b in busy or not ready(ci, qs):
+                    continue
+                w = touch[ci].get(a, 0) + touch[ci].get(b, 0)
+                cands.append((-w, a, b, gi))
+            for _, a, b, gi in sorted(cands):
+                if a not in busy and b not in busy:
+                    place(ci, gi)
+                    placed += 1
+        if not placed:
+            raise CompileError("chunk scheduler stalled")
+        total -= placed
+    return out
+
+
+def reference_executable_graph(node: SearchNode) -> ExecutableGraph:
+    task = node.task
+    layout = task.layout
+    deg = node.deg
+
+    free: set[int] = set(range(layout.num_qubits))
+    edges: dict[frozenset[int], tuple] = {}
+    forced: list[tuple] = []
+    forced_qubits: set[int] = set()
+
+    def weight(a: int, b: int) -> float:
+        wa = deg.get(a, deg[-1] if a >= layout.n else 0.0)
+        wb = deg.get(b, deg[-1] if b >= layout.n else 0.0)
+        return wa + wb
+
+    for comp, prog in zip(task.components, node.progress):
+        if not free:
+            break
+        if _is_done(comp, prog):
+            continue
+        if isinstance(comp, _GateComp):
+            kind = _PAYLOAD.get(comp.role, "frag")
+            qubits, preds = comp.qubits, comp.preds
+            for i in sorted(prog):
+                # a gate is ready once none of its predecessors is pending
+                if preds[i] and not preds[i].isdisjoint(prog):
+                    continue
+                for qs in qubits[i]:
+                    if free.issuperset(qs):
+                        pair = frozenset(qs)
+                        if pair not in edges:
+                            edges[pair] = (kind, comp.pos, i, qs)
+            # reserve every qubit the unfinished component may still touch
+            free.difference_update(*itertools.chain.from_iterable(
+                map(qubits.__getitem__, prog)))
+        else:
+            stage, bindings = prog
+            slot_q = comp.slot_qubits(bindings)
+            ax, az = layout.ancilla0, layout.ancilla1
+            if ax not in free or az not in free:
+                pass  # ancillas blocked by an earlier unfinished component
+            elif stage in comp.binding_stages:
+                bound = set(slot_q.values())
+                eligible = sorted(
+                    (q for q in layout.data if q in free and q not in bound),
+                    key=lambda q: (-deg.get(q, 0.0), q),
+                )
+                if len(eligible) >= 2:
+                    u, v = eligible[0], eligible[1]
+                    pair = frozenset((u, v))
+                    if pair not in edges:
+                        edges[pair] = ("bind", comp.pos, (u, v))
+            else:
+                xs, zs = comp.schedule[stage]
+                qx, qz = slot_q[xs], slot_q[zs]
+                forced.append(("synstep", comp.pos, (qx, qz)))
+                forced_qubits |= {qx, qz, ax, az}
+                free -= {qx, qz}
+            # reserve: ancillas and every data qubit still owing couplings;
+            # a bound qubit is finished once its slot's last stage has run
+            finished = {q for slot, q in slot_q.items()
+                        if comp.last_stage[slot] < stage}
+            for q in layout.data:
+                if q not in finished:
+                    free.discard(q)
+            free.discard(ax)
+            free.discard(az)
+    weights = {pair: weight(*sorted(pair)) for pair in edges}
+    return ExecutableGraph(edges, weights, forced, frozenset(forced_qubits))
+
+
+def reference_matchings(exe: ExecutableGraph, width: int,
+               forced_qubits: frozenset[int]) -> list[list[frozenset[int]]]:
+    pairs = [p for p in exe.edges if not (p & forced_qubits)]
+    if not pairs:
+        return [[]]
+    out: list[list[frozenset[int]]] = []
+    removed: set[frozenset[int]] = set()
+    for _ in range(width):
+        avail = [p for p in pairs if p not in removed]
+        if not avail:
+            break
+        # every weight counts the edge's own pending gate, so it is positive
+        # and a maximum-weight matching is maximal (and not empty)
+        match = max_weight_matching(sorted(
+            (*sorted(p), exe.weights[p]) for p in avail))
+        layer = sorted((frozenset(e) for e in match),
+                       key=lambda p: (-exe.weights[p], tuple(sorted(p))))
+        # each earlier layer holds its own layer[0], now in `removed`, so
+        # this layer differs from all of them
+        out.append(layer)
+        removed.add(layer[0])
+    return out
+
+
+def _baseline_chunks(task):
+    """The runs of algorithmic components between gadgets, as
+    compile_baseline schedules them."""
+    return [list(run) for fenced, run in itertools.groupby(
+        task.components, key=lambda c: c.gadget is not None) if not fenced]
+
+
+def _random_chunk(rng):
+    """A chunk of random phase and mixer components on k data qubits: any
+    order of roles, any subset of edges or qubits, repeats across
+    components allowed."""
+    k = rng.randrange(2, 13)
+    pairs = [(a, b) for a in range(1, k + 1) for b in range(a + 1, k + 1)]
+    chunk = []
+    for pos in range(rng.randrange(1, 7)):
+        if rng.random() < 0.5:
+            qubits = [((a, b),) for a, b in
+                      rng.sample(pairs, rng.randrange(1, len(pairs) + 1))]
+            role = ComponentRole.PHASE_LAYER
+        else:
+            qubits = [((0, q),) for q in
+                      rng.sample(range(1, k + 1), rng.randrange(1, k + 1))]
+            role = ComponentRole.MIXER_LAYER
+        chunk.append(_GateComp(pos, role, qubits,
+                               [frozenset()] * len(qubits)))
+    return chunk
+
+
+def _scheduled(schedule):
+    return [(comp.pos, gi) for comp, gi in schedule]
+
+
+class TestOracles:
+    @pytest.mark.parametrize("kind, density", [
+        (GraphKind.REGULAR_3, None), (GraphKind.ERDOS_RENYI, 0.2),
+        (GraphKind.ERDOS_RENYI, 0.8)])
+    @pytest.mark.parametrize("k", [14, 22])
+    def test_baseline_chunks_match_reference(self, kind, density, k):
+        for seed in range(3):
+            g = generate_instance(kind, k, density=density, seed=seed)
+            task = _build_task(g, ramp_params(10), CompileConfig(
+                num_syndromes=3, gadget_set=GadgetSet.OLD))
+            chunks = _baseline_chunks(task)
+            assert len(chunks) == 4
+            for chunk in chunks:
+                assert _scheduled(_schedule_chunk(chunk)) == \
+                    _scheduled(reference_schedule_chunk(chunk))
+
+    def test_random_chunks_match_reference(self):
+        rng = random.Random(14)
+        for _ in range(300):
+            chunk = _random_chunk(rng)
+            assert _scheduled(_schedule_chunk(chunk)) == \
+                _scheduled(reference_schedule_chunk(chunk))
+
+    @pytest.mark.parametrize("kind, k, density, p, s, gs, resynth, z2",
+                             SEARCH_CASES)
+    def test_search_nodes_match_reference(self, monkeypatch, kind, k,
+                                          density, p, s, gs, resynth, z2):
+        created = _created_nodes(monkeypatch, kind, k, density, p, s, gs,
+                                 resynth, z2)
+        nodes = [n for n in [created[0].parent, *created] if not is_goal(n)]
+        for node in nodes:
+            exe = build_executable_graph(node)
+            ref = reference_executable_graph(node)
+            assert list(exe.edges.items()) == list(ref.edges.items())
+            assert list(exe.weights.items()) == list(ref.weights.items())
+            assert exe.forced == ref.forced
+            assert exe.forced_qubits == ref.forced_qubits
+            assert _matchings(exe, EXPANSION_WIDTH, exe.forced_qubits) == \
+                reference_matchings(ref, EXPANSION_WIDTH, ref.forced_qubits)

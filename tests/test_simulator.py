@@ -155,6 +155,13 @@ class TestExactDistributions:
         assert len(dist) == 4
         assert sum(dist.values()) == pytest.approx(1.0)
 
+    def test_clbit_written_twice_last_write_wins(self):
+        # qubit 1 is free before qubit 0's measurement, but its write to
+        # clbit 0 comes last in the gate list, so it runs last and wins
+        c = _written_twice_circuit()
+        assert layered_schedule(c).layers == [[0], [1], [2]]
+        assert exact_bit_distribution(c) == {(0,): 1.0}
+
     def test_encoded_noiseless_equivalence_small(self):
         g = generate_instance(GraphKind.REGULAR_3, 4, seed=1)
         params = QaoaParams((0.4,), (0.9,))
@@ -371,13 +378,17 @@ def reference_sample_shots(circuit, noise, shots, seed, checks=(),
         if not (np.any(e2) or np.any(e1) or np.any(ei)) and not inject_map:
             pick = int(np.searchsorted(ideal_cum, rng.random()))
             bits = list(ideal_bits[min(pick, len(ideal_bits) - 1)])
+            # the readout flip of each clbit's last measurement: the last
+            # write wins
+            flip = {}
             mi = 0
             for layer_gates, sites, idle, _ in layer_plan:
                 for gi, (cat, _) in zip(layer_gates, sites):
                     if cat == "meas":
-                        if em[mi]:
-                            bits[circuit.gates[gi].clbit] ^= 1
+                        flip[circuit.gates[gi].clbit] = em[mi]
                         mi += 1
+            for c, f in flip.items():
+                bits[c] ^= int(f)
             records.append(make_record(bits, checks, decode))
             continue
         state = StateVector(circuit.num_qubits)
@@ -480,6 +491,15 @@ def _mid_measure_circuit():
     return c
 
 
+def _written_twice_circuit():
+    """x(0), then qubits 0 and 1 measured into clbit 0, in that order."""
+    c = PhysicalCircuit(2, 1)
+    c.x(0)
+    c.mz(0, 0)
+    c.mz(1, 0)
+    return c
+
+
 def _without_rejected_bits(records):
     """The records with the bits of rejected shots left out: sample_shots
     decides a rejected shot from its Pauli frame and draws its bits from the
@@ -568,6 +588,22 @@ class TestBitIdentity:
         args = (circ, NoiseModel(scale=100.0), 400, 3)
         assert sample_shots(*args, checks=checks) == \
             reference_sample_shots(*args, checks=checks)
+
+    def test_clbit_written_twice_readout_only(self):
+        # readout noise only: every shot takes the fault-free fast path,
+        # which applies the readout flip of the last write alone, as a
+        # trajectory does (forced here by a Z that leaves |1> as it is)
+        circ = _written_twice_circuit()
+        noise = NoiseModel(p2=0.0, p1=0.0, p_idle=0.0, p_meas=0.3)
+        inject = [(0, PauliString.from_ops([(0, "Z")]))]
+        fast = sample_shots(circ, noise, 4000, 5)
+        assert fast == reference_sample_shots(circ, noise, 4000, 5)
+        traj = sample_shots(circ, noise, 4000, 5, inject=inject)
+        assert traj == reference_sample_shots(circ, noise, 4000, 5,
+                                              inject=inject)
+        se = math.sqrt(0.3 * 0.7 / 4000)
+        for recs in (fast, traj):
+            assert abs(np.mean([r.bits[0] for r in recs]) - 0.3) < 4 * se
 
     @pytest.mark.parametrize("k, p, s", [(6, 1, 1), (10, 3, 2)])
     def test_guard_holds_for_every_mode(self, k, p, s):
