@@ -208,7 +208,7 @@ def layered_schedule(circuit: PhysicalCircuit) -> LayerSchedule:
     """
     circuit.validate()
     frontier = [0] * circuit.num_qubits   # next free layer per qubit, 1-based
-    written: dict[int, int] = {}          # the same per clbit
+    written: dict[int, int] = {}          # next layer that may write a clbit
     layers: list[list[int]] = []
     has_2q: list[bool] = []
     gate_layer: dict[int, int] = {}
