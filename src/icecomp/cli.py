@@ -25,8 +25,8 @@ from .faults import check_gadget_ft, context_for_gadget, fault_reports
 from .gadgets import GadgetError, GadgetKind, build_gadget
 from .maxcut import (GraphKind, cut_value, generate_instance, ramp_params,
                      read_graph, read_params, write_graph, write_params)
-from .simulator import (NoiseModel, post_selection_rate, read_noise,
-                        sample_shots, write_noise)
+from .simulator import (NoiseModel, SimulatorError, post_selection_rate,
+                        read_noise, sample_shots, write_noise)
 
 
 def _int_at_least(lo: int):
@@ -41,9 +41,21 @@ def _int_at_least(lo: int):
     return parse
 
 
-def _fail(command: str, exc: Exception) -> int:
+def _fail(command: str, exc: Exception | str) -> int:
     print(f"icecomp {command}: error: {exc}", file=sys.stderr)
     return 2
+
+
+def _read(path: str, parse):
+    """`parse` of the text of the file at `path`.  A file that cannot be read
+    or parsed raises ValueError; a parse error is prefixed with the path."""
+    try:
+        with open(path) as fh:
+            return parse(fh.read())
+    except OSError as exc:      # its message names the path
+        raise ValueError(exc) from None
+    except ValueError as exc:   # not text, or the parser's format error
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _out(args, name):
@@ -72,13 +84,6 @@ def cmd_gen(args) -> int:
 
 
 def cmd_compile(args) -> int:
-    with open(args.graph) as fh:
-        graph = read_graph(fh.read())
-    if args.params:
-        with open(args.params) as fh:
-            params = read_params(fh.read())
-    else:
-        params = ramp_params(args.p)
     cfg = CompileConfig(
         num_syndromes=args.syndromes,
         gadget_set=GadgetSet(args.gadgets),
@@ -86,9 +91,12 @@ def cmd_compile(args) -> int:
         resynthesize=args.resynth,
         queue_cap=args.queue_cap,
     )
-    try:
+    try:    # a bad input file, or a k or flag this compile cannot take
+        graph = _read(args.graph, read_graph)
+        params = _read(args.params, read_params) if args.params \
+            else ramp_params(args.p)
         cfg.check(graph)
-    except ValueError as exc:       # a k or flag this compile cannot take
+    except ValueError as exc:
         return _fail("compile", exc)
     t0 = time.perf_counter()
     if args.mode == "baseline":
@@ -154,18 +162,14 @@ def cmd_verify_ft(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    with open(args.circuit) as fh:
-        circuit, checks, decode = read_encoded(fh.read())
-    noise = NoiseModel()
-    if args.noise:
-        with open(args.noise) as fh:
-            noise = read_noise(fh.read())
-    graph = None
-    if args.graph:
-        with open(args.graph) as fh:
-            graph = read_graph(fh.read())
-    records = sample_shots(circuit, noise, args.shots, args.seed,
-                           checks=checks, decode=decode)
+    try:
+        circuit, checks, decode = _read(args.circuit, read_encoded)
+        noise = _read(args.noise, read_noise) if args.noise else NoiseModel()
+        graph = _read(args.graph, read_graph) if args.graph else None
+        records = sample_shots(circuit, noise, args.shots, args.seed,
+                               checks=checks, decode=decode)
+    except (ValueError, SimulatorError) as exc:   # bad file, or over the cap
+        return _fail("simulate", exc)
     with open(_out(args, "out"), "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["shot", "accepted", "decoded", "energy"])
@@ -183,10 +187,8 @@ def cmd_simulate(args) -> int:
 def _spec_from_args(args) -> SweepSpec:
     kind = GraphKind.REGULAR_3 if args.family == "regular3" \
         else GraphKind.ERDOS_RENYI
-    noise = NoiseModel()
-    if getattr(args, "noise", None):
-        with open(args.noise) as fh:
-            noise = read_noise(fh.read())
+    noise = _read(args.noise, read_noise) if getattr(args, "noise", None) \
+        else NoiseModel()
     return SweepSpec(
         family=kind,
         sizes=tuple(args.sizes),
@@ -233,8 +235,12 @@ def _run_bench(args, runner, name) -> int:
 
 
 def cmd_report(args) -> int:
-    rows = read_rows(args.csv)
-    text = emit_plotdata(rows, args.figure)
+    try:
+        text = emit_plotdata(read_rows(args.csv), args.figure)
+    except (OSError, csv.Error) as exc:     # an unreadable CSV
+        return _fail("report", exc)
+    except ValueError as exc:               # no rows for the figure
+        return _fail("report", f"{args.csv}: {exc}")
     out = _out(args, "out")
     if out:
         with open(out, "w") as fh:

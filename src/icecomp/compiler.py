@@ -1017,11 +1017,13 @@ def read_encoded(text: str):
     """Parse circuit text with `check cA cB ... = 0|1` and
     `logical i = cA ^ cB ...` lines.
 
-    Returns (circuit, checks, decode).  A malformed line raises
-    CircuitError naming the line, as `read_circuit` does."""
+    Returns (circuit, checks, decode).  A malformed line, or a check or
+    decode bit the circuit does not have, raises CircuitError naming the
+    line, as `read_circuit` does."""
     circuit_lines = []
     checks: list[ParityCheck] = []
     decode: dict[int, frozenset[int]] = {}
+    top: list[tuple[int, int]] = []    # (line, its highest clbit)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         tok = raw.split("#", 1)[0].split()
         if not tok or tok[0] not in ("check", "logical"):
@@ -1034,7 +1036,8 @@ def read_encoded(text: str):
                 if tok.count("=") != 1 or tok[-2] != "=" \
                         or tok[-1] not in ("0", "1"):
                     raise CircuitError("a check is 'check cA cB ... = 0|1'")
-                checks.append(ParityCheck(_clbits(tok[1:-2]), int(tok[-1])))
+                bits = _clbits(tok[1:-2])
+                checks.append(ParityCheck(bits, int(tok[-1])))
             else:
                 terms = tok[3:]
                 if len(tok) < 3 or tok[2] != "=" \
@@ -1046,8 +1049,13 @@ def read_encoded(text: str):
                 i = int(tok[1])
                 if i in decode:
                     raise CircuitError(f"logical {i} decoded twice")
-                decode[i] = _clbits(terms[0::2])
+                bits = decode[i] = _clbits(terms[0::2])
+            top.append((lineno, max(bits, default=-1)))
         except CircuitError as e:
             raise CircuitError(f"line {lineno}: {e}") from None
     circuit = read_circuit("\n".join(circuit_lines))
+    for lineno, b in top:
+        if b >= circuit.num_clbits:
+            raise CircuitError(f"line {lineno}: c{b} is not a clbit of the "
+                               f"circuit, which has {circuit.num_clbits}")
     return circuit, tuple(checks), decode

@@ -31,9 +31,9 @@ updates only its own qubits' entries:
 A fault after gate i is then the XOR of at most four entries at that point,
 and costs O(1) int work.  `fault_reports` and `check_gadget_ft` take every
 verdict of a circuit from one sweep; `propagate_pauli` runs the same sweep
-from the end down to one fault's gate.  The simulator takes the entries
-after every gate (`_Sweep.entries`) to reject noisy shots from their
-frames.
+from the end down to one fault's gate.  The simulator builds the responses
+of its noise sites from the entries `_Sweep.entries` gives, and reads a
+frame's flipped clbits with `_Sweep.unpack`, to reject noisy shots.
 
 The verdicts rest on two conditions of the circuit: every rotation
 generator commutes with S_x and S_z, so negated rotations keep the state in
@@ -235,12 +235,12 @@ class _Sweep:
         return per_gate
 
     def entries(self) -> tuple[list, list[tuple[int, int]]]:
-        """(after, start): after[i] is (`responses` of the faults after gate
-        i, [(rx[q], rz[q]) for each qubit q of gate i] after gate i), and
-        start[q] is (rx[q], rz[q]) at the circuit start."""
+        """(after, start): after[i] is [(rx[q], rz[q]) for each qubit q of
+        gate i] right after gate i, and start[q] is (rx[q], rz[q]) at the
+        circuit start."""
         after: list = [None] * len(self.gates)
-        rx, rz = self.run(per_gate=after, record=lambda g, rx, rz: (
-            self.responses(g, rx, rz), [(rx[q], rz[q]) for q in g.qubits]))
+        rx, rz = self.run(per_gate=after, record=lambda g, rx, rz: [
+            (rx[q], rz[q]) for q in g.qubits])
         return after, list(zip(rx, rz))
 
     def responses(self, g: Gate, rx: list[int], rz: list[int]) -> list[int]:

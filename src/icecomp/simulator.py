@@ -34,11 +34,12 @@ sweep taken before it.
 Rejection from the Pauli frame.  A Pauli a noise site applies passes the
 rest of the circuit as a Pauli frame (see the faults module): the shot
 gives the outcomes of the noiseless circuit with the frame's rotations
-negated and its clbits flipped.  One backward faults._Sweep pass per
-circuit gives the response of every Pauli every site can apply.  So
+negated and its clbits flipped.  Each circuit has one cached _ShotPlan:
+its noise sites, numbered once in traversal order, each with the response
+of every Pauli it can apply, from one backward faults._Sweep pass.  So
 before touching any state, sample_shots walks an event shot's fired sites
-in traversal order and draws each one's Pauli code after the uniforms of
-the measurements and resets before that site: these are the draws its
+in that order and draws each one's Pauli code after the uniforms of the
+measurements and resets before that site: these are the draws its
 trajectory makes, so this is the trajectory's frame.  The checks are a
 function of the frame alone when the guard holds: there are checks, each
 clbit is measured at most once, the noiseless check values are
@@ -74,8 +75,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .circuit import (MEASURE_KINDS, Gate, GateKind, PhysicalCircuit,
-                      layered_schedule)
+from .circuit import (MEASURE_KINDS, ROTATION_KINDS, Gate, GateKind,
+                      PhysicalCircuit, layered_schedule)
 from .gadgets import ParityCheck
 from .faults import PauliString, _Sweep, _bits, _mask
 from .maxcut import (LogicalCircuit, MixerGate, PhaseGate, ProblemGraph,
@@ -408,83 +409,131 @@ def _inject_map(gates: Sequence[Gate],
     return out
 
 
-_SITE_KIND = {GateKind.H: "1q", GateKind.X: "1q", GateKind.Z: "1q",
-              GateKind.MEASURE_Z: "meas", GateKind.MEASURE_X: "meas",
-              GateKind.RESET: "reset"}
+def _code_responses(entries: Sequence[tuple[int, int]]) -> list[int]:
+    """The frame responses of the Paulis _apply_random_pauli applies on
+    qubits with faults._Sweep entries (rx, rz) `entries`, by code minus 1:
+    digit j of the code acts on the j-th qubit, in the order I, X, Y, Z."""
+    out = [0]
+    for x, z in entries:
+        out = [r ^ p for p in (0, x, x ^ z, z) for r in out]
+    return out[1:]
 
 
 class _ShotPlan:
-    """Fixed traversal script of a physical circuit for trajectory sampling.
+    """What sample_shots needs of a circuit whatever the noise, from one
+    pass over its schedule: the traversal script (per layer, its gates, then
+    the idle qubits of a layer holding a two-qubit gate), the horizon, the
+    ideal distribution, the readout and rotation flips, and the guards.
 
-    Per schedule layer: its gates, each with its noise site ("2q", "1q" and
-    "meas" sites are numbered in traversal order), then the idle qubits of a
-    layer holding a two-qubit gate.  A shot draws one Bernoulli vector per
-    site family up front, so its first Pauli event, and with _FrameTables
-    its Pauli frame, are known before any state is touched.  A shot that
-    needs a trajectory resumes it from the noiseless sweep (`advance`,
-    `resume`, `run`)."""
+    Each unitary gate and each such idle qubit is a Pauli site, numbered
+    once in traversal order with its layer, its slot (the measurements and
+    resets before it, whose draws its trajectory makes first) and its
+    responses from the faults._Sweep entries right after its gate; an idle
+    site after layer l on q takes those after q's last gate before l, or at
+    the circuit start.  A shot draws every site's event up front, so its
+    first Pauli event and its frame are known before any state is touched;
+    one that needs a trajectory resumes it from the noiseless sweep
+    (`advance`, `resume`, `run`)."""
 
-    def __init__(self, circuit: PhysicalCircuit, eff: NoiseModel,
-                 inject: Sequence[tuple[int, PauliString]]):
+    def __init__(self, circuit: PhysicalCircuit):
         sched = layered_schedule(circuit)
-        self.gates = circuit.gates
+        self.gates = gates = tuple(circuit.gates)   # the circuit may change
         self.num_qubits = circuit.num_qubits
         self.num_clbits = circuit.num_clbits
-        self.inject = _inject_map(self.gates, inject)
+        self.gate_layer = sched.gate_layer
+        ideal = sorted(exact_bit_distribution(circuit).items())
+        self.ideal_bits = [b for b, _ in ideal]
+        self.ideal_cum = np.cumsum([p for _, p in ideal])
 
+        self.sweep = _Sweep(circuit)
+        self.after, last = self.sweep.entries()
+        # per layer: (gate index, gate, Pauli or measurement site), its idle
+        # qubits, and the Pauli site of its first idle qubit
         self.layers = []
-        self.meas_clbits: list[int] = []   # per measurement site
-        site_layers: dict[str, list[int]] = {"2q": [], "1q": [], "meas": [],
-                                             "reset": [], "idle": []}
+        self.site_layer: list[int] = []
+        self.slots: list[int] = []
+        self.responses: list[list[int]] = []
+        meas_clbits: list[int] = []
+        rotation_flips = set()
+        # the Pauli sites of each family
+        family: dict[str, list[int]] = {"2q": [], "1q": [], "idle": []}
+        slot = 0
+
+        def site(kind, layer, entries):
+            family[kind].append(len(self.slots))
+            self.site_layer.append(layer)
+            self.slots.append(slot)
+            self.responses.append(_code_responses(entries))
+
         for layer, layer_gates in enumerate(sched.layers):
-            touched = {q for gi in layer_gates for q in self.gates[gi].qubits}
-            has_2q = any(self.gates[gi].is_two_qubit for gi in layer_gates)
-            idle = [q for q in range(self.num_qubits) if q not in touched] \
-                if has_2q else []
-            sites = []
+            ops = []
             for gi in layer_gates:
-                g = self.gates[gi]
-                cat = "2q" if g.is_two_qubit else _SITE_KIND[g.kind]
-                sites.append((cat, len(site_layers[cat])))
-                site_layers[cat].append(layer)
-                if cat == "meas":
-                    self.meas_clbits.append(g.clbit)
-            self.layers.append((layer_gates, sites, idle,
-                                len(site_layers["idle"])))
-            site_layers["idle"].extend([layer] * len(idle))
-        self.site_layers = site_layers
-        self.event_sites = tuple(
-            (len(site_layers[cat]), p) for cat, p in (
-                ("2q", eff.p2), ("1q", eff.p1), ("meas", eff.p_meas),
-                ("idle", eff.p_idle)))
+                g = gates[gi]
+                own = self.after[gi]
+                for q, e in zip(g.qubits, own):
+                    last[q] = e
+                if g.kind in MEASURE_KINDS:
+                    ops.append((gi, g, len(meas_clbits)))
+                    meas_clbits.append(g.clbit)
+                    slot += 1
+                elif g.kind is GateKind.RESET:
+                    ops.append((gi, g, None))
+                    slot += 1
+                else:
+                    if g.kind in ROTATION_KINDS:
+                        # the rotation's generator Z_aZ_b (X_aX_b) as a fault
+                        (xa, za), (xb, zb) = own
+                        r = za ^ zb if g.kind is GateKind.RZZ else xa ^ xb
+                        rotation_flips.add(self.sweep.unpack(r)[2])
+                    ops.append((gi, g, len(self.slots)))
+                    site("2q" if g.is_two_qubit else "1q", layer, own)
+            touched = {q for gi in layer_gates for q in gates[gi].qubits}
+            idle = [q for q in range(self.num_qubits) if q not in touched] \
+                if any(gates[gi].is_two_qubit for gi in layer_gates) else []
+            self.layers.append((ops, idle, len(self.slots)))
+            for q in idle:
+                site("idle", layer, [last[q]])
+
+        # a shot draws one uniform per site, the 2Q, 1Q, measurement and idle
+        # families in turn; draw_index[s] is Pauli site s's uniform
+        self.family_sizes = [len(f) for f in (
+            family["2q"], family["1q"], meas_clbits, family["idle"])]
+        _, n1, nm, ni = np.cumsum(self.family_sizes)
+        self.meas_draws = slice(n1, nm)
+        self.draw_index = np.empty(len(self.slots), dtype=np.intp)
+        self.draw_index[family["2q"] + family["1q"] + family["idle"]] = \
+            np.r_[:n1, nm:ni]
+
+        last_write = {c: si for si, c in enumerate(meas_clbits)}
+        self.readout_flips = [1 << c if last_write[c] == si else 0
+                              for si, c in enumerate(meas_clbits)]
+        self.clbits_once = len(last_write) == len(meas_clbits)
+        self.rotation_flips = frozenset(rotation_flips)
+        self._guards: dict[tuple[ParityCheck, ...], tuple | None] = {}
 
         # the horizon: the first layer holding a trailing measurement.  The
         # trailing block has random outcomes, so the noiseless sweep stops
         # here and every trajectory runs it itself.
-        tail = range(_trailing_start(self.gates), len(self.gates))
+        tail = range(_trailing_start(gates), len(gates))
         self.horizon = min((sched.gate_layer[gi] for gi in tail
-                            if self.gates[gi].kind in MEASURE_KINDS),
+                            if gates[gi].kind in MEASURE_KINDS),
                            default=len(self.layers))
-        self.first_inject = min((sched.gate_layer[gi] for gi in self.inject),
-                                default=self.horizon)
 
-    def draw(self, seed: int, shot: int):
-        """The shot's generator and its event vectors (2q, 1q, meas, idle)."""
+    def draw(self, seed: int, shot: int, rates: np.ndarray):
+        """The shot's generator and its events: (fired Pauli sites, fired
+        readouts), each in its own numbering."""
         rng = _per_shot_rng(seed, shot)
-        events = tuple(rng.random(n) < p if n else ()
-                       for n, p in self.event_sites)
-        return rng, events
+        hit = rng.random(len(rates)) < rates
+        return rng, (hit[self.draw_index], hit[self.meas_draws])
 
-    def start_layer(self, events) -> int | None:
+    def start_layer(self, fired: np.ndarray, inject_layer: int | None
+                    ) -> int | None:
         """Layer at which the shot's trajectory must start: its first Pauli
-        event (fired site or injection), capped at the horizon.  None for a
-        shot with no Pauli event at all."""
-        e2, e1, _, ei = events
-        starts = [self.site_layers[cat][int(fired.argmax())]
-                  for fired, cat in ((e2, "2q"), (e1, "1q"), (ei, "idle"))
-                  if len(fired) and fired.any()]
-        if self.inject:
-            starts.append(self.first_inject)
+        event (fired site, or the first injection at `inject_layer`), capped
+        at the horizon.  None for a shot with no Pauli event at all."""
+        starts = [] if inject_layer is None else [inject_layer]
+        if fired.any():
+            starts.append(self.site_layer[int(fired.argmax())])
         return min(starts + [self.horizon]) if starts else None
 
     def advance(self, sweep: StateVector, layer: int,
@@ -492,23 +541,25 @@ class _ShotPlan:
         """Run one layer noiselessly.  A measurement or reset collapses onto
         its likelier outcome; (p1, outcome, gate, meas site) is recorded so
         a shot can check its own draw against it."""
-        layer_gates, sites, _, _ = self.layers[layer]
-        for gi, (cat, si) in zip(layer_gates, sites):
-            g = self.gates[gi]
-            if cat in ("meas", "reset"):
+        ops, _, _ = self.layers[layer]
+        for _, g, si in ops:
+            kind = g.kind
+            if kind in MEASURE_KINDS or kind is GateKind.RESET:
                 q = g.qubits[0]
-                if g.kind is GateKind.MEASURE_X:
+                if kind is GateKind.MEASURE_X:
                     sweep.apply_h(q)
                 p1 = sweep.prob_one(q)
                 v = 1 if p1 > 0.5 else 0
                 sweep.collapse(q, v, p1)
-                if cat == "reset" and v:
+                if kind is GateKind.RESET and v:
                     sweep.apply_x(q)
-                outcomes.append((p1, v, g, si if cat == "meas" else None))
+                outcomes.append((p1, v, g, si))
             else:
                 _apply_gate(sweep, g)
 
-    def resume(self, seed: int, shot: int, sweep: StateVector, layer: int,
+    def resume(self, seed: int, shot: int, rates: np.ndarray,
+               inject: Mapping[int, list[PauliString]], sweep: StateVector,
+               layer: int,
                outcomes: Sequence[tuple[float, int, Gate, int | None]]
                ) -> list[int]:
         """The shot's bits, its trajectory started from the sweep at `layer`.
@@ -517,118 +568,45 @@ class _ShotPlan:
         as StateVector.measure/reset would.  If a draw disagrees with the
         sweep's outcome the shot's state differs from the sweep's, and it
         runs again from layer 0 with a fresh generator."""
-        rng, events = self.draw(seed, shot)
-        em = events[2]
+        rng, events = self.draw(seed, shot, rates)
+        em = events[1]
         bits = [0] * self.num_clbits
         for p1, v, g, si in outcomes:
             if (1 if rng.random() < p1 else 0) != v:
-                rng, events = self.draw(seed, shot)
+                rng, events = self.draw(seed, shot, rates)
                 return self.run(StateVector(self.num_qubits),
-                                [0] * self.num_clbits, rng, events, 0)
+                                [0] * self.num_clbits, rng, events, inject, 0)
             if si is not None:
                 bits[g.clbit] = v ^ 1 if em[si] else v
-        return self.run(sweep.copy(), bits, rng, events, layer)
+        return self.run(sweep.copy(), bits, rng, events, inject, layer)
 
     def run(self, state: StateVector, bits: list[int], rng: np.random.Generator,
-            events, start: int) -> list[int]:
+            events, inject: Mapping[int, list[PauliString]],
+            start: int) -> list[int]:
         """One trajectory from the start of layer `start` to the end."""
-        e2, e1, em, ei = events
-        for layer_gates, sites, idle, idle_base in self.layers[start:]:
-            for gi, (cat, si) in zip(layer_gates, sites):
-                g = self.gates[gi]
-                if cat == "meas":
-                    if g.kind is GateKind.MEASURE_X:
+        fired, em = events
+        for ops, idle, base in self.layers[start:]:
+            for gi, g, si in ops:
+                kind = g.kind
+                if kind in MEASURE_KINDS:
+                    if kind is GateKind.MEASURE_X:
                         state.apply_h(g.qubits[0])
                     v = state.measure(g.qubits[0], rng)
                     if em[si]:
                         v ^= 1
                     bits[g.clbit] = v
-                elif cat == "reset":
+                elif kind is GateKind.RESET:
                     state.reset(g.qubits[0], rng)
                 else:
                     _apply_gate(state, g)
-                    if cat == "2q" and e2[si]:
+                    if fired[si]:
                         _apply_random_pauli(state, g.qubits, rng)
-                    elif cat == "1q" and e1[si]:
-                        _apply_random_pauli(state, g.qubits, rng)
-                for pauli in self.inject.get(gi, ()):
+                for pauli in inject.get(gi, ()):
                     state.apply_pauli(pauli)
             for off, q in enumerate(idle):
-                if ei[idle_base + off]:
+                if fired[base + off]:
                     _apply_random_pauli(state, (q,), rng)
         return bits
-
-
-# codes of _apply_random_pauli (code % 4 on qubits[0], code // 4 on
-# qubits[1]) -> index in faults._Sweep.responses (4 p_a + p_b - 1)
-_SWEEP_INDEX_2Q = tuple(4 * (c % 4) + c // 4 - 1 for c in range(1, 16))
-
-
-class _FrameTables:
-    """What sample_shots needs of a circuit whatever the noise: the sorted
-    ideal distribution with its cumulative sums, the Pauli-frame response
-    of every Pauli a noise site can apply, from one backward faults._Sweep
-    pass, and the guard (module docstring).  Built from the circuit and its
-    _ShotPlan, and cached by the circuit's content (_frame_tables).
-
-    Pauli sites are numbered in traversal order.  For each, `slots` is the
-    number of measurements and resets before it, whose draws its trajectory
-    makes first, and `responses` its responses by _apply_random_pauli code
-    minus 1.  A gate's site takes the entries right after the gate; an idle
-    site after layer l on q takes them after q's last gate before l, or at
-    the circuit start."""
-
-    def __init__(self, circuit: PhysicalCircuit, plan: "_ShotPlan"):
-        ideal = sorted(exact_bit_distribution(circuit).items())
-        self.ideal_bits = [b for b, _ in ideal]
-        self.ideal_cum = np.cumsum([p for _, p in ideal])
-        self.meas_clbits = list(plan.meas_clbits)
-        last = {c: si for si, c in enumerate(self.meas_clbits)}
-        self.readout_flips = [1 << c if last[c] == si else 0
-                              for si, c in enumerate(self.meas_clbits)]
-
-        sweep = _Sweep(circuit)
-        self.cl, self.clmask = sweep.cl, sweep.clbits
-        after, last = sweep.entries()
-        self.slots: list[int] = []
-        self.responses: list[list[int]] = []
-        # per site family, the index in `slots` of each of its sites (the
-        # plan numbers a family's sites in traversal order too)
-        pos: dict[str, list[int]] = {"2q": [], "1q": [], "idle": []}
-        # per gate, the entries of every qubit right after it in traversal
-        # order, where an injected Pauli acts
-        self.after_gate: dict[int, tuple[tuple[int, int], ...]] = {}
-        rotation_flips = set()
-        slot = 0
-        for layer_gates, sites, idle, _ in plan.layers:
-            for gi, (cat, _) in zip(layer_gates, sites):
-                g = plan.gates[gi]
-                rs, own = after[gi]
-                for q, e in zip(g.qubits, own):
-                    last[q] = e
-                self.after_gate[gi] = tuple(last)
-                if cat in ("meas", "reset"):
-                    slot += 1
-                    continue
-                if g.kind is GateKind.RZZ or g.kind is GateKind.RXX:
-                    # the rotation's generator Z_aZ_b (X_aX_b) as a fault
-                    (xa, za), (xb, zb) = own
-                    r = za ^ zb if g.kind is GateKind.RZZ else xa ^ xb
-                    rotation_flips.add((r >> self.cl) & self.clmask)
-                if cat == "2q":
-                    rs = [rs[j] for j in _SWEEP_INDEX_2Q]
-                pos[cat].append(len(self.slots))
-                self.slots.append(slot)
-                self.responses.append(rs)
-            for q in idle:
-                x, z = last[q]
-                pos["idle"].append(len(self.slots))
-                self.slots.append(slot)
-                self.responses.append([x, x ^ z, z])    # X, Y, Z
-        self.pos = {cat: np.array(p, dtype=np.intp) for cat, p in pos.items()}
-        self.rotation_flips = frozenset(rotation_flips)
-        self.clbits_once = len(set(self.meas_clbits)) == len(self.meas_clbits)
-        self._guards: dict[tuple[ParityCheck, ...], tuple | None] = {}
 
     def guard(self, checks: Sequence[ParityCheck]
               ) -> tuple[tuple[int, int], ...] | None:
@@ -655,10 +633,11 @@ class _FrameTables:
                      for m, v, c in zip(masks, ideal, checks))
 
     def inject_frame(self, inject: Mapping[int, list[PauliString]]) -> int:
-        """The response of every injected Pauli, XORed."""
+        """The response of every injected Pauli, XORed.  An injected Pauli
+        acts on its gate's own qubits (_inject_map)."""
         frame = 0
         for gi, paulis in inject.items():
-            entries = self.after_gate[gi]
+            entries = dict(zip(self.gates[gi].qubits, self.after[gi]))
             for pauli in paulis:
                 for q in _bits(pauli.xmask):
                     frame ^= entries[q][0]
@@ -671,18 +650,15 @@ class _FrameTables:
         fired site's Pauli drawn as its trajectory draws it (after the
         uniforms of the measurements and resets before that site), and its
         readout flips."""
-        e2, e1, em, ei = events
-        fired = np.sort(np.concatenate([
-            self.pos[cat][np.flatnonzero(e)]
-            for cat, e in (("2q", e2), ("1q", e1), ("idle", ei))]))
+        fired, em = events
         drawn = 0
-        for s in fired.tolist():
+        for s in np.flatnonzero(fired).tolist():
             if self.slots[s] > drawn:
                 rng.random(self.slots[s] - drawn)
                 drawn = self.slots[s]
             rs = self.responses[s]
             frame ^= rs[int(rng.integers(1, len(rs) + 1)) - 1]
-        return ((frame >> self.cl) & self.clmask) ^ self.readout(em)
+        return self.sweep.unpack(frame)[2] ^ self.readout(em)
 
     def readout(self, em) -> int:
         """The clbit flips of a shot's readout events `em`, one per
@@ -707,19 +683,19 @@ def _keeps_checks(guard: tuple[tuple[int, int], ...], flips: int) -> bool:
     return all(((flips & m).bit_count() & 1) == want for m, want in guard)
 
 
-_FRAME_TABLES: dict[tuple, _FrameTables] = {}   # least recently used first
-_FRAME_TABLES_MAX = 8
+_PLANS: dict[tuple, _ShotPlan] = {}     # least recently used first
+_PLANS_MAX = 8
 
 
-def _frame_tables(circuit: PhysicalCircuit, plan: "_ShotPlan") -> _FrameTables:
-    """The circuit's _FrameTables, cached by content: a PhysicalCircuit is
+def _shot_plan(circuit: PhysicalCircuit) -> _ShotPlan:
+    """The circuit's _ShotPlan, cached by content: a PhysicalCircuit is
     mutable, so its identity does not name its gates."""
     key = (circuit.num_qubits, circuit.num_clbits, tuple(circuit.gates))
-    tables = _FRAME_TABLES.pop(key, None) or _FrameTables(circuit, plan)
-    _FRAME_TABLES[key] = tables
-    if len(_FRAME_TABLES) > _FRAME_TABLES_MAX:
-        del _FRAME_TABLES[next(iter(_FRAME_TABLES))]
-    return tables
+    plan = _PLANS.pop(key, None) or _ShotPlan(circuit)
+    _PLANS[key] = plan
+    if len(_PLANS) > _PLANS_MAX:
+        del _PLANS[next(iter(_PLANS))]
+    return plan
 
 
 def sample_shots(circuit: PhysicalCircuit, noise: NoiseModel, shots: int,
@@ -743,8 +719,8 @@ def sample_shots(circuit: PhysicalCircuit, noise: NoiseModel, shots: int,
     mid-circuit measurement or reset disagrees with the sweep's outcome runs
     from layer 0 instead.  Every record equals that of running its
     trajectory from layer 0, but for the bits of frame-rejected shots; see
-    the module docstring.  The ideal distribution and the frame tables are
-    cached by the circuit's content.
+    the module docstring.  The circuit's _ShotPlan is cached by its
+    content; the circuit is validated on every call all the same.
 
     `inject` lists deterministic Pauli errors applied after given gate
     indices in every shot (used for fault cross-checks); an index in the
@@ -752,24 +728,31 @@ def sample_shots(circuit: PhysicalCircuit, noise: NoiseModel, shots: int,
     ValueError."""
     if shots < 0:
         raise ValueError(f"shots must be nonnegative, got {shots}")
-    plan = _ShotPlan(circuit, noise.effective(), inject)
-    tables = _frame_tables(circuit, plan)
-    guard = tables.guard(checks)
+    circuit.validate()
+    inject_map = _inject_map(circuit.gates, inject)
+    plan = _shot_plan(circuit)
+    eff = noise.effective()
+    # the event probability of each of a shot's uniforms
+    rates = np.repeat((eff.p2, eff.p1, eff.p_meas, eff.p_idle),
+                      plan.family_sizes)
+    inject_layer = min((plan.gate_layer[gi] for gi in inject_map),
+                       default=None)
+    guard = plan.guard(checks)
     if guard is not None:
-        inject_frame = tables.inject_frame(plan.inject)
+        inject_frame = plan.inject_frame(inject_map)
 
     records: list[ShotRecord | None] = [None] * shots
     buckets: dict[int, list[int]] = {}
     for shot in range(shots):
-        rng, events = plan.draw(seed, shot)
-        start = plan.start_layer(events)
+        rng, events = plan.draw(seed, shot, rates)
+        start = plan.start_layer(events[0], inject_layer)
         if start is None:
-            flips = tables.readout(events[2])
+            flips = plan.readout(events[1])
         elif guard is None or _keeps_checks(
-                guard, flips := tables.flips(rng, events, inject_frame)):
+                guard, flips := plan.flips(rng, events, inject_frame)):
             buckets.setdefault(start, []).append(shot)
             continue
-        records[shot] = make_record(tables.ideal_sample(rng, flips), checks,
+        records[shot] = make_record(plan.ideal_sample(rng, flips), checks,
                                     decode)
 
     if buckets:
@@ -778,7 +761,8 @@ def sample_shots(circuit: PhysicalCircuit, noise: NoiseModel, shots: int,
         last = max(buckets)
         for layer in range(last + 1):
             for shot in buckets.get(layer, ()):
-                bits = plan.resume(seed, shot, sweep, layer, outcomes)
+                bits = plan.resume(seed, shot, rates, inject_map, sweep,
+                                   layer, outcomes)
                 records[shot] = make_record(bits, checks, decode)
             if layer < last:
                 plan.advance(sweep, layer, outcomes)

@@ -264,6 +264,71 @@ class TestCli:
         err = capsys.readouterr().err
         assert "invalid choice: 'nope'" in err and "depth-vs-k" in err
 
+    # input files: None is a missing file; a graph, params and a circuit
+    # that parse are written for the arguments a case does not test
+    GOOD_INPUTS = {"g.txt": write_graph(make_graph(4, [(0, 1), (2, 3)])),
+                   "p.txt": "p 1\ngammas: [0.1]\nbetas: [0.2]\n",
+                   "c.txt": "qubits 1 clbits 1\nh 0\nmz 0 0\n",
+                   "d.csv": ",".join(REPORT_COLUMNS) + "\n"}
+
+    @pytest.mark.parametrize("argv, files, message", [
+        (["compile", "--graph", "g.txt"], {"g.txt": "graph 4 1\nedge 0 9\n"},
+         "g.txt: line 2: edge (0,9) out of range"),
+        (["compile", "--graph", "g.txt"], {"g.txt": None},
+         "No such file or directory: "),
+        (["compile", "--graph", "g.txt", "--params", "p.txt"],
+         {"p.txt": None}, "No such file or directory: "),
+        (["compile", "--graph", "g.txt", "--params", "p.txt"],
+         {"p.txt": "p 1\ngammas: [0.1\n"}, "p.txt: line 2: "),
+        (["simulate", "--circuit", "c.txt"], {"c.txt": "qubits 2 clbits x\n"},
+         "c.txt: line 1: cannot parse 'qubits 2 clbits x'"),
+        (["simulate", "--circuit", "c.txt"],
+         {"c.txt": "qubits 1 clbits 1\nh 0\nmz 0 0\ncheck c5 = 0\n"},
+         "c.txt: line 4: c5 is not a clbit of the circuit, which has 1"),
+        (["simulate", "--circuit", "c.txt"],
+         {"c.txt": "qubits 17 clbits 1\nh 0\nmz 0 0\n"},
+         "17 qubits exceeds the dense-simulation cap 16"),
+        (["simulate", "--circuit", "c.txt", "--noise", "n.txt"],
+         {"n.txt": None}, "No such file or directory: "),
+        (["simulate", "--circuit", "c.txt", "--noise", "n.txt"],
+         {"n.txt": "p2 2\n"}, "n.txt: line 1: p2: p2 must be in [0, 1]"),
+        (["simulate", "--circuit", "c.txt", "--graph", "g.txt"],
+         {"g.txt": None}, "No such file or directory: "),
+        (["bench-qaoa", "--sizes", "6", "--noise", "n.txt"],
+         {"n.txt": None}, "No such file or directory: "),
+        (["report", "--csv", "d.csv", "--figure", "depth-vs-k"],
+         {"d.csv": None}, "No such file or directory: "),
+        (["report", "--csv", "d.csv", "--figure", "depth-vs-k"], {},
+         "d.csv: no rows to plot"),
+        (["report", "--csv", "d.csv", "--figure", "ar-vs-p"],
+         {"d.csv": ",".join(REPORT_COLUMNS) + "\ndepth" +
+          "," * (len(REPORT_COLUMNS) - 1) + "\n"},
+         "d.csv: no rows for figure 'ar-vs-p'"),
+    ], ids=["compile-graph-malformed", "compile-graph-missing",
+            "compile-params-missing", "compile-params-malformed",
+            "simulate-circuit-malformed", "simulate-check-bit-range",
+            "simulate-over-qubit-cap",
+            "simulate-noise-missing", "simulate-noise-malformed",
+            "simulate-graph-missing", "bench-noise-missing",
+            "report-csv-missing", "report-no-rows", "report-no-figure-rows"])
+    def test_input_file_error(self, tmp_path, capsys, monkeypatch, argv,
+                              files, message):
+        # one line on stderr, exit 2, and no output file
+        def no_compile(*args, **kwargs):
+            raise AssertionError("compiled despite a bad input file")
+
+        monkeypatch.setattr("icecomp.bench.compile_mode", no_compile)
+        monkeypatch.chdir(tmp_path)
+        for name, text in {**self.GOOD_INPUTS, **files}.items():
+            if text is not None:
+                (tmp_path / name).write_text(text)
+        out = tmp_path / "out"
+        assert main(["--out-dir", str(out), *argv, "--out", "result"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"icecomp {argv[0]}: error: ")
+        assert message in err and err.count("\n") == 1
+        assert not os.listdir(out)
+
     @pytest.mark.parametrize("gadget, k", [("init_new", 3),
                                            ("syndrome_new", 4)])
     def test_verify_ft_unsupported_k(self, tmp_path, capsys, gadget, k):

@@ -144,8 +144,10 @@ def _sane_graph(g):
 
 
 def _sane_encoded(parsed):
-    circuit = parsed[0]
+    circuit, checks, decode = parsed
     assert circuit.num_qubits >= 0 and circuit.num_clbits >= 0
+    for bits in [c.bits for c in checks] + list(decode.values()):
+        assert all(0 <= b < circuit.num_clbits for b in bits)
 
 
 # texts that once parsed into a graph or circuit failing the sanity checks,
@@ -157,7 +159,9 @@ GRAPH_EXAMPLES = ["graph -1 0", "graph 2 1\nedge 0 1 nan",
 ENCODED_EXAMPLES = ["qubits -2 clbits -1", "qubits 2 clbits -1",
                     "qubits 2 clbits 1\ncx 0 5", "qubits 2 clbits 1\nmz 0 3",
                     "component 0 INIT\nh 0\ncomponent 1 SYNDROME\nh 0\n"
-                    "component 0 INIT\nh 0"]
+                    "component 0 INIT\nh 0",
+                    "qubits 1 clbits 1\nh 0\nmz 0 0\ncheck c5 = 0",
+                    "qubits 1 clbits 1\nh 0\nmz 0 0\nlogical 1 = c7"]
 # every error names its line, but for a file-level one
 GRAPH_NAMED = r"line \d+: |missing 'graph k m' header"
 ENCODED_NAMED = r"line \d+: "

@@ -5,12 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from icecomp.circuit import ComponentRole, GateKind, PhysicalCircuit, \
-    layered_schedule
+from icecomp.circuit import (CircuitError, ComponentRole, GateKind,
+                             PhysicalCircuit, layered_schedule)
 from icecomp.compiler import CompileConfig, GadgetSet, compile_baseline, \
     compile_cooptimized
 from icecomp.bench import MODES, compile_mode
-from icecomp.faults import PauliString
+from icecomp.faults import PauliString, _Sweep, _mask, propagate_pauli
 from icecomp.gadgets import ParityCheck
 from icecomp.maxcut import (GraphKind, QaoaParams, build_qaoa, cut_value,
                             generate_instance, make_graph, ramp_params)
@@ -22,7 +22,7 @@ from icecomp.simulator import (NoiseFormatError, NoiseModel, ShotRecord,
                                post_selection_rate, postprocess_truncate,
                                read_noise, sample_shots, sample_logical_shots,
                                total_variation, write_noise, SimulatorError,
-                               _ShotPlan, _frame_tables)
+                               _apply_random_pauli, _shot_plan)
 
 
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -273,6 +273,20 @@ class TestShots:
         circ.mz(0, 0)
         assert {r.bits for r in sample_shots(circ, silent, 20, 0)} == {(1,)}
 
+    def test_cached_circuit_still_validated(self):
+        # the plan is cached by the gates alone, so a circuit with the same
+        # gates but a component map that leaves out a gate's component must
+        # still fail validation
+        circ = self.enc.circuit
+        kw = dict(checks=self.enc.checks, decode=self.enc.decode)
+        sample_shots(circ, NoiseModel(), 20, 0, **kw)
+        dropped = circ.gates[-1].component
+        bad = dataclasses.replace(circ, components={
+            c: role for c, role in circ.components.items() if c != dropped})
+        with pytest.raises(CircuitError,
+                           match=f"undeclared component {dropped}"):
+            sample_shots(bad, NoiseModel(), 20, 0, **kw)
+
     def test_deeper_circuit_lower_acceptance(self):
         base = compile_baseline(self.graph, self.params, CompileConfig(
             num_syndromes=1, gadget_set=GadgetSet.OLD))
@@ -509,8 +523,7 @@ def _without_rejected_bits(records):
 
 
 def _frame_guard(circuit, checks):
-    plan = _ShotPlan(circuit, NoiseModel().effective(), ())
-    return _frame_tables(circuit, plan).guard(checks)
+    return _shot_plan(circuit).guard(checks)
 
 
 class TestBitIdentity:
@@ -628,6 +641,59 @@ class TestBitIdentity:
             sample_logical_shots(build_qaoa(self.graph, self.params),
                                  NoiseModel(), -1, 0)
         assert sample_shots(enc.circuit, NoiseModel(), 0, 0) == []
+
+
+class _PauliRecorder:
+    """Stands in for a StateVector and a generator: records the Pauli that
+    _apply_random_pauli applies when it draws `code`."""
+
+    def __init__(self, code):
+        self.code = code
+        self.ops = []
+
+    def integers(self, low, high):
+        assert low <= self.code < high
+        return self.code
+
+    def apply_x(self, q):
+        self.ops.append((q, "X"))
+
+    def apply_y(self, q):
+        self.ops.append((q, "Y"))
+
+    def apply_z(self, q):
+        self.ops.append((q, "Z"))
+
+
+@pytest.mark.parametrize("mode", ["resynth+z2", "baseline"])
+def test_plan_responses_follow_the_pauli_code_order(mode):
+    # the plan's response for code c at a gate's site is the frame of the
+    # Pauli _apply_random_pauli applies on drawing c: the one order the
+    # simulator and the fault layer share
+    g = generate_instance(GraphKind.REGULAR_3, 6, seed=0)
+    circ = compile_mode(g, ramp_params(1), mode, 1, 100).circuit
+    plan = _shot_plan(circ)
+    sweep = _Sweep(circ)
+    sites = 0
+    for ops, _, _ in plan.layers:
+        for gi, gate, si in ops:
+            if gate.kind in (GateKind.MEASURE_Z, GateKind.MEASURE_X,
+                             GateKind.RESET):
+                continue
+            rs = plan.responses[si]
+            assert len(rs) == 4 ** len(gate.qubits) - 1
+            for code in range(1, len(rs) + 1):
+                rec = _PauliRecorder(code)
+                _apply_random_pauli(rec, gate.qubits, rec)
+                term, flips, rots = propagate_pauli(
+                    circ, gi, PauliString.from_ops(rec.ops))
+                assert rs[code - 1] == (
+                    term.xmask | term.zmask << sweep.n
+                    | _mask(flips) << sweep.cl | _mask(rots) << sweep.rot)
+            sites += 1
+    assert sites == sum(1 for gate in circ.gates if gate.kind in (
+        GateKind.H, GateKind.X, GateKind.Z, GateKind.CNOT, GateKind.RZZ,
+        GateKind.RXX))
 
 
 class TestRecordGolden:
