@@ -22,7 +22,7 @@ from .bench import (FIGURES, SweepSpec, default_outdir, emit_plotdata,
 from .compiler import (CompileConfig, GadgetSet, compile_baseline,
                        compile_cooptimized, read_encoded, write_encoded)
 from .faults import check_gadget_ft, context_for_gadget, fault_reports
-from .gadgets import GadgetError, GadgetKind, build_gadget
+from .gadgets import GadgetKind, build_gadget
 from .maxcut import (GraphKind, cut_value, generate_instance, ramp_params,
                      read_graph, read_params, write_graph, write_params)
 from .simulator import (NoiseModel, SimulatorError, post_selection_rate,
@@ -58,6 +58,24 @@ def _read(path: str, parse):
         raise ValueError(f"{path}: {exc}") from None
 
 
+def _open_outputs(*paths: str | None) -> None:
+    """Open every output path (None skipped) for appending, before any
+    output is written, so that a path that cannot be written fails first.
+    Raise ValueError naming it, after removing the files this call made;
+    the writes that follow truncate each file."""
+    made = []
+    try:
+        for path in filter(None, paths):
+            existed = os.path.exists(path)
+            open(path, "a").close()
+            if not existed:
+                made.append(path)
+    except OSError as exc:      # its message names the path
+        for path in made:
+            os.remove(path)
+        raise ValueError(exc) from None
+
+
 def _out(args, name):
     path = getattr(args, name, None)
     if path is None:
@@ -72,8 +90,9 @@ def cmd_gen(args) -> int:
     try:
         g = generate_instance(kind, args.k, density=args.density,
                               seed=args.seed)
-    except ValueError as exc:       # a size or density the family rejects
-        return _fail("gen", exc)
+        _open_outputs(_out(args, "out"), _out(args, "params_out"))
+    except ValueError as exc:   # a size or density the family rejects, or
+        return _fail("gen", exc)    # an output path that cannot be written
     with open(_out(args, "out"), "w") as fh:
         fh.write(write_graph(g))
     if args.params_out:
@@ -96,6 +115,7 @@ def cmd_compile(args) -> int:
         params = _read(args.params, read_params) if args.params \
             else ramp_params(args.p)
         cfg.check(graph)
+        _open_outputs(_out(args, "out"), _out(args, "report"))
     except ValueError as exc:
         return _fail("compile", exc)
     t0 = time.perf_counter()
@@ -112,7 +132,7 @@ def cmd_compile(args) -> int:
           f"area={(k + 2) * enc.meta['depth_2q']} wall={wall:.2f}s")
     if args.report:
         path = _out(args, "report")
-        new = not os.path.exists(path)
+        new = os.path.getsize(path) == 0
         with open(path, "a", newline="") as fh:
             w = csv.writer(fh)
             if new:
@@ -132,13 +152,15 @@ def cmd_verify_ft(args) -> int:
     orders = [None]
     for _ in range(args.perms):
         orders.append(tuple(rng.sample(range(n), n)))
+    try:
+        gadgets = [(order, build_gadget(kind, args.k, order))
+                   for order in orders]
+        _open_outputs(_out(args, "csv"))
+    except ValueError as exc:   # a k this gadget kind cannot take
+        return _fail("verify-ft", exc)  # (GadgetError), or an unwritable CSV
     rows = []
     failures = 0
-    for order in orders:
-        try:
-            gadget = build_gadget(kind, args.k, order)
-        except GadgetError as exc:      # a k this gadget kind cannot take
-            return _fail("verify-ft", exc)
+    for order, gadget in gadgets:
         summary = check_gadget_ft(gadget)
         tag = "PASS" if summary.passed else "FAIL"
         if not summary.passed:
@@ -168,6 +190,7 @@ def cmd_simulate(args) -> int:
         graph = _read(args.graph, read_graph) if args.graph else None
         records = sample_shots(circuit, noise, args.shots, args.seed,
                                checks=checks, decode=decode)
+        _open_outputs(_out(args, "out"))
     except (ValueError, SimulatorError) as exc:   # bad file, or over the cap
         return _fail("simulate", exc)
     with open(_out(args, "out"), "w", newline="") as fh:
@@ -216,12 +239,13 @@ def _run_bench(args, runner, name) -> int:
                     except ValueError as exc:
                         raise ValueError(f"k={k}, {mode}, s={s}: {exc}") \
                             from None
+        out = _out(args, "out")
+        _open_outputs(out, out + ".manifest.json")
     except ValueError as exc:
         return _fail(args.command, exc)
     if name == "energy":
         spec.noise_scales = tuple(args.scales)
     rows = runner(spec)
-    out = _out(args, "out")
     write_rows(rows, out)
     write_manifest(out + ".manifest.json", name, {
         "family": spec.family.value, "sizes": spec.sizes,
@@ -242,6 +266,10 @@ def cmd_report(args) -> int:
     except ValueError as exc:               # no rows for the figure
         return _fail("report", f"{args.csv}: {exc}")
     out = _out(args, "out")
+    try:
+        _open_outputs(out)
+    except ValueError as exc:
+        return _fail("report", exc)
     if out:
         with open(out, "w") as fh:
             fh.write(text)

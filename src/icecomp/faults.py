@@ -51,8 +51,24 @@ encoded angle.  Otherwise the context decides:
   * final gadgets and whole circuits are judged purely on outcomes: a fault
     is harmless only if no check bit and no decoded logical bit flips.
 
-`classify_terminal` is that rule; gadget fragments contain no rotations, so
-for them the frame is plain Clifford propagation.
+Each test in that rule asks whether some GF(2)-linear function of the
+response is nonzero, so a verdict reads one linear projection sigma of the
+response (the detector/observable projection of Stim, arXiv:2103.02202),
+which `VerifyContext.projection` builds once per context.  sigma keeps one
+bit per check parity; in the "outcomes" context, one bit per decoded-bit
+parity; in the other two, the x and z parities over the layout's data
+qubits and the folded masks x ^ x_0 * full and z ^ z_0 * full, each zero
+iff its mask is 0 or full; and, above all of these, the rotation mask.  A
+fault is DETECTED if sigma meets the mask DET (the check bits, with both
+parity bits under ideal trailing checks), else LOGICAL if sigma meets LOG
+(the rotation bits, with the decode bits, the folded z and the x parity,
+or the folded x and z, by context), else STABILIZER_EQUIVALENT.  Since
+sigma is linear, the sigma of a fault after a gate is the XOR of the
+sigmas of the entries rx[q] and rz[q] of its Paulis' factors, so
+`check_gadget_ft` projects a gate's 2 or 4 entries once and classifies its
+3 or 15 faults with XORs and two ANDs each.  `classify_terminal` applies
+the same sigma to an unpacked frame; gadget fragments contain no
+rotations, so for them the frame is plain Clifford propagation.
 """
 
 from __future__ import annotations
@@ -60,7 +76,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .circuit import Gate, GateKind, PhysicalCircuit
 from .gadgets import Gadget, GadgetKind, IcebergLayout, ParityCheck
@@ -154,6 +170,12 @@ def propagate_pauli(circuit: PhysicalCircuit, start: int, pauli: PauliString
     """
     if start < -1:       # would index the gate list from its end
         raise ValueError(f"fault position {start} is before the circuit")
+    if start >= len(circuit.gates):
+        raise ValueError(f"fault position {start} is past the last gate "
+                         f"({len(circuit.gates) - 1})")
+    if (pauli.xmask | pauli.zmask) >> circuit.num_qubits:
+        raise ValueError(f"Pauli {pauli} acts outside the circuit's "
+                         f"{circuit.num_qubits} qubits")
     sweep = _Sweep(circuit)
     rx, rz = sweep.run(start)
     r = 0
@@ -194,6 +216,12 @@ class _Sweep:
         gate i."""
         n, gates, rot, cl = self.n, self.gates, self.rot, self.cl
         record = record or self.responses
+        # the kinds as locals: looking up an Enum member on its class costs
+        # more than a gate's own update
+        cnot, rzz, rxx, h, mz, mx, reset = (
+            GateKind.CNOT, GateKind.RZZ, GateKind.RXX, GateKind.H,
+            GateKind.MEASURE_Z, GateKind.MEASURE_X, GateKind.RESET)
+        passive = (GateKind.X, GateKind.Z, GateKind.BARRIER)
         rx = [1 << q for q in range(n)]
         rz = [1 << (n + q) for q in range(n)]
         for i in range(len(gates) - 1, stop, -1):
@@ -201,30 +229,30 @@ class _Sweep:
             if per_gate is not None:
                 per_gate[i] = record(g, rx, rz)
             kind = g.kind
-            if kind is GateKind.CNOT:
+            if kind is cnot:
                 c, t = g.qubits
                 rx[c] ^= rx[t]
                 rz[t] ^= rz[c]
-            elif kind is GateKind.RZZ or kind is GateKind.RXX:
+            elif kind is rzz or kind is rxx:
                 a, b = g.qubits
-                r = rx if kind is GateKind.RZZ else rz
+                r = rx if kind is rzz else rz
                 r[a] ^= 1 << (rot + i)
                 r[b] ^= 1 << (rot + i)
-            elif kind is GateKind.H:
+            elif kind is h:
                 q = g.qubits[0]
                 rx[q], rz[q] = rz[q], rx[q]
-            elif kind is GateKind.MEASURE_Z:
+            elif kind is mz:
                 q = g.qubits[0]
                 rx[q] ^= 1 << (cl + g.clbit)
                 rz[q] = 0
-            elif kind is GateKind.MEASURE_X:
+            elif kind is mx:
                 q = g.qubits[0]
                 rz[q] ^= 1 << (cl + g.clbit)
                 rx[q] = 0
-            elif kind is GateKind.RESET:
+            elif kind is reset:
                 q = g.qubits[0]
                 rx[q] = rz[q] = 0
-            elif kind not in (GateKind.X, GateKind.Z, GateKind.BARRIER):
+            elif kind not in passive:
                 raise NotImplementedError(kind)  # pragma: no cover
         return rx, rz
 
@@ -250,13 +278,7 @@ class _Sweep:
             return []
         if g.kind is GateKind.MEASURE_Z or g.kind is GateKind.MEASURE_X:
             return [1 << (self.cl + g.clbit)]
-        if len(g.qubits) == 1:
-            x, z = rx[g.qubits[0]], rz[g.qubits[0]]
-            return [x, x ^ z, z]
-        a, b = g.qubits
-        pa = (0, rx[a], rx[a] ^ rz[a], rz[a])     # I, X, Y, Z on a
-        pb = (0, rx[b], rx[b] ^ rz[b], rz[b])
-        return [ra ^ rb for ra in pa for rb in pb][1:]
+        return _combine([(rx[q], rz[q]) for q in g.qubits])
 
     def unpack(self, r: int) -> tuple[int, int, int, int]:
         """(terminal x mask, terminal z mask, flipped clbit mask, mask of
@@ -264,18 +286,30 @@ class _Sweep:
         return (r & self.qubits, (r >> self.n) & self.qubits,
                 (r >> self.cl) & self.clbits, r >> self.rot)
 
-    def verdict(self, r: int, ctx: "VerifyContext") -> FaultClass:
-        """`_verdict` on a response (the same fields as `unpack`)."""
-        q = self.qubits
-        return _verdict(r & q, (r >> self.n) & q, (r >> self.cl) & self.clbits,
-                        r >> self.rot != 0, ctx)
+    def projector(self, ctx: "VerifyContext") -> Callable[[int], int]:
+        """The projection sigma of `ctx` on a packed response."""
+        return ctx.projection.packed(self.n, self.cl, self.rot)
 
     def report(self, loc: FaultLocation, r: int,
-               ctx: "VerifyContext") -> FaultReport:
+               cls: FaultClass) -> FaultReport:
+        """The report on the fault `loc` with response `r` and verdict
+        `cls`."""
         x, z, flips, rotations = self.unpack(r)
-        return FaultReport(loc, PauliString(x, z), _bits(flips),
-                           _verdict(x, z, flips, rotations != 0, ctx),
+        return FaultReport(loc, PauliString(x, z), _bits(flips), cls,
                            _bits(rotations))
+
+
+def _combine(entries: list[tuple[int, int]]) -> list[int]:
+    """The XORs of the 1 or 2 (x, z) entries of a gate's qubits that give
+    its faults, in the order of `_locations_at`: X, Y, Z on one qubit, and
+    IX, IY, ..., ZZ on two, the first letter acting on the first qubit."""
+    if len(entries) == 1:
+        (x, z), = entries
+        return [x, x ^ z, z]
+    (xa, za), (xb, zb) = entries
+    pa = (0, xa, xa ^ za, za)     # I, X, Y, Z on a
+    pb = (0, xb, xb ^ zb, zb)
+    return [ra ^ rb for ra in pa for rb in pb][1:]
 
 
 def _bits(mask: int) -> frozenset[int]:
@@ -300,6 +334,96 @@ def _mask(bits: Iterable[int]) -> int:
 # Terminal classification
 # ---------------------------------------------------------------------------
 
+class Projection:
+    """The projection sigma of a response onto the bits a verdict reads,
+    and the masks DET and LOG that classify it (module docstring).
+
+    Bits of sigma from 0 up: the check parities; then either the
+    decoded-bit parities ("outcomes"), or the x parity, the z parity and
+    the folded x and z masks without their always-zero bit 0; then the
+    rotation mask.  LOG is negative, so that it meets every rotation bit.
+    """
+
+    def __init__(self, ctx: "VerifyContext"):
+        parities = [c.bits for c in ctx.checks]
+        self.nc = nc = len(parities)
+        self.det = (1 << nc) - 1
+        self.reads_terminal = ctx.harmless != "outcomes"
+        self.n = n = ctx.layout.n
+        if not self.reads_terminal:
+            parities += (ctx.decode or {}).values()
+            self.width = len(parities)
+            self.log = self.det ^ -1
+        else:
+            self.width = nc + 2 * n
+            folded_x = ((1 << n - 1) - 1) << nc + 2
+            folded_z = folded_x << n - 1
+            if ctx.trailing_checks:
+                self.det |= 3 << nc
+            self.log = -1 << self.width
+            if ctx.harmless == "plus_state":
+                self.log |= folded_z | 1 << nc
+            else:
+                self.log |= folded_x | folded_z
+        # the sigma of each clbit that some parity reads, keyed by 1 << c
+        self.columns: dict[int, int] = {}
+        for b, bits in enumerate(parities):
+            for c in bits:
+                self.columns[1 << c] = self.columns.get(1 << c, 0) ^ 1 << b
+        self.used = sum(self.columns)
+
+    def packed(self, n: int, cl: int, rot: int) -> Callable[[int], int]:
+        """sigma on a response packed as `_Sweep` packs it: the terminal x
+        mask in bits [0, n), the z mask in [n, 2n), clbit c at cl + c and
+        the rotation mask from bit `rot` up."""
+        columns, width, reads_terminal = (self.columns, self.width,
+                                          self.reads_terminal)
+        used = self.used & (1 << rot - cl) - 1
+        full, nc = (1 << self.n) - 1, self.nc
+        data = full & (1 << n) - 1     # the data qubits the packing holds
+        fold_x, fold_z = nc + 1, nc + self.n      # shifts taking bit 1 up
+
+        def sigma(r: int) -> int:
+            s = r >> rot << width
+            flips = r >> cl & used
+            while flips:
+                low = flips & -flips
+                s ^= columns[low]
+                flips ^= low
+            if reads_terminal:
+                x = r & data
+                z = r >> n & data
+                s ^= ((x.bit_count() & 1) << nc
+                      ^ (z.bit_count() & 1) << nc + 1
+                      ^ ((x ^ -(x & 1)) & full) << fold_x
+                      ^ ((z ^ -(z & 1)) & full) << fold_z)
+            return s
+
+        return sigma
+
+    @cached_property
+    def _fields_sigma(self) -> Callable[[int], int]:
+        """`packed` for the packing `project` puts its fields in."""
+        cl = 2 * self.n
+        return self.packed(self.n, cl, cl + self.used.bit_length())
+
+    def project(self, x: int, z: int, flips: int, rotations: int) -> int:
+        """sigma of the response with terminal x and z masks `x` and `z`,
+        flipped clbit mask `flips` and flipped rotation mask `rotations`."""
+        full, n, used = (1 << self.n) - 1, self.n, self.used
+        return self._fields_sigma(x & full | (z & full) << n
+                                  | (flips & used) << 2 * n
+                                  | rotations << 2 * n + used.bit_length())
+
+    def classify(self, s: int) -> FaultClass:
+        """The verdict on a response whose projection is `s`."""
+        if s & self.det:
+            return FaultClass.DETECTED_BY_CHECK
+        if s & self.log:
+            return FaultClass.LOGICAL_ERROR
+        return FaultClass.STABILIZER_EQUIVALENT
+
+
 @dataclass(frozen=True)
 class VerifyContext:
     """What counts as detected/harmless at the end of a fragment."""
@@ -311,10 +435,9 @@ class VerifyContext:
     trailing_checks: bool    # ideal S_x/S_z measurement afterwards?
 
     @cached_property
-    def masks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(check masks, decoded-bit masks) over the clbits."""
-        return (tuple(_mask(c.bits) for c in self.checks),
-                tuple(_mask(bits) for bits in (self.decode or {}).values()))
+    def projection(self) -> Projection:
+        """sigma and its masks for this context (module docstring)."""
+        return Projection(self)
 
 
 def context_for_gadget(gadget: Gadget) -> VerifyContext:
@@ -337,39 +460,9 @@ def classify_terminal(terminal: PauliString, flips: frozenset[int],
                       rotations: frozenset[int] = frozenset()) -> FaultClass:
     """Verdict on a fault from its frame: the terminal Pauli, the flipped
     classical bits and the sign-flipped rotations (module docstring)."""
-    return _verdict(terminal.xmask, terminal.zmask, _mask(flips),
-                    bool(rotations), ctx)
-
-
-def _verdict(x: int, z: int, flips: int, rotated: bool,
-             ctx: VerifyContext) -> FaultClass:
-    """`classify_terminal` on masks: the terminal's x and z masks and the
-    flipped clbits, and whether any rotation flipped."""
-    checks, decode = ctx.masks
-    for m in checks:
-        if (flips & m).bit_count() & 1:
-            return FaultClass.DETECTED_BY_CHECK
-    if ctx.harmless == "outcomes":
-        if rotated or any((flips & m).bit_count() & 1 for m in decode):
-            return FaultClass.LOGICAL_ERROR
-        return FaultClass.STABILIZER_EQUIVALENT
-    full = (1 << ctx.layout.n) - 1
-    x &= full
-    z &= full
-    # ideal trailing stabilizer checks catch odd-weight components
-    if ctx.trailing_checks and (x.bit_count() & 1 or z.bit_count() & 1):
-        return FaultClass.DETECTED_BY_CHECK
-    if rotated:
-        return FaultClass.LOGICAL_ERROR
-    if ctx.harmless == "plus_state":
-        # stabilizer group of |+...+>: even X-strings, optionally times S_z
-        if z in (0, full) and x.bit_count() % 2 == 0:
-            return FaultClass.STABILIZER_EQUIVALENT
-        return FaultClass.LOGICAL_ERROR
-    # bare code: {I, S_x, S_z, S_x S_z}
-    if x in (0, full) and z in (0, full):
-        return FaultClass.STABILIZER_EQUIVALENT
-    return FaultClass.LOGICAL_ERROR
+    proj = ctx.projection
+    return proj.classify(proj.project(terminal.xmask, terminal.zmask,
+                                      _mask(flips), _mask(rotations)))
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +517,8 @@ def fault_reports(circuit: PhysicalCircuit,
     """`run_fault` of every fault of `enumerate_fault_locations`, in that
     order, from one backward sweep."""
     sweep = _Sweep(circuit)
-    return [sweep.report(loc, r, ctx)
+    sigma, classify = sweep.projector(ctx), ctx.projection.classify
+    return [sweep.report(loc, r, classify(sigma(r)))
             for i, (g, rs) in enumerate(zip(circuit.gates, sweep.per_gate()))
             for loc, r in zip(_locations_at(i, g), rs)]
 
@@ -445,26 +539,45 @@ class FtSummary:
         return self.num_logical == 0
 
 
+_BY_CODE = (FaultClass.DETECTED_BY_CHECK, FaultClass.LOGICAL_ERROR,
+            FaultClass.STABILIZER_EQUIVALENT)
+
+
 def check_gadget_ft(gadget: Gadget) -> FtSummary:
     """Exhaustive single-fault enumeration over one gadget fragment, from
-    one backward sweep; reports are built for the escapes only."""
+    one backward sweep: each gate's entries are projected once, and its
+    faults are classified from XORs of those projections (module
+    docstring).  Reports are built for the escapes only."""
     circuit = gadget.fragment
     ctx = context_for_gadget(gadget)
     sweep = _Sweep(circuit)
-    summary = FtSummary(gadget.kind)
-    verdicts = []
-    for i, rs in enumerate(sweep.per_gate()):
-        for j, r in enumerate(rs):
-            cls = sweep.verdict(r, ctx)
-            verdicts.append(cls)
-            if cls is FaultClass.LOGICAL_ERROR:
-                loc = _locations_at(i, circuit.gates[i])[j]
-                summary.escapes.append(sweep.report(loc, r, ctx))
-    # counted at the end, in order of first occurrence: an Enum hashes in
-    # Python, which would cost more per fault than the verdict itself
-    summary.total = len(verdicts)
-    summary.counts = {cls: verdicts.count(cls) for cls in sorted(
-        (c for c in FaultClass if c in verdicts), key=verdicts.index)}
+    project = sweep.projector(ctx)
+    det, log = ctx.projection.det, ctx.projection.log
+    mz, mx, barrier = GateKind.MEASURE_Z, GateKind.MEASURE_X, GateKind.BARRIER
+
+    def sigmas(g: Gate, rx: list[int], rz: list[int]) -> list[int]:
+        """`responses` of the faults after `g`, projected."""
+        if g.kind is mz or g.kind is mx:
+            return [project(1 << (sweep.cl + g.clbit))]
+        if g.kind is barrier:
+            return []
+        return _combine([(project(rx[q]), project(rz[q])) for q in g.qubits])
+
+    per_gate: list = [None] * len(circuit.gates)
+    sweep.run(per_gate=per_gate, record=sigmas)
+    # verdicts as indices into _BY_CODE, in enumeration order, as bytes so
+    # that they are counted and found at C speed
+    codes = bytes([0 if s & det else 1 if s & log else 2
+                   for per in per_gate for s in per])
+    summary = FtSummary(gadget.kind, len(codes), {
+        _BY_CODE[c]: codes.count(c) for c in sorted(
+            (c for c in range(3) if c in codes), key=codes.index)})
+    if 1 in codes:
+        rs = [r for per in sweep.per_gate() for r in per]
+        locs = enumerate_fault_locations(circuit)
+        summary.escapes = [sweep.report(locs[f], rs[f],
+                                        FaultClass.LOGICAL_ERROR)
+                           for f, c in enumerate(codes) if c == 1]
     return summary
 
 

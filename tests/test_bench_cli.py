@@ -329,6 +329,65 @@ class TestCli:
         assert message in err and err.count("\n") == 1
         assert not os.listdir(out)
 
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--k", "6", "--out", "nodir/g.txt"],
+        ["gen", "--k", "6", "--out", "g.txt", "--params-out", "nodir/p.txt"],
+        ["compile", "--graph", "g.txt", "--gadgets", "old",
+         "--out", "nodir/c.txt"],
+        ["compile", "--graph", "g.txt", "--gadgets", "old", "--out", "c.txt",
+         "--report", "nodir/r.csv"],
+        ["simulate", "--circuit", "c.txt", "--out", "nodir/s.csv"],
+        ["bench-depth", "--sizes", "6", "--out", "nodir/d.csv"],
+        ["verify-ft", "--gadget", "init_new", "--k", "4",
+         "--csv", "nodir/ft.csv"],
+        ["report", "--csv", "d.csv", "--figure", "depth-vs-k",
+         "--out", "nodir/plot.txt"],
+    ], ids=["gen-out", "gen-params-out", "compile-out", "compile-report",
+            "simulate-out", "bench-out", "verify-ft-csv", "report-out"])
+    def test_output_path_error(self, tmp_path, capsys, monkeypatch, argv):
+        # one line on stderr, exit 2, nothing computed and no output left
+        # behind, not even an output whose own path was good
+        def no_compile(*args, **kwargs):
+            raise AssertionError("compiled despite an unwritable output")
+
+        for name in ("compile_baseline", "compile_cooptimized"):
+            monkeypatch.setattr(f"icecomp.cli.{name}", no_compile)
+        monkeypatch.setattr("icecomp.bench.compile_mode", no_compile)
+        monkeypatch.chdir(tmp_path)
+        for name, text in self.GOOD_INPUTS.items():
+            (tmp_path / name).write_text(text)
+        row = dict.fromkeys(REPORT_COLUMNS, "")
+        row.update(bench="depth", k="6", mode="baseline", depth_2q="10")
+        write_rows([row], str(tmp_path / "d.csv"))
+        inputs = set(os.listdir(tmp_path))
+        out = tmp_path / "out"
+        assert main(["--out-dir", str(out), *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"icecomp {argv[0]}: error: ")
+        assert "No such file or directory: 'nodir/" in err
+        assert err.count("\n") == 1
+        assert not os.listdir(out)
+        assert set(os.listdir(tmp_path)) == inputs | {"out"}
+
+    def test_output_check_keeps_existing_files(self, tmp_path):
+        # a good output that exists already keeps its text when a later
+        # output fails, and a compile report that exists but is empty
+        # still gets its header
+        (tmp_path / "g.txt").write_text("old graph\n")
+        assert main(["--out-dir", str(tmp_path), "gen", "--k", "6",
+                     "--out", "g.txt", "--params-out", "nodir/p.txt"]) == 2
+        assert (tmp_path / "g.txt").read_text() == "old graph\n"
+        (tmp_path / "r.csv").write_text("")
+        assert main(["--out-dir", str(tmp_path), "gen", "--k", "6",
+                     "--out", "g.txt"]) == 0
+        assert main(["--out-dir", str(tmp_path), "compile", "--graph",
+                     str(tmp_path / "g.txt"), "--p", "1", "--syndromes",
+                     "1", "--queue-cap", "10", "--out", "c.txt",
+                     "--report", "r.csv"]) == 0
+        with open(tmp_path / "r.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 1 and rows[0]["mode"] == "coopt"
+
     @pytest.mark.parametrize("gadget, k", [("init_new", 3),
                                            ("syndrome_new", 4)])
     def test_verify_ft_unsupported_k(self, tmp_path, capsys, gadget, k):

@@ -2,6 +2,7 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from icecomp.circuit import ComponentRole, GateKind, PhysicalCircuit
 from icecomp.compiler import (CompileConfig, GadgetSet, compile_baseline,
@@ -11,7 +12,7 @@ from icecomp.faults import (FaultClass, FaultLocation, PauliString,
                             classify_rotation_faults, classify_terminal,
                             context_for_gadget, enumerate_fault_locations,
                             fault_reports, propagate_pauli, run_fault)
-from icecomp.gadgets import GadgetKind, IcebergLayout, build_gadget
+from icecomp.gadgets import GadgetKind, IcebergLayout, ParityCheck, build_gadget
 from icecomp.maxcut import GraphKind, generate_instance, ramp_params
 from icecomp.simulator import exact_logical_distribution, total_variation
 
@@ -61,9 +62,15 @@ class TestPropagationRules:
         assert rotations == frozenset()
 
     def test_start_before_circuit_rejected(self):
-        c = clifford_circuit([("cx", 0, 1)])
-        with pytest.raises(ValueError):
-            propagate_pauli(c, -2, P([(0, "X")]))
+        c = clifford_circuit([("cx", 0, 1), ("h", 2), ("cx", 2, 3)])
+        for start, pauli, named in [(-2, P([(0, "X")]), "-2"),
+                                    (3, P([(0, "X")]), "3"),
+                                    (10, P([(0, "X")]), "10"),
+                                    (0, P([(4, "X")]), "xmask=16"),
+                                    (-1, P([(1, "Z"), (6, "Y")]),
+                                     "zmask=66")]:
+            with pytest.raises(ValueError, match=named):
+                propagate_pauli(c, start, pauli)
 
     def test_measurement_flip_recorded(self):
         c = PhysicalCircuit(1, 1)
@@ -180,6 +187,94 @@ class TestClassifyTerminal:
         assert cls is FaultClass.DETECTED_BY_CHECK
 
 
+def _reference_verdict(x, z, flips, rotated, ctx):
+    """The verdict rule written out case by case (module docstring of
+    `icecomp.faults`): the reference the projection must reproduce.  `x`
+    and `z` are the terminal masks, `flips` the flipped clbit mask, and
+    `rotated` whether any rotation flipped."""
+    checks = [sum(1 << b for b in c.bits) for c in ctx.checks]
+    decode = [sum(1 << b for b in bits)
+              for bits in (ctx.decode or {}).values()]
+    for m in checks:
+        if (flips & m).bit_count() & 1:
+            return FaultClass.DETECTED_BY_CHECK
+    if ctx.harmless == "outcomes":
+        if rotated or any((flips & m).bit_count() & 1 for m in decode):
+            return FaultClass.LOGICAL_ERROR
+        return FaultClass.STABILIZER_EQUIVALENT
+    full = (1 << ctx.layout.n) - 1
+    x &= full
+    z &= full
+    # ideal trailing stabilizer checks catch odd-weight components
+    if ctx.trailing_checks and (x.bit_count() & 1 or z.bit_count() & 1):
+        return FaultClass.DETECTED_BY_CHECK
+    if rotated:
+        return FaultClass.LOGICAL_ERROR
+    if ctx.harmless == "plus_state":
+        # stabilizer group of |+...+>: even X-strings, optionally times S_z
+        if z in (0, full) and x.bit_count() % 2 == 0:
+            return FaultClass.STABILIZER_EQUIVALENT
+        return FaultClass.LOGICAL_ERROR
+    # bare code: {I, S_x, S_z, S_x S_z}
+    if x in (0, full) and z in (0, full):
+        return FaultClass.STABILIZER_EQUIVALENT
+    return FaultClass.LOGICAL_ERROR
+
+
+@st.composite
+def _contexts(draw):
+    """A VerifyContext over k in {2, 4, 6} with up to 8 clbits, random check
+    and decode sets, any `harmless` and either `trailing_checks`."""
+    k = draw(st.sampled_from([2, 4, 6]))
+    clbits = draw(st.integers(0, 8))
+    subsets = st.frozensets(st.integers(0, max(clbits - 1, 0)),
+                            max_size=clbits)
+    checks = tuple(ParityCheck(bits) for bits in
+                   draw(st.lists(subsets, max_size=4)))
+    decode = draw(st.none() | st.dictionaries(
+        st.integers(1, k), subsets, max_size=k))
+    harmless = draw(st.sampled_from(["code", "plus_state", "outcomes"]))
+    return VerifyContext(IcebergLayout(k), checks, decode, harmless,
+                         draw(st.booleans())), clbits
+
+
+def _responses(n, clbits):
+    """(x, z, flips, rotations) over n + 2 qubits, with two clbits past the
+    context's and rotation masks that are often zero."""
+    return st.tuples(st.integers(0, (1 << n + 2) - 1),
+                     st.integers(0, (1 << n + 2) - 1),
+                     st.integers(0, (1 << clbits + 2) - 1),
+                     st.just(0) | st.integers(0, (1 << 12) - 1))
+
+
+class TestProjectionOracle:
+    """The projection sigma is XOR-linear, and its class equals the
+    reference rule on random responses and on their XORs; the packed form
+    the sweep uses agrees with it."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_projection_matches_reference(self, data):
+        ctx, clbits = data.draw(_contexts())
+        proj = ctx.projection
+        n = ctx.layout.n + 2
+        cl, rot = 2 * n, 2 * n + clbits + 2
+        packed = proj.packed(n, cl, rot)
+        a = data.draw(_responses(ctx.layout.n, clbits))
+        b = data.draw(_responses(ctx.layout.n, clbits))
+        ab = tuple(u ^ v for u, v in zip(a, b))
+        assert proj.project(*ab) == proj.project(*a) ^ proj.project(*b)
+        for x, z, flips, rotations in (a, b, ab):
+            s = proj.project(x, z, flips, rotations)
+            assert packed(x | z << n | flips << cl | rotations << rot) == s
+            expected = _reference_verdict(x, z, flips, rotations != 0, ctx)
+            assert proj.classify(s) is expected
+            rotated = frozenset(i for i in range(12) if rotations >> i & 1)
+            flipped = frozenset(c for c in range(clbits + 2) if flips >> c & 1)
+            assert classify_terminal(PauliString(x, z), flipped, ctx,
+                                     rotated) is expected
+
+
 class TestEnumeration:
     def test_counts(self):
         c = PhysicalCircuit(3, 1)
@@ -265,6 +360,32 @@ def _forward_frame(circuit, start, pauli):
     return PauliString(x, z), frozenset(flips), frozenset(rotations)
 
 
+def _recount_cases(sizes):
+    """The gadgets `check_gadget_ft` is recounted on: every kind at `sizes`
+    and at k=22, two random orders of each criterion-3 gadget, and a
+    crippled INIT_OLD with escapes."""
+    rng = random.Random(31)
+    gadgets = [build_gadget(kind, k) for kind, k in sizes]
+    gadgets += [build_gadget(kind, 22) for kind in GadgetKind]
+    for kind, k in ((GadgetKind.INIT_NEW, 4), (GadgetKind.SYNDROME_NEW, 6),
+                    (GadgetKind.FINAL_NEW, 4)):
+        gadgets += [build_gadget(kind, k, tuple(rng.sample(range(k + 2),
+                                                           k + 2)))
+                    for _ in range(2)]
+    gadgets.append(_crippled_init_old())
+    defaults = {(kind, k): build_gadget(kind, k).implicit_order
+                for kind in GadgetKind for k in (4, 6, 10, 22)
+                if (kind, k) != (GadgetKind.SYNDROME_NEW, 4)}
+
+    def label(g):
+        name = f"{g.kind.value}-{g.layout.k}-{len(g.checks)}checks"
+        if g.implicit_order != defaults[g.kind, g.layout.k]:
+            name += "-order" + ",".join(map(str, g.implicit_order))
+        return name
+
+    return [pytest.param(g, id=label(g)) for g in gadgets]
+
+
 class TestOneSweep:
     """`fault_reports` and `check_gadget_ft` take every verdict from one
     backward sweep; each must equal `run_fault` on the faults one by one."""
@@ -331,9 +452,7 @@ class TestOneSweep:
             [run_fault(c, loc, ctx) for loc in enumerate_fault_locations(c)]
         assert any(rep.flipped_rotations for rep in reports)
 
-    @pytest.mark.parametrize("gadget", [
-        build_gadget(kind, k) for kind, k in GADGETS] + [_crippled_init_old()],
-        ids=lambda g: f"{g.kind.value}-{g.layout.k}-{len(g.checks)}checks")
+    @pytest.mark.parametrize("gadget", _recount_cases(GADGETS))
     def test_summary_matches_recount(self, gadget):
         ctx = context_for_gadget(gadget)
         reports = [run_fault(gadget.fragment, loc, ctx)
