@@ -33,7 +33,8 @@ and costs O(1) int work.  `fault_reports` and `check_gadget_ft` take every
 verdict of a circuit from one sweep; `propagate_pauli` runs the same sweep
 from the end down to one fault's gate.  The simulator builds the responses
 of its noise sites from the entries `_Sweep.entries` gives, and reads a
-frame's flipped clbits with `_Sweep.unpack`, to reject noisy shots.
+frame's flipped clbits and rotations with `_Sweep.unpack`, to reject noisy
+shots and to decide accepted ones that flip no rotation.
 
 The verdicts rest on two conditions of the circuit: every rotation
 generator commutes with S_x and S_z, so negated rotations keep the state in
@@ -193,18 +194,17 @@ class _Sweep:
     A response packs its four masks into one int, so that one XOR combines
     two responses: the terminal x mask in bits [0, n), the terminal z mask
     in [n, 2n), clbit c at 2n + c, and the rotation of gate i at
-    `rot` + i, above every clbit.
+    `rot` + i, above the circuit's `num_clbits` clbits.  `run` raises
+    ValueError on a measurement into a clbit outside them.
     """
 
     def __init__(self, circuit: PhysicalCircuit):
-        gates = circuit.gates
-        self.gates = gates
+        self.gates = circuit.gates
         self.n = n = circuit.num_qubits
         self.qubits = (1 << n) - 1
         self.cl = 2 * n
-        self.rot = self.cl + max([circuit.num_clbits, *(
-            g.clbit + 1 for g in gates if g.clbit is not None)])
-        self.clbits = (1 << (self.rot - self.cl)) - 1
+        self.rot = self.cl + circuit.num_clbits
+        self.clbits = (1 << circuit.num_clbits) - 1
 
     def run(self, stop: int = -1, per_gate: list | None = None,
             record=None) -> tuple[list[int], list[int]]:
@@ -215,6 +215,7 @@ class _Sweep:
         `record` defaults to `responses`, the responses of the faults after
         gate i."""
         n, gates, rot, cl = self.n, self.gates, self.rot, self.cl
+        num_clbits = rot - cl
         record = record or self.responses
         # the kinds as locals: looking up an Enum member on its class costs
         # more than a gate's own update
@@ -241,14 +242,17 @@ class _Sweep:
             elif kind is h:
                 q = g.qubits[0]
                 rx[q], rz[q] = rz[q], rx[q]
-            elif kind is mz:
+            elif kind is mz or kind is mx:
+                if not 0 <= g.clbit < num_clbits:
+                    raise ValueError(f"classical bit out of range in {g}: "
+                                     f"the circuit has {num_clbits}")
                 q = g.qubits[0]
-                rx[q] ^= 1 << (cl + g.clbit)
-                rz[q] = 0
-            elif kind is mx:
-                q = g.qubits[0]
-                rz[q] ^= 1 << (cl + g.clbit)
-                rx[q] = 0
+                if kind is mz:
+                    rx[q] ^= 1 << (cl + g.clbit)
+                    rz[q] = 0
+                else:
+                    rz[q] ^= 1 << (cl + g.clbit)
+                    rx[q] = 0
             elif kind is reset:
                 q = g.qubits[0]
                 rx[q] = rz[q] = 0

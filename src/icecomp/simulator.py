@@ -13,13 +13,16 @@ flips with probability p_meas.  All rates scale with a global multiplier.
 Sampling.  Shot i draws everything from its own generator, seeded by
 (seed, i).  An encoded shot first draws whether each noise site fires.  A
 shot on which no Pauli fires picks its bits from the exact noiseless
-distribution (exact_bit_distribution) and applies its readout flips; a
-clbit measured twice keeps its last write, and that measurement's flip.  Up
-to its first Pauli event any other shot runs the noiseless circuit, so
-sample_shots advances one noiseless sweep state layer by layer, and a shot
-starts its trajectory from a copy of the sweep at the layer of its first
-event.  The sweep collapses each mid-circuit measurement and reset onto
-its likelier outcome.  A resumed shot draws for those earlier collapses as
+distribution (exact_bit_distribution) with one uniform and applies its
+readout flips; a clbit measured twice keeps its last write, and that
+measurement's flip.  Any other shot stands for its trajectory, which then
+draws, in traversal order, one uniform per measurement and reset
+(StateVector.measure/reset) and one Pauli code per fired site.  Up to its
+first Pauli event a trajectory runs the noiseless circuit, so sample_shots
+advances one noiseless sweep state layer by layer, and a shot starts its
+trajectory from a copy of the sweep at the layer of its first event.  The
+sweep collapses each mid-circuit measurement and reset onto its likelier
+outcome.  A resumed shot draws for those earlier collapses as
 StateVector.measure/reset would; if a draw disagrees, the shot's state is
 not the sweep's, and the shot runs again from layer 0 with a fresh
 generator.  The sweep stops at the horizon, the first layer holding a
@@ -29,9 +32,12 @@ same floating-point operations, in the same order, as a trajectory run
 from |0...0>, and its record is the same.  sample_logical_shots does the
 same per gate step: a shot redraws the event tests before the step of its
 first fired test, then runs that step and the rest from a copy of the
-sweep taken before it.
+sweep taken before it.  A shot with no event there measures qubits 0..k-1
+of the final sweep state in turn from per-call marginal masses of that
+state (below), each measurement followed by its readout test as in a
+trajectory.
 
-Rejection from the Pauli frame.  A Pauli a noise site applies passes the
+Shots the Pauli frame decides.  A Pauli a noise site applies passes the
 rest of the circuit as a Pauli frame (see the faults module): the shot
 gives the outcomes of the noiseless circuit with the frame's rotations
 negated and its clbits flipped.  Each circuit has one cached _ShotPlan:
@@ -39,22 +45,45 @@ its noise sites, numbered once in traversal order, each with the response
 of every Pauli it can apply, from one backward faults._Sweep pass.  So
 before touching any state, sample_shots walks an event shot's fired sites
 in that order and draws each one's Pauli code after the uniforms of the
-measurements and resets before that site: these are the draws its
-trajectory makes, so this is the trajectory's frame.  The checks are a
-function of the frame alone when the guard holds: there are checks, each
-clbit is measured at most once, the noiseless check values are
+measurements and resets before that site, which it keeps: these are the
+draws its trajectory makes, so this is the trajectory's frame.  The checks
+are a function of the frame alone when the guard holds: there are checks,
+each clbit is measured at most once, the noiseless check values are
 deterministic, and no rotation generator (Z_aZ_b after an RZZ, X_aX_b
 after an RXX), taken as a fault right after its own gate, flips a check
 parity.  By induction over the first sign-flipped rotation the checks are
-then deterministic under every pattern of rotation signs.  Under the guard
-a shot whose frame breaks a check is rejected without a trajectory.  Its
-record holds accepted False, logical None and the exact check values (the
-noiseless ones XOR the frame's flips, which the trajectory gives too).
-Its bits are an ideal sample (the shot's next uniform into the ideal
-distribution) with the frame's clbit flips and readout flips applied:
-exact in distribution when no rotation flipped; otherwise only their
-check parities are simulated.  Every other shot runs as above, and every
-accepted record is the trajectory's, bit for bit.
+then deterministic under every pattern of rotation signs.  Under the guard:
+
+  * A shot whose frame breaks a check is rejected without a trajectory.
+    Its record holds accepted False, logical None and the exact check
+    values (the noiseless ones XOR the frame's flips, which the trajectory
+    gives too).  Its bits are an ideal sample (the shot's next uniform into
+    the ideal distribution) with the frame's clbit flips and readout flips
+    applied: exact in distribution when no rotation flipped; otherwise only
+    their check parities are simulated.
+  * A shot whose frame keeps every check and flips no rotation is the
+    noiseless circuit with its frame's clbit flips, provided every reset is
+    deterministic in the noiseless circuit (the plan decides this once): a
+    random reset conditions later outcomes through a bit no clbit records.
+    Its trajectory's measurement j reads 1 when j's uniform lies below
+    prob_one, the probability of a 1 at j given the earlier outcomes under
+    the ideal distribution with the frame's flips.  The shot draws the rest
+    of its measurement and reset uniforms and takes that probability from
+    prefix masses of the ideal distribution (_ShotPlan.prefix_masses), so
+    it builds no state.  Then it applies its readout flips.
+  * Every other shot runs its trajectory, and its record is the
+    trajectory's, bit for bit.
+
+A shot that reads its outcomes from masses (an accepted encoded shot the
+frame decides, or an event-free unencoded shot) takes as p1 the mass of
+its outcomes so far extended by a 1, over the product of those outcomes'
+probabilities, as measure() renormalizes the state after each collapse.
+That p1 agrees with its trajectory's prob_one to the last bits, not bit
+for bit: the masses are summed in another order, and an encoded shot's
+come from the noiseless state at the circuit end.  A later 1 - p1 and
+renormalization scale those bits up; at k=10 the two p1 stay within about
+2e-13.  The record is the trajectory's unless a uniform falls between
+them.
 
 The gate kernels work on the whole array at once, but each amplitude gets
 the same IEEE operations in the same order as in a per-block update (see
@@ -423,7 +452,8 @@ class _ShotPlan:
     """What sample_shots needs of a circuit whatever the noise, from one
     pass over its schedule: the traversal script (per layer, its gates, then
     the idle qubits of a layer holding a two-qubit gate), the horizon, the
-    ideal distribution, the readout and rotation flips, and the guards.
+    ideal distribution and whether every reset is deterministic in it, the
+    readout and rotation flips, and the guards.
 
     Each unitary gate and each such idle qubit is a Pauli site, numbered
     once in traversal order with its layer, its slot (the measurements and
@@ -431,9 +461,10 @@ class _ShotPlan:
     responses from the faults._Sweep entries right after its gate; an idle
     site after layer l on q takes those after q's last gate before l, or at
     the circuit start.  A shot draws every site's event up front, so its
-    first Pauli event and its frame are known before any state is touched;
-    one that needs a trajectory resumes it from the noiseless sweep
-    (`advance`, `resume`, `run`)."""
+    first Pauli event and its frame are known before any state is touched.
+    One that the frame decides and accepts takes its outcomes from
+    `prefix_masses` (`frame_sample`); one that needs a trajectory resumes it
+    from the noiseless sweep (`advance`, `resume`, `run`)."""
 
     def __init__(self, circuit: PhysicalCircuit):
         sched = layered_schedule(circuit)
@@ -441,9 +472,11 @@ class _ShotPlan:
         self.num_qubits = circuit.num_qubits
         self.num_clbits = circuit.num_clbits
         self.gate_layer = sched.gate_layer
-        ideal = sorted(exact_bit_distribution(circuit).items())
+        dist, self.resets_fixed = _bit_distribution(circuit)
+        ideal = sorted(dist.items())
         self.ideal_bits = [b for b, _ in ideal]
-        self.ideal_cum = np.cumsum([p for _, p in ideal])
+        self.ideal_probs = [p for _, p in ideal]
+        self.ideal_cum = np.cumsum(self.ideal_probs)
 
         self.sweep = _Sweep(circuit)
         self.after, last = self.sweep.entries()
@@ -454,6 +487,7 @@ class _ShotPlan:
         self.slots: list[int] = []
         self.responses: list[list[int]] = []
         meas_clbits: list[int] = []
+        meas_slots: list[int] = []
         rotation_flips = set()
         # the Pauli sites of each family
         family: dict[str, list[int]] = {"2q": [], "1q": [], "idle": []}
@@ -475,6 +509,7 @@ class _ShotPlan:
                 if g.kind in MEASURE_KINDS:
                     ops.append((gi, g, len(meas_clbits)))
                     meas_clbits.append(g.clbit)
+                    meas_slots.append(slot)
                     slot += 1
                 elif g.kind is GateKind.RESET:
                     ops.append((gi, g, None))
@@ -508,6 +543,9 @@ class _ShotPlan:
         self.readout_flips = [1 << c if last_write[c] == si else 0
                               for si, c in enumerate(meas_clbits)]
         self.clbits_once = len(last_write) == len(meas_clbits)
+        self.meas_clbits = meas_clbits
+        self.meas_slots = meas_slots
+        self.meas_end = meas_slots[-1] + 1 if meas_slots else 0
         self.rotation_flips = frozenset(rotation_flips)
         self._guards: dict[tuple[ParityCheck, ...], tuple | None] = {}
 
@@ -541,17 +579,18 @@ class _ShotPlan:
         """Run one layer noiselessly.  A measurement or reset collapses onto
         its likelier outcome; (p1, outcome, gate, meas site) is recorded so
         a shot can check its own draw against it."""
+        mz, mx, reset = GateKind.MEASURE_Z, GateKind.MEASURE_X, GateKind.RESET
         ops, _, _ = self.layers[layer]
         for _, g, si in ops:
             kind = g.kind
-            if kind in MEASURE_KINDS or kind is GateKind.RESET:
+            if kind is mz or kind is mx or kind is reset:
                 q = g.qubits[0]
-                if kind is GateKind.MEASURE_X:
+                if kind is mx:
                     sweep.apply_h(q)
                 p1 = sweep.prob_one(q)
                 v = 1 if p1 > 0.5 else 0
                 sweep.collapse(q, v, p1)
-                if kind is GateKind.RESET and v:
+                if kind is reset and v:
                     sweep.apply_x(q)
                 outcomes.append((p1, v, g, si))
             else:
@@ -585,17 +624,18 @@ class _ShotPlan:
             start: int) -> list[int]:
         """One trajectory from the start of layer `start` to the end."""
         fired, em = events
+        mz, mx, reset = GateKind.MEASURE_Z, GateKind.MEASURE_X, GateKind.RESET
         for ops, idle, base in self.layers[start:]:
             for gi, g, si in ops:
                 kind = g.kind
-                if kind in MEASURE_KINDS:
-                    if kind is GateKind.MEASURE_X:
+                if kind is mz or kind is mx:
+                    if kind is mx:
                         state.apply_h(g.qubits[0])
                     v = state.measure(g.qubits[0], rng)
                     if em[si]:
                         v ^= 1
                     bits[g.clbit] = v
-                elif kind is GateKind.RESET:
+                elif kind is reset:
                     state.reset(g.qubits[0], rng)
                 else:
                     _apply_gate(state, g)
@@ -645,20 +685,65 @@ class _ShotPlan:
                     frame ^= entries[q][1]
         return frame
 
-    def flips(self, rng: np.random.Generator, events, frame: int) -> int:
-        """The clbit flips of a shot: its Pauli frame from `frame` on, each
-        fired site's Pauli drawn as its trajectory draws it (after the
-        uniforms of the measurements and resets before that site), and its
-        readout flips."""
-        fired, em = events
-        drawn = 0
+    def flips(self, rng: np.random.Generator, fired: np.ndarray, frame: int
+              ) -> tuple[int, int, list[float]]:
+        """A shot's Pauli frame from `frame` on, each fired site's Pauli
+        drawn as its trajectory draws it, after the uniforms of the
+        measurements and resets before that site.  Returns the frame's
+        clbit flips, its rotation mask and those uniforms, by slot."""
+        uniforms: list[float] = []
         for s in np.flatnonzero(fired).tolist():
-            if self.slots[s] > drawn:
-                rng.random(self.slots[s] - drawn)
-                drawn = self.slots[s]
+            gap = self.slots[s] - len(uniforms)
+            if gap > 0:
+                uniforms += rng.random(gap).tolist()
             rs = self.responses[s]
             frame ^= rs[int(rng.integers(1, len(rs) + 1)) - 1]
-        return self.sweep.unpack(frame)[2] ^ self.readout(em)
+        _, _, cl, rot = self.sweep.unpack(frame)
+        return cl, rot, uniforms
+
+    @functools.cached_property
+    def prefix_masses(self) -> list[dict[int, float]]:
+        """Per measurement j, in measurement order: the ideal mass of each
+        outcome x of the measurements up to j (bit i of x is measurement
+        i) that the ideal distribution reaches."""
+        mass: dict[int, float] = {}
+        for bits, p in zip(self.ideal_bits, self.ideal_probs):
+            mass[sum(bits[c] << j for j, c in enumerate(self.meas_clbits))] = p
+        masses = []
+        for j in reversed(range(len(self.meas_clbits))):
+            masses.append(mass)
+            shorter: dict[int, float] = {}
+            for x, m in mass.items():
+                x &= ~(-1 << j)
+                shorter[x] = shorter.get(x, 0.0) + m
+            mass = shorter
+        return masses[::-1]
+
+    def frame_sample(self, rng: np.random.Generator, uniforms: list[float],
+                     cl: int, em: np.ndarray) -> list[int]:
+        """The bits of a shot whose frame flips clbits `cl` and no rotation,
+        under the guard and with every reset fixed: the noiseless circuit's
+        outcomes with the frame's flips, then the readout flips `em`.
+        Measurement j reads 1 when the shot's uniform at its slot
+        (`uniforms`, drawn on up to the last measurement) lies below the
+        probability of a 1 given the outcomes before it, under the ideal
+        distribution with the frame's flips, as its trajectory's `measure`
+        would (module docstring)."""
+        short = self.meas_end - len(uniforms)
+        if short > 0:
+            uniforms += rng.random(short).tolist()
+        bits = [0] * self.num_clbits
+        x, norm = 0, 1.0    # the ideal outcomes so far and their probability
+        for j, (slot, c, mass, ro) in enumerate(zip(
+                self.meas_slots, self.meas_clbits, self.prefix_masses,
+                em.tolist())):
+            f = cl >> c & 1
+            p1 = mass.get(x | (f ^ 1) << j, 0.0) / norm
+            v = 1 if uniforms[slot] < p1 else 0
+            norm *= p1 if v else 1.0 - p1
+            x |= (v ^ f) << j
+            bits[c] = v ^ ro
+        return bits
 
     def readout(self, em) -> int:
         """The clbit flips of a shot's readout events `em`, one per
@@ -710,16 +795,22 @@ def sample_shots(circuit: PhysicalCircuit, noise: NoiseModel, shots: int,
     does not depend on the other shots.  A shot on which no Pauli event
     fires picks its bits from the exact noiseless distribution and applies
     its readout flips.  When the guard holds (the checks are a function of
-    the Pauli frame alone), a shot whose frame breaks a check is rejected
-    without a trajectory: its check values are exact, and its bits an ideal
-    sample with the frame's flips applied.  Every other shot starts its
-    trajectory at the layer of its first Pauli event, capped at the horizon
-    (the first layer of the trailing measurement block), from a copy of one
-    noiseless sweep state per call.  A shot whose own draw for an earlier
-    mid-circuit measurement or reset disagrees with the sweep's outcome runs
-    from layer 0 instead.  Every record equals that of running its
-    trajectory from layer 0, but for the bits of frame-rejected shots; see
-    the module docstring.  The circuit's _ShotPlan is cached by its
+    the Pauli frame alone), the frame decides two more kinds of shot
+    without a state.  A shot whose frame breaks a check is rejected: its
+    check values are exact, and its bits an ideal sample with the frame's
+    flips applied.  If also every reset is deterministic, a shot whose
+    frame keeps every check and flips no rotation reads each measurement
+    with the uniform its trajectory would use, against the probability of
+    a 1 given the earlier outcomes under the ideal distribution with the
+    frame's flips.  Every other shot starts its trajectory at the layer of
+    its first Pauli event, capped at the horizon (the first layer of the
+    trailing measurement block), from a copy of one noiseless sweep state
+    per call.  A shot whose own draw for an earlier mid-circuit measurement
+    or reset disagrees with the sweep's outcome runs from layer 0 instead.
+    Every record equals that of running its trajectory from layer 0, but
+    for the bits of frame-rejected shots; the outcome probabilities of an
+    accepted shot the frame decides agree with its trajectory's to the
+    last bits (module docstring).  The circuit's _ShotPlan is cached by its
     content; the circuit is validated on every call all the same.
 
     `inject` lists deterministic Pauli errors applied after given gate
@@ -744,16 +835,24 @@ def sample_shots(circuit: PhysicalCircuit, noise: NoiseModel, shots: int,
     records: list[ShotRecord | None] = [None] * shots
     buckets: dict[int, list[int]] = {}
     for shot in range(shots):
-        rng, events = plan.draw(seed, shot, rates)
-        start = plan.start_layer(events[0], inject_layer)
+        rng, (fired, em) = plan.draw(seed, shot, rates)
+        start = plan.start_layer(fired, inject_layer)
         if start is None:
-            flips = plan.readout(events[1])
-        elif guard is None or _keeps_checks(
-                guard, flips := plan.flips(rng, events, inject_frame)):
+            bits = plan.ideal_sample(rng, plan.readout(em))
+        elif guard is None:
             buckets.setdefault(start, []).append(shot)
             continue
-        records[shot] = make_record(plan.ideal_sample(rng, flips), checks,
-                                    decode)
+        else:
+            cl, rot, uniforms = plan.flips(rng, fired, inject_frame)
+            flips = cl ^ plan.readout(em)
+            if not _keeps_checks(guard, flips):
+                bits = plan.ideal_sample(rng, flips)
+            elif rot or not plan.resets_fixed:
+                buckets.setdefault(start, []).append(shot)
+                continue
+            else:
+                bits = plan.frame_sample(rng, uniforms, cl, em)
+        records[shot] = make_record(bits, checks, decode)
 
     if buckets:
         sweep = StateVector(circuit.num_qubits)
@@ -769,22 +868,27 @@ def sample_shots(circuit: PhysicalCircuit, noise: NoiseModel, shots: int,
     return records
 
 
-def _apply_gate(state: StateVector, g: Gate) -> None:
-    """A unitary gate (or a barrier, which does nothing)."""
+def _apply_gate(state: StateVector, g: Gate, *, cnot=GateKind.CNOT,
+                rzz=GateKind.RZZ, rxx=GateKind.RXX, h=GateKind.H,
+                x=GateKind.X, z=GateKind.Z, barrier=GateKind.BARRIER
+                ) -> None:
+    """A unitary gate (or a barrier, which does nothing).  The kinds are
+    defaults, so locals: looking up an Enum member on its class costs more
+    than a small kernel."""
     kind = g.kind
-    if kind is GateKind.CNOT:
+    if kind is cnot:
         state.apply_cx(*g.qubits)
-    elif kind is GateKind.RZZ:
+    elif kind is rzz:
         state.apply_rzz(g.qubits[0], g.qubits[1], g.angle)
-    elif kind is GateKind.RXX:
+    elif kind is rxx:
         state.apply_rxx(g.qubits[0], g.qubits[1], g.angle)
-    elif kind is GateKind.H:
+    elif kind is h:
         state.apply_h(g.qubits[0])
-    elif kind is GateKind.X:
+    elif kind is x:
         state.apply_x(g.qubits[0])
-    elif kind is GateKind.Z:
+    elif kind is z:
         state.apply_z(g.qubits[0])
-    elif kind is GateKind.BARRIER:
+    elif kind is barrier:
         pass
     else:  # pragma: no cover
         raise NotImplementedError(kind)
@@ -799,12 +903,21 @@ def exact_bit_distribution(circuit: PhysicalCircuit,
                            ) -> dict[tuple[int, ...], float]:
     """Exact joint distribution over the classical bits.
 
-    Mid-circuit measurements branch only when both outcomes have probability
-    above BRANCH_TOL (noiseless encoded circuits keep a single branch); the
-    trailing block of measurements is evaluated jointly from amplitudes.
-    `inject` is checked and applied as in `sample_shots`.
+    Mid-circuit measurements and resets branch only when both outcomes have
+    probability above BRANCH_TOL (noiseless encoded circuits keep a single
+    branch); the trailing block of measurements is evaluated jointly from
+    amplitudes.  `inject` is checked and applied as in `sample_shots`.
     """
+    return _bit_distribution(circuit, inject)[0]
+
+
+def _bit_distribution(circuit: PhysicalCircuit,
+                      inject: Sequence[tuple[int, PauliString]] = ()
+                      ) -> tuple[dict[tuple[int, ...], float], bool]:
+    """exact_bit_distribution, and whether no reset branched: a reset that
+    branches leaves an outcome no clbit records."""
     gates = circuit.gates
+    resets_fixed = True
     inject_map = _inject_map(gates, inject)
     tail_start = _trailing_start(gates)
 
@@ -824,6 +937,8 @@ def exact_bit_distribution(circuit: PhysicalCircuit,
                     outcomes.append(0)
                 if p1 > BRANCH_TOL:
                     outcomes.append(1)
+                if g.kind is GateKind.RESET and len(outcomes) > 1:
+                    resets_fixed = False
                 for v in outcomes:
                     st = state.copy() if len(outcomes) > 1 else state
                     p = st.collapse(g.qubits[0], v, p1)
@@ -868,7 +983,7 @@ def exact_bit_distribution(circuit: PhysicalCircuit,
                 nb[clbit] = (s >> bitpos) & 1
             key = tuple(nb)
             dist[key] = dist.get(key, 0.0) + weight * pm
-    return dist
+    return dist, resets_fixed
 
 
 def exact_logical_distribution(circuit: PhysicalCircuit,
@@ -950,23 +1065,36 @@ def sample_logical_shots(lc: LogicalCircuit, noise: NoiseModel, shots: int,
     A step's event test draws one uniform when its p > 0.  Until the first
     test fires no draw depends on the state, so a shot draws all its tests
     at once (one vector draw gives the same numbers as one draw per test)
-    and is bucketed by the step of its first fired test; a shot with no
-    event goes to the bucket past the last step.  One noiseless sweep runs
-    through the steps.  A shot redraws the tests of the earlier steps and
-    resumes from a copy of the sweep taken before its bucket's step, so it
-    runs that step itself, as a sample_shots shot runs the layer of its
-    first event."""
+    and is bucketed by the step of its first fired test.  One noiseless
+    sweep runs through the steps.  A shot redraws the tests of the earlier
+    steps and resumes from a copy of the sweep taken before its bucket's
+    step, so it runs that step itself, as a sample_shots shot runs the layer
+    of its first event.  A shot with no event measures the final sweep
+    state: qubit q reads 1 when its next uniform lies below the probability
+    of a 1 given the outcomes of qubits 0..q-1, from `_marginal_masses`, and
+    each measurement's readout test follows it, as in a trajectory."""
     if shots < 0:
         raise ValueError(f"shots must be nonnegative, got {shots}")
     eff = noise.effective()
     steps = _logical_steps(lc, eff)
     tested = [i for i, (_, p, _) in enumerate(steps) if p > 0]
     probs = np.array([steps[i][1] for i in tested])
+    # an event-free shot's uniforms after its tests: per qubit, that of its
+    # measurement, then that of its readout test when p_meas > 0
+    stride = 2 if eff.p_meas > 0 else 1
     buckets: dict[int, list[int]] = {}
+    free: list[tuple[int, np.ndarray]] = []
     for shot in range(shots):
-        fired = _per_shot_rng(seed, shot).random(len(tested)) < probs
-        first = tested[int(fired.argmax())] if fired.any() else len(steps)
-        buckets.setdefault(first, []).append(shot)
+        rng = _per_shot_rng(seed, shot)
+        fired = rng.random(len(tested)) < probs
+        if fired.any():
+            buckets.setdefault(tested[int(fired.argmax())], []).append(shot)
+        else:
+            free.append((shot, rng.random(stride * lc.k)))
+
+    def record(bits: list[int]) -> ShotRecord:
+        return ShotRecord(tuple(bits), (), True,
+                          sum(b << q for q, b in enumerate(bits)))
 
     def finish(state: StateVector, rng: np.random.Generator,
                start: int) -> ShotRecord:
@@ -980,25 +1108,49 @@ def sample_logical_shots(lc: LogicalCircuit, noise: NoiseModel, shots: int,
             if eff.p_meas > 0 and rng.random() < eff.p_meas:
                 v ^= 1
             bits.append(v)
-        logical = sum(b << q for q, b in enumerate(bits))
-        return ShotRecord(tuple(bits), (), True, logical)
+        return record(bits)
 
     records: list[ShotRecord | None] = [None] * shots
     sweep = StateVector(lc.k)
     for q in range(lc.k):
         sweep.apply_h(q)
     test = 0    # tests of the steps before step i
-    for i in range(len(steps) + 1):
+    for i, (g, p, _) in enumerate(steps):
         for shot in buckets.get(i, ()):
             rng = _per_shot_rng(seed, shot)
             rng.random(test)
             records[shot] = finish(sweep.copy(), rng, i)
-        if i < len(steps):
-            g, p, _ = steps[i]
-            _apply_logical_gate(sweep, g)
-            if p > 0:
-                test += 1
+        _apply_logical_gate(sweep, g)
+        if p > 0:
+            test += 1
+
+    masses = _marginal_masses(sweep.probabilities(), lc.k)
+    for shot, u in free:
+        u = u.tolist()
+        x, norm = 0, 1.0    # the outcomes so far and their probability
+        bits = []
+        for q, mass in enumerate(masses):
+            p1 = mass[x | 1 << q] / norm
+            v = 1 if u[stride * q] < p1 else 0
+            norm *= p1 if v else 1.0 - p1
+            x |= v << q
+            if stride == 2 and u[2 * q + 1] < eff.p_meas:
+                v ^= 1
+            bits.append(v)
+        records[shot] = record(bits)
     return records
+
+
+def _marginal_masses(probs: np.ndarray, k: int) -> list[list[float]]:
+    """masses[q][x]: the mass of the basis states whose qubits 0..q read x
+    (bit i of x is qubit i), from the probabilities of the 2^k basis
+    states, summed over the higher qubits first."""
+    masses = []
+    for _ in range(k):
+        masses.append(probs.tolist())
+        m0, m1 = probs.reshape(2, -1)       # split on the highest qubit
+        probs = m0 + m1
+    return masses[::-1]
 
 
 # ---------------------------------------------------------------------------

@@ -81,6 +81,19 @@ class TestPropagationRules:
         _, flips, _ = propagate_pauli(c, -1, P([(0, "Z")]))
         assert flips == frozenset()
 
+    def test_clbit_outside_the_circuit_rejected(self):
+        # the sweep packs rotations right above the circuit's clbits, so a
+        # measurement into a clbit it does not declare must raise, as
+        # validate() does, and not alias a rotation's bit
+        c = PhysicalCircuit(2, 1)
+        c.begin_component(0, ComponentRole.FINAL_MEAS)
+        c.mz(0, 0)
+        c.mx(1, 1)
+        with pytest.raises(ValueError, match="classical bit out of range"):
+            propagate_pauli(c, -1, P([(0, "X")]))
+        c.num_clbits = 2
+        assert propagate_pauli(c, -1, P([(1, "Z")]))[1] == frozenset({1})
+
     def test_homomorphism_on_random_cliffords(self):
         rng = random.Random(5)
         for _ in range(40):

@@ -618,6 +618,63 @@ class TestBitIdentity:
         for recs in (fast, traj):
             assert abs(np.mean([r.bits[0] for r in recs]) - 0.3) < 4 * se
 
+    def test_random_reset(self):
+        # a Bell pair whose half on qubit 0 is reset: qubit 1 keeps the
+        # reset's outcome, which no clbit records, and the CX copies it to
+        # qubit 2.  The check c0 ^ c1 is deterministic and the guard holds,
+        # but an accepted shot's bits follow the reset's draw, which the
+        # ideal distribution of the clbits does not hold: every accepted
+        # record is the trajectory's all the same
+        circ = PhysicalCircuit(3, 2)
+        circ.h(0)
+        circ.cx(0, 1)
+        circ.reset(0)
+        circ.cx(1, 2)
+        circ.mz(1, 0)
+        circ.mz(2, 1)
+        checks = (ParityCheck(frozenset({0, 1})),)
+        assert _frame_guard(circ, checks) is not None
+        args = (circ, NoiseModel(scale=100.0), 400, 3)
+        recs = sample_shots(*args, checks=checks)
+        assert _without_rejected_bits(recs) == _without_rejected_bits(
+            reference_sample_shots(*args, checks=checks))
+        assert 0 < post_selection_rate(recs) < 1
+
+    def test_frame_decided_shots(self, monkeypatch):
+        # at noise scale 4 most shots have a Pauli event; the accepted ones
+        # whose frame flips no rotation take their outcomes from the ideal
+        # distribution's conditionals and build no state, and every record
+        # stays the trajectory's
+        g = generate_instance(GraphKind.REGULAR_3, 10, seed=0)
+        enc = compile_mode(g, ramp_params(3), "resynth+z2", 2, 100)
+        noise = NoiseModel(scale=4.0)
+        args = (enc.circuit, noise, 300, 11)
+        kw = dict(checks=enc.checks, decode=enc.decode)
+        ref = reference_sample_shots(*args, **kw)
+        plan = _shot_plan(enc.circuit)
+        eff = noise.effective()
+        rates = np.repeat((eff.p2, eff.p1, eff.p_meas, eff.p_idle),
+                          plan.family_sizes)
+        accepted_events = sum(
+            r.accepted and plan.draw(11, shot, rates)[1][0].any()
+            for shot, r in enumerate(ref))
+        built = []
+        init, copy = StateVector.__init__, StateVector.copy
+
+        def counted_init(self, n):
+            built.append(n)
+            init(self, n)
+
+        def counted_copy(self):
+            built.append(self.n)
+            return copy(self)
+
+        monkeypatch.setattr(StateVector, "__init__", counted_init)
+        monkeypatch.setattr(StateVector, "copy", counted_copy)
+        recs = sample_shots(*args, **kw)
+        assert _without_rejected_bits(recs) == _without_rejected_bits(ref)
+        assert 0 < len(built) < accepted_events
+
     @pytest.mark.parametrize("k, p, s", [(6, 1, 1), (10, 3, 2)])
     def test_guard_holds_for_every_mode(self, k, p, s):
         g = generate_instance(GraphKind.REGULAR_3, k, seed=0)
