@@ -26,9 +26,9 @@ from .maxcut import (GraphKind, ProblemGraph, QaoaParams, approximation_ratio,
                      brute_force_optimum, build_qaoa, cut_value,
                      generate_instance, ramp_params, success_probability)
 from .simulator import (NoiseModel, ShotRecord, accepted_distribution,
-                        energy_distribution, logical_exact_distribution,
-                        post_selection_rate, postprocess_truncate,
-                        sample_logical_shots, sample_shots, total_variation)
+                        energy_distribution, post_selection_rate,
+                        postprocess_truncate, sample_logical_shots,
+                        sample_shots, total_variation, unencoded_distribution)
 
 REPORT_COLUMNS = [
     "bench", "family", "k", "p", "s", "density", "seed", "mode", "gadget_set",
@@ -179,7 +179,7 @@ def run_qaoa_bench(spec: SweepSpec) -> list[dict]:
     rows = []
     for k, d, seed, graph in spec.instances():
         f_max = brute_force_optimum(graph)
-        exact = logical_exact_distribution(build_qaoa(graph, spec.angles()))
+        exact = unencoded_distribution(build_qaoa(graph, spec.angles()))
         ar_exact = approximation_ratio(exact, graph, f_max)
         for s in spec.syndromes:
             for mode in spec.modes:
@@ -215,7 +215,7 @@ def run_energy_bench(spec: SweepSpec) -> list[dict]:
     for k, d, seed, graph in spec.instances():
         params = spec.angles()
         lc = build_qaoa(graph, params)
-        exact_energy = energy_distribution(logical_exact_distribution(lc), graph)
+        exact_energy = energy_distribution(unencoded_distribution(lc), graph)
         cutoff = max(exact_energy)
         s = spec.syndromes[0]
         enc_mode = "resynth+z2" if "resynth+z2" in spec.modes else spec.modes[-1]

@@ -61,29 +61,49 @@ then deterministic under every pattern of rotation signs.  Under the guard:
     the ideal distribution) with the frame's clbit flips and readout flips
     applied: exact in distribution when no rotation flipped; otherwise only
     their check parities are simulated.
-  * A shot whose frame keeps every check and flips no rotation is the
-    noiseless circuit with its frame's clbit flips, provided every reset is
-    deterministic in the noiseless circuit (the plan decides this once): a
-    random reset conditions later outcomes through a bit no clbit records.
-    Its trajectory's measurement j reads 1 when j's uniform lies below
-    prob_one, the probability of a 1 at j given the earlier outcomes under
-    the ideal distribution with the frame's flips.  The shot draws the rest
-    of its measurement and reset uniforms and takes that probability from
-    prefix masses of the ideal distribution (_ShotPlan.prefix_masses), so
-    it builds no state.  Then it applies its readout flips.
+  * A shot whose frame keeps every check is the noiseless circuit with
+    its frame's rotations negated (theta') and its clbits flipped, provided
+    every reset is deterministic in the noiseless circuit (the plan decides
+    this once): a random reset conditions later outcomes through a bit no
+    clbit records.  Its trajectory's measurement j reads 1 when j's uniform
+    lies below prob_one, the probability of a 1 at j given the earlier
+    outcomes under the theta' distribution with the frame's flips.  The
+    shot draws the rest of its measurement and reset uniforms and takes
+    that probability from masses of the theta' distribution over the
+    plan's outcome table (the ideal entries sorted by their outcomes in
+    measurement order, _ShotPlan.frame_sample), so it builds no state of
+    the circuit.  Then it applies its readout flips.  When no rotation
+    flipped, the theta' distribution is the ideal one.
+  * Otherwise the logical model (_LogicalModel) gives it.  The rotations
+    of an Iceberg circuit commute with both stabilizers, so under theta'
+    too the state before the final readout lies in the code space, and
+    the readout never mixes two logical basis states: each clbit pattern
+    decodes to one logical x, and P(bits) = P_L(x) Q(bits | x) with Q set
+    by the readout alone.  So the theta' distribution is the ideal one
+    with each entry scaled by P'_L(x)/P_L(x), P'_L and P_L the logical
+    distributions with and without the flips.  P'_L comes from a
+    StateVector(k) from |+>^k on which RZZ(u+1, v+1) acts as Z_uZ_v and
+    RXX(t or b, q), t = 0 and b = k+1 the top and bottom qubits, as
+    X_{q-1}; P_L is the ideal distribution's decoded marginal.  The plan
+    keys the model by `decode`, as it keys the guard by the checks, and
+    keeps it only if every rotation has one of those forms and the model's
+    own P_L matches that marginal to MODEL_TOL with every x present.
   * Every other shot runs its trajectory, and its record is the
-    trajectory's, bit for bit.
+    trajectory's, bit for bit: every shot when the guard fails, a shot
+    that keeps its checks when a reset is random, and one that keeps its
+    checks and flips a rotation when there is no `decode` or no model.
 
 A shot that reads its outcomes from masses (an accepted encoded shot the
 frame decides, or an event-free unencoded shot) takes as p1 the mass of
-its outcomes so far extended by a 1, over the product of those outcomes'
-probabilities, as measure() renormalizes the state after each collapse.
-That p1 agrees with its trajectory's prob_one to the last bits, not bit
-for bit: the masses are summed in another order, and an encoded shot's
-come from the noiseless state at the circuit end.  A later 1 - p1 and
-renormalization scale those bits up; at k=10 the two p1 stay within about
-2e-13.  The record is the trajectory's unless a uniform falls between
-them.
+its outcomes so far extended by a 1, over the mass of those outcomes (for
+an unencoded shot, the product of their probabilities), as measure()
+renormalizes the state after each collapse.  That p1 agrees
+with its trajectory's prob_one to the last bits, not bit for bit: the
+masses are summed in another order, and an encoded shot's come from the
+noiseless state at the circuit end (with theta', from the product of a
+dense and a logical distribution).  A later 1 - p1 and renormalization
+scale those bits up; at k=10 the two p1 stay within about 2e-13.  The
+record is the trajectory's unless a uniform falls between them.
 
 The gate kernels work on the whole array at once, but each amplitude gets
 the same IEEE operations in the same order as in a per-block update (see
@@ -97,6 +117,7 @@ Qubit i is bit i of the state index (little-endian).
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -375,30 +396,58 @@ class ShotRecord:
     logical: int | None
 
 
+def _word(bits: Sequence[int]) -> int:
+    """The int whose bit c is bits[c]."""
+    word = 0
+    for b in reversed(bits):
+        word = word << 1 | b
+    return word
+
+
+class _Readout:
+    """Check values and decoded logicals from int masks of a shot's bits:
+    per check, its clbit mask and expected parity; per decoded logical bit
+    i (bit i-1 of the logical), its clbit mask, or None without `decode`."""
+
+    def __init__(self, checks: Sequence[ParityCheck],
+                 decode: Mapping[int, frozenset[int]] | None):
+        self.check_masks = [_mask(c.bits) for c in checks]
+        self.expected = tuple(c.expected for c in checks)
+        self.decode = None if decode is None else [
+            (_mask(bits), 1 << (i - 1)) for i, bits in decode.items()]
+
+    def decode_word(self, word: int
+                    ) -> tuple[tuple[int, ...], bool, int | None]:
+        values = tuple([(word & m).bit_count() & 1 for m in self.check_masks])
+        accepted = values == self.expected
+        logical = None
+        if accepted and self.decode is not None:
+            logical = sum([bit for m, bit in self.decode
+                           if (word & m).bit_count() & 1])
+        return values, accepted, logical
+
+    def record(self, bits: Sequence[int]) -> ShotRecord:
+        values, accepted, logical = self.decode_word(_word(bits))
+        return ShotRecord(tuple(bits), values, accepted, logical)
+
+
 def decode_bits(bits: Sequence[int], checks: Sequence[ParityCheck],
                 decode: Mapping[int, frozenset[int]] | None
                 ) -> tuple[tuple[int, ...], bool, int | None]:
-    values = tuple(
-        sum(bits[b] for b in c.bits) % 2 for c in checks
-    )
-    accepted = all(v == c.expected for v, c in zip(values, checks))
-    logical = None
-    if accepted and decode is not None:
-        logical = 0
-        for i, bit_set in decode.items():
-            if sum(bits[b] for b in bit_set) % 2:
-                logical |= 1 << (i - 1)
-    return values, accepted, logical
+    """(check values, accepted, decoded logical or None) of a shot's bits."""
+    return _Readout(checks, decode).decode_word(_word(bits))
 
 
 def make_record(bits: Sequence[int], checks: Sequence[ParityCheck],
                 decode: Mapping[int, frozenset[int]] | None) -> ShotRecord:
-    values, accepted, logical = decode_bits(bits, checks, decode)
-    return ShotRecord(tuple(bits), values, accepted, logical)
+    return _Readout(checks, decode).record(bits)
 
 
 def _per_shot_rng(seed: int, shot: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((seed, shot)))
+    """The stream of np.random.default_rng(SeedSequence((seed, shot))),
+    built without default_rng's argument dispatch."""
+    return np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence((seed, shot))))
 
 
 def _trailing_start(gates: Sequence[Gate]) -> int:
@@ -462,9 +511,11 @@ class _ShotPlan:
     site after layer l on q takes those after q's last gate before l, or at
     the circuit start.  A shot draws every site's event up front, so its
     first Pauli event and its frame are known before any state is touched.
-    One that the frame decides and accepts takes its outcomes from
-    `prefix_masses` (`frame_sample`); one that needs a trajectory resumes it
-    from the noiseless sweep (`advance`, `resume`, `run`)."""
+    One that the frame decides and accepts takes its outcomes from the
+    `outcome_table` masses, reweighted by the `model` of its `decode` when
+    its frame flips a rotation (`frame_sample`); one that needs a
+    trajectory resumes it from the noiseless sweep (`advance`, `resume`,
+    `run`)."""
 
     def __init__(self, circuit: PhysicalCircuit):
         sched = layered_schedule(circuit)
@@ -548,6 +599,7 @@ class _ShotPlan:
         self.meas_end = meas_slots[-1] + 1 if meas_slots else 0
         self.rotation_flips = frozenset(rotation_flips)
         self._guards: dict[tuple[ParityCheck, ...], tuple | None] = {}
+        self._models: dict[tuple, _LogicalModel | None] = {}
 
         # the horizon: the first layer holding a trailing measurement.  The
         # trailing block has random outcomes, so the noiseless sweep stops
@@ -661,7 +713,8 @@ class _ShotPlan:
     def _guard(self, checks: tuple[ParityCheck, ...]):
         if not checks or not self.clbits_once:
             return None
-        values = {decode_bits(b, checks, None)[0] for b in self.ideal_bits}
+        readout = _Readout(checks, None)
+        values = {readout.decode_word(_word(b))[0] for b in self.ideal_bits}
         if len(values) != 1:
             return None
         masks = [_mask(c.bits) for c in checks]
@@ -702,47 +755,68 @@ class _ShotPlan:
         return cl, rot, uniforms
 
     @functools.cached_property
-    def prefix_masses(self) -> list[dict[int, float]]:
-        """Per measurement j, in measurement order: the ideal mass of each
-        outcome x of the measurements up to j (bit i of x is measurement
-        i) that the ideal distribution reaches."""
-        mass: dict[int, float] = {}
-        for bits, p in zip(self.ideal_bits, self.ideal_probs):
-            mass[sum(bits[c] << j for j, c in enumerate(self.meas_clbits))] = p
-        masses = []
-        for j in reversed(range(len(self.meas_clbits))):
-            masses.append(mass)
-            shorter: dict[int, float] = {}
-            for x, m in mass.items():
-                x &= ~(-1 << j)
-                shorter[x] = shorter.get(x, 0.0) + m
-            mass = shorter
-        return masses[::-1]
+    def outcome_table(self) -> tuple[list[int], np.ndarray, list[tuple]]:
+        """The ideal entries sorted by their measurement outcomes, the first
+        measurement highest: (keys, probabilities, bits).  Of m
+        measurements, measurement j's outcome is bit m-1-j of a key, so the
+        entries that share the outcomes of measurements 0..j-1 are one run
+        of the table, the ones where j reads 0 first.  Used under the
+        guard, where each clbit is measured once."""
+        m = len(self.meas_clbits)
+        rows = sorted(
+            (sum(bits[c] << (m - 1 - j)
+                 for j, c in enumerate(self.meas_clbits)), p, bits)
+            for bits, p in zip(self.ideal_bits, self.ideal_probs))
+        return ([key for key, _, _ in rows],
+                np.array([p for _, p, _ in rows]),
+                [bits for _, _, bits in rows])
+
+    def model(self, decode: Mapping[int, frozenset[int]]
+              ) -> "_LogicalModel | None":
+        """The circuit's logical model under `decode` (module docstring),
+        or None where the circuit shows none."""
+        key = tuple(sorted((i, frozenset(bits)) for i, bits in decode.items()))
+        if key not in self._models:
+            self._models[key] = _LogicalModel.build(self, decode)
+        return self._models[key]
 
     def frame_sample(self, rng: np.random.Generator, uniforms: list[float],
-                     cl: int, em: np.ndarray) -> list[int]:
-        """The bits of a shot whose frame flips clbits `cl` and no rotation,
-        under the guard and with every reset fixed: the noiseless circuit's
-        outcomes with the frame's flips, then the readout flips `em`.
-        Measurement j reads 1 when the shot's uniform at its slot
-        (`uniforms`, drawn on up to the last measurement) lies below the
-        probability of a 1 given the outcomes before it, under the ideal
-        distribution with the frame's flips, as its trajectory's `measure`
-        would (module docstring)."""
+                     cl: int, em: np.ndarray, probs: np.ndarray) -> list[int]:
+        """The bits of an accepted shot the frame decides, under the guard
+        and with every reset fixed: the outcomes of the noiseless circuit
+        with the frame's rotations negated, whose distribution over
+        `outcome_table` is `probs`, with the frame's clbit flips `cl`, then
+        the readout flips `em`.  Measurement j reads 1 when the shot's
+        uniform at its slot (`uniforms`, drawn on up to the last
+        measurement) lies below the probability of a 1 given the outcomes
+        before it, under that distribution with the frame's flips, as its
+        trajectory's `measure` would (module docstring).  The entries that
+        agree with the outcomes so far are the run [lo, hi) of the table;
+        j splits it at `mid`, and the two halves' masses give that
+        probability."""
         short = self.meas_end - len(uniforms)
         if short > 0:
             uniforms += rng.random(short).tolist()
+        keys = self.outcome_table[0]
         bits = [0] * self.num_clbits
-        x, norm = 0, 1.0    # the ideal outcomes so far and their probability
-        for j, (slot, c, mass, ro) in enumerate(zip(
-                self.meas_slots, self.meas_clbits, self.prefix_masses,
-                em.tolist())):
+        lo, hi, prefix = 0, len(keys), 0
+        top = 1 << len(self.meas_clbits)
+        for slot, c, ro in zip(self.meas_slots, self.meas_clbits, em.tolist()):
+            top >>= 1
+            mid = bisect.bisect_left(keys, prefix | top, lo, hi)
             f = cl >> c & 1
-            p1 = mass.get(x | (f ^ 1) << j, 0.0) / norm
-            v = 1 if uniforms[slot] < p1 else 0
-            norm *= p1 if v else 1.0 - p1
-            x |= (v ^ f) << j
-            bits[c] = v ^ ro
+            if mid == lo or mid == hi:      # the outcome is certain
+                y = 1 if mid == lo else 0
+            else:
+                m0 = float(probs[lo:mid].sum())
+                m1 = float(probs[mid:hi].sum())
+                p1 = (m0 if f else m1) / (m0 + m1)
+                y = (1 if uniforms[slot] < p1 else 0) ^ f
+            if y:
+                lo, prefix = mid, prefix | top
+            else:
+                hi = mid
+            bits[c] = y ^ f ^ ro
         return bits
 
     def readout(self, em) -> int:
@@ -761,6 +835,98 @@ class _ShotPlan:
         for c in _bits(flips):
             bits[c] ^= 1
         return bits
+
+
+MODEL_TOL = 1e-12   # _LogicalModel: its largest miss of the ideal marginal
+
+
+class _LogicalModel:
+    """The k logical qubits of an Iceberg circuit as a StateVector(k) from
+    |+>^k (module docstring): RZZ(u+1, v+1) acts as Z_uZ_v, and RXX on the
+    top qubit 0 or the bottom qubit k+1 and a data qubit q as X_{q-1}.
+    `ops` holds (gate index, logical qubits, angle) per rotation, in gate
+    order; `xs` the decoded logical of each entry of the plan's
+    outcome_table, and `marginal` the ideal distribution of those logicals.
+    The noiseless state is kept before every `stride`-th op, about sqrt(ops)
+    states, and a shot's state resumes from the last one before its first
+    negated rotation."""
+
+    def __init__(self, k: int, ops: list[tuple[int, tuple[int, ...], float]],
+                 xs: np.ndarray, marginal: np.ndarray):
+        self.k, self.ops, self.xs, self.marginal = k, ops, xs, marginal
+        self.op_gates = [gi for gi, _, _ in ops]
+        self.stride = max(1, math.isqrt(len(ops)))
+        state = StateVector(k)
+        for q in range(k):
+            state.apply_h(q)
+        self.checkpoints = [state.copy()]   # before ops[i * stride]
+        for i in range(len(ops)):
+            self._apply(state, ops[i], 0)
+            if (i + 1) % self.stride == 0:
+                self.checkpoints.append(state.copy())
+        self.probs = state.probabilities()
+
+    @staticmethod
+    def build(plan: _ShotPlan, decode: Mapping[int, frozenset[int]]
+              ) -> "_LogicalModel | None":
+        """The model of the plan's circuit, or None unless `decode` names
+        logicals 1..k on a circuit with qubits 0..k+1, every rotation has
+        the form above, and the model's distribution is the ideal marginal
+        to MODEL_TOL with every logical value present."""
+        k = len(decode)
+        if sorted(decode) != list(range(1, k + 1)) or \
+                k + 2 > plan.num_qubits:
+            return None
+        ops = []
+        for gi, g in enumerate(plan.gates):
+            if g.kind not in ROTATION_KINDS:
+                continue
+            data = tuple(q - 1 for q in g.qubits if 1 <= q <= k)
+            anchors = [q for q in g.qubits if q == 0 or q == k + 1]
+            if g.kind is GateKind.RZZ and len(data) == 2 or \
+                    g.kind is GateKind.RXX and len(data) == len(anchors) == 1:
+                ops.append((gi, data, g.angle))
+            else:
+                return None
+        readout = _Readout((), decode)
+        _, probs, rows = plan.outcome_table
+        xs = np.array([readout.decode_word(_word(bits))[2] for bits in rows],
+                      dtype=np.intp)
+        marginal = np.bincount(xs, weights=probs, minlength=1 << k)
+        if not marginal.all():
+            return None
+        model = _LogicalModel(k, ops, xs, marginal)
+        if np.max(np.abs(model.probs - marginal)) > MODEL_TOL:
+            return None
+        return model
+
+    @staticmethod
+    def _apply(state: StateVector, op: tuple[int, tuple[int, ...], float],
+               rot: int) -> None:
+        gi, qubits, angle = op
+        if rot >> gi & 1:
+            angle = -angle
+        if len(qubits) == 2:
+            state.apply_rzz(qubits[0], qubits[1], angle)
+        else:
+            state.apply_rx(qubits[0], angle)
+
+    def state(self, rot: int) -> StateVector:
+        """The logical state at the circuit end with the rotations of gate
+        index mask `rot` negated."""
+        first_gate = (rot & -rot).bit_length() - 1
+        c = bisect.bisect_left(self.op_gates, first_gate) // self.stride
+        state = self.checkpoints[c].copy()
+        for op in self.ops[c * self.stride:]:
+            self._apply(state, op, rot)
+        return state
+
+    def reweight(self, probs: np.ndarray, rot: int) -> np.ndarray:
+        """The outcome_table distribution `probs` of the noiseless circuit,
+        each entry scaled by P'_L(x)/P_L(x) for its logical x: the
+        distribution with the rotations of `rot` negated."""
+        ratio = self.state(rot).probabilities() / self.marginal
+        return probs * ratio[self.xs]
 
 
 def _keeps_checks(guard: tuple[tuple[int, int], ...], flips: int) -> bool:
@@ -796,22 +962,26 @@ def sample_shots(circuit: PhysicalCircuit, noise: NoiseModel, shots: int,
     fires picks its bits from the exact noiseless distribution and applies
     its readout flips.  When the guard holds (the checks are a function of
     the Pauli frame alone), the frame decides two more kinds of shot
-    without a state.  A shot whose frame breaks a check is rejected: its
-    check values are exact, and its bits an ideal sample with the frame's
-    flips applied.  If also every reset is deterministic, a shot whose
-    frame keeps every check and flips no rotation reads each measurement
-    with the uniform its trajectory would use, against the probability of
-    a 1 given the earlier outcomes under the ideal distribution with the
-    frame's flips.  Every other shot starts its trajectory at the layer of
-    its first Pauli event, capped at the horizon (the first layer of the
-    trailing measurement block), from a copy of one noiseless sweep state
-    per call.  A shot whose own draw for an earlier mid-circuit measurement
-    or reset disagrees with the sweep's outcome runs from layer 0 instead.
-    Every record equals that of running its trajectory from layer 0, but
-    for the bits of frame-rejected shots; the outcome probabilities of an
-    accepted shot the frame decides agree with its trajectory's to the
-    last bits (module docstring).  The circuit's _ShotPlan is cached by its
-    content; the circuit is validated on every call all the same.
+    without a state of the circuit.  A shot whose frame breaks a check is
+    rejected: its check values are exact, and its bits an ideal sample with
+    the frame's flips applied.  If also every reset is deterministic, a
+    shot whose frame keeps every check reads each measurement with the
+    uniform its trajectory would use, against the probability of a 1 given
+    the earlier outcomes under the ideal distribution with the frame's
+    flips.  If its frame flips rotations, each ideal entry is first
+    reweighted by the logical model of `decode` (module docstring), which
+    runs a k-qubit logical state; without `decode` or a model, such a shot
+    runs its trajectory.  Every other shot starts its trajectory at the
+    layer of its first Pauli event, capped at the horizon (the first layer
+    of the trailing measurement block), from a copy of one noiseless sweep
+    state per call.  A shot whose own draw for an earlier mid-circuit
+    measurement or reset disagrees with the sweep's outcome runs from layer
+    0 instead.  Every record equals that of running its trajectory from
+    layer 0, but for the bits of frame-rejected shots; the outcome
+    probabilities of an accepted shot the frame decides agree with its
+    trajectory's to the last bits (module docstring).  The circuit's
+    _ShotPlan is cached by its content; the circuit is validated on every
+    call all the same.
 
     `inject` lists deterministic Pauli errors applied after given gate
     indices in every shot (used for fault cross-checks); an index in the
@@ -829,8 +999,12 @@ def sample_shots(circuit: PhysicalCircuit, noise: NoiseModel, shots: int,
     inject_layer = min((plan.gate_layer[gi] for gi in inject_map),
                        default=None)
     guard = plan.guard(checks)
+    model = None
     if guard is not None:
         inject_frame = plan.inject_frame(inject_map)
+        if decode is not None and plan.resets_fixed:
+            model = plan.model(decode)
+    readout = _Readout(checks, decode)
 
     records: list[ShotRecord | None] = [None] * shots
     buckets: dict[int, list[int]] = {}
@@ -847,12 +1021,15 @@ def sample_shots(circuit: PhysicalCircuit, noise: NoiseModel, shots: int,
             flips = cl ^ plan.readout(em)
             if not _keeps_checks(guard, flips):
                 bits = plan.ideal_sample(rng, flips)
-            elif rot or not plan.resets_fixed:
+            elif not plan.resets_fixed or rot and model is None:
                 buckets.setdefault(start, []).append(shot)
                 continue
             else:
-                bits = plan.frame_sample(rng, uniforms, cl, em)
-        records[shot] = make_record(bits, checks, decode)
+                probs = plan.outcome_table[1]
+                if rot:
+                    probs = model.reweight(probs, rot)
+                bits = plan.frame_sample(rng, uniforms, cl, em, probs)
+        records[shot] = readout.record(bits)
 
     if buckets:
         sweep = StateVector(circuit.num_qubits)
@@ -862,7 +1039,7 @@ def sample_shots(circuit: PhysicalCircuit, noise: NoiseModel, shots: int,
             for shot in buckets.get(layer, ()):
                 bits = plan.resume(seed, shot, rates, inject_map, sweep,
                                    layer, outcomes)
-                records[shot] = make_record(bits, checks, decode)
+                records[shot] = readout.record(bits)
             if layer < last:
                 plan.advance(sweep, layer, outcomes)
     return records
@@ -993,10 +1170,11 @@ def exact_logical_distribution(circuit: PhysicalCircuit,
                                ) -> tuple[float, dict[int, float]]:
     """(acceptance probability, post-selected decoded logical distribution)."""
     raw = exact_bit_distribution(circuit, inject=inject)
+    readout = _Readout(checks, decode)
     acc = 0.0
     out: dict[int, float] = {}
     for bits, p in raw.items():
-        _, accepted, logical = decode_bits(bits, checks, decode)
+        _, accepted, logical = readout.decode_word(_word(bits))
         if accepted:
             acc += p
             out[logical] = out.get(logical, 0.0) + p
@@ -1009,7 +1187,9 @@ def exact_logical_distribution(circuit: PhysicalCircuit,
 # Unencoded (logical) reference simulation
 # ---------------------------------------------------------------------------
 
-def logical_exact_distribution(lc: LogicalCircuit) -> dict[int, float]:
+def unencoded_distribution(lc: LogicalCircuit) -> dict[int, float]:
+    """Exact distribution of the unencoded circuit's k measured bits (bit
+    i of the key is qubit i), entries above 1e-15."""
     state = StateVector(lc.k)
     for q in range(lc.k):
         state.apply_h(q)

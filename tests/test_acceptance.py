@@ -27,10 +27,9 @@ from icecomp.maxcut import (GraphKind, QaoaParams, brute_force_optimum,
 from icecomp.simulator import (NoiseModel, accepted_distribution,
                                energy_distribution,
                                exact_logical_distribution,
-                               logical_exact_distribution,
                                post_selection_rate, postprocess_truncate,
                                sample_logical_shots, sample_shots,
-                               total_variation)
+                               total_variation, unencoded_distribution)
 
 
 def report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -238,7 +237,7 @@ def test_criterion_6_logical_equivalence():
                 tuple(rng.uniform(-1.3, 1.3) for _ in range(p)),
                 tuple(rng.uniform(-1.3, 1.3) for _ in range(p)),
             )
-            ref = logical_exact_distribution(build_qaoa(g, params))
+            ref = unencoded_distribution(build_qaoa(g, params))
             for gs in (GadgetSet.OLD, GadgetSet.NEW):
                 s = 1 if (gs is GadgetSet.OLD or (k + 2) % 4 == 0) else 0
                 for mode in ("baseline", "plain", "resynth", "resynth+z2"):
@@ -347,7 +346,7 @@ def test_criterion_8_energy_distribution():
     g = generate_instance(GraphKind.REGULAR_3, k, seed=0)
     params = ramp_params(3)
     lc = build_qaoa(g, params)
-    exact_energy = energy_distribution(logical_exact_distribution(lc), g)
+    exact_energy = energy_distribution(unencoded_distribution(lc), g)
     cutoff = max(exact_energy)
     enc = compile_cooptimized(g, params, CompileConfig(
         num_syndromes=2, gadget_set=GadgetSet.NEW, use_z2=True,

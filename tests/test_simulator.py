@@ -17,12 +17,12 @@ from icecomp.maxcut import (GraphKind, QaoaParams, build_qaoa, cut_value,
 from icecomp.simulator import (NoiseFormatError, NoiseModel, ShotRecord,
                                StateVector, accepted_distribution,
                                energy_distribution, exact_bit_distribution,
-                               exact_logical_distribution,
-                               logical_exact_distribution, make_record,
+                               exact_logical_distribution, make_record,
                                post_selection_rate, postprocess_truncate,
                                read_noise, sample_shots, sample_logical_shots,
-                               total_variation, write_noise, SimulatorError,
-                               _apply_random_pauli, _shot_plan)
+                               total_variation, unencoded_distribution,
+                               write_noise, SimulatorError, _ShotPlan,
+                               _apply_random_pauli, _per_shot_rng, _shot_plan)
 
 
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -129,7 +129,7 @@ class TestExactDistributions:
     def test_all_angles_zero_uniform(self):
         g = generate_instance(GraphKind.REGULAR_3, 4, seed=0)
         lc = build_qaoa(g, QaoaParams((0.0,), (0.0,)))
-        dist = logical_exact_distribution(lc)
+        dist = unencoded_distribution(lc)
         assert len(dist) == 16
         for p in dist.values():
             assert p == pytest.approx(1 / 16)
@@ -169,7 +169,7 @@ class TestExactDistributions:
             num_syndromes=1, gadget_set=GadgetSet.OLD))
         acc, dist = exact_logical_distribution(enc.circuit, enc.checks,
                                                enc.decode)
-        ref = logical_exact_distribution(build_qaoa(g, params))
+        ref = unencoded_distribution(build_qaoa(g, params))
         assert acc == pytest.approx(1.0, abs=1e-9)
         assert total_variation(dist, ref) <= 1e-9
 
@@ -190,7 +190,7 @@ class TestShots:
     def test_noiseless_matches_exact(self):
         recs = sample_shots(self.enc.circuit, NoiseModel(scale=0.0), 4000, 7,
                             checks=self.enc.checks, decode=self.enc.decode)
-        ref = logical_exact_distribution(build_qaoa(self.graph, self.params))
+        ref = unencoded_distribution(build_qaoa(self.graph, self.params))
         emp = accepted_distribution(recs)
         assert total_variation(emp, ref) < 0.08
 
@@ -302,7 +302,7 @@ class TestShots:
     def test_unencoded_reference_sampling(self):
         lc = build_qaoa(self.graph, self.params)
         recs = sample_logical_shots(lc, NoiseModel(scale=0.0), 3000, 5)
-        ref = logical_exact_distribution(lc)
+        ref = unencoded_distribution(lc)
         emp = accepted_distribution(recs)
         assert total_variation(emp, ref) < 0.08
 
@@ -526,6 +526,64 @@ def _frame_guard(circuit, checks):
     return _shot_plan(circuit).guard(checks)
 
 
+def _count_states(monkeypatch):
+    """The qubit count of every StateVector built or copied from now on."""
+    built = []
+    init, copy = StateVector.__init__, StateVector.copy
+
+    def counted_init(self, n):
+        built.append(n)
+        init(self, n)
+
+    def counted_copy(self):
+        built.append(self.n)
+        return copy(self)
+
+    monkeypatch.setattr(StateVector, "__init__", counted_init)
+    monkeypatch.setattr(StateVector, "copy", counted_copy)
+    return built
+
+
+def _count_resumes(monkeypatch):
+    """How many shots resume a dense trajectory from now on, in a list."""
+    resumed = [0]
+    resume = _ShotPlan.resume
+
+    def counted(self, *args):
+        resumed[0] += 1
+        return resume(self, *args)
+
+    monkeypatch.setattr(_ShotPlan, "resume", counted)
+    return resumed
+
+
+def _not_iceberg_rzz():
+    # the RZZ acts on qubit 0, so the circuit has no logical model
+    c = PhysicalCircuit(3, 3)
+    c.h(0)
+    c.cx(0, 1)
+    c.rzz(0, 1, 0.9)
+    c.h(0)
+    c.h(1)
+    c.mz(0, 0)
+    c.mz(1, 1)
+    c.mz(2, 2)
+    return c
+
+
+def _not_iceberg_start():
+    # RXX(0, 1) has the model's form (X_0 under decode {1: c1}), but the
+    # circuit starts in |00>, not in the code state of |+>: the model's
+    # distribution misses the ideal marginal and fails its self-check
+    c = PhysicalCircuit(3, 3)
+    c.cx(0, 1)
+    c.rxx(0, 1, 0.7)
+    c.mz(0, 0)
+    c.mz(1, 1)
+    c.mz(2, 2)
+    return c
+
+
 class TestBitIdentity:
     """Records equal (==) to a whole-trajectory replay of every shot, but
     for the bits of shots rejected on their Pauli frame."""
@@ -642,38 +700,21 @@ class TestBitIdentity:
 
     def test_frame_decided_shots(self, monkeypatch):
         # at noise scale 4 most shots have a Pauli event; the accepted ones
-        # whose frame flips no rotation take their outcomes from the ideal
-        # distribution's conditionals and build no state, and every record
-        # stays the trajectory's
+        # take their outcomes from the ideal distribution's conditionals,
+        # reweighted by a k-qubit logical state when their frame flips a
+        # rotation, so no state of the circuit's k+4 qubits is built, and
+        # every record stays the trajectory's
         g = generate_instance(GraphKind.REGULAR_3, 10, seed=0)
         enc = compile_mode(g, ramp_params(3), "resynth+z2", 2, 100)
-        noise = NoiseModel(scale=4.0)
-        args = (enc.circuit, noise, 300, 11)
+        args = (enc.circuit, NoiseModel(scale=4.0), 300, 11)
         kw = dict(checks=enc.checks, decode=enc.decode)
         ref = reference_sample_shots(*args, **kw)
-        plan = _shot_plan(enc.circuit)
-        eff = noise.effective()
-        rates = np.repeat((eff.p2, eff.p1, eff.p_meas, eff.p_idle),
-                          plan.family_sizes)
-        accepted_events = sum(
-            r.accepted and plan.draw(11, shot, rates)[1][0].any()
-            for shot, r in enumerate(ref))
-        built = []
-        init, copy = StateVector.__init__, StateVector.copy
-
-        def counted_init(self, n):
-            built.append(n)
-            init(self, n)
-
-        def counted_copy(self):
-            built.append(self.n)
-            return copy(self)
-
-        monkeypatch.setattr(StateVector, "__init__", counted_init)
-        monkeypatch.setattr(StateVector, "copy", counted_copy)
+        _shot_plan(enc.circuit)
+        built = _count_states(monkeypatch)
         recs = sample_shots(*args, **kw)
         assert _without_rejected_bits(recs) == _without_rejected_bits(ref)
-        assert 0 < len(built) < accepted_events
+        assert enc.circuit.num_qubits not in built
+        assert len(enc.decode) in built
 
     @pytest.mark.parametrize("k, p, s", [(6, 1, 1), (10, 3, 2)])
     def test_guard_holds_for_every_mode(self, k, p, s):
@@ -751,6 +792,100 @@ def test_plan_responses_follow_the_pauli_code_order(mode):
     assert sites == sum(1 for gate in circ.gates if gate.kind in (
         GateKind.H, GateKind.X, GateKind.Z, GateKind.CNOT, GateKind.RZZ,
         GateKind.RXX))
+
+
+class TestLogicalModel:
+    """The logical model's reweighting of the ideal distribution against
+    the dense distribution of the circuit with the flipped rotations
+    negated, on criterion 7's k=10, p=3 circuits (queue cap 200)."""
+
+    graph = generate_instance(GraphKind.REGULAR_3, 10, seed=0)
+
+    @pytest.mark.parametrize("s", [1, 2])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_reweighting_matches_the_negated_circuit(self, mode, s):
+        enc = compile_mode(self.graph, ramp_params(3), mode, s, 200)
+        circ = enc.circuit
+        plan = _shot_plan(circ)
+        model = plan.model(enc.decode)
+        assert model is not None
+        _, probs, rows = plan.outcome_table
+        rotations = [gi for gi, g in enumerate(circ.gates)
+                     if g.kind in (GateKind.RZZ, GateKind.RXX)]
+        rng = np.random.default_rng(s)
+        for size in (1, 3, 5):
+            flipped = set(rng.choice(rotations, size, replace=False).tolist())
+            negated = dataclasses.replace(circ, gates=[
+                dataclasses.replace(g, angle=-g.angle) if gi in flipped else g
+                for gi, g in enumerate(circ.gates)])
+            dense = exact_bit_distribution(negated)
+            reweighted = dict(zip(rows, model.reweight(probs, _mask(flipped))))
+            assert max(abs(dense.get(b, 0.0) - reweighted.get(b, 0.0))
+                       for b in dense.keys() | reweighted.keys()) <= 1e-15
+
+    def test_no_dense_state_in_any_mode(self, monkeypatch):
+        g = generate_instance(GraphKind.REGULAR_3, 10, seed=0)
+        built = _count_states(monkeypatch)
+        for mode in MODES:
+            enc = compile_mode(g, ramp_params(3), mode, 2, 100)
+            args = (enc.circuit, NoiseModel(scale=4.0), 150, 5)
+            kw = dict(checks=enc.checks, decode=enc.decode)
+            ref = reference_sample_shots(*args, **kw)
+            assert _shot_plan(enc.circuit).model(enc.decode) is not None
+            built.clear()
+            recs = sample_shots(*args, **kw)
+            assert _without_rejected_bits(recs) == \
+                _without_rejected_bits(ref), mode
+            assert enc.circuit.num_qubits not in built, mode
+            assert len(enc.decode) in built, mode
+
+    @pytest.mark.parametrize("build", [_not_iceberg_rzz, _not_iceberg_start])
+    def test_rotation_flips_without_a_logical_model(self, build,
+                                                    monkeypatch):
+        # the guard holds (the check on c2 is deterministic and no rotation
+        # generator touches it), but the circuit has no logical model: its
+        # accepted shots whose frame flips a rotation run their trajectories
+        circ = build()
+        checks = (ParityCheck(frozenset({2})),)
+        decode = {1: frozenset({1})}
+        assert _frame_guard(circ, checks) is not None
+        assert _shot_plan(circ).model(decode) is None
+        args = (circ, NoiseModel(scale=100.0), 400, 3)
+        kw = dict(checks=checks, decode=decode)
+        resumed = _count_resumes(monkeypatch)
+        recs = sample_shots(*args, **kw)
+        assert resumed[0] > 0
+        assert _without_rejected_bits(recs) == _without_rejected_bits(
+            reference_sample_shots(*args, **kw))
+
+
+def test_per_shot_rng_is_the_default_rng_stream():
+    for seed, shot in [(0, 0), (17, 3), (1 << 40, 999)]:
+        ours = _per_shot_rng(seed, shot)
+        ref = np.random.default_rng(np.random.SeedSequence((seed, shot)))
+        assert ours.random(1000).tolist() == ref.random(1000).tolist()
+        assert [int(ours.integers(1, 16)) for _ in range(50)] == \
+            [int(ref.integers(1, 16)) for _ in range(50)]
+
+
+def test_record_matches_bit_sums():
+    # check values and decoded logicals from clbit masks, against the sums
+    # over each check's and each logical's bits
+    checks = (ParityCheck(frozenset({0, 3})), ParityCheck(frozenset({1}), 1),
+              ParityCheck(frozenset({2, 4, 5})))
+    decode = {1: frozenset({4}), 2: frozenset({0, 5}),
+              3: frozenset({1, 2, 3})}
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        bits = rng.integers(0, 2, 6).tolist()
+        values = tuple(sum(bits[b] for b in c.bits) % 2 for c in checks)
+        accepted = all(v == c.expected for v, c in zip(values, checks))
+        logical = sum(1 << (i - 1) for i, bs in decode.items()
+                      if sum(bits[b] for b in bs) % 2) if accepted else None
+        assert make_record(bits, checks, decode) == \
+            ShotRecord(tuple(bits), values, accepted, logical)
+        assert make_record(bits, checks, None) == \
+            ShotRecord(tuple(bits), values, accepted, None)
 
 
 class TestRecordGolden:
