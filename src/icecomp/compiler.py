@@ -1004,12 +1004,17 @@ def write_encoded(enc: EncodedCircuit) -> str:
 
 
 def _clbits(toks: list[str]) -> frozenset[int]:
+    """The clbits of a parity; a repeated one would cancel out of it."""
     out = set()
     for t in toks:
         m = re.fullmatch(r"c([0-9]+)", t)
         if m is None:
             raise CircuitError(f"expected a classical bit c<int>, got {t!r}")
-        out.add(int(m.group(1)))
+        b = int(m.group(1))
+        if b in out:
+            raise CircuitError(f"c{b} is repeated: a parity holds each "
+                               f"clbit once")
+        out.add(b)
     return frozenset(out)
 
 
@@ -1017,7 +1022,8 @@ def read_encoded(text: str):
     """Parse circuit text with `check cA cB ... = 0|1` and
     `logical i = cA ^ cB ...` lines.
 
-    Returns (circuit, checks, decode).  A malformed line, or a check or
+    Returns (circuit, checks, decode).  A malformed line, a logical
+    numbered below 1, a clbit repeated within one line, or a check or
     decode bit the circuit does not have, raises CircuitError naming the
     line, as `read_circuit` does."""
     circuit_lines = []
@@ -1047,6 +1053,9 @@ def read_encoded(text: str):
                     raise CircuitError("a decode line is "
                                        "'logical i = cA ^ cB ...'")
                 i = int(tok[1])
+                if i < 1:
+                    raise CircuitError(f"logical {i}: logicals are numbered "
+                                       f"from 1")
                 if i in decode:
                     raise CircuitError(f"logical {i} decoded twice")
                 bits = decode[i] = _clbits(terms[0::2])

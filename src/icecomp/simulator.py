@@ -37,6 +37,22 @@ of the final sweep state in turn from per-call marginal masses of that
 state (below), each measurement followed by its readout test as in a
 trajectory.
 
+The ideal table.  A circuit's noiseless outcomes are found once, as arrays
+(_Outcomes): per entry its clbits (a uint8 row) and its probability, the
+entries in the order sorted() gives their bit tuples, clbit 0 first.  An
+entry's word is the int whose bit c is clbit c; a table of words is held
+as uint64 limbs, the highest 64 bits first (_limbs), so any number of
+clbits fits.  Everything the plan takes from the table is an array
+operation on it, with no Python loop per entry: the cumulative
+probabilities, the check parities (np.bitwise_count of word AND mask), the
+outcome table, the logical model's logicals and marginal, and, per
+(checks, decode), every entry's check values, verdict and logical
+(_Entries), from which an event-free or frame-rejected shot whose flips
+are zero takes its record.  The floats are the ones a dict filled one
+entry at a time gives, summed in the same order: entries that two
+branches share are merged by np.add.at in the order the branches reach
+them.
+
 Shots the Pauli frame decides.  A Pauli a noise site applies passes the
 rest of the circuit as a Pauli frame (see the faults module): the shot
 gives the outcomes of the noiseless circuit with the frame's rotations
@@ -404,17 +420,69 @@ def _word(bits: Sequence[int]) -> int:
     return word
 
 
+def _bit_tuple(word: int, n: int) -> tuple[int, ...]:
+    """The first n bits of `word`, bit c at position c."""
+    return tuple([word >> c & 1 for c in range(n)])
+
+
+# Arrays of words.  A table of n rows of w bits is held as uint64 limbs of
+# shape (L, n), L = max(1, ceil(w / 64)): row r is the number whose bits,
+# highest first, are limb 0's, then limb 1's, and so on.  So rows compare
+# as those numbers compare, limb 0 first.
+
+_LIMB = (1 << 64) - 1
+
+
+def _limbs(cols: np.ndarray) -> np.ndarray:
+    """The rows of the 0/1 matrix `cols` as numbers, column j bit w-1-j of
+    a row's number (column 0 the highest): the rows' numbers sort as the
+    rows sort as tuples."""
+    rows, w = cols.shape
+    n = max(1, -(-w // 64))
+    padded = np.zeros((rows, 64 * n), dtype=np.uint8)
+    padded[:, 64 * n - w:] = cols
+    return np.packbits(padded, axis=1).view(">u8").T.astype(np.uint64,
+                                                            order="C")
+
+
+def _ints(limbs: np.ndarray) -> list[int]:
+    """Each row's number as an int."""
+    if len(limbs) == 1:
+        return limbs[0].tolist()
+    out = limbs[0].astype(object)
+    for limb in limbs[1:]:
+        out = out << 64 | limb.astype(object)
+    return out.tolist()
+
+
+def _parities(limbs: np.ndarray, mask: int) -> np.ndarray:
+    """Per row, the parity of its number AND `mask`, as uint8."""
+    out = np.zeros(limbs.shape[1], dtype=np.uint8)
+    for i, limb in enumerate(limbs):
+        m = mask >> 64 * (len(limbs) - 1 - i) & _LIMB
+        if m:
+            out ^= np.bitwise_count(limb & np.uint64(m))
+    return out & 1
+
+
 class _Readout:
     """Check values and decoded logicals from int masks of a shot's bits:
     per check, its clbit mask and expected parity; per decoded logical bit
-    i (bit i-1 of the logical), its clbit mask, or None without `decode`."""
+    i (bit i-1 of the logical), its clbit mask, or None without `decode`.
+    A decode index below 1 raises ValueError."""
 
     def __init__(self, checks: Sequence[ParityCheck],
                  decode: Mapping[int, frozenset[int]] | None):
         self.check_masks = [_mask(c.bits) for c in checks]
         self.expected = tuple(c.expected for c in checks)
-        self.decode = None if decode is None else [
-            (_mask(bits), 1 << (i - 1)) for i, bits in decode.items()]
+        self.decode = None
+        if decode is not None:
+            low = sorted(i for i in decode if i < 1)
+            if low:
+                raise ValueError(f"decode indices {low} are below 1: "
+                                 f"logical i is bit i-1 of the logical")
+            self.decode = [(_mask(bits), 1 << (i - 1))
+                           for i, bits in decode.items()]
 
     def decode_word(self, word: int
                     ) -> tuple[tuple[int, ...], bool, int | None]:
@@ -424,6 +492,25 @@ class _Readout:
         if accepted and self.decode is not None:
             logical = sum([bit for m, bit in self.decode
                            if (word & m).bit_count() & 1])
+        return values, accepted, logical
+
+    def decode_words(self, words: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """decode_word of every row of the word table `words` (_limbs, bit
+        c of a row's number clbit c): its check values (one row each),
+        whether it is accepted, and its logical, decoded for every row
+        (None without `decode`)."""
+        n = words.shape[1]
+        values = np.zeros((n, len(self.check_masks)), dtype=np.uint8)
+        for j, m in enumerate(self.check_masks):
+            values[:, j] = _parities(words, m)
+        accepted = (values == self.expected).all(axis=1)
+        logical = None
+        if self.decode is not None:
+            wide = any(bit >> 63 for _, bit in self.decode)
+            logical = np.zeros(n, dtype=object if wide else np.int64)
+            for m, bit in self.decode:
+                logical += _parities(words, m).astype(logical.dtype) * bit
         return values, accepted, logical
 
     def record(self, bits: Sequence[int]) -> ShotRecord:
@@ -502,7 +589,11 @@ class _ShotPlan:
     pass over its schedule: the traversal script (per layer, its gates, then
     the idle qubits of a layer holding a two-qubit gate), the horizon, the
     ideal distribution and whether every reset is deterministic in it, the
-    readout and rotation flips, and the guards.
+    readout and rotation flips, and the guards.  The ideal entries are
+    sorted as their bit tuples sort (module docstring): `ideal_bits` holds
+    their clbit rows, `words` their word table (bit c of an entry's number
+    is clbit c) and `ideal_words` its ints, with `ideal_probs` and
+    `ideal_cum`.
 
     Each unitary gate and each such idle qubit is a Pauli site, numbered
     once in traversal order with its layer, its slot (the measurements and
@@ -523,11 +614,14 @@ class _ShotPlan:
         self.num_qubits = circuit.num_qubits
         self.num_clbits = circuit.num_clbits
         self.gate_layer = sched.gate_layer
-        dist, self.resets_fixed = _bit_distribution(circuit)
-        ideal = sorted(dist.items())
-        self.ideal_bits = [b for b, _ in ideal]
-        self.ideal_probs = [p for _, p in ideal]
-        self.ideal_cum = np.cumsum(self.ideal_probs)
+        # the ideal entries: clbit rows, their word table and its ints
+        ideal = _bit_distribution(circuit)
+        self.resets_fixed = ideal.resets_fixed
+        self.ideal_bits = ideal.bits
+        self.words = ideal.words()
+        self.ideal_words = _ints(self.words)
+        self.ideal_probs = ideal.probs
+        self.ideal_cum = np.cumsum(ideal.probs)
 
         self.sweep = _Sweep(circuit)
         self.after, last = self.sweep.entries()
@@ -543,12 +637,18 @@ class _ShotPlan:
         # the Pauli sites of each family
         family: dict[str, list[int]] = {"2q": [], "1q": [], "idle": []}
         slot = 0
+        # sites with the same entries (an idle qubit over layers) share one
+        # response list
+        shared: dict[tuple, list[int]] = {}
 
         def site(kind, layer, entries):
             family[kind].append(len(self.slots))
             self.site_layer.append(layer)
             self.slots.append(slot)
-            self.responses.append(_code_responses(entries))
+            entries = tuple(entries)
+            if entries not in shared:
+                shared[entries] = _code_responses(entries)
+            self.responses.append(shared[entries])
 
         for layer, layer_gates in enumerate(sched.layers):
             ops = []
@@ -600,6 +700,7 @@ class _ShotPlan:
         self.rotation_flips = frozenset(rotation_flips)
         self._guards: dict[tuple[ParityCheck, ...], tuple | None] = {}
         self._models: dict[tuple, _LogicalModel | None] = {}
+        self._entries: dict[tuple, _Entries] = {}
 
         # the horizon: the first layer holding a trailing measurement.  The
         # trailing block has random outcomes, so the noiseless sweep stops
@@ -713,17 +814,15 @@ class _ShotPlan:
     def _guard(self, checks: tuple[ParityCheck, ...]):
         if not checks or not self.clbits_once:
             return None
-        readout = _Readout(checks, None)
-        values = {readout.decode_word(_word(b))[0] for b in self.ideal_bits}
-        if len(values) != 1:
+        values = _Readout(checks, None).decode_words(self.words)[0]
+        if (values != values[0]).any():
             return None
         masks = [_mask(c.bits) for c in checks]
         if any((f & m).bit_count() & 1
                for f in self.rotation_flips for m in masks):
             return None
-        (ideal,) = values
         return tuple((m, v ^ c.expected)
-                     for m, v, c in zip(masks, ideal, checks))
+                     for m, v, c in zip(masks, values[0].tolist(), checks))
 
     def inject_frame(self, inject: Mapping[int, list[PauliString]]) -> int:
         """The response of every injected Pauli, XORed.  An injected Pauli
@@ -755,30 +854,38 @@ class _ShotPlan:
         return cl, rot, uniforms
 
     @functools.cached_property
-    def outcome_table(self) -> tuple[list[int], np.ndarray, list[tuple]]:
+    def outcome_table(self) -> tuple[list[int], np.ndarray, np.ndarray]:
         """The ideal entries sorted by their measurement outcomes, the first
-        measurement highest: (keys, probabilities, bits).  Of m
-        measurements, measurement j's outcome is bit m-1-j of a key, so the
-        entries that share the outcomes of measurements 0..j-1 are one run
-        of the table, the ones where j reads 0 first.  Used under the
-        guard, where each clbit is measured once."""
-        m = len(self.meas_clbits)
-        rows = sorted(
-            (sum(bits[c] << (m - 1 - j)
-                 for j, c in enumerate(self.meas_clbits)), p, bits)
-            for bits, p in zip(self.ideal_bits, self.ideal_probs))
-        return ([key for key, _, _ in rows],
-                np.array([p for _, p, _ in rows]),
-                [bits for _, _, bits in rows])
+        measurement highest: (keys, probabilities, rows), row r of the
+        table being ideal entry rows[r].  Of m measurements, measurement
+        j's outcome is bit m-1-j of a key, so the entries that share the
+        outcomes of measurements 0..j-1 are one run of the table, the ones
+        where j reads 0 first.  The keys are the entries' clbit rows read
+        at the measured clbits, in measurement order, packed by _limbs, and
+        the table is their np.lexsort, limb 0 first.  Every clbit an entry
+        sets is measured, so the keys are distinct.  Used under the guard,
+        where each clbit is measured once."""
+        keys = _limbs(self.ideal_bits[:, self.meas_clbits])
+        rows = np.lexsort(keys[::-1])
+        return _ints(keys[:, rows]), self.ideal_probs[rows], rows
 
     def model(self, decode: Mapping[int, frozenset[int]]
               ) -> "_LogicalModel | None":
         """The circuit's logical model under `decode` (module docstring),
         or None where the circuit shows none."""
-        key = tuple(sorted((i, frozenset(bits)) for i, bits in decode.items()))
+        key = _decode_key(decode)
         if key not in self._models:
             self._models[key] = _LogicalModel.build(self, decode)
         return self._models[key]
+
+    def entries(self, checks: Sequence[ParityCheck],
+                decode: Mapping[int, frozenset[int]] | None) -> "_Entries":
+        """The ideal entries read out under `checks` and `decode`, keyed by
+        both as the guard and the model are."""
+        key = (tuple(checks), None if decode is None else _decode_key(decode))
+        if key not in self._entries:
+            self._entries[key] = _Entries(self, _Readout(checks, decode))
+        return self._entries[key]
 
     def frame_sample(self, rng: np.random.Generator, uniforms: list[float],
                      cl: int, em: np.ndarray, probs: np.ndarray) -> list[int]:
@@ -827,14 +934,50 @@ class _ShotPlan:
             out ^= self.readout_flips[si]
         return out
 
-    def ideal_sample(self, rng: np.random.Generator, flips: int) -> list[int]:
-        """Bits from the shot's next uniform into the ideal cumulative, with
-        `flips` applied."""
+    def ideal_record(self, rng: np.random.Generator, flips: int,
+                     entries: "_Entries") -> ShotRecord:
+        """The record of the entry the shot's next uniform picks from the
+        ideal cumulative, with `flips` applied, read out by `entries`."""
         pick = int(np.searchsorted(self.ideal_cum, rng.random()))
-        bits = list(self.ideal_bits[min(pick, len(self.ideal_bits) - 1)])
-        for c in _bits(flips):
-            bits[c] ^= 1
-        return bits
+        pick = min(pick, len(self.ideal_words) - 1)
+        if not flips:
+            return entries.record(pick)
+        word = self.ideal_words[pick] ^ flips
+        return ShotRecord(_bit_tuple(word, self.num_clbits),
+                          *entries.readout.decode_word(word))
+
+
+def _decode_key(decode: Mapping[int, frozenset[int]]) -> tuple:
+    """`decode` as a hashable key, whatever its order."""
+    return tuple(sorted((i, frozenset(bits)) for i, bits in decode.items()))
+
+
+class _Entries:
+    """A _ShotPlan's ideal entries read out under one _Readout, from array
+    operations on its words: per entry its check values (a row of
+    `values`), whether it is accepted, and its decoded logical (`logical`,
+    None without `decode`).  `record(i)` is the record of a shot whose bits
+    are entry i, built the first time a shot picks it."""
+
+    def __init__(self, plan: _ShotPlan, readout: _Readout):
+        self.readout = readout
+        self.values, self.accepted, self.logical = \
+            readout.decode_words(plan.words)
+        self.ideal_words = plan.ideal_words
+        self.num_clbits = plan.num_clbits
+        self.records: dict[int, ShotRecord] = {}
+
+    def record(self, i: int) -> ShotRecord:
+        rec = self.records.get(i)
+        if rec is None:
+            accepted = bool(self.accepted[i])
+            logical = None
+            if accepted and self.logical is not None:
+                logical = int(self.logical[i])
+            rec = self.records[i] = ShotRecord(
+                _bit_tuple(self.ideal_words[i], self.num_clbits),
+                tuple(self.values[i].tolist()), accepted, logical)
+        return rec
 
 
 MODEL_TOL = 1e-12   # _LogicalModel: its largest miss of the ideal marginal
@@ -888,10 +1031,9 @@ class _LogicalModel:
                 ops.append((gi, data, g.angle))
             else:
                 return None
-        readout = _Readout((), decode)
         _, probs, rows = plan.outcome_table
-        xs = np.array([readout.decode_word(_word(bits))[2] for bits in rows],
-                      dtype=np.intp)
+        logical = _Readout((), decode).decode_words(plan.words)[2]
+        xs = logical[rows].astype(np.intp)
         marginal = np.bincount(xs, weights=probs, minlength=1 << k)
         if not marginal.all():
             return None
@@ -992,6 +1134,8 @@ def sample_shots(circuit: PhysicalCircuit, noise: NoiseModel, shots: int,
     circuit.validate()
     inject_map = _inject_map(circuit.gates, inject)
     plan = _shot_plan(circuit)
+    entries = plan.entries(checks, decode)
+    readout = entries.readout
     eff = noise.effective()
     # the event probability of each of a shot's uniforms
     rates = np.repeat((eff.p2, eff.p1, eff.p_meas, eff.p_idle),
@@ -1004,7 +1148,6 @@ def sample_shots(circuit: PhysicalCircuit, noise: NoiseModel, shots: int,
         inject_frame = plan.inject_frame(inject_map)
         if decode is not None and plan.resets_fixed:
             model = plan.model(decode)
-    readout = _Readout(checks, decode)
 
     records: list[ShotRecord | None] = [None] * shots
     buckets: dict[int, list[int]] = {}
@@ -1012,24 +1155,23 @@ def sample_shots(circuit: PhysicalCircuit, noise: NoiseModel, shots: int,
         rng, (fired, em) = plan.draw(seed, shot, rates)
         start = plan.start_layer(fired, inject_layer)
         if start is None:
-            bits = plan.ideal_sample(rng, plan.readout(em))
-        elif guard is None:
+            records[shot] = plan.ideal_record(rng, plan.readout(em), entries)
+            continue
+        if guard is None:
             buckets.setdefault(start, []).append(shot)
             continue
+        cl, rot, uniforms = plan.flips(rng, fired, inject_frame)
+        flips = cl ^ plan.readout(em)
+        if not _keeps_checks(guard, flips):
+            records[shot] = plan.ideal_record(rng, flips, entries)
+        elif not plan.resets_fixed or rot and model is None:
+            buckets.setdefault(start, []).append(shot)
         else:
-            cl, rot, uniforms = plan.flips(rng, fired, inject_frame)
-            flips = cl ^ plan.readout(em)
-            if not _keeps_checks(guard, flips):
-                bits = plan.ideal_sample(rng, flips)
-            elif not plan.resets_fixed or rot and model is None:
-                buckets.setdefault(start, []).append(shot)
-                continue
-            else:
-                probs = plan.outcome_table[1]
-                if rot:
-                    probs = model.reweight(probs, rot)
-                bits = plan.frame_sample(rng, uniforms, cl, em, probs)
-        records[shot] = readout.record(bits)
+            probs = plan.outcome_table[1]
+            if rot:
+                probs = model.reweight(probs, rot)
+            records[shot] = readout.record(
+                plan.frame_sample(rng, uniforms, cl, em, probs))
 
     if buckets:
         sweep = StateVector(circuit.num_qubits)
@@ -1083,16 +1225,37 @@ def exact_bit_distribution(circuit: PhysicalCircuit,
     Mid-circuit measurements and resets branch only when both outcomes have
     probability above BRANCH_TOL (noiseless encoded circuits keep a single
     branch); the trailing block of measurements is evaluated jointly from
-    amplitudes.  `inject` is checked and applied as in `sample_shots`.
+    amplitudes.  `inject` is checked and applied as in `sample_shots`.  The
+    keys come in the order the branches first reach them.
     """
-    return _bit_distribution(circuit, inject)[0]
+    out = _bit_distribution(circuit, inject)
+    first = out.first
+    return dict(zip(map(tuple, out.bits[first].tolist()),
+                    out.probs[first].tolist()))
+
+
+@dataclass(frozen=True, eq=False)
+class _Outcomes:
+    """The noiseless outcomes of a circuit: per entry its clbits (a row of
+    `bits`, uint8) and probability, in the order sorted() gives their bit
+    tuples; `first`, the entries in the order the branches first reach
+    them; and whether no reset branched (a reset that branches leaves an
+    outcome no clbit records)."""
+
+    bits: np.ndarray
+    probs: np.ndarray
+    first: np.ndarray
+    resets_fixed: bool
+
+    def words(self) -> np.ndarray:
+        """The entries as a word table (_limbs): bit c is clbit c."""
+        return _limbs(self.bits[:, ::-1])
 
 
 def _bit_distribution(circuit: PhysicalCircuit,
                       inject: Sequence[tuple[int, PauliString]] = ()
-                      ) -> tuple[dict[tuple[int, ...], float], bool]:
-    """exact_bit_distribution, and whether no reset branched: a reset that
-    branches leaves an outcome no clbit records."""
+                      ) -> _Outcomes:
+    """exact_bit_distribution's entries as arrays."""
     gates = circuit.gates
     resets_fixed = True
     inject_map = _inject_map(gates, inject)
@@ -1136,31 +1299,47 @@ def _bit_distribution(circuit: PhysicalCircuit,
         if len(branches) > MAX_BRANCHES:
             raise SimulatorError("mid-circuit branch budget exceeded")
 
-    # trailing measurements, jointly
+    # trailing measurements, jointly: outcome s of a branch sets bit pos of
+    # s on the clbit last[pos] (its last write wins), which reads the qubit
+    # of its last measurement
     tail = [g for g in gates[tail_start:] if g.kind is not GateKind.BARRIER]
-    dist: dict[tuple[int, ...], float] = {}
+    last = {g.clbit: g.qubits[0] for g in tail}
+    idx = np.arange(1 << circuit.num_qubits)
+    sig = np.zeros(len(idx), dtype=np.int64)
+    for pos, q in enumerate(last.values()):
+        sig |= (((idx >> q) & 1) << pos).astype(np.int64)
+    rows, probs = [], []
     for weight, state, bits in branches:
         for g in tail:
             if g.kind is GateKind.MEASURE_X:
                 state.apply_h(g.qubits[0])
-        probs = state.probabilities()
-        idx = np.arange(len(probs))
-        sig = np.zeros(len(probs), dtype=np.int64)
-        # clbit -> the qubit of its last measurement: the last write wins
-        last = {g.clbit: g.qubits[0] for g in tail}
-        for pos, q in enumerate(last.values()):
-            sig |= (((idx >> q) & 1) << pos).astype(np.int64)
-        order = list(last)
-        mass = np.bincount(sig, weights=probs, minlength=1)
-        for s, pm in enumerate(mass):
-            if pm <= 1e-15:
-                continue
-            nb = list(bits)
-            for bitpos, clbit in enumerate(order):
-                nb[clbit] = (s >> bitpos) & 1
-            key = tuple(nb)
-            dist[key] = dist.get(key, 0.0) + weight * pm
-    return dist, resets_fixed
+        mass = np.bincount(sig, weights=state.probabilities(), minlength=1)
+        s = np.flatnonzero(mass > 1e-15)
+        block = np.tile(np.array(bits, dtype=np.uint8), (len(s), 1))
+        for pos, clbit in enumerate(last):
+            block[:, clbit] = s >> pos & 1
+        rows.append(block)
+        probs.append(weight * mass[s])
+    return _merged(np.concatenate(rows), np.concatenate(probs), resets_fixed)
+
+
+def _merged(bits: np.ndarray, probs: np.ndarray, resets_fixed: bool
+            ) -> _Outcomes:
+    """The _Outcomes of entries listed in the order the branches reach
+    them, those with equal bits merged into one whose probability is
+    theirs summed in that order (0.0 + p0 + p1 + ...), as a dict would."""
+    keys = _limbs(bits)
+    order = np.lexsort(keys[::-1])      # stable: equal keys in reach order
+    keys = keys[:, order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
+    probs = probs[order]
+    if not new.all():
+        merged = np.zeros(np.count_nonzero(new))
+        np.add.at(merged, np.cumsum(new) - 1, probs)   # in index order
+        probs = merged
+    kept = order[new]
+    return _Outcomes(bits[kept], probs, np.argsort(kept), resets_fixed)
 
 
 def exact_logical_distribution(circuit: PhysicalCircuit,
@@ -1168,19 +1347,22 @@ def exact_logical_distribution(circuit: PhysicalCircuit,
                                decode: Mapping[int, frozenset[int]],
                                inject: Sequence[tuple[int, PauliString]] = ()
                                ) -> tuple[float, dict[int, float]]:
-    """(acceptance probability, post-selected decoded logical distribution)."""
-    raw = exact_bit_distribution(circuit, inject=inject)
-    readout = _Readout(checks, decode)
-    acc = 0.0
-    out: dict[int, float] = {}
-    for bits, p in raw.items():
-        _, accepted, logical = readout.decode_word(_word(bits))
-        if accepted:
-            acc += p
-            out[logical] = out.get(logical, 0.0) + p
+    """(acceptance probability, post-selected decoded logical distribution).
+
+    Both sum the accepted entries in the order exact_bit_distribution
+    lists them, and the logicals come in the order they first appear."""
+    out = _bit_distribution(circuit, inject)
+    _, accepted, logical = _Readout(checks, decode).decode_words(out.words())
+    kept = out.first[accepted[out.first]]
+    probs = out.probs[kept]
+    acc = float(np.cumsum(probs)[-1]) if len(kept) else 0.0
+    xs, first, inverse = np.unique(logical[kept], return_index=True,
+                                   return_inverse=True)
+    mass = np.bincount(inverse, weights=probs, minlength=len(xs))
+    order = np.argsort(first)
     if acc > 0:
-        out = {x: p / acc for x, p in out.items()}
-    return acc, out
+        mass = mass / acc
+    return acc, dict(zip(xs[order].tolist(), mass[order].tolist()))
 
 
 # ---------------------------------------------------------------------------

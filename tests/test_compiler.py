@@ -431,6 +431,12 @@ class TestEncodedIO:
         ("logical 1 = c1 c2", "a decode line is"),
         ("logical 1 = c1 ^", "a decode line is"),
         ("logical 1 = c1 ^ y2", "c<int>"),
+        ("logical 0 = c1", "logical 0: .*from 1"),
+        ("logical 00 = c1", "logical 0: .*from 1"),
+        ("check c1 c1 = 0", "c1 is repeated"),
+        ("check c0 c2 c00 = 1", "c0 is repeated"),
+        ("logical 1 = c0 ^ c0", "c0 is repeated"),
+        ("logical 2 = c2 ^ c1 ^ c02", "c2 is repeated"),
         ("qubits -2 clbits 3", "negative"),
         ("qubits 2 clbits -1", "negative"),
         ("component 0 INIT extra", "'component ID ROLE'"),

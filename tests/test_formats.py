@@ -148,6 +148,7 @@ def _sane_encoded(parsed):
     assert circuit.num_qubits >= 0 and circuit.num_clbits >= 0
     for bits in [c.bits for c in checks] + list(decode.values()):
         assert all(0 <= b < circuit.num_clbits for b in bits)
+    assert all(i >= 1 for i in decode)
 
 
 # texts that once parsed into a graph or circuit failing the sanity checks,
@@ -161,7 +162,8 @@ ENCODED_EXAMPLES = ["qubits -2 clbits -1", "qubits 2 clbits -1",
                     "component 0 INIT\nh 0\ncomponent 1 SYNDROME\nh 0\n"
                     "component 0 INIT\nh 0",
                     "qubits 1 clbits 1\nh 0\nmz 0 0\ncheck c5 = 0",
-                    "qubits 1 clbits 1\nh 0\nmz 0 0\nlogical 1 = c7"]
+                    "qubits 1 clbits 1\nh 0\nmz 0 0\nlogical 1 = c7",
+                    "qubits 1 clbits 1\nh 0\nmz 0 0\nlogical 0 = c0"]
 # every error names its line, but for a file-level one
 GRAPH_NAMED = r"line \d+: |missing 'graph k m' header"
 ENCODED_NAMED = r"line \d+: "

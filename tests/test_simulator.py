@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import math
 
@@ -22,7 +23,9 @@ from icecomp.simulator import (NoiseFormatError, NoiseModel, ShotRecord,
                                read_noise, sample_shots, sample_logical_shots,
                                total_variation, unencoded_distribution,
                                write_noise, SimulatorError, _ShotPlan,
-                               _apply_random_pauli, _per_shot_rng, _shot_plan)
+                               BRANCH_TOL, _PLANS, _Readout, _apply_gate,
+                               _apply_random_pauli, _per_shot_rng, _shot_plan,
+                               _trailing_start, _word)
 
 
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -794,17 +797,23 @@ def test_plan_responses_follow_the_pauli_code_order(mode):
         GateKind.RXX))
 
 
+@functools.lru_cache(maxsize=None)
+def _criterion_7_circuit(mode, s):
+    """Criterion 7's k=10, p=3 circuit of `mode` with s syndromes (queue
+    cap 200)."""
+    g = generate_instance(GraphKind.REGULAR_3, 10, seed=0)
+    return compile_mode(g, ramp_params(3), mode, s, 200)
+
+
 class TestLogicalModel:
     """The logical model's reweighting of the ideal distribution against
     the dense distribution of the circuit with the flipped rotations
     negated, on criterion 7's k=10, p=3 circuits (queue cap 200)."""
 
-    graph = generate_instance(GraphKind.REGULAR_3, 10, seed=0)
-
     @pytest.mark.parametrize("s", [1, 2])
     @pytest.mark.parametrize("mode", MODES)
     def test_reweighting_matches_the_negated_circuit(self, mode, s):
-        enc = compile_mode(self.graph, ramp_params(3), mode, s, 200)
+        enc = _criterion_7_circuit(mode, s)
         circ = enc.circuit
         plan = _shot_plan(circ)
         model = plan.model(enc.decode)
@@ -818,8 +827,11 @@ class TestLogicalModel:
             negated = dataclasses.replace(circ, gates=[
                 dataclasses.replace(g, angle=-g.angle) if gi in flipped else g
                 for gi, g in enumerate(circ.gates)])
-            dense = exact_bit_distribution(negated)
-            reweighted = dict(zip(rows, model.reweight(probs, _mask(flipped))))
+            dense = {_word(b): p for b, p in
+                     exact_bit_distribution(negated).items()}
+            words = [plan.ideal_words[r] for r in rows]
+            reweighted = dict(zip(words, model.reweight(probs,
+                                                        _mask(flipped))))
             assert max(abs(dense.get(b, 0.0) - reweighted.get(b, 0.0))
                        for b in dense.keys() | reweighted.keys()) <= 1e-15
 
@@ -857,6 +869,248 @@ class TestLogicalModel:
         assert resumed[0] > 0
         assert _without_rejected_bits(recs) == _without_rejected_bits(
             reference_sample_shots(*args, **kw))
+
+
+# ---------------------------------------------------------------------------
+# The ideal table built one entry at a time, as the simulator once built it:
+# the oracle of its array construction
+# ---------------------------------------------------------------------------
+
+def reference_bit_distribution(circuit):
+    """(exact_bit_distribution as a dict filled one entry at a time, whether
+    every reset is deterministic)."""
+    gates = circuit.gates
+    resets_fixed = True
+    tail_start = _trailing_start(gates)
+    branches = [(1.0, StateVector(circuit.num_qubits),
+                 [0] * circuit.num_clbits)]
+    for gi in range(tail_start):
+        g = gates[gi]
+        if g.kind in (GateKind.MEASURE_Z, GateKind.MEASURE_X, GateKind.RESET):
+            new_branches = []
+            for weight, state, bits in branches:
+                if g.kind is GateKind.MEASURE_X:
+                    state.apply_h(g.qubits[0])
+                p1 = state.prob_one(g.qubits[0])
+                outcomes = []
+                if p1 < 1.0 - BRANCH_TOL:
+                    outcomes.append(0)
+                if p1 > BRANCH_TOL:
+                    outcomes.append(1)
+                if g.kind is GateKind.RESET and len(outcomes) > 1:
+                    resets_fixed = False
+                for v in outcomes:
+                    st = state.copy() if len(outcomes) > 1 else state
+                    p = st.collapse(g.qubits[0], v, p1)
+                    nb = bits if g.kind is GateKind.RESET else list(bits)
+                    if g.kind is GateKind.RESET:
+                        if v == 1:
+                            st.apply_x(g.qubits[0])
+                    else:
+                        nb[g.clbit] = v
+                    new_branches.append((weight * p, st, nb))
+            branches = new_branches
+        else:
+            for _, state, _ in branches:
+                _apply_gate(state, g)
+
+    tail = [g for g in gates[tail_start:] if g.kind is not GateKind.BARRIER]
+    dist = {}
+    for weight, state, bits in branches:
+        for g in tail:
+            if g.kind is GateKind.MEASURE_X:
+                state.apply_h(g.qubits[0])
+        probs = state.probabilities()
+        idx = np.arange(len(probs))
+        sig = np.zeros(len(probs), dtype=np.int64)
+        last = {g.clbit: g.qubits[0] for g in tail}
+        for pos, q in enumerate(last.values()):
+            sig |= (((idx >> q) & 1) << pos).astype(np.int64)
+        order = list(last)
+        mass = np.bincount(sig, weights=probs, minlength=1)
+        for s, pm in enumerate(mass):
+            if pm <= 1e-15:
+                continue
+            nb = list(bits)
+            for bitpos, clbit in enumerate(order):
+                nb[clbit] = (s >> bitpos) & 1
+            key = tuple(nb)
+            dist[key] = dist.get(key, 0.0) + weight * pm
+    return dist, resets_fixed
+
+
+def reference_tables(circuit, checks, decode):
+    """Everything the plan derives from the ideal table, from the dict, one
+    entry at a time.  Only the plan's site-table fields (measurement order,
+    clbits measured once, rotation flips) are read from the plan."""
+    plan = _shot_plan(circuit)
+    dist, resets_fixed = reference_bit_distribution(circuit)
+    ideal = sorted(dist.items())
+    bits_list = [b for b, _ in ideal]
+    probs = [p for _, p in ideal]
+    out = {"dist": list(dist.items()), "resets_fixed": resets_fixed,
+           "words": [_word(b) for b in bits_list], "probs": probs,
+           "cum": np.cumsum(probs).tolist(),
+           "records": [make_record(b, checks, decode) for b in bits_list]}
+
+    guard = None
+    readout = _Readout(checks, None)
+    values = {readout.decode_word(_word(b))[0] for b in bits_list}
+    masks = [_mask(c.bits) for c in checks]
+    if checks and plan.clbits_once and len(values) == 1 and not any(
+            (f & m).bit_count() & 1
+            for f in plan.rotation_flips for m in masks):
+        (ideal_values,) = values
+        guard = tuple((m, v ^ c.expected)
+                      for m, v, c in zip(masks, ideal_values, checks))
+    out["guard"] = guard
+
+    m = len(plan.meas_clbits)
+    rows = sorted((sum(bits[c] << (m - 1 - j)
+                       for j, c in enumerate(plan.meas_clbits)), p, bits)
+                  for bits, p in zip(bits_list, probs))
+    out["keys"] = [key for key, _, _ in rows]
+    out["table_probs"] = [p for _, p, _ in rows]
+    out["table_words"] = [_word(bits) for _, _, bits in rows]
+    readout = _Readout((), decode)
+    out["xs"] = [readout.decode_word(_word(bits))[2] for _, _, bits in rows]
+
+    readout = _Readout(checks, decode)
+    acc = 0.0
+    logical = {}
+    for bits, p in dist.items():
+        _, accepted, x = readout.decode_word(_word(bits))
+        if accepted:
+            acc += p
+            logical[x] = logical.get(x, 0.0) + p
+    if acc > 0:
+        logical = {x: p / acc for x, p in logical.items()}
+    out["logical"] = (acc, list(logical.items()))
+    return out
+
+
+def _merging_reset_circuit():
+    # four random resets: 16 branches, each with all four tail outcomes of
+    # qubits 4 and 0, so each entry sums 16 unequal branch probabilities
+    c = PhysicalCircuit(5, 2)
+    for q, theta in enumerate((0.3, 0.7, 1.1, 0.5)):
+        c.rxx(q, 4, theta)
+        c.reset(q)
+    c.h(4)
+    c.rxx(0, 4, 0.9)
+    c.mz(4, 0)
+    c.mz(0, 1)
+    return c
+
+
+def _wide_circuit():
+    # 70 clbits, so a word and an outcome-table key take two limbs each: a
+    # random mid-circuit outcome in c5 (copied to c66 and c68 at the end), a
+    # random one in c67, and 66 deterministic mid-circuit ones
+    c = PhysicalCircuit(4, 70)
+    c.h(1)
+    c.mz(1, 5)
+    c.cx(1, 2)
+    for b in range(70):
+        if b not in (5, 66, 67, 68):
+            if b % 3 == 0:
+                c.x(0)
+            c.mz(0, b)
+    c.h(3)
+    c.mz(2, 66)
+    c.mz(3, 67)
+    c.mz(1, 68)
+    return c
+
+
+class TestIdealTableOracle:
+    """The plan's array table of noiseless outcomes against the dict built
+    one entry at a time: the same words in the same order, the same floats
+    summed in the same order, and the same guard, outcome table, logical
+    model inputs, records and exact distributions."""
+
+    @staticmethod
+    def check(circuit, checks, decode, has_model):
+        ref = reference_tables(circuit, checks, decode)
+        _PLANS.clear()
+        plan = _shot_plan(circuit)
+        assert list(exact_bit_distribution(circuit).items()) == ref["dist"]
+        assert plan.resets_fixed == ref["resets_fixed"]
+        assert plan.ideal_words == ref["words"]
+        assert plan.ideal_probs.tolist() == ref["probs"]
+        assert plan.ideal_cum.tolist() == ref["cum"]
+        assert plan.guard(checks) == ref["guard"]
+        keys, probs, rows = plan.outcome_table
+        assert keys == ref["keys"]
+        assert probs.tolist() == ref["table_probs"]
+        assert [plan.ideal_words[r] for r in rows] == ref["table_words"]
+        model = plan.model(decode)
+        assert (model is not None) == has_model
+        if model is not None:
+            assert model.xs.tolist() == ref["xs"]
+            marginal = np.bincount(ref["xs"], weights=ref["table_probs"],
+                                   minlength=1 << len(decode))
+            assert model.marginal.tolist() == marginal.tolist()
+        else:
+            logical = _Readout((), decode).decode_words(plan.words)[2]
+            assert logical[rows].tolist() == ref["xs"]
+        entries = plan.entries(checks, decode)
+        assert [entries.record(i) for i in range(len(plan.ideal_words))] == \
+            ref["records"]
+        acc, logical = exact_logical_distribution(circuit, checks, decode)
+        assert (acc, list(logical.items())) == ref["logical"]
+
+    @pytest.mark.parametrize("s", [1, 2])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_criterion_7_circuits(self, mode, s):
+        enc = _criterion_7_circuit(mode, s)
+        self.check(enc.circuit, enc.checks, enc.decode, True)
+
+    def test_k12_baseline(self):
+        g = generate_instance(GraphKind.REGULAR_3, 12, seed=0)
+        enc = compile_mode(g, ramp_params(3), "baseline", 2, 100)
+        assert enc.circuit.num_qubits == 16
+        self.check(enc.circuit, enc.checks, enc.decode, True)
+
+    def test_mid_circuit_branches(self):
+        checks = (ParityCheck(frozenset({0, 1})),)
+        self.check(_mid_measure_circuit(), checks,
+                   {1: frozenset({2}), 2: frozenset({3, 4})}, False)
+
+    def test_branches_merging_after_random_resets(self):
+        circ = _merging_reset_circuit()
+        dist = reference_bit_distribution(circ)[0]
+        assert len(dist) == 4 and not reference_bit_distribution(circ)[1]
+        self.check(circ, (ParityCheck(frozenset({1})),),
+                   {1: frozenset({0})}, False)
+
+    def test_words_wider_than_64_bits(self):
+        # logical 70 puts the decoded logical above 2^63
+        self.check(_wide_circuit(), (ParityCheck(frozenset({5, 66})),),
+                   {1: frozenset({67}), 2: frozenset({5, 68}),
+                    70: frozenset({3, 67})}, False)
+
+    @pytest.mark.parametrize("build, checks, decode", [
+        (_merging_reset_circuit, (ParityCheck(frozenset({1})),),
+         {1: frozenset({0})}),
+        (_wide_circuit, (ParityCheck(frozenset({5, 66})),),
+         {1: frozenset({67}), 2: frozenset({5, 68})}),
+    ])
+    def test_shots_match_the_trajectories(self, build, checks, decode):
+        args = (build(), NoiseModel(scale=30.0), 300, 4)
+        kw = dict(checks=checks, decode=decode)
+        assert _without_rejected_bits(sample_shots(*args, **kw)) == \
+            _without_rejected_bits(reference_sample_shots(*args, **kw))
+
+
+@pytest.mark.parametrize("call", [
+    lambda d: sample_shots(_wide_circuit(), NoiseModel(), 5, 0, decode=d),
+    lambda d: make_record([0] * 70, (), d),
+    lambda d: exact_logical_distribution(_wide_circuit(), (), d),
+])
+def test_decode_index_below_1_rejected(call):
+    with pytest.raises(ValueError, match=r"decode indices \[-1, 0\] are below 1"):
+        call({0: frozenset({1}), 1: frozenset({2}), -1: frozenset({3})})
 
 
 def test_per_shot_rng_is_the_default_rng_stream():
