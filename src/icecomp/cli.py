@@ -188,6 +188,10 @@ def cmd_simulate(args) -> int:
         circuit, checks, decode = _read(args.circuit, read_encoded)
         noise = _read(args.noise, read_noise) if args.noise else NoiseModel()
         graph = _read(args.graph, read_graph) if args.graph else None
+        if graph is not None and graph.num_vertices != len(decode):
+            raise ValueError(
+                f"{args.graph} has {graph.num_vertices} vertices, but "
+                f"{args.circuit} has {len(decode)} 'logical' lines")
         records = sample_shots(circuit, noise, args.shots, args.seed,
                                checks=checks, decode=decode)
         _open_outputs(_out(args, "out"))
@@ -228,8 +232,9 @@ def _spec_from_args(args) -> SweepSpec:
 
 def _run_bench(args, runner, name) -> int:
     try:
-        # reject every instance the family cannot generate, and every
-        # compile the compiler would reject, before the first compile
+        # reject every instance the family cannot generate, every compile
+        # the compiler would reject and every noise scale, before the first
+        # compile
         spec = _spec_from_args(args)
         for k, _, _, graph in spec.instances():
             for mode in spec.modes:
@@ -239,12 +244,14 @@ def _run_bench(args, runner, name) -> int:
                     except ValueError as exc:
                         raise ValueError(f"k={k}, {mode}, s={s}: {exc}") \
                             from None
+        if name == "energy":
+            for scale in args.scales:
+                NoiseModel(scale=scale)
+            spec.noise_scales = tuple(args.scales)
         out = _out(args, "out")
         _open_outputs(out, out + ".manifest.json")
     except ValueError as exc:
         return _fail(args.command, exc)
-    if name == "energy":
-        spec.noise_scales = tuple(args.scales)
     rows = runner(spec)
     write_rows(rows, out)
     write_manifest(out + ".manifest.json", name, {

@@ -17,24 +17,20 @@ distribution (exact_bit_distribution) with one uniform and applies its
 readout flips; a clbit measured twice keeps its last write, and that
 measurement's flip.  Any other shot stands for its trajectory, which then
 draws, in traversal order, one uniform per measurement and reset
-(StateVector.measure/reset) and one Pauli code per fired site.  Up to its
-first Pauli event a trajectory runs the noiseless circuit, so sample_shots
-advances one noiseless sweep state layer by layer, and a shot starts its
-trajectory from a copy of the sweep at the layer of its first event.  The
-sweep collapses each mid-circuit measurement and reset onto its likelier
-outcome.  A resumed shot draws for those earlier collapses as
-StateVector.measure/reset would; if a draw disagrees, the shot's state is
-not the sweep's, and the shot runs again from layer 0 with a fresh
-generator.  The sweep stops at the horizon, the first layer holding a
-trailing measurement, whose outcomes are random: shots whose first event
-lies later start there.  Every such shot so makes the same draws and the
-same floating-point operations, in the same order, as a trajectory run
-from |0...0>, and its record is the same.  sample_logical_shots does the
-same per gate step: a shot redraws the event tests before the step of its
-first fired test, then runs that step and the rest from a copy of the
-sweep taken before it.  A shot with no event there measures qubits 0..k-1
-of the final sweep state in turn from per-call marginal masses of that
-state (below), each measurement followed by its readout test as in a
+(StateVector.measure/reset) and one Pauli code per fired site.  The Pauli
+frame decides most of those shots (below); a shot it cannot decide runs
+its whole trajectory from |0...0>, its generator drawn afresh
+(_ShotPlan.trajectory).
+
+Unencoded shots.  The unencoded circuit has no mid-circuit measurement,
+so up to a shot's first event its trajectory is the noiseless one and
+draws nothing but its event tests.  sample_logical_shots so advances one
+noiseless sweep state per gate step: a shot redraws the event tests before
+the step of its first fired test, then runs that step and the rest from a
+copy of the sweep taken before it, with the same floating-point operations
+as its whole trajectory.  A shot with no event there measures qubits
+0..k-1 of the final sweep state in turn from per-call marginal masses of
+that state (below), each measurement followed by its readout test as in a
 trajectory.
 
 The ideal table.  A circuit's noiseless outcomes are found once, as arrays
@@ -587,8 +583,8 @@ def _code_responses(entries: Sequence[tuple[int, int]]) -> list[int]:
 class _ShotPlan:
     """What sample_shots needs of a circuit whatever the noise, from one
     pass over its schedule: the traversal script (per layer, its gates, then
-    the idle qubits of a layer holding a two-qubit gate), the horizon, the
-    ideal distribution and whether every reset is deterministic in it, the
+    the idle qubits of a layer holding a two-qubit gate), the ideal
+    distribution and whether every reset is deterministic in it, the
     readout and rotation flips, and the guards.  The ideal entries are
     sorted as their bit tuples sort (module docstring): `ideal_bits` holds
     their clbit rows, `words` their word table (bit c of an entry's number
@@ -596,24 +592,22 @@ class _ShotPlan:
     `ideal_cum`.
 
     Each unitary gate and each such idle qubit is a Pauli site, numbered
-    once in traversal order with its layer, its slot (the measurements and
+    once in traversal order with its slot (the measurements and
     resets before it, whose draws its trajectory makes first) and its
     responses from the faults._Sweep entries right after its gate; an idle
     site after layer l on q takes those after q's last gate before l, or at
     the circuit start.  A shot draws every site's event up front, so its
-    first Pauli event and its frame are known before any state is touched.
-    One that the frame decides and accepts takes its outcomes from the
-    `outcome_table` masses, reweighted by the `model` of its `decode` when
-    its frame flips a rotation (`frame_sample`); one that needs a
-    trajectory resumes it from the noiseless sweep (`advance`, `resume`,
-    `run`)."""
+    frame is known before any state is touched.  One that the frame decides
+    and accepts takes its outcomes from the `outcome_table` masses,
+    reweighted by the `model` of its `decode` when its frame flips a
+    rotation (`frame_sample`); one the frame cannot decide runs its whole
+    `trajectory`."""
 
     def __init__(self, circuit: PhysicalCircuit):
         sched = layered_schedule(circuit)
         self.gates = gates = tuple(circuit.gates)   # the circuit may change
         self.num_qubits = circuit.num_qubits
         self.num_clbits = circuit.num_clbits
-        self.gate_layer = sched.gate_layer
         # the ideal entries: clbit rows, their word table and its ints
         ideal = _bit_distribution(circuit)
         self.resets_fixed = ideal.resets_fixed
@@ -628,7 +622,6 @@ class _ShotPlan:
         # per layer: (gate index, gate, Pauli or measurement site), its idle
         # qubits, and the Pauli site of its first idle qubit
         self.layers = []
-        self.site_layer: list[int] = []
         self.slots: list[int] = []
         self.responses: list[list[int]] = []
         meas_clbits: list[int] = []
@@ -641,16 +634,15 @@ class _ShotPlan:
         # response list
         shared: dict[tuple, list[int]] = {}
 
-        def site(kind, layer, entries):
+        def site(kind, entries):
             family[kind].append(len(self.slots))
-            self.site_layer.append(layer)
             self.slots.append(slot)
             entries = tuple(entries)
             if entries not in shared:
                 shared[entries] = _code_responses(entries)
             self.responses.append(shared[entries])
 
-        for layer, layer_gates in enumerate(sched.layers):
+        for layer_gates in sched.layers:
             ops = []
             for gi in layer_gates:
                 g = gates[gi]
@@ -672,13 +664,13 @@ class _ShotPlan:
                         r = za ^ zb if g.kind is GateKind.RZZ else xa ^ xb
                         rotation_flips.add(self.sweep.unpack(r)[2])
                     ops.append((gi, g, len(self.slots)))
-                    site("2q" if g.is_two_qubit else "1q", layer, own)
+                    site("2q" if g.is_two_qubit else "1q", own)
             touched = {q for gi in layer_gates for q in gates[gi].qubits}
             idle = [q for q in range(self.num_qubits) if q not in touched] \
                 if any(gates[gi].is_two_qubit for gi in layer_gates) else []
             self.layers.append((ops, idle, len(self.slots)))
             for q in idle:
-                site("idle", layer, [last[q]])
+                site("idle", [last[q]])
 
         # a shot draws one uniform per site, the 2Q, 1Q, measurement and idle
         # families in turn; draw_index[s] is Pauli site s's uniform
@@ -702,14 +694,6 @@ class _ShotPlan:
         self._models: dict[tuple, _LogicalModel | None] = {}
         self._entries: dict[tuple, _Entries] = {}
 
-        # the horizon: the first layer holding a trailing measurement.  The
-        # trailing block has random outcomes, so the noiseless sweep stops
-        # here and every trajectory runs it itself.
-        tail = range(_trailing_start(gates), len(gates))
-        self.horizon = min((sched.gate_layer[gi] for gi in tail
-                            if gates[gi].kind in MEASURE_KINDS),
-                           default=len(self.layers))
-
     def draw(self, seed: int, shot: int, rates: np.ndarray):
         """The shot's generator and its events: (fired Pauli sites, fired
         readouts), each in its own numbering."""
@@ -717,68 +701,15 @@ class _ShotPlan:
         hit = rng.random(len(rates)) < rates
         return rng, (hit[self.draw_index], hit[self.meas_draws])
 
-    def start_layer(self, fired: np.ndarray, inject_layer: int | None
-                    ) -> int | None:
-        """Layer at which the shot's trajectory must start: its first Pauli
-        event (fired site, or the first injection at `inject_layer`), capped
-        at the horizon.  None for a shot with no Pauli event at all."""
-        starts = [] if inject_layer is None else [inject_layer]
-        if fired.any():
-            starts.append(self.site_layer[int(fired.argmax())])
-        return min(starts + [self.horizon]) if starts else None
-
-    def advance(self, sweep: StateVector, layer: int,
-                outcomes: list[tuple[float, int, Gate, int | None]]) -> None:
-        """Run one layer noiselessly.  A measurement or reset collapses onto
-        its likelier outcome; (p1, outcome, gate, meas site) is recorded so
-        a shot can check its own draw against it."""
-        mz, mx, reset = GateKind.MEASURE_Z, GateKind.MEASURE_X, GateKind.RESET
-        ops, _, _ = self.layers[layer]
-        for _, g, si in ops:
-            kind = g.kind
-            if kind is mz or kind is mx or kind is reset:
-                q = g.qubits[0]
-                if kind is mx:
-                    sweep.apply_h(q)
-                p1 = sweep.prob_one(q)
-                v = 1 if p1 > 0.5 else 0
-                sweep.collapse(q, v, p1)
-                if kind is reset and v:
-                    sweep.apply_x(q)
-                outcomes.append((p1, v, g, si))
-            else:
-                _apply_gate(sweep, g)
-
-    def resume(self, seed: int, shot: int, rates: np.ndarray,
-               inject: Mapping[int, list[PauliString]], sweep: StateVector,
-               layer: int,
-               outcomes: Sequence[tuple[float, int, Gate, int | None]]
-               ) -> list[int]:
-        """The shot's bits, its trajectory started from the sweep at `layer`.
-
-        The shot first draws for every earlier measurement and reset exactly
-        as StateVector.measure/reset would.  If a draw disagrees with the
-        sweep's outcome the shot's state differs from the sweep's, and it
-        runs again from layer 0 with a fresh generator."""
-        rng, events = self.draw(seed, shot, rates)
-        em = events[1]
+    def trajectory(self, seed: int, shot: int, rates: np.ndarray,
+                   inject: Mapping[int, list[PauliString]]) -> list[int]:
+        """The shot's bits from its whole trajectory, run from |0...0> with
+        a freshly drawn generator."""
+        rng, (fired, em) = self.draw(seed, shot, rates)
+        state = StateVector(self.num_qubits)
         bits = [0] * self.num_clbits
-        for p1, v, g, si in outcomes:
-            if (1 if rng.random() < p1 else 0) != v:
-                rng, events = self.draw(seed, shot, rates)
-                return self.run(StateVector(self.num_qubits),
-                                [0] * self.num_clbits, rng, events, inject, 0)
-            if si is not None:
-                bits[g.clbit] = v ^ 1 if em[si] else v
-        return self.run(sweep.copy(), bits, rng, events, inject, layer)
-
-    def run(self, state: StateVector, bits: list[int], rng: np.random.Generator,
-            events, inject: Mapping[int, list[PauliString]],
-            start: int) -> list[int]:
-        """One trajectory from the start of layer `start` to the end."""
-        fired, em = events
         mz, mx, reset = GateKind.MEASURE_Z, GateKind.MEASURE_X, GateKind.RESET
-        for ops, idle, base in self.layers[start:]:
+        for ops, idle, base in self.layers:
             for gi, g, si in ops:
                 kind = g.kind
                 if kind is mz or kind is mx:
@@ -1112,18 +1043,15 @@ def sample_shots(circuit: PhysicalCircuit, noise: NoiseModel, shots: int,
     the earlier outcomes under the ideal distribution with the frame's
     flips.  If its frame flips rotations, each ideal entry is first
     reweighted by the logical model of `decode` (module docstring), which
-    runs a k-qubit logical state; without `decode` or a model, such a shot
-    runs its trajectory.  Every other shot starts its trajectory at the
-    layer of its first Pauli event, capped at the horizon (the first layer
-    of the trailing measurement block), from a copy of one noiseless sweep
-    state per call.  A shot whose own draw for an earlier mid-circuit
-    measurement or reset disagrees with the sweep's outcome runs from layer
-    0 instead.  Every record equals that of running its trajectory from
-    layer 0, but for the bits of frame-rejected shots; the outcome
-    probabilities of an accepted shot the frame decides agree with its
-    trajectory's to the last bits (module docstring).  The circuit's
-    _ShotPlan is cached by its content; the circuit is validated on every
-    call all the same.
+    runs a k-qubit logical state.  Every other shot runs its whole
+    trajectory from |0...0>, its generator drawn afresh: every event shot
+    when the guard fails, and an accepted one when a reset is random, or
+    when its frame flips rotations and there is no `decode` or no model.
+    Every record equals that of its trajectory, but for the bits of
+    frame-rejected shots; the outcome probabilities of an accepted shot the
+    frame decides agree with its trajectory's to the last bits (module
+    docstring).  The circuit's _ShotPlan is cached by its content; the
+    circuit is validated on every call all the same.
 
     `inject` lists deterministic Pauli errors applied after given gate
     indices in every shot (used for fault cross-checks); an index in the
@@ -1140,8 +1068,6 @@ def sample_shots(circuit: PhysicalCircuit, noise: NoiseModel, shots: int,
     # the event probability of each of a shot's uniforms
     rates = np.repeat((eff.p2, eff.p1, eff.p_meas, eff.p_idle),
                       plan.family_sizes)
-    inject_layer = min((plan.gate_layer[gi] for gi in inject_map),
-                       default=None)
     guard = plan.guard(checks)
     model = None
     if guard is not None:
@@ -1149,41 +1075,27 @@ def sample_shots(circuit: PhysicalCircuit, noise: NoiseModel, shots: int,
         if decode is not None and plan.resets_fixed:
             model = plan.model(decode)
 
-    records: list[ShotRecord | None] = [None] * shots
-    buckets: dict[int, list[int]] = {}
+    records: list[ShotRecord] = []
     for shot in range(shots):
         rng, (fired, em) = plan.draw(seed, shot, rates)
-        start = plan.start_layer(fired, inject_layer)
-        if start is None:
-            records[shot] = plan.ideal_record(rng, plan.readout(em), entries)
+        if not (inject_map or fired.any()):
+            records.append(plan.ideal_record(rng, plan.readout(em), entries))
             continue
-        if guard is None:
-            buckets.setdefault(start, []).append(shot)
-            continue
-        cl, rot, uniforms = plan.flips(rng, fired, inject_frame)
-        flips = cl ^ plan.readout(em)
-        if not _keeps_checks(guard, flips):
-            records[shot] = plan.ideal_record(rng, flips, entries)
-        elif not plan.resets_fixed or rot and model is None:
-            buckets.setdefault(start, []).append(shot)
-        else:
-            probs = plan.outcome_table[1]
-            if rot:
-                probs = model.reweight(probs, rot)
-            records[shot] = readout.record(
-                plan.frame_sample(rng, uniforms, cl, em, probs))
-
-    if buckets:
-        sweep = StateVector(circuit.num_qubits)
-        outcomes: list[tuple[float, int, Gate, int | None]] = []
-        last = max(buckets)
-        for layer in range(last + 1):
-            for shot in buckets.get(layer, ()):
-                bits = plan.resume(seed, shot, rates, inject_map, sweep,
-                                   layer, outcomes)
-                records[shot] = readout.record(bits)
-            if layer < last:
-                plan.advance(sweep, layer, outcomes)
+        if guard is not None:
+            cl, rot, uniforms = plan.flips(rng, fired, inject_frame)
+            flips = cl ^ plan.readout(em)
+            if not _keeps_checks(guard, flips):
+                records.append(plan.ideal_record(rng, flips, entries))
+                continue
+            if plan.resets_fixed and (not rot or model is not None):
+                probs = plan.outcome_table[1]
+                if rot:
+                    probs = model.reweight(probs, rot)
+                records.append(readout.record(
+                    plan.frame_sample(rng, uniforms, cl, em, probs)))
+                continue
+        records.append(readout.record(
+            plan.trajectory(seed, shot, rates, inject_map)))
     return records
 
 
@@ -1430,11 +1342,12 @@ def sample_logical_shots(lc: LogicalCircuit, noise: NoiseModel, shots: int,
     and is bucketed by the step of its first fired test.  One noiseless
     sweep runs through the steps.  A shot redraws the tests of the earlier
     steps and resumes from a copy of the sweep taken before its bucket's
-    step, so it runs that step itself, as a sample_shots shot runs the layer
-    of its first event.  A shot with no event measures the final sweep
-    state: qubit q reads 1 when its next uniform lies below the probability
-    of a 1 given the outcomes of qubits 0..q-1, from `_marginal_masses`, and
-    each measurement's readout test follows it, as in a trajectory."""
+    step, so it runs that step itself: up to there its trajectory is the
+    noiseless one (module docstring).  A shot with no event measures the
+    final sweep state: qubit q reads 1 when its next uniform lies below the
+    probability of a 1 given the outcomes of qubits 0..q-1, from
+    `_marginal_masses`, and each measurement's readout test follows it, as
+    in a trajectory."""
     if shots < 0:
         raise ValueError(f"shots must be nonnegative, got {shots}")
     eff = noise.effective()

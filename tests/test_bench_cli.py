@@ -199,6 +199,10 @@ class TestCli:
           "--out", "d.csv"], "density must be in [0, 1], got None"),
         (["bench-depth", "--sizes", "6", "--densities", "0.1", "0.2",
           "--out", "d.csv"], "a 3-regular sweep takes no densities"),
+        (["bench-energy", "--sizes", "6", "--scales", "-1", "--out", "e.csv"],
+         "scale must be finite and nonnegative"),
+        (["bench-energy", "--sizes", "6", "--scales", "0.5", "nan",
+          "--out", "e.csv"], "scale must be finite and nonnegative"),
     ])
     def test_instance_arguments_rejected(self, tmp_path, capsys, monkeypatch,
                                          argv, message):
@@ -294,6 +298,9 @@ class TestCli:
          {"n.txt": "p2 2\n"}, "n.txt: line 1: p2: p2 must be in [0, 1]"),
         (["simulate", "--circuit", "c.txt", "--graph", "g.txt"],
          {"g.txt": None}, "No such file or directory: "),
+        (["simulate", "--circuit", "c.txt", "--graph", "g.txt"],
+         {"c.txt": "qubits 1 clbits 1\nh 0\nmz 0 0\nlogical 1 = c0\n"},
+         "g.txt has 4 vertices, but c.txt has 1 'logical' lines"),
         (["bench-qaoa", "--sizes", "6", "--noise", "n.txt"],
          {"n.txt": None}, "No such file or directory: "),
         (["report", "--csv", "d.csv", "--figure", "depth-vs-k"],
@@ -309,7 +316,8 @@ class TestCli:
             "simulate-circuit-malformed", "simulate-check-bit-range",
             "simulate-over-qubit-cap",
             "simulate-noise-missing", "simulate-noise-malformed",
-            "simulate-graph-missing", "bench-noise-missing",
+            "simulate-graph-missing", "simulate-graph-size",
+            "bench-noise-missing",
             "report-csv-missing", "report-no-rows", "report-no-figure-rows"])
     def test_input_file_error(self, tmp_path, capsys, monkeypatch, argv,
                               files, message):

@@ -484,10 +484,10 @@ def reference_sample_logical_shots(lc, noise, shots, seed):
 
 
 def _mid_measure_circuit():
-    # random mid-circuit outcomes (mz, then mx) and a reset in the sweep's
-    # path, so shots whose draws disagree with the sweep replay from layer
-    # 0; the trailing mz on qubit 3 is scheduled before the last gates, so
-    # the horizon cuts the sweep short of them
+    # random mid-circuit outcomes (mz, then mx) and a reset of the measured
+    # qubit, so a trajectory's state depends on its own draws before its
+    # first event; the trailing mz on qubit 3 is scheduled before the last
+    # gates, so a trajectory runs the gates out of list order
     c = PhysicalCircuit(4, 5)
     c.begin_component(0, ComponentRole.INIT)
     c.h(0)
@@ -548,15 +548,16 @@ def _count_states(monkeypatch):
 
 
 def _count_resumes(monkeypatch):
-    """How many shots resume a dense trajectory from now on, in a list."""
+    """How many shots run a whole dense trajectory from now on, in a
+    list."""
     resumed = [0]
-    resume = _ShotPlan.resume
+    trajectory = _ShotPlan.trajectory
 
     def counted(self, *args):
         resumed[0] += 1
-        return resume(self, *args)
+        return trajectory(self, *args)
 
-    monkeypatch.setattr(_ShotPlan, "resume", counted)
+    monkeypatch.setattr(_ShotPlan, "trajectory", counted)
     return resumed
 
 
