@@ -22,16 +22,15 @@ frame decides most of those shots (below); a shot it cannot decide runs
 its whole trajectory from |0...0>, its generator drawn afresh
 (_ShotPlan.trajectory).
 
-Unencoded shots.  The unencoded circuit has no mid-circuit measurement,
-so up to a shot's first event its trajectory is the noiseless one and
-draws nothing but its event tests.  sample_logical_shots so advances one
-noiseless sweep state per gate step: a shot redraws the event tests before
-the step of its first fired test, then runs that step and the rest from a
-copy of the sweep taken before it, with the same floating-point operations
-as its whole trajectory.  A shot with no event there measures qubits
-0..k-1 of the final sweep state in turn from per-call marginal masses of
-that state (below), each measurement followed by its readout test as in a
-trajectory.
+Unencoded shots.  After its Hadamard layer every gate of the unencoded
+circuit is a Pauli rotation, so a Pauli fired after a step reaches the end
+as it is, negating each later rotation whose generator it anticommutes
+with (X or Y on q an RZZ on q, Z or Y on q an RX on q), and its X part
+flips q's readout.  A shot's final state is thus the noiseless one with its
+frame's rotations negated (_LogicalModel.state) and its X flips applied.
+Paulis only move amplitudes and flip signs, which the kernels carry through
+exactly, and the model runs the trajectory's kernels in its order
+(_logical_steps), so that state's probabilities are the trajectory's.
 
 The ideal table.  A circuit's noiseless outcomes are found once, as arrays
 (_Outcomes): per entry its clbits (a uint8 row) and its probability, the
@@ -106,16 +105,17 @@ then deterministic under every pattern of rotation signs.  Under the guard:
     checks and flips a rotation when there is no `decode` or no model.
 
 A shot that reads its outcomes from masses (an accepted encoded shot the
-frame decides, or an event-free unencoded shot) takes as p1 the mass of
-its outcomes so far extended by a 1, over the mass of those outcomes (for
-an unencoded shot, the product of their probabilities), as measure()
-renormalizes the state after each collapse.  That p1 agrees
-with its trajectory's prob_one to the last bits, not bit for bit: the
-masses are summed in another order, and an encoded shot's come from the
-noiseless state at the circuit end (with theta', from the product of a
-dense and a logical distribution).  A later 1 - p1 and renormalization
-scale those bits up; at k=10 the two p1 stay within about 2e-13.  The
-record is the trajectory's unless a uniform falls between them.
+frame decides, or any unencoded shot) takes as p1 the mass of its outcomes
+so far extended by a 1, over the mass of those outcomes (for an unencoded
+shot, the product of their probabilities), as measure() renormalizes the
+state after each collapse.  That p1 agrees with its trajectory's prob_one
+to the last bits, not bit for bit: the masses are summed in another order,
+from the state at the circuit end (for an encoded shot, the noiseless
+state, and with theta' the product of a dense and a logical distribution;
+for an unencoded one, the logical state with the frame's rotations
+negated).  A later 1 - p1 and renormalization scale those bits up; at k=10
+the two p1 stay within about 2e-13.  The record is the trajectory's unless
+a uniform falls between them.
 
 The gate kernels work on the whole array at once, but each amplitude gets
 the same IEEE operations in the same order as in a per-block update (see
@@ -141,8 +141,7 @@ from .circuit import (MEASURE_KINDS, ROTATION_KINDS, Gate, GateKind,
                       PhysicalCircuit, layered_schedule)
 from .gadgets import ParityCheck
 from .faults import PauliString, _Sweep, _bits, _mask
-from .maxcut import (LogicalCircuit, MixerGate, PhaseGate, ProblemGraph,
-                     energy as bit_energy)
+from .maxcut import LogicalCircuit, ProblemGraph, energy as bit_energy
 
 DEFAULT_QUBIT_CAP = 16
 BRANCH_TOL = 1e-10      # exact_bit_distribution: branching threshold
@@ -915,19 +914,18 @@ MODEL_TOL = 1e-12   # _LogicalModel: its largest miss of the ideal marginal
 
 
 class _LogicalModel:
-    """The k logical qubits of an Iceberg circuit as a StateVector(k) from
-    |+>^k (module docstring): RZZ(u+1, v+1) acts as Z_uZ_v, and RXX on the
-    top qubit 0 or the bottom qubit k+1 and a data qubit q as X_{q-1}.
-    `ops` holds (gate index, logical qubits, angle) per rotation, in gate
-    order; `xs` the decoded logical of each entry of the plan's
-    outcome_table, and `marginal` the ideal distribution of those logicals.
-    The noiseless state is kept before every `stride`-th op, about sqrt(ops)
-    states, and a shot's state resumes from the last one before its first
-    negated rotation."""
+    """k logical qubits as a StateVector(k) from |+>^k, run through `ops`:
+    (key, qubits, angle) per rotation in order, an RZZ on two qubits and an
+    RX on one; a mask `rot` negates the rotations whose keys it sets.  The
+    unencoded circuit's ops are keyed by step (_logical_ops); `build` keys
+    an Iceberg circuit's by gate index (module docstring) and sets `xs`, the
+    decoded logical of each outcome_table entry, and `marginal`, their ideal
+    distribution.  The noiseless state is kept before every `stride`-th op,
+    about sqrt(ops) states, and a shot's state resumes from the last one
+    before its first negated rotation."""
 
-    def __init__(self, k: int, ops: list[tuple[int, tuple[int, ...], float]],
-                 xs: np.ndarray, marginal: np.ndarray):
-        self.k, self.ops, self.xs, self.marginal = k, ops, xs, marginal
+    def __init__(self, k: int, ops: list[tuple[int, tuple[int, ...], float]]):
+        self.k, self.ops = k, ops
         self.op_gates = [gi for gi, _, _ in ops]
         self.stride = max(1, math.isqrt(len(ops)))
         state = StateVector(k)
@@ -968,9 +966,10 @@ class _LogicalModel:
         marginal = np.bincount(xs, weights=probs, minlength=1 << k)
         if not marginal.all():
             return None
-        model = _LogicalModel(k, ops, xs, marginal)
+        model = _LogicalModel(k, ops)
         if np.max(np.abs(model.probs - marginal)) > MODEL_TOL:
             return None
+        model.xs, model.marginal = xs, marginal
         return model
 
     @staticmethod
@@ -1022,6 +1021,14 @@ def _shot_plan(circuit: PhysicalCircuit) -> _ShotPlan:
     return plan
 
 
+def _check_shots(shots: int, seed: int) -> None:
+    if shots < 0:
+        raise ValueError(f"shots must be nonnegative, got {shots}")
+    if type(seed) is bool or not isinstance(seed, (int, np.integer)) or \
+            seed < 0:
+        raise ValueError(f"seed must be an int >= 0, got {seed!r}")
+
+
 def sample_shots(circuit: PhysicalCircuit, noise: NoiseModel, shots: int,
                  seed: int,
                  checks: Sequence[ParityCheck] = (),
@@ -1057,8 +1064,7 @@ def sample_shots(circuit: PhysicalCircuit, noise: NoiseModel, shots: int,
     indices in every shot (used for fault cross-checks); an index in the
     trailing measurement block, out of range or naming a barrier raises
     ValueError."""
-    if shots < 0:
-        raise ValueError(f"shots must be nonnegative, got {shots}")
+    _check_shots(shots, seed)
     circuit.validate()
     inject_map = _inject_map(circuit.gates, inject)
     plan = _shot_plan(circuit)
@@ -1283,30 +1289,26 @@ def exact_logical_distribution(circuit: PhysicalCircuit,
 
 def unencoded_distribution(lc: LogicalCircuit) -> dict[int, float]:
     """Exact distribution of the unencoded circuit's k measured bits (bit
-    i of the key is qubit i), entries above 1e-15."""
+    i of the key is qubit i), entries above 1e-15, the rotations run in the
+    sampler's order (_logical_steps) by _LogicalModel._apply."""
     state = StateVector(lc.k)
     for q in range(lc.k):
         state.apply_h(q)
-    # phase gates in edge order: the ASAP order of _logical_steps gives the
-    # same state with other rounding
-    for phase, mixer in zip(lc.phase_layers, lc.mixer_layers):
-        for g in phase:
-            state.apply_rzz(g.u, g.v, g.angle)
-        for m in mixer:
-            state.apply_rx(m.qubit, m.angle)
+    for op in _logical_ops(_logical_steps(lc)):
+        _LogicalModel._apply(state, op, 0)
     probs = state.probabilities()
     return {x: float(p) for x, p in enumerate(probs) if p > 1e-15}
 
 
-def _logical_steps(lc: LogicalCircuit, eff: NoiseModel
-                   ) -> list[tuple[PhaseGate | MixerGate | None, float,
-                                   tuple[int, ...]]]:
+def _logical_steps(lc: LogicalCircuit
+                   ) -> list[tuple[tuple[int, ...], float | None]]:
     """Fixed traversal script of the unencoded circuit after the initial
-    Hadamards: (gate, p, support) steps, each a gate (None for an idle
-    slot) followed by a Pauli event with probability p on the support.
+    Hadamards: (support, angle) steps, each an RZZ on two qubits or an RX on
+    one (angle None: an idle slot on one qubit), followed by a Pauli event
+    on the support.
 
-    Phase rotations are two-qubit gates, ASAP-layered per phase layer with
-    idle noise charged per layer; mixer rotations are single-qubit."""
+    Phase rotations are ASAP-layered per phase layer, with an idle slot for
+    each qubit a layer leaves untouched; the mixer rotations follow."""
     steps = []
     for gates, mixer in zip(lc.phase_layers, lc.mixer_layers):
         rzz = PhysicalCircuit(lc.k)
@@ -1316,103 +1318,95 @@ def _logical_steps(lc: LogicalCircuit, eff: NoiseModel
             touched = set()
             for gi in layer:
                 g = gates[gi]
-                steps.append((g, eff.p2, (g.u, g.v)))
+                steps.append(((g.u, g.v), g.angle))
                 touched.update((g.u, g.v))
-            steps.extend((None, eff.p_idle, (q,))
-                         for q in range(lc.k) if q not in touched)
-        steps.extend((m, eff.p1, (m.qubit,)) for m in mixer)
+            steps.extend(((q,), None) for q in range(lc.k) if q not in touched)
+        steps.extend(((m.qubit,), m.angle) for m in mixer)
     return steps
 
 
-def _apply_logical_gate(state: StateVector,
-                        g: PhaseGate | MixerGate | None) -> None:
-    if isinstance(g, PhaseGate):
-        state.apply_rzz(g.u, g.v, g.angle)
-    elif g is not None:
-        state.apply_rx(g.qubit, g.angle)
+def _logical_ops(steps: list[tuple[tuple[int, ...], float | None]]
+                 ) -> list[tuple[int, tuple[int, ...], float]]:
+    """The rotations of `steps` as _LogicalModel ops, keyed by step."""
+    return [(i, support, angle) for i, (support, angle) in enumerate(steps)
+            if angle is not None]
+
+
+def _logical_entries(steps: list[tuple[tuple[int, ...], float | None]],
+                     k: int) -> list[list[tuple[int, int]]]:
+    """Per step, the frames of an X and a Z after it on each qubit of its
+    support, as _code_responses takes them: bit q set by an X on q, bit k+i
+    by a Pauli that negates the rotation of a later step i (module
+    docstring)."""
+    by_x, by_z = [0] * k, [0] * k     # per qubit, the rotations it negates
+    for i, support, _ in _logical_ops(steps):
+        by = by_x if len(support) == 2 else by_z
+        for q in support:
+            by[q] |= 1 << k + i
+    entries = []
+    for i, (support, _) in enumerate(steps):
+        later = -(1 << k + i + 1)
+        entries.append([(1 << q | by_x[q] & later, by_z[q] & later)
+                        for q in support])
+    return entries
 
 
 def sample_logical_shots(lc: LogicalCircuit, noise: NoiseModel, shots: int,
                          seed: int) -> list[ShotRecord]:
     """Unencoded reference under the same noise model.
 
-    A step's event test draws one uniform when its p > 0.  Until the first
-    test fires no draw depends on the state, so a shot draws all its tests
-    at once (one vector draw gives the same numbers as one draw per test)
-    and is bucketed by the step of its first fired test.  One noiseless
-    sweep runs through the steps.  A shot redraws the tests of the earlier
-    steps and resumes from a copy of the sweep taken before its bucket's
-    step, so it runs that step itself: up to there its trajectory is the
-    noiseless one (module docstring).  A shot with no event measures the
-    final sweep state: qubit q reads 1 when its next uniform lies below the
-    probability of a 1 given the outcomes of qubits 0..q-1, from
-    `_marginal_masses`, and each measurement's readout test follows it, as
-    in a trajectory."""
-    if shots < 0:
-        raise ValueError(f"shots must be nonnegative, got {shots}")
+    Shot i draws from its own generator, seeded by (seed, i), what its
+    trajectory draws, in its order: a uniform per step with p > 0 (one
+    vector until a test fires; the same numbers), a Pauli code after each
+    fired test, whose frame it folds into its own (module docstring), then
+    per qubit a measurement uniform and, when p_meas > 0, a readout test.
+    Qubit q reads 1 when its uniform lies below the probability of a 1
+    given qubits 0..q-1, from `_marginal_masses` of the frame's state, read
+    through its X flips."""
+    _check_shots(shots, seed)
     eff = noise.effective()
-    steps = _logical_steps(lc, eff)
-    tested = [i for i, (_, p, _) in enumerate(steps) if p > 0]
-    probs = np.array([steps[i][1] for i in tested])
-    # an event-free shot's uniforms after its tests: per qubit, that of its
-    # measurement, then that of its readout test when p_meas > 0
+    k = lc.k
+    steps = _logical_steps(lc)
+    model = _LogicalModel(k, _logical_ops(steps))
+    entries = _logical_entries(steps, k)
+    rates = [eff.p_idle if angle is None else
+             eff.p2 if len(support) == 2 else eff.p1
+             for support, angle in steps]
+    tested = [i for i, p in enumerate(rates) if p > 0]
+    probs = np.array([rates[i] for i in tested])
+    noiseless = _marginal_masses(model.probs, k)
+    # a shot's uniforms after its tests: per qubit, that of its measurement,
+    # then that of its readout test when p_meas > 0
     stride = 2 if eff.p_meas > 0 else 1
-    buckets: dict[int, list[int]] = {}
-    free: list[tuple[int, np.ndarray]] = []
+    records = []
     for shot in range(shots):
         rng = _per_shot_rng(seed, shot)
         fired = rng.random(len(tested)) < probs
+        frame = 0
         if fired.any():
-            buckets.setdefault(tested[int(fired.argmax())], []).append(shot)
-        else:
-            free.append((shot, rng.random(stride * lc.k)))
-
-    def record(bits: list[int]) -> ShotRecord:
-        return ShotRecord(tuple(bits), (), True,
-                          sum(b << q for q, b in enumerate(bits)))
-
-    def finish(state: StateVector, rng: np.random.Generator,
-               start: int) -> ShotRecord:
-        for g, p, support in steps[start:]:
-            _apply_logical_gate(state, g)
-            if p > 0 and rng.random() < p:
-                _apply_random_pauli(state, support, rng)
-        bits = []
-        for q in range(lc.k):
-            v = state.measure(q, rng)
-            if eff.p_meas > 0 and rng.random() < eff.p_meas:
-                v ^= 1
-            bits.append(v)
-        return record(bits)
-
-    records: list[ShotRecord | None] = [None] * shots
-    sweep = StateVector(lc.k)
-    for q in range(lc.k):
-        sweep.apply_h(q)
-    test = 0    # tests of the steps before step i
-    for i, (g, p, _) in enumerate(steps):
-        for shot in buckets.get(i, ()):
+            first = int(fired.argmax())
             rng = _per_shot_rng(seed, shot)
-            rng.random(test)
-            records[shot] = finish(sweep.copy(), rng, i)
-        _apply_logical_gate(sweep, g)
-        if p > 0:
-            test += 1
-
-    masses = _marginal_masses(sweep.probabilities(), lc.k)
-    for shot, u in free:
-        u = u.tolist()
-        x, norm = 0, 1.0    # the outcomes so far and their probability
-        bits = []
+            rng.random(first)
+            for i in tested[first:]:
+                if rng.random() < rates[i]:
+                    rs = _code_responses(entries[i])
+                    frame ^= rs[int(rng.integers(1, len(rs) + 1)) - 1]
+        rot = frame >> k
+        masses = _marginal_masses(model.state(rot).probabilities(), k) \
+            if rot else noiseless
+        u = rng.random(stride * k).tolist()
+        x, norm, bits = 0, 1.0, []   # x: the outcomes before the X flips
         for q, mass in enumerate(masses):
-            p1 = mass[x | 1 << q] / norm
+            f = frame >> q & 1
+            p1 = mass[x | (f ^ 1) << q] / norm
             v = 1 if u[stride * q] < p1 else 0
             norm *= p1 if v else 1.0 - p1
-            x |= v << q
+            x |= (v ^ f) << q
             if stride == 2 and u[2 * q + 1] < eff.p_meas:
                 v ^= 1
             bits.append(v)
-        records[shot] = record(bits)
+        records.append(ShotRecord(tuple(bits), (), True,
+                                  sum(b << q for q, b in enumerate(bits))))
     return records
 
 

@@ -23,9 +23,11 @@ from icecomp.simulator import (NoiseFormatError, NoiseModel, ShotRecord,
                                read_noise, sample_shots, sample_logical_shots,
                                total_variation, unencoded_distribution,
                                write_noise, SimulatorError, _ShotPlan,
-                               BRANCH_TOL, _PLANS, _Readout, _apply_gate,
-                               _apply_random_pauli, _per_shot_rng, _shot_plan,
-                               _trailing_start, _word)
+                               BRANCH_TOL, _PLANS, _LogicalModel, _Readout,
+                               _apply_gate, _apply_random_pauli,
+                               _code_responses, _logical_entries,
+                               _logical_ops, _logical_steps, _per_shot_rng,
+                               _shot_plan, _trailing_start, _word)
 
 
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -312,8 +314,8 @@ class TestShots:
 
 # ---------------------------------------------------------------------------
 # Reference samplers: every noisy shot replays its whole trajectory from
-# |0...0>, one shot at a time.  sample_shots and sample_logical_shots start
-# trajectories from a shared noiseless sweep and must give equal records.
+# |0...0>, one shot at a time.  sample_shots and sample_logical_shots decide
+# most shots on their Pauli frame and must give equal records.
 # ---------------------------------------------------------------------------
 
 def _ref_rng(seed, shot):
@@ -735,14 +737,32 @@ class TestBitIdentity:
         assert sample_logical_shots(lc, noise, 150, 9) == \
             reference_sample_logical_shots(lc, noise, 150, 9)
 
+    @pytest.mark.parametrize("noise", [
+        NoiseModel(scale=1.0), NoiseModel(scale=4.0), NoiseModel(scale=10.0),
+        NoiseModel(p_meas=0.0, scale=10.0)])
+    def test_unencoded_criterion_7_instance(self, noise):
+        # criterion 7's and 8's unencoded circuit: 3-regular k=10 seed 0, p=3
+        lc = build_qaoa(generate_instance(GraphKind.REGULAR_3, 10, seed=0),
+                        ramp_params(3))
+        assert sample_logical_shots(lc, noise, 300, 13) == \
+            reference_sample_logical_shots(lc, noise, 300, 13)
+
     def test_negative_shots_rejected(self, circuits):
         enc = circuits["resynth+z2"]
+        lc = build_qaoa(self.graph, self.params)
         with pytest.raises(ValueError, match="shots"):
             sample_shots(enc.circuit, NoiseModel(), -1, 0)
         with pytest.raises(ValueError, match="shots"):
-            sample_logical_shots(build_qaoa(self.graph, self.params),
-                                 NoiseModel(), -1, 0)
+            sample_logical_shots(lc, NoiseModel(), -1, 0)
         assert sample_shots(enc.circuit, NoiseModel(), 0, 0) == []
+        for seed in (-1, 1.5, "0", None, True):
+            for shots in (0, 3):
+                with pytest.raises(ValueError, match="seed"):
+                    sample_shots(enc.circuit, NoiseModel(), shots, seed)
+                with pytest.raises(ValueError, match="seed"):
+                    sample_logical_shots(lc, NoiseModel(), shots, seed)
+        assert sample_logical_shots(lc, NoiseModel(), 3, np.int64(4)) == \
+            sample_logical_shots(lc, NoiseModel(), 3, 4)
 
 
 class _PauliRecorder:
@@ -796,6 +816,38 @@ def test_plan_responses_follow_the_pauli_code_order(mode):
     assert sites == sum(1 for gate in circ.gates if gate.kind in (
         GateKind.H, GateKind.X, GateKind.Z, GateKind.CNOT, GateKind.RZZ,
         GateKind.RXX))
+
+
+def test_unencoded_frame_rule():
+    # a Pauli the sampler can draw after any step of the unencoded circuit
+    # gives the state the logical model gives with the frame's rotations
+    # negated, read through the frame's X flips
+    lc = build_qaoa(generate_instance(GraphKind.REGULAR_3, 4, seed=0),
+                    ramp_params(2))
+    k = lc.k
+    steps = _logical_steps(lc)
+    model = _LogicalModel(k, _logical_ops(steps))
+    entries = _logical_entries(steps, k)
+    index = np.arange(1 << k)
+    assert any(angle is None for _, angle in steps)     # idle slots too
+    for i, (support, _) in enumerate(steps):
+        for code in range(1, 4 ** len(support)):
+            state = StateVector(k)
+            for q in range(k):
+                state.apply_h(q)
+            for j, (qubits, angle) in enumerate(steps):
+                if angle is not None and len(qubits) == 2:
+                    state.apply_rzz(*qubits, angle)
+                elif angle is not None:
+                    state.apply_rx(qubits[0], angle)
+                if j == i:
+                    _apply_random_pauli(state, support, _PauliRecorder(code))
+            frame = _code_responses(entries[i])[code - 1]
+            rot = frame >> k
+            probs = model.state(rot).probabilities() if rot else model.probs
+            assert np.max(np.abs(probs[index ^ (frame & (1 << k) - 1)]
+                                 - state.probabilities())) <= 1e-12, \
+                (i, code)
 
 
 @functools.lru_cache(maxsize=None)
