@@ -296,10 +296,12 @@ def read_circuit(text: str) -> PhysicalCircuit:
             if tok[0] == "qubits":
                 if len(tok) != 4 or tok[2] != "clbits":
                     raise CircuitError("header is 'qubits N clbits M'")
-                circ.num_qubits = int(tok[1])
-                circ.num_clbits = int(tok[3])
-                if circ.num_qubits < 0 or circ.num_clbits < 0:
+                num_qubits, num_clbits = int(tok[1]), int(tok[3])
+                if num_qubits < 0 or num_clbits < 0:
                     raise CircuitError("negative qubit or clbit count")
+                if declared_header:
+                    raise CircuitError("second 'qubits' header")
+                circ.num_qubits, circ.num_clbits = num_qubits, num_clbits
                 declared_header = True
             elif tok[0] == "component":
                 if len(tok) != 3:

@@ -77,7 +77,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from .circuit import Gate, GateKind, PhysicalCircuit
 from .gadgets import Gadget, GadgetKind, IcebergLayout, ParityCheck
@@ -303,17 +303,19 @@ class _Sweep:
                            _bits(rotations))
 
 
-def _combine(entries: list[tuple[int, int]]) -> list[int]:
-    """The XORs of the 1 or 2 (x, z) entries of a gate's qubits that give
-    its faults, in the order of `_locations_at`: X, Y, Z on one qubit, and
-    IX, IY, ..., ZZ on two, the first letter acting on the first qubit."""
-    if len(entries) == 1:
-        (x, z), = entries
-        return [x, x ^ z, z]
-    (xa, za), (xb, zb) = entries
-    pa = (0, xa, xa ^ za, za)     # I, X, Y, Z on a
-    pb = (0, xb, xb ^ zb, zb)
-    return [ra ^ rb for ra in pa for rb in pb][1:]
+def _combine(entries: Sequence[tuple[int, int]]) -> list[int]:
+    """The XORs of the (x, z) entries of some qubits that give the
+    non-identity Paulis on them, each qubit's letter in the order I, X, Y,
+    Z, the first qubit's most significant: X, Y, Z on one qubit, and IX,
+    IY, ..., ZZ on two, as `_locations_at` orders a gate's faults."""
+    out = [0]
+    for x, z in entries:
+        y = x ^ z
+        longer = []
+        for r in out:
+            longer += (r, r ^ x, r ^ y, r ^ z)     # I, X, Y, Z on this qubit
+        out = longer
+    return out[1:]
 
 
 def _bits(mask: int) -> frozenset[int]:

@@ -39,14 +39,14 @@ entry's word is the int whose bit c is clbit c; a table of words is held
 as uint64 limbs, the highest 64 bits first (_limbs), so any number of
 clbits fits.  Everything the plan takes from the table is an array
 operation on it, with no Python loop per entry: the cumulative
-probabilities, the check parities (np.bitwise_count of word AND mask), the
-outcome table, the logical model's logicals and marginal, and, per
-(checks, decode), every entry's check values, verdict and logical
-(_Entries), from which an event-free or frame-rejected shot whose flips
-are zero takes its record.  The floats are the ones a dict filled one
-entry at a time gives, summed in the same order: entries that two
-branches share are merged by np.add.at in the order the branches reach
-them.
+probabilities, the outcome table, and, once per (checks, decode), its
+reading (_Reading): one pass of check parities (np.bitwise_count of word
+AND mask) that gives every entry's check values, verdict and logical.
+From the reading come the guard, the logical model's logicals and
+marginal, and the record an event-free or frame-rejected shot whose flips
+are zero takes.  The floats are the ones a dict filled one entry at a
+time gives, summed in the same order: entries that two branches share are
+merged by np.add.at in the order the branches reach them.
 
 Shots the Pauli frame decides.  A Pauli a noise site applies passes the
 rest of the circuit as a Pauli frame (see the faults module): the shot
@@ -95,10 +95,11 @@ then deterministic under every pattern of rotation signs.  Under the guard:
     distributions with and without the flips.  P'_L comes from a
     StateVector(k) from |+>^k on which RZZ(u+1, v+1) acts as Z_uZ_v and
     RXX(t or b, q), t = 0 and b = k+1 the top and bottom qubits, as
-    X_{q-1}; P_L is the ideal distribution's decoded marginal.  The plan
-    keys the model by `decode`, as it keys the guard by the checks, and
-    keeps it only if every rotation has one of those forms and the model's
-    own P_L matches that marginal to MODEL_TOL with every x present.
+    X_{q-1}; P_L is the ideal distribution's decoded marginal.  The model
+    is built on first use from the logicals of the reading that holds the
+    guard, and kept only if every rotation has one of those forms and the
+    model's own P_L matches that marginal to MODEL_TOL with every x
+    present.
   * Every other shot runs its trajectory, and its record is the
     trajectory's, bit for bit: every shot when the guard fails, a shot
     that keeps its checks when a reset is random, and one that keeps its
@@ -140,7 +141,7 @@ import numpy as np
 from .circuit import (MEASURE_KINDS, ROTATION_KINDS, Gate, GateKind,
                       PhysicalCircuit, layered_schedule)
 from .gadgets import ParityCheck
-from .faults import PauliString, _Sweep, _bits, _mask
+from .faults import PauliString, _Sweep, _bits, _combine, _mask
 from .maxcut import LogicalCircuit, ProblemGraph, energy as bit_energy
 
 DEFAULT_QUBIT_CAP = 16
@@ -464,10 +465,19 @@ class _Readout:
     """Check values and decoded logicals from int masks of a shot's bits:
     per check, its clbit mask and expected parity; per decoded logical bit
     i (bit i-1 of the logical), its clbit mask, or None without `decode`.
-    A decode index below 1 raises ValueError."""
+    A decode index below 1, or a check or decode clbit outside
+    0..num_clbits-1, raises ValueError."""
 
     def __init__(self, checks: Sequence[ParityCheck],
-                 decode: Mapping[int, frozenset[int]] | None):
+                 decode: Mapping[int, frozenset[int]] | None,
+                 num_clbits: int):
+        for name, sets in (("check", [c.bits for c in checks]),
+                           ("decode", (decode or {}).values())):
+            out = sorted({b for bits in sets for b in bits
+                          if not 0 <= b < num_clbits})
+            if out:
+                raise ValueError(f"{name} clbits {out} are out of range: "
+                                 f"there are {num_clbits} clbits")
         self.check_masks = [_mask(c.bits) for c in checks]
         self.expected = tuple(c.expected for c in checks)
         self.decode = None
@@ -517,12 +527,12 @@ def decode_bits(bits: Sequence[int], checks: Sequence[ParityCheck],
                 decode: Mapping[int, frozenset[int]] | None
                 ) -> tuple[tuple[int, ...], bool, int | None]:
     """(check values, accepted, decoded logical or None) of a shot's bits."""
-    return _Readout(checks, decode).decode_word(_word(bits))
+    return _Readout(checks, decode, len(bits)).decode_word(_word(bits))
 
 
 def make_record(bits: Sequence[int], checks: Sequence[ParityCheck],
                 decode: Mapping[int, frozenset[int]] | None) -> ShotRecord:
-    return _Readout(checks, decode).record(bits)
+    return _Readout(checks, decode, len(bits)).record(bits)
 
 
 def _per_shot_rng(seed: int, shot: int) -> np.random.Generator:
@@ -569,26 +579,17 @@ def _inject_map(gates: Sequence[Gate],
     return out
 
 
-def _code_responses(entries: Sequence[tuple[int, int]]) -> list[int]:
-    """The frame responses of the Paulis _apply_random_pauli applies on
-    qubits with faults._Sweep entries (rx, rz) `entries`, by code minus 1:
-    digit j of the code acts on the j-th qubit, in the order I, X, Y, Z."""
-    out = [0]
-    for x, z in entries:
-        out = [r ^ p for p in (0, x, x ^ z, z) for r in out]
-    return out[1:]
-
-
 class _ShotPlan:
     """What sample_shots needs of a circuit whatever the noise, from one
     pass over its schedule: the traversal script (per layer, its gates, then
     the idle qubits of a layer holding a two-qubit gate), the ideal
     distribution and whether every reset is deterministic in it, the
-    readout and rotation flips, and the guards.  The ideal entries are
-    sorted as their bit tuples sort (module docstring): `ideal_bits` holds
-    their clbit rows, `words` their word table (bit c of an entry's number
-    is clbit c) and `ideal_words` its ints, with `ideal_probs` and
-    `ideal_cum`.
+    readout and rotation flips, and one `reading` of the ideal entries per
+    (checks, decode).  The ideal entries are sorted as their bit tuples
+    sort (module docstring): `ideal_bits` holds their clbit rows, `words`
+    their word table (bit c of an entry's number is clbit c) and
+    `ideal_words` its ints, with `ideal_probs` and `ideal_cum`, into which
+    a shot's uniform `pick`s an entry.
 
     Each unitary gate and each such idle qubit is a Pauli site, numbered
     once in traversal order with its slot (the measurements and
@@ -598,8 +599,8 @@ class _ShotPlan:
     the circuit start.  A shot draws every site's event up front, so its
     frame is known before any state is touched.  One that the frame decides
     and accepts takes its outcomes from the `outcome_table` masses,
-    reweighted by the `model` of its `decode` when its frame flips a
-    rotation (`frame_sample`); one the frame cannot decide runs its whole
+    reweighted by its reading's `model` when its frame flips a rotation
+    (`frame_sample`); one the frame cannot decide runs its whole
     `trajectory`."""
 
     def __init__(self, circuit: PhysicalCircuit):
@@ -638,7 +639,8 @@ class _ShotPlan:
             self.slots.append(slot)
             entries = tuple(entries)
             if entries not in shared:
-                shared[entries] = _code_responses(entries)
+                # digit j of _apply_random_pauli's code acts on qubit j
+                shared[entries] = _combine(entries[::-1])
             self.responses.append(shared[entries])
 
         for layer_gates in sched.layers:
@@ -689,9 +691,7 @@ class _ShotPlan:
         self.meas_slots = meas_slots
         self.meas_end = meas_slots[-1] + 1 if meas_slots else 0
         self.rotation_flips = frozenset(rotation_flips)
-        self._guards: dict[tuple[ParityCheck, ...], tuple | None] = {}
-        self._models: dict[tuple, _LogicalModel | None] = {}
-        self._entries: dict[tuple, _Entries] = {}
+        self._readings: dict[tuple, _Reading] = {}
 
     def draw(self, seed: int, shot: int, rates: np.ndarray):
         """The shot's generator and its events: (fired Pauli sites, fired
@@ -731,28 +731,15 @@ class _ShotPlan:
                     _apply_random_pauli(state, (q,), rng)
         return bits
 
-    def guard(self, checks: Sequence[ParityCheck]
-              ) -> tuple[tuple[int, int], ...] | None:
-        """Per check, (clbit mask, the flip parity under which the check
-        keeps its expected value) when a shot's checks are a function of its
-        frame alone (module docstring); None otherwise."""
-        key = tuple(checks)
-        if key not in self._guards:
-            self._guards[key] = self._guard(key)
-        return self._guards[key]
-
-    def _guard(self, checks: tuple[ParityCheck, ...]):
-        if not checks or not self.clbits_once:
-            return None
-        values = _Readout(checks, None).decode_words(self.words)[0]
-        if (values != values[0]).any():
-            return None
-        masks = [_mask(c.bits) for c in checks]
-        if any((f & m).bit_count() & 1
-               for f in self.rotation_flips for m in masks):
-            return None
-        return tuple((m, v ^ c.expected)
-                     for m, v, c in zip(masks, values[0].tolist(), checks))
+    def reading(self, checks: Sequence[ParityCheck],
+                decode: Mapping[int, frozenset[int]] | None) -> "_Reading":
+        """The ideal entries read out under `checks` and `decode`, kept
+        once per pair, `decode` in any order."""
+        key = (tuple(checks), None if decode is None else tuple(sorted(
+            (i, frozenset(bits)) for i, bits in decode.items())))
+        if key not in self._readings:
+            self._readings[key] = _Reading(self, checks, decode)
+        return self._readings[key]
 
     def inject_frame(self, inject: Mapping[int, list[PauliString]]) -> int:
         """The response of every injected Pauli, XORed.  An injected Pauli
@@ -798,24 +785,6 @@ class _ShotPlan:
         keys = _limbs(self.ideal_bits[:, self.meas_clbits])
         rows = np.lexsort(keys[::-1])
         return _ints(keys[:, rows]), self.ideal_probs[rows], rows
-
-    def model(self, decode: Mapping[int, frozenset[int]]
-              ) -> "_LogicalModel | None":
-        """The circuit's logical model under `decode` (module docstring),
-        or None where the circuit shows none."""
-        key = _decode_key(decode)
-        if key not in self._models:
-            self._models[key] = _LogicalModel.build(self, decode)
-        return self._models[key]
-
-    def entries(self, checks: Sequence[ParityCheck],
-                decode: Mapping[int, frozenset[int]] | None) -> "_Entries":
-        """The ideal entries read out under `checks` and `decode`, keyed by
-        both as the guard and the model are."""
-        key = (tuple(checks), None if decode is None else _decode_key(decode))
-        if key not in self._entries:
-            self._entries[key] = _Entries(self, _Readout(checks, decode))
-        return self._entries[key]
 
     def frame_sample(self, rng: np.random.Generator, uniforms: list[float],
                      cl: int, em: np.ndarray, probs: np.ndarray) -> list[int]:
@@ -864,40 +833,53 @@ class _ShotPlan:
             out ^= self.readout_flips[si]
         return out
 
-    def ideal_record(self, rng: np.random.Generator, flips: int,
-                     entries: "_Entries") -> ShotRecord:
-        """The record of the entry the shot's next uniform picks from the
-        ideal cumulative, with `flips` applied, read out by `entries`."""
+    def pick(self, rng: np.random.Generator) -> int:
+        """The ideal entry the shot's next uniform picks from the ideal
+        cumulative."""
         pick = int(np.searchsorted(self.ideal_cum, rng.random()))
-        pick = min(pick, len(self.ideal_words) - 1)
-        if not flips:
-            return entries.record(pick)
-        word = self.ideal_words[pick] ^ flips
-        return ShotRecord(_bit_tuple(word, self.num_clbits),
-                          *entries.readout.decode_word(word))
+        return min(pick, len(self.ideal_words) - 1)
 
 
-def _decode_key(decode: Mapping[int, frozenset[int]]) -> tuple:
-    """`decode` as a hashable key, whatever its order."""
-    return tuple(sorted((i, frozenset(bits)) for i, bits in decode.items()))
+class _Reading:
+    """A _ShotPlan's ideal entries read out under one (checks, decode), from
+    one _Readout.decode_words pass over its word table: per entry its check
+    values (a row of `values`), whether it is accepted, and its decoded
+    logical (`logical`, None without `decode`).  From these come the frame
+    `guard` and the logical `model` (module docstring), and `record(i,
+    flips)`, the record of a shot whose bits are entry i with the clbits of
+    `flips` flipped, kept the first time a shot picks entry i unflipped."""
 
-
-class _Entries:
-    """A _ShotPlan's ideal entries read out under one _Readout, from array
-    operations on its words: per entry its check values (a row of
-    `values`), whether it is accepted, and its decoded logical (`logical`,
-    None without `decode`).  `record(i)` is the record of a shot whose bits
-    are entry i, built the first time a shot picks it."""
-
-    def __init__(self, plan: _ShotPlan, readout: _Readout):
-        self.readout = readout
+    def __init__(self, plan: _ShotPlan, checks: Sequence[ParityCheck],
+                 decode: Mapping[int, frozenset[int]] | None):
+        self.plan, self.decode = plan, decode
+        self.readout = _Readout(checks, decode, plan.num_clbits)
         self.values, self.accepted, self.logical = \
-            readout.decode_words(plan.words)
-        self.ideal_words = plan.ideal_words
-        self.num_clbits = plan.num_clbits
+            self.readout.decode_words(plan.words)
         self.records: dict[int, ShotRecord] = {}
+        # per check, (clbit mask, the flip parity under which the check
+        # keeps its expected value) when a shot's checks are a function of
+        # its frame alone; None otherwise
+        self.guard = None
+        masks, values = self.readout.check_masks, self.values
+        if checks and plan.clbits_once and (values == values[0]).all() and \
+                not any((f & m).bit_count() & 1
+                        for f in plan.rotation_flips for m in masks):
+            self.guard = tuple((m, v ^ c.expected) for m, v, c
+                               in zip(masks, values[0].tolist(), checks))
 
-    def record(self, i: int) -> ShotRecord:
+    @functools.cached_property
+    def model(self) -> "_LogicalModel | None":
+        """The circuit's logical model under `decode`, or None where there
+        is no `decode` or the circuit shows no model."""
+        if self.decode is None:
+            return None
+        return _LogicalModel.build(self.plan, self.decode, self.logical)
+
+    def record(self, i: int, flips: int) -> ShotRecord:
+        if flips:
+            word = self.plan.ideal_words[i] ^ flips
+            return ShotRecord(_bit_tuple(word, self.plan.num_clbits),
+                              *self.readout.decode_word(word))
         rec = self.records.get(i)
         if rec is None:
             accepted = bool(self.accepted[i])
@@ -905,7 +887,7 @@ class _Entries:
             if accepted and self.logical is not None:
                 logical = int(self.logical[i])
             rec = self.records[i] = ShotRecord(
-                _bit_tuple(self.ideal_words[i], self.num_clbits),
+                _bit_tuple(self.plan.ideal_words[i], self.plan.num_clbits),
                 tuple(self.values[i].tolist()), accepted, logical)
         return rec
 
@@ -939,9 +921,10 @@ class _LogicalModel:
         self.probs = state.probabilities()
 
     @staticmethod
-    def build(plan: _ShotPlan, decode: Mapping[int, frozenset[int]]
-              ) -> "_LogicalModel | None":
-        """The model of the plan's circuit, or None unless `decode` names
+    def build(plan: _ShotPlan, decode: Mapping[int, frozenset[int]],
+              logical: np.ndarray) -> "_LogicalModel | None":
+        """The model of the plan's circuit, each ideal entry decoding to
+        its `logical` under `decode`, or None unless `decode` names
         logicals 1..k on a circuit with qubits 0..k+1, every rotation has
         the form above, and the model's distribution is the ideal marginal
         to MODEL_TOL with every logical value present."""
@@ -961,7 +944,6 @@ class _LogicalModel:
             else:
                 return None
         _, probs, rows = plan.outcome_table
-        logical = _Readout((), decode).decode_words(plan.words)[2]
         xs = logical[rows].astype(np.intp)
         marginal = np.bincount(xs, weights=probs, minlength=1 << k)
         if not marginal.all():
@@ -1049,8 +1031,10 @@ def sample_shots(circuit: PhysicalCircuit, noise: NoiseModel, shots: int,
     uniform its trajectory would use, against the probability of a 1 given
     the earlier outcomes under the ideal distribution with the frame's
     flips.  If its frame flips rotations, each ideal entry is first
-    reweighted by the logical model of `decode` (module docstring), which
-    runs a k-qubit logical state.  Every other shot runs its whole
+    reweighted by the logical model (module docstring), which runs a
+    k-qubit logical state.  The guard, the model and the records of ideal
+    entries come from the plan's reading of (checks, decode), which
+    decodes the ideal table once per pair.  Every other shot runs its whole
     trajectory from |0...0>, its generator drawn afresh: every event shot
     when the guard fails, and an accepted one when a reset is random, or
     when its frame flips rotations and there is no `decode` or no model.
@@ -1063,40 +1047,36 @@ def sample_shots(circuit: PhysicalCircuit, noise: NoiseModel, shots: int,
     `inject` lists deterministic Pauli errors applied after given gate
     indices in every shot (used for fault cross-checks); an index in the
     trailing measurement block, out of range or naming a barrier raises
-    ValueError."""
+    ValueError, as does a check or decode clbit the circuit lacks."""
     _check_shots(shots, seed)
     circuit.validate()
     inject_map = _inject_map(circuit.gates, inject)
     plan = _shot_plan(circuit)
-    entries = plan.entries(checks, decode)
-    readout = entries.readout
+    reading = plan.reading(checks, decode)
+    readout, guard = reading.readout, reading.guard
     eff = noise.effective()
     # the event probability of each of a shot's uniforms
     rates = np.repeat((eff.p2, eff.p1, eff.p_meas, eff.p_idle),
                       plan.family_sizes)
-    guard = plan.guard(checks)
-    model = None
     if guard is not None:
         inject_frame = plan.inject_frame(inject_map)
-        if decode is not None and plan.resets_fixed:
-            model = plan.model(decode)
 
     records: list[ShotRecord] = []
     for shot in range(shots):
         rng, (fired, em) = plan.draw(seed, shot, rates)
         if not (inject_map or fired.any()):
-            records.append(plan.ideal_record(rng, plan.readout(em), entries))
+            records.append(reading.record(plan.pick(rng), plan.readout(em)))
             continue
         if guard is not None:
             cl, rot, uniforms = plan.flips(rng, fired, inject_frame)
             flips = cl ^ plan.readout(em)
             if not _keeps_checks(guard, flips):
-                records.append(plan.ideal_record(rng, flips, entries))
+                records.append(reading.record(plan.pick(rng), flips))
                 continue
-            if plan.resets_fixed and (not rot or model is not None):
+            if plan.resets_fixed and (not rot or reading.model is not None):
                 probs = plan.outcome_table[1]
                 if rot:
-                    probs = model.reweight(probs, rot)
+                    probs = reading.model.reweight(probs, rot)
                 records.append(readout.record(
                     plan.frame_sample(rng, uniforms, cl, em, probs)))
                 continue
@@ -1269,8 +1249,9 @@ def exact_logical_distribution(circuit: PhysicalCircuit,
 
     Both sum the accepted entries in the order exact_bit_distribution
     lists them, and the logicals come in the order they first appear."""
+    readout = _Readout(checks, decode, circuit.num_clbits)
     out = _bit_distribution(circuit, inject)
-    _, accepted, logical = _Readout(checks, decode).decode_words(out.words())
+    _, accepted, logical = readout.decode_words(out.words())
     kept = out.first[accepted[out.first]]
     probs = out.probs[kept]
     acc = float(np.cumsum(probs)[-1]) if len(kept) else 0.0
@@ -1335,7 +1316,7 @@ def _logical_ops(steps: list[tuple[tuple[int, ...], float | None]]
 def _logical_entries(steps: list[tuple[tuple[int, ...], float | None]],
                      k: int) -> list[list[tuple[int, int]]]:
     """Per step, the frames of an X and a Z after it on each qubit of its
-    support, as _code_responses takes them: bit q set by an X on q, bit k+i
+    support, as _combine takes them: bit q set by an X on q, bit k+i
     by a Pauli that negates the rotation of a later step i (module
     docstring)."""
     by_x, by_z = [0] * k, [0] * k     # per qubit, the rotations it negates
@@ -1389,7 +1370,7 @@ def sample_logical_shots(lc: LogicalCircuit, noise: NoiseModel, shots: int,
             rng.random(first)
             for i in tested[first:]:
                 if rng.random() < rates[i]:
-                    rs = _code_responses(entries[i])
+                    rs = _combine(entries[i][::-1])
                     frame ^= rs[int(rng.integers(1, len(rs) + 1)) - 1]
         rot = frame >> k
         masses = _marginal_masses(model.state(rot).probabilities(), k) \

@@ -439,6 +439,7 @@ class TestEncodedIO:
         ("logical 2 = c2 ^ c1 ^ c02", "c2 is repeated"),
         ("qubits -2 clbits 3", "negative"),
         ("qubits 2 clbits -1", "negative"),
+        ("qubits 2 clbits 3", "second 'qubits' header"),
         ("component 0 INIT extra", "'component ID ROLE'"),
         ("component 0", "'component ID ROLE'"),
         ("cx 0 5", "qubit index out of range"),

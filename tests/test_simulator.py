@@ -11,13 +11,15 @@ from icecomp.circuit import (CircuitError, ComponentRole, GateKind,
 from icecomp.compiler import CompileConfig, GadgetSet, compile_baseline, \
     compile_cooptimized
 from icecomp.bench import MODES, compile_mode
-from icecomp.faults import PauliString, _Sweep, _mask, propagate_pauli
+from icecomp.faults import PauliString, _Sweep, _combine, _mask, \
+    propagate_pauli
 from icecomp.gadgets import ParityCheck
 from icecomp.maxcut import (GraphKind, QaoaParams, build_qaoa, cut_value,
                             generate_instance, make_graph, ramp_params)
 from icecomp.simulator import (NoiseFormatError, NoiseModel, ShotRecord,
                                StateVector, accepted_distribution,
-                               energy_distribution, exact_bit_distribution,
+                               decode_bits, energy_distribution,
+                               exact_bit_distribution,
                                exact_logical_distribution, make_record,
                                post_selection_rate, postprocess_truncate,
                                read_noise, sample_shots, sample_logical_shots,
@@ -25,8 +27,8 @@ from icecomp.simulator import (NoiseFormatError, NoiseModel, ShotRecord,
                                write_noise, SimulatorError, _ShotPlan,
                                BRANCH_TOL, _PLANS, _LogicalModel, _Readout,
                                _apply_gate, _apply_random_pauli,
-                               _code_responses, _logical_entries,
-                               _logical_ops, _logical_steps, _per_shot_rng,
+                               _logical_entries, _logical_ops,
+                               _logical_steps, _per_shot_rng,
                                _shot_plan, _trailing_start, _word)
 
 
@@ -528,7 +530,7 @@ def _without_rejected_bits(records):
 
 
 def _frame_guard(circuit, checks):
-    return _shot_plan(circuit).guard(checks)
+    return _shot_plan(circuit).reading(checks, None).guard
 
 
 def _count_states(monkeypatch):
@@ -549,18 +551,18 @@ def _count_states(monkeypatch):
     return built
 
 
-def _count_resumes(monkeypatch):
+def _count_trajectories(monkeypatch):
     """How many shots run a whole dense trajectory from now on, in a
     list."""
-    resumed = [0]
+    ran = [0]
     trajectory = _ShotPlan.trajectory
 
     def counted(self, *args):
-        resumed[0] += 1
+        ran[0] += 1
         return trajectory(self, *args)
 
     monkeypatch.setattr(_ShotPlan, "trajectory", counted)
-    return resumed
+    return ran
 
 
 def _not_iceberg_rzz():
@@ -842,7 +844,7 @@ def test_unencoded_frame_rule():
                     state.apply_rx(qubits[0], angle)
                 if j == i:
                     _apply_random_pauli(state, support, _PauliRecorder(code))
-            frame = _code_responses(entries[i])[code - 1]
+            frame = _combine(entries[i][::-1])[code - 1]
             rot = frame >> k
             probs = model.state(rot).probabilities() if rot else model.probs
             assert np.max(np.abs(probs[index ^ (frame & (1 << k) - 1)]
@@ -869,7 +871,7 @@ class TestLogicalModel:
         enc = _criterion_7_circuit(mode, s)
         circ = enc.circuit
         plan = _shot_plan(circ)
-        model = plan.model(enc.decode)
+        model = plan.reading(enc.checks, enc.decode).model
         assert model is not None
         _, probs, rows = plan.outcome_table
         rotations = [gi for gi, g in enumerate(circ.gates)
@@ -896,7 +898,8 @@ class TestLogicalModel:
             args = (enc.circuit, NoiseModel(scale=4.0), 150, 5)
             kw = dict(checks=enc.checks, decode=enc.decode)
             ref = reference_sample_shots(*args, **kw)
-            assert _shot_plan(enc.circuit).model(enc.decode) is not None
+            assert _shot_plan(enc.circuit).reading(
+                enc.checks, enc.decode).model is not None
             built.clear()
             recs = sample_shots(*args, **kw)
             assert _without_rejected_bits(recs) == \
@@ -914,14 +917,39 @@ class TestLogicalModel:
         checks = (ParityCheck(frozenset({2})),)
         decode = {1: frozenset({1})}
         assert _frame_guard(circ, checks) is not None
-        assert _shot_plan(circ).model(decode) is None
+        assert _shot_plan(circ).reading(checks, decode).model is None
         args = (circ, NoiseModel(scale=100.0), 400, 3)
         kw = dict(checks=checks, decode=decode)
-        resumed = _count_resumes(monkeypatch)
+        ran = _count_trajectories(monkeypatch)
         recs = sample_shots(*args, **kw)
-        assert resumed[0] > 0
+        assert ran[0] > 0
         assert _without_rejected_bits(recs) == _without_rejected_bits(
             reference_sample_shots(*args, **kw))
+
+
+def test_table_decoded_once_per_checks_and_decode(monkeypatch):
+    # the guard, the logical model and the records of a (checks, decode)
+    # pair come from one decode of the plan's noiseless table, whatever the
+    # order of `decode`
+    enc = _criterion_7_circuit("resynth+z2", 2)
+    calls = [0]
+    decode_words = _Readout.decode_words
+
+    def counted(self, words):
+        calls[0] += 1
+        return decode_words(self, words)
+
+    monkeypatch.setattr(_Readout, "decode_words", counted)
+    _PLANS.clear()
+    args = (enc.circuit, NoiseModel(scale=4.0), 200, 1)
+    recs = sample_shots(*args, checks=enc.checks, decode=enc.decode)
+    assert calls[0] == 1
+    reading = _shot_plan(enc.circuit).reading(enc.checks, enc.decode)
+    assert reading.guard is not None and reading.model is not None
+    reordered = dict(reversed(enc.decode.items()))
+    assert list(reordered) != list(enc.decode)
+    assert sample_shots(*args, checks=enc.checks, decode=reordered) == recs
+    assert calls[0] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -1007,7 +1035,7 @@ def reference_tables(circuit, checks, decode):
            "records": [make_record(b, checks, decode) for b in bits_list]}
 
     guard = None
-    readout = _Readout(checks, None)
+    readout = _Readout(checks, None, circuit.num_clbits)
     values = {readout.decode_word(_word(b))[0] for b in bits_list}
     masks = [_mask(c.bits) for c in checks]
     if checks and plan.clbits_once and len(values) == 1 and not any(
@@ -1025,10 +1053,10 @@ def reference_tables(circuit, checks, decode):
     out["keys"] = [key for key, _, _ in rows]
     out["table_probs"] = [p for _, p, _ in rows]
     out["table_words"] = [_word(bits) for _, _, bits in rows]
-    readout = _Readout((), decode)
+    readout = _Readout((), decode, circuit.num_clbits)
     out["xs"] = [readout.decode_word(_word(bits))[2] for _, _, bits in rows]
 
-    readout = _Readout(checks, decode)
+    readout = _Readout(checks, decode, circuit.num_clbits)
     acc = 0.0
     logical = {}
     for bits, p in dist.items():
@@ -1092,12 +1120,13 @@ class TestIdealTableOracle:
         assert plan.ideal_words == ref["words"]
         assert plan.ideal_probs.tolist() == ref["probs"]
         assert plan.ideal_cum.tolist() == ref["cum"]
-        assert plan.guard(checks) == ref["guard"]
+        reading = plan.reading(checks, decode)
+        assert reading.guard == ref["guard"]
         keys, probs, rows = plan.outcome_table
         assert keys == ref["keys"]
         assert probs.tolist() == ref["table_probs"]
         assert [plan.ideal_words[r] for r in rows] == ref["table_words"]
-        model = plan.model(decode)
+        model = reading.model
         assert (model is not None) == has_model
         if model is not None:
             assert model.xs.tolist() == ref["xs"]
@@ -1105,11 +1134,9 @@ class TestIdealTableOracle:
                                    minlength=1 << len(decode))
             assert model.marginal.tolist() == marginal.tolist()
         else:
-            logical = _Readout((), decode).decode_words(plan.words)[2]
-            assert logical[rows].tolist() == ref["xs"]
-        entries = plan.entries(checks, decode)
-        assert [entries.record(i) for i in range(len(plan.ideal_words))] == \
-            ref["records"]
+            assert reading.logical[rows].tolist() == ref["xs"]
+        assert [reading.record(i, 0) for i in range(len(plan.ideal_words))] \
+            == ref["records"]
         acc, logical = exact_logical_distribution(circuit, checks, decode)
         assert (acc, list(logical.items())) == ref["logical"]
 
@@ -1164,6 +1191,33 @@ class TestIdealTableOracle:
 def test_decode_index_below_1_rejected(call):
     with pytest.raises(ValueError, match=r"decode indices \[-1, 0\] are below 1"):
         call({0: frozenset({1}), 1: frozenset({2}), -1: frozenset({3})})
+
+
+def _one_clbit_circuit():
+    c = PhysicalCircuit(2, 1)
+    c.h(0)
+    c.mz(0, 0)
+    return c
+
+
+@pytest.mark.parametrize("call", [
+    lambda ch, d: sample_shots(_one_clbit_circuit(), NoiseModel(), 5, 0,
+                               checks=ch, decode=d),
+    lambda ch, d: exact_logical_distribution(_one_clbit_circuit(), ch, d),
+    lambda ch, d: make_record([0], ch, d),
+    lambda ch, d: decode_bits([0], ch, d),
+], ids=["sample_shots", "exact_logical_distribution", "make_record",
+        "decode_bits"])
+@pytest.mark.parametrize("checks, decode, msg", [
+    ((ParityCheck(frozenset({5}), 1),), {1: frozenset({0})},
+     r"check clbits \[5\] are out of range: there are 1 clbits"),
+    ((ParityCheck(frozenset({0})),), {1: frozenset({7}), 2: frozenset({0, 9})},
+     r"decode clbits \[7, 9\] are out of range: there are 1 clbits"),
+], ids=["check", "decode"])
+def test_clbit_out_of_range_rejected(call, checks, decode, msg):
+    # a check or decode clbit the circuit lacks would read as 0 in every shot
+    with pytest.raises(ValueError, match=msg):
+        call(checks, decode)
 
 
 def test_per_shot_rng_is_the_default_rng_stream():
