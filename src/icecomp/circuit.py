@@ -311,8 +311,11 @@ def read_circuit(text: str) -> PhysicalCircuit:
                 role = _ROLE_BY_NAME.get(tok[2])
                 if role is None:
                     raise CircuitError(f"unknown component role {tok[2]!r}")
-                if cid not in seen_components:
-                    seen_components[cid] = role
+                first = seen_components.setdefault(cid, role)
+                if first is not role:
+                    raise CircuitError(f"component {cid} redeclared as "
+                                       f"{role.value}, first declared "
+                                       f"{first.value}")
                 component = cid
             else:
                 circ.add(_parse_gate(tok, component))

@@ -2,8 +2,9 @@
 
 Subcommands: gen, compile, verify-ft, simulate, bench-depth, bench-qaoa,
 bench-energy, report.  Output directory defaults to $ICECOMP_OUTDIR (falling
-back to the working directory); every bench run writes a manifest next to
-its CSV.
+back to the working directory) and is made only once a command's inputs
+check out and it opens its outputs; every bench run writes a manifest next
+to its CSV.
 """
 
 from __future__ import annotations
@@ -58,14 +59,19 @@ def _read(path: str, parse):
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _open_outputs(*paths: str | None) -> None:
+def _open_outputs(args, *paths: str | None) -> None:
     """Open every output path (None skipped) for appending, before any
     output is written, so that a path that cannot be written fails first.
-    Raise ValueError naming it, after removing the files this call made;
-    the writes that follow truncate each file."""
+    `--out-dir` is created here, when there is an output to open.  Raise
+    ValueError naming the path, after removing the files and the directory
+    this call made; the writes that follow truncate each file."""
+    paths = [path for path in paths if path]
+    made_dir = bool(paths) and not os.path.isdir(args.out_dir)
     made = []
     try:
-        for path in filter(None, paths):
+        if made_dir:
+            os.makedirs(args.out_dir)
+        for path in paths:
             existed = os.path.exists(path)
             open(path, "a").close()
             if not existed:
@@ -73,6 +79,8 @@ def _open_outputs(*paths: str | None) -> None:
     except OSError as exc:      # its message names the path
         for path in made:
             os.remove(path)
+        if made_dir and os.path.isdir(args.out_dir):
+            os.rmdir(args.out_dir)
         raise ValueError(exc) from None
 
 
@@ -90,7 +98,7 @@ def cmd_gen(args) -> int:
     try:
         g = generate_instance(kind, args.k, density=args.density,
                               seed=args.seed)
-        _open_outputs(_out(args, "out"), _out(args, "params_out"))
+        _open_outputs(args, _out(args, "out"), _out(args, "params_out"))
     except ValueError as exc:   # a size or density the family rejects, or
         return _fail("gen", exc)    # an output path that cannot be written
     with open(_out(args, "out"), "w") as fh:
@@ -115,7 +123,7 @@ def cmd_compile(args) -> int:
         params = _read(args.params, read_params) if args.params \
             else ramp_params(args.p)
         cfg.check(graph)
-        _open_outputs(_out(args, "out"), _out(args, "report"))
+        _open_outputs(args, _out(args, "out"), _out(args, "report"))
     except ValueError as exc:
         return _fail("compile", exc)
     t0 = time.perf_counter()
@@ -155,7 +163,7 @@ def cmd_verify_ft(args) -> int:
     try:
         gadgets = [(order, build_gadget(kind, args.k, order))
                    for order in orders]
-        _open_outputs(_out(args, "csv"))
+        _open_outputs(args, _out(args, "csv"))
     except ValueError as exc:   # a k this gadget kind cannot take
         return _fail("verify-ft", exc)  # (GadgetError), or an unwritable CSV
     rows = []
@@ -194,7 +202,7 @@ def cmd_simulate(args) -> int:
                 f"{args.circuit} has {len(decode)} 'logical' lines")
         records = sample_shots(circuit, noise, args.shots, args.seed,
                                checks=checks, decode=decode)
-        _open_outputs(_out(args, "out"))
+        _open_outputs(args, _out(args, "out"))
     except (ValueError, SimulatorError) as exc:   # bad file, or over the cap
         return _fail("simulate", exc)
     with open(_out(args, "out"), "w", newline="") as fh:
@@ -249,7 +257,7 @@ def _run_bench(args, runner, name) -> int:
                 NoiseModel(scale=scale)
             spec.noise_scales = tuple(args.scales)
         out = _out(args, "out")
-        _open_outputs(out, out + ".manifest.json")
+        _open_outputs(args, out, out + ".manifest.json")
     except ValueError as exc:
         return _fail(args.command, exc)
     rows = runner(spec)
@@ -274,7 +282,7 @@ def cmd_report(args) -> int:
         return _fail("report", f"{args.csv}: {exc}")
     out = _out(args, "out")
     try:
-        _open_outputs(out)
+        _open_outputs(args, out)
     except ValueError as exc:
         return _fail("report", exc)
     if out:
@@ -384,7 +392,6 @@ def main(argv=None) -> int:
     if args.command == "compile" and args.mode == "baseline" \
             and (args.z2 or args.resynth):
         ap.error("compile --mode baseline takes neither --z2 nor --resynth")
-    os.makedirs(args.out_dir, exist_ok=True)
     return args.func(args)
 
 

@@ -7,10 +7,11 @@ bottom qubit as well, when the circuit is flagged globally flip-symmetric).
 
 Both compilers start from one component plan, `_build_task`: the init
 gadget, then the p phase/mixer layers with the s syndromes inserted at
-`syndrome_insertion_points` (syndrome i writes classical bits 1+2i and
-2+2i), then the final measurement.  The plan fixes the physical qubits
-of every rotation and fixed gadget gate once, anchors included: one
-qubit tuple per phase or gadget gate, one per anchor a mixer may use.
+`syndrome_insertion_points`, then the final measurement; each gadget's
+classical bits start where the previous gadget's end, offsets following
+each gadget's clbit count.  The plan fixes the physical qubits of every
+rotation and fixed gadget gate once, anchors included: one qubit tuple
+per phase or gadget gate, one per anchor a mixer may use.
 Scheduling, the heuristic and emission read qubits only from it.  The
 baseline splices each gadget between full-width barriers and
 list-schedules each run of algorithmic components between them
@@ -32,9 +33,10 @@ child shares its parent's progress frozenset of every component its layer
 did not touch, so `_GateComp.reserved` keeps, per progress seen, the
 qubits the component reserves: the executable graph walks them only for
 the components the layer changed, and skips a component whose qubits
-are all reserved already.  Syndrome
-internals follow the fault-tolerant pipeline templates, with the
-pair-to-slot binding chosen during the search when resynthesis is enabled.
+are all reserved already.  Syndrome internals follow the fault-tolerant
+pipeline templates, with the pair-to-slot binding chosen during the search
+when resynthesis is enabled.  The init order and the syndrome's binding
+stages are read off the gadgets, not restated here.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Sequence
 
-# layered_schedule is not called here; perfbench's tracer patches this binding
 from .circuit import (CircuitError, ComponentRole, Gate, GateKind,
                       PhysicalCircuit, layered_schedule, read_circuit,
                       two_qubit_depth, write_circuit)
@@ -259,27 +260,24 @@ def syndrome_insertion_points(sizes: Sequence[int], s: int) -> list[int]:
 
 def predetermine_init_order(graph: ProblemGraph, gadget_set: GadgetSet
                             ) -> tuple[int, ...]:
-    """Implicit init order putting high-degree vertices where the gadget
-    frees them earliest; top and bottom qubits sit at the branch roots."""
+    """Implicit init order putting high-degree vertices where the init
+    gadget frees them earliest.  The inner slots are ranked by the layer of
+    their last 2Q gate in the default-order gadget, ties to the earlier
+    slot; the top and bottom qubits keep the two end slots."""
     layout = IcebergLayout(graph.num_vertices)
+    frag = build_gadget(_gadget_kinds(gadget_set)[0], layout.k).fragment
+    freed: dict[int, int] = {}      # slot -> layer of its last 2Q gate
+    for gi, layer in layered_schedule(frag).gate_layer.items():
+        if frag.gates[gi].is_two_qubit:
+            for q in frag.gates[gi].qubits:
+                freed[q] = layer
+    slots = sorted(range(1, layout.n - 1), key=lambda q: (freed[q], q))
     deg = graph.degrees()
-    ranked = sorted(range(graph.num_vertices),
-                    key=lambda v: (-deg[v], v))
-    qubits = [v + 1 for v in ranked]
-    if gadget_set is GadgetSet.OLD:
-        return (layout.t, *qubits, layout.b)
-    # two branches: earliest-freeing slots are those nearest each root
-    order = [0] * layout.n
-    order[0] = layout.t
+    ranked = sorted(range(graph.num_vertices), key=lambda v: (-deg[v], v))
+    order = [layout.t] * layout.n
     order[-1] = layout.b
-    lo, hi = 1, layout.n - 2
-    for i, q in enumerate(qubits):
-        if i % 2 == 0:
-            order[lo] = q
-            lo += 1
-        else:
-            order[hi] = q
-            hi -= 1
+    for slot, v in zip(slots, ranked):
+        order[slot] = v + 1
     return tuple(order)
 
 
@@ -329,7 +327,6 @@ def compile_baseline(graph: ProblemGraph, params: QaoaParams,
 
     decode = splice(task.final, task.final_clbit_offset,
                     len(task.components))
-    circ.validate()
     enc = EncodedCircuit(circ, layout, tuple(checks), decode, graph, params,
                          cfg, mode="baseline")
     enc.meta["depth_2q"] = two_qubit_depth(circ)
@@ -376,40 +373,35 @@ class _GateComp:
 
 @dataclass
 class _SynComp:
-    """A new-style syndrome whose data qubits are bound to pipeline slots
-    by the search, one pair per binding stage.  Its progress is (stage,
-    bindings), bindings[j] being the (u, v) pair on `slots_of_pair(j)`."""
+    """A new-style syndrome whose data qubits the search binds to the slots
+    of `syndrome_lag_schedule`, a pair at each binding stage: a stage whose
+    two slots no earlier stage couples (every other stage must couple two
+    bound slots).  Its progress is (stage, bindings), bindings[j] being the
+    (u, v) pair on `pair_slots[j]`, the j-th binding stage's slots."""
     pos: int
     clbit_offset: int
     n: int
     binding_stages: frozenset[int]
+    pair_slots: tuple[tuple[int, int], ...]
     schedule: list[tuple[int, int]]   # per stage: (X slot, Z slot)
-    last_stage: tuple[int, ...]       # per slot: its last coupling stage
+    last_stage: dict[int, int]        # per slot: its last coupling stage
 
     @staticmethod
     def build(pos: int, off: int, n: int) -> "_SynComp":
-        m = n // 2 - 2
-        binding = frozenset({0, *range(2, 2 + m), n - 2})
         sched = syndrome_lag_schedule(n)
-        last = [0] * n
+        binding: list[int] = []
+        last: dict[int, int] = {}
         for stage, (xs, zs) in enumerate(sched):
+            if xs not in last and zs not in last:
+                binding.append(stage)
             last[xs] = last[zs] = stage
-        return _SynComp(pos, off, n, binding, sched, tuple(last))
-
-    def slots_of_pair(self, pair_idx: int) -> tuple[int, int]:
-        m = self.n // 2 - 2
-        if pair_idx == 0:
-            return (0, 1)
-        if pair_idx == self.n // 2 - 1:
-            return (self.n - 2, self.n - 1)
-        i = pair_idx - 1
-        return (2 + i, 2 + m + i)
+        return _SynComp(pos, off, n, frozenset(binding),
+                        tuple(sched[stage] for stage in binding), sched, last)
 
     def slot_qubits(self, bindings: tuple) -> dict[int, int]:
         """Slot -> data qubit for every slot bound so far."""
         out: dict[int, int] = {}
-        for j, (u, v) in enumerate(bindings):
-            su, sv = self.slots_of_pair(j)
+        for (su, sv), (u, v) in zip(self.pair_slots, bindings):
             out[su], out[sv] = u, v
         return out
 
@@ -451,10 +443,9 @@ def _build_task(graph: ProblemGraph, params: QaoaParams,
                          [(qs,) for qs in twoq], preds, gadget=gadget,
                          clbit_offset=off)
 
-    if cfg.resynthesize:
-        init_order = predetermine_init_order(graph, cfg.gadget_set)
-    else:
-        init_order = None
+    init = build_gadget(init_kind, layout.k, predetermine_init_order(
+        graph, cfg.gadget_set) if cfg.resynthesize else None)
+    syn = build_gadget(syn_kind, layout.k) if s else None
 
     alg: list[tuple[ComponentRole, list]] = []
     for t in range(params.p):
@@ -463,18 +454,17 @@ def _build_task(graph: ProblemGraph, params: QaoaParams,
     points = syndrome_insertion_points([len(g) for _, g in alg], s)
 
     components: list = []
-    components.append(gadget_comp(
-        build_gadget(init_kind, layout.k, init_order), 0))
+    components.append(gadget_comp(init, 0))
+    off = init.num_clbits       # each gadget's clbits follow the last's
     next_syn = 0
     for pos in range(len(alg) + 1):
         while next_syn < s and points[next_syn] == pos:
-            off = 1 + 2 * next_syn
             if cfg.resynthesize and syn_kind is GadgetKind.SYNDROME_NEW:
                 components.append(
                     _SynComp.build(len(components), off, layout.n))
             else:
-                components.append(
-                    gadget_comp(build_gadget(syn_kind, layout.k), off))
+                components.append(gadget_comp(syn, off))
+            off += syn.num_clbits
             next_syn += 1
         if pos == len(alg):
             break
@@ -488,9 +478,8 @@ def _build_task(graph: ProblemGraph, params: QaoaParams,
                                     [frozenset()] * len(gates), list(gates)))
 
     final = build_gadget(final_kind, layout.k)
-    final_off = 1 + 2 * s
     return CompileTask(layout, graph, params, cfg, components, final,
-                       final_off, final_off + final.num_clbits)
+                       off, off + final.num_clbits)
 
 
 # ---------------------------------------------------------------------------
@@ -567,11 +556,14 @@ def _component_load(task: CompileTask, comp, prog
     else:
         stage, bindings = prog
         if stage < comp.n:
+            # a bound slot couples once per stage left; unbound qubits twice
             slot_q = comp.slot_qubits(bindings)
-            for q, cnt in _syn_remaining_couplings(comp, stage,
-                                                   slot_q).items():
-                load[q] = load.get(q, 0) + cnt
-                anc += cnt
+            for pair in comp.schedule[stage:]:
+                for slot in pair:
+                    if slot in slot_q:
+                        q = slot_q[slot]
+                        load[q] = load.get(q, 0) + 1
+                        anc += 1
             bound = set(slot_q.values())
             for q in layout.data:
                 if q not in bound:
@@ -633,21 +625,6 @@ def build_uncompiled_graph(node: SearchNode) -> dict[int, float]:
             add(pos, node.progress[pos], 1)
     deg[-1] = anc / 2.0
     return deg
-
-
-def _syn_remaining_couplings(comp: _SynComp, stage: int,
-                             slot_q: dict[int, int]) -> dict[int, int]:
-    """Remaining ancilla couplings per already-bound data qubit.
-
-    Qubits not yet bound to a slot owe two couplings each; the heuristic
-    accounts for those separately."""
-    out: dict[int, int] = {}
-    for L in range(stage, comp.n):
-        for slot in comp.schedule[L]:
-            if slot in slot_q:
-                q = slot_q[slot]
-                out[q] = out.get(q, 0) + 1
-    return out
 
 
 def heuristic_cost(node: SearchNode) -> int:
@@ -928,7 +905,6 @@ def _emit(node: SearchNode) -> EncodedCircuit:
         circ.begin_component(cidx, component_roles[cidx])
     for _, g in entries:
         circ.add(g)
-    circ.validate()
     enc = EncodedCircuit(circ, layout, tuple(checks), fdecode, task.graph,
                          task.params, task.cfg, mode="coopt")
     enc.meta["depth_2q"] = two_qubit_depth(circ)

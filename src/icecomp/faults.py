@@ -553,7 +553,8 @@ def check_gadget_ft(gadget: Gadget) -> FtSummary:
     """Exhaustive single-fault enumeration over one gadget fragment, from
     one backward sweep: each gate's entries are projected once, and its
     faults are classified from XORs of those projections (module
-    docstring).  Reports are built for the escapes only."""
+    docstring).  A failing gadget's escapes are the logical reports of
+    `fault_reports`."""
     circuit = gadget.fragment
     ctx = context_for_gadget(gadget)
     sweep = _Sweep(circuit)
@@ -579,11 +580,8 @@ def check_gadget_ft(gadget: Gadget) -> FtSummary:
         _BY_CODE[c]: codes.count(c) for c in sorted(
             (c for c in range(3) if c in codes), key=codes.index)})
     if 1 in codes:
-        rs = [r for per in sweep.per_gate() for r in per]
-        locs = enumerate_fault_locations(circuit)
-        summary.escapes = [sweep.report(locs[f], rs[f],
-                                        FaultClass.LOGICAL_ERROR)
-                           for f, c in enumerate(codes) if c == 1]
+        summary.escapes = [r for r in fault_reports(circuit, ctx)
+                           if r.is_logical]
     return summary
 
 

@@ -311,7 +311,7 @@ def read_params(text: str) -> QaoaParams:
     """Parse `p N` (optional), `gammas: [...]` and `betas: [...]` lines.
 
     A malformed, unknown or repeated line raises ValueError naming the
-    line."""
+    line; lists of unequal length name the later of the two."""
     vals: dict[str, tuple[int, object]] = {}     # name -> (line, value)
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -335,7 +335,11 @@ def read_params(text: str) -> QaoaParams:
         vals[name] = (lineno, value)
     if "gammas" not in vals or "betas" not in vals:
         raise ValueError("params file needs 'gammas: [...]' and 'betas: [...]'")
-    params = QaoaParams(tuple(vals["gammas"][1]), tuple(vals["betas"][1]))
+    (g_line, gammas), (b_line, betas) = vals["gammas"], vals["betas"]
+    try:
+        params = QaoaParams(tuple(gammas), tuple(betas))
+    except ValueError as e:
+        raise ValueError(f"line {max(g_line, b_line)}: {e}") from None
     if "p" in vals and params.p != vals["p"][1]:
         raise ValueError(f"line {vals['p'][0]}: declared p={vals['p'][1]} "
                          f"but got {params.p} angles")

@@ -1271,13 +1271,8 @@ def exact_logical_distribution(circuit: PhysicalCircuit,
 def unencoded_distribution(lc: LogicalCircuit) -> dict[int, float]:
     """Exact distribution of the unencoded circuit's k measured bits (bit
     i of the key is qubit i), entries above 1e-15, the rotations run in the
-    sampler's order (_logical_steps) by _LogicalModel._apply."""
-    state = StateVector(lc.k)
-    for q in range(lc.k):
-        state.apply_h(q)
-    for op in _logical_ops(_logical_steps(lc)):
-        _LogicalModel._apply(state, op, 0)
-    probs = state.probabilities()
+    sampler's order (_logical_steps): the noiseless _LogicalModel's."""
+    probs = _LogicalModel(lc.k, _logical_ops(_logical_steps(lc))).probs
     return {x: float(p) for x, p in enumerate(probs) if p > 1e-15}
 
 

@@ -241,7 +241,7 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("icecomp compile: error: ")
         assert message in err and err.count("\n") == 1
-        assert not os.listdir(out)
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["bench-depth", "bench-qaoa",
                                          "bench-energy"])
@@ -335,7 +335,7 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"icecomp {argv[0]}: error: ")
         assert message in err and err.count("\n") == 1
-        assert not os.listdir(out)
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ["gen", "--k", "6", "--out", "nodir/g.txt"],
@@ -374,8 +374,23 @@ class TestCli:
         assert err.startswith(f"icecomp {argv[0]}: error: ")
         assert "No such file or directory: 'nodir/" in err
         assert err.count("\n") == 1
-        assert not os.listdir(out)
-        assert set(os.listdir(tmp_path)) == inputs | {"out"}
+        assert not out.exists()
+        assert set(os.listdir(tmp_path)) == inputs
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--k", "3", "--out", "g.txt"],
+        ["simulate", "--circuit", "missing.txt", "--out", "s.csv"],
+    ], ids=["gen-bad-k", "simulate-missing-circuit"])
+    def test_out_dir_made_only_with_outputs(self, tmp_path, monkeypatch,
+                                            argv):
+        # a command that fails on its inputs leaves no --out-dir behind;
+        # one that writes its outputs makes it
+        monkeypatch.chdir(tmp_path)
+        assert main(["--out-dir", "new", *argv]) == 2
+        assert not os.listdir(tmp_path)
+        assert main(["--out-dir", "new", "gen", "--k", "4",
+                     "--out", "g.txt"]) == 0
+        assert os.listdir(tmp_path / "new") == ["g.txt"]
 
     def test_output_check_keeps_existing_files(self, tmp_path):
         # a good output that exists already keeps its text when a later

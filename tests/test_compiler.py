@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from icecomp import compiler
+from icecomp import compiler, gadgets
 from icecomp.circuit import (CircuitError, ComponentRole, GateKind,
                              two_qubit_depth)
 from icecomp.compiler import (_PAYLOAD, EXPANSION_WIDTH, CompileConfig,
@@ -20,6 +20,8 @@ from icecomp.compiler import (_PAYLOAD, EXPANSION_WIDTH, CompileConfig,
 from icecomp.matching import max_weight_matching
 from icecomp.maxcut import (GraphKind, QaoaParams, build_qaoa,
                             generate_instance, make_graph, ramp_params)
+from icecomp.simulator import (exact_logical_distribution, total_variation,
+                               unencoded_distribution)
 
 
 def star6():
@@ -406,6 +408,71 @@ class TestInitOrderChoice:
         assert resynth.meta["depth_2q"] < base.meta["depth_2q"]
 
 
+def reference_init_order(graph, gadget_set):
+    """The hand-coded orders: vertices by degree down the OLD staircase,
+    and alternating from the two roots of the NEW branches."""
+    n = graph.num_vertices + 2
+    deg = graph.degrees()
+    qubits = [v + 1 for v in sorted(range(graph.num_vertices),
+                                    key=lambda v: (-deg[v], v))]
+    if gadget_set is GadgetSet.OLD:
+        return (0, *qubits, n - 1)
+    order = [0] * n
+    order[-1] = n - 1
+    lo, hi = 1, n - 2
+    for i, q in enumerate(qubits):
+        if i % 2 == 0:
+            order[lo] = q
+            lo += 1
+        else:
+            order[hi] = q
+            hi -= 1
+    return tuple(order)
+
+
+class TestPlanFromGadgets:
+    """The init order and the syndrome's binding stages are read off the
+    gadgets."""
+
+    @pytest.mark.parametrize("kind", [GraphKind.REGULAR_3,
+                                      GraphKind.ERDOS_RENYI])
+    def test_init_order_matches_reference(self, kind):
+        for k in range(4, 35, 2):
+            for seed in range(8):
+                density = (0.2, 0.5, 0.8)[seed % 3] \
+                    if kind is GraphKind.ERDOS_RENYI else None
+                g = generate_instance(kind, k, density=density, seed=seed)
+                for gs in GadgetSet:
+                    assert predetermine_init_order(g, gs) == \
+                        reference_init_order(g, gs), (k, seed, gs)
+
+    @pytest.mark.parametrize("k", [6, 10])
+    @pytest.mark.parametrize("z2", [False, True])
+    def test_relabeled_syndrome_schedule(self, monkeypatch, k, z2):
+        # relabeling the pipeline's slots gives the same gadget under
+        # another implicit order, so the co-compile stays exact
+        lag_schedule = gadgets.syndrome_lag_schedule
+        perm = list(range(k + 2))
+        random.Random(k).shuffle(perm)
+        assert perm != sorted(perm)
+
+        def relabeled(n):
+            return [(perm[x], perm[z]) for x, z in lag_schedule(n)]
+
+        monkeypatch.setattr(gadgets, "syndrome_lag_schedule", relabeled)
+        monkeypatch.setattr(compiler, "syndrome_lag_schedule", relabeled)
+        g = generate_instance(GraphKind.REGULAR_3, k, seed=1)
+        params = QaoaParams((0.4, 0.7), (0.9, -0.3))
+        enc = compile_cooptimized(g, params, CompileConfig(
+            num_syndromes=2, gadget_set=GadgetSet.NEW, use_z2=z2,
+            resynthesize=True, queue_cap=80))
+        acc, dist = exact_logical_distribution(enc.circuit, enc.checks,
+                                               enc.decode)
+        ref = unencoded_distribution(build_qaoa(g, params))
+        assert acc == pytest.approx(1.0, abs=1e-9)
+        assert total_variation(dist, ref) <= 1e-6
+
+
 class TestEncodedIO:
     def test_roundtrip(self):
         g = generate_instance(GraphKind.REGULAR_3, 6, seed=3)
@@ -444,10 +511,14 @@ class TestEncodedIO:
         ("component 0", "'component ID ROLE'"),
         ("cx 0 5", "qubit index out of range"),
         ("mz 1 3", "classical bit out of range"),
+        ("component 0 INIT\ncomponent 0 SYNDROME",
+         "component 0 redeclared as SYNDROME, first declared INIT"),
     ])
     def test_malformed_lines_name_the_line(self, line, msg):
+        # the error names the last line of `line`
         text = "qubits 2 clbits 3\ncx 0 1\ncheck c0 = 0\n" + line + "\n"
-        with pytest.raises(CircuitError, match=f"line 4: .*{msg}"):
+        last = 3 + len(line.splitlines())
+        with pytest.raises(CircuitError, match=f"line {last}: .*{msg}"):
             read_encoded(text)
 
     def test_repeated_logical_rejected(self):

@@ -161,6 +161,7 @@ ENCODED_EXAMPLES = ["qubits -2 clbits -1", "qubits 2 clbits -1",
                     "qubits 2 clbits 1\ncx 0 5", "qubits 2 clbits 1\nmz 0 3",
                     "component 0 INIT\nh 0\ncomponent 1 SYNDROME\nh 0\n"
                     "component 0 INIT\nh 0",
+                    "component 0 INIT\nh 0\ncomponent 0 SYNDROME\nh 0",
                     "qubits 1 clbits 1\nh 0\nmz 0 0\ncheck c5 = 0",
                     "qubits 1 clbits 1\nh 0\nmz 0 0\nlogical 1 = c7",
                     "qubits 1 clbits 1\nh 0\nmz 0 0\nlogical 0 = c0"]

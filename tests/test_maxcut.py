@@ -241,6 +241,8 @@ class TestFiles:
         ("gammas: [0.1,,0.2]\nbetas: [0.2]\n", 1, "float"),
         ("gammas: [nan]\nbetas: [0.2]\n", 1, "finite"),
         ("gammas: [0.1]\n\nbetas: [0.2]\np 2\n", 4, "declared p=2"),
+        ("gammas: [0.1, 0.2]\nbetas: [0.3]\n", 2, "equal length"),
+        ("betas: [0.3]\n# c\ngammas: [0.1, 0.2]\n", 3, "equal length"),
     ])
     def test_params_malformed_line_named(self, text, line, what):
         with pytest.raises(ValueError, match=f"^line {line}: .*{what}"):
