@@ -23,11 +23,12 @@ from .bench import (FIGURES, SweepSpec, default_outdir, emit_plotdata,
 from .compiler import (CompileConfig, GadgetSet, compile_baseline,
                        compile_cooptimized, read_encoded, write_encoded)
 from .faults import check_gadget_ft, context_for_gadget, fault_reports
-from .gadgets import GadgetKind, build_gadget
+from .gadgets import GadgetKind, IcebergLayout, build_gadget
 from .maxcut import (GraphKind, cut_value, generate_instance, ramp_params,
                      read_graph, read_params, write_graph, write_params)
-from .simulator import (NoiseModel, SimulatorError, post_selection_rate,
-                        read_noise, sample_shots, write_noise)
+from .simulator import (DEFAULT_QUBIT_CAP, NoiseModel, SimulatorError,
+                        post_selection_rate, read_noise, sample_shots,
+                        write_noise)
 
 
 def _int_at_least(lo: int):
@@ -201,7 +202,7 @@ def cmd_simulate(args) -> int:
                 f"{args.graph} has {graph.num_vertices} vertices, but "
                 f"{args.circuit} has {len(decode)} 'logical' lines")
         records = sample_shots(circuit, noise, args.shots, args.seed,
-                               checks=checks, decode=decode)
+                               checks=checks, decode=decode or None)
         _open_outputs(args, _out(args, "out"))
     except (ValueError, SimulatorError) as exc:   # bad file, or over the cap
         return _fail("simulate", exc)
@@ -241,8 +242,8 @@ def _spec_from_args(args) -> SweepSpec:
 def _run_bench(args, runner, name) -> int:
     try:
         # reject every instance the family cannot generate, every compile
-        # the compiler would reject and every noise scale, before the first
-        # compile
+        # the compiler would reject, every circuit too wide to simulate and
+        # every noise scale, before the first compile
         spec = _spec_from_args(args)
         for k, _, _, graph in spec.instances():
             for mode in spec.modes:
@@ -252,6 +253,13 @@ def _run_bench(args, runner, name) -> int:
                     except ValueError as exc:
                         raise ValueError(f"k={k}, {mode}, s={s}: {exc}") \
                             from None
+        if name != "depth":
+            for k in spec.sizes:
+                n = IcebergLayout(k).num_qubits
+                if n > DEFAULT_QUBIT_CAP:
+                    raise ValueError(
+                        f"k={k}: {n} qubits exceeds the dense-simulation "
+                        f"cap {DEFAULT_QUBIT_CAP}")
         if name == "energy":
             for scale in args.scales:
                 NoiseModel(scale=scale)

@@ -39,14 +39,13 @@ entry's word is the int whose bit c is clbit c; a table of words is held
 as uint64 limbs, the highest 64 bits first (_limbs), so any number of
 clbits fits.  Everything the plan takes from the table is an array
 operation on it, with no Python loop per entry: the cumulative
-probabilities, the outcome table, and, once per (checks, decode), its
-reading (_Reading): one pass of check parities (np.bitwise_count of word
-AND mask) that gives every entry's check values, verdict and logical.
-From the reading come the guard, the logical model's logicals and
-marginal, and the record an event-free or frame-rejected shot whose flips
-are zero takes.  The floats are the ones a dict filled one entry at a
-time gives, summed in the same order: entries that two branches share are
-merged by np.add.at in the order the branches reach them.
+probabilities and, once per (checks, decode), its reading (_Reading): one
+pass of check parities (np.bitwise_count of word AND mask) that gives
+every entry's check values, verdict and logical, and so the guard, the
+logical model's logicals and marginal, and the record of a picked entry.
+The floats are the ones a dict filled one entry at a time gives, summed in
+the same order: entries that two branches share are merged by np.add.at in
+the order the branches reach them.
 
 Shots the Pauli frame decides.  A Pauli a noise site applies passes the
 rest of the circuit as a Pauli frame (see the faults module): the shot
@@ -56,67 +55,58 @@ its noise sites, numbered once in traversal order, each with the response
 of every Pauli it can apply, from one backward faults._Sweep pass.  So
 before touching any state, sample_shots walks an event shot's fired sites
 in that order and draws each one's Pauli code after the uniforms of the
-measurements and resets before that site, which it keeps: these are the
+measurements and resets before that site, which it drops: these are the
 draws its trajectory makes, so this is the trajectory's frame.  The checks
 are a function of the frame alone when the guard holds: there are checks,
 each clbit is measured at most once, the noiseless check values are
 deterministic, and no rotation generator (Z_aZ_b after an RZZ, X_aX_b
 after an RXX), taken as a fault right after its own gate, flips a check
 parity.  By induction over the first sign-flipped rotation the checks are
-then deterministic under every pattern of rotation signs.  Under the guard:
+then deterministic under every pattern of rotation signs.  Under the guard
+the shot's next uniform picks an ideal entry, to which the frame's clbit
+flips and the readout flips are applied (as Stim's frame sampler gives a
+shot a noiseless sample XOR its frame's flips):
 
-  * A shot whose frame breaks a check is rejected without a trajectory.
-    Its record holds accepted False, logical None and the exact check
-    values (the noiseless ones XOR the frame's flips, which the trajectory
-    gives too).  Its bits are an ideal sample (the shot's next uniform into
-    the ideal distribution) with the frame's clbit flips and readout flips
-    applied: exact in distribution when no rotation flipped; otherwise only
-    their check parities are simulated.
-  * A shot whose frame keeps every check is the noiseless circuit with
-    its frame's rotations negated (theta') and its clbits flipped, provided
-    every reset is deterministic in the noiseless circuit (the plan decides
-    this once): a random reset conditions later outcomes through a bit no
-    clbit records.  Its trajectory's measurement j reads 1 when j's uniform
-    lies below prob_one, the probability of a 1 at j given the earlier
-    outcomes under the theta' distribution with the frame's flips.  The
-    shot draws the rest of its measurement and reset uniforms and takes
-    that probability from masses of the theta' distribution over the
-    plan's outcome table (the ideal entries sorted by their outcomes in
-    measurement order, _ShotPlan.frame_sample), so it builds no state of
-    the circuit.  Then it applies its readout flips.  When no rotation
-    flipped, the theta' distribution is the ideal one.
-  * Otherwise the logical model (_LogicalModel) gives it.  The rotations
+  * A shot whose frame breaks a check is rejected without a trajectory,
+    with accepted False, logical None and the exact check values (the
+    noiseless ones XOR the frame's flips).  Its bits are exact in
+    distribution when no rotation flipped; otherwise only their check
+    parities are simulated.
+  * A shot whose frame keeps every check and flips no rotation is exact in
+    distribution, with random resets too: a reset erases any Pauli on its
+    qubit, and the ideal table is the joint distribution of the clbits.
+  * A shot whose frame keeps every check and flips rotations is the
+    noiseless circuit with those rotations negated (theta').  The rotations
     of an Iceberg circuit commute with both stabilizers, so under theta'
-    too the state before the final readout lies in the code space, and
-    the readout never mixes two logical basis states: each clbit pattern
+    too the state before the final readout lies in the code space, and the
+    readout never mixes two logical basis states: each clbit pattern
     decodes to one logical x, and P(bits) = P_L(x) Q(bits | x) with Q set
-    by the readout alone.  So the theta' distribution is the ideal one
-    with each entry scaled by P'_L(x)/P_L(x), P'_L and P_L the logical
-    distributions with and without the flips.  P'_L comes from a
-    StateVector(k) from |+>^k on which RZZ(u+1, v+1) acts as Z_uZ_v and
-    RXX(t or b, q), t = 0 and b = k+1 the top and bottom qubits, as
-    X_{q-1}; P_L is the ideal distribution's decoded marginal.  The model
-    is built on first use from the logicals of the reading that holds the
-    guard, and kept only if every rotation has one of those forms and the
-    model's own P_L matches that marginal to MODEL_TOL with every x
+    by the readout alone.  So the shot picks from the cumulative of the
+    ideal distribution with each entry scaled by P'_L(x)/P_L(x), P'_L and
+    P_L the logical distributions with and without the flips.  The logical
+    model (_LogicalModel) gives P'_L from a StateVector(k) from |+>^k on
+    which RZZ(u+1, v+1) acts as Z_uZ_v and RXX(t or b, q), t = 0 and b =
+    k+1 the top and bottom qubits, as X_{q-1}; P_L is the ideal
+    distribution's decoded marginal.  The model is built on first use from
+    the logicals of the reading that holds the guard, and kept only if
+    every reset is deterministic (a random reset leaves a mixture no one
+    logical state stands for), every rotation has one of those forms and
+    the model's own P_L matches that marginal to MODEL_TOL with every x
     present.
   * Every other shot runs its trajectory, and its record is the
-    trajectory's, bit for bit: every shot when the guard fails, a shot
-    that keeps its checks when a reset is random, and one that keeps its
-    checks and flips a rotation when there is no `decode` or no model.
+    trajectory's, bit for bit: every event shot when the guard fails, and
+    one that keeps its checks and flips a rotation when there is no
+    `decode` or no model.
 
-A shot that reads its outcomes from masses (an accepted encoded shot the
-frame decides, or any unencoded shot) takes as p1 the mass of its outcomes
-so far extended by a 1, over the mass of those outcomes (for an unencoded
-shot, the product of their probabilities), as measure() renormalizes the
-state after each collapse.  That p1 agrees with its trajectory's prob_one
-to the last bits, not bit for bit: the masses are summed in another order,
-from the state at the circuit end (for an encoded shot, the noiseless
-state, and with theta' the product of a dense and a logical distribution;
-for an unencoded one, the logical state with the frame's rotations
-negated).  A later 1 - p1 and renormalization scale those bits up; at k=10
-the two p1 stay within about 2e-13.  The record is the trajectory's unless
-a uniform falls between them.
+So every verdict is the trajectory's, but the bits and logical of an
+accepted shot the frame decides are an exact draw, not its trajectory's.
+
+An unencoded shot takes as p1 the mass of its outcomes so far extended by
+a 1, over the product of their probabilities, as measure() renormalizes
+the state after each collapse.  That p1 agrees with its trajectory's
+prob_one to the last bits, not bit for bit: the masses are summed in
+another order, from the logical state at the circuit end.  The record is
+the trajectory's unless a uniform falls between them.
 
 The gate kernels work on the whole array at once, but each amplitude gets
 the same IEEE operations in the same order as in a per-block update (see
@@ -586,10 +576,10 @@ class _ShotPlan:
     distribution and whether every reset is deterministic in it, the
     readout and rotation flips, and one `reading` of the ideal entries per
     (checks, decode).  The ideal entries are sorted as their bit tuples
-    sort (module docstring): `ideal_bits` holds their clbit rows, `words`
-    their word table (bit c of an entry's number is clbit c) and
-    `ideal_words` its ints, with `ideal_probs` and `ideal_cum`, into which
-    a shot's uniform `pick`s an entry.
+    sort (module docstring): `words` holds their word table (bit c of an
+    entry's number is clbit c) and `ideal_words` its ints, with
+    `ideal_probs` and `ideal_cum`, into which a shot's uniform `pick`s an
+    entry.
 
     Each unitary gate and each such idle qubit is a Pauli site, numbered
     once in traversal order with its slot (the measurements and
@@ -598,20 +588,18 @@ class _ShotPlan:
     site after layer l on q takes those after q's last gate before l, or at
     the circuit start.  A shot draws every site's event up front, so its
     frame is known before any state is touched.  One that the frame decides
-    and accepts takes its outcomes from the `outcome_table` masses,
-    reweighted by its reading's `model` when its frame flips a rotation
-    (`frame_sample`); one the frame cannot decide runs its whole
-    `trajectory`."""
+    `pick`s an ideal entry, from the cumulative reweighted by its reading's
+    `model` when it keeps its checks and its frame flips a rotation; one
+    the frame cannot decide runs its whole `trajectory`."""
 
     def __init__(self, circuit: PhysicalCircuit):
         sched = layered_schedule(circuit)
         self.gates = gates = tuple(circuit.gates)   # the circuit may change
         self.num_qubits = circuit.num_qubits
         self.num_clbits = circuit.num_clbits
-        # the ideal entries: clbit rows, their word table and its ints
+        # the ideal entries: their word table and its ints
         ideal = _bit_distribution(circuit)
         self.resets_fixed = ideal.resets_fixed
-        self.ideal_bits = ideal.bits
         self.words = ideal.words()
         self.ideal_words = _ints(self.words)
         self.ideal_probs = ideal.probs
@@ -625,7 +613,6 @@ class _ShotPlan:
         self.slots: list[int] = []
         self.responses: list[list[int]] = []
         meas_clbits: list[int] = []
-        meas_slots: list[int] = []
         rotation_flips = set()
         # the Pauli sites of each family
         family: dict[str, list[int]] = {"2q": [], "1q": [], "idle": []}
@@ -653,7 +640,6 @@ class _ShotPlan:
                 if g.kind in MEASURE_KINDS:
                     ops.append((gi, g, len(meas_clbits)))
                     meas_clbits.append(g.clbit)
-                    meas_slots.append(slot)
                     slot += 1
                 elif g.kind is GateKind.RESET:
                     ops.append((gi, g, None))
@@ -687,9 +673,6 @@ class _ShotPlan:
         self.readout_flips = [1 << c if last_write[c] == si else 0
                               for si, c in enumerate(meas_clbits)]
         self.clbits_once = len(last_write) == len(meas_clbits)
-        self.meas_clbits = meas_clbits
-        self.meas_slots = meas_slots
-        self.meas_end = meas_slots[-1] + 1 if meas_slots else 0
         self.rotation_flips = frozenset(rotation_flips)
         self._readings: dict[tuple, _Reading] = {}
 
@@ -755,75 +738,20 @@ class _ShotPlan:
         return frame
 
     def flips(self, rng: np.random.Generator, fired: np.ndarray, frame: int
-              ) -> tuple[int, int, list[float]]:
+              ) -> tuple[int, int]:
         """A shot's Pauli frame from `frame` on, each fired site's Pauli
         drawn as its trajectory draws it, after the uniforms of the
-        measurements and resets before that site.  Returns the frame's
-        clbit flips, its rotation mask and those uniforms, by slot."""
-        uniforms: list[float] = []
+        measurements and resets before that site, which are drawn and
+        dropped.  Returns the frame's clbit flips and its rotation mask."""
+        drawn = 0
         for s in np.flatnonzero(fired).tolist():
-            gap = self.slots[s] - len(uniforms)
-            if gap > 0:
-                uniforms += rng.random(gap).tolist()
+            if self.slots[s] > drawn:
+                rng.random(self.slots[s] - drawn)
+                drawn = self.slots[s]
             rs = self.responses[s]
             frame ^= rs[int(rng.integers(1, len(rs) + 1)) - 1]
         _, _, cl, rot = self.sweep.unpack(frame)
-        return cl, rot, uniforms
-
-    @functools.cached_property
-    def outcome_table(self) -> tuple[list[int], np.ndarray, np.ndarray]:
-        """The ideal entries sorted by their measurement outcomes, the first
-        measurement highest: (keys, probabilities, rows), row r of the
-        table being ideal entry rows[r].  Of m measurements, measurement
-        j's outcome is bit m-1-j of a key, so the entries that share the
-        outcomes of measurements 0..j-1 are one run of the table, the ones
-        where j reads 0 first.  The keys are the entries' clbit rows read
-        at the measured clbits, in measurement order, packed by _limbs, and
-        the table is their np.lexsort, limb 0 first.  Every clbit an entry
-        sets is measured, so the keys are distinct.  Used under the guard,
-        where each clbit is measured once."""
-        keys = _limbs(self.ideal_bits[:, self.meas_clbits])
-        rows = np.lexsort(keys[::-1])
-        return _ints(keys[:, rows]), self.ideal_probs[rows], rows
-
-    def frame_sample(self, rng: np.random.Generator, uniforms: list[float],
-                     cl: int, em: np.ndarray, probs: np.ndarray) -> list[int]:
-        """The bits of an accepted shot the frame decides, under the guard
-        and with every reset fixed: the outcomes of the noiseless circuit
-        with the frame's rotations negated, whose distribution over
-        `outcome_table` is `probs`, with the frame's clbit flips `cl`, then
-        the readout flips `em`.  Measurement j reads 1 when the shot's
-        uniform at its slot (`uniforms`, drawn on up to the last
-        measurement) lies below the probability of a 1 given the outcomes
-        before it, under that distribution with the frame's flips, as its
-        trajectory's `measure` would (module docstring).  The entries that
-        agree with the outcomes so far are the run [lo, hi) of the table;
-        j splits it at `mid`, and the two halves' masses give that
-        probability."""
-        short = self.meas_end - len(uniforms)
-        if short > 0:
-            uniforms += rng.random(short).tolist()
-        keys = self.outcome_table[0]
-        bits = [0] * self.num_clbits
-        lo, hi, prefix = 0, len(keys), 0
-        top = 1 << len(self.meas_clbits)
-        for slot, c, ro in zip(self.meas_slots, self.meas_clbits, em.tolist()):
-            top >>= 1
-            mid = bisect.bisect_left(keys, prefix | top, lo, hi)
-            f = cl >> c & 1
-            if mid == lo or mid == hi:      # the outcome is certain
-                y = 1 if mid == lo else 0
-            else:
-                m0 = float(probs[lo:mid].sum())
-                m1 = float(probs[mid:hi].sum())
-                p1 = (m0 if f else m1) / (m0 + m1)
-                y = (1 if uniforms[slot] < p1 else 0) ^ f
-            if y:
-                lo, prefix = mid, prefix | top
-            else:
-                hi = mid
-            bits[c] = y ^ f ^ ro
-        return bits
+        return cl, rot
 
     def readout(self, em) -> int:
         """The clbit flips of a shot's readout events `em`, one per
@@ -833,11 +761,12 @@ class _ShotPlan:
             out ^= self.readout_flips[si]
         return out
 
-    def pick(self, rng: np.random.Generator) -> int:
-        """The ideal entry the shot's next uniform picks from the ideal
-        cumulative."""
-        pick = int(np.searchsorted(self.ideal_cum, rng.random()))
-        return min(pick, len(self.ideal_words) - 1)
+    def pick(self, rng: np.random.Generator,
+             cum: np.ndarray | None = None) -> int:
+        """The ideal entry the shot's next uniform picks from the cumulative
+        `cum` over the ideal entries, by default the ideal one."""
+        cum = self.ideal_cum if cum is None else cum
+        return min(int(np.searchsorted(cum, rng.random())), len(cum) - 1)
 
 
 class _Reading:
@@ -900,11 +829,11 @@ class _LogicalModel:
     (key, qubits, angle) per rotation in order, an RZZ on two qubits and an
     RX on one; a mask `rot` negates the rotations whose keys it sets.  The
     unencoded circuit's ops are keyed by step (_logical_ops); `build` keys
-    an Iceberg circuit's by gate index (module docstring) and sets `xs`, the
-    decoded logical of each outcome_table entry, and `marginal`, their ideal
-    distribution.  The noiseless state is kept before every `stride`-th op,
-    about sqrt(ops) states, and a shot's state resumes from the last one
-    before its first negated rotation."""
+    an Iceberg circuit's by gate index (module docstring) and sets `ideal`,
+    the ideal entries' probabilities, `xs`, each entry's decoded logical,
+    and `marginal`, their ideal distribution.  The noiseless state is kept
+    before every `stride`-th op, about sqrt(ops) states, and a shot's
+    state resumes from the last one before its first negated rotation."""
 
     def __init__(self, k: int, ops: list[tuple[int, tuple[int, ...], float]]):
         self.k, self.ops = k, ops
@@ -924,12 +853,14 @@ class _LogicalModel:
     def build(plan: _ShotPlan, decode: Mapping[int, frozenset[int]],
               logical: np.ndarray) -> "_LogicalModel | None":
         """The model of the plan's circuit, each ideal entry decoding to
-        its `logical` under `decode`, or None unless `decode` names
-        logicals 1..k on a circuit with qubits 0..k+1, every rotation has
-        the form above, and the model's distribution is the ideal marginal
-        to MODEL_TOL with every logical value present."""
+        its `logical` under `decode`, or None unless every reset is
+        deterministic, `decode` names logicals 1..k on a circuit with
+        qubits 0..k+1, every rotation has the form above, and the model's
+        distribution is the ideal marginal to MODEL_TOL with every logical
+        value present."""
         k = len(decode)
-        if sorted(decode) != list(range(1, k + 1)) or \
+        if not plan.resets_fixed or \
+                sorted(decode) != list(range(1, k + 1)) or \
                 k + 2 > plan.num_qubits:
             return None
         ops = []
@@ -943,15 +874,14 @@ class _LogicalModel:
                 ops.append((gi, data, g.angle))
             else:
                 return None
-        _, probs, rows = plan.outcome_table
-        xs = logical[rows].astype(np.intp)
-        marginal = np.bincount(xs, weights=probs, minlength=1 << k)
+        xs = logical.astype(np.intp)
+        marginal = np.bincount(xs, weights=plan.ideal_probs, minlength=1 << k)
         if not marginal.all():
             return None
         model = _LogicalModel(k, ops)
         if np.max(np.abs(model.probs - marginal)) > MODEL_TOL:
             return None
-        model.xs, model.marginal = xs, marginal
+        model.ideal, model.xs, model.marginal = plan.ideal_probs, xs, marginal
         return model
 
     @staticmethod
@@ -975,12 +905,12 @@ class _LogicalModel:
             self._apply(state, op, rot)
         return state
 
-    def reweight(self, probs: np.ndarray, rot: int) -> np.ndarray:
-        """The outcome_table distribution `probs` of the noiseless circuit,
-        each entry scaled by P'_L(x)/P_L(x) for its logical x: the
-        distribution with the rotations of `rot` negated."""
+    def reweight(self, rot: int) -> np.ndarray:
+        """The ideal distribution, each entry scaled by P'_L(x)/P_L(x) for
+        its logical x: the distribution of the circuit with the rotations of
+        `rot` negated."""
         ratio = self.state(rot).probabilities() / self.marginal
-        return probs * ratio[self.xs]
+        return self.ideal * ratio[self.xs]
 
 
 def _keeps_checks(guard: tuple[tuple[int, int], ...], flips: int) -> bool:
@@ -1023,26 +953,24 @@ def sample_shots(circuit: PhysicalCircuit, noise: NoiseModel, shots: int,
     does not depend on the other shots.  A shot on which no Pauli event
     fires picks its bits from the exact noiseless distribution and applies
     its readout flips.  When the guard holds (the checks are a function of
-    the Pauli frame alone), the frame decides two more kinds of shot
-    without a state of the circuit.  A shot whose frame breaks a check is
-    rejected: its check values are exact, and its bits an ideal sample with
-    the frame's flips applied.  If also every reset is deterministic, a
-    shot whose frame keeps every check reads each measurement with the
-    uniform its trajectory would use, against the probability of a 1 given
-    the earlier outcomes under the ideal distribution with the frame's
-    flips.  If its frame flips rotations, each ideal entry is first
+    the Pauli frame alone), the frame decides most other shots without a
+    state of the circuit: it draws each fired site's Pauli code as the
+    trajectory does, so its check values and verdict are exact, and its
+    next uniform picks its bits from the ideal distribution, to which the
+    frame's clbit flips and readout flips are applied.  An accepted shot
+    whose frame flips rotations picks from the ideal distribution
     reweighted by the logical model (module docstring), which runs a
-    k-qubit logical state.  The guard, the model and the records of ideal
+    k-qubit logical state; a rejected one simulates only the check
+    parities of its bits.  The guard, the model and the records of ideal
     entries come from the plan's reading of (checks, decode), which
     decodes the ideal table once per pair.  Every other shot runs its whole
     trajectory from |0...0>, its generator drawn afresh: every event shot
-    when the guard fails, and an accepted one when a reset is random, or
-    when its frame flips rotations and there is no `decode` or no model.
-    Every record equals that of its trajectory, but for the bits of
-    frame-rejected shots; the outcome probabilities of an accepted shot the
-    frame decides agree with its trajectory's to the last bits (module
-    docstring).  The circuit's _ShotPlan is cached by its content; the
-    circuit is validated on every call all the same.
+    when the guard fails, and an accepted one whose frame flips rotations
+    when there is no `decode` or no model.  Every verdict is that of its
+    trajectory, and so is every record the frame does not decide; the bits
+    of an accepted shot the frame decides are an exact draw from their
+    distribution, not its trajectory's.  The circuit's _ShotPlan is cached
+    by its content; the circuit is validated on every call all the same.
 
     `inject` lists deterministic Pauli errors applied after given gate
     indices in every shot (used for fault cross-checks); an index in the
@@ -1068,17 +996,14 @@ def sample_shots(circuit: PhysicalCircuit, noise: NoiseModel, shots: int,
             records.append(reading.record(plan.pick(rng), plan.readout(em)))
             continue
         if guard is not None:
-            cl, rot, uniforms = plan.flips(rng, fired, inject_frame)
+            cl, rot = plan.flips(rng, fired, inject_frame)
             flips = cl ^ plan.readout(em)
-            if not _keeps_checks(guard, flips):
+            if not rot or not _keeps_checks(guard, flips):
                 records.append(reading.record(plan.pick(rng), flips))
                 continue
-            if plan.resets_fixed and (not rot or reading.model is not None):
-                probs = plan.outcome_table[1]
-                if rot:
-                    probs = reading.model.reweight(probs, rot)
-                records.append(readout.record(
-                    plan.frame_sample(rng, uniforms, cl, em, probs)))
+            if reading.model is not None:
+                cum = np.cumsum(reading.model.reweight(rot))
+                records.append(reading.record(plan.pick(rng, cum), flips))
                 continue
         records.append(readout.record(
             plan.trajectory(seed, shot, rates, inject_map)))

@@ -260,6 +260,38 @@ class TestCli:
         assert err.count("\n") == 1
         assert not os.listdir(tmp_path)
 
+    @pytest.mark.parametrize("command", ["bench-qaoa", "bench-energy"])
+    def test_bench_over_qubit_cap_rejected(self, tmp_path, capsys,
+                                           monkeypatch, command):
+        # k=12 compiles to 16 qubits, k=14 to 18: over the sampler's cap,
+        # so nothing runs and no file or --out-dir is made
+        def no_compile(*args, **kwargs):
+            raise AssertionError("compiled before rejecting the size")
+
+        monkeypatch.setattr("icecomp.bench.compile_mode", no_compile)
+        out = tmp_path / "out"
+        assert main(["--out-dir", str(out), command, "--sizes", "12", "14",
+                     "--syndromes", "0", "--out", "q.csv"]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"icecomp {command}: error: k=14: 18 qubits exceeds "
+                       "the dense-simulation cap 16\n")
+        assert not out.exists()
+
+    def test_simulate_without_logicals(self, tmp_path):
+        # a circuit file with no 'logical' lines decodes nothing: the
+        # decoded column is empty, also for accepted shots
+        circ = tmp_path / "c.txt"
+        circ.write_text("qubits 2 clbits 2\nh 0\ncx 0 1\nmz 0 0\nmz 1 1\n"
+                        "check c0 c1 = 0\n")
+        out = tmp_path / "s.csv"
+        self.run("--out-dir", str(tmp_path), "simulate", "--circuit",
+                 str(circ), "--shots", "20", "--out", str(out))
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 20
+        assert {row["accepted"] for row in rows} == {"1"}
+        assert {row["decoded"] for row in rows} == {""}
+
     def test_report_unknown_figure(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--out-dir", str(tmp_path), "report", "--csv", "d.csv",

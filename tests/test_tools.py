@@ -101,3 +101,29 @@ def test_main_records_invocation_and_benchmark_run_length(
         ["python3", sys.argv[0], *argv])]
     assert doc["summary"]["compile"]["metrics"]["work_per_s"][
         "after_wins"] == 2
+
+
+def test_main_keeps_the_pairs_before_a_failed_run(tmp_path, monkeypatch):
+    for side in ("before", "after"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "after" / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 7,
+        "end_to_end": [{"name": "work_per_s", "better": "higher",
+                        "bound": 0.25}]}))
+    calls = []
+
+    def fake_run(root, workload, seed, seconds, out):
+        calls.append(root.name)
+        if len(calls) == 3:
+            raise SystemExit("perfbench/run.py exited 1")
+        return f"run {root.name}", {"work_per_s": 1.0}
+
+    monkeypatch.setattr(bench_pairs, "_run", fake_run)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit):
+        bench_pairs.main(["--before", "before", "--after", "after",
+                          "--workload", "sample", "--seeds", "5", "6", "7",
+                          "--runs-dir", "runs", "--out", "B.json"])
+    doc = json.loads((tmp_path / "B.json").read_text())
+    assert [p["seed"] for p in doc["pairs"]] == [5]
+    assert doc["summary"]["sample"]["pairs"] == 1

@@ -17,7 +17,8 @@ pair's commands are recorded as run from the root of the labelled checkout,
 with the ``--out`` file named as kept under ``--runs-dir``.
 ``tool_commands`` keeps each invocation of this tool word for word, so give
 it paths relative to where it runs.  ``--append`` adds pairs to an existing
-BENCH file.
+BENCH file.  The file is rewritten, with its summary, after every pair, so
+a run that stops early keeps the pairs it finished.
 """
 
 from __future__ import annotations
@@ -148,12 +149,13 @@ def main(argv=None) -> int:
             pair["commands"][side] = cmd
             pair[side] = metrics
         doc["pairs"].append(pair)
+        # written after every pair, so a run that fails keeps those before
+        doc["summary"] = summarize(doc["pairs"], bench["end_to_end"])
+        with open(args.out, "w") as fh:
+            json.dump(doc, fh, indent=1)
+            fh.write("\n")
         print(json.dumps({k: pair[k] for k in ("workload", "seed", "order")}),
               flush=True)
-    doc["summary"] = summarize(doc["pairs"], bench["end_to_end"])
-    with open(args.out, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
     return 0
 
 
