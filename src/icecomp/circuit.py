@@ -16,33 +16,38 @@ from enum import Enum
 
 
 class GateKind(Enum):
-    RZZ = "rzz"
-    RXX = "rxx"
-    CNOT = "cx"
-    H = "h"
-    X = "x"
-    Z = "z"
-    MEASURE_Z = "mz"
-    MEASURE_X = "mx"
-    RESET = "reset"
-    BARRIER = "barrier"
+    """A gate kind and its facts: `arity` (None for a barrier, which fences
+    any qubits), and whether it is a `rotation` or a `measurement`.  The
+    facts are plain attributes of each member, so that checking a gate
+    reads them without hashing the member (`Enum.__hash__` runs in Python,
+    and a frozenset or dict lookup per check calls it)."""
 
+    # value, arity, rotation, measurement
+    RZZ = "rzz", 2, True, False
+    RXX = "rxx", 2, True, False
+    CNOT = "cx", 2, False, False
+    H = "h", 1, False, False
+    X = "x", 1, False, False
+    Z = "z", 1, False, False
+    MEASURE_Z = "mz", 1, False, True
+    MEASURE_X = "mx", 1, False, True
+    RESET = "reset", 1, False, False
+    BARRIER = "barrier", None, False, False
 
-TWO_QUBIT_KINDS = frozenset({GateKind.RZZ, GateKind.RXX, GateKind.CNOT})
-ROTATION_KINDS = frozenset({GateKind.RZZ, GateKind.RXX})
-MEASURE_KINDS = frozenset({GateKind.MEASURE_Z, GateKind.MEASURE_X})
+    arity: int | None
+    rotation: bool
+    measurement: bool
+    two_qubit: bool
 
-_ARITY = {
-    GateKind.RZZ: 2,
-    GateKind.RXX: 2,
-    GateKind.CNOT: 2,
-    GateKind.H: 1,
-    GateKind.X: 1,
-    GateKind.Z: 1,
-    GateKind.MEASURE_Z: 1,
-    GateKind.MEASURE_X: 1,
-    GateKind.RESET: 1,
-}
+    def __new__(cls, value: str, arity: int | None, rotation: bool,
+                measurement: bool):
+        kind = object.__new__(cls)
+        kind._value_ = value
+        kind.arity = arity
+        kind.rotation = rotation
+        kind.measurement = measurement
+        kind.two_qubit = arity == 2
+        return kind
 
 
 class ComponentRole(Enum):
@@ -66,30 +71,30 @@ class Gate:
     component: int = 0
 
     def __post_init__(self):
-        if self.kind is not GateKind.BARRIER:
-            want = _ARITY[self.kind]
-            if len(self.qubits) != want:
-                raise CircuitError(
-                    f"{self.kind.value} takes {want} qubit(s), got {self.qubits}"
-                )
-        if len(set(self.qubits)) != len(self.qubits):
-            raise CircuitError(f"duplicate qubit in gate: {self.qubits}")
-        if any(q < 0 for q in self.qubits):
-            raise CircuitError(f"negative qubit index: {self.qubits}")
-        if self.kind in ROTATION_KINDS:
+        kind, qubits = self.kind, self.qubits
+        want = kind.arity
+        if want is not None and len(qubits) != want:
+            raise CircuitError(
+                f"{kind.value} takes {want} qubit(s), got {qubits}"
+            )
+        if len(set(qubits)) != len(qubits):
+            raise CircuitError(f"duplicate qubit in gate: {qubits}")
+        if qubits and min(qubits) < 0:
+            raise CircuitError(f"negative qubit index: {qubits}")
+        if kind.rotation:
             if self.angle is None or not math.isfinite(self.angle):
-                raise CircuitError(f"{self.kind.value} needs a finite angle")
+                raise CircuitError(f"{kind.value} needs a finite angle")
         elif self.angle is not None:
-            raise CircuitError(f"{self.kind.value} takes no angle")
-        if self.kind in MEASURE_KINDS:
+            raise CircuitError(f"{kind.value} takes no angle")
+        if kind.measurement:
             if self.clbit is None or self.clbit < 0:
                 raise CircuitError("measurement needs a classical target bit")
         elif self.clbit is not None:
-            raise CircuitError(f"{self.kind.value} takes no classical bit")
+            raise CircuitError(f"{kind.value} takes no classical bit")
 
     @property
     def is_two_qubit(self) -> bool:
-        return self.kind in TWO_QUBIT_KINDS
+        return self.kind.two_qubit
 
 
 @dataclass
@@ -344,7 +349,7 @@ def _parse_gate(tok: list[str], component: int) -> Gate:
     if kind is None:
         raise CircuitError(f"unknown gate kind {tok[0]!r}")
     args = tok[1:]
-    if kind in ROTATION_KINDS:
+    if kind.rotation:
         if len(args) != 3:
             raise CircuitError(f"{tok[0]} takes 2 qubits and an angle")
         return Gate(kind, (int(args[0]), int(args[1])), angle=float(args[2]),
@@ -353,7 +358,7 @@ def _parse_gate(tok: list[str], component: int) -> Gate:
         if len(args) != 2:
             raise CircuitError("cx takes control and target")
         return Gate(kind, (int(args[0]), int(args[1])), component=component)
-    if kind in MEASURE_KINDS:
+    if kind.measurement:
         if len(args) != 2:
             raise CircuitError(f"{tok[0]} takes a qubit and a classical bit")
         return Gate(kind, (int(args[0]),), clbit=int(args[1]), component=component)

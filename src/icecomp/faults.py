@@ -64,19 +64,25 @@ fault is DETECTED if sigma meets the mask DET (the check bits, with both
 parity bits under ideal trailing checks), else LOGICAL if sigma meets LOG
 (the rotation bits, with the decode bits, the folded z and the x parity,
 or the folded x and z, by context), else STABILIZER_EQUIVALENT.  Since
-sigma is linear, the sigma of a fault after a gate is the XOR of the
-sigmas of the entries rx[q] and rz[q] of its Paulis' factors, so
-`check_gadget_ft` projects a gate's 2 or 4 entries once and classifies its
-3 or 15 faults with XORs and two ANDs each.  `classify_terminal` applies
-the same sigma to an unpacked frame; gadget fragments contain no
-rotations, so for them the frame is plain Clifford propagation.
+sigma is linear and every rule of the sweep is an XOR, a swap or a zeroing
+of entries, sigma commutes with the sweep: started from the sigma-images of
+X_q and Z_q, XORing in the sigma-image of each clbit flip and each rotation
+bit, the sweep's entries are exactly the sigma-images of the full ones (the
+detector sensitivities Stim tracks in place of whole frames).  So
+`check_gadget_ft` sweeps in this detector space, on ints of sigma's width
+plus one bit per rotation instead of 2n + clbits bits, and classifies a
+gate's 3 or 15 faults with XORs of its 2 or 4 entries and two ANDs each.
+`fault_reports`, `propagate_pauli` and the simulator sweep the full
+responses.  `classify_terminal` applies the same sigma to an unpacked
+frame; gadget fragments contain no rotations, so for them the frame is
+plain Clifford propagation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Sequence
 
 from .circuit import Gate, GateKind, PhysicalCircuit
@@ -196,15 +202,31 @@ class _Sweep:
     in [n, 2n), clbit c at 2n + c, and the rotation of gate i at
     `rot` + i, above the circuit's `num_clbits` clbits.  `run` raises
     ValueError on a measurement into a clbit outside them.
+
+    With a `projection`, the sweep keeps the sigma-images of the responses
+    instead (module docstring): the units it starts from and XORs in, the
+    responses of X_q, Z_q and of each clbit flip, are projected once, and
+    the rotation of gate i sits at bit `rot` + i with `rot` sigma's width.
+    Every gate rule is an XOR, a swap or a zeroing, which commute with a
+    GF(2)-linear map, so each entry is exactly sigma of the full entry.
+    `unpack` and `report` read full responses only.
     """
 
-    def __init__(self, circuit: PhysicalCircuit):
+    def __init__(self, circuit: PhysicalCircuit,
+                 projection: "Projection | None" = None):
         self.gates = circuit.gates
         self.n = n = circuit.num_qubits
         self.qubits = (1 << n) - 1
-        self.cl = 2 * n
-        self.rot = self.cl + circuit.num_clbits
+        self.cl = cl = 2 * n
+        self.rot = rot = cl + circuit.num_clbits
         self.clbits = (1 << circuit.num_clbits) - 1
+        units = _unit_bits(rot)
+        if projection is not None:
+            units = tuple(map(projection.packed(n, cl, rot), units))
+            self.rot = projection.width
+        # the responses of X_q and Z_q, and of a flip of each clbit
+        self.unit_x, self.unit_z, self.unit_cl = (units[:n], units[n:cl],
+                                                  units[cl:])
 
     def run(self, stop: int = -1, per_gate: list | None = None,
             record=None) -> tuple[list[int], list[int]]:
@@ -214,8 +236,7 @@ class _Sweep:
         per_gate[i] to record(gate i, rx, rz) of the entries after gate i;
         `record` defaults to `responses`, the responses of the faults after
         gate i."""
-        n, gates, rot, cl = self.n, self.gates, self.rot, self.cl
-        num_clbits = rot - cl
+        gates, rot = self.gates, self.rot
         record = record or self.responses
         # the kinds as locals: looking up an Enum member on its class costs
         # more than a gate's own update
@@ -223,8 +244,7 @@ class _Sweep:
             GateKind.CNOT, GateKind.RZZ, GateKind.RXX, GateKind.H,
             GateKind.MEASURE_Z, GateKind.MEASURE_X, GateKind.RESET)
         passive = (GateKind.X, GateKind.Z, GateKind.BARRIER)
-        rx = [1 << q for q in range(n)]
-        rz = [1 << (n + q) for q in range(n)]
+        rx, rz = list(self.unit_x), list(self.unit_z)
         for i in range(len(gates) - 1, stop, -1):
             g = gates[i]
             if per_gate is not None:
@@ -243,15 +263,12 @@ class _Sweep:
                 q = g.qubits[0]
                 rx[q], rz[q] = rz[q], rx[q]
             elif kind is mz or kind is mx:
-                if not 0 <= g.clbit < num_clbits:
-                    raise ValueError(f"classical bit out of range in {g}: "
-                                     f"the circuit has {num_clbits}")
-                q = g.qubits[0]
+                q, flip = g.qubits[0], self.flip(g)
                 if kind is mz:
-                    rx[q] ^= 1 << (cl + g.clbit)
+                    rx[q] ^= flip
                     rz[q] = 0
                 else:
-                    rz[q] ^= 1 << (cl + g.clbit)
+                    rz[q] ^= flip
                     rx[q] = 0
             elif kind is reset:
                 q = g.qubits[0]
@@ -259,6 +276,14 @@ class _Sweep:
             elif kind not in passive:
                 raise NotImplementedError(kind)  # pragma: no cover
         return rx, rz
+
+    def flip(self, g: Gate) -> int:
+        """The response of a flip of measurement `g`'s clbit; ValueError if
+        the circuit has no such clbit."""
+        if not 0 <= g.clbit < len(self.unit_cl):
+            raise ValueError(f"classical bit out of range in {g}: "
+                             f"the circuit has {len(self.unit_cl)}")
+        return self.unit_cl[g.clbit]
 
     def per_gate(self) -> list[list[int]]:
         """The responses of every fault, by gate index (`responses`)."""
@@ -278,10 +303,11 @@ class _Sweep:
     def responses(self, g: Gate, rx: list[int], rz: list[int]) -> list[int]:
         """Responses of the faults after gate `g`, in the order of
         `_locations_at`, from the entries after `g`."""
-        if g.kind is GateKind.BARRIER:
+        kind = g.kind
+        if kind.measurement:
+            return [self.flip(g)]
+        if kind.arity is None:      # a barrier
             return []
-        if g.kind is GateKind.MEASURE_Z or g.kind is GateKind.MEASURE_X:
-            return [1 << (self.cl + g.clbit)]
         return _combine([(rx[q], rz[q]) for q in g.qubits])
 
     def unpack(self, r: int) -> tuple[int, int, int, int]:
@@ -290,10 +316,6 @@ class _Sweep:
         return (r & self.qubits, (r >> self.n) & self.qubits,
                 (r >> self.cl) & self.clbits, r >> self.rot)
 
-    def projector(self, ctx: "VerifyContext") -> Callable[[int], int]:
-        """The projection sigma of `ctx` on a packed response."""
-        return ctx.projection.packed(self.n, self.cl, self.rot)
-
     def report(self, loc: FaultLocation, r: int,
                cls: FaultClass) -> FaultReport:
         """The report on the fault `loc` with response `r` and verdict
@@ -301,6 +323,12 @@ class _Sweep:
         x, z, flips, rotations = self.unpack(r)
         return FaultReport(loc, PauliString(x, z), _bits(flips), cls,
                            _bits(rotations))
+
+
+@lru_cache
+def _unit_bits(count: int) -> tuple[int, ...]:
+    """(1 << 0, ..., 1 << count - 1), built once per count."""
+    return tuple(1 << b for b in range(count))
 
 
 def _combine(entries: Sequence[tuple[int, int]]) -> list[int]:
@@ -523,8 +551,9 @@ def fault_reports(circuit: PhysicalCircuit,
     """`run_fault` of every fault of `enumerate_fault_locations`, in that
     order, from one backward sweep."""
     sweep = _Sweep(circuit)
-    sigma, classify = sweep.projector(ctx), ctx.projection.classify
-    return [sweep.report(loc, r, classify(sigma(r)))
+    proj = ctx.projection
+    sigma = proj.packed(sweep.n, sweep.cl, sweep.rot)
+    return [sweep.report(loc, r, proj.classify(sigma(r)))
             for i, (g, rs) in enumerate(zip(circuit.gates, sweep.per_gate()))
             for loc, r in zip(_locations_at(i, g), rs)]
 
@@ -551,31 +580,19 @@ _BY_CODE = (FaultClass.DETECTED_BY_CHECK, FaultClass.LOGICAL_ERROR,
 
 def check_gadget_ft(gadget: Gadget) -> FtSummary:
     """Exhaustive single-fault enumeration over one gadget fragment, from
-    one backward sweep: each gate's entries are projected once, and its
-    faults are classified from XORs of those projections (module
-    docstring).  A failing gadget's escapes are the logical reports of
-    `fault_reports`."""
+    one backward sweep in detector space: the sweep carries sigma-images of
+    the responses (`_Sweep` with the context's projection), so each fault's
+    projection is an XOR of a gate's 2 or 4 entries and its verdict two
+    ANDs (module docstring).  A failing gadget's escapes are the logical
+    reports of `fault_reports`."""
     circuit = gadget.fragment
     ctx = context_for_gadget(gadget)
-    sweep = _Sweep(circuit)
-    project = sweep.projector(ctx)
-    det, log = ctx.projection.det, ctx.projection.log
-    mz, mx, barrier = GateKind.MEASURE_Z, GateKind.MEASURE_X, GateKind.BARRIER
-
-    def sigmas(g: Gate, rx: list[int], rz: list[int]) -> list[int]:
-        """`responses` of the faults after `g`, projected."""
-        if g.kind is mz or g.kind is mx:
-            return [project(1 << (sweep.cl + g.clbit))]
-        if g.kind is barrier:
-            return []
-        return _combine([(project(rx[q]), project(rz[q])) for q in g.qubits])
-
-    per_gate: list = [None] * len(circuit.gates)
-    sweep.run(per_gate=per_gate, record=sigmas)
+    proj = ctx.projection
+    det, log = proj.det, proj.log
     # verdicts as indices into _BY_CODE, in enumeration order, as bytes so
     # that they are counted and found at C speed
     codes = bytes([0 if s & det else 1 if s & log else 2
-                   for per in per_gate for s in per])
+                   for per in _Sweep(circuit, proj).per_gate() for s in per])
     summary = FtSummary(gadget.kind, len(codes), {
         _BY_CODE[c]: codes.count(c) for c in sorted(
             (c for c in range(3) if c in codes), key=codes.index)})

@@ -128,8 +128,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .circuit import (MEASURE_KINDS, ROTATION_KINDS, Gate, GateKind,
-                      PhysicalCircuit, layered_schedule)
+from .circuit import Gate, GateKind, PhysicalCircuit, layered_schedule
 from .gadgets import ParityCheck
 from .faults import PauliString, _Sweep, _bits, _combine, _mask
 from .maxcut import LogicalCircuit, ProblemGraph, energy as bit_energy
@@ -637,7 +636,7 @@ class _ShotPlan:
                 own = self.after[gi]
                 for q, e in zip(g.qubits, own):
                     last[q] = e
-                if g.kind in MEASURE_KINDS:
+                if g.kind.measurement:
                     ops.append((gi, g, len(meas_clbits)))
                     meas_clbits.append(g.clbit)
                     slot += 1
@@ -645,7 +644,7 @@ class _ShotPlan:
                     ops.append((gi, g, None))
                     slot += 1
                 else:
-                    if g.kind in ROTATION_KINDS:
+                    if g.kind.rotation:
                         # the rotation's generator Z_aZ_b (X_aX_b) as a fault
                         (xa, za), (xb, zb) = own
                         r = za ^ zb if g.kind is GateKind.RZZ else xa ^ xb
@@ -865,7 +864,7 @@ class _LogicalModel:
             return None
         ops = []
         for gi, g in enumerate(plan.gates):
-            if g.kind not in ROTATION_KINDS:
+            if not g.kind.rotation:
                 continue
             data = tuple(q - 1 for q in g.qubits if 1 <= q <= k)
             anchors = [q for q in g.qubits if q == 0 or q == k + 1]

@@ -39,6 +39,66 @@ class TestGateValidation:
             Gate(GateKind.MEASURE_Z, (0,))
 
 
+_INF, _NAN = float("inf"), float("nan")
+
+
+@pytest.mark.parametrize("kind, qubits, angle, clbit, message", [
+    # wrong arity
+    (GateKind.RZZ, (0,), 0.5, None, "rzz takes 2 qubit(s), got (0,)"),
+    (GateKind.CNOT, (0, 1, 2), None, None,
+     "cx takes 2 qubit(s), got (0, 1, 2)"),
+    (GateKind.H, (0, 1), None, None, "h takes 1 qubit(s), got (0, 1)"),
+    (GateKind.MEASURE_X, (), None, 0, "mx takes 1 qubit(s), got ()"),
+    # duplicate qubit, a barrier's too
+    (GateKind.RXX, (3, 3), 0.5, None, "duplicate qubit in gate: (3, 3)"),
+    (GateKind.BARRIER, (1, 2, 1), None, None,
+     "duplicate qubit in gate: (1, 2, 1)"),
+    # negative qubit
+    (GateKind.X, (-1,), None, None, "negative qubit index: (-1,)"),
+    (GateKind.BARRIER, (2, -3), None, None, "negative qubit index: (2, -3)"),
+    # missing or non-finite angle
+    (GateKind.RZZ, (0, 1), None, None, "rzz needs a finite angle"),
+    (GateKind.RXX, (0, 1), _NAN, None, "rxx needs a finite angle"),
+    (GateKind.RZZ, (0, 1), -_INF, None, "rzz needs a finite angle"),
+    # angle on a non-rotation
+    (GateKind.CNOT, (0, 1), 0.3, None, "cx takes no angle"),
+    (GateKind.MEASURE_Z, (0,), 0.3, 0, "mz takes no angle"),
+    (GateKind.BARRIER, (), 0.0, None, "barrier takes no angle"),
+    # measurement without a clbit, or with a negative one
+    (GateKind.MEASURE_Z, (0,), None, None,
+     "measurement needs a classical target bit"),
+    (GateKind.MEASURE_X, (0,), None, -1,
+     "measurement needs a classical target bit"),
+    # clbit on a non-measurement
+    (GateKind.RESET, (0,), None, 0, "reset takes no classical bit"),
+    (GateKind.RZZ, (0, 1), 0.5, 2, "rzz takes no classical bit"),
+    (GateKind.BARRIER, (0,), None, 0, "barrier takes no classical bit"),
+])
+def test_malformed_gate_message(kind, qubits, angle, clbit, message):
+    with pytest.raises(CircuitError) as err:
+        Gate(kind, qubits, angle=angle, clbit=clbit)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("kind", list(GateKind))
+def test_well_formed_gate_of_every_kind(kind):
+    if kind is GateKind.BARRIER:
+        for qubits in ((), (4,), (0, 2, 5)):
+            assert not Gate(kind, qubits).is_two_qubit
+        return
+    qubits = (0, 1)[:kind.arity]
+    angle = 0.25 if kind.rotation else None
+    clbit = 3 if kind.measurement else None
+    g = Gate(kind, qubits, angle=angle, clbit=clbit)
+    assert g.is_two_qubit == (kind.arity == 2)
+    assert g.is_two_qubit == (kind in {GateKind.RZZ, GateKind.RXX,
+                                       GateKind.CNOT})
+    assert kind.rotation == (kind in {GateKind.RZZ, GateKind.RXX})
+    assert kind.measurement == (kind in {GateKind.MEASURE_Z,
+                                         GateKind.MEASURE_X})
+    assert GateKind(kind.value) is kind
+
+
 class TestLayering:
     def test_single_gate(self):
         c = simple()

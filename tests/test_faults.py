@@ -11,7 +11,8 @@ from icecomp.faults import (FaultClass, FaultLocation, PauliString,
                             VerifyContext, check_gadget_ft,
                             classify_rotation_faults, classify_terminal,
                             context_for_gadget, enumerate_fault_locations,
-                            fault_reports, propagate_pauli, run_fault)
+                            _Sweep, fault_reports, propagate_pauli,
+                            run_fault)
 from icecomp.gadgets import GadgetKind, IcebergLayout, ParityCheck, build_gadget
 from icecomp.maxcut import GraphKind, generate_instance, ramp_params
 from icecomp.simulator import exact_logical_distribution, total_variation
@@ -374,12 +375,12 @@ def _forward_frame(circuit, start, pauli):
 
 
 def _recount_cases(sizes):
-    """The gadgets `check_gadget_ft` is recounted on: every kind at `sizes`
-    and at k=22, two random orders of each criterion-3 gadget, and a
-    crippled INIT_OLD with escapes."""
+    """The gadgets `check_gadget_ft` is recounted on: every kind at `sizes`,
+    at k=22 and at the paper's largest size k=34, two random orders of
+    each criterion-3 gadget, and a crippled INIT_OLD with escapes."""
     rng = random.Random(31)
     gadgets = [build_gadget(kind, k) for kind, k in sizes]
-    gadgets += [build_gadget(kind, 22) for kind in GadgetKind]
+    gadgets += [build_gadget(kind, k) for k in (22, 34) for kind in GadgetKind]
     for kind, k in ((GadgetKind.INIT_NEW, 4), (GadgetKind.SYNDROME_NEW, 6),
                     (GadgetKind.FINAL_NEW, 4)):
         gadgets += [build_gadget(kind, k, tuple(rng.sample(range(k + 2),
@@ -387,7 +388,7 @@ def _recount_cases(sizes):
                     for _ in range(2)]
     gadgets.append(_crippled_init_old())
     defaults = {(kind, k): build_gadget(kind, k).implicit_order
-                for kind in GadgetKind for k in (4, 6, 10, 22)
+                for kind in GadgetKind for k in (4, 6, 10, 22, 34)
                 if (kind, k) != (GadgetKind.SYNDROME_NEW, 4)}
 
     def label(g):
@@ -477,6 +478,83 @@ class TestOneSweep:
         assert summary.total == len(reports)
         assert list(summary.counts.items()) == list(counts.items())
         assert summary.escapes == [rep for rep in reports if rep.is_logical]
+
+
+def _random_circuit(rng, num_qubits, num_clbits, length):
+    """A circuit of `length` gates drawn from every gate kind, rotations
+    included, on `num_qubits` qubits and `num_clbits` clbits."""
+    kinds = ("cx", "h", "x", "z", "rzz", "rxx", "mz", "mx", "reset",
+             "barrier")
+    c = PhysicalCircuit(num_qubits, num_clbits)
+    c.begin_component(0, ComponentRole.PHASE_LAYER)
+    for _ in range(length):
+        kind = rng.choice(kinds)
+        a, b = rng.sample(range(num_qubits), 2)
+        if kind == "cx":
+            c.cx(a, b)
+        elif kind in ("rzz", "rxx"):
+            getattr(c, kind)(a, b, 0.3)
+        elif kind in ("mz", "mx"):
+            getattr(c, kind)(a, rng.randrange(num_clbits))
+        elif kind == "barrier":
+            c.barrier((a, b))
+        else:
+            getattr(c, kind)(a)
+    return c
+
+
+class TestProjectedSweep:
+    """The sweep with a projection carries sigma of every entry of the
+    full sweep exactly, since each gate rule is an XOR, a swap or a
+    zeroing (module docstring of `icecomp.faults`)."""
+
+    @pytest.mark.parametrize("trailing", [False, True])
+    @pytest.mark.parametrize("harmless", ["code", "plus_state", "outcomes"])
+    def test_entries_are_the_projected_full_entries(self, harmless,
+                                                    trailing):
+        rng = random.Random(f"{harmless}/{trailing}")
+        layout = IcebergLayout(4)
+        for _ in range(25):
+            # the layout's 6 data qubits and 2 ancillas
+            c = _random_circuit(rng, 8, 5, 40)
+            checks = tuple(ParityCheck(frozenset(rng.sample(range(5), w)))
+                           for w in (1, 2, 3))
+            decode = {i: frozenset(rng.sample(range(5), 2))
+                      for i in layout.logical}
+            ctx = VerifyContext(layout, checks, decode, harmless, trailing)
+            full = _Sweep(c)
+            sigma = ctx.projection.packed(full.n, full.cl, full.rot)
+            projected = _Sweep(c, ctx.projection)
+            assert projected.per_gate() == [[sigma(r) for r in per]
+                                            for per in full.per_gate()]
+            stop = rng.randrange(-1, len(c.gates))
+            assert projected.run(stop) == tuple(
+                [sigma(r) for r in entries] for entries in full.run(stop))
+
+    def test_clbit_outside_the_circuit_raises_before_any_lookup(self):
+        ctx = VerifyContext(IcebergLayout(2), (ParityCheck({0}),),
+                            {1: frozenset({1})}, "outcomes", False)
+        for clbit in (2, 5, -1, -2):
+            c = PhysicalCircuit(4, 2)
+            c.begin_component(0, ComponentRole.FINAL_MEAS)
+            c.mz(0, 0)
+            c.mx(1, 1)
+            c.h(2)
+            c.mz(3, 0)
+            # a negative clbit cannot be built, so it is forced in: the
+            # sweep must not read it as a clbit counted from the end
+            gate = c.gates[3]
+            object.__setattr__(gate, "clbit", clbit)
+            for sweep in (_Sweep(c), _Sweep(c, ctx.projection)):
+                with pytest.raises(ValueError,
+                                   match="classical bit out of range"):
+                    sweep.per_gate()
+                with pytest.raises(ValueError,
+                                   match="classical bit out of range"):
+                    sweep.run()
+            with pytest.raises(ValueError,
+                               match="classical bit out of range"):
+                propagate_pauli(c, -1, P([(3, "X")]))
 
 
 def _verdict_digest(circuit, ctx):

@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
@@ -86,7 +87,8 @@ def test_main_records_invocation_and_benchmark_run_length(
 
     def fake_run(root, workload, seed, seconds, out):
         calls.append((root.name, seed, seconds))
-        return f"run {root.name}", {"work_per_s": float(root.name == "after")}
+        metrics = {"work_per_s": float(root.name == "after")}
+        return f"run {root.name}", metrics, {}
 
     monkeypatch.setattr(bench_pairs, "_run", fake_run)
     monkeypatch.chdir(tmp_path)
@@ -116,7 +118,7 @@ def test_main_keeps_the_pairs_before_a_failed_run(tmp_path, monkeypatch):
         calls.append(root.name)
         if len(calls) == 3:
             raise SystemExit("perfbench/run.py exited 1")
-        return f"run {root.name}", {"work_per_s": 1.0}
+        return f"run {root.name}", {"work_per_s": 1.0}, {}
 
     monkeypatch.setattr(bench_pairs, "_run", fake_run)
     monkeypatch.chdir(tmp_path)
@@ -127,3 +129,48 @@ def test_main_keeps_the_pairs_before_a_failed_run(tmp_path, monkeypatch):
     doc = json.loads((tmp_path / "B.json").read_text())
     assert [p["seed"] for p in doc["pairs"]] == [5]
     assert doc["summary"]["sample"]["pairs"] == 1
+
+
+def test_main_keeps_each_op_kind_from_the_run_files(tmp_path, monkeypatch):
+    # a fake perfbench/run.py: each side's --out file holds its metrics and
+    # an ops list whose rows start (kind, scaled ms, CPU ms); the after side
+    # runs every op kind in half the time
+    for side in ("before", "after"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "after" / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 7,
+        "end_to_end": [{"name": "work_per_s", "better": "higher",
+                        "bound": 0.25}]}))
+
+    def fake_subprocess_run(cmd, cwd, **kwargs):
+        scale = 0.5 if Path(cwd).name == "after" else 1.0
+        ops = [["gadget", scale * ms, scale * ms * 0.9, False, 0, 1]
+               for ms in (1.0, 2.0, 4.0)]
+        ops += [["fault/baseline", scale * 0.2, scale * 0.1, False, 1, 2]]
+        Path(cmd[-1]).write_text(json.dumps({
+            "metrics": {"work_per_s": {"value": 1 / scale, "unit": "1/s"}},
+            "ops": ops}))
+        return subprocess.CompletedProcess(cmd, 0, "", "")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_subprocess_run)
+    monkeypatch.chdir(tmp_path)
+    assert bench_pairs.main(["--before", "before", "--after", "after",
+                             "--workload", "certify", "--seeds", "5", "6",
+                             "--runs-dir", "runs", "--out", "B.json"]) == 0
+    doc = json.loads((tmp_path / "B.json").read_text())
+    assert doc["pairs"][0]["op_kinds"]["before"] == {
+        "fault/baseline": {"count": 1, "median_ms": 0.2,
+                           "median_cpu_ms": 0.1},
+        "gadget": {"count": 3, "median_ms": 2.0,
+                   "median_cpu_ms": pytest.approx(1.8)}}
+    assert doc["pairs"][1]["op_kinds"]["after"]["gadget"] == {
+        "count": 3, "median_ms": 1.0, "median_cpu_ms": pytest.approx(0.9)}
+    kinds = doc["summary"]["certify"]["op_kinds"]
+    assert list(kinds) == ["fault/baseline", "gadget"]
+    assert kinds["gadget"] == {
+        "before_median_ms": 2.0, "after_median_ms": 1.0,
+        "median_ms_after_vs_before": 0.5,
+        "before_median_cpu_ms": pytest.approx(1.8),
+        "after_median_cpu_ms": pytest.approx(0.9),
+        "median_cpu_ms_after_vs_before": pytest.approx(0.5)}
+    assert "verdict" not in kinds["gadget"]

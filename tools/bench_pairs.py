@@ -12,7 +12,11 @@ favour one side.  Each checkout imports its own ``src/``.  The BENCH file
 keeps, per pair, the end-to-end metrics of both runs and the commands, and
 per workload and metric the medians and their ratio, the before quartiles,
 how many pairs the after side won (by the direction ``BENCHMARK.json``
-gives) and a verdict against the metric's ``bound`` (see `verdict`).  A
+gives) and a verdict against the metric's ``bound`` (see `verdict`).  Per
+pair and side it also keeps each op kind's count and median scaled and CPU
+ms from the run's ``ops`` list, and the summary gives per workload and op
+kind the before and after medians of those and their ratio, with no
+verdict, so that a change can be read op kind by op kind.  A
 pair's commands are recorded as run from the root of the labelled checkout,
 with the ``--out`` file named as kept under ``--runs-dir``.
 ``tool_commands`` keeps each invocation of this tool word for word, so give
@@ -46,7 +50,20 @@ def _run(root: Path, workload: str, seed: int, seconds: float,
     with open(out) as fh:
         result = json.load(fh)
     metrics = {name: m["value"] for name, m in result["metrics"].items()}
-    return " ".join(["python3", *args, out.name]), metrics
+    return (" ".join(["python3", *args, out.name]), metrics,
+            op_kinds(result["ops"]))
+
+
+def op_kinds(ops: list) -> dict:
+    """Per op kind of a run's ``ops`` list, whose rows start (kind, scaled
+    ms, CPU ms): the count and the median scaled and CPU ms."""
+    by_kind: dict = {}
+    for kind, ms, cpu_ms, *_ in ops:
+        by_kind.setdefault(kind, []).append((ms, cpu_ms))
+    return {kind: {"count": len(times),
+                   "median_ms": statistics.median(t[0] for t in times),
+                   "median_cpu_ms": statistics.median(t[1] for t in times)}
+            for kind, times in sorted(by_kind.items())}
 
 
 def _iqr(xs: list[float]) -> float:
@@ -108,7 +125,29 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
                 "verdict": verdict(before, after, spec["better"],
                                    spec["bound"]),
             }
-        out[workload] = {"pairs": len(rows), "metrics": per_metric}
+        out[workload] = {"pairs": len(rows), "metrics": per_metric,
+                         "op_kinds": _summarize_op_kinds(rows)}
+    return out
+
+
+def _summarize_op_kinds(rows: list[dict]) -> dict:
+    """Per op kind: the medians over pairs of each side's median scaled and
+    CPU ms, and their after/before ratios; no verdict.  Pairs written
+    before op kinds were kept count for neither side."""
+    runs = {side: [p["op_kinds"][side] for p in rows if "op_kinds" in p]
+            for side in ("before", "after")}
+    out: dict = {}
+    for kind in sorted({k for side in runs.values() for run in side
+                        for k in run}):
+        entry: dict = {}
+        for field in ("median_ms", "median_cpu_ms"):
+            for side, side_runs in runs.items():
+                xs = [run[kind][field] for run in side_runs if kind in run]
+                entry[f"{side}_{field}"] = statistics.median(xs) if xs \
+                    else None
+            b, a = entry[f"before_{field}"], entry[f"after_{field}"]
+            entry[f"{field}_after_vs_before"] = a / b if a and b else None
+        out[kind] = entry
     return out
 
 
@@ -144,10 +183,11 @@ def main(argv=None) -> int:
         for side in sides:
             root = getattr(args, side)
             out = args.runs_dir / f"{args.workload}-{seed}-{side}.json"
-            cmd, metrics = _run(root, args.workload, seed,
-                                bench["run_seconds"], out)
+            cmd, metrics, kinds = _run(root, args.workload, seed,
+                                       bench["run_seconds"], out)
             pair["commands"][side] = cmd
             pair[side] = metrics
+            pair.setdefault("op_kinds", {})[side] = kinds
         doc["pairs"].append(pair)
         # written after every pair, so a run that fails keeps those before
         doc["summary"] = summarize(doc["pairs"], bench["end_to_end"])
