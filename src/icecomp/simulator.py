@@ -32,40 +32,42 @@ Paulis only move amplitudes and flip signs, which the kernels carry through
 exactly, and the model runs the trajectory's kernels in its order
 (_logical_steps), so that state's probabilities are the trajectory's.
 
-The ideal table.  A circuit's noiseless outcomes are found once, as arrays
-(_Outcomes): per entry its clbits (a uint8 row) and its probability, the
-entries in the order sorted() gives their bit tuples, clbit 0 first.  An
-entry's word is the int whose bit c is clbit c; a table of words is held
-as uint64 limbs, the highest 64 bits first (_limbs), so any number of
-clbits fits.  Everything the plan takes from the table is an array
-operation on it, with no Python loop per entry: the cumulative
-probabilities and, once per (checks, decode), its reading (_Reading): one
+The ideal table.  A circuit's noiseless outcomes come from the sampler's
+one dense pass (capped at DEFAULT_QUBIT_CAP qubits), run once, on first
+use, as arrays (_Outcomes): per entry its clbits (a uint8 row) and its
+probability, the entries in the order sorted() gives their bit tuples,
+clbit 0 first.  An entry's word is the int whose bit c is clbit c; a table
+of words is held as uint64 limbs, the highest 64 bits first (_limbs), so
+any number of clbits fits.  Everything taken from the table is an array
+operation on it, with no Python loop per entry: its words, their ints, its
+cumulative and, once per (checks, decode), its reading (_Reading): one
 pass of check parities (np.bitwise_count of word AND mask) that gives
-every entry's check values, verdict and logical, and so the guard, the
-logical model's logicals and marginal, and the record of a picked entry.
-The floats are the ones a dict filled one entry at a time gives, summed in
-the same order: entries that two branches share are merged by np.add.at in
-the order the branches reach them.
+every entry's check values and logical, and so the guard and the logical
+model's logicals and marginal.  The floats are the ones a dict filled one
+entry at a time gives, summed in the same order: entries that two
+branches share are merged by np.add.at in the order the branches reach
+them.
 
 Shots the Pauli frame decides.  A Pauli a noise site applies passes the
 rest of the circuit as a Pauli frame (see the faults module): the shot
 gives the outcomes of the noiseless circuit with the frame's rotations
-negated and its clbits flipped.  Each circuit has one cached _ShotPlan:
-its noise sites, numbered once in traversal order, each with the response
-of every Pauli it can apply, from one backward faults._Sweep pass.  So
-before touching any state, sample_shots walks an event shot's fired sites
-in that order and draws each one's Pauli code after the uniforms of the
-measurements and resets before that site, which it drops: these are the
+negated and its clbits flipped.  Each circuit has one cached _ShotPlan: its
+noise sites, numbered once in traversal order, each with the response of
+every Pauli it can apply, from one backward faults._Sweep pass over the
+circuit alone, so at any width: of the plan, only its ideal table is dense.
+So before touching any state, sample_shots walks an event shot's fired
+sites in that order and draws each one's Pauli code after the uniforms of
+the measurements and resets before that site, which it drops: these are the
 draws its trajectory makes, so this is the trajectory's frame.  The checks
 are a function of the frame alone when the guard holds: there are checks,
 each clbit is measured at most once, the noiseless check values are
-deterministic, and no rotation generator (Z_aZ_b after an RZZ, X_aX_b
-after an RXX), taken as a fault right after its own gate, flips a check
-parity.  By induction over the first sign-flipped rotation the checks are
-then deterministic under every pattern of rotation signs.  Under the guard
-the shot's next uniform picks an ideal entry, to which the frame's clbit
-flips and the readout flips are applied (as Stim's frame sampler gives a
-shot a noiseless sample XOR its frame's flips):
+deterministic, and no rotation generator (Z_aZ_b after an RZZ, X_aX_b after
+an RXX), taken as a fault right after its own gate, flips a check parity.
+By induction over the first sign-flipped rotation the checks are then
+deterministic under every pattern of rotation signs.  Under the guard the
+shot's next uniform picks an ideal entry, to which the frame's clbit flips
+and the readout flips are applied (as Stim's frame sampler gives a shot a
+noiseless sample XOR its frame's flips):
 
   * A shot whose frame breaks a check is rejected without a trajectory,
     with accepted False, logical None and the exact check values (the
@@ -303,6 +305,9 @@ class StateVector:
 # Noise model
 # ---------------------------------------------------------------------------
 
+_RATES = ("p2", "p1", "p_idle", "p_meas")
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     p2: float = 1.3e-3
@@ -312,7 +317,7 @@ class NoiseModel:
     scale: float = 1.0
 
     def __post_init__(self):
-        for name in ("p2", "p1", "p_idle", "p_meas"):
+        for name in _RATES:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
@@ -320,14 +325,8 @@ class NoiseModel:
             raise ValueError("scale must be finite and nonnegative")
 
     def effective(self) -> "NoiseModel":
-        s = self.scale
-        return NoiseModel(
-            p2=min(1.0, self.p2 * s),
-            p1=min(1.0, self.p1 * s),
-            p_idle=min(1.0, self.p_idle * s),
-            p_meas=min(1.0, self.p_meas * s),
-            scale=1.0,
-        )
+        return NoiseModel(**{name: min(1.0, getattr(self, name) * self.scale)
+                             for name in _RATES})
 
 
 def write_noise(model: NoiseModel) -> str:
@@ -339,7 +338,7 @@ class NoiseFormatError(ValueError):
     """A malformed noise file; the message starts with the line number."""
 
 
-_NOISE_FIELDS = ("p2", "p1", "p_idle", "p_meas", "scale")
+_NOISE_FIELDS = (*_RATES, "scale")
 
 
 def read_noise(text: str) -> NoiseModel:
@@ -569,16 +568,14 @@ def _inject_map(gates: Sequence[Gate],
 
 
 class _ShotPlan:
-    """What sample_shots needs of a circuit whatever the noise, from one
-    pass over its schedule: the traversal script (per layer, its gates, then
-    the idle qubits of a layer holding a two-qubit gate), the ideal
-    distribution and whether every reset is deterministic in it, the
-    readout and rotation flips, and one `reading` of the ideal entries per
-    (checks, decode).  The ideal entries are sorted as their bit tuples
-    sort (module docstring): `words` holds their word table (bit c of an
-    entry's number is clbit c) and `ideal_words` its ints, with
-    `ideal_probs` and `ideal_cum`, into which a shot's uniform `pick`s an
-    entry.
+    """What sample_shots needs of a circuit whatever the noise.  The
+    constructor reads the circuit alone (its schedule and one faults._Sweep)
+    and builds no state, so it runs at any width: the traversal script (per
+    layer, its gates, then the idle qubits of a layer holding a two-qubit
+    gate), the sites below, their families, rates and draw index, and the
+    readout and rotation flips.  The ideal table `ideal`, from whose
+    cumulative a shot's uniform `pick`s an entry, and each `reading` of it
+    are the dense part, built on first use and capped at DEFAULT_QUBIT_CAP.
 
     Each unitary gate and each such idle qubit is a Pauli site, numbered
     once in traversal order with its slot (the measurements and
@@ -596,14 +593,6 @@ class _ShotPlan:
         self.gates = gates = tuple(circuit.gates)   # the circuit may change
         self.num_qubits = circuit.num_qubits
         self.num_clbits = circuit.num_clbits
-        # the ideal entries: their word table and its ints
-        ideal = _bit_distribution(circuit)
-        self.resets_fixed = ideal.resets_fixed
-        self.words = ideal.words()
-        self.ideal_words = _ints(self.words)
-        self.ideal_probs = ideal.probs
-        self.ideal_cum = np.cumsum(ideal.probs)
-
         self.sweep = _Sweep(circuit)
         self.after, last = self.sweep.entries()
         # per layer: (gate index, gate, Pauli or measurement site), its idle
@@ -613,15 +602,16 @@ class _ShotPlan:
         self.responses: list[list[int]] = []
         meas_clbits: list[int] = []
         rotation_flips = set()
-        # the Pauli sites of each family
-        family: dict[str, list[int]] = {"2q": [], "1q": [], "idle": []}
+        # per family, keyed by its NoiseModel rate, its sites (measurements:
+        # their clbits); a shot draws one uniform per site, in this order
+        family = {"p2": [], "p1": [], "p_meas": meas_clbits, "p_idle": []}
         slot = 0
         # sites with the same entries (an idle qubit over layers) share one
         # response list
         shared: dict[tuple, list[int]] = {}
 
-        def site(kind, entries):
-            family[kind].append(len(self.slots))
+        def site(rate, entries):
+            family[rate].append(len(self.slots))
             self.slots.append(slot)
             entries = tuple(entries)
             if entries not in shared:
@@ -650,23 +640,24 @@ class _ShotPlan:
                         r = za ^ zb if g.kind is GateKind.RZZ else xa ^ xb
                         rotation_flips.add(self.sweep.unpack(r)[2])
                     ops.append((gi, g, len(self.slots)))
-                    site("2q" if g.is_two_qubit else "1q", own)
+                    site("p2" if g.is_two_qubit else "p1", own)
             touched = {q for gi in layer_gates for q in gates[gi].qubits}
             idle = [q for q in range(self.num_qubits) if q not in touched] \
                 if any(gates[gi].is_two_qubit for gi in layer_gates) else []
             self.layers.append((ops, idle, len(self.slots)))
             for q in idle:
-                site("idle", [last[q]])
+                site("p_idle", [last[q]])
 
-        # a shot draws one uniform per site, the 2Q, 1Q, measurement and idle
-        # families in turn; draw_index[s] is Pauli site s's uniform
-        self.family_sizes = [len(f) for f in (
-            family["2q"], family["1q"], meas_clbits, family["idle"])]
-        _, n1, nm, ni = np.cumsum(self.family_sizes)
-        self.meas_draws = slice(n1, nm)
+        # draw_index[s] is Pauli site s's uniform, meas_draws the readouts'
+        self.family_sizes = {rate: len(f) for rate, f in family.items()}
         self.draw_index = np.empty(len(self.slots), dtype=np.intp)
-        self.draw_index[family["2q"] + family["1q"] + family["idle"]] = \
-            np.r_[:n1, nm:ni]
+        start = 0
+        for rate, f in family.items():
+            if rate == "p_meas":
+                self.meas_draws = slice(start, start + len(f))
+            else:
+                self.draw_index[f] = np.arange(start, start + len(f))
+            start += len(f)
 
         last_write = {c: si for si, c in enumerate(meas_clbits)}
         self.readout_flips = [1 << c if last_write[c] == si else 0
@@ -674,6 +665,16 @@ class _ShotPlan:
         self.clbits_once = len(last_write) == len(meas_clbits)
         self.rotation_flips = frozenset(rotation_flips)
         self._readings: dict[tuple, _Reading] = {}
+
+    @functools.cached_property
+    def ideal(self) -> "_Outcomes":
+        """The ideal table: _bit_distribution of the plan's own gates."""
+        return _bit_distribution(self)
+
+    def rates(self, noise: NoiseModel) -> np.ndarray:
+        """The event probability of each of a shot's uniforms."""
+        eff, sizes = noise.effective(), self.family_sizes
+        return np.repeat([getattr(eff, r) for r in sizes], [*sizes.values()])
 
     def draw(self, seed: int, shot: int, rates: np.ndarray):
         """The shot's generator and its events: (fired Pauli sites, fired
@@ -764,25 +765,25 @@ class _ShotPlan:
              cum: np.ndarray | None = None) -> int:
         """The ideal entry the shot's next uniform picks from the cumulative
         `cum` over the ideal entries, by default the ideal one."""
-        cum = self.ideal_cum if cum is None else cum
+        cum = self.ideal.cum if cum is None else cum
         return min(int(np.searchsorted(cum, rng.random())), len(cum) - 1)
 
 
 class _Reading:
     """A _ShotPlan's ideal entries read out under one (checks, decode), from
     one _Readout.decode_words pass over its word table: per entry its check
-    values (a row of `values`), whether it is accepted, and its decoded
-    logical (`logical`, None without `decode`).  From these come the frame
-    `guard` and the logical `model` (module docstring), and `record(i,
-    flips)`, the record of a shot whose bits are entry i with the clbits of
-    `flips` flipped, kept the first time a shot picks entry i unflipped."""
+    values (a row of `values`) and its decoded logical (`logical`, None
+    without `decode`).  From these come the frame `guard` and the logical
+    `model` (module docstring).  `record(i, flips)` is the record of a shot
+    whose bits are entry i with the clbits of `flips` flipped, kept the
+    first time a shot picks entry i unflipped."""
 
     def __init__(self, plan: _ShotPlan, checks: Sequence[ParityCheck],
                  decode: Mapping[int, frozenset[int]] | None):
         self.plan, self.decode = plan, decode
         self.readout = _Readout(checks, decode, plan.num_clbits)
-        self.values, self.accepted, self.logical = \
-            self.readout.decode_words(plan.words)
+        self.values, _, self.logical = \
+            self.readout.decode_words(plan.ideal.words)
         self.records: dict[int, ShotRecord] = {}
         # per check, (clbit mask, the flip parity under which the check
         # keeps its expected value) when a shot's checks are a function of
@@ -804,19 +805,13 @@ class _Reading:
         return _LogicalModel.build(self.plan, self.decode, self.logical)
 
     def record(self, i: int, flips: int) -> ShotRecord:
-        if flips:
-            word = self.plan.ideal_words[i] ^ flips
-            return ShotRecord(_bit_tuple(word, self.plan.num_clbits),
-                              *self.readout.decode_word(word))
-        rec = self.records.get(i)
+        rec = None if flips else self.records.get(i)
         if rec is None:
-            accepted = bool(self.accepted[i])
-            logical = None
-            if accepted and self.logical is not None:
-                logical = int(self.logical[i])
-            rec = self.records[i] = ShotRecord(
-                _bit_tuple(self.plan.ideal_words[i], self.plan.num_clbits),
-                tuple(self.values[i].tolist()), accepted, logical)
+            word = self.plan.ideal.ints[i] ^ flips
+            rec = ShotRecord(_bit_tuple(word, self.plan.num_clbits),
+                             *self.readout.decode_word(word))
+            if not flips:
+                self.records[i] = rec
         return rec
 
 
@@ -858,7 +853,7 @@ class _LogicalModel:
         distribution is the ideal marginal to MODEL_TOL with every logical
         value present."""
         k = len(decode)
-        if not plan.resets_fixed or \
+        if not plan.ideal.resets_fixed or \
                 sorted(decode) != list(range(1, k + 1)) or \
                 k + 2 > plan.num_qubits:
             return None
@@ -874,13 +869,13 @@ class _LogicalModel:
             else:
                 return None
         xs = logical.astype(np.intp)
-        marginal = np.bincount(xs, weights=plan.ideal_probs, minlength=1 << k)
+        marginal = np.bincount(xs, weights=plan.ideal.probs, minlength=1 << k)
         if not marginal.all():
             return None
         model = _LogicalModel(k, ops)
         if np.max(np.abs(model.probs - marginal)) > MODEL_TOL:
             return None
-        model.ideal, model.xs, model.marginal = plan.ideal_probs, xs, marginal
+        model.ideal, model.xs, model.marginal = plan.ideal.probs, xs, marginal
         return model
 
     @staticmethod
@@ -933,11 +928,9 @@ def _shot_plan(circuit: PhysicalCircuit) -> _ShotPlan:
 
 
 def _check_shots(shots: int, seed: int) -> None:
-    if shots < 0:
-        raise ValueError(f"shots must be nonnegative, got {shots}")
-    if type(seed) is bool or not isinstance(seed, (int, np.integer)) or \
-            seed < 0:
-        raise ValueError(f"seed must be an int >= 0, got {seed!r}")
+    for name, v in (("shots", shots), ("seed", seed)):
+        if type(v) is bool or not isinstance(v, (int, np.integer)) or v < 0:
+            raise ValueError(f"{name} must be an int >= 0, got {v!r}")
 
 
 def sample_shots(circuit: PhysicalCircuit, noise: NoiseModel, shots: int,
@@ -960,16 +953,14 @@ def sample_shots(circuit: PhysicalCircuit, noise: NoiseModel, shots: int,
     whose frame flips rotations picks from the ideal distribution
     reweighted by the logical model (module docstring), which runs a
     k-qubit logical state; a rejected one simulates only the check
-    parities of its bits.  The guard, the model and the records of ideal
-    entries come from the plan's reading of (checks, decode), which
-    decodes the ideal table once per pair.  Every other shot runs its whole
-    trajectory from |0...0>, its generator drawn afresh: every event shot
-    when the guard fails, and an accepted one whose frame flips rotations
-    when there is no `decode` or no model.  Every verdict is that of its
-    trajectory, and so is every record the frame does not decide; the bits
-    of an accepted shot the frame decides are an exact draw from their
-    distribution, not its trajectory's.  The circuit's _ShotPlan is cached
-    by its content; the circuit is validated on every call all the same.
+    parities of its bits.  Every other shot runs its whole trajectory from
+    |0...0>, its generator drawn afresh: every event shot when the guard
+    fails, and an accepted one whose frame flips rotations when there is
+    no `decode` or no model.  Every verdict is that of its trajectory, and
+    so is every record the frame does not decide; the bits of an accepted
+    shot the frame decides are an exact draw from their distribution, not
+    its trajectory's.  The circuit's _ShotPlan is cached by its content;
+    the circuit is validated on every call all the same.
 
     `inject` lists deterministic Pauli errors applied after given gate
     indices in every shot (used for fault cross-checks); an index in the
@@ -981,10 +972,7 @@ def sample_shots(circuit: PhysicalCircuit, noise: NoiseModel, shots: int,
     plan = _shot_plan(circuit)
     reading = plan.reading(checks, decode)
     readout, guard = reading.readout, reading.guard
-    eff = noise.effective()
-    # the event probability of each of a shot's uniforms
-    rates = np.repeat((eff.p2, eff.p1, eff.p_meas, eff.p_idle),
-                      plan.family_sizes)
+    rates = plan.rates(noise)
     if guard is not None:
         inject_frame = plan.inject_frame(inject_map)
 
@@ -1069,15 +1057,27 @@ class _Outcomes:
     first: np.ndarray
     resets_fixed: bool
 
+    @functools.cached_property
     def words(self) -> np.ndarray:
         """The entries as a word table (_limbs): bit c is clbit c."""
         return _limbs(self.bits[:, ::-1])
 
+    @functools.cached_property
+    def ints(self) -> list[int]:
+        """Each entry's word as an int."""
+        return _ints(self.words)
 
-def _bit_distribution(circuit: PhysicalCircuit,
+    @functools.cached_property
+    def cum(self) -> np.ndarray:
+        """The cumulative probabilities."""
+        return np.cumsum(self.probs)
+
+
+def _bit_distribution(circuit: "PhysicalCircuit | _ShotPlan",
                       inject: Sequence[tuple[int, PauliString]] = ()
                       ) -> _Outcomes:
-    """exact_bit_distribution's entries as arrays."""
+    """exact_bit_distribution's entries as arrays, of a circuit or of the
+    gates a _ShotPlan holds."""
     gates = circuit.gates
     resets_fixed = True
     inject_map = _inject_map(gates, inject)
@@ -1175,7 +1175,7 @@ def exact_logical_distribution(circuit: PhysicalCircuit,
     lists them, and the logicals come in the order they first appear."""
     readout = _Readout(checks, decode, circuit.num_clbits)
     out = _bit_distribution(circuit, inject)
-    _, accepted, logical = readout.decode_words(out.words())
+    _, accepted, logical = readout.decode_words(out.words)
     kept = out.first[accepted[out.first]]
     probs = out.probs[kept]
     acc = float(np.cumsum(probs)[-1]) if len(kept) else 0.0

@@ -845,7 +845,7 @@ class TestBitIdentity:
         enc = compile_mode(g, ramp_params(3), "resynth+z2", 2, 100)
         args = (enc.circuit, NoiseModel(scale=4.0), 300, 11)
         kw = dict(checks=enc.checks, decode=enc.decode)
-        _shot_plan(enc.circuit)
+        _shot_plan(enc.circuit).ideal
         built = _count_states(monkeypatch)
         recs = sample_shots(*args, **kw)
         assert enc.circuit.num_qubits not in built
@@ -884,7 +884,14 @@ class TestBitIdentity:
             sample_shots(enc.circuit, NoiseModel(), -1, 0)
         with pytest.raises(ValueError, match="shots"):
             sample_logical_shots(lc, NoiseModel(), -1, 0)
+        for shots in (True, False, 2.5, "3", None):
+            with pytest.raises(ValueError, match="shots"):
+                sample_shots(enc.circuit, NoiseModel(), shots, 0)
+            with pytest.raises(ValueError, match="shots"):
+                sample_logical_shots(lc, NoiseModel(), shots, 0)
         assert sample_shots(enc.circuit, NoiseModel(), 0, 0) == []
+        assert sample_shots(enc.circuit, NoiseModel(), np.int64(2), 0) == \
+            sample_shots(enc.circuit, NoiseModel(), 2, 0)
         for seed in (-1, 1.5, "0", None, True):
             for shots in (0, 3):
                 with pytest.raises(ValueError, match="seed"):
@@ -919,30 +926,52 @@ class _PauliRecorder:
 
 @pytest.mark.parametrize("mode", ["resynth+z2", "baseline"])
 def test_plan_responses_follow_the_pauli_code_order(mode):
-    # the plan's response for code c at a gate's site is the frame of the
-    # Pauli _apply_random_pauli applies on drawing c: the one order the
-    # simulator and the fault layer share
+    # the plan's response for code c at a site is the frame of the Pauli
+    # _apply_random_pauli applies on drawing c: the one order the simulator
+    # and the fault layer share.  A gate's site sits right after the gate;
+    # an idle site on q after layer l right after q's last gate before l,
+    # or at the circuit start (-1) when q has none
     g = generate_instance(GraphKind.REGULAR_3, 6, seed=0)
     circ = compile_mode(g, ramp_params(1), mode, 1, 100).circuit
     plan = _shot_plan(circ)
     sweep = _Sweep(circ)
-    sites = 0
-    for ops, _, _ in plan.layers:
+
+    def check(rs, start, qubits):
+        assert len(rs) == 4 ** len(qubits) - 1
+        for code in range(1, len(rs) + 1):
+            rec = _PauliRecorder(code)
+            _apply_random_pauli(rec, qubits, rec)
+            term, flips, rots = propagate_pauli(
+                circ, start, PauliString.from_ops(rec.ops))
+            assert rs[code - 1] == (
+                term.xmask | term.zmask << sweep.n
+                | _mask(flips) << sweep.cl | _mask(rots) << sweep.rot)
+
+    sites = idle_sites = 0
+    last = [-1] * circ.num_qubits     # per qubit, its last gate so far
+    sched = layered_schedule(circ).layers
+    assert len(plan.layers) == len(sched)
+    for layer, (ops, idle, base) in zip(sched, plan.layers):
+        assert [gi for gi, _, _ in ops] == layer
+        touched = {q for gi in layer for q in circ.gates[gi].qubits}
+        if any(circ.gates[gi].is_two_qubit for gi in layer):
+            assert idle == [q for q in range(circ.num_qubits)
+                            if q not in touched]
+        else:
+            assert idle == []
         for gi, gate, si in ops:
+            for q in gate.qubits:
+                last[q] = gi
             if gate.kind in (GateKind.MEASURE_Z, GateKind.MEASURE_X,
                              GateKind.RESET):
                 continue
-            rs = plan.responses[si]
-            assert len(rs) == 4 ** len(gate.qubits) - 1
-            for code in range(1, len(rs) + 1):
-                rec = _PauliRecorder(code)
-                _apply_random_pauli(rec, gate.qubits, rec)
-                term, flips, rots = propagate_pauli(
-                    circ, gi, PauliString.from_ops(rec.ops))
-                assert rs[code - 1] == (
-                    term.xmask | term.zmask << sweep.n
-                    | _mask(flips) << sweep.cl | _mask(rots) << sweep.rot)
+            check(plan.responses[si], gi, gate.qubits)
             sites += 1
+        for off, q in enumerate(idle):
+            check(plan.responses[base + off], last[q], (q,))
+            idle_sites += 1
+    assert idle_sites > 0
+    assert len(plan.slots) == sites + idle_sites
     assert sites == sum(1 for gate in circ.gates if gate.kind in (
         GateKind.H, GateKind.X, GateKind.Z, GateKind.CNOT, GateKind.RZZ,
         GateKind.RXX))
@@ -1011,7 +1040,7 @@ class TestLogicalModel:
                 for gi, g in enumerate(circ.gates)])
             dense = {_word(b): p for b, p in
                      exact_bit_distribution(negated).items()}
-            reweighted = dict(zip(plan.ideal_words,
+            reweighted = dict(zip(plan.ideal.ints,
                                   model.reweight(_mask(flipped))))
             assert max(abs(dense.get(b, 0.0) - reweighted.get(b, 0.0))
                        for b in dense.keys() | reweighted.keys()) <= 1e-15
@@ -1073,6 +1102,32 @@ def test_table_decoded_once_per_checks_and_decode(monkeypatch):
     assert list(reordered) != list(enc.decode)
     assert sample_shots(*args, checks=enc.checks, decode=reordered) == recs
     assert calls[0] == 1
+
+
+@pytest.mark.parametrize("mode", ["baseline", "resynth", "resynth+z2"])
+@pytest.mark.parametrize("k", [22, 34])
+def test_site_table_at_paper_scale(k, mode, monkeypatch):
+    # the abstract's circuits: a plan's sites come from the circuit alone,
+    # with no state built, while its ideal table is a dense pass above the
+    # cap
+    g = generate_instance(GraphKind.REGULAR_3, k, seed=0)
+    enc = compile_mode(g, ramp_params(10), mode, 3, 200)
+    circ = enc.circuit
+    built = _count_states(monkeypatch)
+    plan = _ShotPlan(circ)
+    assert built == []
+    idle = 0
+    for layer in layered_schedule(circ).layers:
+        if any(circ.gates[gi].is_two_qubit for gi in layer):
+            idle += circ.num_qubits - len(
+                {q for gi in layer for q in circ.gates[gi].qubits})
+    assert plan.family_sizes["p2"] == circ.two_qubit_gate_count()
+    assert plan.family_sizes["p_meas"] == sum(
+        1 for gate in circ.gates if gate.kind.measurement)
+    assert plan.family_sizes["p_idle"] == idle
+    with pytest.raises(SimulatorError, match="dense-simulation cap"):
+        sample_shots(circ, NoiseModel(), 1, 0, checks=enc.checks,
+                     decode=enc.decode)
 
 
 # ---------------------------------------------------------------------------
@@ -1232,10 +1287,10 @@ class TestIdealTableOracle:
         _PLANS.clear()
         plan = _shot_plan(circuit)
         assert list(exact_bit_distribution(circuit).items()) == ref["dist"]
-        assert plan.resets_fixed == ref["resets_fixed"]
-        assert plan.ideal_words == ref["words"]
-        assert plan.ideal_probs.tolist() == ref["probs"]
-        assert plan.ideal_cum.tolist() == ref["cum"]
+        assert plan.ideal.resets_fixed == ref["resets_fixed"]
+        assert plan.ideal.ints == ref["words"]
+        assert plan.ideal.probs.tolist() == ref["probs"]
+        assert plan.ideal.cum.tolist() == ref["cum"]
         reading = plan.reading(checks, decode)
         assert reading.guard == ref["guard"]
         model = reading.model
@@ -1247,7 +1302,7 @@ class TestIdealTableOracle:
             assert model.marginal.tolist() == marginal.tolist()
         else:
             assert reading.logical.tolist() == ref["xs"]
-        assert [reading.record(i, 0) for i in range(len(plan.ideal_words))] \
+        assert [reading.record(i, 0) for i in range(len(plan.ideal.ints))] \
             == ref["records"]
         acc, logical = exact_logical_distribution(circuit, checks, decode)
         assert (acc, list(logical.items())) == ref["logical"]

@@ -37,7 +37,7 @@ from pathlib import Path
 
 
 def _run(root: Path, workload: str, seed: int, seconds: float,
-         out: Path) -> tuple[str, dict]:
+         out: Path) -> tuple[str, dict, dict]:
     args = ["perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0", "--out"]
     proc = subprocess.run([sys.executable, *args, str(out.resolve())],
