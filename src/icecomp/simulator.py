@@ -10,8 +10,12 @@ gate, single-qubit depolarizing with probability p_idle on every idle qubit
 after each two-qubit layer (this is what makes depth costly), and readout
 flips with probability p_meas.  All rates scale with a global multiplier.
 
-Sampling.  Shot i draws everything from its own generator, seeded by
-(seed, i).  An encoded shot first draws whether each noise site fires.  A
+Sampling.  Shot i draws everything from its own stream, that of
+np.random.default_rng(SeedSequence((seed, i))), so its record does not
+depend on the other shots.  A call builds those streams once (_Streams):
+one vectorized pass of SeedSequence's hash gives a block of shots their
+PCG64 states, and one generator is pointed at each shot in turn by setting
+its state.  An encoded shot first draws whether each noise site fires.  A
 shot on which no Pauli fires picks its bits from the exact noiseless
 distribution (exact_bit_distribution) with one uniform and applies its
 readout flips; a clbit measured twice keeps its last write, and that
@@ -19,7 +23,7 @@ measurement's flip.  Any other shot stands for its trajectory, which then
 draws, in traversal order, one uniform per measurement and reset
 (StateVector.measure/reset) and one Pauli code per fired site.  The Pauli
 frame decides most of those shots (below); a shot it cannot decide runs
-its whole trajectory from |0...0>, its generator drawn afresh
+its whole trajectory from |0...0>, its stream started again
 (_ShotPlan.trajectory).
 
 Unencoded shots.  After its Hadamard layer every gate of the unencoded
@@ -27,10 +31,15 @@ circuit is a Pauli rotation, so a Pauli fired after a step reaches the end
 as it is, negating each later rotation whose generator it anticommutes
 with (X or Y on q an RZZ on q, Z or Y on q an RX on q), and its X part
 flips q's readout.  A shot's final state is thus the noiseless one with its
-frame's rotations negated (_LogicalModel.state) and its X flips applied.
-Paulis only move amplitudes and flip signs, which the kernels carry through
-exactly, and the model runs the trajectory's kernels in its order
-(_logical_steps), so that state's probabilities are the trajectory's.
+frame's rotations negated and its X flips applied.  Paulis only move
+amplitudes and flip signs, which the kernels carry through exactly, and the
+model runs the trajectory's kernels in its order (_logical_steps), so that
+state's probabilities are the trajectory's.  A shot whose frame negates
+rotations draws its readout uniforms where its trajectory does and holds
+them; when the call's loop ends, one stacked pass of the logical model
+(_LogicalModel.states) gives the states of all such shots, one row each.
+The circuit's steps and model are built once per content and cached with
+the plans (_logical_plan).
 
 The ideal table.  A circuit's noiseless outcomes come from the sampler's
 one dense pass (capped at DEFAULT_QUBIT_CAP qubits), run once, on first
@@ -89,7 +98,10 @@ noiseless sample XOR its frame's flips):
     model (_LogicalModel) gives P'_L from a StateVector(k) from |+>^k on
     which RZZ(u+1, v+1) acts as Z_uZ_v and RXX(t or b, q), t = 0 and b =
     k+1 the top and bottom qubits, as X_{q-1}; P_L is the ideal
-    distribution's decoded marginal.  The model is built on first use from
+    distribution's decoded marginal.  Such a shot draws its pick uniform
+    where it stands and holds it; when the call's loop ends, one stacked
+    pass of the model gives P'_L of every such shot, one row each, and the
+    held uniforms pick.  The model is built on first use from
     the logicals of the reading that holds the guard, and kept only if
     every reset is deterministic (a random reset leaves a mixture no one
     logical state stands for), every rotation has one of those forms and
@@ -113,6 +125,14 @@ the trajectory's unless a uniform falls between them.
 The gate kernels work on the whole array at once, but each amplitude gets
 the same IEEE operations in the same order as in a per-block update (see
 StateVector), so the records do not depend on how a kernel walks the array.
+The same holds for a stack of states, one per row, which the logical
+model's pass runs through the RZZ and RX kernels at once: each row gets the
+operations it gets alone, so a state does not depend on the rows stacked
+with it.  A row that negates a rotation gets the phases of the negated angle
+(RZZ), or the partner term negated (RX: cos is even and sin odd to the bit,
+and x*(-s) is -(x*s)).  The pass runs in blocks of at most _PASS_AMPS
+amplitudes, so its memory does not grow with the shots, and a row joins its
+block's stack at its own checkpoint.
 prob_one keeps its per-half np.sum: np.sum adds pairwise in an order set
 by the shape of the array it is given, so summing any other array would
 move p1 in its last bits, and with it a measurement draw.
@@ -126,7 +146,7 @@ import bisect
 import functools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -151,6 +171,14 @@ class SimulatorError(RuntimeError):
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
+def _check_width(num_qubits: int) -> None:
+    if num_qubits > DEFAULT_QUBIT_CAP:
+        raise SimulatorError(
+            f"{num_qubits} qubits exceeds the dense-simulation cap "
+            f"{DEFAULT_QUBIT_CAP}"
+        )
+
+
 @functools.lru_cache(maxsize=None)
 def _parity_mask(n: int, a: int, b: int) -> np.ndarray:
     """Boolean array over the 2^n indices: bit a differs from bit b.  At
@@ -173,11 +201,7 @@ class StateVector:
     prob_one is left as it was; see the module docstring."""
 
     def __init__(self, num_qubits: int):
-        if num_qubits > DEFAULT_QUBIT_CAP:
-            raise SimulatorError(
-                f"{num_qubits} qubits exceeds the dense-simulation cap "
-                f"{DEFAULT_QUBIT_CAP}"
-            )
+        _check_width(num_qubits)
         self.n = num_qubits
         self.amp = np.zeros(1 << num_qubits, dtype=np.complex128)
         self.amp[0] = 1.0
@@ -189,7 +213,8 @@ class StateVector:
         return out
 
     def _axis1(self, q: int) -> np.ndarray:
-        return self.amp.reshape(1 << (self.n - 1 - q), 2, 1 << q)
+        # amp may hold a stack of states, one per row (_LogicalModel.states)
+        return self.amp.reshape(-1, 2, 1 << q)
 
     def _axis2(self, qa: int, qb: int) -> np.ndarray:
         # axes: (high, bit_hi, mid, bit_lo, low)
@@ -232,12 +257,24 @@ class StateVector:
             w = v[:, :, :, 1]
             w[...] = w[:, ::-1, :, :]
 
-    def apply_rzz(self, a: int, b: int, theta: float) -> None:
-        even = complex(math.cos(theta), -math.sin(theta))
+    # RZZ and RX take `negated`, a bool per row, when amp holds a stack of
+    # states, one per row: the rows it sets get the gate of angle -theta
+
+    def apply_rzz(self, a: int, b: int, theta: float,
+                  negated: np.ndarray | None = None) -> None:
         odd = _parity_mask(self.n, min(a, b), max(a, b))
+
+        def phase(theta):
+            even = complex(math.cos(theta), -math.sin(theta))
+            return np.where(odd, even.conjugate(), even)
+
         # amplitude times phase, in this order: numpy's vector complex
         # multiply can round x*y and y*x differently in the last bit
-        self.amp *= np.where(odd, even.conjugate(), even)
+        if negated is None:
+            self.amp *= phase(theta)
+        else:
+            self.amp *= np.where(negated[:, None], phase(-theta),
+                                 phase(theta))
 
     def apply_rxx(self, a: int, b: int, theta: float) -> None:
         v = self._axis2(a, b)
@@ -245,9 +282,14 @@ class StateVector:
         v *= math.cos(theta)
         v += tmp
 
-    def apply_rx(self, q: int, theta: float) -> None:
+    def apply_rx(self, q: int, theta: float,
+                 negated: np.ndarray | None = None) -> None:
         v = self._axis1(q)
         tmp = v[:, ::-1, :] * (-1j * math.sin(theta))
+        if negated is not None:
+            # cos is even and sin odd, to the bit, and x*(-s) is -(x*s)
+            rows = tmp.reshape(len(negated), -1)
+            rows[negated] = -rows[negated]
         v *= math.cos(theta)
         v += tmp
 
@@ -523,11 +565,107 @@ def make_record(bits: Sequence[int], checks: Sequence[ParityCheck],
     return _Readout(checks, decode, len(bits)).record(bits)
 
 
+# SeedSequence's hash (numpy.random.bit_generator) and PCG64's seeding
+_HASH_A, _MULT_A = 0x43B0D7E5, 0x931E8875       # pool mixing
+_HASH_B, _MULT_B = 0x8B51F9DD, 0x58F38DED       # generate_state
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M32, _M128 = (1 << 32) - 1, (1 << 128) - 1
+_SEED_BLOCK = 256       # _Streams: shots seeded per vectorized pass
+
+
+@functools.lru_cache(maxsize=None)
+def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
+    """The first `count` values of SeedSequence's hash constant, from
+    `init`, each the last times `mult`: a column of uint32."""
+    out = [init]
+    while len(out) < count:
+        out.append(out[-1] * mult & _M32)
+    out = np.array(out, dtype=np.uint32)[:, None]
+    out.flags.writeable = False     # shared by every caller
+    return out
+
+
+def _pcg64_states(seed: int, shots: range) -> list[tuple[int, int]]:
+    """Per shot in `shots`, the (state, inc) of
+    PCG64(SeedSequence((seed, shot))): one pass of SeedSequence's uint32
+    hash over all of them, each shot a column and each pool word a row.  A
+    shot is one entropy word, so `shots` must lie below 2^32."""
+    if shots and shots[-1] >> 32:
+        raise ValueError("shot numbers must be below 2^32")
+    words, seed = [], int(seed)
+    while True:                         # SeedSequence's words of seed
+        words.append(seed & _M32)
+        seed >>= 32
+        if not seed:
+            break
+    entropy = np.zeros((max(4, len(words) + 1), len(shots)), dtype=np.uint32)
+    entropy[:len(words)] = np.array(words, dtype=np.uint32)[:, None]
+    entropy[len(words)] = np.arange(shots.start, shots.stop, dtype=np.uint32)
+    # hashmix call j xors constant j and multiplies by constant j+1
+    consts = _hash_consts(_HASH_A, _MULT_A, 4 * len(entropy) + 1)
+
+    def hashmix(v, j, m):       # calls j..j+m-1, on the rows of v
+        v = (v ^ consts[j:j + m]) * consts[j + 1:j + m + 1]
+        return v ^ v >> 16
+
+    def mix(x, y):
+        v = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+        return v ^ v >> 16
+
+    pool, j = hashmix(entropy[:4], 0, 4), 4
+    for src in range(4):    # into the other words in order, with calls j..
+        others = [dst for dst in range(4) if dst != src]
+        pool[others] = mix(pool[others], hashmix(pool[src], j, 3))
+        j += 3
+    for word in entropy[4:]:
+        pool = mix(pool, hashmix(word, j, 4))
+        j += 4
+    # generate_state(4, uint64): eight uint32 words cycling through the
+    # pool, paired little-endian
+    consts = _hash_consts(_HASH_B, _MULT_B, 9)
+    v = (pool[[0, 1, 2, 3, 0, 1, 2, 3]] ^ consts[:8]) * consts[1:]
+    v = (v ^ v >> 16).astype(np.uint64)
+    seeds = (v[0::2] | v[1::2] << np.uint64(32)).tolist()
+    states = []
+    for s0, s1, i0, i1 in zip(*seeds):
+        # pcg64_set_seed: inc = 2*initseq + 1, then two steps around the
+        # addition of initstate
+        inc = ((i0 << 64 | i1) << 1 | 1) & _M128
+        states.append((((s0 << 64 | s1) + inc) * _PCG_MULT + inc & _M128,
+                       inc))
+    return states
+
+
+class _Streams:
+    """The streams of a call's shots 0..shots-1: shot i's is that of
+    np.random.default_rng(SeedSequence((seed, i))).  `at(shot)` points the
+    call's one Generator at the start of a shot's stream by setting its
+    bit generator's state, from _pcg64_states of a block of up to
+    _SEED_BLOCK shots from there on."""
+
+    def __init__(self, seed: int, shots: int):
+        self.seed, self.shots = seed, shots
+        self.rng = np.random.Generator(np.random.PCG64(0))
+        self.inner = {"state": 0, "inc": 0}
+        self.state = {"bit_generator": "PCG64", "state": self.inner,
+                      "has_uint32": 0, "uinteger": 0}
+        self.block, self.states = range(0), []
+
+    def at(self, shot: int) -> np.random.Generator:
+        if shot not in self.block:
+            self.block = range(shot, min(shot + _SEED_BLOCK, self.shots))
+            self.states = _pcg64_states(self.seed, self.block)
+        self.inner["state"], self.inner["inc"] = \
+            self.states[shot - self.block.start]
+        self.rng.bit_generator.state = self.state
+        return self.rng
+
+
 def _per_shot_rng(seed: int, shot: int) -> np.random.Generator:
-    """The stream of np.random.default_rng(SeedSequence((seed, shot))),
-    built without default_rng's argument dispatch."""
-    return np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence((seed, shot))))
+    """The stream of np.random.default_rng(SeedSequence((seed, shot))):
+    the one-shot case of _Streams."""
+    return _Streams(seed, shot + 1).at(shot)
 
 
 def _trailing_start(gates: Sequence[Gate]) -> int:
@@ -648,16 +786,16 @@ class _ShotPlan:
             for q in idle:
                 site("p_idle", [last[q]])
 
-        # draw_index[s] is Pauli site s's uniform, meas_draws the readouts'
+        # per uniform of a shot, in family order, the Pauli site whose event
+        # it draws, or None for a readout's; the readouts' start at
+        # first_readout
         self.family_sizes = {rate: len(f) for rate, f in family.items()}
-        self.draw_index = np.empty(len(self.slots), dtype=np.intp)
-        start = 0
+        self.draw_site: list[int | None] = []
         for rate, f in family.items():
             if rate == "p_meas":
-                self.meas_draws = slice(start, start + len(f))
-            else:
-                self.draw_index[f] = np.arange(start, start + len(f))
-            start += len(f)
+                self.first_readout = len(self.draw_site)
+                f = [None] * len(f)
+            self.draw_site += f
 
         last_write = {c: si for si, c in enumerate(meas_clbits)}
         self.readout_flips = [1 << c if last_write[c] == si else 0
@@ -676,18 +814,26 @@ class _ShotPlan:
         eff, sizes = noise.effective(), self.family_sizes
         return np.repeat([getattr(eff, r) for r in sizes], [*sizes.values()])
 
-    def draw(self, seed: int, shot: int, rates: np.ndarray):
-        """The shot's generator and its events: (fired Pauli sites, fired
-        readouts), each in its own numbering."""
-        rng = _per_shot_rng(seed, shot)
+    def events(self, rng: np.random.Generator, rates: np.ndarray
+               ) -> tuple[list[int], list[int]]:
+        """A shot's events, its first draws: its fired Pauli sites in
+        traversal order, and its fired readouts by measurement number."""
+        sites, readouts = [], []
         hit = rng.random(len(rates)) < rates
-        return rng, (hit[self.draw_index], hit[self.meas_draws])
+        for d in hit.nonzero()[0].tolist():
+            site = self.draw_site[d]
+            if site is None:
+                readouts.append(d - self.first_readout)
+            else:
+                sites.append(site)
+        sites.sort()
+        return sites, readouts
 
-    def trajectory(self, seed: int, shot: int, rates: np.ndarray,
+    def trajectory(self, rng: np.random.Generator, rates: np.ndarray,
                    inject: Mapping[int, list[PauliString]]) -> list[int]:
-        """The shot's bits from its whole trajectory, run from |0...0> with
-        a freshly drawn generator."""
-        rng, (fired, em) = self.draw(seed, shot, rates)
+        """The shot's bits from its whole trajectory, run from |0...0>, `rng`
+        at the start of the shot's stream."""
+        fired, em = map(set, self.events(rng, rates))
         state = StateVector(self.num_qubits)
         bits = [0] * self.num_clbits
         mz, mx, reset = GateKind.MEASURE_Z, GateKind.MEASURE_X, GateKind.RESET
@@ -698,19 +844,19 @@ class _ShotPlan:
                     if kind is mx:
                         state.apply_h(g.qubits[0])
                     v = state.measure(g.qubits[0], rng)
-                    if em[si]:
+                    if si in em:
                         v ^= 1
                     bits[g.clbit] = v
                 elif kind is reset:
                     state.reset(g.qubits[0], rng)
                 else:
                     _apply_gate(state, g)
-                    if fired[si]:
+                    if si in fired:
                         _apply_random_pauli(state, g.qubits, rng)
                 for pauli in inject.get(gi, ()):
                     state.apply_pauli(pauli)
             for off, q in enumerate(idle):
-                if fired[base + off]:
+                if base + off in fired:
                     _apply_random_pauli(state, (q,), rng)
         return bits
 
@@ -737,14 +883,14 @@ class _ShotPlan:
                     frame ^= entries[q][1]
         return frame
 
-    def flips(self, rng: np.random.Generator, fired: np.ndarray, frame: int
+    def flips(self, rng: np.random.Generator, fired: list[int], frame: int
               ) -> tuple[int, int]:
         """A shot's Pauli frame from `frame` on, each fired site's Pauli
         drawn as its trajectory draws it, after the uniforms of the
         measurements and resets before that site, which are drawn and
         dropped.  Returns the frame's clbit flips and its rotation mask."""
         drawn = 0
-        for s in np.flatnonzero(fired).tolist():
+        for s in fired:
             if self.slots[s] > drawn:
                 rng.random(self.slots[s] - drawn)
                 drawn = self.slots[s]
@@ -753,20 +899,19 @@ class _ShotPlan:
         _, _, cl, rot = self.sweep.unpack(frame)
         return cl, rot
 
-    def readout(self, em) -> int:
-        """The clbit flips of a shot's readout events `em`, one per
-        measurement; the flip of an overwritten measurement is lost."""
+    def readout(self, em: list[int]) -> int:
+        """The clbit flips of a shot's fired readouts `em`; the flip of an
+        overwritten measurement is lost."""
         out = 0
-        for si in np.flatnonzero(em):
+        for si in em:
             out ^= self.readout_flips[si]
         return out
 
-    def pick(self, rng: np.random.Generator,
-             cum: np.ndarray | None = None) -> int:
-        """The ideal entry the shot's next uniform picks from the cumulative
-        `cum` over the ideal entries, by default the ideal one."""
+    def pick(self, u: float, cum: np.ndarray | None = None) -> int:
+        """The ideal entry the uniform `u` picks from the cumulative `cum`
+        over the ideal entries, by default the ideal one."""
         cum = self.ideal.cum if cum is None else cum
-        return min(int(np.searchsorted(cum, rng.random())), len(cum) - 1)
+        return min(int(cum.searchsorted(u)), len(cum) - 1)
 
 
 class _Reading:
@@ -818,6 +963,9 @@ class _Reading:
 MODEL_TOL = 1e-12   # _LogicalModel: its largest miss of the ideal marginal
 
 
+_PASS_AMPS = 1 << 16    # _LogicalModel.states: amplitudes per block
+
+
 class _LogicalModel:
     """k logical qubits as a StateVector(k) from |+>^k, run through `ops`:
     (key, qubits, angle) per rotation in order, an RZZ on two qubits and an
@@ -826,19 +974,20 @@ class _LogicalModel:
     an Iceberg circuit's by gate index (module docstring) and sets `ideal`,
     the ideal entries' probabilities, `xs`, each entry's decoded logical,
     and `marginal`, their ideal distribution.  The noiseless state is kept
-    before every `stride`-th op, about sqrt(ops) states, and a shot's
-    state resumes from the last one before its first negated rotation."""
+    before every `stride`-th op, about sqrt(ops) states.  `states` runs the
+    masks of a whole sampling call at once, one row each, from those
+    checkpoints; `state` and `reweight` are its one-row case."""
 
     def __init__(self, k: int, ops: list[tuple[int, tuple[int, ...], float]]):
         self.k, self.ops = k, ops
-        self.op_gates = [gi for gi, _, _ in ops]
+        self.keys = [key for key, _, _ in ops]
         self.stride = max(1, math.isqrt(len(ops)))
         state = StateVector(k)
         for q in range(k):
             state.apply_h(q)
         self.checkpoints = [state.copy()]   # before ops[i * stride]
         for i in range(len(ops)):
-            self._apply(state, ops[i], 0)
+            self._apply(state, ops[i])
             if (i + 1) % self.stride == 0:
                 self.checkpoints.append(state.copy())
         self.probs = state.probabilities()
@@ -880,31 +1029,76 @@ class _LogicalModel:
 
     @staticmethod
     def _apply(state: StateVector, op: tuple[int, tuple[int, ...], float],
-               rot: int) -> None:
-        gi, qubits, angle = op
-        if rot >> gi & 1:
-            angle = -angle
+               negated: np.ndarray | None = None) -> None:
+        """`op` on the state or stack of states `state` holds, its angle
+        negated in the rows of a stack that `negated` sets."""
+        _, qubits, angle = op
         if len(qubits) == 2:
-            state.apply_rzz(qubits[0], qubits[1], angle)
+            state.apply_rzz(qubits[0], qubits[1], angle, negated)
         else:
-            state.apply_rx(qubits[0], angle)
+            state.apply_rx(qubits[0], angle, negated)
+
+    def states(self, rots: Sequence[int]
+               ) -> Iterator[tuple[list[int], StateVector]]:
+        """The logical states at the circuit end, the rotations of mask
+        rots[r] negated in row r, a block at a time: (its rows, a
+        StateVector whose amp holds one state per row).  A row resumes
+        from the last checkpoint before its first negated rotation.  The
+        rows are taken in that checkpoint's order, at most _PASS_AMPS
+        amplitudes a block, and each joins its block's stack when the pass
+        reaches its checkpoint, so every row runs the ops a one-row pass
+        runs."""
+        starts = [len(self.ops) // self.stride if not rot else
+                  bisect.bisect_left(self.keys, (rot & -rot).bit_length() - 1)
+                  // self.stride for rot in rots]
+        width = max([rot.bit_length() for rot in rots] +
+                    [self.keys[-1] + 1 if self.keys else 0]) + 7 >> 3
+        masks = np.frombuffer(b"".join(rot.to_bytes(width, "little")
+                                       for rot in rots), dtype=np.uint8)
+        # negated[i, r]: whether row r negates ops[i], never before the
+        # row's checkpoint
+        negated = np.unpackbits(masks.reshape(len(rots), width), axis=1,
+                                bitorder="little")[:, self.keys].T
+        order = sorted(range(len(rots)), key=starts.__getitem__)
+        size = max(1, _PASS_AMPS >> self.k)
+        for lo in range(0, len(rots), size):
+            rows = order[lo:lo + size]
+            first = [starts[r] for r in rows]      # ascending
+            mine = negated[:, rows].astype(bool)
+            hit = mine.any(axis=1).tolist()
+            # copied, not constructed: a StateVector constructed inside
+            # sample_shots stands for a trajectory (perfbench's
+            # simulator.trajectory_shots)
+            block = self.checkpoints[first[0]].copy()
+            block.amp = np.empty((0, len(block.amp)), dtype=np.complex128)
+            for c in range(first[0], len(self.checkpoints)):
+                joined = bisect.bisect_right(first, c)
+                if joined > len(block.amp):
+                    block.amp = np.concatenate([block.amp, np.tile(
+                        self.checkpoints[c].amp, (joined - len(block.amp), 1))])
+                for i in range(c * self.stride,
+                               min((c + 1) * self.stride, len(self.ops))):
+                    self._apply(block, self.ops[i],
+                                mine[i, :joined] if hit[i] else None)
+            yield rows, block
 
     def state(self, rot: int) -> StateVector:
-        """The logical state at the circuit end with the rotations of gate
-        index mask `rot` negated."""
-        first_gate = (rot & -rot).bit_length() - 1
-        c = bisect.bisect_left(self.op_gates, first_gate) // self.stride
-        state = self.checkpoints[c].copy()
-        for op in self.ops[c * self.stride:]:
-            self._apply(state, op, rot)
+        """The logical state at the circuit end with the rotations of mask
+        `rot` negated."""
+        ((_, state),) = self.states([rot])
+        state.amp = state.amp[0]
         return state
 
-    def reweight(self, rot: int) -> np.ndarray:
+    def reweighted(self, probs: np.ndarray) -> np.ndarray:
         """The ideal distribution, each entry scaled by P'_L(x)/P_L(x) for
-        its logical x: the distribution of the circuit with the rotations of
-        `rot` negated."""
-        ratio = self.state(rot).probabilities() / self.marginal
-        return self.ideal * ratio[self.xs]
+        its logical x, P'_L the logical distribution `probs` (or, per row,
+        each of a stack of them): the distribution of the circuit with the
+        rotations that gave P'_L negated."""
+        return self.ideal * (probs / self.marginal)[..., self.xs]
+
+    def reweight(self, rot: int) -> np.ndarray:
+        """reweighted of the state with the rotations of `rot` negated."""
+        return self.reweighted(self.state(rot).probabilities())
 
 
 def _keeps_checks(guard: tuple[tuple[int, int], ...], flips: int) -> bool:
@@ -912,19 +1106,27 @@ def _keeps_checks(guard: tuple[tuple[int, int], ...], flips: int) -> bool:
     return all(((flips & m).bit_count() & 1) == want for m, want in guard)
 
 
-_PLANS: dict[tuple, _ShotPlan] = {}     # least recently used first
+# the plans of sample_shots and sample_logical_shots, least recently used
+# first
+_PLANS: dict[tuple, "_ShotPlan | _LogicalPlan"] = {}
 _PLANS_MAX = 8
+
+
+def _cached(key: tuple, build):
+    """The plan _PLANS keeps under `key`, built by `build()` when it has
+    none."""
+    plan = _PLANS.pop(key, None) or build()
+    _PLANS[key] = plan
+    if len(_PLANS) > _PLANS_MAX:
+        del _PLANS[next(iter(_PLANS))]
+    return plan
 
 
 def _shot_plan(circuit: PhysicalCircuit) -> _ShotPlan:
     """The circuit's _ShotPlan, cached by content: a PhysicalCircuit is
     mutable, so its identity does not name its gates."""
-    key = (circuit.num_qubits, circuit.num_clbits, tuple(circuit.gates))
-    plan = _PLANS.pop(key, None) or _ShotPlan(circuit)
-    _PLANS[key] = plan
-    if len(_PLANS) > _PLANS_MAX:
-        del _PLANS[next(iter(_PLANS))]
-    return plan
+    return _cached((circuit.num_qubits, circuit.num_clbits,
+                    tuple(circuit.gates)), lambda: _ShotPlan(circuit))
 
 
 def _check_shots(shots: int, seed: int) -> None:
@@ -941,26 +1143,31 @@ def sample_shots(circuit: PhysicalCircuit, noise: NoiseModel, shots: int,
                  ) -> list[ShotRecord]:
     """Trajectory sampling of a physical circuit under the noise model.
 
-    Shot i draws from its own generator, seeded by (seed, i), so its record
-    does not depend on the other shots.  A shot on which no Pauli event
-    fires picks its bits from the exact noiseless distribution and applies
-    its readout flips.  When the guard holds (the checks are a function of
-    the Pauli frame alone), the frame decides most other shots without a
-    state of the circuit: it draws each fired site's Pauli code as the
-    trajectory does, so its check values and verdict are exact, and its
-    next uniform picks its bits from the ideal distribution, to which the
-    frame's clbit flips and readout flips are applied.  An accepted shot
-    whose frame flips rotations picks from the ideal distribution
-    reweighted by the logical model (module docstring), which runs a
-    k-qubit logical state; a rejected one simulates only the check
-    parities of its bits.  Every other shot runs its whole trajectory from
-    |0...0>, its generator drawn afresh: every event shot when the guard
-    fails, and an accepted one whose frame flips rotations when there is
-    no `decode` or no model.  Every verdict is that of its trajectory, and
+    Shot i draws from its own stream, that of default_rng(SeedSequence((
+    seed, i))), so its record does not depend on the other shots; the call
+    seeds its shots in blocks with one vectorized pass and points one
+    generator at each shot in turn (_Streams).  A shot on which no Pauli
+    event fires picks its bits from the exact noiseless distribution and
+    applies its readout flips.  When the guard holds (the checks are a
+    function of the Pauli frame alone), the frame decides most other shots
+    without a state of the circuit: it draws each fired site's Pauli code
+    as the trajectory does, so its check values and verdict are exact, and
+    its next uniform picks its bits from the ideal distribution, to which
+    the frame's clbit flips and readout flips are applied.  An accepted
+    shot whose frame flips rotations picks from the ideal distribution
+    reweighted by the logical model (module docstring): it draws its pick
+    uniform in its place, and after the loop one stacked pass of the model
+    gives the k-qubit logical states of all such shots, from which the
+    held uniforms pick.  A rejected shot simulates only the check parities
+    of its bits.  Every other shot runs its whole trajectory from |0...0>,
+    its stream started again: every event shot when the guard fails, and
+    an accepted one whose frame flips rotations when there is no `decode`
+    or no model.  Every verdict is that of its trajectory, and
     so is every record the frame does not decide; the bits of an accepted
     shot the frame decides are an exact draw from their distribution, not
     its trajectory's.  The circuit's _ShotPlan is cached by its content;
-    the circuit is validated on every call all the same.
+    the circuit is validated on every call all the same, and one above
+    DEFAULT_QUBIT_CAP qubits raises SimulatorError before a plan is built.
 
     `inject` lists deterministic Pauli errors applied after given gate
     indices in every shot (used for fault cross-checks); an index in the
@@ -969,6 +1176,7 @@ def sample_shots(circuit: PhysicalCircuit, noise: NoiseModel, shots: int,
     _check_shots(shots, seed)
     circuit.validate()
     inject_map = _inject_map(circuit.gates, inject)
+    _check_width(circuit.num_qubits)    # before a plan takes a slot
     plan = _shot_plan(circuit)
     reading = plan.reading(checks, decode)
     readout, guard = reading.readout, reading.guard
@@ -976,24 +1184,37 @@ def sample_shots(circuit: PhysicalCircuit, noise: NoiseModel, shots: int,
     if guard is not None:
         inject_frame = plan.inject_frame(inject_map)
 
-    records: list[ShotRecord] = []
+    streams = _Streams(seed, shots)
+    records: list[ShotRecord | None] = []
+    # (record index, pick uniform, rotation mask, clbit flips) of the shots
+    # that pick from a reweighted distribution, picked after the loop
+    held = []
     for shot in range(shots):
-        rng, (fired, em) = plan.draw(seed, shot, rates)
-        if not (inject_map or fired.any()):
-            records.append(reading.record(plan.pick(rng), plan.readout(em)))
+        rng = streams.at(shot)
+        fired, em = plan.events(rng, rates)
+        if not (inject_map or fired):
+            records.append(reading.record(plan.pick(rng.random()),
+                                          plan.readout(em)))
             continue
         if guard is not None:
             cl, rot = plan.flips(rng, fired, inject_frame)
             flips = cl ^ plan.readout(em)
             if not rot or not _keeps_checks(guard, flips):
-                records.append(reading.record(plan.pick(rng), flips))
+                records.append(reading.record(plan.pick(rng.random()), flips))
                 continue
             if reading.model is not None:
-                cum = np.cumsum(reading.model.reweight(rot))
-                records.append(reading.record(plan.pick(rng, cum), flips))
+                held.append((len(records), rng.random(), rot, flips))
+                records.append(None)
                 continue
         records.append(readout.record(
-            plan.trajectory(seed, shot, rates, inject_map)))
+            plan.trajectory(streams.at(shot), rates, inject_map)))
+    if held:
+        model = reading.model
+        for rows, state in model.states([rot for _, _, rot, _ in held]):
+            weights = model.reweighted(state.probabilities())
+            for row, w in zip(rows, weights):
+                i, u, _, flips = held[row]
+                records[i] = reading.record(plan.pick(u, np.cumsum(w)), flips)
     return records
 
 
@@ -1196,8 +1417,31 @@ def unencoded_distribution(lc: LogicalCircuit) -> dict[int, float]:
     """Exact distribution of the unencoded circuit's k measured bits (bit
     i of the key is qubit i), entries above 1e-15, the rotations run in the
     sampler's order (_logical_steps): the noiseless _LogicalModel's."""
-    probs = _LogicalModel(lc.k, _logical_ops(_logical_steps(lc))).probs
+    probs = _logical_plan(lc).model.probs
     return {x: float(p) for x, p in enumerate(probs) if p > 1e-15}
+
+
+class _LogicalPlan:
+    """What sample_logical_shots needs of an unencoded circuit whatever the
+    noise: its `steps` (_logical_steps), per step the frames of the Paulis
+    its event can apply, in the order of their codes (`responses`), its
+    noiseless _LogicalModel and that model's _marginal_masses."""
+
+    def __init__(self, lc: LogicalCircuit):
+        self.k = lc.k
+        self.steps = _logical_steps(lc)
+        self.responses = [_combine(entries[::-1]) for entries
+                          in _logical_entries(self.steps, lc.k)]
+        self.model = _LogicalModel(lc.k, _logical_ops(self.steps))
+        self.noiseless = _marginal_masses(self.model.probs, lc.k)
+
+
+def _logical_plan(lc: LogicalCircuit) -> _LogicalPlan:
+    """The circuit's _LogicalPlan, cached by content in _PLANS beside the
+    _ShotPlans: a LogicalCircuit is mutable too."""
+    return _cached(("logical", lc.k, tuple(map(tuple, lc.phase_layers)),
+                    tuple(map(tuple, lc.mixer_layers))),
+                   lambda: _LogicalPlan(lc))
 
 
 def _logical_steps(lc: LogicalCircuit
@@ -1255,59 +1499,78 @@ def sample_logical_shots(lc: LogicalCircuit, noise: NoiseModel, shots: int,
                          seed: int) -> list[ShotRecord]:
     """Unencoded reference under the same noise model.
 
-    Shot i draws from its own generator, seeded by (seed, i), what its
+    Shot i draws from its own stream, as in sample_shots, what its
     trajectory draws, in its order: a uniform per step with p > 0 (one
     vector until a test fires; the same numbers), a Pauli code after each
     fired test, whose frame it folds into its own (module docstring), then
     per qubit a measurement uniform and, when p_meas > 0, a readout test.
     Qubit q reads 1 when its uniform lies below the probability of a 1
     given qubits 0..q-1, from `_marginal_masses` of the frame's state, read
-    through its X flips."""
+    through its X flips.  The shots whose frame negates rotations hold
+    their readout uniforms until the loop ends, when one stacked pass of
+    the logical model (_LogicalModel.states) gives all their states.  The
+    circuit's steps and model are cached by its content (_logical_plan)."""
     _check_shots(shots, seed)
     eff = noise.effective()
-    k = lc.k
-    steps = _logical_steps(lc)
-    model = _LogicalModel(k, _logical_ops(steps))
-    entries = _logical_entries(steps, k)
+    plan = _logical_plan(lc)
+    k = plan.k
     rates = [eff.p_idle if angle is None else
              eff.p2 if len(support) == 2 else eff.p1
-             for support, angle in steps]
+             for support, angle in plan.steps]
     tested = [i for i, p in enumerate(rates) if p > 0]
     probs = np.array([rates[i] for i in tested])
-    noiseless = _marginal_masses(model.probs, k)
     # a shot's uniforms after its tests: per qubit, that of its measurement,
     # then that of its readout test when p_meas > 0
     stride = 2 if eff.p_meas > 0 else 1
-    records = []
+    streams = _Streams(seed, shots)
+    records: list[ShotRecord | None] = []
+    held = []   # (shot, frame, readout uniforms) of shots read after the loop
     for shot in range(shots):
-        rng = _per_shot_rng(seed, shot)
+        rng = streams.at(shot)
         fired = rng.random(len(tested)) < probs
         frame = 0
         if fired.any():
             first = int(fired.argmax())
-            rng = _per_shot_rng(seed, shot)
+            rng = streams.at(shot)
             rng.random(first)
             for i in tested[first:]:
                 if rng.random() < rates[i]:
-                    rs = _combine(entries[i][::-1])
+                    rs = plan.responses[i]
                     frame ^= rs[int(rng.integers(1, len(rs) + 1)) - 1]
-        rot = frame >> k
-        masses = _marginal_masses(model.state(rot).probabilities(), k) \
-            if rot else noiseless
         u = rng.random(stride * k).tolist()
-        x, norm, bits = 0, 1.0, []   # x: the outcomes before the X flips
-        for q, mass in enumerate(masses):
-            f = frame >> q & 1
-            p1 = mass[x | (f ^ 1) << q] / norm
-            v = 1 if u[stride * q] < p1 else 0
-            norm *= p1 if v else 1.0 - p1
-            x |= (v ^ f) << q
-            if stride == 2 and u[2 * q + 1] < eff.p_meas:
-                v ^= 1
-            bits.append(v)
-        records.append(ShotRecord(tuple(bits), (), True,
-                                  sum(b << q for q, b in enumerate(bits))))
+        if frame >> k:
+            held.append((shot, frame, u))
+            records.append(None)
+        else:
+            records.append(_read_qubits(plan.noiseless, frame, u, stride,
+                                        eff.p_meas))
+    if held:
+        for rows, state in plan.model.states([f >> k for _, f, _ in held]):
+            for row, p in zip(rows, state.probabilities()):
+                shot, frame, u = held[row]
+                records[shot] = _read_qubits(_marginal_masses(p, k), frame,
+                                             u, stride, eff.p_meas)
     return records
+
+
+def _read_qubits(masses: list[list[float]], frame: int, u: list[float],
+                 stride: int, p_meas: float) -> ShotRecord:
+    """An unencoded shot's record from the _marginal_masses of its frame's
+    state, its frame (bit q an X flip on qubit q) and its readout uniforms
+    `u`, `stride` per qubit."""
+    x, norm, bits = 0, 1.0, []   # x: the outcomes before the X flips
+    logical = 0
+    for q, mass in enumerate(masses):
+        f = frame >> q & 1
+        p1 = mass[x | (f ^ 1) << q] / norm
+        v = 1 if u[stride * q] < p1 else 0
+        norm *= p1 if v else 1.0 - p1
+        x |= (v ^ f) << q
+        if stride == 2 and u[2 * q + 1] < p_meas:
+            v ^= 1
+        bits.append(v)
+        logical |= v << q
+    return ShotRecord(tuple(bits), (), True, logical)
 
 
 def _marginal_masses(probs: np.ndarray, k: int) -> list[list[float]]:

@@ -1,3 +1,4 @@
+import bisect
 import dataclasses
 import functools
 import hashlib
@@ -28,8 +29,9 @@ from icecomp.simulator import (NoiseFormatError, NoiseModel, ShotRecord,
                                BRANCH_TOL, _PLANS, _LogicalModel, _Readout,
                                _apply_gate, _apply_random_pauli,
                                _logical_entries, _logical_ops,
-                               _logical_steps, _per_shot_rng,
+                               _logical_steps, _per_shot_rng, _Streams,
                                _shot_plan, _trailing_start, _word)
+from icecomp import simulator
 
 
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -130,6 +132,35 @@ class TestStateVector:
                     apply = lambda sv: getattr(sv, "apply_" + name)(
                         a, b, self.THETA)
                 self._check_dense(a * n + b, apply, matrix)
+
+    @pytest.mark.parametrize("rows", [1, 3, 13])
+    def test_stacked_kernels_are_one_row_kernels(self, rows):
+        # RZZ and RX on a stack of states, some rows negated, give each row
+        # the bits the kernel gives it alone at its own angle, signed zeros
+        # included: the logical model's pass rests on this
+        n = 7
+        rng = np.random.default_rng(rows)
+        stack = StateVector(n)
+        stack.amp = np.array([_random_state(n, rows + r).amp
+                              for r in range(rows)])
+        for _ in range(60):
+            negated = rng.random(rows) < 0.4
+            theta = float(rng.normal())
+            if rng.random() < 0.5:
+                qubits = tuple(rng.choice(n, 2, replace=False).tolist())
+                apply = lambda sv, *args: sv.apply_rzz(*qubits, *args)
+            else:
+                qubits = (int(rng.integers(n)),)
+                apply = lambda sv, *args: sv.apply_rx(*qubits, *args)
+            want = []
+            for r in range(rows):
+                one = StateVector(n)
+                one.amp = stack.amp[r].copy()
+                apply(one, -theta if negated[r] else theta)
+                want.append(one.amp)
+            apply(stack, theta, negated)
+            assert (stack.amp.view(np.uint64) ==
+                    np.array(want).view(np.uint64)).all(), qubits
 
 
 class TestExactDistributions:
@@ -1130,6 +1161,103 @@ def test_site_table_at_paper_scale(k, mode, monkeypatch):
                      decode=enc.decode)
 
 
+def test_too_wide_for_a_plan(monkeypatch):
+    # a circuit above the cap raises before its plan is built, so it takes
+    # no _PLANS slot and its site table is not built on every call
+    g = generate_instance(GraphKind.REGULAR_3, 22, seed=0)
+    enc = compile_mode(g, ramp_params(10), "resynth+z2", 3, 200)
+    built = []
+    init = _ShotPlan.__init__
+
+    def counted(self, circuit):
+        built.append(circuit.num_qubits)
+        init(self, circuit)
+
+    monkeypatch.setattr(_ShotPlan, "__init__", counted)
+    before = dict(_PLANS)
+    for _ in range(2):
+        with pytest.raises(SimulatorError, match="dense-simulation cap"):
+            sample_shots(enc.circuit, NoiseModel(), 1, 0, checks=enc.checks,
+                         decode=enc.decode)
+    assert built == []
+    assert _PLANS == before
+
+
+def test_logical_plan_cached_by_content(monkeypatch):
+    # an unencoded circuit's steps and model are built once per content, in
+    # the plans' LRU, and unencoded_distribution reads the same model
+    lc = build_qaoa(generate_instance(GraphKind.REGULAR_3, 6, seed=1),
+                    ramp_params(2))
+    calls = [0]
+    steps = simulator._logical_steps
+
+    def counted(lc):
+        calls[0] += 1
+        return steps(lc)
+
+    monkeypatch.setattr(simulator, "_logical_steps", counted)
+    _PLANS.clear()
+    recs = sample_logical_shots(lc, NoiseModel(scale=10.0), 50, 3)
+    copy = dataclasses.replace(
+        lc, phase_layers=[list(layer) for layer in lc.phase_layers],
+        mixer_layers=[list(layer) for layer in lc.mixer_layers])
+    assert sample_logical_shots(copy, NoiseModel(scale=10.0), 50, 3) == recs
+    dist = unencoded_distribution(lc)
+    assert calls[0] == 1 and len(_PLANS) == 1
+    (plan,) = _PLANS.values()
+    assert dist == {x: float(p) for x, p in enumerate(plan.model.probs)
+                    if p > 1e-15}
+    copy.mixer_layers[0] = copy.mixer_layers[0][::-1]
+    sample_logical_shots(copy, NoiseModel(), 5, 3)
+    assert calls[0] == 2 and len(_PLANS) == 2
+
+
+def _stacked_rows(model, rots):
+    """model.states(rots) as one amplitude row and one reweighted row (or
+    None without an ideal table) per mask, and the number of blocks."""
+    amps, weights, blocks = [None] * len(rots), [None] * len(rots), 0
+    for rows, state in model.states(rots):
+        blocks += 1
+        probs = state.probabilities()
+        for j, row in enumerate(rows):
+            amps[row] = state.amp[j].copy()
+            if hasattr(model, "marginal"):
+                weights[row] = model.reweighted(probs[j])
+    return amps, weights, blocks
+
+
+@pytest.mark.parametrize("which", ["resynth+z2", "unencoded"])
+def test_stacked_pass_equals_one_row_passes(which):
+    # every row of one stacked pass, each resuming from the checkpoint of
+    # its own first negated rotation or an earlier one, split into blocks
+    # under the amplitude budget, equals its own one-row pass
+    if which == "unencoded":
+        lc = build_qaoa(generate_instance(GraphKind.REGULAR_3, 10, seed=0),
+                        ramp_params(3))
+        model = _LogicalModel(lc.k, _logical_ops(_logical_steps(lc)))
+    else:
+        enc = _criterion_7_circuit(which, 2)
+        model = _shot_plan(enc.circuit).reading(enc.checks, enc.decode).model
+    keys = [key for key, _, _ in model.ops]
+    rng = np.random.default_rng(4)
+    rots = [sum(1 << int(key) for key in rng.choice(
+        keys[lo:], size, replace=False))
+        for lo in range(0, len(keys), 5) for size in (1, 3)]
+    rots += [sum(1 << int(key) for key in rng.choice(keys, 4, replace=False))
+             for _ in range(80 - len(rots))]
+    starts = {(bisect.bisect_left(keys, (rot & -rot).bit_length() - 1)
+               // model.stride) for rot in rots}
+    assert len(starts) >= 5
+    per_block = simulator._PASS_AMPS >> model.k
+    assert len(rots) > per_block
+    amps, weights, blocks = _stacked_rows(model, rots)
+    assert blocks == -(-len(rots) // per_block)
+    for rot, amp, w in zip(rots, amps, weights):
+        assert (model.state(rot).amp == amp).all()
+        if w is not None:
+            assert (model.reweight(rot) == w).all()
+
+
 # ---------------------------------------------------------------------------
 # The ideal table built one entry at a time, as the simulator once built it:
 # the oracle of its array construction
@@ -1393,6 +1521,27 @@ def test_per_shot_rng_is_the_default_rng_stream():
         assert ours.random(1000).tolist() == ref.random(1000).tolist()
         assert [int(ours.integers(1, 16)) for _ in range(50)] == \
             [int(ref.integers(1, 16)) for _ in range(50)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, (1 << 32) - 1, 1 << 32,
+                                  (1 << 64) + 5, (1 << 100) + 9,
+                                  np.int64(77)])
+def test_call_streams_are_the_default_rng_streams(seed):
+    # one sampling call's streams, seeded in blocks of shots by one
+    # vectorized pass, are numpy's per-shot streams, and pointing the
+    # call's generator at a shot again starts its stream again.  A seed of
+    # four or more words hashes its words past the pool's four in turn
+    streams = _Streams(seed, 257)
+    for shot in range(257):
+        ref = np.random.default_rng(np.random.SeedSequence((seed, shot)))
+        rng = streams.at(shot)
+        assert rng.random(1000).tolist() == ref.random(1000).tolist()
+        assert [int(rng.integers(1, 16)) for _ in range(20)] == \
+            [int(ref.integers(1, 16)) for _ in range(20)]
+        if shot % 64 == 0:
+            again = np.random.default_rng(
+                np.random.SeedSequence((seed, shot))).random(3).tolist()
+            assert streams.at(shot).random(3).tolist() == again
 
 
 def test_record_matches_bit_sums():
