@@ -201,11 +201,15 @@ def cmd_simulate(args) -> int:
             raise ValueError(
                 f"{args.graph} has {graph.num_vertices} vertices, but "
                 f"{args.circuit} has {len(decode)} 'logical' lines")
-        records = sample_shots(circuit, noise, args.shots, args.seed,
-                               checks=checks, decode=decode or None)
+        # a zero-shot call checks the circuit, the cap and the check and
+        # decode clbits, so an unwritable output fails before any shot
+        sample_shots(circuit, noise, 0, args.seed, checks=checks,
+                     decode=decode or None)
         _open_outputs(args, _out(args, "out"))
     except (ValueError, SimulatorError) as exc:   # bad file, or over the cap
         return _fail("simulate", exc)
+    records = sample_shots(circuit, noise, args.shots, args.seed,
+                           checks=checks, decode=decode or None)
     with open(_out(args, "out"), "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["shot", "accepted", "decoded", "energy"])

@@ -20,10 +20,12 @@ the lowest component still touching it, and running per-qubit totals of
 the pending gates, so no layer re-walks the earlier or later components.
 
 The co-compiler searches over circuit states: each node is a prefix of
-scheduled layers plus per-component progress cursors.  Nodes are ranked by
-F = G + H where G is the layer count so far and H the max weighted degree
-of the uncompiled-interaction graph.  A node's degree vector is filled
-once when it is created: a child carries its parent's and removes only
+scheduled layers plus per-component progress cursors; a layer's items are
+("gate", pos, i, qubits), gate i of component pos on one qubit option, and
+a syndrome stage ("bind" or "synstep", pos, its data qubit pair).  Nodes
+are ranked by F = G + H, G the layer count so far and H the max weighted
+degree of the uncompiled-interaction graph.  A node's degree vector is
+filled once when it is created: a child carries its parent's and removes only
 what its layer scheduled, so no node re-walks every pending gate.  The
 degrees are floats; `matching.max_weight_matching`, a copy of networkx
 3.6.1's, matches int and float weights alike.  Expansion picks up to
@@ -581,11 +583,11 @@ def build_uncompiled_graph(node: SearchNode) -> dict[int, float]:
 
     A node without a parent sums `_component_load` over every component.
     A child starts from its parent's degrees and removes what its layer
-    scheduled: the load of each phase or fragment gate, and the
-    old-minus-new load of a touched mixer (its z2 top/bottom split
-    depends on how many mixers are left) or syndrome (a binding changes
-    its slot map).  Degrees are whole numbers, so both ways give the same
-    floats."""
+    scheduled: the load of each gate with one qubit option, and the
+    old-minus-new load of the component of a gate with two (a z2 mixer,
+    whose top/bottom split depends on how many mixers are left) or of a
+    syndrome step (a binding changes its slot map).  Degrees are whole
+    numbers, so both ways give the same floats."""
     task = node.task
     parent = node.parent
     components = task.components
@@ -608,11 +610,12 @@ def build_uncompiled_graph(node: SearchNode) -> dict[int, float]:
         anc = 2.0 * deg[-1]
         reload: set[int] = set()
         for item in node.layer_items:
-            # a phase or fragment load is a sum over gates, so a scheduled
-            # gate takes away its own, one per qubit (the ancilla count for
-            # an ancilla); re-loading a whole phase layer instead costs 3.5x
-            # the heuristic time on the benchmark
-            if item[0] in ("phase", "frag"):
+            # a component's load is a sum over its gates, so a scheduled gate
+            # on its one qubit option takes away its own, one per qubit (the
+            # ancilla count for an ancilla); re-loading a whole phase layer
+            # instead costs 3.5x the heuristic time on the benchmark
+            if item[0] == "gate" and \
+                    len(components[item[1]].qubits[item[2]]) == 1:
                 for q in item[3]:
                     if q < n:
                         deg[q] -= 1
@@ -642,10 +645,6 @@ class ExecutableGraph:
     forced_qubits: frozenset[int]
 
 
-_PAYLOAD = {ComponentRole.PHASE_LAYER: "phase",
-            ComponentRole.MIXER_LAYER: "mixer"}
-
-
 def build_executable_graph(node: SearchNode) -> ExecutableGraph:
     task = node.task
     layout = task.layout
@@ -672,7 +671,6 @@ def build_executable_graph(node: SearchNode) -> ExecutableGraph:
             reserved = comp.reserved(prog)
             if free.isdisjoint(reserved):
                 continue    # every qubit it may touch is reserved already
-            kind = _PAYLOAD.get(comp.role, "frag")
             qubits, preds = comp.qubits, comp.preds
             for i in sorted(prog):
                 # a gate is ready once none of its predecessors is pending
@@ -680,7 +678,7 @@ def build_executable_graph(node: SearchNode) -> ExecutableGraph:
                     continue
                 for qs in qubits[i]:
                     if free.issuperset(qs):
-                        add_edge(qs, (kind, comp.pos, i, qs))
+                        add_edge(qs, ("gate", comp.pos, i, qs))
             # reserve every qubit the unfinished component may still touch
             free.difference_update(reserved)
         else:
@@ -765,7 +763,7 @@ def _apply_layer(node: SearchNode, items: tuple) -> SearchNode:
     for item in items:
         kind = item[0]
         pos = item[1]
-        if kind in ("phase", "mixer", "frag"):
+        if kind == "gate":
             progress[pos] = progress[pos] - {item[2]}
         elif kind == "bind":
             stage, bindings = progress[pos]
@@ -865,29 +863,25 @@ def _emit(node: SearchNode) -> EncodedCircuit:
         for fi, L in twoq_layer.items():
             entries.append(((L, 1, next(seq)), gates[fi]))
         # weave: a 1Q gate rides with the next 2Q gate on its qubit, else
-        # trails after the previous one
+        # trails after the previous one (no gadget has a barrier, or a 1Q
+        # gate on a qubit its fragment never couples)
         nxt: dict[int, int] = {}          # qubit -> layer of its next 2Q gate
         rides: dict[int, int] = {}
         for fi in range(len(frag) - 1, -1, -1):
             if fi in twoq_layer:
                 for q in frag[fi].qubits:
                     nxt[q] = twoq_layer[fi]
-            elif frag[fi].kind is not GateKind.BARRIER \
-                    and frag[fi].qubits[0] in nxt:
+            elif frag[fi].qubits[0] in nxt:
                 rides[fi] = nxt[frag[fi].qubits[0]]
         prv: dict[int, int] = {}          # qubit -> layer of its last 2Q gate
         for fi, g in enumerate(frag):
             if fi in twoq_layer:
                 for q in g.qubits:
                     prv[q] = twoq_layer[fi]
-            elif g.kind is GateKind.BARRIER:
-                continue
             elif fi in rides:
                 entries.append(((rides[fi], 0, fi), gates[fi]))
-            elif g.qubits[0] in prv:
-                entries.append(((prv[g.qubits[0]], 2, fi), gates[fi]))
             else:
-                entries.append(((0, 0, fi), gates[fi]))
+                entries.append(((prv[g.qubits[0]], 2, fi), gates[fi]))
 
     # final measurement, appended after everything
     final_g = append_final_measurement(task, qubit_free_layer)

@@ -1124,9 +1124,17 @@ def _cached(key: tuple, build):
 
 def _shot_plan(circuit: PhysicalCircuit) -> _ShotPlan:
     """The circuit's _ShotPlan, cached by content: a PhysicalCircuit is
-    mutable, so its identity does not name its gates."""
+    mutable, so its identity does not name its gates.  The key holds all
+    that circuit.validate() reads, so only a build validates, and checks
+    the width before a plan takes a slot."""
+    def build() -> _ShotPlan:
+        circuit.validate()
+        _check_width(circuit.num_qubits)
+        return _ShotPlan(circuit)
+
     return _cached((circuit.num_qubits, circuit.num_clbits,
-                    tuple(circuit.gates)), lambda: _ShotPlan(circuit))
+                    tuple(circuit.gates), tuple(circuit.components.items())),
+                   build)
 
 
 def _check_shots(shots: int, seed: int) -> None:
@@ -1165,19 +1173,18 @@ def sample_shots(circuit: PhysicalCircuit, noise: NoiseModel, shots: int,
     or no model.  Every verdict is that of its trajectory, and
     so is every record the frame does not decide; the bits of an accepted
     shot the frame decides are an exact draw from their distribution, not
-    its trajectory's.  The circuit's _ShotPlan is cached by its content;
-    the circuit is validated on every call all the same, and one above
-    DEFAULT_QUBIT_CAP qubits raises SimulatorError before a plan is built.
+    its trajectory's.  The circuit's _ShotPlan is cached by its content,
+    and the circuit is validated when its plan is built: a circuit with the
+    content of a cached plan is valid.  One above DEFAULT_QUBIT_CAP qubits
+    raises SimulatorError before a plan is built.
 
     `inject` lists deterministic Pauli errors applied after given gate
     indices in every shot (used for fault cross-checks); an index in the
     trailing measurement block, out of range or naming a barrier raises
     ValueError, as does a check or decode clbit the circuit lacks."""
     _check_shots(shots, seed)
-    circuit.validate()
-    inject_map = _inject_map(circuit.gates, inject)
-    _check_width(circuit.num_qubits)    # before a plan takes a slot
     plan = _shot_plan(circuit)
+    inject_map = _inject_map(plan.gates, inject)
     reading = plan.reading(checks, decode)
     readout, guard = reading.readout, reading.guard
     rates = plan.rates(noise)
@@ -1371,18 +1378,12 @@ def _merged(bits: np.ndarray, probs: np.ndarray, resets_fixed: bool
     """The _Outcomes of entries listed in the order the branches reach
     them, those with equal bits merged into one whose probability is
     theirs summed in that order (0.0 + p0 + p1 + ...), as a dict would."""
-    keys = _limbs(bits)
-    order = np.lexsort(keys[::-1])      # stable: equal keys in reach order
-    keys = keys[:, order]
-    new = np.ones(len(order), dtype=bool)
-    new[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
-    probs = probs[order]
-    if not new.all():
-        merged = np.zeros(np.count_nonzero(new))
-        np.add.at(merged, np.cumsum(new) - 1, probs)   # in index order
-        probs = merged
-    kept = order[new]
-    return _Outcomes(bits[kept], probs, np.argsort(kept), resets_fixed)
+    # rows sort as their limbs do, limb 0 first; return_index takes each
+    # key's first row, and bincount sums in index order
+    _, kept, inverse = np.unique(_limbs(bits).T, axis=0, return_index=True,
+                                 return_inverse=True)
+    return _Outcomes(bits[kept], np.bincount(inverse, weights=probs),
+                     np.argsort(kept), resets_fixed)
 
 
 def exact_logical_distribution(circuit: PhysicalCircuit,

@@ -390,9 +390,13 @@ class TestCli:
         def no_compile(*args, **kwargs):
             raise AssertionError("compiled despite an unwritable output")
 
+        def no_shot(*args, **kwargs):
+            raise AssertionError("sampled despite an unwritable output")
+
         for name in ("compile_baseline", "compile_cooptimized"):
             monkeypatch.setattr(f"icecomp.cli.{name}", no_compile)
         monkeypatch.setattr("icecomp.bench.compile_mode", no_compile)
+        monkeypatch.setattr("icecomp.simulator._Streams.at", no_shot)
         monkeypatch.chdir(tmp_path)
         for name, text in self.GOOD_INPUTS.items():
             (tmp_path / name).write_text(text)

@@ -7,9 +7,9 @@ import pytest
 from icecomp import compiler, gadgets
 from icecomp.circuit import (CircuitError, ComponentRole, GateKind,
                              two_qubit_depth)
-from icecomp.compiler import (_PAYLOAD, EXPANSION_WIDTH, CompileConfig,
-                              CompileError, ExecutableGraph, GadgetSet,
-                              SearchNode, _build_task, _GateComp, _is_done,
+from icecomp.compiler import (EXPANSION_WIDTH, CompileConfig, CompileError,
+                              ExecutableGraph, GadgetSet, SearchNode,
+                              _build_task, _GateComp, _is_done,
                               _matchings, _schedule_chunk,
                               build_executable_graph,
                               build_uncompiled_graph, compile_baseline,
@@ -332,7 +332,8 @@ class TestExecutableGraph:
                 pending.add(comp.gates[i].v + 1)
             b = g.num_vertices + 1
             for pair, payload in exe.edges.items():
-                if payload[0] == "mixer":
+                if task.components[payload[1]].role is \
+                        ComponentRole.MIXER_LAYER:
                     saw_mixer_edge = True
                     data_qubit = next(q for q in pair if q not in (0, b))
                     assert data_qubit not in pending
@@ -755,7 +756,6 @@ def reference_executable_graph(node: SearchNode) -> ExecutableGraph:
         if _is_done(comp, prog):
             continue
         if isinstance(comp, _GateComp):
-            kind = _PAYLOAD.get(comp.role, "frag")
             qubits, preds = comp.qubits, comp.preds
             for i in sorted(prog):
                 # a gate is ready once none of its predecessors is pending
@@ -765,7 +765,7 @@ def reference_executable_graph(node: SearchNode) -> ExecutableGraph:
                     if free.issuperset(qs):
                         pair = frozenset(qs)
                         if pair not in edges:
-                            edges[pair] = (kind, comp.pos, i, qs)
+                            edges[pair] = ("gate", comp.pos, i, qs)
             # reserve every qubit the unfinished component may still touch
             free.difference_update(*itertools.chain.from_iterable(
                 map(qubits.__getitem__, prog)))

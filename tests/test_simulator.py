@@ -29,8 +29,8 @@ from icecomp.simulator import (NoiseFormatError, NoiseModel, ShotRecord,
                                BRANCH_TOL, _PLANS, _LogicalModel, _Readout,
                                _apply_gate, _apply_random_pauli,
                                _logical_entries, _logical_ops,
-                               _logical_steps, _per_shot_rng, _Streams,
-                               _shot_plan, _trailing_start, _word)
+                               _logical_steps, _merged, _per_shot_rng,
+                               _Streams, _shot_plan, _trailing_start, _word)
 from icecomp import simulator
 
 
@@ -324,6 +324,26 @@ class TestShots:
         with pytest.raises(CircuitError,
                            match=f"undeclared component {dropped}"):
             sample_shots(bad, NoiseModel(), 20, 0, **kw)
+
+    def test_cached_plan_not_validated_again(self, monkeypatch):
+        # the plan's key holds all that validate() reads, so only the call
+        # that builds the plan validates the circuit
+        calls = []
+        validate = PhysicalCircuit.validate
+
+        def counted(circ):
+            calls.append(circ)
+            validate(circ)
+
+        monkeypatch.setattr(PhysicalCircuit, "validate", counted)
+        _PLANS.clear()
+        args = (self.enc.circuit, NoiseModel(scale=4.0), 20, 0)
+        kw = dict(checks=self.enc.checks, decode=self.enc.decode)
+        recs = sample_shots(*args, **kw)
+        assert calls
+        calls.clear()
+        assert sample_shots(*args, **kw) == recs
+        assert calls == []
 
     def test_deeper_circuit_lower_acceptance(self):
         base = compile_baseline(self.graph, self.params, CompileConfig(
@@ -1464,6 +1484,25 @@ class TestIdealTableOracle:
         self.check(_wide_circuit(), (ParityCheck(frozenset({5, 66})),),
                    {1: frozenset({67}), 2: frozenset({5, 68}),
                     70: frozenset({3, 67})}, False)
+
+    @pytest.mark.parametrize("width", [40, 100, 150])
+    def test_merge_over_limbs(self, width):
+        # rows of 1-3 limbs with repeats merge as a dict filled one row at a
+        # time: the probabilities summed in reach order, the entries sorted
+        # as bit tuples and `first` in first-reach order
+        rng = np.random.default_rng(width)
+        for rows in (1, 2, 7, 40):
+            # at most (rows + 1) // 2 distinct rows, so some repeat
+            base = rng.integers(0, 2, ((rows + 1) // 2, width), dtype=np.uint8)
+            bits = base[rng.integers(0, len(base), rows)]
+            probs = rng.random(rows)
+            ref: dict[tuple, float] = {}
+            for row, p in zip(map(tuple, bits.tolist()), probs.tolist()):
+                ref[row] = ref.get(row, 0.0) + p
+            out = _merged(bits, probs, True)
+            assert list(map(tuple, out.bits.tolist())) == sorted(ref)
+            assert out.probs.tolist() == [ref[r] for r in sorted(ref)]
+            assert list(map(tuple, out.bits[out.first].tolist())) == list(ref)
 
     @pytest.mark.parametrize("build, checks, decode", [
         (_merging_reset_circuit, (ParityCheck(frozenset({1})),),
