@@ -73,11 +73,8 @@ class SweepSpec:
         for k in self.sizes:
             for d in densities:
                 for seed in self.seeds:
-                    if self.family is GraphKind.ERDOS_RENYI:
-                        g = generate_instance(self.family, k, density=d, seed=seed)
-                    else:
-                        g = generate_instance(self.family, k, seed=seed)
-                    yield k, d, seed, g
+                    yield k, d, seed, generate_instance(
+                        self.family, k, density=d, seed=seed)
 
 
 def mode_config(mode: str, s: int, queue_cap: int) -> CompileConfig:

@@ -26,7 +26,7 @@ from .faults import check_gadget_ft, context_for_gadget, fault_reports
 from .gadgets import GadgetKind, IcebergLayout, build_gadget
 from .maxcut import (GraphKind, cut_value, generate_instance, ramp_params,
                      read_graph, read_params, write_graph, write_params)
-from .simulator import (DEFAULT_QUBIT_CAP, NoiseModel, SimulatorError,
+from .simulator import (NoiseModel, SimulatorError, _check_width,
                         post_selection_rate, read_noise, sample_shots,
                         write_noise)
 
@@ -259,11 +259,10 @@ def _run_bench(args, runner, name) -> int:
                             from None
         if name != "depth":
             for k in spec.sizes:
-                n = IcebergLayout(k).num_qubits
-                if n > DEFAULT_QUBIT_CAP:
-                    raise ValueError(
-                        f"k={k}: {n} qubits exceeds the dense-simulation "
-                        f"cap {DEFAULT_QUBIT_CAP}")
+                try:
+                    _check_width(IcebergLayout(k).num_qubits)
+                except SimulatorError as exc:
+                    raise ValueError(f"k={k}: {exc}") from None
         if name == "energy":
             for scale in args.scales:
                 NoiseModel(scale=scale)

@@ -39,6 +39,10 @@ are all reserved already.  Syndrome internals follow the fault-tolerant
 pipeline templates, with the pair-to-slot binding chosen during the search
 when resynthesis is enabled.  The init order and the syndrome's binding
 stages are read off the gadgets, not restated here.
+
+The driver pops nodes best first until it pops the goal or the node past
+`queue_cap` expansions, then ends with one greedy rollout (the first child
+of each width-1 expansion) from the node it stopped on.
 """
 
 from __future__ import annotations
@@ -47,7 +51,6 @@ import heapq
 import itertools
 import math
 import re
-import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Sequence
@@ -908,7 +911,7 @@ def _emit(node: SearchNode) -> EncodedCircuit:
 
 
 # ---------------------------------------------------------------------------
-# Best-first search driver
+# Search driver: best first within the budget, then one greedy rollout
 # ---------------------------------------------------------------------------
 
 def compile_cooptimized(graph: ProblemGraph, params: QaoaParams,
@@ -916,44 +919,32 @@ def compile_cooptimized(graph: ProblemGraph, params: QaoaParams,
     task = _build_task(graph, params, cfg)
     start = source_node(task)
     counter = itertools.count()
-    heap: list[tuple] = []
-    heapq.heappush(heap, (start.f, start.h, -start.g, next(counter), start))
+    heap: list[tuple] = [(start.f, start.h, -start.g, next(counter), start)]
     seen: set = set()
-    best_frontier = start
-    budget = cfg.queue_cap
     expanded = 0
-    exhausted = False
-    goal: SearchNode | None = None
-    t0 = time.perf_counter()
-    while heap:
+    # the heap cannot run empty: a popped node that is not the goal has
+    # children (expand raises otherwise), each a layer further on, so every
+    # path of states from `start` ends at the goal
+    while True:
         _, _, _, _, node = heapq.heappop(heap)
         if node.progress in seen:
             continue
         seen.add(node.progress)
         if is_goal(node):
-            goal = node
             break
         expanded += 1
-        if expanded > budget:
-            exhausted = True
-            best_frontier = node
+        if expanded > cfg.queue_cap:
             break
         for child in expand(node):
-            if child.progress in seen:
-                continue
-            heapq.heappush(heap, (child.f, child.h, -child.g,
-                                  next(counter), child))
-    if goal is None:
-        # budget exhausted (or empty heap): greedy rollout from best node
-        node = best_frontier
-        while not is_goal(node):
-            node = expand(node, width=1)[0]
-        goal = node
-        exhausted = True
-    enc = _emit(goal)
+            if child.progress not in seen:
+                heapq.heappush(heap, (child.f, child.h, -child.g,
+                                      next(counter), child))
+    # out of budget: greedy rollout from the node the search stopped on
+    while not is_goal(node):
+        node = expand(node, width=1)[0]
+    enc = _emit(node)
     enc.meta["expanded_nodes"] = expanded
-    enc.meta["budget_exhausted"] = exhausted
-    enc.meta["compile_seconds"] = time.perf_counter() - t0
+    enc.meta["budget_exhausted"] = expanded > cfg.queue_cap
     enc.meta["h_source"] = start.h
     return enc
 

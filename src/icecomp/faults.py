@@ -85,8 +85,9 @@ from enum import Enum
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Sequence
 
-from .circuit import Gate, GateKind, PhysicalCircuit
-from .gadgets import Gadget, GadgetKind, IcebergLayout, ParityCheck
+from .circuit import ComponentRole, Gate, GateKind, PhysicalCircuit
+from .gadgets import (Gadget, GadgetKind, IcebergLayout, ParityCheck,
+                      gadget_role)
 
 
 @dataclass(frozen=True)
@@ -474,17 +475,15 @@ class VerifyContext:
         return Projection(self)
 
 
+# per gadget role: what a harmless fault leaves, and whether ideal checks
+# follow the gadget
+_ROLE_CONTEXT = {ComponentRole.INIT: ("plus_state", True),
+                 ComponentRole.SYNDROME: ("code", True),
+                 ComponentRole.FINAL_MEAS: ("outcomes", False)}
+
+
 def context_for_gadget(gadget: Gadget) -> VerifyContext:
-    kind = gadget.kind
-    if kind in (GadgetKind.INIT_OLD, GadgetKind.INIT_NEW):
-        harmless = "plus_state"
-        trailing = True
-    elif kind in (GadgetKind.SYNDROME_OLD, GadgetKind.SYNDROME_NEW):
-        harmless = "code"
-        trailing = True
-    else:
-        harmless = "outcomes"
-        trailing = False
+    harmless, trailing = _ROLE_CONTEXT[gadget_role(gadget.kind)]
     return VerifyContext(gadget.layout, gadget.checks, gadget.decode,
                          harmless, trailing)
 
@@ -520,7 +519,7 @@ def _locations_at(i: int, g: Gate) -> list[FaultLocation]:
     """The faults after gate `g` at index `i`, in enumeration order."""
     if g.kind is GateKind.BARRIER:
         return []
-    if g.kind in (GateKind.MEASURE_Z, GateKind.MEASURE_X):
+    if g.kind.measurement:
         return [FaultLocation(i, flip_bit=g.clbit)]
     qs = g.qubits
     if len(qs) == 1:

@@ -77,6 +77,8 @@ def make_graph(num_vertices: int, edges: Iterable[tuple[int, int]],
         ws = [1.0] * len(edges)
     else:
         ws = [float(w) for w in weights]
+        if len(ws) != len(edges):
+            raise ValueError(f"{len(edges)} edges but {len(ws)} weights")
     norm = tuple(
         (min(u, v), max(u, v), w) for (u, v), w in zip(edges, ws)
     )
@@ -87,6 +89,9 @@ def generate_instance(kind: GraphKind, k: int, density: float | None = None,
                       seed: int = 0) -> ProblemGraph:
     """Deterministic instance generation (networkx with an explicit seed)."""
     if kind is GraphKind.REGULAR_3:
+        if density is not None:
+            raise ValueError(f"a 3-regular graph takes no density, got "
+                             f"{density}")
         if k < 4 or k % 2 != 0:
             raise ValueError(f"3-regular graph needs an even k >= 4, got {k}")
         g = nx.random_regular_graph(3, k, seed=seed)

@@ -330,10 +330,7 @@ class StateVector:
         return value
 
     def reset(self, q: int, rng: np.random.Generator) -> None:
-        p1 = self.prob_one(q)
-        value = 1 if rng.random() < p1 else 0
-        self.collapse(q, value, p1)
-        if value == 1:
+        if self.measure(q, rng):
             self.apply_x(q)
 
     def norm(self) -> float:
@@ -348,6 +345,7 @@ class StateVector:
 # ---------------------------------------------------------------------------
 
 _RATES = ("p2", "p1", "p_idle", "p_meas")
+_NOISE_FIELDS = (*_RATES, "scale")
 
 
 @dataclass(frozen=True)
@@ -372,15 +370,12 @@ class NoiseModel:
 
 
 def write_noise(model: NoiseModel) -> str:
-    return (f"p2 {model.p2!r}\np1 {model.p1!r}\np_idle {model.p_idle!r}\n"
-            f"p_meas {model.p_meas!r}\nscale {model.scale!r}\n")
+    return "".join(f"{name} {getattr(model, name)!r}\n"
+                   for name in _NOISE_FIELDS)
 
 
 class NoiseFormatError(ValueError):
     """A malformed noise file; the message starts with the line number."""
-
-
-_NOISE_FIELDS = (*_RATES, "scale")
 
 
 def read_noise(text: str) -> NoiseModel:
@@ -1106,35 +1101,29 @@ def _keeps_checks(guard: tuple[tuple[int, int], ...], flips: int) -> bool:
     return all(((flips & m).bit_count() & 1) == want for m, want in guard)
 
 
-# the plans of sample_shots and sample_logical_shots, least recently used
-# first
-_PLANS: dict[tuple, "_ShotPlan | _LogicalPlan"] = {}
-_PLANS_MAX = 8
+@functools.lru_cache(maxsize=8)
+def _plan(build, *content):
+    """build(*content): the plans of sample_shots and sample_logical_shots,
+    cached by content in one LRU.  A circuit is mutable, so its identity
+    does not name its gates; each builder rebuilds the circuit from
+    `content` alone, so a plan reads nothing its key does not hold."""
+    return build(*content)
 
 
-def _cached(key: tuple, build):
-    """The plan _PLANS keeps under `key`, built by `build()` when it has
-    none."""
-    plan = _PLANS.pop(key, None) or build()
-    _PLANS[key] = plan
-    if len(_PLANS) > _PLANS_MAX:
-        del _PLANS[next(iter(_PLANS))]
-    return plan
+def _build_shot_plan(num_qubits: int, num_clbits: int, gates: tuple,
+                     components: tuple) -> _ShotPlan:
+    circuit = PhysicalCircuit(num_qubits, num_clbits, list(gates),
+                              dict(components))
+    circuit.validate()
+    _check_width(num_qubits)
+    return _ShotPlan(circuit)
 
 
 def _shot_plan(circuit: PhysicalCircuit) -> _ShotPlan:
-    """The circuit's _ShotPlan, cached by content: a PhysicalCircuit is
-    mutable, so its identity does not name its gates.  The key holds all
-    that circuit.validate() reads, so only a build validates, and checks
-    the width before a plan takes a slot."""
-    def build() -> _ShotPlan:
-        circuit.validate()
-        _check_width(circuit.num_qubits)
-        return _ShotPlan(circuit)
-
-    return _cached((circuit.num_qubits, circuit.num_clbits,
-                    tuple(circuit.gates), tuple(circuit.components.items())),
-                   build)
+    """The circuit's _ShotPlan (_plan): only a build validates the circuit,
+    and it checks the width before a plan takes a slot."""
+    return _plan(_build_shot_plan, circuit.num_qubits, circuit.num_clbits,
+                 tuple(circuit.gates), tuple(circuit.components.items()))
 
 
 def _check_shots(shots: int, seed: int) -> None:
@@ -1316,7 +1305,7 @@ def _bit_distribution(circuit: "PhysicalCircuit | _ShotPlan",
     ]
     for gi in range(tail_start):
         g = gates[gi]
-        if g.kind in (GateKind.MEASURE_Z, GateKind.MEASURE_X, GateKind.RESET):
+        if g.kind.measurement or g.kind is GateKind.RESET:
             new_branches = []
             for weight, state, bits in branches:
                 if g.kind is GateKind.MEASURE_X:
@@ -1437,12 +1426,16 @@ class _LogicalPlan:
         self.noiseless = _marginal_masses(self.model.probs, lc.k)
 
 
+def _build_logical_plan(k: int, phase_layers: tuple,
+                        mixer_layers: tuple) -> _LogicalPlan:
+    return _LogicalPlan(LogicalCircuit(k, list(map(list, phase_layers)),
+                                       list(map(list, mixer_layers))))
+
+
 def _logical_plan(lc: LogicalCircuit) -> _LogicalPlan:
-    """The circuit's _LogicalPlan, cached by content in _PLANS beside the
-    _ShotPlans: a LogicalCircuit is mutable too."""
-    return _cached(("logical", lc.k, tuple(map(tuple, lc.phase_layers)),
-                    tuple(map(tuple, lc.mixer_layers))),
-                   lambda: _LogicalPlan(lc))
+    """The circuit's _LogicalPlan (_plan), beside the _ShotPlans."""
+    return _plan(_build_logical_plan, lc.k, tuple(map(tuple, lc.phase_layers)),
+                 tuple(map(tuple, lc.mixer_layers)))
 
 
 def _logical_steps(lc: LogicalCircuit

@@ -203,6 +203,8 @@ class TestCli:
          "scale must be finite and nonnegative"),
         (["bench-energy", "--sizes", "6", "--scales", "0.5", "nan",
           "--out", "e.csv"], "scale must be finite and nonnegative"),
+        (["gen", "--kind", "regular3", "--k", "6", "--density", "0.5",
+          "--out", "g.txt"], "a 3-regular graph takes no density, got 0.5"),
     ])
     def test_instance_arguments_rejected(self, tmp_path, capsys, monkeypatch,
                                          argv, message):

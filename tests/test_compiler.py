@@ -5,6 +5,7 @@ import random
 import pytest
 
 from icecomp import compiler, gadgets
+from icecomp.bench import compile_mode
 from icecomp.circuit import (CircuitError, ComponentRole, GateKind,
                              two_qubit_depth)
 from icecomp.compiler import (EXPANSION_WIDTH, CompileConfig, CompileError,
@@ -187,6 +188,20 @@ class TestCooptimized:
     def test_p0(self):
         enc = compile_cooptimized(self.graph, QaoaParams((), ()), self.cfg())
         assert enc.meta["twoq_gates"] == (6 + 3) + (2 * 6 + 4) + (6 + 3)
+
+    @pytest.mark.parametrize("k, p, s, cap, expanded, exhausted", [
+        (6, 2, 1, 200, 201, True),
+        (4, 1, 0, 0, 1, True),
+        (4, 1, 0, 200, 18, False),
+    ])
+    def test_search_reports_nodes_expanded(self, k, p, s, cap, expanded,
+                                           exhausted):
+        # a search out of budget has expanded one node past queue_cap and
+        # stops on it; one that reaches the goal reports how many it took
+        g = generate_instance(GraphKind.REGULAR_3, k, seed=0)
+        enc = compile_mode(g, ramp_params(p), "coopt", s, cap)
+        assert enc.meta["expanded_nodes"] == expanded
+        assert enc.meta["budget_exhausted"] is exhausted
 
 
 # width-3 searches with queue_cap 40, each running out of budget and

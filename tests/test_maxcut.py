@@ -45,6 +45,10 @@ class TestGeneration:
         with pytest.raises(ValueError, match="even k >= 4"):
             generate_instance(GraphKind.REGULAR_3, k, seed=1)
 
+    def test_regular3_takes_no_density(self):
+        with pytest.raises(ValueError, match="takes no density, got 0.5"):
+            generate_instance(GraphKind.REGULAR_3, 6, density=0.5, seed=0)
+
     def test_er_zero_density(self):
         g = generate_instance(GraphKind.ERDOS_RENYI, 10, density=0.0, seed=3)
         assert g.num_edges == 0
@@ -211,6 +215,15 @@ class TestFiles:
     def test_malformed_line_named(self, text, line):
         with pytest.raises(ValueError, match=f"^line {line}: "):
             read_graph(text)
+
+    @pytest.mark.parametrize("edges, weights", [
+        ([(0, 1), (1, 2)], [2.0]),
+        ([(0, 1)], [2.0, 5.0]),
+    ])
+    def test_make_graph_rejects_weight_count(self, edges, weights):
+        with pytest.raises(ValueError, match=f"^{len(edges)} edges but "
+                           f"{len(weights)} weights$"):
+            make_graph(3, edges, weights)
 
     @pytest.mark.parametrize("k, weight, what", [
         (-1, None, "negative vertex count"),

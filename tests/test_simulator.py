@@ -26,10 +26,11 @@ from icecomp.simulator import (NoiseFormatError, NoiseModel, ShotRecord,
                                read_noise, sample_shots, sample_logical_shots,
                                total_variation, unencoded_distribution,
                                write_noise, SimulatorError, _ShotPlan,
-                               BRANCH_TOL, _PLANS, _LogicalModel, _Readout,
+                               BRANCH_TOL, _LogicalModel, _Readout,
                                _apply_gate, _apply_random_pauli,
                                _logical_entries, _logical_ops,
-                               _logical_steps, _merged, _per_shot_rng,
+                               _logical_plan, _logical_steps, _merged,
+                               _per_shot_rng, _plan,
                                _Streams, _shot_plan, _trailing_start, _word)
 from icecomp import simulator
 
@@ -336,7 +337,7 @@ class TestShots:
             validate(circ)
 
         monkeypatch.setattr(PhysicalCircuit, "validate", counted)
-        _PLANS.clear()
+        _plan.cache_clear()
         args = (self.enc.circuit, NoiseModel(scale=4.0), 20, 0)
         kw = dict(checks=self.enc.checks, decode=self.enc.decode)
         recs = sample_shots(*args, **kw)
@@ -1143,7 +1144,7 @@ def test_table_decoded_once_per_checks_and_decode(monkeypatch):
         return decode_words(self, words)
 
     monkeypatch.setattr(_Readout, "decode_words", counted)
-    _PLANS.clear()
+    _plan.cache_clear()
     args = (enc.circuit, NoiseModel(scale=4.0), 200, 1)
     recs = sample_shots(*args, checks=enc.checks, decode=enc.decode)
     assert calls[0] == 1
@@ -1183,7 +1184,7 @@ def test_site_table_at_paper_scale(k, mode, monkeypatch):
 
 def test_too_wide_for_a_plan(monkeypatch):
     # a circuit above the cap raises before its plan is built, so it takes
-    # no _PLANS slot and its site table is not built on every call
+    # no plan slot and its site table is not built on every call
     g = generate_instance(GraphKind.REGULAR_3, 22, seed=0)
     enc = compile_mode(g, ramp_params(10), "resynth+z2", 3, 200)
     built = []
@@ -1194,13 +1195,13 @@ def test_too_wide_for_a_plan(monkeypatch):
         init(self, circuit)
 
     monkeypatch.setattr(_ShotPlan, "__init__", counted)
-    before = dict(_PLANS)
+    _plan.cache_clear()
     for _ in range(2):
         with pytest.raises(SimulatorError, match="dense-simulation cap"):
             sample_shots(enc.circuit, NoiseModel(), 1, 0, checks=enc.checks,
                          decode=enc.decode)
     assert built == []
-    assert _PLANS == before
+    assert _plan.cache_info().currsize == 0
 
 
 def test_logical_plan_cached_by_content(monkeypatch):
@@ -1216,20 +1217,20 @@ def test_logical_plan_cached_by_content(monkeypatch):
         return steps(lc)
 
     monkeypatch.setattr(simulator, "_logical_steps", counted)
-    _PLANS.clear()
+    _plan.cache_clear()
     recs = sample_logical_shots(lc, NoiseModel(scale=10.0), 50, 3)
     copy = dataclasses.replace(
         lc, phase_layers=[list(layer) for layer in lc.phase_layers],
         mixer_layers=[list(layer) for layer in lc.mixer_layers])
     assert sample_logical_shots(copy, NoiseModel(scale=10.0), 50, 3) == recs
     dist = unencoded_distribution(lc)
-    assert calls[0] == 1 and len(_PLANS) == 1
-    (plan,) = _PLANS.values()
+    assert calls[0] == 1 and _plan.cache_info().currsize == 1
+    plan = _logical_plan(lc)
     assert dist == {x: float(p) for x, p in enumerate(plan.model.probs)
                     if p > 1e-15}
     copy.mixer_layers[0] = copy.mixer_layers[0][::-1]
     sample_logical_shots(copy, NoiseModel(), 5, 3)
-    assert calls[0] == 2 and len(_PLANS) == 2
+    assert calls[0] == 2 and _plan.cache_info().currsize == 2
 
 
 def _stacked_rows(model, rots):
@@ -1432,7 +1433,7 @@ class TestIdealTableOracle:
     @staticmethod
     def check(circuit, checks, decode, has_model):
         ref = reference_tables(circuit, checks, decode)
-        _PLANS.clear()
+        _plan.cache_clear()
         plan = _shot_plan(circuit)
         assert list(exact_bit_distribution(circuit).items()) == ref["dist"]
         assert plan.ideal.resets_fixed == ref["resets_fixed"]

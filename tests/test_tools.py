@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import shlex
@@ -7,10 +8,34 @@ from pathlib import Path
 
 import pytest
 
+from icecomp.bench import compile_mode
+from icecomp.compiler import write_encoded
+from icecomp.maxcut import GraphKind, generate_instance, ramp_params
+
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
 _spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
 bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
+_spec = importlib.util.spec_from_file_location(
+    "encoded_digest", _PATH.with_name("encoded_digest.py"))
+encoded_digest = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(encoded_digest)
+
+
+def test_encoded_digest_folds_each_compile():
+    graphs = [generate_instance(GraphKind.REGULAR_3, 6, seed=0),
+              generate_instance(GraphKind.ERDOS_RENYI, 6, density=0.5,
+                                seed=1)]
+    got = encoded_digest.digest(graphs, "resynth+z2")
+    assert encoded_digest.digest(graphs, "resynth+z2") == got
+    h = hashlib.sha256()
+    for g in graphs:
+        enc = compile_mode(g, ramp_params(10), "resynth+z2", 3, 200)
+        h.update(write_encoded(enc).encode())
+        h.update(repr(sorted(enc.meta.items())).encode())
+    assert got == h.hexdigest()
+    # criterion 4's 160 instances and six more of the compile workload
+    assert len(encoded_digest.instances()) == 166
 
 
 def test_summarize_counts_wins_by_direction():
