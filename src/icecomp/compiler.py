@@ -930,21 +930,20 @@ def compile_cooptimized(graph: ProblemGraph, params: QaoaParams,
         if node.progress in seen:
             continue
         seen.add(node.progress)
-        if is_goal(node):
+        if is_goal(node) or expanded == cfg.queue_cap:
             break
         expanded += 1
-        if expanded > cfg.queue_cap:
-            break
         for child in expand(node):
             if child.progress not in seen:
                 heapq.heappush(heap, (child.f, child.h, -child.g,
                                       next(counter), child))
+    exhausted = not is_goal(node)
     # out of budget: greedy rollout from the node the search stopped on
     while not is_goal(node):
         node = expand(node, width=1)[0]
     enc = _emit(node)
     enc.meta["expanded_nodes"] = expanded
-    enc.meta["budget_exhausted"] = expanded > cfg.queue_cap
+    enc.meta["budget_exhausted"] = exhausted
     enc.meta["h_source"] = start.h
     return enc
 

@@ -10,36 +10,54 @@ gate, single-qubit depolarizing with probability p_idle on every idle qubit
 after each two-qubit layer (this is what makes depth costly), and readout
 flips with probability p_meas.  All rates scale with a global multiplier.
 
-Sampling.  Shot i draws everything from its own stream, that of
+Sampling.  Both samplers give shot i its own stream, that of
 np.random.default_rng(SeedSequence((seed, i))), so its record does not
 depend on the other shots.  A call builds those streams once (_Streams):
 one vectorized pass of SeedSequence's hash gives a block of shots their
 PCG64 states, and one generator is pointed at each shot in turn by setting
-its state.  An encoded shot first draws whether each noise site fires.  A
-shot on which no Pauli fires picks its bits from the exact noiseless
-distribution (exact_bit_distribution) with one uniform and applies its
-readout flips; a clbit measured twice keeps its last write, and that
-measurement's flip.  Any other shot stands for its trajectory, which then
-draws, in traversal order, one uniform per measurement and reset
-(StateVector.measure/reset) and one Pauli code per fired site.  The Pauli
-frame decides most of those shots (below); a shot it cannot decide runs
+its state.  A circuit's noise sites form one site table (_SiteTable): its
+Pauli sites, numbered once in traversal order, and its readouts.  A shot
+draws, in this order:
+
+  1. its events: one uniform per site, family by family (p2, p1, p_meas,
+     p_idle), each family in traversal order.  p2 covers the two-qubit
+     gates (the unencoded circuit's RZZ steps), p1 the one-qubit gates (its
+     RX steps), p_meas one readout per measurement (per qubit) and p_idle
+     the idle slots.  A site whose rate is 0 draws a uniform and never
+     fires;
+  2. for each fired Pauli site, in traversal order, one Pauli code
+     (integers(1, 4**m) on its m qubits), whose response it XORs into its
+     Pauli frame.  Before it, the shot draws and drops the uniforms of the
+     measurements and resets before that site (its slot), as its
+     trajectory draws them; the unencoded circuit measures only at its
+     end, so its slots are all 0;
+  3. one uniform, which picks an outcome (_pick) from the cumulative of
+     the noiseless distribution, reweighted when the frame negates
+     rotations (below).
+
+The record is that outcome XOR the frame's flips XOR the fired readouts'
+flips, as Stim's frame sampler gives a shot a noiseless sample XOR its
+frame's flips; a clbit measured twice keeps its last write, and that
+measurement's flip.  An encoded shot the frame cannot decide (below) runs
 its whole trajectory from |0...0>, its stream started again
-(_ShotPlan.trajectory).
+(_ShotPlan.trajectory), which draws the same events, then, in traversal
+order, one uniform per measurement and reset (StateVector.measure/reset)
+and one Pauli code per fired site.
 
 Unencoded shots.  After its Hadamard layer every gate of the unencoded
 circuit is a Pauli rotation, so a Pauli fired after a step reaches the end
 as it is, negating each later rotation whose generator it anticommutes
-with (X or Y on q an RZZ on q, Z or Y on q an RX on q), and its X part
-flips q's readout.  A shot's final state is thus the noiseless one with its
-frame's rotations negated and its X flips applied.  Paulis only move
-amplitudes and flip signs, which the kernels carry through exactly, and the
-model runs the trajectory's kernels in its order (_logical_steps), so that
-state's probabilities are the trajectory's.  A shot whose frame negates
-rotations draws its readout uniforms where its trajectory does and holds
-them; when the call's loop ends, one stacked pass of the logical model
-(_LogicalModel.states) gives the states of all such shots, one row each.
-The circuit's steps and model are built once per content and cached with
-the plans (_logical_plan).
+with (X or Y on q an RZZ on q, Z or Y on q an RX on q).  A shot's final
+state is thus the logical model's (_LogicalModel, run in the order of
+_logical_steps) with its frame's rotations negated, then the frame's
+Pauli, whose Z part leaves the Z-basis probabilities alone and whose X
+part XORs the outcome.  So every shot is decided by its frame: its uniform
+picks from the noiseless logical distribution, cached with the plan, when
+no rotation is negated, and otherwise it is held; when the call's loop
+ends, one stacked pass of the model (_LogicalModel.states) gives the
+states of all held shots, one row each, from which they pick.  The
+circuit's steps, sites and model are built once per content and cached
+with the plans (_logical_plan).
 
 The ideal table.  A circuit's noiseless outcomes come from the sampler's
 one dense pass (capped at DEFAULT_QUBIT_CAP qubits), run once, on first
@@ -64,19 +82,15 @@ negated and its clbits flipped.  Each circuit has one cached _ShotPlan: its
 noise sites, numbered once in traversal order, each with the response of
 every Pauli it can apply, from one backward faults._Sweep pass over the
 circuit alone, so at any width: of the plan, only its ideal table is dense.
-So before touching any state, sample_shots walks an event shot's fired
-sites in that order and draws each one's Pauli code after the uniforms of
-the measurements and resets before that site, which it drops: these are the
-draws its trajectory makes, so this is the trajectory's frame.  The checks
+So a shot's frame is known before any state is touched, and, drawn as
+its trajectory draws it (step 2), it is the trajectory's frame.  The checks
 are a function of the frame alone when the guard holds: there are checks,
 each clbit is measured at most once, the noiseless check values are
 deterministic, and no rotation generator (Z_aZ_b after an RZZ, X_aX_b after
 an RXX), taken as a fault right after its own gate, flips a check parity.
 By induction over the first sign-flipped rotation the checks are then
 deterministic under every pattern of rotation signs.  Under the guard the
-shot's next uniform picks an ideal entry, to which the frame's clbit flips
-and the readout flips are applied (as Stim's frame sampler gives a shot a
-noiseless sample XOR its frame's flips):
+shot's step 3 uniform picks an ideal entry, and its record follows:
 
   * A shot whose frame breaks a check is rejected without a trajectory,
     with accepted False, logical None and the exact check values (the
@@ -114,13 +128,6 @@ noiseless sample XOR its frame's flips):
 
 So every verdict is the trajectory's, but the bits and logical of an
 accepted shot the frame decides are an exact draw, not its trajectory's.
-
-An unencoded shot takes as p1 the mass of its outcomes so far extended by
-a 1, over the product of their probabilities, as measure() renormalizes
-the state after each collapse.  That p1 agrees with its trajectory's
-prob_one to the last bits, not bit for bit: the masses are summed in
-another order, from the logical state at the circuit end.  The record is
-the trajectory's unless a uniform falls between them.
 
 The gate kernels work on the whole array at once, but each amplitude gets
 the same IEEE operations in the same order as in a per-block update (see
@@ -700,28 +707,129 @@ def _inject_map(gates: Sequence[Gate],
     return out
 
 
-class _ShotPlan:
+class _SiteTable:
+    """A circuit's noise sites as both samplers draw them (module
+    docstring).  Each Pauli site has its slot (the measurements and resets
+    before it, whose draws its trajectory makes first) and its responses,
+    the frames of the Paulis its event can apply in the order of their
+    codes; sites with the same entries share one response list.  `family`
+    holds, keyed by NoiseModel rate in the order a shot draws their events,
+    each family's Pauli sites, or its measurements' clbits.  A subclass
+    adds its Pauli sites with `_site` and its measurements' clbits to
+    family["p_meas"], then calls `_number`, and says where a frame keeps
+    its clbit flips and rotations (`split`)."""
+
+    def __init__(self):
+        self.slots: list[int] = []
+        self.responses: list[list[int]] = []
+        self.family = {"p2": [], "p1": [], "p_meas": [], "p_idle": []}
+        self._shared: dict[tuple, list[int]] = {}
+
+    def _site(self, rate: str, entries, slot: int = 0) -> None:
+        """A Pauli site of family `rate`, after `slot` measurements and
+        resets, its entries the (x, z) frames of an X and a Z on each of its
+        qubits."""
+        self.family[rate].append(len(self.slots))
+        self.slots.append(slot)
+        entries = tuple(entries)
+        if entries not in self._shared:
+            # digit j of a Pauli code acts on qubit j
+            self._shared[entries] = _combine(entries[::-1])
+        self.responses.append(self._shared[entries])
+
+    def _number(self) -> None:
+        """Per uniform of a shot, in family order, the Pauli site whose
+        event it draws, or None for a readout's, the readouts' from
+        first_readout on; and each readout's clbit flip, that of an
+        overwritten measurement lost."""
+        self.family_sizes = {rate: len(f) for rate, f in self.family.items()}
+        self.draw_site: list[int | None] = []
+        for rate, f in self.family.items():
+            if rate == "p_meas":
+                self.first_readout = len(self.draw_site)
+                f = [None] * len(f)
+            self.draw_site += f
+        meas_clbits = self.family["p_meas"]
+        last_write = {c: si for si, c in enumerate(meas_clbits)}
+        self.readout_flips = [1 << c if last_write[c] == si else 0
+                              for si, c in enumerate(meas_clbits)]
+        self.clbits_once = len(last_write) == len(meas_clbits)
+
+    def split(self, frame: int) -> tuple[int, int]:
+        """A frame's clbit flips and its mask of flipped rotations."""
+        raise NotImplementedError
+
+    def rates(self, noise: NoiseModel) -> np.ndarray:
+        """The event probability of each of a shot's uniforms."""
+        eff, sizes = noise.effective(), self.family_sizes
+        return np.repeat([getattr(eff, r) for r in sizes], [*sizes.values()])
+
+    def events(self, rng: np.random.Generator, rates: np.ndarray
+               ) -> tuple[list[int], list[int]]:
+        """A shot's events, its first draws: its fired Pauli sites in
+        traversal order, and its fired readouts by measurement number."""
+        sites, readouts = [], []
+        hit = rng.random(len(rates)) < rates
+        for d in hit.nonzero()[0].tolist():
+            site = self.draw_site[d]
+            if site is None:
+                readouts.append(d - self.first_readout)
+            else:
+                sites.append(site)
+        sites.sort()
+        return sites, readouts
+
+    def flips(self, rng: np.random.Generator, fired: list[int], frame: int
+              ) -> tuple[int, int]:
+        """A shot's Pauli frame from `frame` on, each fired site's Pauli
+        drawn as its trajectory draws it, after the uniforms of the
+        measurements and resets before that site, which are drawn and
+        dropped.  Returns the frame's clbit flips and its rotation mask."""
+        drawn = 0
+        for s in fired:
+            if self.slots[s] > drawn:
+                rng.random(self.slots[s] - drawn)
+                drawn = self.slots[s]
+            rs = self.responses[s]
+            frame ^= rs[int(rng.integers(1, len(rs) + 1)) - 1]
+        return self.split(frame)
+
+    def readout(self, em: list[int]) -> int:
+        """The clbit flips of a shot's fired readouts `em`; the flip of an
+        overwritten measurement is lost."""
+        out = 0
+        for si in em:
+            out ^= self.readout_flips[si]
+        return out
+
+
+def _pick(u: float, cum: np.ndarray) -> int:
+    """The entry the uniform `u` picks from the cumulative `cum`."""
+    return min(int(cum.searchsorted(u)), len(cum) - 1)
+
+
+class _ShotPlan(_SiteTable):
     """What sample_shots needs of a circuit whatever the noise.  The
     constructor reads the circuit alone (its schedule and one faults._Sweep)
     and builds no state, so it runs at any width: the traversal script (per
     layer, its gates, then the idle qubits of a layer holding a two-qubit
-    gate), the sites below, their families, rates and draw index, and the
-    readout and rotation flips.  The ideal table `ideal`, from whose
-    cumulative a shot's uniform `pick`s an entry, and each `reading` of it
-    are the dense part, built on first use and capped at DEFAULT_QUBIT_CAP.
+    gate), its site table and the rotation flips.  The ideal table `ideal`,
+    from whose cumulative a shot's uniform picks an entry, and each
+    `reading` of it are the dense part, built on first use and capped at
+    DEFAULT_QUBIT_CAP.
 
     Each unitary gate and each such idle qubit is a Pauli site, numbered
-    once in traversal order with its slot (the measurements and
-    resets before it, whose draws its trajectory makes first) and its
-    responses from the faults._Sweep entries right after its gate; an idle
-    site after layer l on q takes those after q's last gate before l, or at
-    the circuit start.  A shot draws every site's event up front, so its
-    frame is known before any state is touched.  One that the frame decides
-    `pick`s an ideal entry, from the cumulative reweighted by its reading's
-    `model` when it keeps its checks and its frame flips a rotation; one
-    the frame cannot decide runs its whole `trajectory`."""
+    once in traversal order, its responses from the faults._Sweep entries
+    right after its gate; an idle site after layer l on q takes those after
+    q's last gate before l, or at the circuit start.  A shot draws every
+    site's event up front, so its frame is known before any state is
+    touched.  One that the frame decides picks an ideal entry, from the
+    cumulative reweighted by its reading's `model` when it keeps its checks
+    and its frame flips a rotation; one the frame cannot decide runs its
+    whole `trajectory`."""
 
     def __init__(self, circuit: PhysicalCircuit):
+        super().__init__()
         sched = layered_schedule(circuit)
         self.gates = gates = tuple(circuit.gates)   # the circuit may change
         self.num_qubits = circuit.num_qubits
@@ -731,27 +839,9 @@ class _ShotPlan:
         # per layer: (gate index, gate, Pauli or measurement site), its idle
         # qubits, and the Pauli site of its first idle qubit
         self.layers = []
-        self.slots: list[int] = []
-        self.responses: list[list[int]] = []
-        meas_clbits: list[int] = []
+        meas_clbits = self.family["p_meas"]
         rotation_flips = set()
-        # per family, keyed by its NoiseModel rate, its sites (measurements:
-        # their clbits); a shot draws one uniform per site, in this order
-        family = {"p2": [], "p1": [], "p_meas": meas_clbits, "p_idle": []}
         slot = 0
-        # sites with the same entries (an idle qubit over layers) share one
-        # response list
-        shared: dict[tuple, list[int]] = {}
-
-        def site(rate, entries):
-            family[rate].append(len(self.slots))
-            self.slots.append(slot)
-            entries = tuple(entries)
-            if entries not in shared:
-                # digit j of _apply_random_pauli's code acts on qubit j
-                shared[entries] = _combine(entries[::-1])
-            self.responses.append(shared[entries])
-
         for layer_gates in sched.layers:
             ops = []
             for gi in layer_gates:
@@ -773,29 +863,14 @@ class _ShotPlan:
                         r = za ^ zb if g.kind is GateKind.RZZ else xa ^ xb
                         rotation_flips.add(self.sweep.unpack(r)[2])
                     ops.append((gi, g, len(self.slots)))
-                    site("p2" if g.is_two_qubit else "p1", own)
+                    self._site("p2" if g.is_two_qubit else "p1", own, slot)
             touched = {q for gi in layer_gates for q in gates[gi].qubits}
             idle = [q for q in range(self.num_qubits) if q not in touched] \
                 if any(gates[gi].is_two_qubit for gi in layer_gates) else []
             self.layers.append((ops, idle, len(self.slots)))
             for q in idle:
-                site("p_idle", [last[q]])
-
-        # per uniform of a shot, in family order, the Pauli site whose event
-        # it draws, or None for a readout's; the readouts' start at
-        # first_readout
-        self.family_sizes = {rate: len(f) for rate, f in family.items()}
-        self.draw_site: list[int | None] = []
-        for rate, f in family.items():
-            if rate == "p_meas":
-                self.first_readout = len(self.draw_site)
-                f = [None] * len(f)
-            self.draw_site += f
-
-        last_write = {c: si for si, c in enumerate(meas_clbits)}
-        self.readout_flips = [1 << c if last_write[c] == si else 0
-                              for si, c in enumerate(meas_clbits)]
-        self.clbits_once = len(last_write) == len(meas_clbits)
+                self._site("p_idle", [last[q]], slot)
+        self._number()
         self.rotation_flips = frozenset(rotation_flips)
         self._readings: dict[tuple, _Reading] = {}
 
@@ -803,26 +878,6 @@ class _ShotPlan:
     def ideal(self) -> "_Outcomes":
         """The ideal table: _bit_distribution of the plan's own gates."""
         return _bit_distribution(self)
-
-    def rates(self, noise: NoiseModel) -> np.ndarray:
-        """The event probability of each of a shot's uniforms."""
-        eff, sizes = noise.effective(), self.family_sizes
-        return np.repeat([getattr(eff, r) for r in sizes], [*sizes.values()])
-
-    def events(self, rng: np.random.Generator, rates: np.ndarray
-               ) -> tuple[list[int], list[int]]:
-        """A shot's events, its first draws: its fired Pauli sites in
-        traversal order, and its fired readouts by measurement number."""
-        sites, readouts = [], []
-        hit = rng.random(len(rates)) < rates
-        for d in hit.nonzero()[0].tolist():
-            site = self.draw_site[d]
-            if site is None:
-                readouts.append(d - self.first_readout)
-            else:
-                sites.append(site)
-        sites.sort()
-        return sites, readouts
 
     def trajectory(self, rng: np.random.Generator, rates: np.ndarray,
                    inject: Mapping[int, list[PauliString]]) -> list[int]:
@@ -878,35 +933,8 @@ class _ShotPlan:
                     frame ^= entries[q][1]
         return frame
 
-    def flips(self, rng: np.random.Generator, fired: list[int], frame: int
-              ) -> tuple[int, int]:
-        """A shot's Pauli frame from `frame` on, each fired site's Pauli
-        drawn as its trajectory draws it, after the uniforms of the
-        measurements and resets before that site, which are drawn and
-        dropped.  Returns the frame's clbit flips and its rotation mask."""
-        drawn = 0
-        for s in fired:
-            if self.slots[s] > drawn:
-                rng.random(self.slots[s] - drawn)
-                drawn = self.slots[s]
-            rs = self.responses[s]
-            frame ^= rs[int(rng.integers(1, len(rs) + 1)) - 1]
-        _, _, cl, rot = self.sweep.unpack(frame)
-        return cl, rot
-
-    def readout(self, em: list[int]) -> int:
-        """The clbit flips of a shot's fired readouts `em`; the flip of an
-        overwritten measurement is lost."""
-        out = 0
-        for si in em:
-            out ^= self.readout_flips[si]
-        return out
-
-    def pick(self, u: float, cum: np.ndarray | None = None) -> int:
-        """The ideal entry the uniform `u` picks from the cumulative `cum`
-        over the ideal entries, by default the ideal one."""
-        cum = self.ideal.cum if cum is None else cum
-        return min(int(cum.searchsorted(u)), len(cum) - 1)
+    def split(self, frame: int) -> tuple[int, int]:
+        return self.sweep.unpack(frame)[2:]
 
 
 class _Reading:
@@ -1138,31 +1166,20 @@ def sample_shots(circuit: PhysicalCircuit, noise: NoiseModel, shots: int,
                  decode: Mapping[int, frozenset[int]] | None = None,
                  inject: Sequence[tuple[int, PauliString]] = ()
                  ) -> list[ShotRecord]:
-    """Trajectory sampling of a physical circuit under the noise model.
-
-    Shot i draws from its own stream, that of default_rng(SeedSequence((
-    seed, i))), so its record does not depend on the other shots; the call
-    seeds its shots in blocks with one vectorized pass and points one
-    generator at each shot in turn (_Streams).  A shot on which no Pauli
-    event fires picks its bits from the exact noiseless distribution and
-    applies its readout flips.  When the guard holds (the checks are a
-    function of the Pauli frame alone), the frame decides most other shots
-    without a state of the circuit: it draws each fired site's Pauli code
-    as the trajectory does, so its check values and verdict are exact, and
-    its next uniform picks its bits from the ideal distribution, to which
-    the frame's clbit flips and readout flips are applied.  An accepted
-    shot whose frame flips rotations picks from the ideal distribution
-    reweighted by the logical model (module docstring): it draws its pick
-    uniform in its place, and after the loop one stacked pass of the model
-    gives the k-qubit logical states of all such shots, from which the
-    held uniforms pick.  A rejected shot simulates only the check parities
-    of its bits.  Every other shot runs its whole trajectory from |0...0>,
-    its stream started again: every event shot when the guard fails, and
-    an accepted one whose frame flips rotations when there is no `decode`
-    or no model.  Every verdict is that of its trajectory, and
-    so is every record the frame does not decide; the bits of an accepted
-    shot the frame decides are an exact draw from their distribution, not
-    its trajectory's.  The circuit's _ShotPlan is cached by its content,
+    """Noisy sampling of a physical circuit, shot i from its own stream
+    (module docstring: Sampling).  When the guard holds (the checks are a
+    function of the Pauli frame alone), the frame decides every event shot
+    without a state of the circuit, but for an accepted one whose frame
+    flips rotations when there is no `decode` or no logical model: its
+    check values and verdict are exact, and its bits an exact draw.  An
+    accepted shot whose frame flips rotations picks from the ideal
+    distribution reweighted by the logical model: it holds its pick
+    uniform until one stacked pass of the model after the loop.  A
+    rejected shot simulates only the check parities of its bits.  Every
+    other event shot runs its whole trajectory from |0...0>, its stream
+    started again, and so does every event shot when the guard fails.
+    Every verdict is its trajectory's, and so is every record the frame
+    does not decide.  The circuit's _ShotPlan is cached by its content,
     and the circuit is validated when its plan is built: a circuit with the
     content of a cached plan is valid.  One above DEFAULT_QUBIT_CAP qubits
     raises SimulatorError before a plan is built.
@@ -1176,7 +1193,7 @@ def sample_shots(circuit: PhysicalCircuit, noise: NoiseModel, shots: int,
     inject_map = _inject_map(plan.gates, inject)
     reading = plan.reading(checks, decode)
     readout, guard = reading.readout, reading.guard
-    rates = plan.rates(noise)
+    rates, cum = plan.rates(noise), plan.ideal.cum
     if guard is not None:
         inject_frame = plan.inject_frame(inject_map)
 
@@ -1189,14 +1206,14 @@ def sample_shots(circuit: PhysicalCircuit, noise: NoiseModel, shots: int,
         rng = streams.at(shot)
         fired, em = plan.events(rng, rates)
         if not (inject_map or fired):
-            records.append(reading.record(plan.pick(rng.random()),
+            records.append(reading.record(_pick(rng.random(), cum),
                                           plan.readout(em)))
             continue
         if guard is not None:
             cl, rot = plan.flips(rng, fired, inject_frame)
             flips = cl ^ plan.readout(em)
             if not rot or not _keeps_checks(guard, flips):
-                records.append(reading.record(plan.pick(rng.random()), flips))
+                records.append(reading.record(_pick(rng.random(), cum), flips))
                 continue
             if reading.model is not None:
                 held.append((len(records), rng.random(), rot, flips))
@@ -1210,7 +1227,7 @@ def sample_shots(circuit: PhysicalCircuit, noise: NoiseModel, shots: int,
             weights = model.reweighted(state.probabilities())
             for row, w in zip(rows, weights):
                 i, u, _, flips = held[row]
-                records[i] = reading.record(plan.pick(u, np.cumsum(w)), flips)
+                records[i] = reading.record(_pick(u, np.cumsum(w)), flips)
     return records
 
 
@@ -1383,7 +1400,10 @@ def exact_logical_distribution(circuit: PhysicalCircuit,
     """(acceptance probability, post-selected decoded logical distribution).
 
     Both sum the accepted entries in the order exact_bit_distribution
-    lists them, and the logicals come in the order they first appear."""
+    lists them, and the logicals come in the order they first appear.  A
+    `decode` of None raises ValueError: the logicals need a decode map."""
+    if decode is None:
+        raise ValueError("exact_logical_distribution needs a decode map")
     readout = _Readout(checks, decode, circuit.num_clbits)
     out = _bit_distribution(circuit, inject)
     _, accepted, logical = readout.decode_words(out.words)
@@ -1411,19 +1431,33 @@ def unencoded_distribution(lc: LogicalCircuit) -> dict[int, float]:
     return {x: float(p) for x, p in enumerate(probs) if p > 1e-15}
 
 
-class _LogicalPlan:
+class _LogicalPlan(_SiteTable):
     """What sample_logical_shots needs of an unencoded circuit whatever the
-    noise: its `steps` (_logical_steps), per step the frames of the Paulis
-    its event can apply, in the order of their codes (`responses`), its
-    noiseless _LogicalModel and that model's _marginal_masses."""
+    noise: per step of _logical_steps a Pauli site numbered by its step
+    (RZZ steps p2, RX steps p1, idle slots p_idle) with the frames of
+    _logical_entries, and one readout per qubit; its noiseless _LogicalModel
+    and the cumulative of that model's distribution (`cum`).  A frame's bit
+    q is an X flip on qubit q and bit k+i negates the rotation of step i."""
 
     def __init__(self, lc: LogicalCircuit):
+        super().__init__()
         self.k = lc.k
-        self.steps = _logical_steps(lc)
-        self.responses = [_combine(entries[::-1]) for entries
-                          in _logical_entries(self.steps, lc.k)]
-        self.model = _LogicalModel(lc.k, _logical_ops(self.steps))
-        self.noiseless = _marginal_masses(self.model.probs, lc.k)
+        steps = _logical_steps(lc)
+        for (support, angle), entries in zip(
+                steps, _logical_entries(steps, lc.k)):
+            self._site("p_idle" if angle is None else
+                       "p2" if len(support) == 2 else "p1", entries)
+        self.family["p_meas"] += range(lc.k)
+        self._number()
+        self.model = _LogicalModel(lc.k, _logical_ops(steps))
+        self.cum = np.cumsum(self.model.probs)
+
+    def split(self, frame: int) -> tuple[int, int]:
+        return frame & (1 << self.k) - 1, frame >> self.k
+
+    def record(self, word: int) -> ShotRecord:
+        """The record of a shot whose k qubits read `word`."""
+        return ShotRecord(_bit_tuple(word, self.k), (), True, word)
 
 
 def _build_logical_plan(k: int, phase_layers: tuple,
@@ -1491,92 +1525,36 @@ def _logical_entries(steps: list[tuple[tuple[int, ...], float | None]],
 
 def sample_logical_shots(lc: LogicalCircuit, noise: NoiseModel, shots: int,
                          seed: int) -> list[ShotRecord]:
-    """Unencoded reference under the same noise model.
-
-    Shot i draws from its own stream, as in sample_shots, what its
-    trajectory draws, in its order: a uniform per step with p > 0 (one
-    vector until a test fires; the same numbers), a Pauli code after each
-    fired test, whose frame it folds into its own (module docstring), then
-    per qubit a measurement uniform and, when p_meas > 0, a readout test.
-    Qubit q reads 1 when its uniform lies below the probability of a 1
-    given qubits 0..q-1, from `_marginal_masses` of the frame's state, read
-    through its X flips.  The shots whose frame negates rotations hold
-    their readout uniforms until the loop ends, when one stacked pass of
-    the logical model (_LogicalModel.states) gives all their states.  The
-    circuit's steps and model are cached by its content (_logical_plan)."""
+    """Unencoded reference under the same noise model, shot i from its own
+    stream and decided by its Pauli frame (module docstring: Sampling, and
+    Unencoded shots).  A shot whose frame negates rotations holds its pick
+    uniform until one stacked pass of the logical model after the loop.
+    Its logical is its picked outcome XOR its frame's X flips XOR its fired
+    readouts, bit q qubit q; its check values are () and it is accepted.
+    The circuit's steps, sites and model are cached by its content
+    (_logical_plan)."""
     _check_shots(shots, seed)
-    eff = noise.effective()
     plan = _logical_plan(lc)
-    k = plan.k
-    rates = [eff.p_idle if angle is None else
-             eff.p2 if len(support) == 2 else eff.p1
-             for support, angle in plan.steps]
-    tested = [i for i, p in enumerate(rates) if p > 0]
-    probs = np.array([rates[i] for i in tested])
-    # a shot's uniforms after its tests: per qubit, that of its measurement,
-    # then that of its readout test when p_meas > 0
-    stride = 2 if eff.p_meas > 0 else 1
+    rates = plan.rates(noise)
     streams = _Streams(seed, shots)
     records: list[ShotRecord | None] = []
-    held = []   # (shot, frame, readout uniforms) of shots read after the loop
+    held = []   # (record index, pick uniform, rotation mask, flips)
     for shot in range(shots):
         rng = streams.at(shot)
-        fired = rng.random(len(tested)) < probs
-        frame = 0
-        if fired.any():
-            first = int(fired.argmax())
-            rng = streams.at(shot)
-            rng.random(first)
-            for i in tested[first:]:
-                if rng.random() < rates[i]:
-                    rs = plan.responses[i]
-                    frame ^= rs[int(rng.integers(1, len(rs) + 1)) - 1]
-        u = rng.random(stride * k).tolist()
-        if frame >> k:
-            held.append((shot, frame, u))
+        fired, em = plan.events(rng, rates)
+        x, rot = plan.flips(rng, fired, 0)
+        flips = x ^ plan.readout(em)
+        if rot:
+            held.append((shot, rng.random(), rot, flips))
             records.append(None)
         else:
-            records.append(_read_qubits(plan.noiseless, frame, u, stride,
-                                        eff.p_meas))
+            records.append(plan.record(_pick(rng.random(), plan.cum) ^ flips))
     if held:
-        for rows, state in plan.model.states([f >> k for _, f, _ in held]):
+        for rows, state in plan.model.states([rot for _, _, rot, _ in held]):
             for row, p in zip(rows, state.probabilities()):
-                shot, frame, u = held[row]
-                records[shot] = _read_qubits(_marginal_masses(p, k), frame,
-                                             u, stride, eff.p_meas)
+                shot, u, _, flips = held[row]
+                records[shot] = plan.record(_pick(u, np.cumsum(p)) ^ flips)
     return records
-
-
-def _read_qubits(masses: list[list[float]], frame: int, u: list[float],
-                 stride: int, p_meas: float) -> ShotRecord:
-    """An unencoded shot's record from the _marginal_masses of its frame's
-    state, its frame (bit q an X flip on qubit q) and its readout uniforms
-    `u`, `stride` per qubit."""
-    x, norm, bits = 0, 1.0, []   # x: the outcomes before the X flips
-    logical = 0
-    for q, mass in enumerate(masses):
-        f = frame >> q & 1
-        p1 = mass[x | (f ^ 1) << q] / norm
-        v = 1 if u[stride * q] < p1 else 0
-        norm *= p1 if v else 1.0 - p1
-        x |= (v ^ f) << q
-        if stride == 2 and u[2 * q + 1] < p_meas:
-            v ^= 1
-        bits.append(v)
-        logical |= v << q
-    return ShotRecord(tuple(bits), (), True, logical)
-
-
-def _marginal_masses(probs: np.ndarray, k: int) -> list[list[float]]:
-    """masses[q][x]: the mass of the basis states whose qubits 0..q read x
-    (bit i of x is qubit i), from the probabilities of the 2^k basis
-    states, summed over the higher qubits first."""
-    masses = []
-    for _ in range(k):
-        masses.append(probs.tolist())
-        m0, m1 = probs.reshape(2, -1)       # split on the highest qubit
-        probs = m0 + m1
-    return masses[::-1]
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,12 @@ from icecomp.bench import (REPORT_COLUMNS, SweepSpec, emit_plotdata,
                            read_rows, run_depth_sweep, run_energy_bench,
                            run_qaoa_bench, write_manifest, write_rows)
 from icecomp.cli import main
+from icecomp.compiler import CompileConfig, GadgetSet, compile_baseline, \
+    write_encoded
 from icecomp.faults import enumerate_fault_locations
 from icecomp.gadgets import GadgetKind, build_gadget
-from icecomp.maxcut import GraphKind, make_graph, write_graph
+from icecomp.maxcut import GraphKind, make_graph, ramp_params, read_graph, \
+    write_graph
 from icecomp.simulator import NoiseModel
 
 
@@ -492,6 +495,46 @@ class TestCli:
                  "--out", os.path.join(out, "plot.txt"))
         with open(os.path.join(out, "plot.txt")) as fh:
             assert "depth-vs-k" in fh.read()
+
+    def test_compile_baseline_cli(self, tmp_path):
+        out = str(tmp_path)
+        g = os.path.join(out, "g.txt")
+        circ = os.path.join(out, "c.txt")
+        report = os.path.join(out, "rep.csv")
+        self.run("--out-dir", out, "gen", "--k", "6", "--seed", "1",
+                 "--out", g)
+        self.run("--out-dir", out, "compile", "--graph", g, "--p", "1",
+                 "--syndromes", "1", "--gadgets", "old", "--mode", "baseline",
+                 "--out", circ, "--report", report)
+        with open(g) as fh:
+            graph = read_graph(fh.read())
+        enc = compile_baseline(graph, ramp_params(1), CompileConfig(
+            num_syndromes=1, gadget_set=GadgetSet.OLD))
+        with open(circ) as fh:
+            assert fh.read() == write_encoded(enc)
+        with open(report) as fh:
+            (row,) = list(csv.DictReader(fh))
+        assert row["mode"] == "baseline"
+        assert int(row["depth_2q"]) == enc.meta["depth_2q"]
+        assert int(row["twoq_gates"]) == enc.meta["twoq_gates"]
+
+    def test_bench_energy_and_report_to_stdout(self, tmp_path, capsys):
+        out = str(tmp_path)
+        csv_path = os.path.join(out, "e.csv")
+        self.run("--out-dir", out, "bench-energy", "--sizes", "6",
+                 "--num-seeds", "1", "--p", "1", "--syndromes", "1",
+                 "--modes", "resynth+z2", "--queue-cap", "40",
+                 "--shots", "50", "--scales", "0", "1", "--out", csv_path)
+        rows = read_rows(csv_path)
+        assert len(rows) == 4   # 2 scales x (encoded, unencoded)
+        assert {r["variant"] for r in rows} == {"encoded", "unencoded"}
+        with open(csv_path + ".manifest.json") as fh:
+            assert json.load(fh)["config"]["noise_scales"] == [0.0, 1.0]
+        capsys.readouterr()
+        self.run("--out-dir", out, "report", "--csv", csv_path,
+                 "--figure", "tv-vs-noise")
+        assert capsys.readouterr().out == \
+            emit_plotdata(rows, "tv-vs-noise")
 
     def test_outdir_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ICECOMP_OUTDIR", str(tmp_path))

@@ -190,17 +190,28 @@ class TestCooptimized:
         assert enc.meta["twoq_gates"] == (6 + 3) + (2 * 6 + 4) + (6 + 3)
 
     @pytest.mark.parametrize("k, p, s, cap, expanded, exhausted", [
-        (6, 2, 1, 200, 201, True),
-        (4, 1, 0, 0, 1, True),
+        (6, 2, 1, 200, 200, True),
+        (4, 1, 0, 0, 0, True),
         (4, 1, 0, 200, 18, False),
     ])
     def test_search_reports_nodes_expanded(self, k, p, s, cap, expanded,
-                                           exhausted):
-        # a search out of budget has expanded one node past queue_cap and
-        # stops on it; one that reaches the goal reports how many it took
+                                           exhausted, monkeypatch):
+        # a search out of budget has expanded queue_cap nodes and stops on
+        # the next one it pops, which it never expands; one that reaches the
+        # goal reports how many it took.  Either way the count is that of
+        # the best-first loop's expand calls (the rollout's have width 1)
+        calls = []
+        expand = compiler.expand
+
+        def counted(node, width=EXPANSION_WIDTH):
+            calls.append(width)
+            return expand(node, width)
+
+        monkeypatch.setattr(compiler, "expand", counted)
         g = generate_instance(GraphKind.REGULAR_3, k, seed=0)
         enc = compile_mode(g, ramp_params(p), "coopt", s, cap)
         assert enc.meta["expanded_nodes"] == expanded
+        assert calls.count(EXPANSION_WIDTH) == expanded
         assert enc.meta["budget_exhausted"] is exhausted
 
 

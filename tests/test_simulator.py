@@ -212,6 +212,29 @@ class TestExactDistributions:
         assert acc == pytest.approx(1.0, abs=1e-9)
         assert total_variation(dist, ref) <= 1e-9
 
+    def test_z_gate(self):
+        # H Z H is X: the exact distribution and a noiseless sample both
+        # read 1
+        c = PhysicalCircuit(1, 1)
+        c.h(0)
+        c.z(0)
+        c.h(0)
+        c.mz(0, 0)
+        dist = exact_bit_distribution(c)
+        assert dist.get((1,), 0.0) == pytest.approx(1.0, abs=1e-12)
+        assert {r.bits for r in sample_shots(c, NoiseModel(scale=0.0),
+                                             20, 0)} == {(1,)}
+
+    def test_logical_distribution_needs_decode(self):
+        c = PhysicalCircuit(2, 2)
+        c.mz(0, 0)
+        c.mz(1, 1)
+        checks = (ParityCheck(frozenset({0, 1})),)
+        with pytest.raises(ValueError, match="decode map"):
+            exact_logical_distribution(c, checks, None)
+        assert exact_logical_distribution(
+            c, checks, {1: frozenset({0})}) == (1.0, {0: 1.0})
+
 
 class TestShots:
     def setup_method(self):
@@ -367,9 +390,10 @@ class TestShots:
 
 
 # ---------------------------------------------------------------------------
-# Reference samplers: every noisy shot replays its whole trajectory from
-# |0...0>, one shot at a time.  sample_shots and sample_logical_shots decide
-# most shots on their Pauli frame and must give equal records.
+# Reference samplers: every noisy shot runs its whole trajectory, one shot
+# at a time, from |0...0> (encoded) or |+>^k (unencoded).  sample_shots and
+# sample_logical_shots decide shots on their Pauli frame and must give equal
+# records.
 # ---------------------------------------------------------------------------
 
 def _ref_rng(seed, shot):
@@ -632,38 +656,65 @@ def _ref_phase_layers(gates, k):
 
 
 def reference_sample_logical_shots(lc, noise, shots, seed):
+    """The unencoded stream as a StateVector trajectory.  Its steps are the
+    ASAP phase layers (an idle slot for each qubit a layer leaves
+    untouched) and then the mixer, numbered per family: RZZ steps, RX
+    steps and idle slots.  A shot draws its event vectors (_ref_events over
+    those families and one readout per qubit), runs the circuit from
+    |+>^k, and after each fired step, in step order, draws a Pauli code and
+    applies its Pauli to the state, keeping the X mask it applied.  Its
+    next uniform picks y from the final probabilities read through that
+    mask; its logical is y XOR the mask XOR its fired readouts."""
     eff = noise.effective()
+    k = lc.k
+    steps = []      # (family, index within it, qubits, angle)
+    count = {"2q": 0, "1q": 0, "idle": 0}
+
+    def step(family, qubits, angle=None):
+        steps.append((family, count[family], qubits, angle))
+        count[family] += 1
+
+    for gates, mixer in zip(lc.phase_layers, lc.mixer_layers):
+        for layer in _ref_phase_layers(gates, k):
+            touched = set()
+            for g in layer:
+                step("2q", (g.u, g.v), g.angle)
+                touched.update((g.u, g.v))
+            for q in range(k):
+                if q not in touched:
+                    step("idle", (q,))
+        for m in mixer:
+            step("1q", (m.qubit,), m.angle)
+    sizes = (count["2q"], count["1q"], k, count["idle"])
+    index = np.arange(1 << k)
     records = []
-    phase_layers = [_ref_phase_layers(gates, lc.k) for gates in lc.phase_layers]
     for shot in range(shots):
         rng = _ref_rng(seed, shot)
-        state = StateVector(lc.k)
-        for q in range(lc.k):
+        e2, e1, em, ei = _ref_events(rng, eff, sizes)
+        events = {"2q": e2, "1q": e1, "idle": ei}
+        state = StateVector(k)
+        for q in range(k):
             state.apply_h(q)
-        for layers, mixer in zip(phase_layers, lc.mixer_layers):
-            for layer in layers:
-                touched = set()
-                for g in layer:
-                    state.apply_rzz(g.u, g.v, g.angle)
-                    touched.update((g.u, g.v))
-                    if eff.p2 > 0 and rng.random() < eff.p2:
-                        _ref_random_pauli(state, (g.u, g.v), rng)
-                if eff.p_idle > 0:
-                    for q in range(lc.k):
-                        if q not in touched and rng.random() < eff.p_idle:
-                            _ref_random_pauli(state, (q,), rng)
-            for m in mixer:
-                state.apply_rx(m.qubit, m.angle)
-                if eff.p1 > 0 and rng.random() < eff.p1:
-                    _ref_random_pauli(state, (m.qubit,), rng)
-        bits = []
-        for q in range(lc.k):
-            v = state.measure(q, rng)
-            if eff.p_meas > 0 and rng.random() < eff.p_meas:
-                v ^= 1
-            bits.append(v)
-        logical = sum(b << i for i, b in enumerate(bits))
-        records.append(ShotRecord(tuple(bits), (), True, logical))
+        xmask = 0
+        for family, si, qubits, angle in steps:
+            if family == "2q":
+                state.apply_rzz(*qubits, angle)
+            elif family == "1q":
+                state.apply_rx(qubits[0], angle)
+            if not events[family][si]:
+                continue
+            code = int(rng.integers(1, 4 ** len(qubits)))
+            for j, q in enumerate(qubits):
+                letter = "IXYZ"[code >> 2 * j & 3]
+                if letter in "XY":
+                    xmask ^= 1 << q
+                if letter != "I":
+                    getattr(state, "apply_" + letter.lower())(q)
+        cum = np.cumsum(state.probabilities()[index ^ xmask])
+        y = min(int(np.searchsorted(cum, rng.random())), len(cum) - 1)
+        logical = y ^ xmask ^ sum(int(f) << q for q, f in enumerate(em))
+        records.append(ShotRecord(tuple(logical >> q & 1 for q in range(k)),
+                                  (), True, logical))
     return records
 
 
@@ -1112,15 +1163,18 @@ class TestLogicalModel:
             assert len(enc.decode) in built, mode
             assert assert_matches_references(recs, *args, **kw) > 0, mode
 
-    @pytest.mark.parametrize("build", [_not_iceberg_rzz, _not_iceberg_start])
-    def test_rotation_flips_without_a_logical_model(self, build,
+    @pytest.mark.parametrize("build, decode", [
+        pytest.param(build, decode, id=build.__name__ + suffix)
+        for decode, suffix in (({1: frozenset({1})}, ""), (None, "-no-decode"))
+        for build in (_not_iceberg_rzz, _not_iceberg_start)])
+    def test_rotation_flips_without_a_logical_model(self, build, decode,
                                                     monkeypatch):
         # the guard holds (the check on c2 is deterministic and no rotation
-        # generator touches it), but the circuit has no logical model: its
-        # accepted shots whose frame flips a rotation run their trajectories
+        # generator touches it), but the circuit has no logical model (or
+        # no decode to build one from): its accepted shots whose frame flips
+        # a rotation run their trajectories
         circ = build()
         checks = (ParityCheck(frozenset({2})),)
-        decode = {1: frozenset({1})}
         assert _frame_guard(circ, checks) is not None
         assert _shot_plan(circ).reading(checks, decode).model is None
         args = (circ, NoiseModel(scale=100.0), 400, 3)
@@ -1616,8 +1670,8 @@ class TestRecordGolden:
                "259100c28e91982fad06f8a8bf4625de")
     VERDICTS = ("c1b181e910bac1c64d36772ac1cc954f"
                 "cd2aed2c938c08b195529bf0ebfd4850")
-    UNENCODED = ("473488e281d68447f28d12db5c494c9c"
-                 "3ff4dbf22ab7a6efb58266ebf90d080c")
+    UNENCODED = ("7fc6ce2ca1cda0bd894cefbda5e605b5"
+                 "6b727b051aad3ec2b3a6e4f96308ce6c")
 
     graph = generate_instance(GraphKind.REGULAR_3, 10, seed=0)
     params = ramp_params(3)
