@@ -326,8 +326,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("compile", help="compile an encoded circuit")
     c.add_argument("--graph", required=True)
-    c.add_argument("--params")
-    c.add_argument("--p", type=_int_at_least(0), default=3)
+    depth = c.add_mutually_exclusive_group()
+    depth.add_argument("--params")
+    # a string default is parsed as if given, so that an explicit --p 3
+    # counts as given beside --params (argparse compares by identity)
+    depth.add_argument("--p", type=_int_at_least(0), default="3")
     c.add_argument("--syndromes", type=_int_at_least(0), default=3)
     c.add_argument("--gadgets", choices=("old", "new"), default="new")
     c.add_argument("--mode", choices=("baseline", "coopt"), default="coopt")
@@ -348,7 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--csv")
     v.set_defaults(func=cmd_verify_ft)
 
-    s = sub.add_parser("simulate", help="noisy trajectory sampling")
+    s = sub.add_parser("simulate", help="noisy sampling, most shots decided "
+                       "by their Pauli frame")
     s.add_argument("--circuit", required=True)
     s.add_argument("--noise")
     s.add_argument("--graph")

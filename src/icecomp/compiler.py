@@ -84,11 +84,11 @@ class CompileConfig:
     use_z2: bool = False
     resynthesize: bool = False
     # best-first node budget before falling back to a greedy rollout from
-    # the best frontier node; compile quality saturates by a few hundred
-    # nodes on every family tested, so sweeps keep this small
+    # the node the search stopped on; compile quality saturates by a few
+    # hundred nodes on every family tested, so sweeps keep this small
     queue_cap: int = 2000
 
-    def validate(self, layout: IcebergLayout, graph: ProblemGraph) -> None:
+    def validate(self, layout: IcebergLayout) -> None:
         if self.num_syndromes < 0:
             raise CompileError("num_syndromes must be >= 0")
         if self.queue_cap < 0:
@@ -98,15 +98,13 @@ class CompileConfig:
             raise CompileError(
                 "new syndrome gadget needs k+2 divisible by 4"
             )
-        if self.use_z2 and not graph.unweighted:
-            raise CompileError("Z2 mixer anchoring needs an unweighted instance")
 
     def check(self, graph: ProblemGraph) -> IcebergLayout:
         """The code layout of `graph` after every check a compile makes
         before its first gate: an even k (`IcebergLayout`), then
         `validate`.  Raises GadgetError or CompileError (both ValueError)."""
         layout = IcebergLayout(graph.num_vertices)
-        self.validate(layout, graph)
+        self.validate(layout)
         return layout
 
 
@@ -719,12 +717,12 @@ def build_executable_graph(node: SearchNode) -> ExecutableGraph:
 
 # -- expansion ----------------------------------------------------------------
 
-def _matchings(exe: ExecutableGraph, width: int,
-               forced_qubits: frozenset[int]) -> list[list[frozenset[int]]]:
+def _matchings(exe: ExecutableGraph, width: int
+               ) -> list[list[frozenset[int]]]:
     # the matcher's input, sorted once: each layer's graph is this list
     # without the pairs earlier layers removed
     avail = sorted((*sorted(p), exe.weights[p]) for p in exe.edges
-                   if not (p & forced_qubits))
+                   if not (p & exe.forced_qubits))
     if not avail:
         return [[]]
     out: list[list[frozenset[int]]] = []
@@ -748,7 +746,7 @@ def expand(node: SearchNode, width: int = EXPANSION_WIDTH) -> list[SearchNode]:
         return []
     exe = build_executable_graph(node)
     children: list[SearchNode] = []
-    for layer in _matchings(exe, width, exe.forced_qubits):
+    for layer in _matchings(exe, width):
         items = list(exe.forced)
         for pair in layer:
             items.append(exe.edges[pair])

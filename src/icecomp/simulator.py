@@ -16,7 +16,10 @@ depend on the other shots.  A call builds those streams once (_Streams):
 one vectorized pass of SeedSequence's hash gives a block of shots their
 PCG64 states, and one generator is pointed at each shot in turn by setting
 its state.  A circuit's noise sites form one site table (_SiteTable): its
-Pauli sites, numbered once in traversal order, and its readouts.  A shot
+Pauli sites, numbered once in traversal order, and its readouts.  Both
+samplers run one shot loop (_sample) over a plan, whose site table it
+draws, and a reading of the plan: its noiseless distribution, its guard
+and its logical model (an unencoded plan is its own reading).  A shot
 draws, in this order:
 
   1. its events: one uniform per site, family by family (p2, p1, p_meas,
@@ -32,17 +35,25 @@ draws, in this order:
      trajectory draws them; the unencoded circuit measures only at its
      end, so its slots are all 0;
   3. one uniform, which picks an outcome (_pick) from the cumulative of
-     the noiseless distribution, reweighted when the frame negates
-     rotations (below).
+     the noiseless distribution when the frame negates no rotation or
+     breaks a check, and otherwise is held: when the loop ends, one
+     stacked pass of the logical model (_LogicalModel.states) gives the
+     states of all held shots, one row each, and each held uniform picks
+     from the noiseless distribution reweighted by its row
+     (_LogicalModel.reweighted).
 
 The record is that outcome XOR the frame's flips XOR the fired readouts'
 flips, as Stim's frame sampler gives a shot a noiseless sample XOR its
 frame's flips; a clbit measured twice keeps its last write, and that
-measurement's flip.  An encoded shot the frame cannot decide (below) runs
-its whole trajectory from |0...0>, its stream started again
-(_ShotPlan.trajectory), which draws the same events, then, in traversal
-order, one uniform per measurement and reset (StateVector.measure/reset)
-and one Pauli code per fired site.
+measurement's flip.  A shot with no fired Pauli site and no injected
+Pauli has the noiseless frame, so it picks, guard or no guard.  A shot the
+frame cannot decide runs, in place of step 3, its whole trajectory from
+|0...0>, its stream started again (_ShotPlan.trajectory), which draws the
+same events, then, in traversal order, one uniform per measurement and
+reset (StateVector.measure/reset) and one Pauli code per fired site: an
+encoded shot with a fired Pauli site or an injected Pauli when its reading
+has no guard (it then skips step 2 too), and one that would be held when
+its reading has no logical model.
 
 Unencoded shots.  After its Hadamard layer every gate of the unencoded
 circuit is a Pauli rotation, so a Pauli fired after a step reaches the end
@@ -51,13 +62,12 @@ with (X or Y on q an RZZ on q, Z or Y on q an RX on q).  A shot's final
 state is thus the logical model's (_LogicalModel, run in the order of
 _logical_steps) with its frame's rotations negated, then the frame's
 Pauli, whose Z part leaves the Z-basis probabilities alone and whose X
-part XORs the outcome.  So every shot is decided by its frame: its uniform
-picks from the noiseless logical distribution, cached with the plan, when
-no rotation is negated, and otherwise it is held; when the call's loop
-ends, one stacked pass of the model (_LogicalModel.states) gives the
-states of all held shots, one row each, from which they pick.  The
-circuit's steps, sites and model are built once per content and cached
-with the plans (_logical_plan).
+part XORs the outcome.  So the frame decides every unencoded shot: the
+circuit has no checks, so its guard is (), and its model is the circuit
+itself, with no ideal table, so that reweighting leaves a row's
+distribution as it is and the noiseless distribution is the model's.
+The circuit's steps, sites and model are built once per content and
+cached with the plans (_logical_plan).
 
 The ideal table.  A circuit's noiseless outcomes come from the sampler's
 one dense pass (capped at DEFAULT_QUBIT_CAP qubits), run once, on first
@@ -75,7 +85,7 @@ entry at a time gives, summed in the same order: entries that two
 branches share are merged by np.add.at in the order the branches reach
 them.
 
-Shots the Pauli frame decides.  A Pauli a noise site applies passes the
+Encoded shots.  A Pauli a noise site applies passes the
 rest of the circuit as a Pauli frame (see the faults module): the shot
 gives the outcomes of the noiseless circuit with the frame's rotations
 negated and its clbits flipped.  Each circuit has one cached _ShotPlan: its
@@ -90,7 +100,8 @@ deterministic, and no rotation generator (Z_aZ_b after an RZZ, X_aX_b after
 an RXX), taken as a fault right after its own gate, flips a check parity.
 By induction over the first sign-flipped rotation the checks are then
 deterministic under every pattern of rotation signs.  Under the guard the
-shot's step 3 uniform picks an ideal entry, and its record follows:
+shot's step 3 uniform picks an ideal entry (Sampling), and its record
+follows:
 
   * A shot whose frame breaks a check is rejected without a trajectory,
     with accepted False, logical None and the exact check values (the
@@ -109,22 +120,19 @@ shot's step 3 uniform picks an ideal entry, and its record follows:
     by the readout alone.  So the shot picks from the cumulative of the
     ideal distribution with each entry scaled by P'_L(x)/P_L(x), P'_L and
     P_L the logical distributions with and without the flips.  The logical
-    model (_LogicalModel) gives P'_L from a StateVector(k) from |+>^k on
-    which RZZ(u+1, v+1) acts as Z_uZ_v and RXX(t or b, q), t = 0 and b =
-    k+1 the top and bottom qubits, as X_{q-1}; P_L is the ideal
-    distribution's decoded marginal.  Such a shot draws its pick uniform
-    where it stands and holds it; when the call's loop ends, one stacked
-    pass of the model gives P'_L of every such shot, one row each, and the
-    held uniforms pick.  The model is built on first use from
-    the logicals of the reading that holds the guard, and kept only if
-    every reset is deterministic (a random reset leaves a mixture no one
-    logical state stands for), every rotation has one of those forms and
-    the model's own P_L matches that marginal to MODEL_TOL with every x
-    present.
+    model (_LogicalModel) gives P'_L, in the held shot's row, from a
+    StateVector(k) from |+>^k on which RZZ(u+1, v+1) acts as Z_uZ_v and
+    RXX(t or b, q), t = 0 and b = k+1 the top and bottom qubits, as
+    X_{q-1}; P_L is the ideal distribution's decoded marginal.  The model
+    is built on first use from the logicals of the reading that holds the
+    guard, and kept only if every reset is deterministic (a random reset
+    leaves a mixture no one logical state stands for), every rotation has
+    one of those forms and the model's own P_L matches that marginal to
+    MODEL_TOL with every x present.
   * Every other shot runs its trajectory, and its record is the
-    trajectory's, bit for bit: every event shot when the guard fails, and
-    one that keeps its checks and flips a rotation when there is no
-    `decode` or no model.
+    trajectory's, bit for bit: every shot with a fired Pauli site or an
+    injected Pauli when the guard fails, and one that keeps its checks and
+    flips a rotation when there is no `decode` or no model.
 
 So every verdict is the trajectory's, but the bits and logical of an
 accepted shot the frame decides are an exact draw, not its trajectory's.
@@ -664,12 +672,6 @@ class _Streams:
         return self.rng
 
 
-def _per_shot_rng(seed: int, shot: int) -> np.random.Generator:
-    """The stream of np.random.default_rng(SeedSequence((seed, shot))):
-    the one-shot case of _Streams."""
-    return _Streams(seed, shot + 1).at(shot)
-
-
 def _trailing_start(gates: Sequence[Gate]) -> int:
     """Index where the trailing block of measurements (and barriers) begins."""
     start = len(gates)
@@ -942,7 +944,8 @@ class _Reading:
     one _Readout.decode_words pass over its word table: per entry its check
     values (a row of `values`) and its decoded logical (`logical`, None
     without `decode`).  From these come the frame `guard` and the logical
-    `model` (module docstring).  `record(i, flips)` is the record of a shot
+    `model` (module docstring); `cum` is the ideal table's cumulative, from
+    which a shot picks an entry.  `record(i, flips)` is the record of a shot
     whose bits are entry i with the clbits of `flips` flipped, kept the
     first time a shot picks entry i unflipped."""
 
@@ -952,6 +955,7 @@ class _Reading:
         self.readout = _Readout(checks, decode, plan.num_clbits)
         self.values, _, self.logical = \
             self.readout.decode_words(plan.ideal.words)
+        self.cum = plan.ideal.cum
         self.records: dict[int, ShotRecord] = {}
         # per check, (clbit mask, the flip parity under which the check
         # keeps its expected value) when a shot's checks are a function of
@@ -1000,6 +1004,8 @@ class _LogicalModel:
     before every `stride`-th op, about sqrt(ops) states.  `states` runs the
     masks of a whole sampling call at once, one row each, from those
     checkpoints; `state` and `reweight` are its one-row case."""
+
+    ideal = None
 
     def __init__(self, k: int, ops: list[tuple[int, tuple[int, ...], float]]):
         self.k, self.ops = k, ops
@@ -1116,7 +1122,10 @@ class _LogicalModel:
         """The ideal distribution, each entry scaled by P'_L(x)/P_L(x) for
         its logical x, P'_L the logical distribution `probs` (or, per row,
         each of a stack of them): the distribution of the circuit with the
-        rotations that gave P'_L negated."""
+        rotations that gave P'_L negated.  A model without an ideal table,
+        the unencoded circuit's, is its own circuit: `probs` as they are."""
+        if self.ideal is None:
+            return probs
         return self.ideal * (probs / self.marginal)[..., self.xs]
 
     def reweight(self, rot: int) -> np.ndarray:
@@ -1166,23 +1175,14 @@ def sample_shots(circuit: PhysicalCircuit, noise: NoiseModel, shots: int,
                  decode: Mapping[int, frozenset[int]] | None = None,
                  inject: Sequence[tuple[int, PauliString]] = ()
                  ) -> list[ShotRecord]:
-    """Noisy sampling of a physical circuit, shot i from its own stream
-    (module docstring: Sampling).  When the guard holds (the checks are a
-    function of the Pauli frame alone), the frame decides every event shot
-    without a state of the circuit, but for an accepted one whose frame
-    flips rotations when there is no `decode` or no logical model: its
-    check values and verdict are exact, and its bits an exact draw.  An
-    accepted shot whose frame flips rotations picks from the ideal
-    distribution reweighted by the logical model: it holds its pick
-    uniform until one stacked pass of the model after the loop.  A
-    rejected shot simulates only the check parities of its bits.  Every
-    other event shot runs its whole trajectory from |0...0>, its stream
-    started again, and so does every event shot when the guard fails.
-    Every verdict is its trajectory's, and so is every record the frame
-    does not decide.  The circuit's _ShotPlan is cached by its content,
-    and the circuit is validated when its plan is built: a circuit with the
-    content of a cached plan is valid.  One above DEFAULT_QUBIT_CAP qubits
-    raises SimulatorError before a plan is built.
+    """Noisy sampling of a physical circuit, shot i from its own stream and
+    decided by the one shot loop (module docstring: Sampling, and Encoded
+    shots).  Every verdict is its trajectory's, and so is every record the
+    frame does not decide; a rejected shot the frame decides simulates only
+    the check parities of its bits.  The circuit's _ShotPlan is cached by
+    its content, and the circuit is validated when its plan is built: a
+    circuit with the content of a cached plan is valid.  One above
+    DEFAULT_QUBIT_CAP qubits raises SimulatorError before a plan is built.
 
     `inject` lists deterministic Pauli errors applied after given gate
     indices in every shot (used for fault cross-checks); an index in the
@@ -1191,43 +1191,46 @@ def sample_shots(circuit: PhysicalCircuit, noise: NoiseModel, shots: int,
     _check_shots(shots, seed)
     plan = _shot_plan(circuit)
     inject_map = _inject_map(plan.gates, inject)
-    reading = plan.reading(checks, decode)
-    readout, guard = reading.readout, reading.guard
-    rates, cum = plan.rates(noise), plan.ideal.cum
-    if guard is not None:
-        inject_frame = plan.inject_frame(inject_map)
+    return _sample(plan, plan.reading(checks, decode), noise, shots, seed,
+                   inject_map, plan.inject_frame(inject_map))
 
+
+def _sample(plan: "_ShotPlan | _LogicalPlan",
+            reading: "_Reading | _LogicalPlan", noise: NoiseModel,
+            shots: int, seed: int, inject: Mapping[int, list[PauliString]],
+            frame: int) -> list[ShotRecord]:
+    """The one shot loop: the records of shots 0..shots-1 of `plan` read
+    out by `reading`, each decided by its Pauli frame or its trajectory
+    (module docstring: Sampling); `frame` is the response of the Paulis
+    `inject` applies."""
+    rates, cum, guard = plan.rates(noise), reading.cum, reading.guard
     streams = _Streams(seed, shots)
     records: list[ShotRecord | None] = []
-    # (record index, pick uniform, rotation mask, clbit flips) of the shots
-    # that pick from a reweighted distribution, picked after the loop
+    # (shot, pick uniform, rotation mask, clbit flips) of the shots that
+    # pick from a reweighted distribution, picked after the loop
     held = []
     for shot in range(shots):
         rng = streams.at(shot)
         fired, em = plan.events(rng, rates)
-        if not (inject_map or fired):
-            records.append(reading.record(_pick(rng.random(), cum),
-                                          plan.readout(em)))
-            continue
-        if guard is not None:
-            cl, rot = plan.flips(rng, fired, inject_frame)
+        if guard is not None or not (fired or inject):
+            cl, rot = plan.flips(rng, fired, frame)
             flips = cl ^ plan.readout(em)
             if not rot or not _keeps_checks(guard, flips):
                 records.append(reading.record(_pick(rng.random(), cum), flips))
                 continue
             if reading.model is not None:
-                held.append((len(records), rng.random(), rot, flips))
+                held.append((shot, rng.random(), rot, flips))
                 records.append(None)
                 continue
-        records.append(readout.record(
-            plan.trajectory(streams.at(shot), rates, inject_map)))
+        records.append(reading.readout.record(
+            plan.trajectory(streams.at(shot), rates, inject)))
     if held:
         model = reading.model
         for rows, state in model.states([rot for _, _, rot, _ in held]):
             weights = model.reweighted(state.probabilities())
             for row, w in zip(rows, weights):
-                i, u, _, flips = held[row]
-                records[i] = reading.record(_pick(u, np.cumsum(w)), flips)
+                shot, u, _, flips = held[row]
+                records[shot] = reading.record(_pick(u, np.cumsum(w)), flips)
     return records
 
 
@@ -1437,7 +1440,11 @@ class _LogicalPlan(_SiteTable):
     (RZZ steps p2, RX steps p1, idle slots p_idle) with the frames of
     _logical_entries, and one readout per qubit; its noiseless _LogicalModel
     and the cumulative of that model's distribution (`cum`).  A frame's bit
-    q is an X flip on qubit q and bit k+i negates the rotation of step i."""
+    q is an X flip on qubit q and bit k+i negates the rotation of step i.
+    It is its own reading (_Reading): it has no checks, so its `guard` is
+    (), and its outcome x is entry x of its model's distribution."""
+
+    guard = ()
 
     def __init__(self, lc: LogicalCircuit):
         super().__init__()
@@ -1455,8 +1462,9 @@ class _LogicalPlan(_SiteTable):
     def split(self, frame: int) -> tuple[int, int]:
         return frame & (1 << self.k) - 1, frame >> self.k
 
-    def record(self, word: int) -> ShotRecord:
-        """The record of a shot whose k qubits read `word`."""
+    def record(self, x: int, flips: int) -> ShotRecord:
+        """The record of a shot whose k qubits read outcome x XOR `flips`."""
+        word = x ^ flips
         return ShotRecord(_bit_tuple(word, self.k), (), True, word)
 
 
@@ -1526,35 +1534,15 @@ def _logical_entries(steps: list[tuple[tuple[int, ...], float | None]],
 def sample_logical_shots(lc: LogicalCircuit, noise: NoiseModel, shots: int,
                          seed: int) -> list[ShotRecord]:
     """Unencoded reference under the same noise model, shot i from its own
-    stream and decided by its Pauli frame (module docstring: Sampling, and
-    Unencoded shots).  A shot whose frame negates rotations holds its pick
-    uniform until one stacked pass of the logical model after the loop.
-    Its logical is its picked outcome XOR its frame's X flips XOR its fired
+    stream and decided by the one shot loop (module docstring: Sampling,
+    and Unencoded shots), which decides every shot by its Pauli frame.  Its
+    logical is its picked outcome XOR its frame's X flips XOR its fired
     readouts, bit q qubit q; its check values are () and it is accepted.
     The circuit's steps, sites and model are cached by its content
     (_logical_plan)."""
     _check_shots(shots, seed)
     plan = _logical_plan(lc)
-    rates = plan.rates(noise)
-    streams = _Streams(seed, shots)
-    records: list[ShotRecord | None] = []
-    held = []   # (record index, pick uniform, rotation mask, flips)
-    for shot in range(shots):
-        rng = streams.at(shot)
-        fired, em = plan.events(rng, rates)
-        x, rot = plan.flips(rng, fired, 0)
-        flips = x ^ plan.readout(em)
-        if rot:
-            held.append((shot, rng.random(), rot, flips))
-            records.append(None)
-        else:
-            records.append(plan.record(_pick(rng.random(), plan.cum) ^ flips))
-    if held:
-        for rows, state in plan.model.states([rot for _, _, rot, _ in held]):
-            for row, p in zip(rows, state.probabilities()):
-                shot, u, _, flips = held[row]
-                records[shot] = plan.record(_pick(u, np.cumsum(p)) ^ flips)
-    return records
+    return _sample(plan, plan, noise, shots, seed, {}, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,8 @@ from icecomp.compiler import CompileConfig, GadgetSet, compile_baseline, \
     write_encoded
 from icecomp.faults import enumerate_fault_locations
 from icecomp.gadgets import GadgetKind, build_gadget
-from icecomp.maxcut import GraphKind, make_graph, ramp_params, read_graph, \
-    write_graph
+from icecomp.maxcut import GraphKind, generate_instance, make_graph, \
+    ramp_params, read_graph, write_graph, write_params
 from icecomp.simulator import NoiseModel
 
 
@@ -228,8 +228,6 @@ class TestCli:
         # NEW syndromes need k+2 divisible by 4
         (make_graph(16, [(i, i + 1) for i in range(15)]),
          ["--syndromes", "1"], "k+2 divisible by 4"),
-        (make_graph(6, [(0, 1), (2, 3)], weights=[2.0, 1.0]),
-         ["--z2", "--resynth"], "needs an unweighted instance"),
     ])
     def test_compile_config_rejected(self, tmp_path, capsys, monkeypatch,
                                      graph, flags, message):
@@ -460,6 +458,25 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("icecomp verify-ft: error: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("p", ["7", "3"])
+    def test_compile_p_and_params_rejected(self, tmp_path, capsys, p):
+        # --p sets the ramp parameters' depth and --params reads them, so
+        # the two cannot be given together, even when --p is the default
+        (tmp_path / "g.txt").write_text(write_graph(
+            generate_instance(GraphKind.REGULAR_3, 6, seed=1)))
+        (tmp_path / "p3.txt").write_text(write_params(ramp_params(3)))
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["--out-dir", str(out), "compile",
+                  "--graph", str(tmp_path / "g.txt"), "--p", p,
+                  "--params", str(tmp_path / "p3.txt"), "--out", "c.txt"])
+        assert exc.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if "error" in line]
+        assert errors == ["icecomp compile: error: argument --params: not "
+                          "allowed with argument --p"]
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--z2", "--resynth"])
     def test_baseline_rejects_coopt_flags(self, tmp_path, capsys, flag):

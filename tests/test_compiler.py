@@ -45,11 +45,25 @@ class TestConfig:
             compile_cooptimized(g, ramp_params(1), CompileConfig(
                 num_syndromes=1, queue_cap=-5))
 
-    def test_z2_needs_unweighted(self):
-        g = make_graph(6, [(0, 1)], weights=[2.0])
-        cfg = CompileConfig(num_syndromes=0, use_z2=True, resynthesize=True)
-        with pytest.raises(CompileError):
-            compile_cooptimized(g, ramp_params(1), cfg)
+    @pytest.mark.parametrize("k, s", [(4, 0), (6, 1)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_z2_takes_weighted_instances(self, k, s, seed):
+        # X^k commutes with every Z_uZ_v whatever its weight and fixes
+        # |+>^k, so a mixer anchored on the bottom qubit is exact on a
+        # weighted instance too
+        r3 = generate_instance(GraphKind.REGULAR_3, k, seed=seed)
+        rng = random.Random(seed)
+        g = make_graph(k, [(u, v) for u, v, _ in r3.edges],
+                       [rng.choice((0.5, 1.7, -0.8, 2.3)) for _ in r3.edges])
+        params = ramp_params(2)
+        enc = compile_mode(g, params, "resynth+z2", s, 200)
+        assert any(gate.kind is GateKind.RXX and enc.layout.b in gate.qubits
+                   for gate in enc.circuit.gates)
+        acc, dist = exact_logical_distribution(enc.circuit, enc.checks,
+                                               enc.decode)
+        ref = unencoded_distribution(build_qaoa(g, params))
+        assert acc == pytest.approx(1.0, abs=1e-12)
+        assert total_variation(dist, ref) <= 1e-12
 
 
 class TestSyndromePlacement:
@@ -391,7 +405,7 @@ class TestExecutableGraph:
             exe = build_executable_graph(node)
             assert all(w > 0 for w in exe.weights.values())
             pairs = [p for p in exe.edges if not (p & exe.forced_qubits)]
-            layers = _matchings(exe, EXPANSION_WIDTH, exe.forced_qubits)
+            layers = _matchings(exe, EXPANSION_WIDTH)
             removed = set()
             for layer in layers:
                 avail = [p for p in pairs if p not in removed]
@@ -664,8 +678,8 @@ class TestGolden:
             self.PAPER_SCALE[(family, mode)]
 
     def test_baseline_ignores_coopt_flags(self):
-        # z2 anchoring needs an unweighted instance, but the baseline never
-        # anchors on the bottom qubit, so a weighted one compiles too
+        # the baseline never resynthesizes or anchors on the bottom qubit,
+        # on a weighted instance as on an unweighted one
         r3 = generate_instance(GraphKind.REGULAR_3, 6, seed=3)
         weighted = make_graph(6, [(u, v) for u, v, _ in r3.edges],
                               (0.5, 1.0, 2.0) * 3)
@@ -924,5 +938,5 @@ class TestOracles:
             assert list(exe.weights.items()) == list(ref.weights.items())
             assert exe.forced == ref.forced
             assert exe.forced_qubits == ref.forced_qubits
-            assert _matchings(exe, EXPANSION_WIDTH, exe.forced_qubits) == \
+            assert _matchings(exe, EXPANSION_WIDTH) == \
                 reference_matchings(ref, EXPANSION_WIDTH, ref.forced_qubits)

@@ -30,7 +30,7 @@ from icecomp.simulator import (NoiseFormatError, NoiseModel, ShotRecord,
                                _apply_gate, _apply_random_pauli,
                                _logical_entries, _logical_ops,
                                _logical_plan, _logical_steps, _merged,
-                               _per_shot_rng, _plan,
+                               _plan,
                                _Streams, _shot_plan, _trailing_start, _word)
 from icecomp import simulator
 
@@ -1210,6 +1210,23 @@ def test_table_decoded_once_per_checks_and_decode(monkeypatch):
     assert calls[0] == 1
 
 
+def test_logical_model_built_on_first_use():
+    # only a shot that keeps its checks and negates rotations reads the
+    # logical model: a zero-shot call (the one `icecomp simulate` makes to
+    # check its inputs) and a noiseless call leave it unbuilt
+    enc = _criterion_7_circuit("resynth+z2", 2)
+    _plan.cache_clear()
+    reading = _shot_plan(enc.circuit).reading(enc.checks, enc.decode)
+    assert reading.guard is not None
+    for noise, shots in ((NoiseModel(), 0), (NoiseModel(scale=0.0), 200)):
+        sample_shots(enc.circuit, noise, shots, 1, checks=enc.checks,
+                     decode=enc.decode)
+        assert "model" not in reading.__dict__
+    sample_shots(enc.circuit, NoiseModel(scale=4.0), 200, 1,
+                 checks=enc.checks, decode=enc.decode)
+    assert reading.__dict__["model"] is not None
+
+
 @pytest.mark.parametrize("mode", ["baseline", "resynth", "resynth+z2"])
 @pytest.mark.parametrize("k", [22, 34])
 def test_site_table_at_paper_scale(k, mode, monkeypatch):
@@ -1608,34 +1625,34 @@ def test_clbit_out_of_range_rejected(call, checks, decode, msg):
         call(checks, decode)
 
 
-def test_per_shot_rng_is_the_default_rng_stream():
-    for seed, shot in [(0, 0), (17, 3), (1 << 40, 999)]:
-        ours = _per_shot_rng(seed, shot)
-        ref = np.random.default_rng(np.random.SeedSequence((seed, shot)))
-        assert ours.random(1000).tolist() == ref.random(1000).tolist()
-        assert [int(ours.integers(1, 16)) for _ in range(50)] == \
-            [int(ref.integers(1, 16)) for _ in range(50)]
-
-
 @pytest.mark.parametrize("seed", [0, 1, (1 << 32) - 1, 1 << 32,
                                   (1 << 64) + 5, (1 << 100) + 9,
-                                  np.int64(77)])
+                                  np.int64(77), 17, 1 << 40])
 def test_call_streams_are_the_default_rng_streams(seed):
     # one sampling call's streams, seeded in blocks of shots by one
     # vectorized pass, are numpy's per-shot streams, and pointing the
     # call's generator at a shot again starts its stream again.  A seed of
-    # four or more words hashes its words past the pool's four in turn
+    # four or more words hashes its words past the pool's four in turn.
+    # A call's first block may start at any shot: shots 3 and 999 seed
+    # blocks of their own that start off a multiple of _SEED_BLOCK
+    def ref_stream(shot):
+        return np.random.default_rng(np.random.SeedSequence((seed, shot)))
+
     streams = _Streams(seed, 257)
     for shot in range(257):
-        ref = np.random.default_rng(np.random.SeedSequence((seed, shot)))
+        ref = ref_stream(shot)
         rng = streams.at(shot)
         assert rng.random(1000).tolist() == ref.random(1000).tolist()
         assert [int(rng.integers(1, 16)) for _ in range(20)] == \
             [int(ref.integers(1, 16)) for _ in range(20)]
         if shot % 64 == 0:
-            again = np.random.default_rng(
-                np.random.SeedSequence((seed, shot))).random(3).tolist()
+            again = ref_stream(shot).random(3).tolist()
             assert streams.at(shot).random(3).tolist() == again
+    for shot in (3, 999):
+        rng, ref = _Streams(seed, shot + 1).at(shot), ref_stream(shot)
+        assert rng.random(1000).tolist() == ref.random(1000).tolist()
+        assert [int(rng.integers(1, 16)) for _ in range(50)] == \
+            [int(ref.integers(1, 16)) for _ in range(50)]
 
 
 def test_record_matches_bit_sums():
