@@ -92,6 +92,23 @@ class Gate:
         elif self.clbit is not None:
             raise CircuitError(f"{kind.value} takes no classical bit")
 
+    _hash = None     # not a field: set on the first __hash__
+
+    def __hash__(self) -> int:
+        # the generated hash runs in Python per call, and a sampler plan's
+        # key hashes every gate of a circuit on each lookup: so a gate
+        # hashes its fields once, on first use
+        h = self._hash
+        if h is None:
+            h = hash((self.kind, self.qubits, self.angle, self.clbit,
+                      self.component))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __getstate__(self) -> dict:
+        # str hashes differ between processes, so a pickle drops the hash
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
     @property
     def is_two_qubit(self) -> bool:
         return self.kind.two_qubit

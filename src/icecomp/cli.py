@@ -23,7 +23,7 @@ from .bench import (FIGURES, SweepSpec, default_outdir, emit_plotdata,
 from .compiler import (CompileConfig, GadgetSet, compile_baseline,
                        compile_cooptimized, read_encoded, write_encoded)
 from .faults import check_gadget_ft, context_for_gadget, fault_reports
-from .gadgets import GadgetKind, IcebergLayout, build_gadget
+from .gadgets import GadgetKind, build_gadget
 from .maxcut import (GraphKind, cut_value, generate_instance, ramp_params,
                      read_graph, read_params, write_graph, write_params)
 from .simulator import (NoiseModel, SimulatorError, _check_width,
@@ -201,8 +201,9 @@ def cmd_simulate(args) -> int:
             raise ValueError(
                 f"{args.graph} has {graph.num_vertices} vertices, but "
                 f"{args.circuit} has {len(decode)} 'logical' lines")
-        # a zero-shot call checks the circuit, the cap and the check and
-        # decode clbits, so an unwritable output fails before any shot
+        # a zero-shot call checks the circuit, the cap (above it, the
+        # certificate) and the check and decode clbits, so an unwritable
+        # output fails before any shot
         sample_shots(circuit, noise, 0, args.seed, checks=checks,
                      decode=decode or None)
         _open_outputs(args, _out(args, "out"))
@@ -246,8 +247,9 @@ def _spec_from_args(args) -> SweepSpec:
 def _run_bench(args, runner, name) -> int:
     try:
         # reject every instance the family cannot generate, every compile
-        # the compiler would reject, every circuit too wide to simulate and
-        # every noise scale, before the first compile
+        # the compiler would reject, every logical width too wide for the
+        # sampler's logical model and every noise scale, before the first
+        # compile
         spec = _spec_from_args(args)
         for k, _, _, graph in spec.instances():
             for mode in spec.modes:
@@ -260,7 +262,7 @@ def _run_bench(args, runner, name) -> int:
         if name != "depth":
             for k in spec.sizes:
                 try:
-                    _check_width(IcebergLayout(k).num_qubits)
+                    _check_width(k)
                 except SimulatorError as exc:
                     raise ValueError(f"k={k}: {exc}") from None
         if name == "energy":
@@ -271,7 +273,10 @@ def _run_bench(args, runner, name) -> int:
         _open_outputs(args, out, out + ".manifest.json")
     except ValueError as exc:
         return _fail(args.command, exc)
-    rows = runner(spec)
+    try:
+        rows = runner(spec)
+    except SimulatorError as exc:   # a circuit above the cap not certified
+        return _fail(args.command, exc)
     write_rows(rows, out)
     write_manifest(out + ".manifest.json", name, {
         "family": spec.family.value, "sizes": spec.sizes,

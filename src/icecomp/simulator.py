@@ -69,39 +69,52 @@ distribution as it is and the noiseless distribution is the model's.
 The circuit's steps, sites and model are built once per content and
 cached with the plans (_logical_plan).
 
-The ideal table.  A circuit's noiseless outcomes come from the sampler's
-one dense pass (capped at DEFAULT_QUBIT_CAP qubits), run once, on first
-use, as arrays (_Outcomes): per entry its clbits (a uint8 row) and its
-probability, the entries in the order sorted() gives their bit tuples,
-clbit 0 first.  An entry's word is the int whose bit c is clbit c; a table
-of words is held as uint64 limbs, the highest 64 bits first (_limbs), so
-any number of clbits fits.  Everything taken from the table is an array
-operation on it, with no Python loop per entry: its words, their ints, its
-cumulative and, once per (checks, decode), its reading (_Reading): one
-pass of check parities (np.bitwise_count of word AND mask) that gives
-every entry's check values and logical, and so the guard and the logical
-model's logicals and marginal.  The floats are the ones a dict filled one
-entry at a time gives, summed in the same order: entries that two
-branches share are merged by np.add.at in the order the branches reach
-them.
+The ideal table.  A circuit's noiseless outcomes are held as arrays
+(_Outcomes): per entry its clbits (a uint8 row) and its probability, the
+entries in the order sorted() gives their bit tuples, clbit 0 first.  An
+entry's word is the int whose bit c is clbit c; a table of words is held as
+uint64 limbs, the highest 64 bits first (_limbs), so any number of clbits
+fits.  Each (checks, decode) reads one table (_Reading), built once, on
+first use, in one of two ways:
 
-Encoded shots.  A Pauli a noise site applies passes the
-rest of the circuit as a Pauli frame (see the faults module): the shot
-gives the outcomes of the noiseless circuit with the frame's rotations
-negated and its clbits flipped.  Each circuit has one cached _ShotPlan: its
-noise sites, numbered once in traversal order, each with the response of
-every Pauli it can apply, from one backward faults._Sweep pass over the
-circuit alone, so at any width: of the plan, only its ideal table is dense.
-So a shot's frame is known before any state is touched, and, drawn as
-its trajectory draws it (step 2), it is the trajectory's frame.  The checks
-are a function of the frame alone when the guard holds: there are checks,
-each clbit is measured at most once, the noiseless check values are
-deterministic, and no rotation generator (Z_aZ_b after an RZZ, X_aX_b after
-an RXX), taken as a fault right after its own gate, flips a check parity.
-By induction over the first sign-flipped rotation the checks are then
-deterministic under every pattern of rotation signs.  Under the guard the
-shot's step 3 uniform picks an ideal entry (Sampling), and its record
-follows:
+  * Certified: where `decode` names logicals 1..k on qubits 0..k+1 and the
+    stabilizer certificate holds (the stabilizer module: a CHP run of the
+    circuit without its rotations, one signed backward pass, and the
+    trailing block measured on the stabilizer group), the table is the
+    affine set w0 XOR span(directions) of 2^(k+1) words, each with
+    probability P_L(x)/2 for its logical x, P_L the noiseless logical model
+    run in gate order; those above 1e-15 are kept (_affine_table).  The
+    only state is the model's k-qubit one, so such a circuit samples
+    whatever its width up to k = DEFAULT_QUBIT_CAP.
+  * Dense: every other reading reads `plan.ideal`, the one dense pass
+    (_bit_distribution, as exact_bit_distribution runs it), which needs
+    the circuit's qubits under DEFAULT_QUBIT_CAP.  Its floats are the ones
+    a dict filled one entry at a time gives, summed in the same order:
+    entries that two branches share are merged by np.bincount in the order
+    the branches reach them.
+
+Everything taken from a table is an array operation on it, with no Python
+loop per entry: its words, their ints, its cumulative and its reading: one
+pass of check parities (np.bitwise_count of word AND mask) that gives every
+entry's check values and logical, and so the guard and the logical model's
+logicals and marginal.
+
+Encoded shots.  A Pauli a noise site applies passes the rest of the circuit
+as a Pauli frame (see the faults module): the shot gives the outcomes of
+the noiseless circuit with the frame's rotations negated and its clbits
+flipped.  Each circuit has one cached _ShotPlan: its noise sites, numbered
+once in traversal order, each with the response of every Pauli it can
+apply, from one backward faults._Sweep pass over the circuit alone, so at
+any width.  So a shot's frame is known before any state is touched, and,
+drawn as its trajectory draws it (step 2), it is the trajectory's frame.
+The checks are a function of the frame alone when the guard holds: there
+are checks, each clbit is measured at most once, the noiseless check values
+are deterministic, and no rotation generator (Z_aZ_b after an RZZ, X_aX_b
+after an RXX), taken as a fault right after its own gate, flips a check
+parity.  By induction over the first sign-flipped rotation the checks are
+then deterministic under every pattern of rotation signs.  Under the guard
+the shot's step 3 uniform picks an entry of its reading's table (Sampling),
+and its record follows:
 
   * A shot whose frame breaks a check is rejected without a trajectory,
     with accepted False, logical None and the exact check values (the
@@ -123,16 +136,20 @@ follows:
     model (_LogicalModel) gives P'_L, in the held shot's row, from a
     StateVector(k) from |+>^k on which RZZ(u+1, v+1) acts as Z_uZ_v and
     RXX(t or b, q), t = 0 and b = k+1 the top and bottom qubits, as
-    X_{q-1}; P_L is the ideal distribution's decoded marginal.  The model
-    is built on first use from the logicals of the reading that holds the
-    guard, and kept only if every reset is deterministic (a random reset
-    leaves a mixture no one logical state stands for), every rotation has
-    one of those forms and the model's own P_L matches that marginal to
-    MODEL_TOL with every x present.
+    X_{q-1} (_model_ops); P_L is the table's decoded marginal.  A certified
+    table is built from the model, which is kept if every x is present.
+    On a dense table the model is built on first use from the logicals of
+    the reading that holds the guard, and kept only if every reset is
+    deterministic (a random reset leaves a mixture no one logical state
+    stands for), every rotation has one of those forms and the model's own
+    P_L matches that marginal to MODEL_TOL with every x present.
   * Every other shot runs its trajectory, and its record is the
     trajectory's, bit for bit: every shot with a fired Pauli site or an
     injected Pauli when the guard fails, and one that keeps its checks and
-    flips a rotation when there is no `decode` or no model.
+    flips a rotation when there is no `decode` or no model.  A trajectory
+    is a dense state of the circuit's qubits, so a reading above the cap
+    must be certified and have a guard and a model, or it raises
+    SimulatorError.
 
 So every verdict is the trajectory's, but the bits and logical of an
 accepted shot the frame decides are an exact draw, not its trajectory's.
@@ -169,6 +186,7 @@ from .circuit import Gate, GateKind, PhysicalCircuit, layered_schedule
 from .gadgets import ParityCheck
 from .faults import PauliString, _Sweep, _bits, _combine, _mask
 from .maxcut import LogicalCircuit, ProblemGraph, energy as bit_energy
+from .stabilizer import CliffordRun
 
 DEFAULT_QUBIT_CAP = 16
 BRANCH_TOL = 1e-10      # exact_bit_distribution: branching threshold
@@ -186,11 +204,11 @@ class SimulatorError(RuntimeError):
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
-def _check_width(num_qubits: int) -> None:
+def _check_width(num_qubits: int, why: str = "") -> None:
     if num_qubits > DEFAULT_QUBIT_CAP:
         raise SimulatorError(
             f"{num_qubits} qubits exceeds the dense-simulation cap "
-            f"{DEFAULT_QUBIT_CAP}"
+            f"{DEFAULT_QUBIT_CAP}{why}"
         )
 
 
@@ -787,6 +805,8 @@ class _SiteTable:
         drawn as its trajectory draws it, after the uniforms of the
         measurements and resets before that site, which are drawn and
         dropped.  Returns the frame's clbit flips and its rotation mask."""
+        if not fired:
+            return self.split(frame)
         drawn = 0
         for s in fired:
             if self.slots[s] > drawn:
@@ -815,10 +835,11 @@ class _ShotPlan(_SiteTable):
     constructor reads the circuit alone (its schedule and one faults._Sweep)
     and builds no state, so it runs at any width: the traversal script (per
     layer, its gates, then the idle qubits of a layer holding a two-qubit
-    gate), its site table and the rotation flips.  The ideal table `ideal`,
-    from whose cumulative a shot's uniform picks an entry, and each
-    `reading` of it are the dense part, built on first use and capped at
-    DEFAULT_QUBIT_CAP.
+    gate), its site table and the rotation flips.  Each `reading`, built on
+    first use, holds the ideal table from whose cumulative a shot's uniform
+    picks an entry: the `certified` one, from the stabilizer certificate
+    (`clifford`) and the k-qubit logical model, or else the dense `ideal`,
+    capped at DEFAULT_QUBIT_CAP qubits.
 
     Each unitary gate and each such idle qubit is a Pauli site, numbered
     once in traversal order, its responses from the faults._Sweep entries
@@ -878,7 +899,8 @@ class _ShotPlan(_SiteTable):
 
     @functools.cached_property
     def ideal(self) -> "_Outcomes":
-        """The ideal table: _bit_distribution of the plan's own gates."""
+        """The dense ideal table: _bit_distribution of the plan's own
+        gates, read where the certificate does not hold."""
         return _bit_distribution(self)
 
     def trajectory(self, rng: np.random.Generator, rates: np.ndarray,
@@ -936,26 +958,59 @@ class _ShotPlan(_SiteTable):
         return frame
 
     def split(self, frame: int) -> tuple[int, int]:
-        return self.sweep.unpack(frame)[2:]
+        sweep = self.sweep
+        return frame >> sweep.cl & sweep.clbits, frame >> sweep.rot
+
+    @functools.cached_property
+    def clifford(self) -> CliffordRun:
+        """The certificate's parts that the circuit alone gives."""
+        return CliffordRun(self.gates, self.num_qubits,
+                           _trailing_start(self.gates))
+
+    def certified(self, readout: "_Readout", checks: Sequence[ParityCheck],
+                  decode: Mapping[int, frozenset[int]] | None
+                  ) -> "tuple[_Outcomes, _LogicalModel] | None":
+        """The certified ideal table under `checks` and `decode` (`readout`
+        their _Readout) and the noiseless logical model it is built from
+        (module docstring), or None where the certificate does not hold."""
+        ops = _model_ops(self, decode)
+        cert = None if ops is None else \
+            self.clifford.certify(ops, decode, checks)
+        if cert is None:
+            return None
+        model = _LogicalModel(len(decode), ops)
+        return _affine_table(*cert, readout, self.num_clbits,
+                             model.probs), model
 
 
 class _Reading:
-    """A _ShotPlan's ideal entries read out under one (checks, decode), from
-    one _Readout.decode_words pass over its word table: per entry its check
-    values (a row of `values`) and its decoded logical (`logical`, None
-    without `decode`).  From these come the frame `guard` and the logical
-    `model` (module docstring); `cum` is the ideal table's cumulative, from
-    which a shot picks an entry.  `record(i, flips)` is the record of a shot
-    whose bits are entry i with the clbits of `flips` flipped, kept the
-    first time a shot picks entry i unflipped."""
+    """A _ShotPlan's ideal table read out under one (checks, decode): the
+    certified table where the plan's certificate holds, else the dense
+    `plan.ideal` (module docstring: The ideal table), whose circuit must
+    then fit under DEFAULT_QUBIT_CAP.  One _Readout.decode_words pass over
+    its word table gives per entry its check values (a row of `values`) and
+    its decoded logical (`logical`, None without `decode`).  From these come
+    the frame `guard` and the logical `model` (module docstring); `cum` is
+    the table's cumulative, from which a shot picks an entry.
+    `record(i, flips)` is the record of a shot whose bits are entry i with
+    the clbits of `flips` flipped, kept the first time a shot picks entry i
+    unflipped.  Above the cap, only a certified reading whose guard holds
+    and that has a model samples, since no shot then runs a trajectory."""
 
     def __init__(self, plan: _ShotPlan, checks: Sequence[ParityCheck],
                  decode: Mapping[int, frozenset[int]] | None):
         self.plan, self.decode = plan, decode
         self.readout = _Readout(checks, decode, plan.num_clbits)
+        certified = plan.certified(self.readout, checks, decode)
+        if certified is None:
+            _check_width(plan.num_qubits, ": the circuit has no stabilizer "
+                         "certificate, so its ideal table needs the dense "
+                         "pass")
+            certified = plan.ideal, None
+        self.table, self._model = certified
         self.values, _, self.logical = \
-            self.readout.decode_words(plan.ideal.words)
-        self.cum = plan.ideal.cum
+            self.readout.decode_words(self.table.words)
+        self.cum = self.table.cum
         self.records: dict[int, ShotRecord] = {}
         # per check, (clbit mask, the flip parity under which the check
         # keeps its expected value) when a shot's checks are a function of
@@ -967,6 +1022,10 @@ class _Reading:
                         for f in plan.rotation_flips for m in masks):
             self.guard = tuple((m, v ^ c.expected) for m, v, c
                                in zip(masks, values[0].tolist(), checks))
+        if plan.num_qubits > DEFAULT_QUBIT_CAP and \
+                (self.guard is None or self.model is None):
+            _check_width(plan.num_qubits, ": its frame does not decide "
+                         "every shot, and a trajectory needs the dense state")
 
     @functools.cached_property
     def model(self) -> "_LogicalModel | None":
@@ -974,12 +1033,13 @@ class _Reading:
         is no `decode` or the circuit shows no model."""
         if self.decode is None:
             return None
-        return _LogicalModel.build(self.plan, self.decode, self.logical)
+        return _LogicalModel.build(self.plan, self.decode, self.table,
+                                   self.logical, self._model)
 
     def record(self, i: int, flips: int) -> ShotRecord:
         rec = None if flips else self.records.get(i)
         if rec is None:
-            word = self.plan.ideal.ints[i] ^ flips
+            word = self.table.ints[i] ^ flips
             rec = ShotRecord(_bit_tuple(word, self.plan.num_clbits),
                              *self.readout.decode_word(word))
             if not flips:
@@ -1023,37 +1083,30 @@ class _LogicalModel:
 
     @staticmethod
     def build(plan: _ShotPlan, decode: Mapping[int, frozenset[int]],
-              logical: np.ndarray) -> "_LogicalModel | None":
-        """The model of the plan's circuit, each ideal entry decoding to
-        its `logical` under `decode`, or None unless every reset is
-        deterministic, `decode` names logicals 1..k on a circuit with
-        qubits 0..k+1, every rotation has the form above, and the model's
-        distribution is the ideal marginal to MODEL_TOL with every logical
-        value present."""
+              table: "_Outcomes", logical: np.ndarray,
+              model: "_LogicalModel | None" = None
+              ) -> "_LogicalModel | None":
+        """The model of the plan's circuit, each entry of the ideal table
+        `table` decoding to its `logical` under `decode`, or None unless
+        every logical value is present.  A certified table comes with the
+        `model` it was built from; otherwise the model is built here, and
+        kept only if every reset is deterministic, the plan has _model_ops
+        and the model's distribution is the table's marginal to
+        MODEL_TOL."""
         k = len(decode)
-        if not plan.ideal.resets_fixed or \
-                sorted(decode) != list(range(1, k + 1)) or \
-                k + 2 > plan.num_qubits:
-            return None
-        ops = []
-        for gi, g in enumerate(plan.gates):
-            if not g.kind.rotation:
-                continue
-            data = tuple(q - 1 for q in g.qubits if 1 <= q <= k)
-            anchors = [q for q in g.qubits if q == 0 or q == k + 1]
-            if g.kind is GateKind.RZZ and len(data) == 2 or \
-                    g.kind is GateKind.RXX and len(data) == len(anchors) == 1:
-                ops.append((gi, data, g.angle))
-            else:
+        if model is None:
+            ops = _model_ops(plan, decode)
+            if ops is None or not table.resets_fixed:
                 return None
         xs = logical.astype(np.intp)
-        marginal = np.bincount(xs, weights=plan.ideal.probs, minlength=1 << k)
+        marginal = np.bincount(xs, weights=table.probs, minlength=1 << k)
         if not marginal.all():
             return None
-        model = _LogicalModel(k, ops)
-        if np.max(np.abs(model.probs - marginal)) > MODEL_TOL:
-            return None
-        model.ideal, model.xs, model.marginal = plan.ideal.probs, xs, marginal
+        if model is None:
+            model = _LogicalModel(k, ops)
+            if np.max(np.abs(model.probs - marginal)) > MODEL_TOL:
+                return None
+        model.ideal, model.xs, model.marginal = table.probs, xs, marginal
         return model
 
     @staticmethod
@@ -1133,6 +1186,62 @@ class _LogicalModel:
         return self.reweighted(self.state(rot).probabilities())
 
 
+def _logical_width(decode: Mapping[int, frozenset[int]] | None,
+                   num_qubits: int) -> int | None:
+    """k where `decode` names logicals 1..k, k >= 1, on a circuit with
+    qubits 0..k+1 (the logical model's precondition), else None."""
+    k = len(decode or ())
+    if k and sorted(decode) == list(range(1, k + 1)) and k + 2 <= num_qubits:
+        return k
+    return None
+
+
+def _model_ops(plan: _ShotPlan, decode: Mapping[int, frozenset[int]] | None
+               ) -> list[tuple[int, tuple[int, ...], float]] | None:
+    """The plan's rotations as _LogicalModel ops keyed by gate index
+    (module docstring): RZZ(u+1, v+1) on logical qubits (u, v), and RXX on
+    t = 0 or b = k+1 and q on logical qubit q-1; None unless `decode` has a
+    _logical_width k and every rotation has one of these forms."""
+    k = _logical_width(decode, plan.num_qubits)
+    if k is None:
+        return None
+    ops = []
+    for gi, g in enumerate(plan.gates):
+        if not g.kind.rotation:
+            continue
+        data = tuple(q - 1 for q in g.qubits if 1 <= q <= k)
+        anchors = [q for q in g.qubits if q == 0 or q == k + 1]
+        if g.kind is GateKind.RZZ and len(data) == 2 or \
+                g.kind is GateKind.RXX and len(data) == len(anchors) == 1:
+            ops.append((gi, data, g.angle))
+        else:
+            return None
+    return ops
+
+
+def _affine_table(w0: int, directions: Sequence[int], readout: _Readout,
+                  num_clbits: int, p_l: np.ndarray) -> "_Outcomes":
+    """The certified ideal table: the words w0 XOR span(directions), each
+    with probability P_L(x)/2 (`p_l`) for its logical x under `readout`'s
+    decode, those above 1e-15, in _Outcomes' order."""
+    def logical(word):
+        return sum([bit for m, bit in readout.decode
+                    if (word & m).bit_count() & 1])
+
+    def row(word):
+        return np.array(_bit_tuple(word, num_clbits), dtype=np.uint8)
+
+    bits, xs = row(w0)[None], np.array([logical(w0)], dtype=np.intp)
+    for d in directions:
+        bits = np.concatenate([bits, bits ^ row(d)])
+        xs = np.concatenate([xs, xs ^ logical(d)])
+    order = np.lexsort(_limbs(bits)[::-1])
+    probs = p_l[xs[order]] * 0.5
+    keep = probs > 1e-15
+    return _Outcomes(bits[order][keep], probs[keep],
+                     np.arange(np.count_nonzero(keep)), True)
+
+
 def _keeps_checks(guard: tuple[tuple[int, int], ...], flips: int) -> bool:
     """Whether a shot whose clbits flip by `flips` keeps every check."""
     return all(((flips & m).bit_count() & 1) == want for m, want in guard)
@@ -1152,13 +1261,12 @@ def _build_shot_plan(num_qubits: int, num_clbits: int, gates: tuple,
     circuit = PhysicalCircuit(num_qubits, num_clbits, list(gates),
                               dict(components))
     circuit.validate()
-    _check_width(num_qubits)
     return _ShotPlan(circuit)
 
 
 def _shot_plan(circuit: PhysicalCircuit) -> _ShotPlan:
-    """The circuit's _ShotPlan (_plan): only a build validates the circuit,
-    and it checks the width before a plan takes a slot."""
+    """The circuit's _ShotPlan (_plan): only a build validates the
+    circuit."""
     return _plan(_build_shot_plan, circuit.num_qubits, circuit.num_clbits,
                  tuple(circuit.gates), tuple(circuit.components.items()))
 
@@ -1181,14 +1289,21 @@ def sample_shots(circuit: PhysicalCircuit, noise: NoiseModel, shots: int,
     frame does not decide; a rejected shot the frame decides simulates only
     the check parities of its bits.  The circuit's _ShotPlan is cached by
     its content, and the circuit is validated when its plan is built: a
-    circuit with the content of a cached plan is valid.  One above
-    DEFAULT_QUBIT_CAP qubits raises SimulatorError before a plan is built.
+    circuit with the content of a cached plan is valid.  SimulatorError is
+    raised before a plan is built when the narrowest state the circuit
+    could need exceeds DEFAULT_QUBIT_CAP qubits: the logical model's k when
+    `decode` names logicals 1..k, else the circuit's own.  Above the cap, a
+    circuit samples only if its certificate holds and its frame decides
+    every shot (module docstring: The ideal table); otherwise building its
+    reading raises SimulatorError.
 
     `inject` lists deterministic Pauli errors applied after given gate
     indices in every shot (used for fault cross-checks); an index in the
     trailing measurement block, out of range or naming a barrier raises
     ValueError, as does a check or decode clbit the circuit lacks."""
     _check_shots(shots, seed)
+    _check_width(_logical_width(decode, circuit.num_qubits)
+                 or circuit.num_qubits)
     plan = _shot_plan(circuit)
     inject_map = _inject_map(plan.gates, inject)
     return _sample(plan, plan.reading(checks, decode), noise, shots, seed,
@@ -1388,9 +1503,12 @@ def _merged(bits: np.ndarray, probs: np.ndarray, resets_fixed: bool
     them, those with equal bits merged into one whose probability is
     theirs summed in that order (0.0 + p0 + p1 + ...), as a dict would."""
     # rows sort as their limbs do, limb 0 first; return_index takes each
-    # key's first row, and bincount sums in index order
-    _, kept, inverse = np.unique(_limbs(bits).T, axis=0, return_index=True,
-                                 return_inverse=True)
+    # key's first row (a stable mergesort, on one limb as on rows), and
+    # bincount sums in index order
+    limbs = _limbs(bits)
+    _, kept, inverse = np.unique(limbs[0] if len(limbs) == 1 else limbs.T,
+                                 axis=None if len(limbs) == 1 else 0,
+                                 return_index=True, return_inverse=True)
     return _Outcomes(bits[kept], np.bincount(inverse, weights=probs),
                      np.argsort(kept), resets_fixed)
 

@@ -1,12 +1,16 @@
 import csv
+import dataclasses
+import functools
 import json
 import os
 
 import pytest
 
-from icecomp.bench import (REPORT_COLUMNS, SweepSpec, emit_plotdata,
-                           read_rows, run_depth_sweep, run_energy_bench,
-                           run_qaoa_bench, write_manifest, write_rows)
+from icecomp.bench import (REPORT_COLUMNS, SweepSpec, compile_mode,
+                           emit_plotdata, read_rows, run_depth_sweep,
+                           run_energy_bench, run_qaoa_bench, write_manifest,
+                           write_rows)
+from icecomp.circuit import Gate, GateKind
 from icecomp.cli import main
 from icecomp.compiler import CompileConfig, GadgetSet, compile_baseline, \
     write_encoded
@@ -15,6 +19,24 @@ from icecomp.gadgets import GadgetKind, build_gadget
 from icecomp.maxcut import GraphKind, generate_instance, make_graph, \
     ramp_params, read_graph, write_graph, write_params
 from icecomp.simulator import NoiseModel
+
+
+@functools.lru_cache(maxsize=None)
+def _k14_circuit():
+    """A 3-regular k=14, p=1, s=1 resynth+z2 circuit: 18 qubits."""
+    g = generate_instance(GraphKind.REGULAR_3, 14, seed=0)
+    return compile_mode(g, ramp_params(1), "resynth+z2", 1, 400)
+
+
+def _uncertified(enc):
+    """`enc` with an X on data qubit 1 right after its first rotation, so
+    that the later rotations on qubit 1 change sign: no certificate."""
+    gates = enc.circuit.gates
+    gi = next(i for i, g in enumerate(gates)
+              if g.kind.rotation and 1 in g.qubits)
+    x = Gate(GateKind.X, (1,), component=gates[gi].component)
+    return dataclasses.replace(enc, circuit=dataclasses.replace(
+        enc.circuit, gates=[*gates[:gi + 1], x, *gates[gi + 1:]]))
 
 
 @pytest.fixture
@@ -266,19 +288,69 @@ class TestCli:
     @pytest.mark.parametrize("command", ["bench-qaoa", "bench-energy"])
     def test_bench_over_qubit_cap_rejected(self, tmp_path, capsys,
                                            monkeypatch, command):
-        # k=12 compiles to 16 qubits, k=14 to 18: over the sampler's cap,
-        # so nothing runs and no file or --out-dir is made
+        # k=14 compiles to 18 qubits, over the dense cap, but its logical
+        # model has 14; k=18's logical model is over the cap, so nothing
+        # runs and no file or --out-dir is made
         def no_compile(*args, **kwargs):
             raise AssertionError("compiled before rejecting the size")
 
         monkeypatch.setattr("icecomp.bench.compile_mode", no_compile)
         out = tmp_path / "out"
-        assert main(["--out-dir", str(out), command, "--sizes", "12", "14",
+        assert main(["--out-dir", str(out), command, "--sizes", "14", "18",
                      "--syndromes", "0", "--out", "q.csv"]) == 2
         err = capsys.readouterr().err
-        assert err == (f"icecomp {command}: error: k=14: 18 qubits exceeds "
+        assert err == (f"icecomp {command}: error: k=18: 18 qubits exceeds "
                        "the dense-simulation cap 16\n")
         assert not out.exists()
+
+    def test_simulate_above_the_dense_cap(self, tmp_path):
+        # the certified table needs only the 14-qubit logical model
+        circ = tmp_path / "c.txt"
+        circ.write_text(write_encoded(_k14_circuit()))
+        out = tmp_path / "s.csv"
+        self.run("--out-dir", str(tmp_path), "simulate", "--circuit",
+                 str(circ), "--shots", "200", "--out", str(out))
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 200
+        assert {row["accepted"] for row in rows} == {"0", "1"}
+        assert all(0 <= int(row["decoded"]) < 1 << 14
+                   for row in rows if row["accepted"] == "1")
+
+    def test_simulate_uncertified_above_the_dense_cap(self, tmp_path,
+                                                      capsys):
+        circ = tmp_path / "c.txt"
+        circ.write_text(write_encoded(_uncertified(_k14_circuit())))
+        out = tmp_path / "out"
+        assert main(["--out-dir", str(out), "simulate", "--circuit",
+                     str(circ), "--shots", "200", "--out", "s.csv"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("icecomp simulate: error: 18 qubits exceeds "
+                              "the dense-simulation cap 16: the circuit has "
+                              "no stabilizer certificate")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    BENCH_K14 = ["bench-qaoa", "--sizes", "14", "--p", "1", "--syndromes",
+                 "1", "--num-seeds", "1", "--shots", "200", "--modes",
+                 "resynth+z2", "--out", "q.csv"]
+
+    def test_bench_qaoa_above_the_dense_cap(self, tmp_path):
+        self.run("--out-dir", str(tmp_path), *self.BENCH_K14)
+        (row,) = read_rows(str(tmp_path / "q.csv"))
+        assert row["k"] == "14" and row["shots"] == "200"
+        assert 0 < float(row["psr"]) <= 1
+
+    def test_bench_qaoa_uncertified_above_the_dense_cap(self, tmp_path,
+                                                        capsys, monkeypatch):
+        monkeypatch.setattr("icecomp.bench.compile_mode",
+                            lambda *args: _uncertified(_k14_circuit()))
+        assert main(["--out-dir", str(tmp_path), *self.BENCH_K14]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("icecomp bench-qaoa: error: 18 qubits exceeds "
+                              "the dense-simulation cap 16: the circuit has "
+                              "no stabilizer certificate")
+        assert err.count("\n") == 1
 
     def test_simulate_without_logicals(self, tmp_path):
         # a circuit file with no 'logical' lines decodes nothing: the

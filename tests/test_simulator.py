@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from icecomp.circuit import (CircuitError, ComponentRole, GateKind,
+from icecomp.circuit import (CircuitError, ComponentRole, Gate, GateKind,
                              PhysicalCircuit, layered_schedule)
 from icecomp.compiler import CompileConfig, GadgetSet, compile_baseline, \
     compile_cooptimized
@@ -26,7 +26,8 @@ from icecomp.simulator import (NoiseFormatError, NoiseModel, ShotRecord,
                                read_noise, sample_shots, sample_logical_shots,
                                total_variation, unencoded_distribution,
                                write_noise, SimulatorError, _ShotPlan,
-                               BRANCH_TOL, _LogicalModel, _Readout,
+                               BRANCH_TOL, MODEL_TOL, _LogicalModel,
+                               _Reading, _Readout,
                                _apply_gate, _apply_random_pauli,
                                _logical_entries, _logical_ops,
                                _logical_plan, _logical_steps, _merged,
@@ -1210,6 +1211,181 @@ def test_table_decoded_once_per_checks_and_decode(monkeypatch):
     assert calls[0] == 1
 
 
+def _without_certificate(monkeypatch):
+    """Every plan reads its dense table from now on."""
+    monkeypatch.setattr(_ShotPlan, "certified", lambda *args: None)
+
+
+def _x_between_rotations(circuit):
+    """`circuit` with an X on data qubit 1 right after its first rotation
+    there, before the next one."""
+    gates = circuit.gates
+    gi = next(i for i, g in enumerate(gates)
+              if g.kind.rotation and 1 in g.qubits)
+    assert any(g.kind.rotation and 1 in g.qubits for g in gates[gi + 1:])
+    x = Gate(GateKind.X, (1,), component=gates[gi].component)
+    return dataclasses.replace(circuit,
+                               gates=[*gates[:gi + 1], x, *gates[gi + 1:]])
+
+
+def _mutant(name):
+    """(circuit, checks, decode) of criterion 7's s=1 circuit with one
+    fault: resynth+z2 with an X on data qubit 1 between two of its rotations,
+    with logical 1 read from logical 2's data clbit, or with the last CNOT
+    of its final gadget deleted; or resynth (no z2) with its first mixer
+    RXX(t, q) moved to RXX(b, q)."""
+    enc = _criterion_7_circuit("resynth" if name == "rxx_on_b" else
+                               "resynth+z2", 1)
+    circ, decode, gates = enc.circuit, dict(enc.decode), enc.circuit.gates
+    if name == "x_between_rotations":
+        gates = _x_between_rotations(circ).gates
+    elif name == "decode_clbit_moved":
+        shared = decode[1] & decode[2]
+        decode[1] = shared | (decode[2] - shared)
+    elif name == "final_cnot_deleted":
+        final = {c for c, role in circ.components.items()
+                 if role is ComponentRole.FINAL_MEAS}
+        gi = max(i for i, g in enumerate(gates)
+                 if g.component in final and g.kind is GateKind.CNOT)
+        gates = gates[:gi] + gates[gi + 1:]
+    else:
+        k = len(decode)
+        gi = next(i for i, g in enumerate(gates)
+                  if g.kind is GateKind.RXX and 0 in g.qubits)
+        gates = [*gates[:gi], dataclasses.replace(
+            gates[gi], qubits=(k + 1, gates[gi].qubits[1])), *gates[gi + 1:]]
+    return dataclasses.replace(circ, gates=list(gates)), enc.checks, decode
+
+
+class TestCertifiedTable:
+    """The ideal table from the stabilizer certificate (stabilizer module)
+    against the dense pass, on criterion 7's circuits and their mutants."""
+
+    @pytest.mark.parametrize("s", [1, 2])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_equals_the_dense_table(self, mode, s, monkeypatch):
+        # a first call on a fresh plan cache builds no state wider than k
+        # and no dense table; that table then has the same words in the
+        # same order, probabilities within 1e-15, and the model's P_L is
+        # its marginal to MODEL_TOL (the dense reading's self-check)
+        enc = _criterion_7_circuit(mode, s)
+        k = len(enc.decode)
+        dense = []
+        bit_distribution = simulator._bit_distribution
+        monkeypatch.setattr(simulator, "_bit_distribution",
+                            lambda *args: dense.append(args)
+                            or bit_distribution(*args))
+        _plan.cache_clear()
+        built = _count_states(monkeypatch)
+        sample_shots(enc.circuit, NoiseModel(scale=4.0), 100, 3,
+                     checks=enc.checks, decode=enc.decode)
+        assert max(built) == k and dense == []
+        monkeypatch.undo()
+        plan = _shot_plan(enc.circuit)
+        reading = plan.reading(enc.checks, enc.decode)
+        assert reading.table is not plan.ideal
+        assert reading.table.ints == plan.ideal.ints
+        assert np.max(np.abs(reading.table.probs - plan.ideal.probs)) <= 1e-15
+        marginal = np.bincount(reading.model.xs, weights=plan.ideal.probs,
+                               minlength=1 << k)
+        assert np.max(np.abs(reading.model.probs - marginal)) <= MODEL_TOL
+
+    @pytest.mark.parametrize("name", ["x_between_rotations",
+                                      "decode_clbit_moved",
+                                      "final_cnot_deleted"])
+    def test_mutant_falls_back(self, name, monkeypatch):
+        # the certificate is refused, and the records are the dense path's
+        circ, checks, decode = _mutant(name)
+        _plan.cache_clear()
+        plan = _shot_plan(circ)
+        assert plan.reading(checks, decode).table is plan.ideal
+        args = (circ, NoiseModel(scale=2.0), 60, 7)
+        kw = dict(checks=checks, decode=decode)
+        recs = sample_shots(*args, **kw)
+        assert_matches_references(recs, *args, **kw)
+        _without_certificate(monkeypatch)
+        _plan.cache_clear()
+        assert sample_shots(*args, **kw) == recs
+
+    @pytest.mark.parametrize("mode", ["baseline", "resynth+z2"])
+    def test_random_mutants(self, mode):
+        # an X or Z inserted, a gate that is not a rotation deleted, or two
+        # neighbours swapped in a k=6 circuit: the certificate holds exactly
+        # where the dense reading has a guard and a model that passes its
+        # MODEL_TOL self-check, and its table is then the dense one
+        g = generate_instance(GraphKind.REGULAR_3, 6, seed=1)
+        enc = compile_mode(g, ramp_params(2), mode, 1, 100)
+        gates, circ = enc.circuit.gates, enc.circuit
+        rng = np.random.default_rng(7)
+        tail = _trailing_start(gates)
+        kept = refused = 0
+        for _ in range(60):
+            i = int(rng.integers(tail - 1))
+            how = rng.integers(3)
+            if how == 0:
+                kind = (GateKind.X, GateKind.Z)[rng.integers(2)]
+                new = [*gates[:i + 1], Gate(kind, (int(rng.integers(
+                    circ.num_qubits)),), component=gates[i].component),
+                    *gates[i + 1:]]
+            elif how == 1 and not gates[i].kind.rotation:
+                new = gates[:i] + gates[i + 1:]
+            else:
+                new = [*gates[:i], gates[i + 1], gates[i], *gates[i + 2:]]
+            mutant = dataclasses.replace(circ, gates=new)
+            if mutant._first_invalid_gate() is not None:
+                continue
+            plan = _ShotPlan(mutant)
+            reading = plan.reading(enc.checks, enc.decode)
+            dense = _dense_reading(plan, enc.checks, enc.decode)
+            certified = reading.table is not plan.ideal
+            assert certified == (dense.guard is not None
+                                 and dense.model is not None)
+            if certified:
+                kept += 1
+                assert reading.table.ints == plan.ideal.ints
+                assert np.max(np.abs(reading.table.probs
+                                     - plan.ideal.probs)) <= 1e-15
+            else:
+                refused += 1
+        assert kept and refused
+
+    def test_rxx_on_b_without_z2(self):
+        # X_b X_q is Xbar_q = X_t X_q times X_t X_b, which lies in F: it is
+        # S_x times Xbar^k, which fixes the code state and commutes with
+        # every logical rotation.  So the move keeps the noiseless outcomes,
+        # z2 or not, and the certificate and the dense table agree
+        circ, checks, decode = _mutant("rxx_on_b")
+        plan = _shot_plan(circ)
+        reading = plan.reading(checks, decode)
+        assert reading.table is not plan.ideal
+        assert reading.table.ints == plan.ideal.ints
+        assert np.max(np.abs(reading.table.probs - plan.ideal.probs)) <= 1e-15
+        assert _dense_reading(plan, checks, decode).model is not None
+
+    def test_k14_above_the_dense_cap(self, monkeypatch):
+        # 18 qubits: the certified table needs only the 14-qubit model,
+        # whose P_L is the unencoded circuit's distribution
+        g = generate_instance(GraphKind.REGULAR_3, 14, seed=0)
+        enc = compile_mode(g, ramp_params(2), "resynth+z2", 1, 200)
+        assert enc.circuit.num_qubits == 18
+        kw = dict(checks=enc.checks, decode=enc.decode)
+        built = _count_states(monkeypatch)
+        assert all(r.accepted for r in sample_shots(
+            enc.circuit, NoiseModel(scale=0.0), 300, 1, **kw))
+        recs = sample_shots(enc.circuit, NoiseModel(scale=2.0), 300, 1, **kw)
+        assert max(built) == 14
+        assert 0 < post_selection_rate(recs) < 1
+        model = _shot_plan(enc.circuit).reading(**kw).model
+        exact = unencoded_distribution(build_qaoa(g, ramp_params(2)))
+        assert np.max(np.abs(model.probs - [
+            exact.get(x, 0.0) for x in range(1 << 14)])) <= 1e-12
+        with pytest.raises(SimulatorError, match="18 qubits exceeds the "
+                           "dense-simulation cap 16: the circuit has no "
+                           "stabilizer certificate"):
+            sample_shots(_x_between_rotations(enc.circuit), NoiseModel(), 10,
+                         0, **kw)
+
+
 def test_logical_model_built_on_first_use():
     # only a shot that keeps its checks and negates rotations reads the
     # logical model: a zero-shot call (the one `icecomp simulate` makes to
@@ -1355,6 +1531,14 @@ def test_stacked_pass_equals_one_row_passes(which):
 # the oracle of its array construction
 # ---------------------------------------------------------------------------
 
+def _dense_reading(plan, checks, decode):
+    """The plan's reading of its dense table, its certificate switched
+    off."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_ShotPlan, "certified", lambda *args: None)
+        return _Reading(plan, checks, decode)
+
+
 def reference_bit_distribution(circuit):
     """(exact_bit_distribution as a dict filled one entry at a time, whether
     every reset is deterministic)."""
@@ -1499,7 +1683,10 @@ class TestIdealTableOracle:
     """The plan's array table of noiseless outcomes against the dict built
     one entry at a time: the same words in the same order, the same floats
     summed in the same order, and the same guard, logical model inputs,
-    records and exact distributions."""
+    records and exact distributions, for the dense reading of that table.
+    A certified reading has the same words, guard, logicals and records,
+    probabilities within 1e-15, and a model whose marginal is its own
+    table's."""
 
     @staticmethod
     def check(circuit, checks, decode, has_model):
@@ -1511,7 +1698,21 @@ class TestIdealTableOracle:
         assert plan.ideal.ints == ref["words"]
         assert plan.ideal.probs.tolist() == ref["probs"]
         assert plan.ideal.cum.tolist() == ref["cum"]
-        reading = plan.reading(checks, decode)
+        certified = plan.reading(checks, decode)
+        if certified.table is not plan.ideal:
+            assert certified.table.ints == ref["words"]
+            assert np.max(np.abs(certified.table.probs - ref["probs"])) \
+                <= 1e-15
+            assert certified.guard == ref["guard"]
+            assert certified.logical.tolist() == ref["xs"]
+            assert [certified.record(i, 0) for i in range(len(ref["words"]))] \
+                == ref["records"]
+            model = certified.model
+            assert model.marginal.tolist() == np.bincount(
+                model.xs, weights=certified.table.probs,
+                minlength=1 << len(decode)).tolist()
+        reading = _dense_reading(plan, checks, decode)
+        assert reading.table is plan.ideal
         assert reading.guard == ref["guard"]
         model = reading.model
         assert (model is not None) == has_model
