@@ -24,8 +24,13 @@ updates only its own qubits' entries:
     rz[t] ^= rz[c];
   * H swaps rx[q] and rz[q];
   * RZZ (RXX) toggles its rotation's bit on rx (rz) of both its qubits;
-  * a Z (X) measurement toggles its clbit on rx[q] (rz[q]) and zeroes the
-    other entry, whose Pauli it absorbs;
+  * a Z measurement toggles its clbit on rx[q] and zeroes rz[q], whose
+    Pauli it absorbs;
+  * an X measurement is H, then a Z measurement, and leaves its qubit in
+    the Z basis, as the trajectory, the dense pass and the stabilizer
+    tableau run it: rz[q] becomes rx[q] with its clbit toggled, and rx[q]
+    is zeroed.  Forward, a Pauli before it flips the clbit iff it has Z on
+    q, and leaves X on q iff it had Z there;
   * a reset zeroes both entries; X, Z and barriers change nothing.
 
 A fault after gate i is then the XOR of at most four entries at that point,
@@ -269,7 +274,7 @@ class _Sweep:
                     rx[q] ^= flip
                     rz[q] = 0
                 else:
-                    rz[q] ^= flip
+                    rz[q] = rx[q] ^ flip
                     rx[q] = 0
             elif kind is reset:
                 q = g.qubits[0]

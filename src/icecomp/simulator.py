@@ -83,7 +83,10 @@ first use, in one of two ways:
     trailing block measured on the stabilizer group), the table is the
     affine set w0 XOR span(directions) of 2^(k+1) words, each with
     probability P_L(x)/2 for its logical x, P_L the noiseless logical model
-    run in gate order; those above 1e-15 are kept (_affine_table).  The
+    run in gate order; those above 1e-15 are kept (_affine_table).  That
+    model is the reading's logical model (Encoded shots), kept if every
+    logical x has an entry: the certificate is what shows that the
+    noiseless outcomes are the model's, so no other reading has one.  The
     only state is the model's k-qubit one, so such a circuit samples
     whatever its width up to k = DEFAULT_QUBIT_CAP.
   * Dense: every other reading reads `plan.ideal`, the one dense pass
@@ -136,20 +139,14 @@ and its record follows:
     model (_LogicalModel) gives P'_L, in the held shot's row, from a
     StateVector(k) from |+>^k on which RZZ(u+1, v+1) acts as Z_uZ_v and
     RXX(t or b, q), t = 0 and b = k+1 the top and bottom qubits, as
-    X_{q-1} (_model_ops); P_L is the table's decoded marginal.  A certified
-    table is built from the model, which is kept if every x is present.
-    On a dense table the model is built on first use from the logicals of
-    the reading that holds the guard, and kept only if every reset is
-    deterministic (a random reset leaves a mixture no one logical state
-    stands for), every rotation has one of those forms and the model's own
-    P_L matches that marginal to MODEL_TOL with every x present.
+    X_{q-1} (_model_ops); P_L is the table's decoded marginal.  Only a
+    certified reading has a model (The ideal table).
   * Every other shot runs its trajectory, and its record is the
     trajectory's, bit for bit: every shot with a fired Pauli site or an
     injected Pauli when the guard fails, and one that keeps its checks and
-    flips a rotation when there is no `decode` or no model.  A trajectory
-    is a dense state of the circuit's qubits, so a reading above the cap
-    must be certified and have a guard and a model, or it raises
-    SimulatorError.
+    flips a rotation when its reading has no model.  A trajectory is a
+    dense state of the circuit's qubits, so a reading above the cap must be
+    certified and have a guard and a model, or it raises SimulatorError.
 
 So every verdict is the trajectory's, but the bits and logical of an
 accepted shot the frame decides are an exact draw, not its trajectory's.
@@ -691,11 +688,16 @@ class _Streams:
 
 
 def _trailing_start(gates: Sequence[Gate]) -> int:
-    """Index where the trailing block of measurements (and barriers) begins."""
-    start = len(gates)
-    while start > 0 and gates[start - 1].kind in (
-        GateKind.MEASURE_Z, GateKind.MEASURE_X, GateKind.BARRIER
-    ):
+    """Index where the trailing block of measurements (and barriers) begins:
+    the block measures each qubit once, so it ends before a measurement of a
+    qubit it measures later, and that measurement branches mid-circuit."""
+    start, measured = len(gates), 0
+    while start > 0:
+        g = gates[start - 1]
+        if g.kind.measurement and not measured >> g.qubits[0] & 1:
+            measured |= 1 << g.qubits[0]
+        elif g.kind is not GateKind.BARRIER:
+            break
         start -= 1
     return start
 
@@ -990,8 +992,9 @@ class _Reading:
     then fit under DEFAULT_QUBIT_CAP.  One _Readout.decode_words pass over
     its word table gives per entry its check values (a row of `values`) and
     its decoded logical (`logical`, None without `decode`).  From these come
-    the frame `guard` and the logical `model` (module docstring); `cum` is
-    the table's cumulative, from which a shot picks an entry.
+    the frame `guard` and, for a certified table, the logical `model`
+    (module docstring); `cum` is the table's cumulative, from which a shot
+    picks an entry.
     `record(i, flips)` is the record of a shot whose bits are entry i with
     the clbits of `flips` flipped, kept the first time a shot picks entry i
     unflipped.  Above the cap, only a certified reading whose guard holds
@@ -999,7 +1002,7 @@ class _Reading:
 
     def __init__(self, plan: _ShotPlan, checks: Sequence[ParityCheck],
                  decode: Mapping[int, frozenset[int]] | None):
-        self.plan, self.decode = plan, decode
+        self.plan = plan
         self.readout = _Readout(checks, decode, plan.num_clbits)
         certified = plan.certified(self.readout, checks, decode)
         if certified is None:
@@ -1029,12 +1032,20 @@ class _Reading:
 
     @functools.cached_property
     def model(self) -> "_LogicalModel | None":
-        """The circuit's logical model under `decode`, or None where there
-        is no `decode` or the circuit shows no model."""
-        if self.decode is None:
+        """The logical model the certified table was built from, with the
+        table's probabilities (`ideal`), each entry's logical (`xs`) and
+        their distribution (`marginal`); None for a dense table, or where
+        some logical x has no entry."""
+        model = self._model
+        if model is None:
             return None
-        return _LogicalModel.build(self.plan, self.decode, self.table,
-                                   self.logical, self._model)
+        xs = self.logical.astype(np.intp)
+        marginal = np.bincount(xs, weights=self.table.probs,
+                               minlength=1 << model.k)
+        if not marginal.all():
+            return None
+        model.ideal, model.xs, model.marginal = self.table.probs, xs, marginal
+        return model
 
     def record(self, i: int, flips: int) -> ShotRecord:
         rec = None if flips else self.records.get(i)
@@ -1047,9 +1058,6 @@ class _Reading:
         return rec
 
 
-MODEL_TOL = 1e-12   # _LogicalModel: its largest miss of the ideal marginal
-
-
 _PASS_AMPS = 1 << 16    # _LogicalModel.states: amplitudes per block
 
 
@@ -1057,13 +1065,14 @@ class _LogicalModel:
     """k logical qubits as a StateVector(k) from |+>^k, run through `ops`:
     (key, qubits, angle) per rotation in order, an RZZ on two qubits and an
     RX on one; a mask `rot` negates the rotations whose keys it sets.  The
-    unencoded circuit's ops are keyed by step (_logical_ops); `build` keys
-    an Iceberg circuit's by gate index (module docstring) and sets `ideal`,
-    the ideal entries' probabilities, `xs`, each entry's decoded logical,
-    and `marginal`, their ideal distribution.  The noiseless state is kept
-    before every `stride`-th op, about sqrt(ops) states.  `states` runs the
-    masks of a whole sampling call at once, one row each, from those
-    checkpoints; `state` and `reweight` are its one-row case."""
+    unencoded circuit's ops are keyed by step (_logical_ops), an Iceberg
+    circuit's by gate index (_model_ops), and a certified reading
+    (_Reading.model) sets `ideal`, its entries' probabilities, `xs`, each
+    entry's decoded logical, and `marginal`, their distribution.  The
+    noiseless state is kept before every `stride`-th op, about sqrt(ops)
+    states.  `states` runs the masks of a whole sampling call at once, one
+    row each, from those checkpoints; `state` and `reweight` are its one-row
+    case."""
 
     ideal = None
 
@@ -1080,34 +1089,6 @@ class _LogicalModel:
             if (i + 1) % self.stride == 0:
                 self.checkpoints.append(state.copy())
         self.probs = state.probabilities()
-
-    @staticmethod
-    def build(plan: _ShotPlan, decode: Mapping[int, frozenset[int]],
-              table: "_Outcomes", logical: np.ndarray,
-              model: "_LogicalModel | None" = None
-              ) -> "_LogicalModel | None":
-        """The model of the plan's circuit, each entry of the ideal table
-        `table` decoding to its `logical` under `decode`, or None unless
-        every logical value is present.  A certified table comes with the
-        `model` it was built from; otherwise the model is built here, and
-        kept only if every reset is deterministic, the plan has _model_ops
-        and the model's distribution is the table's marginal to
-        MODEL_TOL."""
-        k = len(decode)
-        if model is None:
-            ops = _model_ops(plan, decode)
-            if ops is None or not table.resets_fixed:
-                return None
-        xs = logical.astype(np.intp)
-        marginal = np.bincount(xs, weights=table.probs, minlength=1 << k)
-        if not marginal.all():
-            return None
-        if model is None:
-            model = _LogicalModel(k, ops)
-            if np.max(np.abs(model.probs - marginal)) > MODEL_TOL:
-                return None
-        model.ideal, model.xs, model.marginal = table.probs, xs, marginal
-        return model
 
     @staticmethod
     def _apply(state: StateVector, op: tuple[int, tuple[int, ...], float],
@@ -1239,7 +1220,7 @@ def _affine_table(w0: int, directions: Sequence[int], readout: _Readout,
     probs = p_l[xs[order]] * 0.5
     keep = probs > 1e-15
     return _Outcomes(bits[order][keep], probs[keep],
-                     np.arange(np.count_nonzero(keep)), True)
+                     np.arange(np.count_nonzero(keep)))
 
 
 def _keeps_checks(guard: tuple[tuple[int, int], ...], flips: int) -> bool:
@@ -1386,9 +1367,10 @@ def exact_bit_distribution(circuit: PhysicalCircuit,
 
     Mid-circuit measurements and resets branch only when both outcomes have
     probability above BRANCH_TOL (noiseless encoded circuits keep a single
-    branch); the trailing block of measurements is evaluated jointly from
-    amplitudes.  `inject` is checked and applied as in `sample_shots`.  The
-    keys come in the order the branches first reach them.
+    branch); the trailing block of measurements, which measures each qubit
+    once (_trailing_start), is evaluated jointly from amplitudes.  `inject`
+    is checked and applied as in `sample_shots`.  The keys come in the
+    order the branches first reach them.
     """
     out = _bit_distribution(circuit, inject)
     first = out.first
@@ -1400,14 +1382,12 @@ def exact_bit_distribution(circuit: PhysicalCircuit,
 class _Outcomes:
     """The noiseless outcomes of a circuit: per entry its clbits (a row of
     `bits`, uint8) and probability, in the order sorted() gives their bit
-    tuples; `first`, the entries in the order the branches first reach
-    them; and whether no reset branched (a reset that branches leaves an
-    outcome no clbit records)."""
+    tuples; and `first`, the entries in the order the branches first reach
+    them."""
 
     bits: np.ndarray
     probs: np.ndarray
     first: np.ndarray
-    resets_fixed: bool
 
     @functools.cached_property
     def words(self) -> np.ndarray:
@@ -1431,7 +1411,6 @@ def _bit_distribution(circuit: "PhysicalCircuit | _ShotPlan",
     """exact_bit_distribution's entries as arrays, of a circuit or of the
     gates a _ShotPlan holds."""
     gates = circuit.gates
-    resets_fixed = True
     inject_map = _inject_map(gates, inject)
     tail_start = _trailing_start(gates)
 
@@ -1451,8 +1430,6 @@ def _bit_distribution(circuit: "PhysicalCircuit | _ShotPlan",
                     outcomes.append(0)
                 if p1 > BRANCH_TOL:
                     outcomes.append(1)
-                if g.kind is GateKind.RESET and len(outcomes) > 1:
-                    resets_fixed = False
                 for v in outcomes:
                     st = state.copy() if len(outcomes) > 1 else state
                     p = st.collapse(g.qubits[0], v, p1)
@@ -1494,11 +1471,10 @@ def _bit_distribution(circuit: "PhysicalCircuit | _ShotPlan",
             block[:, clbit] = s >> pos & 1
         rows.append(block)
         probs.append(weight * mass[s])
-    return _merged(np.concatenate(rows), np.concatenate(probs), resets_fixed)
+    return _merged(np.concatenate(rows), np.concatenate(probs))
 
 
-def _merged(bits: np.ndarray, probs: np.ndarray, resets_fixed: bool
-            ) -> _Outcomes:
+def _merged(bits: np.ndarray, probs: np.ndarray) -> _Outcomes:
     """The _Outcomes of entries listed in the order the branches reach
     them, those with equal bits merged into one whose probability is
     theirs summed in that order (0.0 + p0 + p1 + ...), as a dict would."""
@@ -1510,7 +1486,7 @@ def _merged(bits: np.ndarray, probs: np.ndarray, resets_fixed: bool
                                  axis=None if len(limbs) == 1 else 0,
                                  return_index=True, return_inverse=True)
     return _Outcomes(bits[kept], np.bincount(inverse, weights=probs),
-                     np.argsort(kept), resets_fixed)
+                     np.argsort(kept))
 
 
 def exact_logical_distribution(circuit: PhysicalCircuit,

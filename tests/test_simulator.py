@@ -26,12 +26,12 @@ from icecomp.simulator import (NoiseFormatError, NoiseModel, ShotRecord,
                                read_noise, sample_shots, sample_logical_shots,
                                total_variation, unencoded_distribution,
                                write_noise, SimulatorError, _ShotPlan,
-                               BRANCH_TOL, MODEL_TOL, _LogicalModel,
+                               BRANCH_TOL, _LogicalModel,
                                _Reading, _Readout,
                                _apply_gate, _apply_random_pauli,
                                _logical_entries, _logical_ops,
                                _logical_plan, _logical_steps, _merged,
-                               _plan,
+                               _model_ops, _plan,
                                _Streams, _shot_plan, _trailing_start, _word)
 from icecomp import simulator
 
@@ -805,8 +805,8 @@ def _not_iceberg_rzz():
 
 def _not_iceberg_start():
     # RXX(0, 1) has the model's form (X_0 under decode {1: c1}), but the
-    # circuit starts in |00>, not in the code state of |+>: the model's
-    # distribution misses the ideal marginal and fails its self-check
+    # circuit starts in |00>, not in the code state of |+>: the certificate
+    # refuses it, and the model's distribution misses the ideal marginal
     c = PhysicalCircuit(3, 3)
     c.cx(0, 1)
     c.rxx(0, 1, 0.7)
@@ -939,6 +939,31 @@ class TestBitIdentity:
         assert ran[0] == 0
         assert_matches_references(recs, *args, checks=checks)
         assert 0 < post_selection_rate(recs) < 1
+
+    def test_x_measured_qubit_reused(self, monkeypatch):
+        # an X measurement is H, then a Z measurement: it leaves qubit 0 in
+        # |0>, and the CX copies that to c1, the check.  A Z on qubit 0
+        # before it flips c0 and, through the CX, c1 and c2, so the frame
+        # must leave an X on qubit 0 after the measurement, as every
+        # trajectory does; the guard holds and no shot runs its trajectory
+        circ = PhysicalCircuit(2, 3)
+        circ.h(0)
+        circ.mx(0, 0)
+        circ.cx(0, 1)
+        circ.mz(1, 1)
+        circ.mz(0, 2)
+        checks = (ParityCheck(frozenset({1})),)
+        assert _frame_guard(circ, checks) is not None
+        z0 = [(0, PauliString.from_ops([(0, "Z")]))]
+        assert exact_bit_distribution(circ, z0) == \
+            {(1, 1, 1): pytest.approx(1.0, abs=1e-15)}
+        ran = _count_trajectories(monkeypatch)
+        for noise, shots, inject in ((NoiseModel(scale=0.0), 50, z0),
+                                     (NoiseModel(scale=300.0), 2000, ())):
+            args = (circ, noise, shots, 1)
+            kw = dict(checks=checks, inject=inject)
+            assert_matches_references(sample_shots(*args, **kw), *args, **kw)
+        assert ran[0] == 0
 
     def test_frame_decided_shots(self, monkeypatch):
         # at noise scale 4 most shots have a Pauli event; the accepted ones
@@ -1266,8 +1291,9 @@ class TestCertifiedTable:
     def test_equals_the_dense_table(self, mode, s, monkeypatch):
         # a first call on a fresh plan cache builds no state wider than k
         # and no dense table; that table then has the same words in the
-        # same order, probabilities within 1e-15, and the model's P_L is
-        # its marginal to MODEL_TOL (the dense reading's self-check)
+        # same order, probabilities within 1e-15, and the dense model
+        # oracle holds with the reading's own model: its P_L is the dense
+        # marginal to 1e-12
         enc = _criterion_7_circuit(mode, s)
         k = len(enc.decode)
         dense = []
@@ -1286,9 +1312,9 @@ class TestCertifiedTable:
         assert reading.table is not plan.ideal
         assert reading.table.ints == plan.ideal.ints
         assert np.max(np.abs(reading.table.probs - plan.ideal.probs)) <= 1e-15
-        marginal = np.bincount(reading.model.xs, weights=plan.ideal.probs,
-                               minlength=1 << k)
-        assert np.max(np.abs(reading.model.probs - marginal)) <= MODEL_TOL
+        oracle = _dense_model(plan, enc.decode)
+        assert oracle is not None and (oracle.xs == reading.model.xs).all()
+        assert (oracle.probs == reading.model.probs).all()
 
     @pytest.mark.parametrize("name", ["x_between_rotations",
                                       "decode_clbit_moved",
@@ -1311,8 +1337,9 @@ class TestCertifiedTable:
     def test_random_mutants(self, mode):
         # an X or Z inserted, a gate that is not a rotation deleted, or two
         # neighbours swapped in a k=6 circuit: the certificate holds exactly
-        # where the dense reading has a guard and a model that passes its
-        # MODEL_TOL self-check, and its table is then the dense one
+        # where the dense reading has a guard and the dense model oracle
+        # passes, its table is then the dense one, and a reading has a
+        # model exactly where it is certified
         g = generate_instance(GraphKind.REGULAR_3, 6, seed=1)
         enc = compile_mode(g, ramp_params(2), mode, 1, 100)
         gates, circ = enc.circuit.gates, enc.circuit
@@ -1339,7 +1366,9 @@ class TestCertifiedTable:
             dense = _dense_reading(plan, enc.checks, enc.decode)
             certified = reading.table is not plan.ideal
             assert certified == (dense.guard is not None
-                                 and dense.model is not None)
+                                 and _dense_model(plan, enc.decode)
+                                 is not None)
+            assert (reading.model is not None) == certified
             if certified:
                 kept += 1
                 assert reading.table.ints == plan.ideal.ints
@@ -1360,7 +1389,7 @@ class TestCertifiedTable:
         assert reading.table is not plan.ideal
         assert reading.table.ints == plan.ideal.ints
         assert np.max(np.abs(reading.table.probs - plan.ideal.probs)) <= 1e-15
-        assert _dense_reading(plan, checks, decode).model is not None
+        assert _dense_model(plan, decode) is not None
 
     def test_k14_above_the_dense_cap(self, monkeypatch):
         # 18 qubits: the certified table needs only the 14-qubit model,
@@ -1539,9 +1568,33 @@ def _dense_reading(plan, checks, decode):
         return _Reading(plan, checks, decode)
 
 
+def _dense_model(plan, decode):
+    """The reference oracle of the certificate: the logical model of the
+    plan's rotations (_model_ops) checked against its dense table alone.
+    None unless every reset is deterministic (a random reset leaves a
+    mixture that no one logical state stands for), every logical x has an
+    entry and the model's P_L is the table's decoded marginal to 1e-12;
+    else the model, with each entry's logical (`xs`) and that marginal."""
+    ops = _model_ops(plan, decode)
+    if ops is None or not reference_bit_distribution(plan)[1]:
+        return None
+    k = len(decode)
+    _, _, logical = _Readout((), decode, plan.num_clbits).decode_words(
+        plan.ideal.words)
+    xs = logical.astype(np.intp)
+    marginal = np.bincount(xs, weights=plan.ideal.probs, minlength=1 << k)
+    if not marginal.all():
+        return None
+    model = _LogicalModel(k, ops)
+    if np.max(np.abs(model.probs - marginal)) > 1e-12:
+        return None
+    model.xs, model.marginal = xs, marginal
+    return model
+
+
 def reference_bit_distribution(circuit):
     """(exact_bit_distribution as a dict filled one entry at a time, whether
-    every reset is deterministic)."""
+    every reset is deterministic), of a circuit or of a plan's gates."""
     gates = circuit.gates
     resets_fixed = True
     tail_start = _trailing_start(gates)
@@ -1607,11 +1660,11 @@ def reference_tables(circuit, checks, decode):
     entry at a time.  Only the plan's site-table fields (clbits measured
     once, rotation flips) are read from the plan."""
     plan = _shot_plan(circuit)
-    dist, resets_fixed = reference_bit_distribution(circuit)
+    dist, _ = reference_bit_distribution(circuit)
     ideal = sorted(dist.items())
     bits_list = [b for b, _ in ideal]
     probs = [p for _, p in ideal]
-    out = {"dist": list(dist.items()), "resets_fixed": resets_fixed,
+    out = {"dist": list(dist.items()),
            "words": [_word(b) for b in bits_list], "probs": probs,
            "cum": np.cumsum(probs).tolist(),
            "records": [make_record(b, checks, decode) for b in bits_list]}
@@ -1682,8 +1735,10 @@ def _wide_circuit():
 class TestIdealTableOracle:
     """The plan's array table of noiseless outcomes against the dict built
     one entry at a time: the same words in the same order, the same floats
-    summed in the same order, and the same guard, logical model inputs,
-    records and exact distributions, for the dense reading of that table.
+    summed in the same order, and the same guard, logicals, records and
+    exact distributions, for the dense reading of that table, which has no
+    logical model.  The dense model oracle (_dense_model) has the same
+    logical model inputs, and passes exactly where the certificate holds.
     A certified reading has the same words, guard, logicals and records,
     probabilities within 1e-15, and a model whose marginal is its own
     table's."""
@@ -1694,12 +1749,12 @@ class TestIdealTableOracle:
         _plan.cache_clear()
         plan = _shot_plan(circuit)
         assert list(exact_bit_distribution(circuit).items()) == ref["dist"]
-        assert plan.ideal.resets_fixed == ref["resets_fixed"]
         assert plan.ideal.ints == ref["words"]
         assert plan.ideal.probs.tolist() == ref["probs"]
         assert plan.ideal.cum.tolist() == ref["cum"]
         certified = plan.reading(checks, decode)
-        if certified.table is not plan.ideal:
+        assert (certified.table is not plan.ideal) == has_model
+        if has_model:
             assert certified.table.ints == ref["words"]
             assert np.max(np.abs(certified.table.probs - ref["probs"])) \
                 <= 1e-15
@@ -1714,15 +1769,15 @@ class TestIdealTableOracle:
         reading = _dense_reading(plan, checks, decode)
         assert reading.table is plan.ideal
         assert reading.guard == ref["guard"]
-        model = reading.model
+        assert reading.model is None
+        assert reading.logical.tolist() == ref["xs"]
+        model = _dense_model(plan, decode)
         assert (model is not None) == has_model
         if model is not None:
             assert model.xs.tolist() == ref["xs"]
             marginal = np.bincount(ref["xs"], weights=ref["probs"],
                                    minlength=1 << len(decode))
             assert model.marginal.tolist() == marginal.tolist()
-        else:
-            assert reading.logical.tolist() == ref["xs"]
         assert [reading.record(i, 0) for i in range(len(plan.ideal.ints))] \
             == ref["records"]
         acc, logical = exact_logical_distribution(circuit, checks, decode)
@@ -1758,6 +1813,20 @@ class TestIdealTableOracle:
                    {1: frozenset({67}), 2: frozenset({5, 68}),
                     70: frozenset({3, 67})}, False)
 
+    def test_qubit_measured_twice_at_the_end(self):
+        # Z, then X on qubit 0 from |0>: the first outcome is 0 and the
+        # second random, as every trajectory has them, not read off one
+        # state as a joint readout would, which gives (0, 0) and (1, 1)
+        circ = PhysicalCircuit(1, 2)
+        circ.mz(0, 0)
+        circ.mx(0, 1)
+        dist = exact_bit_distribution(circ)
+        assert list(dist) == [(0, 0), (0, 1)]
+        assert list(dist.values()) == pytest.approx([0.5, 0.5], abs=1e-15)
+        self.check(circ, (), {1: frozenset({1})}, False)
+        assert {r.bits for r in sample_shots(
+            circ, NoiseModel(scale=0.0), 50, 3)} == {(0, 0), (0, 1)}
+
     @pytest.mark.parametrize("width", [40, 100, 150])
     def test_merge_over_limbs(self, width):
         # rows of 1-3 limbs with repeats merge as a dict filled one row at a
@@ -1772,7 +1841,7 @@ class TestIdealTableOracle:
             ref: dict[tuple, float] = {}
             for row, p in zip(map(tuple, bits.tolist()), probs.tolist()):
                 ref[row] = ref.get(row, 0.0) + p
-            out = _merged(bits, probs, True)
+            out = _merged(bits, probs)
             assert list(map(tuple, out.bits.tolist())) == sorted(ref)
             assert out.probs.tolist() == [ref[r] for r in sorted(ref)]
             assert list(map(tuple, out.bits[out.first].tolist())) == list(ref)

@@ -6,8 +6,11 @@ import pytest
 
 from icecomp.circuit import Gate, GateKind, PhysicalCircuit
 from icecomp.gadgets import ParityCheck
-from icecomp.simulator import StateVector, _apply_gate, _ShotPlan, _Reading
+from icecomp.simulator import (NoiseModel, StateVector, _apply_gate,
+                               _ShotPlan, _Reading, sample_shots)
 from icecomp.stabilizer import CliffordRun, _Tableau
+from test_simulator import (_count_trajectories, _dense_model,
+                            assert_matches_references)
 
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _Z = np.diag([1.0, -1.0]).astype(complex)
@@ -154,14 +157,34 @@ def _ancilla(*ops):
               (GateKind.MEASURE_Z, (4,)), (GateKind.RESET, (4,))), False),
 ], ids=["plain", "ancilla-0", "reset-sign", "marker"])
 def test_toy_circuits(middle, certified):
-    # certified exactly where the dense reading keeps a guard and a model,
-    # and then with the dense table
+    # certified exactly where the dense reading keeps a guard and the dense
+    # model oracle passes, and then with the dense table and a model
     plan, reading, dense = _readings(_toy(*middle))
     assert (reading.table is not plan.ideal) == certified
-    assert (dense.guard is not None and dense.model is not None) == certified
+    assert (reading.model is not None) == certified
+    assert (dense.guard is not None
+            and _dense_model(plan, _DECODE) is not None) == certified
     if certified:
         assert reading.table.ints == plan.ideal.ints
         assert np.max(np.abs(reading.table.probs - plan.ideal.probs)) <= 1e-15
+
+
+def test_random_ancilla_measurement_has_no_model(monkeypatch):
+    # a random mid-circuit measurement of the ancilla, which touches no
+    # logical: the dense marginal is the model's, but part (i) refuses a
+    # random outcome, so the reading has no model and its accepted shots
+    # that flip a rotation run their trajectories
+    circuit = _toy(*_ancilla((GateKind.H, (4,)), (GateKind.MEASURE_Z, (4,))))
+    plan, reading, dense = _readings(circuit)
+    assert reading.table is plan.ideal and reading.model is None
+    assert reading.guard is not None
+    assert _dense_model(plan, _DECODE) is not None
+    args = (circuit, NoiseModel(scale=40.0), 300, 2)
+    kw = dict(checks=_CHECKS, decode=_DECODE)
+    ran = _count_trajectories(monkeypatch)
+    recs = sample_shots(*args, **kw)
+    assert ran[0] > 0
+    assert_matches_references(recs, *args, **kw)
 
 
 def test_f_commutes_with_every_rotation():
