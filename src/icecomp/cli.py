@@ -202,8 +202,9 @@ def cmd_simulate(args) -> int:
                 f"{args.graph} has {graph.num_vertices} vertices, but "
                 f"{args.circuit} has {len(decode)} 'logical' lines")
         # a zero-shot call checks the circuit, the cap (above it, the
-        # certificate) and the check and decode clbits, so an unwritable
-        # output fails before any shot
+        # certificate, without which shots run as dense trajectories) and
+        # the check and decode clbits, so an unwritable output fails
+        # before any shot
         sample_shots(circuit, noise, 0, args.seed, checks=checks,
                      decode=decode or None)
         _open_outputs(args, _out(args, "out"))
@@ -275,7 +276,9 @@ def _run_bench(args, runner, name) -> int:
         return _fail(args.command, exc)
     try:
         rows = runner(spec)
-    except SimulatorError as exc:   # a circuit above the cap not certified
+    except SimulatorError as exc:
+        # a circuit above the cap that the certificate refuses: its shots
+        # would run as dense trajectories
         return _fail(args.command, exc)
     write_rows(rows, out)
     write_manifest(out + ".manifest.json", name, {

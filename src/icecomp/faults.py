@@ -31,6 +31,9 @@ updates only its own qubits' entries:
     tableau run it: rz[q] becomes rx[q] with its clbit toggled, and rx[q]
     is zeroed.  Forward, a Pauli before it flips the clbit iff it has Z on
     q, and leaves X on q iff it had Z there;
+  * a measurement whose clbit a later measurement writes toggles no clbit,
+    since the later write is the one the outcome keeps; a classical flip
+    of it flips nothing either;
   * a reset zeroes both entries; X, Z and barriers change nothing.
 
 A fault after gate i is then the XOR of at most four entries at that point,
@@ -239,9 +242,10 @@ class _Sweep:
         """Sweep from the circuit end down to just after gate `stop` and
         return (rx, rz) there: rx[q] and rz[q] are the responses of X_q and
         Z_q inserted after gate `stop`.  With a `per_gate` list, also set
-        per_gate[i] to record(gate i, rx, rz) of the entries after gate i;
-        `record` defaults to `responses`, the responses of the faults after
-        gate i."""
+        per_gate[i] to record(gate i, rx, rz, written) of the entries after
+        gate i, `written` the mask of the clbits that a measurement after
+        gate i writes; `record` defaults to `responses`, the responses of
+        the faults after gate i."""
         gates, rot = self.gates, self.rot
         record = record or self.responses
         # the kinds as locals: looking up an Enum member on its class costs
@@ -251,10 +255,11 @@ class _Sweep:
             GateKind.MEASURE_Z, GateKind.MEASURE_X, GateKind.RESET)
         passive = (GateKind.X, GateKind.Z, GateKind.BARRIER)
         rx, rz = list(self.unit_x), list(self.unit_z)
+        written = 0
         for i in range(len(gates) - 1, stop, -1):
             g = gates[i]
             if per_gate is not None:
-                per_gate[i] = record(g, rx, rz)
+                per_gate[i] = record(g, rx, rz, written)
             kind = g.kind
             if kind is cnot:
                 c, t = g.qubits
@@ -269,7 +274,8 @@ class _Sweep:
                 q = g.qubits[0]
                 rx[q], rz[q] = rz[q], rx[q]
             elif kind is mz or kind is mx:
-                q, flip = g.qubits[0], self.flip(g)
+                q, flip = g.qubits[0], self.flip(g, written)
+                written |= 1 << g.clbit
                 if kind is mz:
                     rx[q] ^= flip
                     rz[q] = 0
@@ -283,13 +289,14 @@ class _Sweep:
                 raise NotImplementedError(kind)  # pragma: no cover
         return rx, rz
 
-    def flip(self, g: Gate) -> int:
-        """The response of a flip of measurement `g`'s clbit; ValueError if
-        the circuit has no such clbit."""
+    def flip(self, g: Gate, written: int) -> int:
+        """The response of a flip of measurement `g`'s clbit: none when a
+        later measurement writes it (its bit in the mask `written`), which
+        the outcome keeps.  ValueError if the circuit has no such clbit."""
         if not 0 <= g.clbit < len(self.unit_cl):
             raise ValueError(f"classical bit out of range in {g}: "
                              f"the circuit has {len(self.unit_cl)}")
-        return self.unit_cl[g.clbit]
+        return 0 if written >> g.clbit & 1 else self.unit_cl[g.clbit]
 
     def per_gate(self) -> list[list[int]]:
         """The responses of every fault, by gate index (`responses`)."""
@@ -302,16 +309,18 @@ class _Sweep:
         gate i] right after gate i, and start[q] is (rx[q], rz[q]) at the
         circuit start."""
         after: list = [None] * len(self.gates)
-        rx, rz = self.run(per_gate=after, record=lambda g, rx, rz: [
+        rx, rz = self.run(per_gate=after, record=lambda g, rx, rz, _: [
             (rx[q], rz[q]) for q in g.qubits])
         return after, list(zip(rx, rz))
 
-    def responses(self, g: Gate, rx: list[int], rz: list[int]) -> list[int]:
+    def responses(self, g: Gate, rx: list[int], rz: list[int],
+                  written: int) -> list[int]:
         """Responses of the faults after gate `g`, in the order of
-        `_locations_at`, from the entries after `g`."""
+        `_locations_at`, from the entries after `g` and the mask `written`
+        of the clbits that later measurements write."""
         kind = g.kind
         if kind.measurement:
-            return [self.flip(g)]
+            return [self.flip(g, written)]
         if kind.arity is None:      # a barrier
             return []
         return _combine([(rx[q], rz[q]) for q in g.qubits])
@@ -541,8 +550,11 @@ def enumerate_fault_locations(circuit: PhysicalCircuit) -> list[FaultLocation]:
 def run_fault(circuit: PhysicalCircuit, loc: FaultLocation,
               ctx: VerifyContext) -> FaultReport:
     if loc.flip_bit is not None:
-        term, flips, rotations = \
-            PauliString(), frozenset({loc.flip_bit}), frozenset()
+        # a flip that a later measurement overwrites flips nothing
+        overwritten = any(g.kind.measurement and g.clbit == loc.flip_bit
+                          for g in circuit.gates[loc.gate_index + 1:])
+        term, flips, rotations = PauliString(), frozenset(
+            () if overwritten else {loc.flip_bit}), frozenset()
     else:
         term, flips, rotations = propagate_pauli(circuit, loc.gate_index,
                                                  loc.pauli)

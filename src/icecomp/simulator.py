@@ -39,21 +39,19 @@ draws, in this order:
      breaks a check, and otherwise is held: when the loop ends, one
      stacked pass of the logical model (_LogicalModel.states) gives the
      states of all held shots, one row each, and each held uniform picks
-     from the noiseless distribution reweighted by its row
-     (_LogicalModel.reweighted).
+     from its row's distribution, that of the circuit with the frame's
+     rotations negated (the reading's `weights`).
 
 The record is that outcome XOR the frame's flips XOR the fired readouts'
 flips, as Stim's frame sampler gives a shot a noiseless sample XOR its
 frame's flips; a clbit measured twice keeps its last write, and that
 measurement's flip.  A shot with no fired Pauli site and no injected
-Pauli has the noiseless frame, so it picks, guard or no guard.  A shot the
-frame cannot decide runs, in place of step 3, its whole trajectory from
-|0...0>, its stream started again (_ShotPlan.trajectory), which draws the
-same events, then, in traversal order, one uniform per measurement and
-reset (StateVector.measure/reset) and one Pauli code per fired site: an
-encoded shot with a fired Pauli site or an injected Pauli when its reading
-has no guard (it then skips step 2 too), and one that would be held when
-its reading has no logical model.
+Pauli has the noiseless frame, so it picks, guard or no guard.  A shot
+with a fired Pauli site or an injected Pauli whose reading has no guard
+runs, in place of steps 2 and 3, its whole trajectory from |0...0>, its
+stream started again (_ShotPlan.trajectory), which draws the same events,
+then, in traversal order, one uniform per measurement and reset
+(StateVector.measure/reset) and one Pauli code per fired site.
 
 Unencoded shots.  After its Hadamard layer every gate of the unencoded
 circuit is a Pauli rotation, so a Pauli fired after a step reaches the end
@@ -64,43 +62,48 @@ _logical_steps) with its frame's rotations negated, then the frame's
 Pauli, whose Z part leaves the Z-basis probabilities alone and whose X
 part XORs the outcome.  So the frame decides every unencoded shot: the
 circuit has no checks, so its guard is (), and its model is the circuit
-itself, with no ideal table, so that reweighting leaves a row's
-distribution as it is and the noiseless distribution is the model's.
-The circuit's steps, sites and model are built once per content and
-cached with the plans (_logical_plan).
+itself, so a held row picks from its own distribution.  The circuit's
+steps, sites and model are built once per content and cached with the
+plans (_logical_plan).
 
-The ideal table.  A circuit's noiseless outcomes are held as arrays
-(_Outcomes): per entry its clbits (a uint8 row) and its probability, the
-entries in the order sorted() gives their bit tuples, clbit 0 first.  An
-entry's word is the int whose bit c is clbit c; a table of words is held as
-uint64 limbs, the highest 64 bits first (_limbs), so any number of clbits
-fits.  Each (checks, decode) reads one table (_Reading), built once, on
-first use, in one of two ways:
+The two readings.  Each (checks, decode) of a circuit is read once, on
+first use (_Reading), and the stabilizer certificate decides how: a CHP
+run of the circuit without its rotations, one signed backward pass, and
+the trailing block measured on the stabilizer group (the stabilizer
+module), tried where `decode` names logicals 1..k on qubits 0..k+1 and
+every rotation has the logical model's form (_model_ops).
 
-  * Certified: where `decode` names logicals 1..k on qubits 0..k+1 and the
-    stabilizer certificate holds (the stabilizer module: a CHP run of the
-    circuit without its rotations, one signed backward pass, and the
-    trailing block measured on the stabilizer group), the table is the
-    affine set w0 XOR span(directions) of 2^(k+1) words, each with
-    probability P_L(x)/2 for its logical x, P_L the noiseless logical model
-    run in gate order; those above 1e-15 are kept (_affine_table).  That
-    model is the reading's logical model (Encoded shots), kept if every
-    logical x has an entry: the certificate is what shows that the
-    noiseless outcomes are the model's, so no other reading has one.  The
-    only state is the model's k-qubit one, so such a circuit samples
-    whatever its width up to k = DEFAULT_QUBIT_CAP.
-  * Dense: every other reading reads `plan.ideal`, the one dense pass
-    (_bit_distribution, as exact_bit_distribution runs it), which needs
-    the circuit's qubits under DEFAULT_QUBIT_CAP.  Its floats are the ones
-    a dict filled one entry at a time gives, summed in the same order:
-    entries that two branches share are merged by np.bincount in the order
-    the branches reach them.
+  * Certified: the noiseless outcomes are the affine set w0 XOR
+    span(directions) of 2^(k+1) words, each with probability P_L(x)/2 for
+    its logical x, P_L the noiseless logical model's distribution
+    (_affine_table).  The certificate reads no angle, so the circuit with
+    any of its rotations negated has the same words, each with P'_L(x)/2,
+    P'_L the model's distribution with those rotations negated, and on
+    every one of them each check has its noiseless value (the stabilizer
+    module: Why this suffices).  So a shot's checks are a function of its
+    frame alone: its reading's guard holds, per check, the clbit mask and
+    the flip parity under which it keeps its expected value, and the frame
+    decides every shot (Encoded shots).  The only state is the model's
+    k-qubit one, so such a circuit samples whatever its width up to k =
+    DEFAULT_QUBIT_CAP.
+  * Uncertified: no guard and no model.  A shot with a fired Pauli site
+    or an injected Pauli runs its trajectory, and one with neither picks
+    from the dense noiseless outcomes (_bit_distribution, as
+    exact_bit_distribution runs it), built when a shot first needs them:
+    its one pick uniform is the stream every noise-free shot has, where a
+    trajectory would draw one uniform per measurement.  Both need a dense
+    state of the circuit's qubits, so such a reading raises SimulatorError
+    above DEFAULT_QUBIT_CAP qubits.
 
-Everything taken from a table is an array operation on it, with no Python
-loop per entry: its words, their ints, its cumulative and its reading: one
-pass of check parities (np.bitwise_count of word AND mask) that gives every
-entry's check values and logical, and so the guard and the logical model's
-logicals and marginal.
+A table of noiseless outcomes is held as arrays (_Outcomes): per entry its
+clbits (a uint8 row) and its probability, the entries in the order sorted()
+gives their bit tuples, clbit 0 first.  An entry's word is the int whose
+bit c is clbit c; a table of words is held as uint64 limbs, the highest 64
+bits first (_limbs), so any number of clbits fits.  Everything taken from a
+table is an array operation on it, with no Python loop per entry.  The
+dense pass's floats are the ones a dict filled one entry at a time gives,
+summed in the same order: entries that two branches share are merged by
+np.bincount in the order the branches reach them.
 
 Encoded shots.  A Pauli a noise site applies passes the rest of the circuit
 as a Pauli frame (see the faults module): the shot gives the outcomes of
@@ -110,46 +113,26 @@ once in traversal order, each with the response of every Pauli it can
 apply, from one backward faults._Sweep pass over the circuit alone, so at
 any width.  So a shot's frame is known before any state is touched, and,
 drawn as its trajectory draws it (step 2), it is the trajectory's frame.
-The checks are a function of the frame alone when the guard holds: there
-are checks, each clbit is measured at most once, the noiseless check values
-are deterministic, and no rotation generator (Z_aZ_b after an RZZ, X_aX_b
-after an RXX), taken as a fault right after its own gate, flips a check
-parity.  By induction over the first sign-flipped rotation the checks are
-then deterministic under every pattern of rotation signs.  Under the guard
-the shot's step 3 uniform picks an entry of its reading's table (Sampling),
-and its record follows:
+Under a certified reading its step 3 uniform gives its record:
 
   * A shot whose frame breaks a check is rejected without a trajectory,
     with accepted False, logical None and the exact check values (the
     noiseless ones XOR the frame's flips).  Its bits are exact in
     distribution when no rotation flipped; otherwise only their check
     parities are simulated.
-  * A shot whose frame keeps every check and flips no rotation is exact in
-    distribution, with random resets too: a reset erases any Pauli on its
-    qubit, and the ideal table is the joint distribution of the clbits.
-  * A shot whose frame keeps every check and flips rotations is the
-    noiseless circuit with those rotations negated (theta').  The rotations
-    of an Iceberg circuit commute with both stabilizers, so under theta'
-    too the state before the final readout lies in the code space, and the
-    readout never mixes two logical basis states: each clbit pattern
-    decodes to one logical x, and P(bits) = P_L(x) Q(bits | x) with Q set
-    by the readout alone.  So the shot picks from the cumulative of the
-    ideal distribution with each entry scaled by P'_L(x)/P_L(x), P'_L and
-    P_L the logical distributions with and without the flips.  The logical
-    model (_LogicalModel) gives P'_L, in the held shot's row, from a
+  * A shot whose frame keeps every check is exact in distribution: it
+    picks a word of the table, from P_L(x)/2 when its frame flips no
+    rotation and from P'_L(x)/2 when it does.  The logical model
+    (_LogicalModel) gives P'_L, in the held shot's row, from a
     StateVector(k) from |+>^k on which RZZ(u+1, v+1) acts as Z_uZ_v and
     RXX(t or b, q), t = 0 and b = k+1 the top and bottom qubits, as
-    X_{q-1} (_model_ops); P_L is the table's decoded marginal.  Only a
-    certified reading has a model (The ideal table).
-  * Every other shot runs its trajectory, and its record is the
-    trajectory's, bit for bit: every shot with a fired Pauli site or an
-    injected Pauli when the guard fails, and one that keeps its checks and
-    flips a rotation when its reading has no model.  A trajectory is a
-    dense state of the circuit's qubits, so a reading above the cap must be
-    certified and have a guard and a model, or it raises SimulatorError.
+    X_{q-1} (_model_ops).
 
-So every verdict is the trajectory's, but the bits and logical of an
-accepted shot the frame decides are an exact draw, not its trajectory's.
+Every other shot, one with a fired Pauli site or an injected Pauli under
+an uncertified reading, runs its trajectory, and its record is the
+trajectory's, bit for bit.  So every verdict is the trajectory's, but the
+bits and logical of an accepted shot the frame decides are an exact draw,
+not its trajectory's.
 
 The gate kernels work on the whole array at once, but each amplitude gets
 the same IEEE operations in the same order as in a per-block update (see
@@ -775,7 +758,6 @@ class _SiteTable:
         last_write = {c: si for si, c in enumerate(meas_clbits)}
         self.readout_flips = [1 << c if last_write[c] == si else 0
                               for si, c in enumerate(meas_clbits)]
-        self.clbits_once = len(last_write) == len(meas_clbits)
 
     def split(self, frame: int) -> tuple[int, int]:
         """A frame's clbit flips and its mask of flipped rotations."""
@@ -837,21 +819,18 @@ class _ShotPlan(_SiteTable):
     constructor reads the circuit alone (its schedule and one faults._Sweep)
     and builds no state, so it runs at any width: the traversal script (per
     layer, its gates, then the idle qubits of a layer holding a two-qubit
-    gate), its site table and the rotation flips.  Each `reading`, built on
-    first use, holds the ideal table from whose cumulative a shot's uniform
-    picks an entry: the `certified` one, from the stabilizer certificate
-    (`clifford`) and the k-qubit logical model, or else the dense `ideal`,
-    capped at DEFAULT_QUBIT_CAP qubits.
+    gate) and its site table.  Each `reading`, built on first use, is
+    certified or not by the stabilizer certificate, whose circuit-only
+    parts (`clifford`) the plan keeps (module docstring: The two readings).
 
     Each unitary gate and each such idle qubit is a Pauli site, numbered
     once in traversal order, its responses from the faults._Sweep entries
     right after its gate; an idle site after layer l on q takes those after
     q's last gate before l, or at the circuit start.  A shot draws every
     site's event up front, so its frame is known before any state is
-    touched.  One that the frame decides picks an ideal entry, from the
-    cumulative reweighted by its reading's `model` when it keeps its checks
-    and its frame flips a rotation; one the frame cannot decide runs its
-    whole `trajectory`."""
+    touched.  Under a certified reading the frame decides every shot;
+    under any other, a shot with a fired Pauli site or an injected Pauli
+    runs its whole `trajectory`."""
 
     def __init__(self, circuit: PhysicalCircuit):
         super().__init__()
@@ -865,7 +844,6 @@ class _ShotPlan(_SiteTable):
         # qubits, and the Pauli site of its first idle qubit
         self.layers = []
         meas_clbits = self.family["p_meas"]
-        rotation_flips = set()
         slot = 0
         for layer_gates in sched.layers:
             ops = []
@@ -882,11 +860,6 @@ class _ShotPlan(_SiteTable):
                     ops.append((gi, g, None))
                     slot += 1
                 else:
-                    if g.kind.rotation:
-                        # the rotation's generator Z_aZ_b (X_aX_b) as a fault
-                        (xa, za), (xb, zb) = own
-                        r = za ^ zb if g.kind is GateKind.RZZ else xa ^ xb
-                        rotation_flips.add(self.sweep.unpack(r)[2])
                     ops.append((gi, g, len(self.slots)))
                     self._site("p2" if g.is_two_qubit else "p1", own, slot)
             touched = {q for gi in layer_gates for q in gates[gi].qubits}
@@ -896,14 +869,7 @@ class _ShotPlan(_SiteTable):
             for q in idle:
                 self._site("p_idle", [last[q]], slot)
         self._number()
-        self.rotation_flips = frozenset(rotation_flips)
         self._readings: dict[tuple, _Reading] = {}
-
-    @functools.cached_property
-    def ideal(self) -> "_Outcomes":
-        """The dense ideal table: _bit_distribution of the plan's own
-        gates, read where the certificate does not hold."""
-        return _bit_distribution(self)
 
     def trajectory(self, rng: np.random.Generator, rates: np.ndarray,
                    inject: Mapping[int, list[PauliString]]) -> list[int]:
@@ -938,8 +904,8 @@ class _ShotPlan(_SiteTable):
 
     def reading(self, checks: Sequence[ParityCheck],
                 decode: Mapping[int, frozenset[int]] | None) -> "_Reading":
-        """The ideal entries read out under `checks` and `decode`, kept
-        once per pair, `decode` in any order."""
+        """The circuit read out under `checks` and `decode`, kept once per
+        pair, `decode` in any order."""
         key = (tuple(checks), None if decode is None else tuple(sorted(
             (i, frozenset(bits)) for i, bits in decode.items())))
         if key not in self._readings:
@@ -969,83 +935,58 @@ class _ShotPlan(_SiteTable):
         return CliffordRun(self.gates, self.num_qubits,
                            _trailing_start(self.gates))
 
-    def certified(self, readout: "_Readout", checks: Sequence[ParityCheck],
-                  decode: Mapping[int, frozenset[int]] | None
-                  ) -> "tuple[_Outcomes, _LogicalModel] | None":
-        """The certified ideal table under `checks` and `decode` (`readout`
-        their _Readout) and the noiseless logical model it is built from
-        (module docstring), or None where the certificate does not hold."""
-        ops = _model_ops(self, decode)
-        cert = None if ops is None else \
-            self.clifford.certify(ops, decode, checks)
-        if cert is None:
-            return None
-        model = _LogicalModel(len(decode), ops)
-        return _affine_table(*cert, readout, self.num_clbits,
-                             model.probs), model
-
 
 class _Reading:
-    """A _ShotPlan's ideal table read out under one (checks, decode): the
-    certified table where the plan's certificate holds, else the dense
-    `plan.ideal` (module docstring: The ideal table), whose circuit must
-    then fit under DEFAULT_QUBIT_CAP.  One _Readout.decode_words pass over
-    its word table gives per entry its check values (a row of `values`) and
-    its decoded logical (`logical`, None without `decode`).  From these come
-    the frame `guard` and, for a certified table, the logical `model`
-    (module docstring); `cum` is the table's cumulative, from which a shot
-    picks an entry.
-    `record(i, flips)` is the record of a shot whose bits are entry i with
-    the clbits of `flips` flipped, kept the first time a shot picks entry i
-    unflipped.  Above the cap, only a certified reading whose guard holds
-    and that has a model samples, since no shot then runs a trajectory."""
+    """A _ShotPlan read out under one (checks, decode), certified or not
+    (module docstring: The two readings).  A certified reading holds its
+    affine `table`, each entry's logical (`xs`), the noiseless logical
+    `model` the table is built from, and the frame `guard`: per check, its
+    clbit mask and the flip parity under which it keeps its expected
+    value.  An uncertified one has guard and model None, and its `table`
+    is the dense noiseless outcomes, built when a shot first picks from
+    them.  `cum` is the table's cumulative, from which a shot picks an
+    entry.  `record(i, flips)` is the record of a shot whose bits are entry
+    i with the clbits of `flips` flipped, kept the first time a shot picks
+    entry i unflipped."""
 
     def __init__(self, plan: _ShotPlan, checks: Sequence[ParityCheck],
                  decode: Mapping[int, frozenset[int]] | None):
         self.plan = plan
         self.readout = _Readout(checks, decode, plan.num_clbits)
-        certified = plan.certified(self.readout, checks, decode)
-        if certified is None:
-            _check_width(plan.num_qubits, ": the circuit has no stabilizer "
-                         "certificate, so its ideal table needs the dense "
-                         "pass")
-            certified = plan.ideal, None
-        self.table, self._model = certified
-        self.values, _, self.logical = \
-            self.readout.decode_words(self.table.words)
-        self.cum = self.table.cum
         self.records: dict[int, ShotRecord] = {}
-        # per check, (clbit mask, the flip parity under which the check
-        # keeps its expected value) when a shot's checks are a function of
-        # its frame alone; None otherwise
-        self.guard = None
-        masks, values = self.readout.check_masks, self.values
-        if checks and plan.clbits_once and (values == values[0]).all() and \
-                not any((f & m).bit_count() & 1
-                        for f in plan.rotation_flips for m in masks):
-            self.guard = tuple((m, v ^ c.expected) for m, v, c
-                               in zip(masks, values[0].tolist(), checks))
-        if plan.num_qubits > DEFAULT_QUBIT_CAP and \
-                (self.guard is None or self.model is None):
-            _check_width(plan.num_qubits, ": its frame does not decide "
-                         "every shot, and a trajectory needs the dense state")
+        self.guard = self.model = None
+        ops = _model_ops(plan, decode)
+        cert = None if ops is None else \
+            plan.clifford.certify(ops, decode, checks)
+        if cert is None:
+            _check_width(plan.num_qubits, ": the circuit has no stabilizer "
+                         "certificate, so its shots run as dense "
+                         "trajectories")
+            return
+        w0, directions = cert
+        self.model = _LogicalModel(len(decode), ops)
+        self.table, self.xs = _affine_table(w0, directions, self.readout,
+                                            plan.num_clbits, self.model.probs)
+        # every word of the table has w0's check parities
+        self.guard = tuple((m, (w0 & m).bit_count() & 1 ^ want)
+                           for m, want in zip(self.readout.check_masks,
+                                              self.readout.expected))
 
     @functools.cached_property
-    def model(self) -> "_LogicalModel | None":
-        """The logical model the certified table was built from, with the
-        table's probabilities (`ideal`), each entry's logical (`xs`) and
-        their distribution (`marginal`); None for a dense table, or where
-        some logical x has no entry."""
-        model = self._model
-        if model is None:
-            return None
-        xs = self.logical.astype(np.intp)
-        marginal = np.bincount(xs, weights=self.table.probs,
-                               minlength=1 << model.k)
-        if not marginal.all():
-            return None
-        model.ideal, model.xs, model.marginal = self.table.probs, xs, marginal
-        return model
+    def table(self) -> "_Outcomes":
+        """An uncertified reading's dense noiseless outcomes (a certified
+        one sets its affine table when it is built)."""
+        return _bit_distribution(self.plan)
+
+    @property
+    def cum(self) -> np.ndarray:
+        return self.table.cum
+
+    def weights(self, probs: np.ndarray) -> np.ndarray:
+        """The table's distribution under the logical distribution `probs`
+        (or, per row, each of a stack of them): P'_L(x)/2 per entry of
+        logical x."""
+        return probs[..., self.xs] * 0.5
 
     def record(self, i: int, flips: int) -> ShotRecord:
         rec = None if flips else self.records.get(i)
@@ -1066,15 +1007,11 @@ class _LogicalModel:
     (key, qubits, angle) per rotation in order, an RZZ on two qubits and an
     RX on one; a mask `rot` negates the rotations whose keys it sets.  The
     unencoded circuit's ops are keyed by step (_logical_ops), an Iceberg
-    circuit's by gate index (_model_ops), and a certified reading
-    (_Reading.model) sets `ideal`, its entries' probabilities, `xs`, each
-    entry's decoded logical, and `marginal`, their distribution.  The
-    noiseless state is kept before every `stride`-th op, about sqrt(ops)
-    states.  `states` runs the masks of a whole sampling call at once, one
-    row each, from those checkpoints; `state` and `reweight` are its one-row
-    case."""
-
-    ideal = None
+    circuit's by gate index (_model_ops).  `probs` is the noiseless
+    distribution, and the noiseless state is kept before every
+    `stride`-th op, about sqrt(ops) states.  `states` runs the masks of a
+    whole sampling call at once, one row each, from those checkpoints;
+    `state` is its one-row case."""
 
     def __init__(self, k: int, ops: list[tuple[int, tuple[int, ...], float]]):
         self.k, self.ops = k, ops
@@ -1152,20 +1089,6 @@ class _LogicalModel:
         state.amp = state.amp[0]
         return state
 
-    def reweighted(self, probs: np.ndarray) -> np.ndarray:
-        """The ideal distribution, each entry scaled by P'_L(x)/P_L(x) for
-        its logical x, P'_L the logical distribution `probs` (or, per row,
-        each of a stack of them): the distribution of the circuit with the
-        rotations that gave P'_L negated.  A model without an ideal table,
-        the unencoded circuit's, is its own circuit: `probs` as they are."""
-        if self.ideal is None:
-            return probs
-        return self.ideal * (probs / self.marginal)[..., self.xs]
-
-    def reweight(self, rot: int) -> np.ndarray:
-        """reweighted of the state with the rotations of `rot` negated."""
-        return self.reweighted(self.state(rot).probabilities())
-
 
 def _logical_width(decode: Mapping[int, frozenset[int]] | None,
                    num_qubits: int) -> int | None:
@@ -1201,10 +1124,11 @@ def _model_ops(plan: _ShotPlan, decode: Mapping[int, frozenset[int]] | None
 
 
 def _affine_table(w0: int, directions: Sequence[int], readout: _Readout,
-                  num_clbits: int, p_l: np.ndarray) -> "_Outcomes":
-    """The certified ideal table: the words w0 XOR span(directions), each
-    with probability P_L(x)/2 (`p_l`) for its logical x under `readout`'s
-    decode, those above 1e-15, in _Outcomes' order."""
+                  num_clbits: int, p_l: np.ndarray
+                  ) -> "tuple[_Outcomes, np.ndarray]":
+    """The certified table: the words w0 XOR span(directions), each with
+    probability P_L(x)/2 (`p_l`) for its logical x under `readout`'s
+    decode, in _Outcomes' order; and each entry's x."""
     def logical(word):
         return sum([bit for m, bit in readout.decode
                     if (word & m).bit_count() & 1])
@@ -1217,10 +1141,8 @@ def _affine_table(w0: int, directions: Sequence[int], readout: _Readout,
         bits = np.concatenate([bits, bits ^ row(d)])
         xs = np.concatenate([xs, xs ^ logical(d)])
     order = np.lexsort(_limbs(bits)[::-1])
-    probs = p_l[xs[order]] * 0.5
-    keep = probs > 1e-15
-    return _Outcomes(bits[order][keep], probs[keep],
-                     np.arange(np.count_nonzero(keep)))
+    xs = xs[order]
+    return _Outcomes(bits[order], p_l[xs] * 0.5, np.arange(len(xs))), xs
 
 
 def _keeps_checks(guard: tuple[tuple[int, int], ...], flips: int) -> bool:
@@ -1266,17 +1188,19 @@ def sample_shots(circuit: PhysicalCircuit, noise: NoiseModel, shots: int,
                  ) -> list[ShotRecord]:
     """Noisy sampling of a physical circuit, shot i from its own stream and
     decided by the one shot loop (module docstring: Sampling, and Encoded
-    shots).  Every verdict is its trajectory's, and so is every record the
-    frame does not decide; a rejected shot the frame decides simulates only
-    the check parities of its bits.  The circuit's _ShotPlan is cached by
-    its content, and the circuit is validated when its plan is built: a
-    circuit with the content of a cached plan is valid.  SimulatorError is
-    raised before a plan is built when the narrowest state the circuit
-    could need exceeds DEFAULT_QUBIT_CAP qubits: the logical model's k when
-    `decode` names logicals 1..k, else the circuit's own.  Above the cap, a
-    circuit samples only if its certificate holds and its frame decides
-    every shot (module docstring: The ideal table); otherwise building its
-    reading raises SimulatorError.
+    shots).  Where the stabilizer certificate holds for `checks` and
+    `decode`, the Pauli frame decides every shot; otherwise every shot with
+    a fired Pauli site or an injected Pauli runs its trajectory (module
+    docstring: The two readings).  Every verdict is its trajectory's, and
+    so is every record the frame does not decide; a rejected shot the frame
+    decides simulates only the check parities of its bits.  The circuit's
+    _ShotPlan is cached by its content, and the circuit is validated when
+    its plan is built: a circuit with the content of a cached plan is
+    valid.  SimulatorError is raised before a plan is built when the
+    narrowest state the circuit could need exceeds DEFAULT_QUBIT_CAP
+    qubits: the logical model's k when `decode` names logicals 1..k, else
+    the circuit's own; and when its reading is built, if the certificate
+    does not hold and the circuit's own qubits exceed the cap.
 
     `inject` lists deterministic Pauli errors applied after given gate
     indices in every shot (used for fault cross-checks); an index in the
@@ -1299,31 +1223,32 @@ def _sample(plan: "_ShotPlan | _LogicalPlan",
     out by `reading`, each decided by its Pauli frame or its trajectory
     (module docstring: Sampling); `frame` is the response of the Paulis
     `inject` applies."""
-    rates, cum, guard = plan.rates(noise), reading.cum, reading.guard
+    rates, guard = plan.rates(noise), reading.guard
     streams = _Streams(seed, shots)
     records: list[ShotRecord | None] = []
     # (shot, pick uniform, rotation mask, clbit flips) of the shots that
-    # pick from a reweighted distribution, picked after the loop
+    # pick from the distribution of the circuit with rotations negated,
+    # picked after the loop
     held = []
     for shot in range(shots):
         rng = streams.at(shot)
         fired, em = plan.events(rng, rates)
-        if guard is not None or not (fired or inject):
-            cl, rot = plan.flips(rng, fired, frame)
-            flips = cl ^ plan.readout(em)
-            if not rot or not _keeps_checks(guard, flips):
-                records.append(reading.record(_pick(rng.random(), cum), flips))
-                continue
-            if reading.model is not None:
-                held.append((shot, rng.random(), rot, flips))
-                records.append(None)
-                continue
-        records.append(reading.readout.record(
-            plan.trajectory(streams.at(shot), rates, inject)))
+        if guard is None and (fired or inject):
+            records.append(reading.readout.record(
+                plan.trajectory(streams.at(shot), rates, inject)))
+            continue
+        cl, rot = plan.flips(rng, fired, frame)
+        flips = cl ^ plan.readout(em)
+        if rot and _keeps_checks(guard, flips):
+            held.append((shot, rng.random(), rot, flips))
+            records.append(None)
+        else:
+            records.append(reading.record(_pick(rng.random(), reading.cum),
+                                          flips))
     if held:
-        model = reading.model
-        for rows, state in model.states([rot for _, _, rot, _ in held]):
-            weights = model.reweighted(state.probabilities())
+        for rows, state in reading.model.states(
+                [rot for _, _, rot, _ in held]):
+            weights = reading.weights(state.probabilities())
             for row, w in zip(rows, weights):
                 shot, u, _, flips = held[row]
                 records[shot] = reading.record(_pick(u, np.cumsum(w)), flips)
@@ -1536,7 +1461,8 @@ class _LogicalPlan(_SiteTable):
     and the cumulative of that model's distribution (`cum`).  A frame's bit
     q is an X flip on qubit q and bit k+i negates the rotation of step i.
     It is its own reading (_Reading): it has no checks, so its `guard` is
-    (), and its outcome x is entry x of its model's distribution."""
+    (), and its outcome x is entry x of its model's distribution, so a
+    held row's `weights` are that row's distribution as it is."""
 
     guard = ()
 
@@ -1555,6 +1481,10 @@ class _LogicalPlan(_SiteTable):
 
     def split(self, frame: int) -> tuple[int, int]:
         return frame & (1 << self.k) - 1, frame >> self.k
+
+    @staticmethod
+    def weights(probs: np.ndarray) -> np.ndarray:
+        return probs
 
     def record(self, x: int, flips: int) -> ShotRecord:
         """The record of a shot whose k qubits read outcome x XOR `flips`."""

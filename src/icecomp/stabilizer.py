@@ -49,6 +49,19 @@ that commutes with every Xbar_i and O_i, so h fixes the final state and
 makes word w as likely as w XOR r.  So each logical x has exactly two words,
 each with probability P_L(x)/2, and every check parity keeps its value.
 
+Nothing here reads an angle, so the same holds for the circuit with any of
+its rotations negated, with P'_L, the model's distribution under those
+signs, in place of P_L.  That is what lets the sampler decide a noisy shot
+from its Pauli frame (the simulator module: Encoded shots), which gives the
+outcomes of the noiseless circuit with the frame's rotations negated and
+its clbits flipped.  Rotation by rotation: by (ii), a rotation generator,
+taken as a fault right after its gate, carries no marker, so it flips no
+mid-circuit clbit; by (iv) it is f_j L_j, with f_j in F and L_j either
+Xbar_q, an element of G, or O_u O_v, a product of decode observables,
+which is diagonal in the readout; so by (v) it moves an outcome word only
+within w0 + span, where every check is constant.  A shot's check values
+are thus its noiseless ones XOR the parities of its frame's clbit flips.
+
 Paulis are i^e X^x Z^z (the X factors first), with e mod 4 and x, z bit
 masks; the product of two is i^(e1+e2) (-1)^|z1 & x2| X^(x1^x2) Z^(z1^z2).
 """

@@ -341,7 +341,8 @@ class TestWholeCircuitFaults:
 
 def _forward_frame(circuit, start, pauli):
     """Reference: push a Pauli inserted after gate `start` forward gate by
-    gate, as (terminal, flipped clbits, flipped rotations)."""
+    gate, as (terminal, flipped clbits, flipped rotations).  A measurement
+    sets whether its clbit is flipped: the last write is the one kept."""
     x, z = pauli.xmask, pauli.zmask
     flips, rotations = set(), set()
     for i in range(start + 1, len(circuit.gates)):
@@ -361,14 +362,16 @@ def _forward_frame(circuit, start, pauli):
                 rotations.add(i)
         elif g.kind is GateKind.MEASURE_Z:
             q, = bits
+            flips.discard(g.clbit)
             if x & q:
-                flips ^= {g.clbit}
+                flips.add(g.clbit)
             z &= ~q
         elif g.kind is GateKind.MEASURE_X:
             # H, then a Z measurement: the qubit is left in the Z basis
             q, = bits
+            flips.discard(g.clbit)
             if z & q:
-                flips ^= {g.clbit}
+                flips.add(g.clbit)
             x = x & ~q | z & q
             z &= ~q
         elif g.kind is GateKind.RESET:
@@ -452,28 +455,31 @@ class TestOneSweep:
 
     def test_random_circuits_match_exact_injection(self):
         # Clifford circuits with mid-circuit Z and X measurements, qubits
-        # used again after they are measured, and resets, each measurement
-        # into its own clbit: every single-qubit Pauli injected after a gate
-        # before the trailing block gives the noiseless distribution with
+        # used again after they are measured, resets, and clbits written
+        # twice: every single-qubit Pauli injected after a gate before the
+        # trailing block gives the noiseless distribution with
         # propagate_pauli's flipped clbits XORed in
         rng = random.Random(33)
         kinds = ("cx", "h", "x", "z", "mz", "mx", "reset")
+        rewritten = 0
         for _ in range(30):
-            c = PhysicalCircuit(3, 9)
+            c = PhysicalCircuit(3, 6)
             c.begin_component(0, ComponentRole.PHASE_LAYER)
-            clbit = 0
+            measured = 0
             for _ in range(14):
                 kind = rng.choice(kinds)
                 a, b = rng.sample(range(3), 2)
                 if kind == "cx":
                     c.cx(a, b)
-                elif kind in ("mz", "mx") and clbit < 6:
-                    getattr(c, kind)(a, clbit)
-                    clbit += 1
+                elif kind in ("mz", "mx") and measured < 6:
+                    getattr(c, kind)(a, rng.randrange(6))
+                    measured += 1
                 elif kind not in ("mz", "mx"):
                     getattr(c, kind)(a)
             for q in range(3):
-                getattr(c, rng.choice(("mz", "mx")))(q, 6 + q)
+                getattr(c, rng.choice(("mz", "mx")))(q, 3 + q)
+            clbits = [g.clbit for g in c.gates if g.kind.measurement]
+            rewritten += len(set(clbits)) < len(clbits)
             noiseless = exact_bit_distribution(c)
             for gi in range(_trailing_start(c.gates)):
                 for q in c.gates[gi].qubits:
@@ -487,6 +493,32 @@ class TestOneSweep:
                         assert got.keys() == want.keys(), (gi, letter, q)
                         assert max(abs(got[b] - want[b]) for b in got) \
                             <= 1e-12, (gi, letter, q)
+        assert rewritten >= 20
+
+    def test_clbit_written_twice(self):
+        # the second measurement into c0 overwrites the first: an X on
+        # qubit 0 before them, or a classical flip of the first, changes
+        # nothing, as the exact distribution with the X injected shows
+        c = PhysicalCircuit(2, 1)
+        c.begin_component(0, ComponentRole.PHASE_LAYER)
+        c.h(0)
+        c.h(0)
+        c.mz(0, 0)
+        c.mz(1, 0)
+        x0 = P([(0, "X")])
+        assert propagate_pauli(c, 1, x0) == (x0, frozenset(), frozenset())
+        assert exact_bit_distribution(c, [(1, x0)]) == \
+            {(0,): pytest.approx(1.0, abs=1e-15)}
+        ctx = VerifyContext(IcebergLayout(2), (), {1: frozenset({0})},
+                            harmless="outcomes", trailing_checks=False)
+        reports = fault_reports(c, ctx)
+        assert reports == \
+            [run_fault(c, loc, ctx) for loc in enumerate_fault_locations(c)]
+        flipped = {(r.location.gate_index, r.location.flip_bit,
+                    r.location.pauli): r.flipped_bits for r in reports}
+        assert flipped[1, None, x0] == frozenset()
+        assert flipped[2, 0, None] == frozenset()
+        assert flipped[3, 0, None] == {0}
 
     @pytest.mark.parametrize("mode", ["baseline-old", "resynth",
                                       "resynth+z2"])

@@ -26,9 +26,8 @@ from icecomp.simulator import (NoiseFormatError, NoiseModel, ShotRecord,
                                read_noise, sample_shots, sample_logical_shots,
                                total_variation, unencoded_distribution,
                                write_noise, SimulatorError, _ShotPlan,
-                               BRANCH_TOL, _LogicalModel,
-                               _Reading, _Readout,
-                               _apply_gate, _apply_random_pauli,
+                               BRANCH_TOL, _LogicalModel, _Readout,
+                               _apply_gate, _bit_distribution, _apply_random_pauli,
                                _logical_entries, _logical_ops,
                                _logical_plan, _logical_steps, _merged,
                                _model_ops, _plan,
@@ -614,34 +613,33 @@ def reference_frame_records(circuit, noise, shots, seed, checks=(),
 def assert_matches_references(recs, circuit, noise, shots, seed, checks=(),
                               decode=None, inject=()):
     """sample_shots' records `recs` of these arguments against both
-    references.  Without the frame guard every record is its trajectory's.
-    Under it, every verdict (check values, accepted) is its trajectory's;
-    an accepted shot is reference_frame_records', but for one whose frame
-    flips a rotation on a circuit without a logical model, which is its
-    trajectory's; and a rejected shot whose frame flips no rotation is
-    reference_frame_records' too.  Returns how many accepted shots the
-    frame decided whose frame flips a rotation."""
+    references.  Without a certificate (no frame guard) every record is
+    its trajectory's.  With one, the reading has a logical model, every
+    verdict (check values, accepted) is its trajectory's, and an accepted
+    shot, or a rejected one whose frame flips no rotation, is
+    reference_frame_records'.  Returns how many accepted shots the frame
+    decided whose frame flips a rotation."""
     args = (circuit, noise, shots, seed)
     kw = dict(checks=checks, decode=decode, inject=inject)
     traj = reference_sample_shots(*args, **kw)
     reading = _shot_plan(circuit).reading(checks, decode)
     if reading.guard is None:
+        assert reading.model is None
         assert recs == traj
         return 0
-    reweighted = 0
+    assert reading.model is not None
+    held = 0
     frame = reference_frame_records(*args, **kw)
     for i, (r, t, (f, flips_rotation)) in enumerate(
             zip(recs, traj, frame, strict=True)):
         assert (r.check_values, r.accepted) == \
             (t.check_values, t.accepted), i
-        if t.accepted and flips_rotation and reading.model is None:
-            assert r == t, i
-        elif t.accepted or not flips_rotation:
+        if t.accepted or not flips_rotation:
             assert r == f, i
-            reweighted += t.accepted and flips_rotation
+            held += t.accepted and flips_rotation
         else:
             assert r.logical is None, i
-    return reweighted
+    return held
 
 
 def _ref_phase_layers(gates, k):
@@ -753,8 +751,8 @@ def _written_twice_circuit():
     return c
 
 
-def _frame_guard(circuit, checks):
-    return _shot_plan(circuit).reading(checks, None).guard
+def _frame_guard(circuit, checks, decode=None):
+    return _shot_plan(circuit).reading(checks, decode).guard
 
 
 def _count_states(monkeypatch):
@@ -920,10 +918,10 @@ class TestBitIdentity:
     def test_random_reset(self, monkeypatch):
         # a Bell pair whose half on qubit 0 is reset: qubit 1 keeps the
         # reset's outcome, which no clbit records, and the CX copies it to
-        # qubit 2.  The check c0 ^ c1 is deterministic and the guard holds.
-        # A reset erases any Pauli on its qubit, so the joint distribution
-        # of the clbits with the frame's flips is exact all the same, and
-        # no shot runs its trajectory
+        # qubit 2.  The check c0 ^ c1 is deterministic, but a random reset
+        # (and a call with no decode map) has no stabilizer certificate, so
+        # there is no guard: every shot with a fired Pauli site runs its
+        # trajectory, and every record is the trajectory's
         circ = PhysicalCircuit(3, 2)
         circ.h(0)
         circ.cx(0, 1)
@@ -932,20 +930,22 @@ class TestBitIdentity:
         circ.mz(1, 0)
         circ.mz(2, 1)
         checks = (ParityCheck(frozenset({0, 1})),)
-        assert _frame_guard(circ, checks) is not None
+        assert _frame_guard(circ, checks) is None
         args = (circ, NoiseModel(scale=100.0), 400, 3)
         ran = _count_trajectories(monkeypatch)
         recs = sample_shots(*args, checks=checks)
-        assert ran[0] == 0
-        assert_matches_references(recs, *args, checks=checks)
+        assert ran[0] > 0
+        assert recs == reference_sample_shots(*args, checks=checks)
         assert 0 < post_selection_rate(recs) < 1
 
     def test_x_measured_qubit_reused(self, monkeypatch):
         # an X measurement is H, then a Z measurement: it leaves qubit 0 in
         # |0>, and the CX copies that to c1, the check.  A Z on qubit 0
-        # before it flips c0 and, through the CX, c1 and c2, so the frame
-        # must leave an X on qubit 0 after the measurement, as every
-        # trajectory does; the guard holds and no shot runs its trajectory
+        # before it flips c0 and, through the CX, c1 and c2, as the frame
+        # rule (tests/test_faults.py) and every trajectory have it.  With no
+        # decode map there is no certificate: the injected and the noisy
+        # shots run their trajectories, and every record is the
+        # trajectory's
         circ = PhysicalCircuit(2, 3)
         circ.h(0)
         circ.mx(0, 0)
@@ -953,28 +953,29 @@ class TestBitIdentity:
         circ.mz(1, 1)
         circ.mz(0, 2)
         checks = (ParityCheck(frozenset({1})),)
-        assert _frame_guard(circ, checks) is not None
+        assert _frame_guard(circ, checks) is None
         z0 = [(0, PauliString.from_ops([(0, "Z")]))]
         assert exact_bit_distribution(circ, z0) == \
             {(1, 1, 1): pytest.approx(1.0, abs=1e-15)}
+        assert propagate_pauli(circ, 0, z0[0][1])[1] == {0, 1, 2}
         ran = _count_trajectories(monkeypatch)
         for noise, shots, inject in ((NoiseModel(scale=0.0), 50, z0),
                                      (NoiseModel(scale=300.0), 2000, ())):
             args = (circ, noise, shots, 1)
             kw = dict(checks=checks, inject=inject)
-            assert_matches_references(sample_shots(*args, **kw), *args, **kw)
-        assert ran[0] == 0
+            assert sample_shots(*args, **kw) == \
+                reference_sample_shots(*args, **kw)
+        assert ran[0] > 0
 
     def test_frame_decided_shots(self, monkeypatch):
         # at noise scale 4 most shots have a Pauli event; the accepted ones
-        # pick from the ideal distribution, reweighted by a k-qubit logical
-        # state when their frame flips a rotation, so no state of the
-        # circuit's k+4 qubits is built
+        # pick a word of the certified table, from the distribution of a
+        # k-qubit logical state when their frame flips a rotation, so no
+        # state of the circuit's k+4 qubits is built
         g = generate_instance(GraphKind.REGULAR_3, 10, seed=0)
         enc = compile_mode(g, ramp_params(3), "resynth+z2", 2, 100)
         args = (enc.circuit, NoiseModel(scale=4.0), 300, 11)
         kw = dict(checks=enc.checks, decode=enc.decode)
-        _shot_plan(enc.circuit).ideal
         built = _count_states(monkeypatch)
         recs = sample_shots(*args, **kw)
         assert enc.circuit.num_qubits not in built
@@ -986,7 +987,8 @@ class TestBitIdentity:
         g = generate_instance(GraphKind.REGULAR_3, k, seed=0)
         for mode in MODES:
             enc = compile_mode(g, ramp_params(p), mode, s, 100)
-            assert _frame_guard(enc.circuit, enc.checks) is not None, mode
+            assert _frame_guard(enc.circuit, enc.checks,
+                                enc.decode) is not None, mode
 
     @pytest.mark.parametrize("noise", [
         NoiseModel(scale=0.0), NoiseModel(scale=1.0), NoiseModel(scale=30.0),
@@ -1147,17 +1149,18 @@ def _criterion_7_circuit(mode, s):
 
 
 class TestLogicalModel:
-    """The logical model's reweighting of the ideal distribution against
-    the dense distribution of the circuit with the flipped rotations
-    negated, on criterion 7's k=10, p=3 circuits (queue cap 200)."""
+    """A certified reading's distribution with rotations negated (its
+    `weights` of the logical model's state) against the dense distribution
+    of the circuit with those rotations negated, on criterion 7's k=10,
+    p=3 circuits (queue cap 200); and the readings that have no model."""
 
     @pytest.mark.parametrize("s", [1, 2])
     @pytest.mark.parametrize("mode", MODES)
     def test_reweighting_matches_the_negated_circuit(self, mode, s):
         enc = _criterion_7_circuit(mode, s)
         circ = enc.circuit
-        plan = _shot_plan(circ)
-        model = plan.reading(enc.checks, enc.decode).model
+        reading = _shot_plan(circ).reading(enc.checks, enc.decode)
+        model = reading.model
         assert model is not None
         rotations = [gi for gi, g in enumerate(circ.gates)
                      if g.kind in (GateKind.RZZ, GateKind.RXX)]
@@ -1169,10 +1172,10 @@ class TestLogicalModel:
                 for gi, g in enumerate(circ.gates)])
             dense = {_word(b): p for b, p in
                      exact_bit_distribution(negated).items()}
-            reweighted = dict(zip(plan.ideal.ints,
-                                  model.reweight(_mask(flipped))))
-            assert max(abs(dense.get(b, 0.0) - reweighted.get(b, 0.0))
-                       for b in dense.keys() | reweighted.keys()) <= 1e-15
+            weights = dict(zip(reading.table.ints, reading.weights(
+                model.state(_mask(flipped)).probabilities())))
+            assert max(abs(dense.get(b, 0.0) - weights.get(b, 0.0))
+                       for b in dense.keys() | weights.keys()) <= 1e-15
 
     def test_no_dense_state_in_any_mode(self, monkeypatch):
         g = generate_instance(GraphKind.REGULAR_3, 10, seed=0)
@@ -1195,35 +1198,38 @@ class TestLogicalModel:
         for build in (_not_iceberg_rzz, _not_iceberg_start)])
     def test_rotation_flips_without_a_logical_model(self, build, decode,
                                                     monkeypatch):
-        # the guard holds (the check on c2 is deterministic and no rotation
-        # generator touches it), but the circuit has no logical model (or
-        # no decode to build one from): its accepted shots whose frame flips
-        # a rotation run their trajectories
+        # the dense guard oracle holds (the check on c2 is deterministic
+        # and no rotation generator touches it), but the circuit has no
+        # logical model (or no decode to build one from), so no
+        # certificate: the reading has no guard, every shot with a fired
+        # Pauli site runs its trajectory, and every record is the
+        # trajectory's
         circ = build()
         checks = (ParityCheck(frozenset({2})),)
-        assert _frame_guard(circ, checks) is not None
-        assert _shot_plan(circ).reading(checks, decode).model is None
+        assert _dense_guard(circ, checks) is not None
+        reading = _shot_plan(circ).reading(checks, decode)
+        assert reading.guard is None and reading.model is None
         args = (circ, NoiseModel(scale=100.0), 400, 3)
         kw = dict(checks=checks, decode=decode)
         ran = _count_trajectories(monkeypatch)
         recs = sample_shots(*args, **kw)
         assert ran[0] > 0
-        assert_matches_references(recs, *args, **kw)
+        assert recs == reference_sample_shots(*args, **kw)
 
 
 def test_table_decoded_once_per_checks_and_decode(monkeypatch):
-    # the guard, the logical model and the records of a (checks, decode)
-    # pair come from one decode of the plan's noiseless table, whatever the
-    # order of `decode`
+    # the guard, the logical model, the table and its logicals of a
+    # (checks, decode) pair come from one certificate and one affine table,
+    # whatever the order of `decode`
     enc = _criterion_7_circuit("resynth+z2", 2)
     calls = [0]
-    decode_words = _Readout.decode_words
+    affine_table = simulator._affine_table
 
-    def counted(self, words):
+    def counted(*args):
         calls[0] += 1
-        return decode_words(self, words)
+        return affine_table(*args)
 
-    monkeypatch.setattr(_Readout, "decode_words", counted)
+    monkeypatch.setattr(simulator, "_affine_table", counted)
     _plan.cache_clear()
     args = (enc.circuit, NoiseModel(scale=4.0), 200, 1)
     recs = sample_shots(*args, checks=enc.checks, decode=enc.decode)
@@ -1234,11 +1240,6 @@ def test_table_decoded_once_per_checks_and_decode(monkeypatch):
     assert list(reordered) != list(enc.decode)
     assert sample_shots(*args, checks=enc.checks, decode=reordered) == recs
     assert calls[0] == 1
-
-
-def _without_certificate(monkeypatch):
-    """Every plan reads its dense table from now on."""
-    monkeypatch.setattr(_ShotPlan, "certified", lambda *args: None)
 
 
 def _x_between_rotations(circuit):
@@ -1282,18 +1283,30 @@ def _mutant(name):
     return dataclasses.replace(circ, gates=list(gates)), enc.checks, decode
 
 
+def _assert_same_outcomes(table, dense):
+    """A certified table against the dense one: its entries in the order
+    sorted() gives their bit tuples, every dense word among them, and each
+    probability within 1e-15 of the dense one, or of 0 for a word the
+    dense pass drops (it keeps masses above 1e-15)."""
+    rows = list(map(tuple, table.bits.tolist()))
+    assert rows == sorted(rows)
+    mine = dict(zip(table.ints, table.probs.tolist()))
+    theirs = dict(zip(dense.ints, dense.probs.tolist()))
+    assert theirs.keys() <= mine.keys()
+    assert max(abs(p - theirs.get(w, 0.0)) for w, p in mine.items()) <= 1e-15
+
+
 class TestCertifiedTable:
-    """The ideal table from the stabilizer certificate (stabilizer module)
+    """The table from the stabilizer certificate (stabilizer module)
     against the dense pass, on criterion 7's circuits and their mutants."""
 
     @pytest.mark.parametrize("s", [1, 2])
     @pytest.mark.parametrize("mode", MODES)
     def test_equals_the_dense_table(self, mode, s, monkeypatch):
         # a first call on a fresh plan cache builds no state wider than k
-        # and no dense table; that table then has the same words in the
-        # same order, probabilities within 1e-15, and the dense model
-        # oracle holds with the reading's own model: its P_L is the dense
-        # marginal to 1e-12
+        # and no dense table; the dense table then has the same outcomes,
+        # and the dense model oracle holds with the reading's own model:
+        # its P_L is the dense marginal to 1e-12
         enc = _criterion_7_circuit(mode, s)
         k = len(enc.decode)
         dense = []
@@ -1309,37 +1322,39 @@ class TestCertifiedTable:
         monkeypatch.undo()
         plan = _shot_plan(enc.circuit)
         reading = plan.reading(enc.checks, enc.decode)
-        assert reading.table is not plan.ideal
-        assert reading.table.ints == plan.ideal.ints
-        assert np.max(np.abs(reading.table.probs - plan.ideal.probs)) <= 1e-15
+        dense = _bit_distribution(plan)
+        _assert_same_outcomes(reading.table, dense)
+        xs = dict(zip(reading.table.ints, reading.xs.tolist()))
         oracle = _dense_model(plan, enc.decode)
-        assert oracle is not None and (oracle.xs == reading.model.xs).all()
+        assert oracle is not None
+        assert oracle.xs.tolist() == [xs[w] for w in dense.ints]
         assert (oracle.probs == reading.model.probs).all()
 
     @pytest.mark.parametrize("name", ["x_between_rotations",
                                       "decode_clbit_moved",
                                       "final_cnot_deleted"])
     def test_mutant_falls_back(self, name, monkeypatch):
-        # the certificate is refused, and the records are the dense path's
+        # the certificate is refused: the reading has no guard and no
+        # model, and every record is its trajectory's
         circ, checks, decode = _mutant(name)
         _plan.cache_clear()
-        plan = _shot_plan(circ)
-        assert plan.reading(checks, decode).table is plan.ideal
+        reading = _shot_plan(circ).reading(checks, decode)
+        assert reading.guard is None and reading.model is None
         args = (circ, NoiseModel(scale=2.0), 60, 7)
         kw = dict(checks=checks, decode=decode)
+        ran = _count_trajectories(monkeypatch)
         recs = sample_shots(*args, **kw)
-        assert_matches_references(recs, *args, **kw)
-        _without_certificate(monkeypatch)
-        _plan.cache_clear()
-        assert sample_shots(*args, **kw) == recs
+        assert ran[0] > 0
+        assert recs == reference_sample_shots(*args, **kw)
 
     @pytest.mark.parametrize("mode", ["baseline", "resynth+z2"])
     def test_random_mutants(self, mode):
         # an X or Z inserted, a gate that is not a rotation deleted, or two
         # neighbours swapped in a k=6 circuit: the certificate holds exactly
-        # where the dense reading has a guard and the dense model oracle
-        # passes, its table is then the dense one, and a reading has a
-        # model exactly where it is certified
+        # where the dense guard oracle holds and the dense model oracle
+        # passes, and then its guard is the oracle's and its table has the
+        # dense outcomes; a reading has a guard and a model exactly where it
+        # is certified
         g = generate_instance(GraphKind.REGULAR_3, 6, seed=1)
         enc = compile_mode(g, ramp_params(2), mode, 1, 100)
         gates, circ = enc.circuit.gates, enc.circuit
@@ -1363,17 +1378,15 @@ class TestCertifiedTable:
                 continue
             plan = _ShotPlan(mutant)
             reading = plan.reading(enc.checks, enc.decode)
-            dense = _dense_reading(plan, enc.checks, enc.decode)
-            certified = reading.table is not plan.ideal
-            assert certified == (dense.guard is not None
-                                 and _dense_model(plan, enc.decode)
-                                 is not None)
+            guard = _dense_guard(mutant, enc.checks)
+            certified = reading.guard is not None
+            assert certified == (guard is not None and _dense_model(
+                plan, enc.decode) is not None)
             assert (reading.model is not None) == certified
             if certified:
                 kept += 1
-                assert reading.table.ints == plan.ideal.ints
-                assert np.max(np.abs(reading.table.probs
-                                     - plan.ideal.probs)) <= 1e-15
+                assert reading.guard == guard
+                _assert_same_outcomes(reading.table, _bit_distribution(plan))
             else:
                 refused += 1
         assert kept and refused
@@ -1386,9 +1399,8 @@ class TestCertifiedTable:
         circ, checks, decode = _mutant("rxx_on_b")
         plan = _shot_plan(circ)
         reading = plan.reading(checks, decode)
-        assert reading.table is not plan.ideal
-        assert reading.table.ints == plan.ideal.ints
-        assert np.max(np.abs(reading.table.probs - plan.ideal.probs)) <= 1e-15
+        assert reading.guard is not None
+        _assert_same_outcomes(reading.table, _bit_distribution(plan))
         assert _dense_model(plan, decode) is not None
 
     def test_k14_above_the_dense_cap(self, monkeypatch):
@@ -1415,29 +1427,37 @@ class TestCertifiedTable:
                          0, **kw)
 
 
-def test_logical_model_built_on_first_use():
-    # only a shot that keeps its checks and negates rotations reads the
-    # logical model: a zero-shot call (the one `icecomp simulate` makes to
-    # check its inputs) and a noiseless call leave it unbuilt
+def test_logical_model_built_on_first_use(monkeypatch):
+    # a reading's logical model, whose noiseless P_L its table is built
+    # from, is built once, by the first call that reads the circuit under
+    # its (checks, decode): a zero-shot call (the one `icecomp simulate`
+    # makes to check its inputs) builds it, and later calls, noiseless or
+    # noisy, reuse it
     enc = _criterion_7_circuit("resynth+z2", 2)
+    built = []
+    init = _LogicalModel.__init__
+
+    def counted(self, k, ops):
+        built.append(k)
+        init(self, k, ops)
+
+    monkeypatch.setattr(_LogicalModel, "__init__", counted)
     _plan.cache_clear()
-    reading = _shot_plan(enc.circuit).reading(enc.checks, enc.decode)
-    assert reading.guard is not None
-    for noise, shots in ((NoiseModel(), 0), (NoiseModel(scale=0.0), 200)):
+    for noise, shots in ((NoiseModel(), 0), (NoiseModel(scale=0.0), 200),
+                         (NoiseModel(scale=4.0), 200)):
         sample_shots(enc.circuit, noise, shots, 1, checks=enc.checks,
                      decode=enc.decode)
-        assert "model" not in reading.__dict__
-    sample_shots(enc.circuit, NoiseModel(scale=4.0), 200, 1,
-                 checks=enc.checks, decode=enc.decode)
-    assert reading.__dict__["model"] is not None
+        assert built == [len(enc.decode)]
+    assert _shot_plan(enc.circuit).reading(
+        enc.checks, enc.decode).model is not None
 
 
 @pytest.mark.parametrize("mode", ["baseline", "resynth", "resynth+z2"])
 @pytest.mark.parametrize("k", [22, 34])
 def test_site_table_at_paper_scale(k, mode, monkeypatch):
     # the abstract's circuits: a plan's sites come from the circuit alone,
-    # with no state built, while its ideal table is a dense pass above the
-    # cap
+    # with no state built, while sampling them needs the k-qubit logical
+    # model, above the cap
     g = generate_instance(GraphKind.REGULAR_3, k, seed=0)
     enc = compile_mode(g, ramp_params(10), mode, 3, 200)
     circ = enc.circuit
@@ -1509,17 +1529,16 @@ def test_logical_plan_cached_by_content(monkeypatch):
     assert calls[0] == 2 and _plan.cache_info().currsize == 2
 
 
-def _stacked_rows(model, rots):
-    """model.states(rots) as one amplitude row and one reweighted row (or
-    None without an ideal table) per mask, and the number of blocks."""
+def _stacked_rows(reading, rots):
+    """reading.model.states(rots) as one amplitude row and one row of the
+    reading's `weights` per mask, and the number of blocks."""
     amps, weights, blocks = [None] * len(rots), [None] * len(rots), 0
-    for rows, state in model.states(rots):
+    for rows, state in reading.model.states(rots):
         blocks += 1
-        probs = state.probabilities()
+        w = reading.weights(state.probabilities())
         for j, row in enumerate(rows):
             amps[row] = state.amp[j].copy()
-            if hasattr(model, "marginal"):
-                weights[row] = model.reweighted(probs[j])
+            weights[row] = w[j]
     return amps, weights, blocks
 
 
@@ -1529,12 +1548,13 @@ def test_stacked_pass_equals_one_row_passes(which):
     # its own first negated rotation or an earlier one, split into blocks
     # under the amplitude budget, equals its own one-row pass
     if which == "unencoded":
-        lc = build_qaoa(generate_instance(GraphKind.REGULAR_3, 10, seed=0),
-                        ramp_params(3))
-        model = _LogicalModel(lc.k, _logical_ops(_logical_steps(lc)))
+        reading = _logical_plan(build_qaoa(
+            generate_instance(GraphKind.REGULAR_3, 10, seed=0),
+            ramp_params(3)))
     else:
         enc = _criterion_7_circuit(which, 2)
-        model = _shot_plan(enc.circuit).reading(enc.checks, enc.decode).model
+        reading = _shot_plan(enc.circuit).reading(enc.checks, enc.decode)
+    model = reading.model
     keys = [key for key, _, _ in model.ops]
     rng = np.random.default_rng(4)
     rots = [sum(1 << int(key) for key in rng.choice(
@@ -1547,26 +1567,19 @@ def test_stacked_pass_equals_one_row_passes(which):
     assert len(starts) >= 5
     per_block = simulator._PASS_AMPS >> model.k
     assert len(rots) > per_block
-    amps, weights, blocks = _stacked_rows(model, rots)
+    amps, weights, blocks = _stacked_rows(reading, rots)
     assert blocks == -(-len(rots) // per_block)
     for rot, amp, w in zip(rots, amps, weights):
-        assert (model.state(rot).amp == amp).all()
-        if w is not None:
-            assert (model.reweight(rot) == w).all()
+        state = model.state(rot)
+        assert (state.amp == amp).all()
+        assert (reading.weights(state.probabilities()) == w).all()
 
 
 # ---------------------------------------------------------------------------
-# The ideal table built one entry at a time, as the simulator once built it:
-# the oracle of its array construction
+# The noiseless table built one entry at a time, as the simulator once built
+# it: the oracle of its array construction; and the dense checks the
+# stabilizer certificate replaced, as oracles of the certificate
 # ---------------------------------------------------------------------------
-
-def _dense_reading(plan, checks, decode):
-    """The plan's reading of its dense table, its certificate switched
-    off."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_ShotPlan, "certified", lambda *args: None)
-        return _Reading(plan, checks, decode)
-
 
 def _dense_model(plan, decode):
     """The reference oracle of the certificate: the logical model of the
@@ -1579,10 +1592,11 @@ def _dense_model(plan, decode):
     if ops is None or not reference_bit_distribution(plan)[1]:
         return None
     k = len(decode)
+    dense = _bit_distribution(plan)
     _, _, logical = _Readout((), decode, plan.num_clbits).decode_words(
-        plan.ideal.words)
+        dense.words)
     xs = logical.astype(np.intp)
-    marginal = np.bincount(xs, weights=plan.ideal.probs, minlength=1 << k)
+    marginal = np.bincount(xs, weights=dense.probs, minlength=1 << k)
     if not marginal.all():
         return None
     model = _LogicalModel(k, ops)
@@ -1655,11 +1669,42 @@ def reference_bit_distribution(circuit):
     return dist, resets_fixed
 
 
+def _dense_guard(circuit, checks, dist=None):
+    """The frame guard as the dense table once gave it, from the dict of
+    noiseless outcomes `dist` (reference_bit_distribution's, by default):
+    None unless each clbit is measured at most once, every check has one
+    value over the noiseless outcomes, and no rotation generator (Z_aZ_b
+    after an RZZ, X_aX_b after an RXX), taken as a fault right after its
+    own gate (propagate_pauli), flips a check parity; else per check its
+    clbit mask and the flip parity under which it keeps its expected
+    value.  It holds wherever the certificate does (TestCertifiedTable)."""
+    clbits = [g.clbit for g in circuit.gates if g.kind.measurement]
+    if len(set(clbits)) < len(clbits):
+        return None
+    if dist is None:
+        dist, _ = reference_bit_distribution(circuit)
+    readout = _Readout(checks, None, circuit.num_clbits)
+    values = {readout.decode_word(_word(b))[0] for b in dist}
+    if len(values) != 1:
+        return None
+    masks = [_mask(c.bits) for c in checks]
+    for gi, g in enumerate(circuit.gates):
+        if g.kind.rotation:
+            letter = "Z" if g.kind is GateKind.RZZ else "X"
+            _, flips, _ = propagate_pauli(circuit, gi, PauliString.from_ops(
+                (q, letter) for q in g.qubits))
+            if any((_mask(flips) & m).bit_count() & 1 for m in masks):
+                return None
+    (ideal_values,) = values
+    return tuple((m, v ^ c.expected)
+                 for m, v, c in zip(masks, ideal_values, checks))
+
+
 def reference_tables(circuit, checks, decode):
-    """Everything the plan derives from the ideal table, from the dict, one
-    entry at a time.  Only the plan's site-table fields (clbits measured
-    once, rotation flips) are read from the plan."""
-    plan = _shot_plan(circuit)
+    """Everything the sampler and exact_* derive from the noiseless
+    outcomes, from the dict, one entry at a time: its words, floats and
+    records in sorted order, the dense guard, each entry's logical and the
+    post-selected logical distribution."""
     dist, _ = reference_bit_distribution(circuit)
     ideal = sorted(dist.items())
     bits_list = [b for b, _ in ideal]
@@ -1667,19 +1712,8 @@ def reference_tables(circuit, checks, decode):
     out = {"dist": list(dist.items()),
            "words": [_word(b) for b in bits_list], "probs": probs,
            "cum": np.cumsum(probs).tolist(),
-           "records": [make_record(b, checks, decode) for b in bits_list]}
-
-    guard = None
-    readout = _Readout(checks, None, circuit.num_clbits)
-    values = {readout.decode_word(_word(b))[0] for b in bits_list}
-    masks = [_mask(c.bits) for c in checks]
-    if checks and plan.clbits_once and len(values) == 1 and not any(
-            (f & m).bit_count() & 1
-            for f in plan.rotation_flips for m in masks):
-        (ideal_values,) = values
-        guard = tuple((m, v ^ c.expected)
-                      for m, v, c in zip(masks, ideal_values, checks))
-    out["guard"] = guard
+           "records": [make_record(b, checks, decode) for b in bits_list],
+           "guard": _dense_guard(circuit, checks, dist)}
 
     readout = _Readout((), decode, circuit.num_clbits)
     out["xs"] = [readout.decode_word(_word(b))[2] for b in bits_list]
@@ -1733,15 +1767,15 @@ def _wide_circuit():
 
 
 class TestIdealTableOracle:
-    """The plan's array table of noiseless outcomes against the dict built
-    one entry at a time: the same words in the same order, the same floats
-    summed in the same order, and the same guard, logicals, records and
-    exact distributions, for the dense reading of that table, which has no
-    logical model.  The dense model oracle (_dense_model) has the same
-    logical model inputs, and passes exactly where the certificate holds.
-    A certified reading has the same words, guard, logicals and records,
-    probabilities within 1e-15, and a model whose marginal is its own
-    table's."""
+    """The dense array table of noiseless outcomes (_bit_distribution)
+    against the dict built one entry at a time: the same words in the same
+    order, the same floats summed in the same order, and the same exact
+    distributions.  A reading the certificate refuses picks from that
+    table, with the dict's records, and has no guard and no model.  A
+    certified reading has the dense outcomes (_assert_same_outcomes) and
+    the dict's guard, logicals and records.  The dense model oracle
+    (_dense_model) has the same logical model inputs, and passes exactly
+    where the certificate holds."""
 
     @staticmethod
     def check(circuit, checks, decode, has_model):
@@ -1749,28 +1783,24 @@ class TestIdealTableOracle:
         _plan.cache_clear()
         plan = _shot_plan(circuit)
         assert list(exact_bit_distribution(circuit).items()) == ref["dist"]
-        assert plan.ideal.ints == ref["words"]
-        assert plan.ideal.probs.tolist() == ref["probs"]
-        assert plan.ideal.cum.tolist() == ref["cum"]
-        certified = plan.reading(checks, decode)
-        assert (certified.table is not plan.ideal) == has_model
+        dense = _bit_distribution(plan)
+        assert dense.ints == ref["words"]
+        assert dense.probs.tolist() == ref["probs"]
+        assert dense.cum.tolist() == ref["cum"]
+        reading = plan.reading(checks, decode)
+        assert (reading.guard is not None) == has_model
+        assert (reading.model is not None) == has_model
         if has_model:
-            assert certified.table.ints == ref["words"]
-            assert np.max(np.abs(certified.table.probs - ref["probs"])) \
-                <= 1e-15
-            assert certified.guard == ref["guard"]
-            assert certified.logical.tolist() == ref["xs"]
-            assert [certified.record(i, 0) for i in range(len(ref["words"]))] \
-                == ref["records"]
-            model = certified.model
-            assert model.marginal.tolist() == np.bincount(
-                model.xs, weights=certified.table.probs,
-                minlength=1 << len(decode)).tolist()
-        reading = _dense_reading(plan, checks, decode)
-        assert reading.table is plan.ideal
-        assert reading.guard == ref["guard"]
-        assert reading.model is None
-        assert reading.logical.tolist() == ref["xs"]
+            _assert_same_outcomes(reading.table, dense)
+            assert reading.guard == ref["guard"]
+            entry = {w: i for i, w in enumerate(reading.table.ints)}
+            rows = [entry[w] for w in ref["words"]]
+            assert reading.xs[rows].tolist() == ref["xs"]
+        else:
+            assert reading.table.ints == ref["words"]
+            assert reading.table.probs.tolist() == ref["probs"]
+            rows = range(len(ref["words"]))
+        assert [reading.record(i, 0) for i in rows] == ref["records"]
         model = _dense_model(plan, decode)
         assert (model is not None) == has_model
         if model is not None:
@@ -1778,8 +1808,6 @@ class TestIdealTableOracle:
             marginal = np.bincount(ref["xs"], weights=ref["probs"],
                                    minlength=1 << len(decode))
             assert model.marginal.tolist() == marginal.tolist()
-        assert [reading.record(i, 0) for i in range(len(plan.ideal.ints))] \
-            == ref["records"]
         acc, logical = exact_logical_distribution(circuit, checks, decode)
         assert (acc, list(logical.items())) == ref["logical"]
 

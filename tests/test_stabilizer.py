@@ -1,16 +1,24 @@
-"""The stabilizer certificate's parts against dense linear algebra, and its
-refusals on small Iceberg circuits built to need them."""
+"""The stabilizer certificate's parts against dense linear algebra, its
+refusals on small Iceberg circuits built to need them, and where it holds:
+on the paper's circuits, and on every shot of a certified reading."""
+
+import functools
 
 import numpy as np
 import pytest
 
+from icecomp.bench import MODES, compile_mode
 from icecomp.circuit import Gate, GateKind, PhysicalCircuit
+from icecomp.compiler import CompileConfig, GadgetSet, compile_baseline
 from icecomp.gadgets import ParityCheck
+from icecomp.maxcut import GraphKind, generate_instance, ramp_params
 from icecomp.simulator import (NoiseModel, StateVector, _apply_gate,
-                               _ShotPlan, _Reading, sample_shots)
+                               _bit_distribution, _model_ops, _ShotPlan,
+                               _trailing_start, sample_shots)
 from icecomp.stabilizer import CliffordRun, _Tableau
-from test_simulator import (_count_trajectories, _dense_model,
-                            assert_matches_references)
+from test_simulator import (_assert_same_outcomes, _count_trajectories,
+                            _dense_guard, _dense_model,
+                            assert_matches_references, reference_sample_shots)
 
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _Z = np.diag([1.0, -1.0]).astype(complex)
@@ -128,14 +136,6 @@ def _toy(*middle):
     return c
 
 
-def _readings(circuit):
-    plan = _ShotPlan(circuit)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_ShotPlan, "certified", lambda *args: None)
-        dense = _Reading(plan, _CHECKS, _DECODE)
-    return plan, plan.reading(_CHECKS, _DECODE), dense
-
-
 def _ancilla(*ops):
     return [Gate(kind, qubits, clbit=4 if kind.measurement else None)
             for kind, qubits in ops]
@@ -157,34 +157,89 @@ def _ancilla(*ops):
               (GateKind.MEASURE_Z, (4,)), (GateKind.RESET, (4,))), False),
 ], ids=["plain", "ancilla-0", "reset-sign", "marker"])
 def test_toy_circuits(middle, certified):
-    # certified exactly where the dense reading keeps a guard and the dense
-    # model oracle passes, and then with the dense table and a model
-    plan, reading, dense = _readings(_toy(*middle))
-    assert (reading.table is not plan.ideal) == certified
+    # certified, with a guard and a model, exactly where the dense guard
+    # and model oracles pass, and then with the dense table's outcomes
+    circuit = _toy(*middle)
+    plan = _ShotPlan(circuit)
+    reading = plan.reading(_CHECKS, _DECODE)
+    assert (reading.guard is not None) == certified
     assert (reading.model is not None) == certified
-    assert (dense.guard is not None
+    assert (_dense_guard(circuit, _CHECKS) is not None
             and _dense_model(plan, _DECODE) is not None) == certified
     if certified:
-        assert reading.table.ints == plan.ideal.ints
-        assert np.max(np.abs(reading.table.probs - plan.ideal.probs)) <= 1e-15
+        assert reading.guard == _dense_guard(circuit, _CHECKS)
+        _assert_same_outcomes(reading.table, _bit_distribution(plan))
 
 
 def test_random_ancilla_measurement_has_no_model(monkeypatch):
     # a random mid-circuit measurement of the ancilla, which touches no
-    # logical: the dense marginal is the model's, but part (i) refuses a
-    # random outcome, so the reading has no model and its accepted shots
-    # that flip a rotation run their trajectories
+    # logical: the dense guard and model oracles pass, but part (i) refuses
+    # a random outcome, so the reading has no guard and no model, and every
+    # shot with a fired Pauli site runs its trajectory
     circuit = _toy(*_ancilla((GateKind.H, (4,)), (GateKind.MEASURE_Z, (4,))))
-    plan, reading, dense = _readings(circuit)
-    assert reading.table is plan.ideal and reading.model is None
-    assert reading.guard is not None
+    plan = _ShotPlan(circuit)
+    reading = plan.reading(_CHECKS, _DECODE)
+    assert reading.guard is None and reading.model is None
+    assert _dense_guard(circuit, _CHECKS) is not None
     assert _dense_model(plan, _DECODE) is not None
     args = (circuit, NoiseModel(scale=40.0), 300, 2)
     kw = dict(checks=_CHECKS, decode=_DECODE)
     ran = _count_trajectories(monkeypatch)
     recs = sample_shots(*args, **kw)
     assert ran[0] > 0
-    assert_matches_references(recs, *args, **kw)
+    assert recs == reference_sample_shots(*args, **kw)
+
+
+@pytest.mark.parametrize("middle, checks", [
+    # the ancilla, left in |0> by a CNOT it controls, measured mid-circuit
+    # into c0, which the trailing readout of qubit 0 writes again: an X on
+    # the ancilla flips only the overwritten outcome
+    ([Gate(GateKind.CNOT, (4, 1)), Gate(GateKind.MEASURE_Z, (4,), clbit=0)],
+     _CHECKS),
+    ((), ()),
+], ids=["clbit-written-twice", "no-checks"])
+def test_frame_decides_every_certified_shot(middle, checks, monkeypatch):
+    # a certified reading has a guard, () without checks, and a model, so
+    # no shot runs its trajectory: every verdict is the trajectory's, and
+    # every accepted record the frame rule's
+    circuit = _toy(*middle)
+    reading = _ShotPlan(circuit).reading(checks, _DECODE)
+    assert reading.guard is not None and reading.model is not None
+    args = (circuit, NoiseModel(scale=40.0), 400, 5)
+    kw = dict(checks=checks, decode=_DECODE)
+    ran = _count_trajectories(monkeypatch)
+    recs = sample_shots(*args, **kw)
+    assert ran[0] == 0
+    assert assert_matches_references(recs, *args, **kw) > 0
+
+
+@functools.lru_cache(maxsize=None)
+def _paper_circuit(instance, mode):
+    """The abstract's circuits (3-regular, seed 0, k=22 and 34) and the
+    dense ER k=22 d=0.8, seed 0: p=10, s=3, queue cap 200, in a bench mode
+    or with NEW gadgets in the baseline compiler ("baseline-new")."""
+    kind, k = instance
+    density = 0.8 if kind is GraphKind.ERDOS_RENYI else None
+    g = generate_instance(kind, k, density, seed=0)
+    if mode == "baseline-new":
+        return compile_baseline(g, ramp_params(10), CompileConfig(
+            num_syndromes=3, gadget_set=GadgetSet.NEW))
+    return compile_mode(g, ramp_params(10), mode, 3, 200)
+
+
+@pytest.mark.parametrize("mode", [*MODES, "baseline-new"])
+@pytest.mark.parametrize("instance", [
+    (GraphKind.REGULAR_3, 22), (GraphKind.REGULAR_3, 34),
+    (GraphKind.ERDOS_RENYI, 22)], ids=["regular3-22", "regular3-34", "er-22"])
+def test_certificate_holds_at_paper_scale(instance, mode):
+    # the sampler decides a shot by its frame only under the certificate,
+    # so it must hold on the circuits the paper's numbers come from
+    enc = _paper_circuit(instance, mode)
+    gates, decode = enc.circuit.gates, enc.decode
+    run = CliffordRun(gates, enc.circuit.num_qubits, _trailing_start(gates))
+    cert = run.certify(_model_ops(enc.circuit, decode), decode, enc.checks)
+    assert cert is not None
+    assert len(cert[1]) == len(decode) + 1
 
 
 def test_f_commutes_with_every_rotation():
