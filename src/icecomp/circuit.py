@@ -62,35 +62,44 @@ class CircuitError(ValueError):
     """Raised for malformed gates, circuits, or circuit text."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Gate:
+    """One gate.  The constructor checks the arity, a duplicate and a
+    negative qubit, the angle and the clbit, in that order, and raises
+    CircuitError on the first rule broken; it finds a duplicate among 1 or
+    2 qubits without a set, and stores the fields in one dict update."""
+
     kind: GateKind
     qubits: tuple[int, ...]
     angle: float | None = None
     clbit: int | None = None
     component: int = 0
 
-    def __post_init__(self):
-        kind, qubits = self.kind, self.qubits
+    def __init__(self, kind: GateKind, qubits: tuple[int, ...],
+                 angle: float | None = None, clbit: int | None = None,
+                 component: int = 0):
         want = kind.arity
         if want is not None and len(qubits) != want:
             raise CircuitError(
                 f"{kind.value} takes {want} qubit(s), got {qubits}"
             )
-        if len(set(qubits)) != len(qubits):
+        if qubits[0] == qubits[1] if want == 2 else \
+                want is None and len(set(qubits)) != len(qubits):
             raise CircuitError(f"duplicate qubit in gate: {qubits}")
         if qubits and min(qubits) < 0:
             raise CircuitError(f"negative qubit index: {qubits}")
         if kind.rotation:
-            if self.angle is None or not math.isfinite(self.angle):
+            if angle is None or not math.isfinite(angle):
                 raise CircuitError(f"{kind.value} needs a finite angle")
-        elif self.angle is not None:
+        elif angle is not None:
             raise CircuitError(f"{kind.value} takes no angle")
         if kind.measurement:
-            if self.clbit is None or self.clbit < 0:
+            if clbit is None or clbit < 0:
                 raise CircuitError("measurement needs a classical target bit")
-        elif self.clbit is not None:
+        elif clbit is not None:
             raise CircuitError(f"{kind.value} takes no classical bit")
+        self.__dict__.update(kind=kind, qubits=qubits, angle=angle,
+                             clbit=clbit, component=component)
 
     _hash = None     # not a field: set on the first __hash__
 
@@ -114,6 +123,11 @@ class Gate:
         return self.kind.two_qubit
 
 
+_RZZ, _RXX, _CNOT, _H, _X, _Z, _MZ, _MX, _RESET = (
+    GateKind.RZZ, GateKind.RXX, GateKind.CNOT, GateKind.H, GateKind.X,
+    GateKind.Z, GateKind.MEASURE_Z, GateKind.MEASURE_X, GateKind.RESET)
+
+
 @dataclass
 class PhysicalCircuit:
     """Ordered gate list over physical qubits with tagged components."""
@@ -134,35 +148,39 @@ class PhysicalCircuit:
             raise CircuitError(f"component {cid} declared twice")
         self.components[cid] = role
 
+    # each helper appends itself and reads its kind from a module global:
+    # a class lookup of an Enum member, or one more call, would each cost
+    # about a tenth of the gate
     def rzz(self, a, b, theta, component=0):
-        self.add(Gate(GateKind.RZZ, (a, b), angle=theta, component=component))
+        self.gates.append(Gate(_RZZ, (a, b), theta, None, component))
 
     def rxx(self, a, b, theta, component=0):
-        self.add(Gate(GateKind.RXX, (a, b), angle=theta, component=component))
+        self.gates.append(Gate(_RXX, (a, b), theta, None, component))
 
     def cx(self, c, t, component=0):
-        self.add(Gate(GateKind.CNOT, (c, t), component=component))
+        self.gates.append(Gate(_CNOT, (c, t), None, None, component))
 
     def h(self, q, component=0):
-        self.add(Gate(GateKind.H, (q,), component=component))
+        self.gates.append(Gate(_H, (q,), None, None, component))
 
     def x(self, q, component=0):
-        self.add(Gate(GateKind.X, (q,), component=component))
+        self.gates.append(Gate(_X, (q,), None, None, component))
 
     def z(self, q, component=0):
-        self.add(Gate(GateKind.Z, (q,), component=component))
+        self.gates.append(Gate(_Z, (q,), None, None, component))
 
     def mz(self, q, c, component=0):
-        self.add(Gate(GateKind.MEASURE_Z, (q,), clbit=c, component=component))
+        self.gates.append(Gate(_MZ, (q,), None, c, component))
 
     def mx(self, q, c, component=0):
-        self.add(Gate(GateKind.MEASURE_X, (q,), clbit=c, component=component))
+        self.gates.append(Gate(_MX, (q,), None, c, component))
 
     def reset(self, q, component=0):
-        self.add(Gate(GateKind.RESET, (q,), component=component))
+        self.gates.append(Gate(_RESET, (q,), None, None, component))
 
     def barrier(self, qubits=(), component=0):
-        self.add(Gate(GateKind.BARRIER, tuple(qubits), component=component))
+        self.gates.append(Gate(GateKind.BARRIER, tuple(qubits), None, None,
+                               component))
 
     # -- validation ----------------------------------------------------------
 

@@ -105,14 +105,18 @@ class PauliString:
 
     @staticmethod
     def from_ops(ops: Iterable[tuple[int, str]]) -> "PauliString":
+        """The Pauli with letter p on qubit q for each (q, p) of `ops`; a
+        letter not X, Y or Z, or a qubit given twice, raises ValueError."""
         x = z = 0
         for q, p in ops:
-            if p in ("X", "Y"):
-                x |= 1 << q
-            if p in ("Z", "Y"):
-                z |= 1 << q
             if p not in ("X", "Y", "Z"):
                 raise ValueError(f"not a Pauli: {p}")
+            if (x | z) >> q & 1:
+                raise ValueError(f"qubit {q} given twice")
+            if p != "Z":
+                x |= 1 << q
+            if p != "X":
+                z |= 1 << q
         return PauliString(x, z)
 
     def __mul__(self, other: "PauliString") -> "PauliString":
@@ -214,11 +218,13 @@ class _Sweep:
 
     With a `projection`, the sweep keeps the sigma-images of the responses
     instead (module docstring): the units it starts from and XORs in, the
-    responses of X_q, Z_q and of each clbit flip, are projected once, and
-    the rotation of gate i sits at bit `rot` + i with `rot` sigma's width.
-    Every gate rule is an XOR, a swap or a zeroing, which commute with a
-    GF(2)-linear map, so each entry is exactly sigma of the full entry.
-    `unpack` and `report` read full responses only.
+    responses of X_q, Z_q and of each clbit flip, are their images in
+    closed form (`Projection.units`: a clbit's column, a terminal unit's
+    parity and fold, or 0 where sigma reads no terminal), and the rotation
+    of gate i sits at bit `rot` + i with `rot` sigma's width.  Every gate
+    rule is an XOR, a swap or a zeroing, which commute with a GF(2)-linear
+    map, so each entry is exactly sigma of the full entry.  `unpack` and
+    `report` read full responses only.
     """
 
     def __init__(self, circuit: PhysicalCircuit,
@@ -229,13 +235,15 @@ class _Sweep:
         self.cl = cl = 2 * n
         self.rot = rot = cl + circuit.num_clbits
         self.clbits = (1 << circuit.num_clbits) - 1
-        units = _unit_bits(rot)
-        if projection is not None:
-            units = tuple(map(projection.packed(n, cl, rot), units))
-            self.rot = projection.width
         # the responses of X_q and Z_q, and of a flip of each clbit
-        self.unit_x, self.unit_z, self.unit_cl = (units[:n], units[n:cl],
-                                                  units[cl:])
+        if projection is None:
+            units = _unit_bits(rot)
+            self.unit_x, self.unit_z, self.unit_cl = (units[:n], units[n:cl],
+                                                      units[cl:])
+        else:
+            self.unit_x, self.unit_z, self.unit_cl = projection.units(
+                n, circuit.num_clbits)
+            self.rot = projection.width
 
     def run(self, stop: int = -1, per_gate: list | None = None,
             record=None) -> tuple[list[int], list[int]]:
@@ -321,9 +329,13 @@ class _Sweep:
         kind = g.kind
         if kind.measurement:
             return [self.flip(g, written)]
+        if kind.two_qubit:
+            a, b = g.qubits
+            return _combine(((rx[a], rz[a]), (rx[b], rz[b])))
         if kind.arity is None:      # a barrier
             return []
-        return _combine([(rx[q], rz[q]) for q in g.qubits])
+        q, = g.qubits
+        return _combine(((rx[q], rz[q]),))
 
     def unpack(self, r: int) -> tuple[int, int, int, int]:
         """(terminal x mask, terminal z mask, flipped clbit mask, mask of
@@ -347,18 +359,20 @@ def _unit_bits(count: int) -> tuple[int, ...]:
 
 
 def _combine(entries: Sequence[tuple[int, int]]) -> list[int]:
-    """The XORs of the (x, z) entries of some qubits that give the
+    """The XORs of the (x, z) entries of one or two qubits that give the
     non-identity Paulis on them, each qubit's letter in the order I, X, Y,
     Z, the first qubit's most significant: X, Y, Z on one qubit, and IX,
-    IY, ..., ZZ on two, as `_locations_at` orders a gate's faults."""
-    out = [0]
-    for x, z in entries:
-        y = x ^ z
-        longer = []
-        for r in out:
-            longer += (r, r ^ x, r ^ y, r ^ z)     # I, X, Y, Z on this qubit
-        out = longer
-    return out[1:]
+    IY, ..., ZZ on two, as `_locations_at` orders a gate's faults.  Every
+    fault site has one or two qubits, so both are written out."""
+    if len(entries) == 1:
+        (x, z), = entries
+        return [x, x ^ z, z]
+    (xa, za), (xb, zb) = entries
+    ya, yb = xa ^ za, xb ^ zb
+    return [xb, yb, zb,
+            xa, xa ^ xb, xa ^ yb, xa ^ zb,
+            ya, ya ^ xb, ya ^ yb, ya ^ zb,
+            za, za ^ xb, za ^ yb, za ^ zb]
 
 
 def _bits(mask: int) -> frozenset[int]:
@@ -415,11 +429,11 @@ class Projection:
             else:
                 self.log |= folded_x | folded_z
         # the sigma of each clbit that some parity reads, keyed by 1 << c
-        self.columns: dict[int, int] = {}
+        self.columns = columns = {}
         for b, bits in enumerate(parities):
             for c in bits:
-                self.columns[1 << c] = self.columns.get(1 << c, 0) ^ 1 << b
-        self.used = sum(self.columns)
+                columns[1 << c] = columns.get(1 << c, 0) ^ 1 << b
+        self.used = sum(columns)
 
     def packed(self, n: int, cl: int, rot: int) -> Callable[[int], int]:
         """sigma on a response packed as `_Sweep` packs it: the terminal x
@@ -449,6 +463,20 @@ class Projection:
             return s
 
         return sigma
+
+    def units(self, n: int, clbits: int) -> tuple[list, list, list]:
+        """sigma of X_q, of Z_q and of a flip of clbit c, for each of the
+        `n` qubits and `clbits` clbits of a packing (`packed`), in closed
+        form: X_q (Z_q) of a data qubit sets the x (z) parity and its folded
+        mask, 1 << q, or every data bit but bit 0 for q = 0; X_q and Z_q of
+        other qubits set nothing, and a flip of clbit c sets its column."""
+        m, nc = self.n, self.nc
+        folds = [1 << q if q else (1 << m) - 2 for q in range(min(n, m))] \
+            if self.reads_terminal else []
+        pad = [0] * (n - len(folds))
+        return ([1 << nc | f << nc + 1 for f in folds] + pad,
+                [2 << nc | f << nc + m for f in folds] + pad,
+                [self.columns.get(1 << c, 0) for c in range(clbits)])
 
     @cached_property
     def _fields_sigma(self) -> Callable[[int], int]:

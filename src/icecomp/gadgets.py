@@ -38,43 +38,20 @@ class GadgetError(ValueError):
 
 @dataclass(frozen=True)
 class IcebergLayout:
+    """The qubits of the code at k: `n` data qubits, t = 0, the `logical`
+    ones 1..k, b = k+1, the ancillas `ancilla0` and `ancilla1`, and
+    `num_qubits` in all, set once as plain attributes, which the gadget
+    builders read without rebuilding them."""
+
     k: int
 
     def __post_init__(self):
         if self.k < 2 or self.k % 2 != 0:
             raise GadgetError("k must be even and >= 2")
-
-    @property
-    def n(self) -> int:
-        return self.k + 2
-
-    @property
-    def t(self) -> int:
-        return 0
-
-    @property
-    def b(self) -> int:
-        return self.k + 1
-
-    @property
-    def data(self) -> tuple[int, ...]:
-        return tuple(range(self.n))
-
-    @property
-    def logical(self) -> tuple[int, ...]:
-        return tuple(range(1, self.k + 1))
-
-    @property
-    def ancilla0(self) -> int:
-        return self.n
-
-    @property
-    def ancilla1(self) -> int:
-        return self.n + 1
-
-    @property
-    def num_qubits(self) -> int:
-        return self.n + 2
+        n = self.k + 2
+        self.__dict__.update(n=n, t=0, b=n - 1, data=tuple(range(n)),
+                             logical=tuple(range(1, n - 1)), ancilla0=n,
+                             ancilla1=n + 1, num_qubits=n + 2)
 
     def default_order(self) -> tuple[int, ...]:
         return self.data

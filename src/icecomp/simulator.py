@@ -46,12 +46,14 @@ The record is that outcome XOR the frame's flips XOR the fired readouts'
 flips, as Stim's frame sampler gives a shot a noiseless sample XOR its
 frame's flips; a clbit measured twice keeps its last write, and that
 measurement's flip.  A shot with no fired Pauli site and no injected
-Pauli has the noiseless frame, so it picks, guard or no guard.  A shot
-with a fired Pauli site or an injected Pauli whose reading has no guard
-runs, in place of steps 2 and 3, its whole trajectory from |0...0>, its
-stream started again (_ShotPlan.trajectory), which draws the same events,
-then, in traversal order, one uniform per measurement and reset
-(StateVector.measure/reset) and one Pauli code per fired site.
+Pauli has the noiseless frame, so it picks, guard or no guard, unless its
+reading has no table to pick from (The two readings).  A shot with a
+fired Pauli site or an injected Pauli whose reading has no guard, and
+every shot of a reading with no table, runs, in place of steps 2 and 3,
+its whole trajectory from |0...0>, its stream started again
+(_ShotPlan.trajectory), which draws the same events, then, in traversal
+order, one uniform per measurement and reset (StateVector.measure/reset)
+and one Pauli code per fired site.
 
 Unencoded shots.  After its Hadamard layer every gate of the unencoded
 circuit is a Pauli rotation, so a Pauli fired after a step reaches the end
@@ -91,9 +93,12 @@ every rotation has the logical model's form (_model_ops).
     from the dense noiseless outcomes (_bit_distribution, as
     exact_bit_distribution runs it), built when a shot first needs them:
     its one pick uniform is the stream every noise-free shot has, where a
-    trajectory would draw one uniform per measurement.  Both need a dense
-    state of the circuit's qubits, so such a reading raises SimulatorError
-    above DEFAULT_QUBIT_CAP qubits.
+    trajectory would draw one uniform per measurement.  Where those
+    outcomes take more than MAX_BRANCHES mid-circuit branches, which
+    exact_bit_distribution refuses, the reading has no table, and every
+    shot runs its trajectory.  Both need a dense state of the circuit's
+    qubits, so such a reading raises SimulatorError above
+    DEFAULT_QUBIT_CAP qubits.
 
 A table of noiseless outcomes is held as arrays (_Outcomes): per entry its
 clbits (a uint8 row) and its probability, the entries in the order sorted()
@@ -944,10 +949,10 @@ class _Reading:
     clbit mask and the flip parity under which it keeps its expected
     value.  An uncertified one has guard and model None, and its `table`
     is the dense noiseless outcomes, built when a shot first picks from
-    them.  `cum` is the table's cumulative, from which a shot picks an
-    entry.  `record(i, flips)` is the record of a shot whose bits are entry
-    i with the clbits of `flips` flipped, kept the first time a shot picks
-    entry i unflipped."""
+    them, or None past the branch budget.  `cum` is the table's
+    cumulative, from which a shot picks an entry.  `record(i, flips)` is
+    the record of a shot whose bits are entry i with the clbits of `flips`
+    flipped, kept the first time a shot picks entry i unflipped."""
 
     def __init__(self, plan: _ShotPlan, checks: Sequence[ParityCheck],
                  decode: Mapping[int, frozenset[int]] | None):
@@ -973,10 +978,16 @@ class _Reading:
                                               self.readout.expected))
 
     @functools.cached_property
-    def table(self) -> "_Outcomes":
-        """An uncertified reading's dense noiseless outcomes (a certified
-        one sets its affine table when it is built)."""
-        return _bit_distribution(self.plan)
+    def table(self) -> "_Outcomes | None":
+        """An uncertified reading's dense noiseless outcomes, or None when
+        their mid-circuit measurements branch past MAX_BRANCHES (a
+        certified one sets its affine table when it is built)."""
+        try:
+            return _bit_distribution(self.plan)
+        except SimulatorError:
+            # the branch budget: the width was checked when the reading
+            # was built
+            return None
 
     @property
     def cum(self) -> np.ndarray:
@@ -1190,10 +1201,12 @@ def sample_shots(circuit: PhysicalCircuit, noise: NoiseModel, shots: int,
     decided by the one shot loop (module docstring: Sampling, and Encoded
     shots).  Where the stabilizer certificate holds for `checks` and
     `decode`, the Pauli frame decides every shot; otherwise every shot with
-    a fired Pauli site or an injected Pauli runs its trajectory (module
-    docstring: The two readings).  Every verdict is its trajectory's, and
-    so is every record the frame does not decide; a rejected shot the frame
-    decides simulates only the check parities of its bits.  The circuit's
+    a fired Pauli site or an injected Pauli runs its trajectory, and so
+    does every shot where the noiseless outcomes branch past MAX_BRANCHES
+    (module docstring: The two readings).  Every verdict is its
+    trajectory's, and so is every record the frame does not decide; a
+    rejected shot the frame decides simulates only the check parities of
+    its bits.  The circuit's
     _ShotPlan is cached by its content, and the circuit is validated when
     its plan is built: a circuit with the content of a cached plan is
     valid.  SimulatorError is raised before a plan is built when the
@@ -1233,7 +1246,7 @@ def _sample(plan: "_ShotPlan | _LogicalPlan",
     for shot in range(shots):
         rng = streams.at(shot)
         fired, em = plan.events(rng, rates)
-        if guard is None and (fired or inject):
+        if guard is None and (fired or inject or reading.table is None):
             records.append(reading.readout.record(
                 plan.trajectory(streams.at(shot), rates, inject)))
             continue

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -212,6 +214,102 @@ class TestSpaceTimeArea:
     def test_odd_k_rejected(self):
         with pytest.raises(CircuitError):
             space_time_area(simple(), 3)
+
+
+# every rule of Gate's constructor: (kind, qubits, angle, clbit, message,
+# a circuit text line breaking it, or None where the parser rejects the
+# line first)
+_RULES = [
+    (GateKind.CNOT, (0,), None, None, "cx takes 2 qubit(s), got (0,)", None),
+    (GateKind.H, (0, 1), None, None, "h takes 1 qubit(s), got (0, 1)", None),
+    (GateKind.RXX, (2, 2), 0.5, None, "duplicate qubit in gate: (2, 2)",
+     "rxx 2 2 0.5"),
+    (GateKind.BARRIER, (1, 0, 1), None, None,
+     "duplicate qubit in gate: (1, 0, 1)", "barrier 1 0 1"),
+    (GateKind.H, (-2,), None, None, "negative qubit index: (-2,)", "h -2"),
+    (GateKind.CNOT, (0, -1), None, None, "negative qubit index: (0, -1)",
+     "cx 0 -1"),
+    (GateKind.BARRIER, (-1,), None, None, "negative qubit index: (-1,)",
+     "barrier -1"),
+    (GateKind.RZZ, (0, 1), None, None, "rzz needs a finite angle", None),
+    (GateKind.RZZ, (0, 1), _NAN, None, "rzz needs a finite angle",
+     "rzz 0 1 nan"),
+    (GateKind.RXX, (0, 1), _INF, None, "rxx needs a finite angle",
+     "rxx 0 1 inf"),
+    (GateKind.RXX, (0, 1), -_INF, None, "rxx needs a finite angle",
+     "rxx 0 1 -inf"),
+    (GateKind.X, (0,), 0.1, None, "x takes no angle", None),
+    (GateKind.MEASURE_X, (0,), None, None,
+     "measurement needs a classical target bit", None),
+    (GateKind.MEASURE_Z, (0,), None, -3,
+     "measurement needs a classical target bit", "mz 0 -3"),
+    (GateKind.CNOT, (0, 1), None, 0, "cx takes no classical bit", None),
+    (GateKind.BARRIER, (), None, 1, "barrier takes no classical bit", None),
+]
+
+
+def _valid(kind):
+    """A well-formed gate of `kind`."""
+    return Gate(kind, (0, 1)[:kind.arity or 0],
+                angle=0.25 if kind.rotation else None,
+                clbit=0 if kind.measurement else None)
+
+
+class TestGateRules:
+    """Each rule of Gate's constructor, with its message, through the
+    constructor, dataclasses.replace and read_circuit."""
+
+    @pytest.mark.parametrize("kind, qubits, angle, clbit, message, line",
+                             _RULES)
+    def test_rule(self, kind, qubits, angle, clbit, message, line):
+        with pytest.raises(CircuitError) as err:
+            Gate(kind, qubits, angle=angle, clbit=clbit, component=2)
+        assert str(err.value) == message
+        with pytest.raises(CircuitError) as err:
+            dataclasses.replace(_valid(kind), qubits=qubits, angle=angle,
+                                clbit=clbit)
+        assert str(err.value) == message
+        if line is not None:
+            with pytest.raises(CircuitError) as err:
+                read_circuit(f"qubits 4 clbits 2\nh 0\n{line}\n")
+            assert str(err.value) == f"line 3: {message}"
+
+    @pytest.mark.parametrize("kind, qubits, angle, clbit, message", [
+        (GateKind.H, (0, 0), 0.3, 1, "h takes 1 qubit(s), got (0, 0)"),
+        (GateKind.RZZ, (1, 1), None, None, "duplicate qubit in gate: (1, 1)"),
+        (GateKind.BARRIER, (-1, -1), None, None,
+         "duplicate qubit in gate: (-1, -1)"),
+        (GateKind.CNOT, (-1, 2), 0.5, None, "negative qubit index: (-1, 2)"),
+        (GateKind.RXX, (0, 1), _NAN, 0, "rxx needs a finite angle"),
+        (GateKind.MEASURE_Z, (0,), 0.5, None, "mz takes no angle"),
+        (GateKind.RESET, (0,), 0.5, 1, "reset takes no angle"),
+    ])
+    def test_first_rule_broken_is_reported(self, kind, qubits, angle, clbit,
+                                           message):
+        with pytest.raises(CircuitError) as err:
+            Gate(kind, qubits, angle=angle, clbit=clbit)
+        assert str(err.value) == message
+
+    def test_fields(self):
+        assert [f.name for f in dataclasses.fields(Gate)] == \
+            ["kind", "qubits", "angle", "clbit", "component"]
+        g = Gate(GateKind.MEASURE_X, (3,), clbit=1, component=4)
+        assert (g.kind, g.qubits, g.angle, g.clbit, g.component) == \
+            (GateKind.MEASURE_X, (3,), None, 1, 4)
+        assert repr(g) == ("Gate(kind=<GateKind.MEASURE_X: 'mx'>, "
+                           "qubits=(3,), angle=None, clbit=1, component=4)")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            g.clbit = 2
+
+    @pytest.mark.parametrize("kind", list(GateKind))
+    def test_pickle_round_trip(self, kind):
+        g = dataclasses.replace(_valid(kind), component=3)
+        h = hash(g)
+        back = pickle.loads(pickle.dumps(g))
+        # the hash is cached on first use, and a pickle drops it
+        assert "_hash" in vars(g) and "_hash" not in vars(back)
+        assert back == g and hash(back) == h
+        assert dataclasses.replace(back) == g
 
 
 class TestTextFormat:

@@ -1,18 +1,19 @@
 import hashlib
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from icecomp.circuit import ComponentRole, GateKind, PhysicalCircuit
+from icecomp.circuit import ComponentRole, Gate, GateKind, PhysicalCircuit
 from icecomp.compiler import (CompileConfig, GadgetSet, compile_baseline,
                               compile_cooptimized)
 from icecomp.faults import (FaultClass, FaultLocation, PauliString,
                             VerifyContext, check_gadget_ft,
                             classify_rotation_faults, classify_terminal,
                             context_for_gadget, enumerate_fault_locations,
-                            _Sweep, fault_reports, propagate_pauli,
-                            run_fault)
+                            _Sweep, _combine, _locations_at, fault_reports,
+                            propagate_pauli, run_fault)
 from icecomp.gadgets import GadgetKind, IcebergLayout, ParityCheck, build_gadget
 from icecomp.maxcut import GraphKind, generate_instance, ramp_params
 from icecomp.simulator import (_trailing_start, exact_bit_distribution,
@@ -697,3 +698,74 @@ class TestVerdictGolden:
         ctx = VerifyContext(enc.layout, enc.checks, enc.decode,
                             harmless="outcomes", trailing_checks=False)
         assert _verdict_digest(enc.circuit, ctx) == self.CRITERION_7[mode]
+
+
+class TestFromOps:
+    def test_letters(self):
+        assert P([(0, "X"), (2, "Y"), (1, "Z")]) == PauliString(0b101, 0b110)
+        assert P([]) == PauliString()
+        with pytest.raises(ValueError, match="not a Pauli: I"):
+            P([(0, "I")])
+
+    @pytest.mark.parametrize("ops, qubit", [
+        ([(0, "X"), (0, "X")], 0),
+        ([(3, "Z"), (1, "X"), (3, "Z")], 3),
+        ([(2, "Y"), (2, "X")], 2),
+        ([(5, "X"), (4, "Z"), (5, "Y")], 5),
+    ])
+    def test_repeated_qubit_rejected(self, ops, qubit):
+        with pytest.raises(ValueError, match=f"^qubit {qubit} given twice$"):
+            P(ops)
+
+
+class TestShortcuts:
+    """The closed forms of the sweep equal what they shortcut."""
+
+    @staticmethod
+    def _product_order(entries):
+        # every Pauli on the entries' qubits but the identity, each qubit's
+        # letter in the order I, X, Y, Z, the first qubit's most significant
+        letters = {"I": lambda x, z: 0, "X": lambda x, z: x,
+                   "Y": lambda x, z: x ^ z, "Z": lambda x, z: z}
+        out = []
+        for word in itertools.product("IXYZ", repeat=len(entries)):
+            r = 0
+            for p, (x, z) in zip(word, entries):
+                r ^= letters[p](x, z)
+            out.append(r)
+        return out[1:]
+
+    def test_combine_is_the_product_order(self):
+        rng = random.Random(35)
+        for _ in range(300):
+            for m in (1, 2):
+                entries = [(rng.getrandbits(40), rng.getrandbits(40))
+                           for _ in range(m)]
+                assert _combine(entries) == self._product_order(entries)
+        # on unit entries, the x masks below the z masks, each response is
+        # its fault's Pauli, in the order of _locations_at
+        for g, entries in ((Gate(GateKind.H, (0,)), [(1, 2)]),
+                           (Gate(GateKind.CNOT, (0, 1)), [(1, 4), (2, 8)])):
+            shift = len(entries)
+            assert _combine(entries) == [
+                loc.pauli.xmask | loc.pauli.zmask << shift
+                for loc in _locations_at(0, g)]
+
+    # syndrome_new needs k+2 divisible by 4
+    @pytest.mark.parametrize("kind, k", [
+        (kind, k) for kind in GadgetKind for k in (4, 6, 10, 22)
+        if kind is not GadgetKind.SYNDROME_NEW or k % 4 == 2])
+    def test_unit_images_are_the_projected_units(self, kind, k):
+        gadget = build_gadget(kind, k)
+        c = gadget.fragment
+        for harmless, trailing in (("plus_state", True), ("code", True),
+                                   ("outcomes", False)):
+            ctx = VerifyContext(gadget.layout, gadget.checks, gadget.decode,
+                                harmless, trailing)
+            full = _Sweep(c)
+            sigma = ctx.projection.packed(full.n, full.cl, full.rot)
+            projected = _Sweep(c, ctx.projection)
+            assert list(projected.unit_x) + list(projected.unit_z) \
+                + list(projected.unit_cl) == \
+                [sigma(1 << b) for b in range(full.rot)]
+            assert projected.rot == ctx.projection.width

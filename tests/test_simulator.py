@@ -484,21 +484,26 @@ def _ref_readout_flips(circuit, layer_plan, em):
 
 
 def reference_sample_shots(circuit, noise, shots, seed, checks=(),
-                           decode=None, inject=()):
+                           decode=None, inject=(), trajectories=False):
+    """Each shot from its trajectory, or, with no event and no injected
+    Pauli, from the dense noiseless outcomes; with `trajectories`, every
+    shot from its trajectory."""
     eff = noise.effective()
     inject_map = {}
     for gi, pauli in inject:
         inject_map.setdefault(gi, []).append(pauli)
     layer_plan, sizes = _ref_layer_plan(circuit)
-    ideal = sorted(exact_bit_distribution(circuit).items())
-    ideal_bits = [b for b, _ in ideal]
-    ideal_cum = np.cumsum([p for _, p in ideal])
+    if not trajectories:
+        ideal = sorted(exact_bit_distribution(circuit).items())
+        ideal_bits = [b for b, _ in ideal]
+        ideal_cum = np.cumsum([p for _, p in ideal])
 
     records = []
     for shot in range(shots):
         rng = _ref_rng(seed, shot)
         e2, e1, em, ei = _ref_events(rng, eff, sizes)
-        if not (np.any(e2) or np.any(e1) or np.any(ei)) and not inject_map:
+        if not (trajectories or np.any(e2) or np.any(e1) or np.any(ei)
+                or inject_map):
             pick = int(np.searchsorted(ideal_cum, rng.random()))
             bits = list(ideal_bits[min(pick, len(ideal_bits) - 1)])
             for c, f in _ref_readout_flips(circuit, layer_plan, em).items():
@@ -1031,6 +1036,29 @@ class TestBitIdentity:
                     sample_logical_shots(lc, NoiseModel(), shots, seed)
         assert sample_logical_shots(lc, NoiseModel(), 3, np.int64(4)) == \
             sample_logical_shots(lc, NoiseModel(), 3, 4)
+
+
+def test_sample_shots_past_the_branch_budget(monkeypatch):
+    # seven measurements of |+> branch 128 ways, past MAX_BRANCHES, so
+    # there is no dense noiseless table to pick from: every shot runs
+    # its trajectory, with and without noise, where the dense pass
+    # itself refuses
+    circ = PhysicalCircuit(2, 8)
+    for b in range(7):
+        circ.h(0)
+        circ.mz(0, b)
+    circ.cx(0, 1)
+    circ.mz(1, 7)
+    with pytest.raises(SimulatorError, match="branch budget"):
+        exact_bit_distribution(circ)
+    ran = _count_trajectories(monkeypatch)
+    for scale in (0.0, 50.0):
+        args = (circ, NoiseModel(scale=scale), 300, 7)
+        recs = sample_shots(*args)
+        assert recs == reference_sample_shots(*args, trajectories=True)
+        assert len({r.bits[:7] for r in recs}) > 100
+        assert all(r.bits[6] == r.bits[7] for r in recs) == (scale == 0)
+    assert ran[0] == 600
 
 
 class _PauliRecorder:

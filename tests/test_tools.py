@@ -10,6 +10,8 @@ import pytest
 
 from icecomp.bench import compile_mode
 from icecomp.compiler import write_encoded
+from icecomp.faults import check_gadget_ft, context_for_gadget, fault_reports
+from icecomp.gadgets import GadgetKind, build_gadget
 from icecomp.maxcut import GraphKind, generate_instance, ramp_params
 
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
@@ -20,6 +22,10 @@ _spec = importlib.util.spec_from_file_location(
     "encoded_digest", _PATH.with_name("encoded_digest.py"))
 encoded_digest = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(encoded_digest)
+_spec = importlib.util.spec_from_file_location(
+    "verdict_digest", _PATH.with_name("verdict_digest.py"))
+verdict_digest = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(verdict_digest)
 
 
 def test_encoded_digest_folds_each_compile():
@@ -36,6 +42,43 @@ def test_encoded_digest_folds_each_compile():
     assert got == h.hexdigest()
     # criterion 4's 160 instances and six more of the compile workload
     assert len(encoded_digest.instances()) == 166
+
+
+def test_verdict_digest_folds_each_summary_and_report():
+    cases = [(GadgetKind.INIT_OLD, 4, None),
+             (GadgetKind.FINAL_NEW, 4, (5, 0, 4, 1, 3, 2))]
+    got = verdict_digest.digest(cases)
+    assert verdict_digest.digest(cases) == got
+    h = hashlib.sha256()
+    for kind, k, order in cases:
+        s = check_gadget_ft(build_gadget(kind, k, order))
+        assert s.passed and not s.escapes
+        h.update(repr((kind.value, k, order, s.total,
+                       [(c.value, n) for c, n in s.counts.items()],
+                       [])).encode())
+    assert got == h.hexdigest()
+    assert verdict_digest.digest(cases[::-1]) != got
+    # a gadget with escapes folds each escape's report
+    gadget = build_gadget(GadgetKind.INIT_OLD, 4)
+    gadget.fragment.gates.pop(-4)       # the check's first coupling
+    summary = check_gadget_ft(gadget)
+    assert summary.escapes
+    ctx = context_for_gadget(gadget)
+    h = hashlib.sha256()
+    for rep in fault_reports(gadget.fragment, ctx):
+        loc = rep.location
+        fault = loc.flip_bit if loc.pauli is None \
+            else (loc.pauli.xmask, loc.pauli.zmask)
+        h.update(repr((loc.gate_index, fault, rep.classification.value,
+                       rep.terminal.xmask, rep.terminal.zmask,
+                       sorted(rep.flipped_bits),
+                       sorted(rep.flipped_rotations))).encode())
+    assert verdict_digest.report_digest([(gadget.fragment, ctx)]) == \
+        h.hexdigest()
+    # every kind at each size it is defined at, in 1 + ORDERS orders
+    cases = verdict_digest.gadget_cases()
+    assert len(cases) == (6 * 4 - 1) * (1 + verdict_digest.ORDERS)
+    assert len(set(cases)) == len(cases)
 
 
 def test_summarize_counts_wins_by_direction():
