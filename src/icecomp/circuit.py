@@ -64,10 +64,11 @@ class CircuitError(ValueError):
 
 @dataclass(frozen=True, init=False)
 class Gate:
-    """One gate.  The constructor checks the arity, a duplicate and a
-    negative qubit, the angle and the clbit, in that order, and raises
-    CircuitError on the first rule broken; it finds a duplicate among 1 or
-    2 qubits without a set, and stores the fields in one dict update."""
+    """One gate.  The constructor checks that the qubits are a tuple (a
+    gate is hashed), then the arity, a duplicate and a negative qubit, the
+    angle and the clbit, in that order, and raises CircuitError on the
+    first rule broken; it finds a duplicate among 1 or 2 qubits without a
+    set, and stores the fields in one dict update."""
 
     kind: GateKind
     qubits: tuple[int, ...]
@@ -78,6 +79,11 @@ class Gate:
     def __init__(self, kind: GateKind, qubits: tuple[int, ...],
                  angle: float | None = None, clbit: int | None = None,
                  component: int = 0):
+        if not isinstance(qubits, tuple):
+            raise CircuitError(
+                f"gate qubits must be a tuple, got {type(qubits).__name__} "
+                f"{qubits!r}"
+            )
         want = kind.arity
         if want is not None and len(qubits) != want:
             raise CircuitError(

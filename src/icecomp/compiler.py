@@ -42,7 +42,20 @@ stages are read off the gadgets, not restated here.
 
 The driver pops nodes best first until it pops the goal or the node past
 `queue_cap` expansions, then ends with one greedy rollout (the first child
-of each width-1 expansion) from the node it stopped on.
+of each width-1 expansion) from the node it stopped on.  Children are made
+lazily, as in partial-expansion A* (Yoshizumi, Miura & Ishida, AAAI 2000):
+an expansion builds the executable graph and the matcher input once and
+queues one entry for its children, keyed by a lower bound hb on their h;
+each pop of that entry runs one matching, makes one child, and queues the
+next under the same bound.  The bound rests on a layer touching each qubit
+at most once, so a child's degree of a vertex drops by at most one where
+the layer can touch it: a data qubit on an available pair or forced; t and
+b together when a z2 mixer pair is available (its component's load is
+re-split between them by the mixers left), by two when another item can
+touch an anchor too; and the merged-ancilla vertex when an ancilla is on
+a pair, a syndrome step is forced, or a bind pair is available.  Every
+node pops in the order of a search that makes all children at once, so
+every circuit is the same; `compile_cooptimized` says why.
 """
 
 from __future__ import annotations
@@ -51,9 +64,9 @@ import heapq
 import itertools
 import math
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Sequence
 
 from .circuit import (CircuitError, ComponentRole, Gate, GateKind,
                       PhysicalCircuit, layered_schedule, read_circuit,
@@ -717,12 +730,22 @@ def build_executable_graph(node: SearchNode) -> ExecutableGraph:
 
 # -- expansion ----------------------------------------------------------------
 
-def _matchings(exe: ExecutableGraph, width: int
+def _matcher_input(exe: ExecutableGraph) -> list[tuple[int, int, float]]:
+    """The pairs that miss every forced qubit, as `(a, b, weight)` with
+    a < b, sorted once: each layer's graph is this list without the pairs
+    earlier layers removed."""
+    return sorted((*sorted(p), exe.weights[p]) for p in exe.edges
+                  if not (p & exe.forced_qubits))
+
+
+def _matchings(exe: ExecutableGraph, width: int, avail: list | None = None
                ) -> list[list[frozenset[int]]]:
-    # the matcher's input, sorted once: each layer's graph is this list
-    # without the pairs earlier layers removed
-    avail = sorted((*sorted(p), exe.weights[p]) for p in exe.edges
-                   if not (p & exe.forced_qubits))
+    """Up to `width` layers of distinct maximum-weight matchings of the
+    matcher input `avail` (`_matcher_input(exe)` when not given), or `[[]]`
+    when it is empty.  Each layer takes its own `layer[0]` out of `avail`,
+    so a caller can hand the same list back for the next layer."""
+    if avail is None:
+        avail = _matcher_input(exe)
     if not avail:
         return [[]]
     out: list[list[frozenset[int]]] = []
@@ -741,19 +764,100 @@ def _matchings(exe: ExecutableGraph, width: int
     return out
 
 
-def expand(node: SearchNode, width: int = EXPANSION_WIDTH) -> list[SearchNode]:
+class _Children(Sequence):
+    """The children of one expansion, made one matching at a time: child j
+    schedules the forced items and the j-th layer of `_matchings`, and is
+    made the first time an index reaches it.  Iterating makes them all,
+    in order, as a list of them would hold them."""
+
+    def __init__(self, node: SearchNode, exe: ExecutableGraph, width: int):
+        self.node, self.exe, self.width = node, exe, width
+        self.avail = _matcher_input(exe)
+        self.made: list[SearchNode] = []
+
+    @property
+    def more(self) -> bool:
+        """Whether another child is left to make.  The first always is: a
+        node with no pair and no forced item raises in `expand`."""
+        return len(self.made) < self.width and \
+            (not self.made or bool(self.avail))
+
+    def make(self) -> SearchNode:
+        """Make the next child (`more` must hold)."""
+        exe = self.exe
+        layer = _matchings(exe, 1, self.avail)[0]
+        child = _apply_layer(self.node, (*exe.forced,
+                                         *map(exe.edges.__getitem__, layer)))
+        self.made.append(child)
+        return child
+
+    def __getitem__(self, j: int) -> SearchNode:
+        if j < 0:
+            j += len(self)
+        while len(self.made) <= j and self.more:
+            self.make()
+        if not 0 <= j < len(self.made):
+            raise IndexError("child index out of range")
+        return self.made[j]
+
+    def __len__(self) -> int:
+        while self.more:
+            self.make()
+        return len(self.made)
+
+    def bound(self) -> int:
+        """A lower bound hb on the h of every child, from the node's degrees
+        and the executable graph alone.
+
+        A layer touches each qubit at most once, and it lowers a vertex's
+        degree only where it schedules a coupling of that vertex, by one
+        per coupling, or where it re-splits a z2 mixer layer's load.  So
+        no child's degree of v is below deg_v less the touches v may take:
+        one for a data qubit on an available pair or among the forced
+        qubits.  A z2 mixer's component splits its load between t and b by
+        the parity of the mixers left, whichever anchor the mixer runs on;
+        so while a z2 mixer pair is available t and b take one touch each,
+        and two when another pair or forced item can touch an anchor too.
+        The merged-ancilla vertex, at half weight, takes one if an ancilla
+        lies on an available pair or among the forced qubits (a forced
+        syndrome step puts both there) or a bind pair is available (a bind
+        couples both ancillas though its pair names two data qubits)."""
+        node, exe = self.node, self.exe
+        layout = node.task.layout
+        components = node.task.components
+        t, b, n = layout.t, layout.b, layout.n
+        forced = exe.forced_qubits
+        touched = set(forced)
+        z2, other, bind = False, bool(forced & {t, b}), False
+        for pair, item in exe.edges.items():
+            if pair & forced:
+                continue        # not in the matcher input
+            touched |= pair
+            if item[0] == "bind":
+                bind = True
+            elif len(components[item[1]].qubits[item[2]]) == 2:
+                z2 = True
+                continue
+            if t in pair or b in pair:
+                other = True
+        drop = dict.fromkeys(touched, 1)
+        if z2:
+            drop[t] = drop[b] = 2 if other else 1
+        drop[-1] = int(bind or any(q >= n for q in touched))
+        return math.ceil(max(d - drop.get(q, 0) for q, d in node.deg.items())
+                         - 1e-9)
+
+
+def expand(node: SearchNode, width: int = EXPANSION_WIDTH
+           ) -> Sequence[SearchNode]:
+    """The up to `width` children of `node`, made as they are indexed (see
+    `_Children`); none at the goal.  Raises CompileError "search stalled"
+    when the executable graph has no pair and no forced item."""
     if is_goal(node):
         return []
     exe = build_executable_graph(node)
-    children: list[SearchNode] = []
-    for layer in _matchings(exe, width):
-        items = list(exe.forced)
-        for pair in layer:
-            items.append(exe.edges[pair])
-        if not items:
-            continue
-        children.append(_apply_layer(node, tuple(items)))
-    if not children:
+    children = _Children(node, exe, width)
+    if not children.avail and not exe.forced:
         raise CompileError("search stalled: no executable gates and not at goal")
     return children
 
@@ -914,27 +1018,58 @@ def _emit(node: SearchNode) -> EncodedCircuit:
 
 def compile_cooptimized(graph: ProblemGraph, params: QaoaParams,
                         cfg: CompileConfig) -> EncodedCircuit:
+    """Co-compile best first within `cfg.queue_cap` expansions, then finish
+    with a greedy rollout (see the module docstring).
+
+    The open list holds nodes keyed (f, h, -g, counter) and, per expanded
+    node with children still to make, one lazy entry keyed (g+1+hb, hb,
+    -(g+1), counter), hb being `_Children.bound`.  An expansion reserves
+    `EXPANSION_WIDTH` consecutive counters, child j taking the j-th, and
+    its lazy entry carries the counter of the next child to make.  Popping
+    it makes that child, pushes it under its own key unless its progress
+    was seen, and pushes the entry of the next child, if any, under the
+    same bound.  An expansion raises CompileError ("search stalled") when
+    the executable graph has no pair and no forced item.
+
+    Nodes pop in the order of the search that pushes every child when it
+    expands its parent.  A lazy key is at most the key of each child it
+    stands for (its h is at least hb, and its counter at least the
+    entry's), so no node pops while a child that would precede it is
+    unmade.  Counters are unique and in that search's push order, so ties
+    break alike.  A child whose progress is seen when it is made would only
+    have been skipped when popped."""
     task = _build_task(graph, params, cfg)
     start = source_node(task)
-    counter = itertools.count()
-    heap: list[tuple] = [(start.f, start.h, -start.g, next(counter), start)]
+    tick = 0            # the next unreserved counter
+    heap: list[tuple] = [(start.f, start.h, -start.g, tick, start)]
+    tick += 1
     seen: set = set()
     expanded = 0
     # the heap cannot run empty: a popped node that is not the goal has
     # children (expand raises otherwise), each a layer further on, so every
     # path of states from `start` ends at the goal
     while True:
-        _, _, _, _, node = heapq.heappop(heap)
+        f, h, g, count, node = heapq.heappop(heap)
+        if isinstance(node, _Children):
+            # a lazy entry: make the child it stands for, under its counter
+            child = node.make()
+            if child.progress not in seen:
+                heapq.heappush(heap, (child.f, child.h, -child.g, count,
+                                      child))
+            if node.more:
+                heapq.heappush(heap, (f, h, g, count + 1, node))
+            continue
         if node.progress in seen:
             continue
         seen.add(node.progress)
         if is_goal(node) or expanded == cfg.queue_cap:
             break
         expanded += 1
-        for child in expand(node):
-            if child.progress not in seen:
-                heapq.heappush(heap, (child.f, child.h, -child.g,
-                                      next(counter), child))
+        children = expand(node)
+        hb = children.bound()
+        heapq.heappush(heap, (node.g + 1 + hb, hb, -(node.g + 1), tick,
+                              children))
+        tick += EXPANSION_WIDTH
     exhausted = not is_goal(node)
     # out of budget: greedy rollout from the node the search stopped on
     while not is_goal(node):

@@ -7,7 +7,8 @@ Computing Surveys, 1986).  It is cut down to the case the co-compiler
 needs: positive weights, maxcardinality=False and no self-loops.  Gone
 are the integer path (and its optimum check, which networkx runs only for
 all-int weights), the asserts and the graph object; the two trampolines
-are plain recursion.  Every order networkx's result depends on is kept,
+are plain recursion.  A graph whose every vertex lies on one edge is its
+own matching and is returned as given, the blossom's answer and order.  Every order networkx's result depends on is kept,
 so both return the same matching for the same edges in the same order:
 
 * vertices in order of first appearance, and each vertex's neighbours in
@@ -31,10 +32,10 @@ with the same operations in the same order; every other caller calls it.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Sequence
 
 
-def max_weight_matching(edges: Iterable[tuple[int, int, float]]
+def max_weight_matching(edges: Sequence[tuple[int, int, float]]
                         ) -> list[tuple[int, int]]:
     """Matched pairs of a maximum-weight matching of the graph `edges`.
 
@@ -48,8 +49,10 @@ def max_weight_matching(edges: Iterable[tuple[int, int, float]]
         index.setdefault(b, len(index))
     nodes = list(index)
     n = len(nodes)
-    if not n:
-        return []
+    if n == 2 * len(edges):
+        # every vertex lies on one edge: the graph is its own (and, with
+        # positive weights, the unique) optimum, in the blossom's order
+        return [(a, b) for a, b, _ in edges]
     # nbrs[v][w] = 2 * weight of (v, w), neighbours in edge order
     nbrs: list[dict[int, float]] = [{} for _ in range(n)]
     maxweight = 0

@@ -245,6 +245,10 @@ _RULES = [
      "measurement needs a classical target bit", "mz 0 -3"),
     (GateKind.CNOT, (0, 1), None, 0, "cx takes no classical bit", None),
     (GateKind.BARRIER, (), None, 1, "barrier takes no classical bit", None),
+    (GateKind.CNOT, [0, 1], None, None,
+     "gate qubits must be a tuple, got list [0, 1]", None),
+    (GateKind.H, 0, None, None, "gate qubits must be a tuple, got int 0",
+     None),
 ]
 
 
@@ -283,6 +287,8 @@ class TestGateRules:
         (GateKind.RXX, (0, 1), _NAN, 0, "rxx needs a finite angle"),
         (GateKind.MEASURE_Z, (0,), 0.5, None, "mz takes no angle"),
         (GateKind.RESET, (0,), 0.5, 1, "reset takes no angle"),
+        (GateKind.H, [0, 0], 0.3, 1, "gate qubits must be a tuple, got list "
+                                     "[0, 0]"),
     ])
     def test_first_rule_broken_is_reported(self, kind, qubits, angle, clbit,
                                            message):

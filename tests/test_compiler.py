@@ -1,6 +1,8 @@
 import hashlib
+import heapq
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -9,8 +11,9 @@ from icecomp.bench import compile_mode
 from icecomp.circuit import (CircuitError, ComponentRole, GateKind,
                              two_qubit_depth)
 from icecomp.compiler import (EXPANSION_WIDTH, CompileConfig, CompileError,
-                              ExecutableGraph, GadgetSet, SearchNode,
-                              _build_task, _GateComp, _is_done,
+                              EncodedCircuit, ExecutableGraph, GadgetSet,
+                              SearchNode, _build_task, _emit, _GateComp,
+                              _is_done,
                               _matchings, _schedule_chunk,
                               build_executable_graph,
                               build_uncompiled_graph, compile_baseline,
@@ -19,7 +22,7 @@ from icecomp.compiler import (EXPANSION_WIDTH, CompileConfig, CompileError,
                               source_node, syndrome_insertion_points,
                               write_encoded)
 from icecomp.matching import max_weight_matching
-from icecomp.maxcut import (GraphKind, QaoaParams, build_qaoa,
+from icecomp.maxcut import (GraphKind, ProblemGraph, QaoaParams, build_qaoa,
                             generate_instance, make_graph, ramp_params)
 from icecomp.simulator import (exact_logical_distribution, total_variation,
                                unencoded_distribution)
@@ -940,3 +943,188 @@ class TestOracles:
             assert exe.forced_qubits == ref.forced_qubits
             assert _matchings(exe, EXPANSION_WIDTH) == \
                 reference_matchings(ref, EXPANSION_WIDTH, ref.forced_qubits)
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the search loop as it was before lazy children, kept word for
+# word but for its name.  It pushes every child of each expansion, so its
+# pop order is the one the lazy search must keep.
+# ---------------------------------------------------------------------------
+
+def reference_compile_cooptimized(graph: ProblemGraph, params: QaoaParams,
+                                  cfg: CompileConfig) -> EncodedCircuit:
+    task = _build_task(graph, params, cfg)
+    start = source_node(task)
+    counter = itertools.count()
+    heap: list[tuple] = [(start.f, start.h, -start.g, next(counter), start)]
+    seen: set = set()
+    expanded = 0
+    # the heap cannot run empty: a popped node that is not the goal has
+    # children (expand raises otherwise), each a layer further on, so every
+    # path of states from `start` ends at the goal
+    while True:
+        _, _, _, _, node = heapq.heappop(heap)
+        if node.progress in seen:
+            continue
+        seen.add(node.progress)
+        if is_goal(node) or expanded == cfg.queue_cap:
+            break
+        expanded += 1
+        for child in expand(node):
+            if child.progress not in seen:
+                heapq.heappush(heap, (child.f, child.h, -child.g,
+                                      next(counter), child))
+    exhausted = not is_goal(node)
+    # out of budget: greedy rollout from the node the search stopped on
+    while not is_goal(node):
+        node = expand(node, width=1)[0]
+    enc = _emit(node)
+    enc.meta["expanded_nodes"] = expanded
+    enc.meta["budget_exhausted"] = exhausted
+    enc.meta["h_source"] = start.h
+    return enc
+
+
+def _search_instances():
+    """(id, graph, params, cfg) of every SEARCH_CASES case, criterion 7's
+    k=10 instance at s=1 and 2 and the dense ER instance of TestGolden, the
+    last two in each co-compile mode; queue_cap is set by the caller."""
+    out = []
+    for kind, k, density, p, s, gs, resynth, z2 in SEARCH_CASES:
+        out.append((f"{kind.value}-{k}-{density}-p{p}-s{s}-{gs.value}"
+                    f"-{resynth}-{z2}",
+                    generate_instance(kind, k, density=density, seed=0),
+                    ramp_params(p), CompileConfig(
+                        num_syndromes=s, gadget_set=gs,
+                        resynthesize=resynth, use_z2=z2)))
+    criterion_7 = generate_instance(GraphKind.REGULAR_3, 10, seed=0)
+    dense = generate_instance(GraphKind.ERDOS_RENYI, 10, density=0.8, seed=0)
+    for mode in ("plain", "resynth", "resynth+z2"):
+        modal = dict(gadget_set=GadgetSet.NEW, resynthesize=mode != "plain",
+                     use_z2=mode == "resynth+z2")
+        for s in (1, 2):
+            out.append((f"criterion7-s{s}-{mode}", criterion_7,
+                        ramp_params(3),
+                        CompileConfig(num_syndromes=s, **modal)))
+        out.append((f"dense-{mode}", dense, ramp_params(2),
+                    CompileConfig(num_syndromes=1, **modal)))
+    return out
+
+
+SEARCH_INSTANCES = _search_instances()
+QUEUE_CAPS = [0, 1, 40, 200]
+
+
+def _untimed(meta):
+    return {k: v for k, v in meta.items() if not k.endswith("_seconds")}
+
+
+class TestLazyChildren:
+    """The lazy search compiles what the eager one did, and the bound it
+    keys a node's unmade children by is below every child's key."""
+
+    @pytest.mark.parametrize("cap", QUEUE_CAPS)
+    @pytest.mark.parametrize("case", SEARCH_INSTANCES,
+                             ids=[c[0] for c in SEARCH_INSTANCES])
+    def test_matches_eager_search(self, monkeypatch, case, cap):
+        _, g, params, cfg = case
+        cfg = replace(cfg, queue_cap=cap)
+        made = []
+        apply_layer = compiler._apply_layer
+
+        def counting(node, items):
+            made.append(node)
+            return apply_layer(node, items)
+
+        monkeypatch.setattr(compiler, "_apply_layer", counting)
+        want = reference_compile_cooptimized(g, params, cfg)
+        eager = len(made)
+        made.clear()
+        got = compile_cooptimized(g, params, cfg)
+        assert write_encoded(got) == write_encoded(want)
+        assert _untimed(got.meta) == _untimed(want.meta)
+        assert len(made) <= eager
+
+    @pytest.mark.parametrize("cap", QUEUE_CAPS)
+    @pytest.mark.parametrize("case", SEARCH_INSTANCES,
+                             ids=[c[0] for c in SEARCH_INSTANCES])
+    def test_bound_below_every_child(self, monkeypatch, case, cap):
+        # every child the eager search makes, popped or not: a check on
+        # the children the lazy search makes alone would miss a child that
+        # breaks the bound and so is never made
+        _, g, params, cfg = case
+        checked = []
+
+        def bounded(node, width=EXPANSION_WIDTH):
+            children = compiler.expand(node, width)
+            if width == EXPANSION_WIDTH:
+                hb = children.bound()
+                key = (node.g + 1 + hb, hb, -(node.g + 1))
+                for child in children:
+                    assert (child.f, child.h, -child.g) >= key
+                    checked.append(child)
+            return children
+
+        monkeypatch.setitem(globals(), "expand", bounded)
+        reference_compile_cooptimized(g, params, replace(cfg, queue_cap=cap))
+        assert len(checked) >= EXPANSION_WIDTH * cap // 2
+
+    @pytest.mark.parametrize("gs", list(GadgetSet))
+    @pytest.mark.parametrize("k", [6, 10, 22])
+    def test_bound_counts_a_z2_resplit_on_the_other_anchor(self, k, gs):
+        # a syndrome gadget left with its couplings of b, before a full z2
+        # mixer layer: the layer that runs a mixer on t and a syndrome gate
+        # on b takes 2 from b, as the z2 split of an even mixer count moves
+        # the mixer's load off b whichever anchor it ran on
+        g = generate_instance(GraphKind.REGULAR_3, k, seed=0)
+        task = _build_task(g, ramp_params(1), CompileConfig(
+            num_syndromes=1, gadget_set=gs, use_z2=True))
+        b = task.layout.b
+        progress = []
+        for comp in task.components:
+            if comp.role is ComponentRole.SYNDROME:
+                progress.append(frozenset(
+                    i for i, options in enumerate(comp.qubits)
+                    if b in options[0]))
+            elif comp.role is ComponentRole.MIXER_LAYER:
+                progress.append(frozenset(range(len(comp.qubits))))
+            else:
+                progress.append(frozenset())
+        assert [c.role for c in task.components] == [
+            ComponentRole.INIT, ComponentRole.PHASE_LAYER,
+            ComponentRole.SYNDROME, ComponentRole.MIXER_LAYER]
+        node = SearchNode(task, tuple(progress), 0, 0, None, ())
+        node.h = heuristic_cost(node)
+        assert node.deg[b] == node.deg[task.layout.t] + 2 == node.h
+        children = expand(node)
+        hb = children.bound()
+        assert min(child.h for child in children) == hb == node.h - 2
+
+    def test_children_made_as_indexed(self, monkeypatch):
+        g = generate_instance(GraphKind.ERDOS_RENYI, 10, density=0.8, seed=0)
+        task = _build_task(g, ramp_params(2), CompileConfig(num_syndromes=1))
+        made = []
+        apply_layer = compiler._apply_layer
+
+        def recording(node, items):
+            made.append(items)
+            return apply_layer(node, items)
+
+        monkeypatch.setattr(compiler, "_apply_layer", recording)
+        node = source_node(task)
+        while len(_matchings(build_executable_graph(node),
+                             EXPANSION_WIDTH)) < EXPANSION_WIDTH:
+            node = expand(node, width=1)[0]
+        made.clear()
+        children = expand(node)
+        assert made == []
+        second = children[1]
+        assert len(made) == 2
+        assert children[-1] is children[2] and len(made) == 3
+        with pytest.raises(IndexError):
+            children[3]
+        exe = build_executable_graph(node)
+        layers = _matchings(exe, EXPANSION_WIDTH)
+        assert made == [tuple(exe.forced) + tuple(exe.edges[p] for p in layer)
+                        for layer in layers]
+        assert list(children) == [children[0], second, children[2]]

@@ -205,3 +205,51 @@ def test_int_and_float_weights_give_one_matching():
 def test_empty_and_single_edge():
     assert max_weight_matching([]) == []
     assert max_weight_matching([(7, 3, 1.5)]) == [(7, 3)]
+
+
+def _matching_graph(rng, size, extra):
+    """`size` disjoint edges on relabelled vertices, each written either way
+    round, shuffled, then `extra` more edges between their vertices at
+    random places: a graph whose vertices all lie on one edge when `extra`
+    is 0."""
+    label = rng.sample(range(1000), 2 * size)
+    edges = []
+    for i in range(size):
+        a, b = label[2 * i], label[2 * i + 1]
+        if rng.random() < 0.5:
+            a, b = b, a
+        edges.append((a, b, float(rng.randint(1, 6))))
+    rng.shuffle(edges)
+    pairs = {frozenset(e[:2]) for e in edges}
+    while extra:
+        a, b = rng.sample(label, 2)
+        if frozenset((a, b)) not in pairs:
+            pairs.add(frozenset((a, b)))
+            edges.insert(rng.randrange(len(edges) + 1),
+                         (a, b, rng.randint(1, 12) / 2))
+            extra -= 1
+    return edges
+
+
+def test_perfect_matchings_are_their_own_optimum():
+    # every vertex on one edge: the matcher returns the edges as given,
+    # which is networkx's matching and the order the blossom gives the
+    # same edges beside a triangle on new vertices (where it runs)
+    rng = random.Random(36)
+    for _ in range(300):
+        edges = _matching_graph(rng, rng.randint(1, 20), 0)
+        out = max_weight_matching(edges)
+        assert out == [(a, b) for a, b, _ in edges]
+        assert _pairs(out) == reference(edges)
+        triangle = [(1001, 1002, 2.0), (1002, 1003, 3.0), (1001, 1003, 1.0)]
+        blossom = max_weight_matching(edges + triangle)
+        assert blossom == out + [(1002, 1003)]
+
+
+def test_partial_matchings_match_networkx():
+    # a matching with a few edges more between its vertices: some vertex is
+    # on two edges, so the blossom runs
+    rng = random.Random(3636)
+    for _ in range(300):
+        edges = _matching_graph(rng, rng.randint(2, 20), rng.randint(1, 4))
+        assert _pairs(max_weight_matching(edges)) == reference(edges)
