@@ -10,6 +10,7 @@ to its CSV.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import os
 import random
@@ -158,37 +159,40 @@ def cmd_verify_ft(args) -> int:
     kind = GadgetKind(args.gadget)
     rng = random.Random(args.seed)
     n = args.k + 2
-    orders = [None]
-    for _ in range(args.perms):
-        orders.append(tuple(rng.sample(range(n), n)))
+    path = _out(args, "csv")
     try:
-        gadgets = [(order, build_gadget(kind, args.k, order))
-                   for order in orders]
-        _open_outputs(args, _out(args, "csv"))
-    except ValueError as exc:   # a k this gadget kind cannot take
-        return _fail("verify-ft", exc)  # (GadgetError), or an unwritable CSV
-    rows = []
+        # the default order first: a k this gadget kind cannot take
+        # (GadgetError) fails before any output, as does an unwritable CSV
+        gadget = build_gadget(kind, args.k)
+        _open_outputs(args, path)
+    except ValueError as exc:
+        return _fail("verify-ft", exc)
     failures = 0
-    for order, gadget in gadgets:
-        summary = check_gadget_ft(gadget)
-        tag = "PASS" if summary.passed else "FAIL"
-        if not summary.passed:
-            failures += 1
-        label = "default" if order is None else ",".join(map(str, order))
-        print(f"{kind.value} k={args.k} order={label}: {tag} "
-              f"({summary.total} faults, {summary.num_logical} logical escapes)")
-        if args.csv:
-            for rep in fault_reports(gadget.fragment,
-                                     context_for_gadget(gadget)):
-                loc = rep.location
-                rows.append([label, loc.gate_index,
-                             loc.describe(gadget.fragment),
-                             rep.classification.value])
-    if args.csv:
-        with open(_out(args, "csv"), "w", newline="") as fh:
-            w = csv.writer(fh)
+    with contextlib.ExitStack() as stack:
+        if path:
+            w = csv.writer(stack.enter_context(open(path, "w", newline="")))
             w.writerow(["order", "gate_index", "fault", "classification"])
-            w.writerows(rows)
+        # one order at a time, so that a long run holds one gadget
+        for p in range(args.perms + 1):
+            label = "default"
+            if p:
+                order = tuple(rng.sample(range(n), n))
+                gadget = build_gadget(kind, args.k, order)
+                label = ",".join(map(str, order))
+            summary = check_gadget_ft(gadget)
+            tag = "PASS" if summary.passed else "FAIL"
+            if not summary.passed:
+                failures += 1
+            print(f"{kind.value} k={args.k} order={label}: {tag} "
+                  f"({summary.total} faults, "
+                  f"{summary.num_logical} logical escapes)")
+            if path:
+                frag = gadget.fragment
+                w.writerows([label, rep.location.gate_index,
+                             rep.location.describe(frag),
+                             rep.classification.value]
+                            for rep in fault_reports(
+                                frag, context_for_gadget(gadget)))
     return 1 if failures else 0
 
 

@@ -84,6 +84,12 @@ gate's 3 or 15 faults with XORs of its 2 or 4 entries and two ANDs each.
 responses.  `classify_terminal` applies the same sigma to an unpacked
 frame; gadget fragments contain no rotations, so for them the frame is
 plain Clifford propagation.
+
+The context, sigma and the unit images depend on a gadget's kind, k,
+checks and decode map, not on its implicit order, and a search certifies
+many orders of one family.  So `check_gadget_ft` builds them once per
+family and keeps them in a small bounded cache (`_family_context`), keyed
+by all they read; a gadget whose maps cannot be hashed gets fresh ones.
 """
 
 from __future__ import annotations
@@ -434,6 +440,7 @@ class Projection:
             for c in bits:
                 columns[1 << c] = columns.get(1 << c, 0) ^ 1 << b
         self.used = sum(columns)
+        self._units: dict[tuple[int, int], tuple[list, list, list]] = {}
 
     def packed(self, n: int, cl: int, rot: int) -> Callable[[int], int]:
         """sigma on a response packed as `_Sweep` packs it: the terminal x
@@ -469,14 +476,20 @@ class Projection:
         `n` qubits and `clbits` clbits of a packing (`packed`), in closed
         form: X_q (Z_q) of a data qubit sets the x (z) parity and its folded
         mask, 1 << q, or every data bit but bit 0 for q = 0; X_q and Z_q of
-        other qubits set nothing, and a flip of clbit c sets its column."""
-        m, nc = self.n, self.nc
-        folds = [1 << q if q else (1 << m) - 2 for q in range(min(n, m))] \
-            if self.reads_terminal else []
-        pad = [0] * (n - len(folds))
-        return ([1 << nc | f << nc + 1 for f in folds] + pad,
+        other qubits set nothing, and a flip of clbit c sets its column.
+        Built once per (n, clbits); the lists are shared, and read only
+        (`_Sweep.run` copies them before it writes)."""
+        units = self._units.get((n, clbits))
+        if units is None:
+            m, nc = self.n, self.nc
+            folds = [1 << q if q else (1 << m) - 2
+                     for q in range(min(n, m))] if self.reads_terminal else []
+            pad = [0] * (n - len(folds))
+            units = self._units[n, clbits] = (
+                [1 << nc | f << nc + 1 for f in folds] + pad,
                 [2 << nc | f << nc + m for f in folds] + pad,
                 [self.columns.get(1 << c, 0) for c in range(clbits)])
+        return units
 
     @cached_property
     def _fields_sigma(self) -> Callable[[int], int]:
@@ -544,7 +557,8 @@ def classify_terminal(terminal: PauliString, flips: frozenset[int],
 # Enumeration
 # ---------------------------------------------------------------------------
 
-_SINGLE = ("X", "Y", "Z")
+# the (x, z) bits of I, X, Y and Z on one qubit
+_IXYZ = ((0, 0), (1, 0), (1, 1), (0, 1))
 
 
 def _two_qubit_paulis(a: int, b: int):
@@ -558,16 +572,23 @@ def _two_qubit_paulis(a: int, b: int):
 
 
 def _locations_at(i: int, g: Gate) -> list[FaultLocation]:
-    """The faults after gate `g` at index `i`, in enumeration order."""
+    """The faults after gate `g` at index `i`, in enumeration order: a
+    measurement's clbit flip, or the non-identity Paulis on the gate's
+    qubits, each qubit's letter in the order I, X, Y, Z and the first
+    qubit's most significant (X, Y, Z; IX, IY, ..., ZZ), built from their
+    masks."""
     if g.kind is GateKind.BARRIER:
         return []
     if g.kind.measurement:
         return [FaultLocation(i, flip_bit=g.clbit)]
     qs = g.qubits
     if len(qs) == 1:
-        return [FaultLocation(i, PauliString.from_ops([(qs[0], p)]))
-                for p in _SINGLE]
-    return [FaultLocation(i, pauli) for _, pauli in _two_qubit_paulis(*qs)]
+        m = 1 << qs[0]
+        return [FaultLocation(i, PauliString(x * m, z * m))
+                for x, z in _IXYZ[1:]]
+    a, b = 1 << qs[0], 1 << qs[1]
+    return [FaultLocation(i, PauliString(xa * a | xb * b, za * a | zb * b))
+            for xa, za in _IXYZ for xb, zb in _IXYZ if xa | za | xb | zb]
 
 
 def enumerate_fault_locations(circuit: PhysicalCircuit) -> list[FaultLocation]:
@@ -622,16 +643,48 @@ _BY_CODE = (FaultClass.DETECTED_BY_CHECK, FaultClass.LOGICAL_ERROR,
             FaultClass.STABILIZER_EQUIVALENT)
 
 
+_MAX_FAMILIES = 64      # family contexts kept; when full, all are dropped
+_FAMILIES: dict[tuple, tuple[VerifyContext, Projection]] = {}
+
+
+def _family_context(gadget: Gadget) -> tuple[VerifyContext, Projection]:
+    """`context_for_gadget(gadget)` and its projection, one per family: the
+    orders of a kind at one k share the context, the projection and the
+    unit images `Projection.units` keeps.  The key holds all that these
+    read: the kind's role, k, the fragment's qubit and clbit counts, the
+    checks, and the decode items in order.  A gadget whose checks or decode
+    cannot be hashed (a `ParityCheck` over a `set`) gets a fresh context."""
+    frag, decode = gadget.fragment, gadget.decode
+    # the role as the (harmless, trailing) pair it sets, whose strs hash
+    # at C speed
+    key = (_ROLE_CONTEXT[gadget_role(gadget.kind)], gadget.layout.k,
+           frag.num_qubits, frag.num_clbits, gadget.checks,
+           None if decode is None else tuple(decode.items()))
+    try:
+        family = _FAMILIES.get(key)
+    except TypeError:       # an unhashable check or decode set
+        ctx = context_for_gadget(gadget)
+        return ctx, ctx.projection
+    if family is None:
+        ctx = context_for_gadget(gadget)
+        family = ctx, ctx.projection
+        if len(_FAMILIES) >= _MAX_FAMILIES:
+            _FAMILIES.clear()
+        _FAMILIES[key] = family
+    return family
+
+
 def check_gadget_ft(gadget: Gadget) -> FtSummary:
     """Exhaustive single-fault enumeration over one gadget fragment, from
     one backward sweep in detector space: the sweep carries sigma-images of
     the responses (`_Sweep` with the context's projection), so each fault's
     projection is an XOR of a gate's 2 or 4 entries and its verdict two
-    ANDs (module docstring).  A failing gadget's escapes are the logical
-    reports of `fault_reports`."""
+    ANDs (module docstring).  The context, its projection and the sweep's
+    unit images come once per family (`_family_context`), so a search over
+    the orders of one kind and k builds them once.  A failing gadget's
+    escapes are the logical reports of `fault_reports`."""
     circuit = gadget.fragment
-    ctx = context_for_gadget(gadget)
-    proj = ctx.projection
+    ctx, proj = _family_context(gadget)
     det, log = proj.det, proj.log
     # verdicts as indices into _BY_CODE, in enumeration order, as bytes so
     # that they are counted and found at C speed

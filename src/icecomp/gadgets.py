@@ -21,15 +21,24 @@ classical maps are keyed by measured qubit and need no adaptation.
 Initialization prepares the logical |+...+> state (the X-basis GHZ state),
 which is what QAOA consumes: the transversal Hadamard that turns the
 Z-basis GHZ recipe into the X-basis one is pulled into qubit preparation.
+
+A search certifies thousands of orders of one gadget family, so a build
+makes no gate and no layout it has made before.  A `Gate` is frozen and
+hashes its fields, so every fragment may hold the same one: the builders
+append gates from per-kind tables of validated gates (`_Shared`, keyed by
+qubits and clbit, component 0), and `_layout` builds one `IcebergLayout`
+per k.  Each fragment keeps its own gate list.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Callable, Sequence
 
-from .circuit import ComponentRole, PhysicalCircuit
+from .circuit import ComponentRole, Gate, GateKind, PhysicalCircuit
 
 
 class GadgetError(ValueError):
@@ -104,6 +113,9 @@ def gadget_role(kind: GadgetKind) -> ComponentRole:
 
 
 def _normalize_order(layout: IcebergLayout, order) -> tuple[int, ...]:
+    """The order as a tuple of ints; GadgetError unless it permutes the
+    data qubits.  Each entry equals a data qubit, so `int` keeps its value,
+    and the shared gates are keyed, and built, on plain ints."""
     if order is None:
         return layout.default_order()
     order = tuple(order)
@@ -111,14 +123,58 @@ def _normalize_order(layout: IcebergLayout, order) -> tuple[int, ...]:
         raise GadgetError(
             f"implicit order must permute the {layout.n} data qubits, got {order}"
         )
-    return order
+    return tuple(map(int, order))
+
+
+@lru_cache(maxsize=32, typed=True)
+def _layout(k: int) -> IcebergLayout:
+    """`IcebergLayout(k)` at k as a plain int, so that the shared gates
+    hold plain ints, built once per k.  `typed`, so that 4.0 is not taken
+    for 4 but raises TypeError ("'float' object cannot be interpreted as
+    an integer"), as the layout's `range` did; a raised error is not
+    cached."""
+    return IcebergLayout(operator.index(k))
+
+
+_MAX_SHARED = 1 << 14     # gates kept per table; past that, a miss is fresh
+
+
+class _Shared(dict):
+    """The fragment gates of one kind, by key: the gate's qubit, its
+    (control, target) pair, or its (qubit, clbit) for a measurement.  A
+    missing key builds, and so validates, its `Gate` (component 0) once per
+    process; at most `_MAX_SHARED` are kept, and past that a miss returns a
+    fresh gate.  One table per kind, so that no key holds an Enum member,
+    whose hash runs in Python."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make: Callable[..., Gate]):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key) -> Gate:
+        gate = self.make(key)
+        if len(self) < _MAX_SHARED:
+            self[key] = gate
+        return gate
+
+
+_CX = _Shared(lambda ct: Gate(GateKind.CNOT, ct))
+_H = _Shared(lambda q: Gate(GateKind.H, (q,)))
+_X = _Shared(lambda q: Gate(GateKind.X, (q,)))
+_RESET = _Shared(lambda q: Gate(GateKind.RESET, (q,)))
+_MZ = _Shared(lambda qc: Gate(GateKind.MEASURE_Z, qc[:1], None, qc[1]))
+_MX = _Shared(lambda qc: Gate(GateKind.MEASURE_X, qc[:1], None, qc[1]))
 
 
 def _fragment(layout: IcebergLayout, num_clbits: int, role: ComponentRole
-              ) -> PhysicalCircuit:
-    frag = PhysicalCircuit(num_qubits=layout.num_qubits, num_clbits=num_clbits)
-    frag.begin_component(0, role)
-    return frag
+              ) -> tuple[PhysicalCircuit, list[Gate]]:
+    """An empty fragment with one component, 0 in `role`, and its own gate
+    list, which the builder fills."""
+    gates: list[Gate] = []
+    return PhysicalCircuit(layout.num_qubits, num_clbits, gates,
+                           {0: role}), gates
 
 
 # ---------------------------------------------------------------------------
@@ -133,21 +189,15 @@ def init_old(k: int, implicit_order: Sequence[int] | None = None) -> Gadget:
     ancilla verifies the X parity of the staircase's two extremes (root and
     final qubit), which any mid-staircase phase fault flips.
     """
-    layout = IcebergLayout(k)
+    layout = _layout(k)
     order = _normalize_order(layout, implicit_order)
-    frag = _fragment(layout, 1, ComponentRole.INIT)
+    frag, gates = _fragment(layout, 1, ComponentRole.INIT)
     root, end = order[0], order[-1]
-    for q in order[1:]:
-        frag.h(q)
-    for i in range(1, layout.n):
-        frag.cx(order[i], order[i - 1])
+    gates += [_H[q] for q in order[1:]]
+    gates += [_CX[order[i], order[i - 1]] for i in range(1, layout.n)]
     anc = layout.ancilla0
-    frag.reset(anc)
-    frag.h(anc)
-    frag.cx(anc, end)
-    frag.cx(anc, root)
-    frag.h(anc)
-    frag.mz(anc, 0)
+    gates += [_RESET[anc], _H[anc], _CX[anc, end], _CX[anc, root], _H[anc],
+              _MZ[anc, 0]]
     return Gadget(GadgetKind.INIT_OLD, layout, order, frag,
                   checks=(ParityCheck(frozenset({0})),))
 
@@ -160,27 +210,22 @@ def init_new(k: int, implicit_order: Sequence[int] | None = None) -> Gadget:
     measures the X parity of the two branch ends, catching the phase faults
     that a single staircase would let escape down one branch.
     """
-    layout = IcebergLayout(k)
+    layout = _layout(k)
     order = _normalize_order(layout, implicit_order)
     n = layout.n
     half = n // 2
-    branch_a = list(order[:half])
-    branch_b = list(order[n - 1: half - 1: -1])  # root at order[-1]
+    branch_a = order[:half]
+    branch_b = order[n - 1: half - 1: -1]  # root at order[-1]
     end_a, end_b = branch_a[-1], branch_b[-1]
-    frag = _fragment(layout, 1, ComponentRole.INIT)
-    for q in order[1:]:
-        frag.h(q)
-    frag.cx(branch_b[0], branch_a[0])
+    frag, gates = _fragment(layout, 1, ComponentRole.INIT)
+    gates += [_H[q] for q in order[1:]]
+    gates.append(_CX[branch_b[0], branch_a[0]])
     for d in range(1, half):
-        frag.cx(branch_a[d], branch_a[d - 1])
-        frag.cx(branch_b[d], branch_b[d - 1])
+        gates += [_CX[branch_a[d], branch_a[d - 1]],
+                  _CX[branch_b[d], branch_b[d - 1]]]
     anc = layout.ancilla0
-    frag.reset(anc)
-    frag.h(anc)
-    frag.cx(anc, end_a)
-    frag.cx(anc, end_b)
-    frag.h(anc)
-    frag.mz(anc, 0)
+    gates += [_RESET[anc], _H[anc], _CX[anc, end_a], _CX[anc, end_b],
+              _H[anc], _MZ[anc, 0]]
     return Gadget(GadgetKind.INIT_NEW, layout, order, frag,
                   checks=(ParityCheck(frozenset({0})),))
 
@@ -197,28 +242,19 @@ def syndrome_old(k: int, implicit_order: Sequence[int] | None = None) -> Gadget:
     hook fault flip a check or leave an odd-weight (hence detectable)
     residue.
     """
-    layout = IcebergLayout(k)
+    layout = _layout(k)
     order = _normalize_order(layout, implicit_order)
     ax, az = layout.ancilla0, layout.ancilla1
-    frag = _fragment(layout, 2, ComponentRole.SYNDROME)
-    frag.reset(ax)
-    frag.h(ax)
-    frag.reset(az)
+    frag, gates = _fragment(layout, 2, ComponentRole.SYNDROME)
+    gates += [_RESET[ax], _H[ax], _RESET[az]]
     pairs = [(order[i], order[i + 1]) for i in range(0, layout.n, 2)]
     last = len(pairs) - 1
     for idx, (u, v) in enumerate(pairs):
         if idx in (0, last):
-            frag.cx(ax, u)
-            frag.cx(u, az)
-            frag.cx(v, az)
-            frag.cx(ax, v)
+            gates += [_CX[ax, u], _CX[u, az], _CX[v, az], _CX[ax, v]]
         else:
-            frag.cx(ax, u)
-            frag.cx(u, az)
-            frag.cx(ax, v)
-            frag.cx(v, az)
-    frag.mx(ax, 0)
-    frag.mz(az, 1)
+            gates += [_CX[ax, u], _CX[u, az], _CX[ax, v], _CX[v, az]]
+    gates += [_MX[ax, 0], _MZ[az, 1]]
     return Gadget(GadgetKind.SYNDROME_OLD, layout, order, frag,
                   checks=(ParityCheck(frozenset({0})), ParityCheck(frozenset({1}))))
 
@@ -258,19 +294,14 @@ def syndrome_new(k: int, implicit_order: Sequence[int] | None = None) -> Gadget:
     4; otherwise the X-first coupling count is odd and the ancillas end up
     entangled.
     """
-    layout = IcebergLayout(k)
+    layout = _layout(k)
     order = _normalize_order(layout, implicit_order)
     ax, az = layout.ancilla0, layout.ancilla1
-    frag = _fragment(layout, 2, ComponentRole.SYNDROME)
-    frag.reset(ax)
-    frag.h(ax)
-    frag.reset(az)
-    frag.x(az)
+    frag, gates = _fragment(layout, 2, ComponentRole.SYNDROME)
+    gates += [_RESET[ax], _H[ax], _RESET[az], _X[az]]
     for x_slot, z_slot in syndrome_lag_schedule(layout.n):
-        frag.cx(ax, order[x_slot])
-        frag.cx(order[z_slot], az)
-    frag.mx(ax, 0)
-    frag.mz(az, 1)
+        gates += [_CX[ax, order[x_slot]], _CX[order[z_slot], az]]
+    gates += [_MX[ax, 0], _MZ[az, 1]]
     return Gadget(GadgetKind.SYNDROME_NEW, layout, order, frag,
                   checks=(ParityCheck(frozenset({0})),
                           ParityCheck(frozenset({1}), expected=1)))
@@ -297,24 +328,15 @@ def final_old(k: int, implicit_order: Sequence[int] | None = None) -> Gadget:
     the data run catches collector hooks that would otherwise flip an even
     set of readout bits.
     """
-    layout = IcebergLayout(k)
+    layout = _layout(k)
     order = _normalize_order(layout, implicit_order)
     a0, a1 = layout.ancilla0, layout.ancilla1
     n = layout.n
-    frag = _fragment(layout, n + 2, ComponentRole.FINAL_MEAS)
-    frag.reset(a0)
-    frag.reset(a1)
-    frag.h(a0)
-    frag.cx(a0, order[0])
-    frag.cx(a0, a1)
-    for q in order[1:-1]:
-        frag.cx(a0, q)
-    frag.cx(a0, a1)
-    frag.cx(a0, order[-1])
-    frag.mx(a0, n)
-    frag.mz(a1, n + 1)
-    for q in layout.data:
-        frag.mz(q, q)
+    frag, gates = _fragment(layout, n + 2, ComponentRole.FINAL_MEAS)
+    gates += [_RESET[a0], _RESET[a1], _H[a0], _CX[a0, order[0]], _CX[a0, a1]]
+    gates += [_CX[a0, q] for q in order[1:-1]]
+    gates += [_CX[a0, a1], _CX[a0, order[-1]], _MX[a0, n], _MZ[a1, n + 1]]
+    gates += [_MZ[q, q] for q in layout.data]
     data_bits, decode = _final_common(layout)
     checks = (
         ParityCheck(frozenset({n})),        # S_x
@@ -335,18 +357,15 @@ def final_new(k: int, implicit_order: Sequence[int] | None = None) -> Gadget:
     becomes unnecessary.  A leading collector-to-data coupling guards the
     ancilla's own preparation.
     """
-    layout = IcebergLayout(k)
+    layout = _layout(k)
     order = _normalize_order(layout, implicit_order)
     a = layout.ancilla0
     n = layout.n
-    frag = _fragment(layout, n + 1, ComponentRole.FINAL_MEAS)
-    frag.reset(a)
-    frag.cx(a, order[0])
-    for q in order:
-        frag.cx(q, a)
-    frag.mz(a, n)
-    for q in layout.data:
-        frag.mz(q, q)
+    frag, gates = _fragment(layout, n + 1, ComponentRole.FINAL_MEAS)
+    gates += [_RESET[a], _CX[a, order[0]]]
+    gates += [_CX[q, a] for q in order]
+    gates.append(_MZ[a, n])
+    gates += [_MZ[q, q] for q in layout.data]
     data_bits, decode = _final_common(layout)
     checks = (
         ParityCheck(frozenset({n})),        # S_z via the ancilla

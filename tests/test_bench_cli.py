@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import functools
+import hashlib
 import json
 import os
 
@@ -570,6 +571,36 @@ class TestCli:
             build_gadget(GadgetKind.FINAL_NEW, 4).fragment))
         assert len(rows) == 2 * faults
         assert rows[0]["order"] == "default"
+
+    # sha256 of stdout and of the CSV of `verify-ft --k 6 --perms 5
+    # --seed 3`, as written when every order was built before any check
+    VERIFY_FT_DIGESTS = {
+        "init_new": ("e1aeea49b16d4915e94cf6f14986e246"
+                     "d89ddb4b748851164d0c5ebe984d920f",
+                     "a55cf4ed7f122eb783a45b9e3511c20e"
+                     "d77642f8a9861c7989248113db711ce4"),
+        "syndrome_old": ("91b9be8c2e12cf52bab65cd66d77e488"
+                         "e3d37138a19f8f966eabd28ce51e17f1",
+                         "55c25e71cf33aa7dd1b117d0522148ca"
+                         "a968b68d9a6b28c6f76f986c617a5564"),
+        "final_old": ("284bdd8ca549e05111ae1a3c749d3618"
+                      "8f1f2141e56b6f3c030e3e1a8098b6bf",
+                      "6131e5cc0d9aa82dd4bae86b4ca6b2d2"
+                      "629abcab764179b85c743fa249deb92a"),
+    }
+
+    @pytest.mark.parametrize("gadget", sorted(VERIFY_FT_DIGESTS))
+    def test_verify_ft_output_unchanged(self, tmp_path, capsys, gadget):
+        # one order built and checked at a time writes what building them
+        # all first wrote, byte for byte
+        assert main(["--out-dir", str(tmp_path), "verify-ft", "--gadget",
+                     gadget, "--k", "6", "--perms", "5", "--seed", "3",
+                     "--csv", "ft.csv"]) == 0
+        out = capsys.readouterr().out.encode()
+        assert out.count(b"\n") == 6 and out.count(b": PASS (") == 6
+        digests = (hashlib.sha256(out).hexdigest(), hashlib.sha256(
+            (tmp_path / "ft.csv").read_bytes()).hexdigest())
+        assert digests == self.VERIFY_FT_DIGESTS[gadget]
 
     def test_bench_and_report_cli(self, tmp_path):
         out = str(tmp_path)

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from icecomp import faults
 from icecomp.circuit import ComponentRole, Gate, GateKind, PhysicalCircuit
 from icecomp.compiler import (CompileConfig, GadgetSet, compile_baseline,
                               compile_cooptimized)
@@ -12,7 +13,8 @@ from icecomp.faults import (FaultClass, FaultLocation, PauliString,
                             VerifyContext, check_gadget_ft,
                             classify_rotation_faults, classify_terminal,
                             context_for_gadget, enumerate_fault_locations,
-                            _Sweep, _combine, _locations_at, fault_reports,
+                            _Sweep, _combine, _locations_at,
+                            _two_qubit_paulis, fault_reports,
                             propagate_pauli, run_fault)
 from icecomp.gadgets import GadgetKind, IcebergLayout, ParityCheck, build_gadget
 from icecomp.maxcut import GraphKind, generate_instance, ramp_params
@@ -769,3 +771,126 @@ class TestShortcuts:
                 + list(projected.unit_cl) == \
                 [sigma(1 << b) for b in range(full.rot)]
             assert projected.rot == ctx.projection.width
+
+
+def _uncached_check(gadget):
+    """`check_gadget_ft` as it ran before family contexts: the same body on
+    a fresh context, projection and sweep."""
+    circuit = gadget.fragment
+    ctx = context_for_gadget(gadget)
+    proj = ctx.projection
+    det, log = proj.det, proj.log
+    codes = [0 if s & det else 1 if s & log else 2
+             for per in _Sweep(circuit, proj).per_gate() for s in per]
+    classes = (FaultClass.DETECTED_BY_CHECK, FaultClass.LOGICAL_ERROR,
+               FaultClass.STABILIZER_EQUIVALENT)
+    counts = {}
+    for c in codes:
+        counts[classes[c]] = counts.get(classes[c], 0) + 1
+    escapes = [r for r in fault_reports(circuit, ctx) if r.is_logical] \
+        if 1 in codes else []
+    return len(codes), list(counts.items()), escapes
+
+
+def _variants(gadget):
+    """Hand-made gadgets of `gadget`'s kind, k and fragment that differ from
+    it in one way each, by name."""
+    checks, decode = gadget.checks, gadget.decode
+    first = checks[0]
+    out = {
+        "no-last-check": (checks[:-1], decode),
+        "no-first-check": (checks[1:], decode),
+        "flipped-expected": ((ParityCheck(first.bits, first.expected ^ 1),)
+                             + checks[1:], decode),
+        "set-bits": ((ParityCheck(set(first.bits), first.expected),)
+                     + checks[1:], decode),
+    }
+    if decode:
+        items = list(decode.items())
+        (i, bits), (j, _) = items[0], items[1]
+        moved = dict(decode)
+        moved[i] = frozenset(bits - {i} | {j})      # bit i moved to bit j
+        out["reversed-decode"] = (checks, dict(items[::-1]))
+        out["moved-decode-bit"] = (checks, moved)
+        out["set-decode"] = (checks, {**decode, i: set(bits)})
+    return {name: type(gadget)(gadget.kind, gadget.layout,
+                               gadget.implicit_order, gadget.fragment,
+                               checks=c, decode=d)
+            for name, (c, d) in out.items()}
+
+
+def _summary_fields(summary):
+    return summary.total, list(summary.counts.items()), summary.escapes
+
+
+class TestFamilyContext:
+    """`check_gadget_ft` takes its context from a per-family cache; every
+    summary must equal the uncached check's, whatever came before."""
+
+    KINDS_K = [(GadgetKind.INIT_OLD, 4), (GadgetKind.INIT_NEW, 4),
+               (GadgetKind.SYNDROME_OLD, 4), (GadgetKind.SYNDROME_NEW, 6),
+               (GadgetKind.FINAL_OLD, 4), (GadgetKind.FINAL_NEW, 6)]
+
+    @pytest.mark.parametrize("kind, k", KINDS_K)
+    def test_interleaved_variants_equal_uncached(self, kind, k):
+        rng = random.Random(f"family/{kind.value}/{k}")
+        escaped = 0
+        for rounds in range(3):
+            for name, variant in _variants(build_gadget(kind, k)).items():
+                order = tuple(rng.sample(range(k + 2), k + 2))
+                for gadget in (build_gadget(kind, k, order), variant,
+                               build_gadget(kind, k), variant):
+                    got = _summary_fields(check_gadget_ft(gadget))
+                    assert got == _uncached_check(gadget), name
+                    escaped += bool(got[2])
+        assert escaped       # a dropped check lets some faults escape
+
+    def test_one_context_per_family(self):
+        a = build_gadget(GadgetKind.FINAL_NEW, 6)
+        b = build_gadget(GadgetKind.FINAL_NEW, 6, (7, 6, 5, 4, 3, 2, 1, 0))
+        assert faults._family_context(a) is faults._family_context(b)
+        for variant in _variants(a).values():
+            ctx, proj = faults._family_context(variant)
+            assert ctx is not faults._family_context(a)[0]
+            assert proj is ctx.projection
+            assert ctx == context_for_gadget(variant)
+
+    def test_cache_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(faults, "_FAMILIES", {})
+        gadget = build_gadget(GadgetKind.SYNDROME_OLD, 4)
+        for e in range(3 * faults._MAX_FAMILIES):
+            variant = type(gadget)(gadget.kind, gadget.layout,
+                                   gadget.implicit_order, gadget.fragment,
+                                   checks=(ParityCheck(frozenset({0}), e),))
+            assert _summary_fields(check_gadget_ft(variant)) == \
+                _uncached_check(variant)
+            assert 0 < len(faults._FAMILIES) <= faults._MAX_FAMILIES
+
+    def test_units_are_shared_and_left_unchanged(self):
+        gadget = build_gadget(GadgetKind.SYNDROME_NEW, 6)
+        _, proj = faults._family_context(gadget)
+        c = gadget.fragment
+        units = proj.units(c.num_qubits, c.num_clbits)
+        before = [list(u) for u in units]
+        for _ in range(2):
+            check_gadget_ft(gadget)
+        assert proj.units(c.num_qubits, c.num_clbits) is units
+        assert [list(u) for u in units] == before
+
+
+class TestLocationsFromMasks:
+    def test_locations_equal_the_labelled_paulis(self):
+        rng = random.Random(37)
+        for i in range(200):
+            a, b = rng.sample(range(40), 2)
+            one = Gate(rng.choice((GateKind.H, GateKind.X, GateKind.RESET)),
+                       (a,))
+            two = Gate(GateKind.CNOT, (a, b)) if i % 2 else \
+                Gate(GateKind.RZZ, (a, b), 0.5)
+            assert _locations_at(i, one) == [
+                FaultLocation(i, P([(a, p)])) for p in "XYZ"]
+            assert _locations_at(i, two) == [
+                FaultLocation(i, pauli) for _, pauli in _two_qubit_paulis(a, b)]
+        assert _locations_at(3, Gate(GateKind.MEASURE_X, (2,), None, 5)) == \
+            [FaultLocation(3, flip_bit=5)]
+        assert _locations_at(3, Gate(GateKind.BARRIER, (0, 1, 2))) == []

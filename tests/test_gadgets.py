@@ -9,7 +9,8 @@ from icecomp.circuit import ComponentRole, GateKind, PhysicalCircuit, \
 from icecomp.gadgets import (Gadget, GadgetError, GadgetKind, IcebergLayout,
                              build_gadget, final_new, final_old,
                              gadget_cost_table, init_new, init_old,
-                             permute_gadget, syndrome_new, syndrome_old)
+                             permute_gadget, syndrome_lag_schedule,
+                             syndrome_new, syndrome_old)
 from icecomp.simulator import StateVector, exact_bit_distribution, decode_bits
 
 ALL_KINDS = list(GadgetKind)
@@ -179,3 +180,176 @@ class TestFinalDecode:
         lay = g.layout
         for i, bits in g.decode.items():
             assert bits == frozenset({i, lay.b})
+
+
+# ---------------------------------------------------------------------------
+# Shared gates: every fragment equals one built gate by gate
+# ---------------------------------------------------------------------------
+
+def _ref_init(k, order, new):
+    """INIT_OLD (one staircase) or INIT_NEW (two branches), gate by gate."""
+    n = k + 2
+    c = PhysicalCircuit(k + 4, 1)
+    c.begin_component(0, ComponentRole.INIT)
+    for q in order[1:]:
+        c.h(q)
+    if new:
+        a, b = order[:n // 2], order[::-1][:n // 2]
+        c.cx(b[0], a[0])
+        for d in range(1, n // 2):
+            c.cx(a[d], a[d - 1])
+            c.cx(b[d], b[d - 1])
+        ends = a[-1], b[-1]
+    else:
+        for i in range(1, n):
+            c.cx(order[i], order[i - 1])
+        ends = order[-1], order[0]
+    c.reset(n)
+    c.h(n)
+    c.cx(n, ends[0])
+    c.cx(n, ends[1])
+    c.h(n)
+    c.mz(n, 0)
+    return c
+
+
+def _ref_syndrome(k, order, new):
+    """SYNDROME_OLD (paired blocks) or SYNDROME_NEW (lag schedule)."""
+    n = k + 2
+    ax, az = n, n + 1
+    c = PhysicalCircuit(k + 4, 2)
+    c.begin_component(0, ComponentRole.SYNDROME)
+    c.reset(ax)
+    c.h(ax)
+    c.reset(az)
+    if new:
+        c.x(az)
+        for xs, zs in syndrome_lag_schedule(n):
+            c.cx(ax, order[xs])
+            c.cx(order[zs], az)
+    else:
+        for i in range(0, n, 2):
+            u, v = order[i], order[i + 1]
+            c.cx(ax, u)
+            c.cx(u, az)
+            if i in (0, n - 2):
+                c.cx(v, az)
+                c.cx(ax, v)
+            else:
+                c.cx(ax, v)
+                c.cx(v, az)
+    c.mx(ax, 0)
+    c.mz(az, 1)
+    return c
+
+
+def _ref_final(k, order, new):
+    """FINAL_OLD (collector and flag) or FINAL_NEW (one Z collector)."""
+    n = k + 2
+    a0, a1 = n, n + 1
+    c = PhysicalCircuit(k + 4, n + (1 if new else 2))
+    c.begin_component(0, ComponentRole.FINAL_MEAS)
+    if new:
+        c.reset(a0)
+        c.cx(a0, order[0])
+        for q in order:
+            c.cx(q, a0)
+        c.mz(a0, n)
+    else:
+        c.reset(a0)
+        c.reset(a1)
+        c.h(a0)
+        c.cx(a0, order[0])
+        c.cx(a0, a1)
+        for q in order[1:-1]:
+            c.cx(a0, q)
+        c.cx(a0, a1)
+        c.cx(a0, order[-1])
+        c.mx(a0, n)
+        c.mz(a1, n + 1)
+    for q in range(n):
+        c.mz(q, q)
+    return c
+
+
+_REFERENCE = {
+    GadgetKind.INIT_OLD: (_ref_init, False),
+    GadgetKind.INIT_NEW: (_ref_init, True),
+    GadgetKind.SYNDROME_OLD: (_ref_syndrome, False),
+    GadgetKind.SYNDROME_NEW: (_ref_syndrome, True),
+    GadgetKind.FINAL_OLD: (_ref_final, False),
+    GadgetKind.FINAL_NEW: (_ref_final, True),
+}
+
+
+def _fields(gates):
+    return [(g.kind, g.qubits, g.angle, g.clbit, g.component) for g in gates]
+
+
+class TestSharedGates:
+    @pytest.mark.parametrize("k", [2, 4, 6, 10, 22])
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_fragment_equals_fresh_reference(self, kind, k):
+        if not valid(kind, k):
+            with pytest.raises(GadgetError, match="divisible by 4"):
+                build_gadget(kind, k)
+            return
+        build, new = _REFERENCE[kind]
+        rng = random.Random(f"{kind.value}/{k}")
+        orders = [None] + [tuple(rng.sample(range(k + 2), k + 2))
+                           for _ in range(20)]
+        for order in orders:
+            g = build_gadget(kind, k, order)
+            ref = build(k, g.implicit_order, new)
+            frag = g.fragment
+            assert g.implicit_order == (order or tuple(range(k + 2)))
+            assert (frag.num_qubits, frag.num_clbits, frag.components) == \
+                (ref.num_qubits, ref.num_clbits, ref.components)
+            assert _fields(frag.gates) == _fields(ref.gates)
+            assert frag.gates == ref.gates
+            assert [hash(x) for x in frag.gates] == \
+                [hash(x) for x in ref.gates]
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_builds_share_gates_but_no_gate_list(self, kind):
+        first, second = build_gadget(kind, 6), build_gadget(kind, 6)
+        assert first.fragment.gates is not second.fragment.gates
+        assert all(a is b for a, b in zip(first.fragment.gates,
+                                           second.fragment.gates))
+        first.fragment.h(0)
+        first.fragment.gates.pop(0)
+        build, new = _REFERENCE[kind]
+        ref = build(6, tuple(range(8)), new).gates
+        assert _fields(build_gadget(kind, 6).fragment.gates) == _fields(ref)
+        assert _fields(second.fragment.gates) == _fields(ref)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("k", [3, 5, 0, -2, 1])
+    def test_bad_k_raises_after_good_builds(self, kind, k):
+        build_gadget(kind, 4 if valid(kind, 4) else 6)
+        with pytest.raises(GadgetError, match="k must be even and >= 2"):
+            build_gadget(kind, k)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_float_k_raises_even_when_its_int_was_built(self, kind):
+        for k in (4.0, 6.0):
+            if valid(kind, int(k)):
+                build_gadget(kind, int(k))
+            with pytest.raises(TypeError, match="'float' object cannot be "
+                               "interpreted as an integer"):
+                build_gadget(kind, k)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_numpy_k_and_order_build_plain_ints(self, kind):
+        # the shared gates must hold plain ints, whatever int type a build
+        # was given first: a numpy int shifted past bit 63 would wrap
+        k = np.int64(6)
+        order = np.array([3, 1, 0, 2, 7, 5, 4, 6])
+        for g in (build_gadget(kind, k), build_gadget(kind, k, order)):
+            assert g.layout == IcebergLayout(6) and type(g.layout.k) is int
+            assert all(type(q) is int for q in g.implicit_order)
+            assert all(type(q) is int for x in g.fragment.gates
+                       for q in x.qubits)
+            assert all(x.clbit is None or type(x.clbit) is int
+                       for x in g.fragment.gates)
+        assert g.implicit_order == (3, 1, 0, 2, 7, 5, 4, 6)
