@@ -27,9 +27,9 @@ from .faults import check_gadget_ft, context_for_gadget, fault_reports
 from .gadgets import GadgetKind, build_gadget
 from .maxcut import (GraphKind, cut_value, generate_instance, ramp_params,
                      read_graph, read_params, write_graph, write_params)
-from .simulator import (NoiseModel, SimulatorError, _check_width,
-                        post_selection_rate, read_noise, sample_shots,
-                        write_noise)
+from .simulator import (DEFAULT_QUBIT_CAP, NoiseModel, SimulatorError,
+                        _check_width, post_selection_rate, read_noise,
+                        sample_shots, write_noise)
 
 
 def _int_at_least(lo: int):
@@ -363,8 +363,10 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--csv")
     v.set_defaults(func=cmd_verify_ft)
 
-    s = sub.add_parser("simulate", help="noisy sampling, most shots decided "
-                       "by their Pauli frame")
+    s = sub.add_parser("simulate", help="noisy sampling: a certified "
+                       "circuit's shots decided by their Pauli frame, any "
+                       "other's run as dense trajectories up to "
+                       f"{DEFAULT_QUBIT_CAP} qubits")
     s.add_argument("--circuit", required=True)
     s.add_argument("--noise")
     s.add_argument("--graph")

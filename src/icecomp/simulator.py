@@ -18,9 +18,9 @@ PCG64 states, and one generator is pointed at each shot in turn by setting
 its state.  A circuit's noise sites form one site table (_SiteTable): its
 Pauli sites, numbered once in traversal order, and its readouts.  Both
 samplers run one shot loop (_sample) over a plan, whose site table it
-draws, and a reading of the plan: its noiseless distribution, its guard
-and its logical model (an unencoded plan is its own reading).  A shot
-draws, in this order:
+draws, and a reading of the plan: its noiseless table, its guard and its
+logical model, or none of them (an unencoded plan is its own reading).  A
+shot of a reading with a guard draws, in this order:
 
   1. its events: one uniform per site, family by family (p2, p1, p_meas,
      p_idle), each family in traversal order.  p2 covers the two-qubit
@@ -45,15 +45,11 @@ draws, in this order:
 The record is that outcome XOR the frame's flips XOR the fired readouts'
 flips, as Stim's frame sampler gives a shot a noiseless sample XOR its
 frame's flips; a clbit measured twice keeps its last write, and that
-measurement's flip.  A shot with no fired Pauli site and no injected
-Pauli has the noiseless frame, so it picks, guard or no guard, unless its
-reading has no table to pick from (The two readings).  A shot with a
-fired Pauli site or an injected Pauli whose reading has no guard, and
-every shot of a reading with no table, runs, in place of steps 2 and 3,
-its whole trajectory from |0...0>, its stream started again
-(_ShotPlan.trajectory), which draws the same events, then, in traversal
-order, one uniform per measurement and reset (StateVector.measure/reset)
-and one Pauli code per fired site.
+measurement's flip.  A shot of a reading with no guard (The two
+readings) runs, in place of all three steps, its whole trajectory from
+|0...0> (_ShotPlan.trajectory), which draws the same events, then, in
+traversal order, one uniform per measurement and reset
+(StateVector.measure/reset) and one Pauli code per fired site.
 
 Unencoded shots.  After its Hadamard layer every gate of the unencoded
 circuit is a Pauli rotation, so a Pauli fired after a step reaches the end
@@ -88,17 +84,12 @@ every rotation has the logical model's form (_model_ops).
     decides every shot (Encoded shots).  The only state is the model's
     k-qubit one, so such a circuit samples whatever its width up to k =
     DEFAULT_QUBIT_CAP.
-  * Uncertified: no guard and no model.  A shot with a fired Pauli site
-    or an injected Pauli runs its trajectory, and one with neither picks
-    from the dense noiseless outcomes (_bit_distribution, as
-    exact_bit_distribution runs it), built when a shot first needs them:
-    its one pick uniform is the stream every noise-free shot has, where a
-    trajectory would draw one uniform per measurement.  Where those
-    outcomes take more than MAX_BRANCHES mid-circuit branches, which
-    exact_bit_distribution refuses, the reading has no table, and every
-    shot runs its trajectory.  Both need a dense state of the circuit's
-    qubits, so such a reading raises SimulatorError above
-    DEFAULT_QUBIT_CAP qubits.
+  * Uncertified: no guard, no model and no table.  Every shot runs its
+    trajectory, the noise-free ones too, so the sampler builds no dense
+    table of noiseless outcomes; the dense pass (_bit_distribution) is
+    exact_bit_distribution's and exact_logical_distribution's alone.  A
+    trajectory needs a dense state of the circuit's qubits, so such a
+    reading raises SimulatorError above DEFAULT_QUBIT_CAP qubits.
 
 A table of noiseless outcomes is held as arrays (_Outcomes): per entry its
 clbits (a uint8 row) and its probability, the entries in the order sorted()
@@ -133,11 +124,10 @@ Under a certified reading its step 3 uniform gives its record:
     RXX(t or b, q), t = 0 and b = k+1 the top and bottom qubits, as
     X_{q-1} (_model_ops).
 
-Every other shot, one with a fired Pauli site or an injected Pauli under
-an uncertified reading, runs its trajectory, and its record is the
-trajectory's, bit for bit.  So every verdict is the trajectory's, but the
-bits and logical of an accepted shot the frame decides are an exact draw,
-not its trajectory's.
+Under an uncertified reading every shot runs its trajectory, and its
+record is the trajectory's, bit for bit.  So every verdict is the
+trajectory's, but the bits and logical of an accepted shot the frame
+decides are an exact draw, not its trajectory's.
 
 The gate kernels work on the whole array at once, but each amplitude gets
 the same IEEE operations in the same order as in a per-block update (see
@@ -834,8 +824,7 @@ class _ShotPlan(_SiteTable):
     q's last gate before l, or at the circuit start.  A shot draws every
     site's event up front, so its frame is known before any state is
     touched.  Under a certified reading the frame decides every shot;
-    under any other, a shot with a fired Pauli site or an injected Pauli
-    runs its whole `trajectory`."""
+    under any other, every shot runs its whole `trajectory`."""
 
     def __init__(self, circuit: PhysicalCircuit):
         super().__init__()
@@ -947,19 +936,18 @@ class _Reading:
     affine `table`, each entry's logical (`xs`), the noiseless logical
     `model` the table is built from, and the frame `guard`: per check, its
     clbit mask and the flip parity under which it keeps its expected
-    value.  An uncertified one has guard and model None, and its `table`
-    is the dense noiseless outcomes, built when a shot first picks from
-    them, or None past the branch budget.  `cum` is the table's
-    cumulative, from which a shot picks an entry.  `record(i, flips)` is
-    the record of a shot whose bits are entry i with the clbits of `flips`
-    flipped, kept the first time a shot picks entry i unflipped."""
+    value.  An uncertified one has guard, model and table None: every
+    shot of it runs its trajectory.  `cum` is the table's cumulative, from
+    which a shot picks an entry.  `record(i, flips)` is the record of a
+    shot whose bits are entry i with the clbits of `flips` flipped, kept
+    the first time a shot picks entry i unflipped."""
 
     def __init__(self, plan: _ShotPlan, checks: Sequence[ParityCheck],
                  decode: Mapping[int, frozenset[int]] | None):
         self.plan = plan
         self.readout = _Readout(checks, decode, plan.num_clbits)
         self.records: dict[int, ShotRecord] = {}
-        self.guard = self.model = None
+        self.guard = self.model = self.table = None
         ops = _model_ops(plan, decode)
         cert = None if ops is None else \
             plan.clifford.certify(ops, decode, checks)
@@ -976,18 +964,6 @@ class _Reading:
         self.guard = tuple((m, (w0 & m).bit_count() & 1 ^ want)
                            for m, want in zip(self.readout.check_masks,
                                               self.readout.expected))
-
-    @functools.cached_property
-    def table(self) -> "_Outcomes | None":
-        """An uncertified reading's dense noiseless outcomes, or None when
-        their mid-circuit measurements branch past MAX_BRANCHES (a
-        certified one sets its affine table when it is built)."""
-        try:
-            return _bit_distribution(self.plan)
-        except SimulatorError:
-            # the branch budget: the width was checked when the reading
-            # was built
-            return None
 
     @property
     def cum(self) -> np.ndarray:
@@ -1200,20 +1176,18 @@ def sample_shots(circuit: PhysicalCircuit, noise: NoiseModel, shots: int,
     """Noisy sampling of a physical circuit, shot i from its own stream and
     decided by the one shot loop (module docstring: Sampling, and Encoded
     shots).  Where the stabilizer certificate holds for `checks` and
-    `decode`, the Pauli frame decides every shot; otherwise every shot with
-    a fired Pauli site or an injected Pauli runs its trajectory, and so
-    does every shot where the noiseless outcomes branch past MAX_BRANCHES
-    (module docstring: The two readings).  Every verdict is its
-    trajectory's, and so is every record the frame does not decide; a
-    rejected shot the frame decides simulates only the check parities of
-    its bits.  The circuit's
-    _ShotPlan is cached by its content, and the circuit is validated when
-    its plan is built: a circuit with the content of a cached plan is
-    valid.  SimulatorError is raised before a plan is built when the
-    narrowest state the circuit could need exceeds DEFAULT_QUBIT_CAP
-    qubits: the logical model's k when `decode` names logicals 1..k, else
-    the circuit's own; and when its reading is built, if the certificate
-    does not hold and the circuit's own qubits exceed the cap.
+    `decode`, the Pauli frame decides every shot; otherwise every shot
+    runs its trajectory (module docstring: The two readings).  Every
+    verdict is its trajectory's, and so is every record the frame does not
+    decide; a rejected shot the frame decides simulates only the check
+    parities of its bits.  The circuit's _ShotPlan is cached by its
+    content, and the circuit is validated when its plan is built: a
+    circuit with the content of a cached plan is valid.  SimulatorError
+    is raised before a plan is built when the narrowest state the circuit
+    could need exceeds DEFAULT_QUBIT_CAP qubits: the logical model's k
+    when `decode` names logicals 1..k, else the circuit's own; and when
+    its reading is built, if the certificate does not hold and the
+    circuit's own qubits exceed the cap.
 
     `inject` lists deterministic Pauli errors applied after given gate
     indices in every shot (used for fault cross-checks); an index in the
@@ -1245,11 +1219,11 @@ def _sample(plan: "_ShotPlan | _LogicalPlan",
     held = []
     for shot in range(shots):
         rng = streams.at(shot)
-        fired, em = plan.events(rng, rates)
-        if guard is None and (fired or inject or reading.table is None):
+        if guard is None:
             records.append(reading.readout.record(
-                plan.trajectory(streams.at(shot), rates, inject)))
+                plan.trajectory(rng, rates, inject)))
             continue
+        fired, em = plan.events(rng, rates)
         cl, rot = plan.flips(rng, fired, frame)
         flips = cl ^ plan.readout(em)
         if rot and _keeps_checks(guard, flips):
@@ -1343,11 +1317,10 @@ class _Outcomes:
         return np.cumsum(self.probs)
 
 
-def _bit_distribution(circuit: "PhysicalCircuit | _ShotPlan",
+def _bit_distribution(circuit: PhysicalCircuit,
                       inject: Sequence[tuple[int, PauliString]] = ()
                       ) -> _Outcomes:
-    """exact_bit_distribution's entries as arrays, of a circuit or of the
-    gates a _ShotPlan holds."""
+    """exact_bit_distribution's entries as arrays."""
     gates = circuit.gates
     inject_map = _inject_map(gates, inject)
     tail_start = _trailing_start(gates)

@@ -31,7 +31,8 @@ from icecomp.simulator import (NoiseFormatError, NoiseModel, ShotRecord,
                                _logical_entries, _logical_ops,
                                _logical_plan, _logical_steps, _merged,
                                _model_ops, _plan,
-                               _Streams, _shot_plan, _trailing_start, _word)
+                               _Streams, _bit_tuple, _shot_plan,
+                               _trailing_start, _word)
 from icecomp import simulator
 
 
@@ -390,8 +391,8 @@ class TestShots:
 
 
 # ---------------------------------------------------------------------------
-# Reference samplers: every noisy shot runs its whole trajectory, one shot
-# at a time, from |0...0> (encoded) or |+>^k (unencoded).  sample_shots and
+# Reference samplers: every shot runs its whole trajectory, one shot at a
+# time, from |0...0> (encoded) or |+>^k (unencoded).  sample_shots and
 # sample_logical_shots decide shots on their Pauli frame and must give equal
 # records.
 # ---------------------------------------------------------------------------
@@ -484,32 +485,18 @@ def _ref_readout_flips(circuit, layer_plan, em):
 
 
 def reference_sample_shots(circuit, noise, shots, seed, checks=(),
-                           decode=None, inject=(), trajectories=False):
-    """Each shot from its trajectory, or, with no event and no injected
-    Pauli, from the dense noiseless outcomes; with `trajectories`, every
-    shot from its trajectory."""
+                           decode=None, inject=()):
+    """Every shot from its trajectory."""
     eff = noise.effective()
     inject_map = {}
     for gi, pauli in inject:
         inject_map.setdefault(gi, []).append(pauli)
     layer_plan, sizes = _ref_layer_plan(circuit)
-    if not trajectories:
-        ideal = sorted(exact_bit_distribution(circuit).items())
-        ideal_bits = [b for b, _ in ideal]
-        ideal_cum = np.cumsum([p for _, p in ideal])
 
     records = []
     for shot in range(shots):
         rng = _ref_rng(seed, shot)
         e2, e1, em, ei = _ref_events(rng, eff, sizes)
-        if not (trajectories or np.any(e2) or np.any(e1) or np.any(ei)
-                or inject_map):
-            pick = int(np.searchsorted(ideal_cum, rng.random()))
-            bits = list(ideal_bits[min(pick, len(ideal_bits) - 1)])
-            for c, f in _ref_readout_flips(circuit, layer_plan, em).items():
-                bits[c] ^= f
-            records.append(make_record(bits, checks, decode))
-            continue
         state = StateVector(circuit.num_qubits)
         bits = [0] * circuit.num_clbits
         for layer_gates, sites, idle, idle_base in layer_plan:
@@ -905,19 +892,20 @@ class TestBitIdentity:
             reference_sample_shots(*args, checks=checks)
 
     def test_clbit_written_twice_readout_only(self):
-        # readout noise only: every shot takes the fault-free fast path,
-        # which applies the readout flip of the last write alone, as a
-        # trajectory does (forced here by a Z that leaves |1> as it is)
+        # readout noise only, and no decode map, so no certificate: every
+        # shot runs its trajectory, which applies the readout flip of the
+        # last write alone, with or without an injected Z that leaves |1>
+        # as it is
         circ = _written_twice_circuit()
         noise = NoiseModel(p2=0.0, p1=0.0, p_idle=0.0, p_meas=0.3)
         inject = [(0, PauliString.from_ops([(0, "Z")]))]
-        fast = sample_shots(circ, noise, 4000, 5)
-        assert fast == reference_sample_shots(circ, noise, 4000, 5)
+        plain = sample_shots(circ, noise, 4000, 5)
+        assert plain == reference_sample_shots(circ, noise, 4000, 5)
         traj = sample_shots(circ, noise, 4000, 5, inject=inject)
         assert traj == reference_sample_shots(circ, noise, 4000, 5,
                                               inject=inject)
         se = math.sqrt(0.3 * 0.7 / 4000)
-        for recs in (fast, traj):
+        for recs in (plain, traj):
             assert abs(np.mean([r.bits[0] for r in recs]) - 0.3) < 4 * se
 
     def test_random_reset(self, monkeypatch):
@@ -925,8 +913,7 @@ class TestBitIdentity:
         # reset's outcome, which no clbit records, and the CX copies it to
         # qubit 2.  The check c0 ^ c1 is deterministic, but a random reset
         # (and a call with no decode map) has no stabilizer certificate, so
-        # there is no guard: every shot with a fired Pauli site runs its
-        # trajectory, and every record is the trajectory's
+        # there is no guard: every shot runs its trajectory
         circ = PhysicalCircuit(3, 2)
         circ.h(0)
         circ.cx(0, 1)
@@ -939,7 +926,7 @@ class TestBitIdentity:
         args = (circ, NoiseModel(scale=100.0), 400, 3)
         ran = _count_trajectories(monkeypatch)
         recs = sample_shots(*args, checks=checks)
-        assert ran[0] > 0
+        assert ran[0] == 400
         assert recs == reference_sample_shots(*args, checks=checks)
         assert 0 < post_selection_rate(recs) < 1
 
@@ -1039,10 +1026,9 @@ class TestBitIdentity:
 
 
 def test_sample_shots_past_the_branch_budget(monkeypatch):
-    # seven measurements of |+> branch 128 ways, past MAX_BRANCHES, so
-    # there is no dense noiseless table to pick from: every shot runs
-    # its trajectory, with and without noise, where the dense pass
-    # itself refuses
+    # seven measurements of |+> branch 128 ways, past MAX_BRANCHES, where
+    # the dense pass refuses; the circuit has no certificate, so every
+    # shot runs its trajectory, with and without noise
     circ = PhysicalCircuit(2, 8)
     for b in range(7):
         circ.h(0)
@@ -1055,10 +1041,30 @@ def test_sample_shots_past_the_branch_budget(monkeypatch):
     for scale in (0.0, 50.0):
         args = (circ, NoiseModel(scale=scale), 300, 7)
         recs = sample_shots(*args)
-        assert recs == reference_sample_shots(*args, trajectories=True)
+        assert recs == reference_sample_shots(*args)
         assert len({r.bits[:7] for r in recs}) > 100
         assert all(r.bits[6] == r.bits[7] for r in recs) == (scale == 0)
     assert ran[0] == 600
+
+
+def test_uncertified_reading_runs_every_shot_as_its_trajectory(monkeypatch):
+    # with no decode map there is no certificate: every shot runs its
+    # trajectory, the noise-free ones too, and no dense table is built
+    circ = _mid_measure_circuit()
+    checks = (ParityCheck(frozenset({4})),)
+    _plan.cache_clear()
+
+    def refused(*args):
+        raise AssertionError("the sampler built a dense table")
+
+    for scale in (0.0, 1.0):
+        args = (circ, NoiseModel(scale=scale), 200, 9)
+        monkeypatch.setattr(simulator, "_bit_distribution", refused)
+        ran = _count_trajectories(monkeypatch)
+        recs = sample_shots(*args, checks=checks)
+        assert ran[0] == 200
+        monkeypatch.undo()
+        assert recs == reference_sample_shots(*args, checks=checks)
 
 
 class _PauliRecorder:
@@ -1229,9 +1235,8 @@ class TestLogicalModel:
         # the dense guard oracle holds (the check on c2 is deterministic
         # and no rotation generator touches it), but the circuit has no
         # logical model (or no decode to build one from), so no
-        # certificate: the reading has no guard, every shot with a fired
-        # Pauli site runs its trajectory, and every record is the
-        # trajectory's
+        # certificate: the reading has no guard, every shot runs its
+        # trajectory, and every record is the trajectory's
         circ = build()
         checks = (ParityCheck(frozenset({2})),)
         assert _dense_guard(circ, checks) is not None
@@ -1241,7 +1246,7 @@ class TestLogicalModel:
         kw = dict(checks=checks, decode=decode)
         ran = _count_trajectories(monkeypatch)
         recs = sample_shots(*args, **kw)
-        assert ran[0] > 0
+        assert ran[0] == 400
         assert recs == reference_sample_shots(*args, **kw)
 
 
@@ -1348,12 +1353,11 @@ class TestCertifiedTable:
                      checks=enc.checks, decode=enc.decode)
         assert max(built) == k and dense == []
         monkeypatch.undo()
-        plan = _shot_plan(enc.circuit)
-        reading = plan.reading(enc.checks, enc.decode)
-        dense = _bit_distribution(plan)
+        reading = _shot_plan(enc.circuit).reading(enc.checks, enc.decode)
+        dense = _bit_distribution(enc.circuit)
         _assert_same_outcomes(reading.table, dense)
         xs = dict(zip(reading.table.ints, reading.xs.tolist()))
-        oracle = _dense_model(plan, enc.decode)
+        oracle = _dense_model(enc.circuit, enc.decode)
         assert oracle is not None
         assert oracle.xs.tolist() == [xs[w] for w in dense.ints]
         assert (oracle.probs == reading.model.probs).all()
@@ -1363,7 +1367,7 @@ class TestCertifiedTable:
                                       "final_cnot_deleted"])
     def test_mutant_falls_back(self, name, monkeypatch):
         # the certificate is refused: the reading has no guard and no
-        # model, and every record is its trajectory's
+        # model, and every shot runs its trajectory
         circ, checks, decode = _mutant(name)
         _plan.cache_clear()
         reading = _shot_plan(circ).reading(checks, decode)
@@ -1372,7 +1376,7 @@ class TestCertifiedTable:
         kw = dict(checks=checks, decode=decode)
         ran = _count_trajectories(monkeypatch)
         recs = sample_shots(*args, **kw)
-        assert ran[0] > 0
+        assert ran[0] == 60
         assert recs == reference_sample_shots(*args, **kw)
 
     @pytest.mark.parametrize("mode", ["baseline", "resynth+z2"])
@@ -1404,17 +1408,17 @@ class TestCertifiedTable:
             mutant = dataclasses.replace(circ, gates=new)
             if mutant._first_invalid_gate() is not None:
                 continue
-            plan = _ShotPlan(mutant)
-            reading = plan.reading(enc.checks, enc.decode)
+            reading = _shot_plan(mutant).reading(enc.checks, enc.decode)
             guard = _dense_guard(mutant, enc.checks)
             certified = reading.guard is not None
             assert certified == (guard is not None and _dense_model(
-                plan, enc.decode) is not None)
+                mutant, enc.decode) is not None)
             assert (reading.model is not None) == certified
             if certified:
                 kept += 1
                 assert reading.guard == guard
-                _assert_same_outcomes(reading.table, _bit_distribution(plan))
+                _assert_same_outcomes(reading.table,
+                                      _bit_distribution(mutant))
             else:
                 refused += 1
         assert kept and refused
@@ -1425,11 +1429,10 @@ class TestCertifiedTable:
         # every logical rotation.  So the move keeps the noiseless outcomes,
         # z2 or not, and the certificate and the dense table agree
         circ, checks, decode = _mutant("rxx_on_b")
-        plan = _shot_plan(circ)
-        reading = plan.reading(checks, decode)
+        reading = _shot_plan(circ).reading(checks, decode)
         assert reading.guard is not None
-        _assert_same_outcomes(reading.table, _bit_distribution(plan))
-        assert _dense_model(plan, decode) is not None
+        _assert_same_outcomes(reading.table, _bit_distribution(circ))
+        assert _dense_model(circ, decode) is not None
 
     def test_k14_above_the_dense_cap(self, monkeypatch):
         # 18 qubits: the certified table needs only the 14-qubit model,
@@ -1609,19 +1612,19 @@ def test_stacked_pass_equals_one_row_passes(which):
 # stabilizer certificate replaced, as oracles of the certificate
 # ---------------------------------------------------------------------------
 
-def _dense_model(plan, decode):
+def _dense_model(circuit, decode):
     """The reference oracle of the certificate: the logical model of the
-    plan's rotations (_model_ops) checked against its dense table alone.
+    circuit's rotations (_model_ops) checked against its dense table alone.
     None unless every reset is deterministic (a random reset leaves a
     mixture that no one logical state stands for), every logical x has an
     entry and the model's P_L is the table's decoded marginal to 1e-12;
     else the model, with each entry's logical (`xs`) and that marginal."""
-    ops = _model_ops(plan, decode)
-    if ops is None or not reference_bit_distribution(plan)[1]:
+    ops = _model_ops(_shot_plan(circuit), decode)
+    if ops is None or not reference_bit_distribution(circuit)[1]:
         return None
     k = len(decode)
-    dense = _bit_distribution(plan)
-    _, _, logical = _Readout((), decode, plan.num_clbits).decode_words(
+    dense = _bit_distribution(circuit)
+    _, _, logical = _Readout((), decode, circuit.num_clbits).decode_words(
         dense.words)
     xs = logical.astype(np.intp)
     marginal = np.bincount(xs, weights=dense.probs, minlength=1 << k)
@@ -1636,7 +1639,7 @@ def _dense_model(plan, decode):
 
 def reference_bit_distribution(circuit):
     """(exact_bit_distribution as a dict filled one entry at a time, whether
-    every reset is deterministic), of a circuit or of a plan's gates."""
+    every reset is deterministic), of a circuit."""
     gates = circuit.gates
     resets_fixed = True
     tail_start = _trailing_start(gates)
@@ -1798,8 +1801,8 @@ class TestIdealTableOracle:
     """The dense array table of noiseless outcomes (_bit_distribution)
     against the dict built one entry at a time: the same words in the same
     order, the same floats summed in the same order, and the same exact
-    distributions.  A reading the certificate refuses picks from that
-    table, with the dict's records, and has no guard and no model.  A
+    distributions.  A reading the certificate refuses has no table, no
+    guard and no model, and its readout gives the dict's records.  A
     certified reading has the dense outcomes (_assert_same_outcomes) and
     the dict's guard, logicals and records.  The dense model oracle
     (_dense_model) has the same logical model inputs, and passes exactly
@@ -1811,7 +1814,7 @@ class TestIdealTableOracle:
         _plan.cache_clear()
         plan = _shot_plan(circuit)
         assert list(exact_bit_distribution(circuit).items()) == ref["dist"]
-        dense = _bit_distribution(plan)
+        dense = _bit_distribution(circuit)
         assert dense.ints == ref["words"]
         assert dense.probs.tolist() == ref["probs"]
         assert dense.cum.tolist() == ref["cum"]
@@ -1824,12 +1827,12 @@ class TestIdealTableOracle:
             entry = {w: i for i, w in enumerate(reading.table.ints)}
             rows = [entry[w] for w in ref["words"]]
             assert reading.xs[rows].tolist() == ref["xs"]
+            assert [reading.record(i, 0) for i in rows] == ref["records"]
         else:
-            assert reading.table.ints == ref["words"]
-            assert reading.table.probs.tolist() == ref["probs"]
-            rows = range(len(ref["words"]))
-        assert [reading.record(i, 0) for i in rows] == ref["records"]
-        model = _dense_model(plan, decode)
+            assert reading.table is None
+            assert [reading.readout.record(_bit_tuple(w, circuit.num_clbits))
+                    for w in ref["words"]] == ref["records"]
+        model = _dense_model(circuit, decode)
         assert (model is not None) == has_model
         if model is not None:
             assert model.xs.tolist() == ref["xs"]

@@ -8,11 +8,13 @@ from pathlib import Path
 
 import pytest
 
-from icecomp.bench import compile_mode
+from icecomp.bench import MODES, compile_mode
 from icecomp.compiler import write_encoded
 from icecomp.faults import check_gadget_ft, context_for_gadget, fault_reports
 from icecomp.gadgets import GadgetKind, build_gadget
-from icecomp.maxcut import GraphKind, generate_instance, ramp_params
+from icecomp.maxcut import (GraphKind, build_qaoa, generate_instance,
+                            ramp_params)
+from icecomp.simulator import NoiseModel, sample_logical_shots, sample_shots
 
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
 _spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
@@ -26,6 +28,10 @@ _spec = importlib.util.spec_from_file_location(
     "verdict_digest", _PATH.with_name("verdict_digest.py"))
 verdict_digest = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(verdict_digest)
+_spec = importlib.util.spec_from_file_location(
+    "record_digest", _PATH.with_name("record_digest.py"))
+record_digest = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(record_digest)
 
 
 def test_encoded_digest_folds_each_compile():
@@ -79,6 +85,31 @@ def test_verdict_digest_folds_each_summary_and_report():
     cases = verdict_digest.gadget_cases()
     assert len(cases) == (6 * 4 - 1) * (1 + verdict_digest.ORDERS)
     assert len(set(cases)) == len(cases)
+
+
+def test_record_digest_folds_each_record():
+    g = generate_instance(GraphKind.REGULAR_3, 6, seed=0)
+    enc = compile_mode(g, ramp_params(1), "resynth+z2", 1, 200)
+    encoded = sample_shots(enc.circuit, NoiseModel(scale=4.0), 60, 3,
+                           checks=enc.checks, decode=enc.decode)
+    unencoded = sample_logical_shots(build_qaoa(g, ramp_params(1)),
+                                     NoiseModel(scale=4.0), 60, 3)
+    runs = [encoded, unencoded]
+    got = record_digest.digest(runs)
+    assert record_digest.digest(runs) == got
+    h = hashlib.sha256()
+    for records in runs:
+        for r in records:
+            h.update(repr((r.bits, r.check_values, r.accepted,
+                           r.logical)).encode())
+    assert got == h.hexdigest()
+    assert record_digest.digest([encoded[::-1], unencoded]) != got
+    # criterion 7's circuits: every mode at s=1 and 2, 1,000 shots each
+    circuits = record_digest.criterion_7()
+    assert len(circuits) == 2 * len(MODES)
+    assert {len(c.decode) for c in circuits} == {record_digest.K}
+    assert record_digest.SHOTS == 1000
+    assert record_digest.NOISE == NoiseModel(scale=1.0)
 
 
 def test_summarize_counts_wins_by_direction():
