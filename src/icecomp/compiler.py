@@ -47,15 +47,16 @@ lazily, as in partial-expansion A* (Yoshizumi, Miura & Ishida, AAAI 2000):
 an expansion builds the executable graph and the matcher input once and
 queues one entry for its children, keyed by a lower bound hb on their h;
 each pop of that entry runs one matching, makes one child, and queues the
-next under the same bound.  The bound rests on a layer touching each qubit
-at most once, so a child's degree of a vertex drops by at most one where
-the layer can touch it: a data qubit on an available pair or forced; t and
-b together when a z2 mixer pair is available (its component's load is
-re-split between them by the mixers left), by two when another item can
-touch an anchor too; and the merged-ancilla vertex when an ancilla is on
-a pair, a syndrome step is forced, or a bind pair is available.  Every
-node pops in the order of a search that makes all children at once, so
-every circuit is the same; `compile_cooptimized` says why.
+next under a fresh bound over the pairs the matcher input still holds.
+The bound rests on a layer touching each qubit at most once, so a child's
+degree of a vertex drops by at most one where the layer can touch it: a
+data qubit on an available pair or forced; t and b together when a z2
+mixer pair is available (its component's load is re-split between them by
+the mixers left), by two when another item can touch an anchor too; and
+the merged-ancilla vertex when an ancilla is on a pair, a syndrome step is
+forced, or a bind pair is available.  Every node pops in the order of a
+search that makes all children at once, so every circuit is the same;
+`compile_cooptimized` says why.
 """
 
 from __future__ import annotations
@@ -806,8 +807,10 @@ class _Children(Sequence):
         return len(self.made)
 
     def bound(self) -> int:
-        """A lower bound hb on the h of every child, from the node's degrees
-        and the executable graph alone.
+        """A lower bound hb on the h of every child still to make, from the
+        node's degrees, the forced items and the pairs left in the matcher
+        input (`avail`): each child's layer takes its pairs from what is
+        left of `avail` when it is made, and `make` only removes from it.
 
         A layer touches each qubit at most once, and it lowers a vertex's
         degree only where it schedules a coupling of that vertex, by one
@@ -829,9 +832,9 @@ class _Children(Sequence):
         forced = exe.forced_qubits
         touched = set(forced)
         z2, other, bind = False, bool(forced & {t, b}), False
-        for pair, item in exe.edges.items():
-            if pair & forced:
-                continue        # not in the matcher input
+        for u, v, _ in self.avail:
+            pair = frozenset((u, v))
+            item = exe.edges[pair]
             touched |= pair
             if item[0] == "bind":
                 bind = True
@@ -1027,9 +1030,11 @@ def compile_cooptimized(graph: ProblemGraph, params: QaoaParams,
     `EXPANSION_WIDTH` consecutive counters, child j taking the j-th, and
     its lazy entry carries the counter of the next child to make.  Popping
     it makes that child, pushes it under its own key unless its progress
-    was seen, and pushes the entry of the next child, if any, under the
-    same bound.  An expansion raises CompileError ("search stalled") when
-    the executable graph has no pair and no forced item.
+    was seen, and pushes the entry of the next child, if any, under a
+    fresh bound: the spent key's hb counted the pairs the made child took
+    out of the matcher input, and the later children cannot use them.  An
+    expansion raises CompileError ("search stalled") when the executable
+    graph has no pair and no forced item.
 
     Nodes pop in the order of the search that pushes every child when it
     expands its parent.  A lazy key is at most the key of each child it
@@ -1049,7 +1054,7 @@ def compile_cooptimized(graph: ProblemGraph, params: QaoaParams,
     # children (expand raises otherwise), each a layer further on, so every
     # path of states from `start` ends at the goal
     while True:
-        f, h, g, count, node = heapq.heappop(heap)
+        _, _, g, count, node = heapq.heappop(heap)
         if isinstance(node, _Children):
             # a lazy entry: make the child it stands for, under its counter
             child = node.make()
@@ -1057,7 +1062,8 @@ def compile_cooptimized(graph: ProblemGraph, params: QaoaParams,
                 heapq.heappush(heap, (child.f, child.h, -child.g, count,
                                       child))
             if node.more:
-                heapq.heappush(heap, (f, h, g, count + 1, node))
+                hb = node.bound()       # g is the children's -(g+1)
+                heapq.heappush(heap, (hb - g, hb, g, count + 1, node))
             continue
         if node.progress in seen:
             continue

@@ -8,8 +8,9 @@ needs: positive weights, maxcardinality=False and no self-loops.  Gone
 are the integer path (and its optimum check, which networkx runs only for
 all-int weights), the asserts and the graph object; the two trampolines
 are plain recursion.  A graph whose every vertex lies on one edge is its
-own matching and is returned as given, the blossom's answer and order.  Every order networkx's result depends on is kept,
-so both return the same matching for the same edges in the same order:
+own matching and is returned as given, the blossom's answer and order.
+Every order networkx's result depends on is kept, so both return the same
+matching for the same edges in the same order:
 
 * vertices in order of first appearance, and each vertex's neighbours in
   edge order (networkx's adjacency dicts);
@@ -25,9 +26,25 @@ so every per-vertex and per-blossom map is a list indexed by that number
 (networkx keys dicts by vertex and by blossom object).  `blossomdual`
 stays a dict of the live blossoms in creation order.  Each neighbour entry
 holds the doubled edge weight, and the zero-slack edges are kept per
-vertex.  Slacks and deltas keep networkx's doubled scale.  The scan loop's
-two least-slack comparisons and the delta2 scan compute `slack` inline,
-with the same operations in the same order; every other caller calls it.
+vertex.  Slacks and deltas keep networkx's doubled scale.
+
+Some paths are inlined, each making the same decisions in the same order:
+
+* `slack` in the scan loop's two least-slack comparisons and in the
+  delta2 and delta3 scans, with the same operations in the same order, so
+  the same floats;
+* the scan loop reads a popped vertex's blossom once, and again after
+  `add_blossom`, the only call that moves it; a neighbour whose edge is
+  not tight updates a least-slack edge and scans no further;
+* `assign_label` where its target is a singleton: a free singleton
+  neighbour becomes T and its mate, if a singleton too, S; and a single
+  singleton becomes S at the start of a stage, whose reset already cleared
+  its other entries;
+* delta2 and the vertex part of delta3 share one pass over the vertices.
+  A vertex is free, a top-level S-vertex, or neither, so each value goes
+  to one of the two minima, and each minimum keeps the first strictly
+  smaller value in vertex order.  delta2's is compared with delta1 first,
+  then delta3's, as two scans in turn would.
 """
 
 from __future__ import annotations
@@ -372,12 +389,17 @@ def max_weight_matching(edges: Sequence[tuple[int, int, float]]
         label[:] = labeledge[:] = bestedge[:] = [None] * nids
         for b in blossomdual:
             mybestedges[b] = None
-        for av in allowed:
-            av.clear()
         queue.clear()
-        for v in range(n):
-            if mate[v] is None and label[inblossom[v]] is None:
-                assign_label(v, 1, None)
+        for v, av in enumerate(allowed):
+            av.clear()
+            if mate[v] is None:
+                b = inblossom[v]
+                if b == v:
+                    # assign_label on a singleton, its entries just reset
+                    label[v] = 1
+                    queue.append(v)
+                elif label[b] is None:
+                    assign_label(v, 1, None)
 
         augmented = False
         while True:
@@ -387,47 +409,67 @@ def max_weight_matching(edges: Sequence[tuple[int, int, float]]
                 v = queue.pop()
                 av = allowed[v]
                 dv = dualvar[v]
+                # v's blossom changes only when add_blossom merges it
+                bv = inblossom[v]
                 for w, w2 in nbrs[v].items():
-                    bv = inblossom[v]
                     bw = inblossom[w]
                     if bv == bw:
                         # internal to a blossom
                         continue
                     if w not in av:
                         kslack = dv + dualvar[w] - w2
-                        if kslack <= 0:
-                            av.add(w)
-                            allowed[w].add(v)
-                    if w in av:
-                        lbw = label[bw]
-                        if lbw is None:
-                            # w is free: T, and its mate S
-                            assign_label(w, 2, v)
-                        elif lbw == 1:
-                            # w is S: a new blossom or an augmenting path
-                            base = scan_blossom(v, w)
-                            if base is not None:
-                                add_blossom(base, v, w)
-                            else:
-                                augment_matching(v, w)
-                                augmented = True
-                                break
-                        elif label[w] is None:
-                            # w is inside a T-blossom, not yet reached
+                        if kslack > 0:
+                            if label[bw] == 1:
+                                # least-slack edge to a different S-blossom
+                                e = bestedge[bv]
+                                if e is None or kslack < (
+                                        dualvar[e[0]] + dualvar[e[1]]
+                                        - nbrs[e[0]][e[1]]):
+                                    bestedge[bv] = (v, w)
+                            elif label[w] is None:
+                                # least-slack edge reaching free (or
+                                # unreached) w
+                                e = bestedge[w]
+                                if e is None or kslack < (
+                                        dualvar[e[0]] + dualvar[e[1]]
+                                        - nbrs[e[0]][e[1]]):
+                                    bestedge[w] = (v, w)
+                            continue
+                        av.add(w)
+                        allowed[w].add(v)
+                    lbw = label[bw]
+                    if lbw is None:
+                        # w is free: T, and its mate S
+                        if bw < n:
+                            # assign_label on a singleton w, and on its
+                            # mate when that is a singleton too
                             label[w] = 2
                             labeledge[w] = (v, w)
-                    elif label[bw] == 1:
-                        # least-slack edge to a different S-blossom
-                        e = bestedge[bv]
-                        if e is None or kslack < (dualvar[e[0]] + dualvar[e[1]]
-                                                  - nbrs[e[0]][e[1]]):
-                            bestedge[bv] = (v, w)
+                            bestedge[w] = None
+                            m = mate[w]
+                            if inblossom[m] == m:
+                                label[m] = 1
+                                labeledge[m] = (w, m)
+                                bestedge[m] = None
+                                queue.append(m)
+                            else:
+                                assign_label(m, 1, w)
+                        else:
+                            assign_label(w, 2, v)
+                    elif lbw == 1:
+                        # w is S: a new blossom or an augmenting path
+                        base = scan_blossom(v, w)
+                        if base is not None:
+                            add_blossom(base, v, w)
+                            bv = inblossom[v]
+                        else:
+                            augment_matching(v, w)
+                            augmented = True
+                            break
                     elif label[w] is None:
-                        # least-slack edge reaching free (or unreached) w
-                        e = bestedge[w]
-                        if e is None or kslack < (dualvar[e[0]] + dualvar[e[1]]
-                                                  - nbrs[e[0]][e[1]]):
-                            bestedge[w] = (v, w)
+                        # w is inside a T-blossom, not yet reached
+                        label[w] = 2
+                        labeledge[w] = (v, w)
 
             if augmented:
                 break
@@ -436,25 +478,35 @@ def max_weight_matching(edges: Sequence[tuple[int, int, float]]
             deltatype = 1
             delta = min(dualvar)
             deltaedge = deltablossom = None
-            # delta2: least slack of an edge from an S-vertex to a free one
-            for v in range(n):
-                e = bestedge[v]
-                if label[inblossom[v]] is None and e is not None:
-                    d = dualvar[e[0]] + dualvar[e[1]] - nbrs[e[0]][e[1]]
+            # delta2: least slack of an edge from an S-vertex to a free one;
+            # delta3: half the least slack of an edge between S-blossoms,
+            # its vertex part in delta2's pass (see the module docstring)
+            d2 = d3 = delta
+            e2 = e3 = None
+            for v, e, bv in zip(range(n), bestedge, inblossom):
+                if e is not None:
+                    lab = label[bv]
+                    if lab is None:
+                        d = dualvar[e[0]] + dualvar[e[1]] - nbrs[e[0]][e[1]]
+                        if d < d2:
+                            d2, e2 = d, e
+                    elif lab == 1 and bv == v:
+                        d = (dualvar[e[0]] + dualvar[e[1]]
+                             - nbrs[e[0]][e[1]]) / 2.0
+                        if d < d3:
+                            d3, e3 = d, e
+            if e2 is not None:
+                delta, deltatype, deltaedge = d2, 2, e2
+            if d3 < delta:
+                delta, deltatype, deltaedge = d3, 3, e3
+            for b in blossomdual:
+                e = bestedge[b]
+                if (blossomparent[b] is None and label[b] == 1
+                        and e is not None):
+                    d = (dualvar[e[0]] + dualvar[e[1]]
+                         - nbrs[e[0]][e[1]]) / 2.0
                     if d < delta:
-                        delta = d
-                        deltatype = 2
-                        deltaedge = e
-            # delta3: half the least slack of an edge between S-blossoms
-            for bs in (range(n), blossomdual):
-                for b in bs:
-                    if (blossomparent[b] is None and label[b] == 1
-                            and bestedge[b] is not None):
-                        d = slack(*bestedge[b]) / 2.0
-                        if d < delta:
-                            delta = d
-                            deltatype = 3
-                            deltaedge = bestedge[b]
+                        delta, deltatype, deltaedge = d, 3, e
             # delta4: the least dual of a top-level T-blossom
             for b in blossomdual:
                 if (blossomparent[b] is None and label[b] == 2
@@ -463,8 +515,8 @@ def max_weight_matching(edges: Sequence[tuple[int, int, float]]
                     deltatype = 4
                     deltablossom = b
 
-            for v in range(n):
-                lab = label[inblossom[v]]
+            for v, bv in enumerate(inblossom):
+                lab = label[bv]
                 if lab == 1:
                     dualvar[v] -= delta
                 elif lab == 2:

@@ -1129,7 +1129,7 @@ def _affine_table(w0: int, directions: Sequence[int], readout: _Readout,
         xs = np.concatenate([xs, xs ^ logical(d)])
     order = np.lexsort(_limbs(bits)[::-1])
     xs = xs[order]
-    return _Outcomes(bits[order], p_l[xs] * 0.5, np.arange(len(xs))), xs
+    return _Outcomes(bits[order], p_l[xs] * 0.5), xs
 
 
 def _keeps_checks(guard: tuple[tuple[int, int], ...], flips: int) -> bool:
@@ -1295,11 +1295,12 @@ class _Outcomes:
     """The noiseless outcomes of a circuit: per entry its clbits (a row of
     `bits`, uint8) and probability, in the order sorted() gives their bit
     tuples; and `first`, the entries in the order the branches first reach
-    them."""
+    them, which only the dense exact_* functions read (None in a certified
+    table, which no branch reaches)."""
 
     bits: np.ndarray
     probs: np.ndarray
-    first: np.ndarray
+    first: np.ndarray | None = None
 
     @functools.cached_property
     def words(self) -> np.ndarray:

@@ -1069,6 +1069,39 @@ class TestLazyChildren:
         reference_compile_cooptimized(g, params, replace(cfg, queue_cap=cap))
         assert len(checked) >= EXPANSION_WIDTH * cap // 2
 
+    @pytest.mark.parametrize("cap", QUEUE_CAPS)
+    @pytest.mark.parametrize("case", SEARCH_INSTANCES,
+                             ids=[c[0] for c in SEARCH_INSTANCES])
+    def test_rekeyed_bound_below_every_later_sibling(self, monkeypatch, case,
+                                                     cap):
+        # the bound read after child j is made keys the entry of child
+        # j+1, so it must be at most the key of every sibling made after:
+        # at every expansion of the eager search, popped or not
+        _, g, params, cfg = case
+        rises = []
+
+        def rekeyed(node, width=EXPANSION_WIDTH):
+            children = compiler.expand(node, width)
+            if width == EXPANSION_WIDTH:
+                bounds = []
+                while children.more:
+                    bounds.append(children.bound())
+                    children.make()
+                for j, child in enumerate(children.made):
+                    for hb in bounds[:j + 1]:
+                        assert (child.f, child.h, -child.g) >= \
+                            (node.g + 1 + hb, hb, -(node.g + 1))
+                rises.append(max(bounds) > bounds[0])
+            return children
+
+        monkeypatch.setitem(globals(), "expand", rekeyed)
+        reference_compile_cooptimized(g, params, replace(cfg, queue_cap=cap))
+        assert len(rises) >= cap // 2
+        if cap == max(QUEUE_CAPS):
+            # a made child can take the last pair that touched a vertex, so
+            # the later siblings' bound rises (in every case at this cap)
+            assert any(rises)
+
     @pytest.mark.parametrize("gs", list(GadgetSet))
     @pytest.mark.parametrize("k", [6, 10, 22])
     def test_bound_counts_a_z2_resplit_on_the_other_anchor(self, k, gs):

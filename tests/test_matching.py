@@ -1,5 +1,5 @@
 """`icecomp.matching.max_weight_matching` returns exactly networkx's
-matching: on every call of two paper-scale compiles, on a seeded random
+matching: on every call of six paper-scale compiles, on a seeded random
 set of tie-heavy graphs, and on networkx's own blossom cases."""
 
 import random
@@ -94,6 +94,7 @@ def test_random_tie_heavy_graphs_match_networkx():
 
 
 @pytest.mark.parametrize("kind, k, density", [
+    (GraphKind.REGULAR_3, 22, None),
     (GraphKind.REGULAR_3, 34, None),
     (GraphKind.ERDOS_RENYI, 22, 0.8),
 ])
@@ -109,7 +110,8 @@ def test_every_compile_matching_matches_networkx(monkeypatch, kind, k,
 
     monkeypatch.setattr(compiler, "max_weight_matching", recorded)
     g = generate_instance(kind, k, density=density, seed=0)
-    bench.compile_mode(g, ramp_params(10), "resynth+z2", 3, 200)
+    for mode in ("resynth", "resynth+z2"):
+        bench.compile_mode(g, ramp_params(10), mode, 3, 200)
     assert len(calls) > 500
     bad = [edges for edges, out in calls if _pairs(out) != reference(edges)]
     assert bad == []
