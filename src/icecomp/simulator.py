@@ -86,20 +86,18 @@ every rotation has the logical model's form (_model_ops).
     DEFAULT_QUBIT_CAP.
   * Uncertified: no guard, no model and no table.  Every shot runs its
     trajectory, the noise-free ones too, so the sampler builds no dense
-    table of noiseless outcomes; the dense pass (_bit_distribution) is
-    exact_bit_distribution's and exact_logical_distribution's alone.  A
-    trajectory needs a dense state of the circuit's qubits, so such a
-    reading raises SimulatorError above DEFAULT_QUBIT_CAP qubits.
+    table of noiseless outcomes; the dense pass is exact_bit_distribution's
+    alone, and exact_logical_distribution reads it.  A trajectory needs a
+    dense state of the circuit's qubits, so such a reading raises
+    SimulatorError above DEFAULT_QUBIT_CAP qubits.
 
-A table of noiseless outcomes is held as arrays (_Outcomes): per entry its
-clbits (a uint8 row) and its probability, the entries in the order sorted()
-gives their bit tuples, clbit 0 first.  An entry's word is the int whose
-bit c is clbit c; a table of words is held as uint64 limbs, the highest 64
-bits first (_limbs), so any number of clbits fits.  Everything taken from a
-table is an array operation on it, with no Python loop per entry.  The
-dense pass's floats are the ones a dict filled one entry at a time gives,
-summed in the same order: entries that two branches share are merged by
-np.bincount in the order the branches reach them.
+Noiseless outcomes are plain Python values.  An outcome's word is the int
+whose bit c is clbit c, so any number of clbits fits.  A certified table is
+a list of words, in the order sorted() gives their bit tuples (clbit 0
+first), with each word's logical and the cumulative of their probabilities
+as arrays.  The dense pass fills a dict keyed by bit tuple one entry at a
+time, in the order the branches reach them, so an entry two branches share
+sums their probabilities in that order.
 
 Encoded shots.  A Pauli a noise site applies passes the rest of the circuit
 as a Pauli frame (see the faults module): the shot gives the outcomes of
@@ -454,46 +452,6 @@ def _bit_tuple(word: int, n: int) -> tuple[int, ...]:
     return tuple([word >> c & 1 for c in range(n)])
 
 
-# Arrays of words.  A table of n rows of w bits is held as uint64 limbs of
-# shape (L, n), L = max(1, ceil(w / 64)): row r is the number whose bits,
-# highest first, are limb 0's, then limb 1's, and so on.  So rows compare
-# as those numbers compare, limb 0 first.
-
-_LIMB = (1 << 64) - 1
-
-
-def _limbs(cols: np.ndarray) -> np.ndarray:
-    """The rows of the 0/1 matrix `cols` as numbers, column j bit w-1-j of
-    a row's number (column 0 the highest): the rows' numbers sort as the
-    rows sort as tuples."""
-    rows, w = cols.shape
-    n = max(1, -(-w // 64))
-    padded = np.zeros((rows, 64 * n), dtype=np.uint8)
-    padded[:, 64 * n - w:] = cols
-    return np.packbits(padded, axis=1).view(">u8").T.astype(np.uint64,
-                                                            order="C")
-
-
-def _ints(limbs: np.ndarray) -> list[int]:
-    """Each row's number as an int."""
-    if len(limbs) == 1:
-        return limbs[0].tolist()
-    out = limbs[0].astype(object)
-    for limb in limbs[1:]:
-        out = out << 64 | limb.astype(object)
-    return out.tolist()
-
-
-def _parities(limbs: np.ndarray, mask: int) -> np.ndarray:
-    """Per row, the parity of its number AND `mask`, as uint8."""
-    out = np.zeros(limbs.shape[1], dtype=np.uint8)
-    for i, limb in enumerate(limbs):
-        m = mask >> 64 * (len(limbs) - 1 - i) & _LIMB
-        if m:
-            out ^= np.bitwise_count(limb & np.uint64(m))
-    return out & 1
-
-
 class _Readout:
     """Check values and decoded logicals from int masks of a shot's bits:
     per check, its clbit mask and expected parity; per decoded logical bit
@@ -530,25 +488,6 @@ class _Readout:
         if accepted and self.decode is not None:
             logical = sum([bit for m, bit in self.decode
                            if (word & m).bit_count() & 1])
-        return values, accepted, logical
-
-    def decode_words(self, words: np.ndarray
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """decode_word of every row of the word table `words` (_limbs, bit
-        c of a row's number clbit c): its check values (one row each),
-        whether it is accepted, and its logical, decoded for every row
-        (None without `decode`)."""
-        n = words.shape[1]
-        values = np.zeros((n, len(self.check_masks)), dtype=np.uint8)
-        for j, m in enumerate(self.check_masks):
-            values[:, j] = _parities(words, m)
-        accepted = (values == self.expected).all(axis=1)
-        logical = None
-        if self.decode is not None:
-            wide = any(bit >> 63 for _, bit in self.decode)
-            logical = np.zeros(n, dtype=object if wide else np.int64)
-            for m, bit in self.decode:
-                logical += _parities(words, m).astype(logical.dtype) * bit
         return values, accepted, logical
 
     def record(self, bits: Sequence[int]) -> ShotRecord:
@@ -933,21 +872,22 @@ class _ShotPlan(_SiteTable):
 class _Reading:
     """A _ShotPlan read out under one (checks, decode), certified or not
     (module docstring: The two readings).  A certified reading holds its
-    affine `table`, each entry's logical (`xs`), the noiseless logical
-    `model` the table is built from, and the frame `guard`: per check, its
-    clbit mask and the flip parity under which it keeps its expected
-    value.  An uncertified one has guard, model and table None: every
-    shot of it runs its trajectory.  `cum` is the table's cumulative, from
-    which a shot picks an entry.  `record(i, flips)` is the record of a
-    shot whose bits are entry i with the clbits of `flips` flipped, kept
-    the first time a shot picks entry i unflipped."""
+    affine table, its `words` (_affine_table), each word's logical (`xs`)
+    and the cumulative of their noiseless probabilities (`cum`), from
+    which a shot picks an entry; the noiseless logical `model` the table
+    is built from; and the frame `guard`: per check, its clbit mask and
+    the flip parity under which it keeps its expected value.  An
+    uncertified one has all five None: every shot of it runs its
+    trajectory.  `record(i, flips)` is the record of a shot whose bits are
+    word i with the clbits of `flips` flipped, kept the first time a shot
+    picks word i unflipped."""
 
     def __init__(self, plan: _ShotPlan, checks: Sequence[ParityCheck],
                  decode: Mapping[int, frozenset[int]] | None):
         self.plan = plan
         self.readout = _Readout(checks, decode, plan.num_clbits)
         self.records: dict[int, ShotRecord] = {}
-        self.guard = self.model = self.table = None
+        self.guard = self.model = self.words = self.xs = self.cum = None
         ops = _model_ops(plan, decode)
         cert = None if ops is None else \
             plan.clifford.certify(ops, decode, checks)
@@ -958,27 +898,24 @@ class _Reading:
             return
         w0, directions = cert
         self.model = _LogicalModel(len(decode), ops)
-        self.table, self.xs = _affine_table(w0, directions, self.readout,
-                                            plan.num_clbits, self.model.probs)
+        self.words, self.xs = _affine_table(w0, directions, self.readout,
+                                            plan.num_clbits)
+        self.cum = np.cumsum(self.weights(self.model.probs))
         # every word of the table has w0's check parities
         self.guard = tuple((m, (w0 & m).bit_count() & 1 ^ want)
                            for m, want in zip(self.readout.check_masks,
                                               self.readout.expected))
 
-    @property
-    def cum(self) -> np.ndarray:
-        return self.table.cum
-
     def weights(self, probs: np.ndarray) -> np.ndarray:
         """The table's distribution under the logical distribution `probs`
-        (or, per row, each of a stack of them): P'_L(x)/2 per entry of
+        (or, per row, each of a stack of them): P'_L(x)/2 per word of
         logical x."""
         return probs[..., self.xs] * 0.5
 
     def record(self, i: int, flips: int) -> ShotRecord:
         rec = None if flips else self.records.get(i)
         if rec is None:
-            word = self.table.ints[i] ^ flips
+            word = self.words[i] ^ flips
             rec = ShotRecord(_bit_tuple(word, self.plan.num_clbits),
                              *self.readout.decode_word(word))
             if not flips:
@@ -1111,11 +1048,10 @@ def _model_ops(plan: _ShotPlan, decode: Mapping[int, frozenset[int]] | None
 
 
 def _affine_table(w0: int, directions: Sequence[int], readout: _Readout,
-                  num_clbits: int, p_l: np.ndarray
-                  ) -> "tuple[_Outcomes, np.ndarray]":
-    """The certified table: the words w0 XOR span(directions), each with
-    probability P_L(x)/2 (`p_l`) for its logical x under `readout`'s
-    decode, in _Outcomes' order; and each entry's x."""
+                  num_clbits: int) -> tuple[list[int], np.ndarray]:
+    """The certified table: the words w0 XOR span(directions), in the
+    order sorted() gives their bit tuples, and each word's logical x under
+    `readout`'s decode (its probability is P_L(x)/2)."""
     def logical(word):
         return sum([bit for m, bit in readout.decode
                     if (word & m).bit_count() & 1])
@@ -1123,13 +1059,15 @@ def _affine_table(w0: int, directions: Sequence[int], readout: _Readout,
     def row(word):
         return np.array(_bit_tuple(word, num_clbits), dtype=np.uint8)
 
-    bits, xs = row(w0)[None], np.array([logical(w0)], dtype=np.intp)
+    words, xs = [w0], np.array([logical(w0)], dtype=np.intp)
+    bits = row(w0)[None]
     for d in directions:
-        bits = np.concatenate([bits, bits ^ row(d)])
+        words += [w ^ d for w in words]
         xs = np.concatenate([xs, xs ^ logical(d)])
-    order = np.lexsort(_limbs(bits)[::-1])
-    xs = xs[order]
-    return _Outcomes(bits[order], p_l[xs] * 0.5), xs
+        bits = np.concatenate([bits, bits ^ row(d)])
+    # clbit 0 the primary key: lexsort's last
+    order = np.lexsort(bits.T[::-1])
+    return [words[i] for i in order.tolist()], xs[order]
 
 
 def _keeps_checks(guard: tuple[tuple[int, int], ...], flips: int) -> bool:
@@ -1282,46 +1220,9 @@ def exact_bit_distribution(circuit: PhysicalCircuit,
     branch); the trailing block of measurements, which measures each qubit
     once (_trailing_start), is evaluated jointly from amplitudes.  `inject`
     is checked and applied as in `sample_shots`.  The keys come in the
-    order the branches first reach them.
+    order the branches first reach them, and an outcome that several
+    branches reach sums their probabilities in that order.
     """
-    out = _bit_distribution(circuit, inject)
-    first = out.first
-    return dict(zip(map(tuple, out.bits[first].tolist()),
-                    out.probs[first].tolist()))
-
-
-@dataclass(frozen=True, eq=False)
-class _Outcomes:
-    """The noiseless outcomes of a circuit: per entry its clbits (a row of
-    `bits`, uint8) and probability, in the order sorted() gives their bit
-    tuples; and `first`, the entries in the order the branches first reach
-    them, which only the dense exact_* functions read (None in a certified
-    table, which no branch reaches)."""
-
-    bits: np.ndarray
-    probs: np.ndarray
-    first: np.ndarray | None = None
-
-    @functools.cached_property
-    def words(self) -> np.ndarray:
-        """The entries as a word table (_limbs): bit c is clbit c."""
-        return _limbs(self.bits[:, ::-1])
-
-    @functools.cached_property
-    def ints(self) -> list[int]:
-        """Each entry's word as an int."""
-        return _ints(self.words)
-
-    @functools.cached_property
-    def cum(self) -> np.ndarray:
-        """The cumulative probabilities."""
-        return np.cumsum(self.probs)
-
-
-def _bit_distribution(circuit: PhysicalCircuit,
-                      inject: Sequence[tuple[int, PauliString]] = ()
-                      ) -> _Outcomes:
-    """exact_bit_distribution's entries as arrays."""
     gates = circuit.gates
     inject_map = _inject_map(gates, inject)
     tail_start = _trailing_start(gates)
@@ -1371,34 +1272,20 @@ def _bit_distribution(circuit: PhysicalCircuit,
     sig = np.zeros(len(idx), dtype=np.int64)
     for pos, q in enumerate(last.values()):
         sig |= (((idx >> q) & 1) << pos).astype(np.int64)
-    rows, probs = [], []
+    out: dict[tuple[int, ...], float] = {}
     for weight, state, bits in branches:
         for g in tail:
             if g.kind is GateKind.MEASURE_X:
                 state.apply_h(g.qubits[0])
         mass = np.bincount(sig, weights=state.probabilities(), minlength=1)
-        s = np.flatnonzero(mass > 1e-15)
-        block = np.tile(np.array(bits, dtype=np.uint8), (len(s), 1))
-        for pos, clbit in enumerate(last):
-            block[:, clbit] = s >> pos & 1
-        rows.append(block)
-        probs.append(weight * mass[s])
-    return _merged(np.concatenate(rows), np.concatenate(probs))
-
-
-def _merged(bits: np.ndarray, probs: np.ndarray) -> _Outcomes:
-    """The _Outcomes of entries listed in the order the branches reach
-    them, those with equal bits merged into one whose probability is
-    theirs summed in that order (0.0 + p0 + p1 + ...), as a dict would."""
-    # rows sort as their limbs do, limb 0 first; return_index takes each
-    # key's first row (a stable mergesort, on one limb as on rows), and
-    # bincount sums in index order
-    limbs = _limbs(bits)
-    _, kept, inverse = np.unique(limbs[0] if len(limbs) == 1 else limbs.T,
-                                 axis=None if len(limbs) == 1 else 0,
-                                 return_index=True, return_inverse=True)
-    return _Outcomes(bits[kept], np.bincount(inverse, weights=probs),
-                     np.argsort(kept))
+        hit = np.flatnonzero(mass > 1e-15)
+        row = list(bits)
+        for s, m in zip(hit.tolist(), mass[hit].tolist()):
+            for pos, clbit in enumerate(last):
+                row[clbit] = s >> pos & 1
+            key = tuple(row)
+            out[key] = out.get(key, 0.0) + weight * m
+    return out
 
 
 def exact_logical_distribution(circuit: PhysicalCircuit,
@@ -1408,24 +1295,21 @@ def exact_logical_distribution(circuit: PhysicalCircuit,
                                ) -> tuple[float, dict[int, float]]:
     """(acceptance probability, post-selected decoded logical distribution).
 
-    Both sum the accepted entries in the order exact_bit_distribution
-    lists them, and the logicals come in the order they first appear.  A
-    `decode` of None raises ValueError: the logicals need a decode map."""
+    Both sum the accepted entries of exact_bit_distribution in the order
+    it lists them, and the logicals come in the order they first appear.
+    A `decode` of None raises ValueError: the logicals need a decode map."""
     if decode is None:
         raise ValueError("exact_logical_distribution needs a decode map")
     readout = _Readout(checks, decode, circuit.num_clbits)
-    out = _bit_distribution(circuit, inject)
-    _, accepted, logical = readout.decode_words(out.words)
-    kept = out.first[accepted[out.first]]
-    probs = out.probs[kept]
-    acc = float(np.cumsum(probs)[-1]) if len(kept) else 0.0
-    xs, first, inverse = np.unique(logical[kept], return_index=True,
-                                   return_inverse=True)
-    mass = np.bincount(inverse, weights=probs, minlength=len(xs))
-    order = np.argsort(first)
+    acc, mass = 0.0, {}
+    for bits, p in exact_bit_distribution(circuit, inject).items():
+        _, accepted, x = readout.decode_word(_word(bits))
+        if accepted:
+            acc += p
+            mass[x] = mass.get(x, 0.0) + p
     if acc > 0:
-        mass = mass / acc
-    return acc, dict(zip(xs[order].tolist(), mass[order].tolist()))
+        mass = {x: m / acc for x, m in mass.items()}
+    return acc, mass
 
 
 # ---------------------------------------------------------------------------

@@ -27,9 +27,9 @@ from icecomp.simulator import (NoiseFormatError, NoiseModel, ShotRecord,
                                total_variation, unencoded_distribution,
                                write_noise, SimulatorError, _ShotPlan,
                                BRANCH_TOL, _LogicalModel, _Readout,
-                               _apply_gate, _bit_distribution, _apply_random_pauli,
+                               _apply_gate, _apply_random_pauli,
                                _logical_entries, _logical_ops,
-                               _logical_plan, _logical_steps, _merged,
+                               _logical_plan, _logical_steps,
                                _model_ops, _plan,
                                _Streams, _bit_tuple, _shot_plan,
                                _trailing_start, _word)
@@ -1059,7 +1059,7 @@ def test_uncertified_reading_runs_every_shot_as_its_trajectory(monkeypatch):
 
     for scale in (0.0, 1.0):
         args = (circ, NoiseModel(scale=scale), 200, 9)
-        monkeypatch.setattr(simulator, "_bit_distribution", refused)
+        monkeypatch.setattr(simulator, "exact_bit_distribution", refused)
         ran = _count_trajectories(monkeypatch)
         recs = sample_shots(*args, checks=checks)
         assert ran[0] == 200
@@ -1206,7 +1206,7 @@ class TestLogicalModel:
                 for gi, g in enumerate(circ.gates)])
             dense = {_word(b): p for b, p in
                      exact_bit_distribution(negated).items()}
-            weights = dict(zip(reading.table.ints, reading.weights(
+            weights = dict(zip(reading.words, reading.weights(
                 model.state(_mask(flipped)).probabilities())))
             assert max(abs(dense.get(b, 0.0) - weights.get(b, 0.0))
                        for b in dense.keys() | weights.keys()) <= 1e-15
@@ -1316,15 +1316,18 @@ def _mutant(name):
     return dataclasses.replace(circ, gates=list(gates)), enc.checks, decode
 
 
-def _assert_same_outcomes(table, dense):
-    """A certified table against the dense one: its entries in the order
-    sorted() gives their bit tuples, every dense word among them, and each
-    probability within 1e-15 of the dense one, or of 0 for a word the
-    dense pass drops (it keeps masses above 1e-15)."""
-    rows = list(map(tuple, table.bits.tolist()))
+def _assert_same_outcomes(reading, dense):
+    """A certified reading's table against the dense outcomes `dense`
+    (exact_bit_distribution's): its words in the order sorted() gives their
+    bit tuples, every dense word among them, `cum` the cumulative of their
+    P_L(x)/2, and each P_L(x)/2 within 1e-15 of the dense probability, or
+    of 0 for a word the dense pass drops (it keeps masses above 1e-15)."""
+    rows = [_bit_tuple(w, reading.plan.num_clbits) for w in reading.words]
     assert rows == sorted(rows)
-    mine = dict(zip(table.ints, table.probs.tolist()))
-    theirs = dict(zip(dense.ints, dense.probs.tolist()))
+    probs = (reading.model.probs[reading.xs] * 0.5).tolist()
+    assert reading.cum.tolist() == np.cumsum(probs).tolist()
+    mine = dict(zip(reading.words, probs))
+    theirs = {_word(b): p for b, p in dense.items()}
     assert theirs.keys() <= mine.keys()
     assert max(abs(p - theirs.get(w, 0.0)) for w, p in mine.items()) <= 1e-15
 
@@ -1343,8 +1346,8 @@ class TestCertifiedTable:
         enc = _criterion_7_circuit(mode, s)
         k = len(enc.decode)
         dense = []
-        bit_distribution = simulator._bit_distribution
-        monkeypatch.setattr(simulator, "_bit_distribution",
+        bit_distribution = simulator.exact_bit_distribution
+        monkeypatch.setattr(simulator, "exact_bit_distribution",
                             lambda *args: dense.append(args)
                             or bit_distribution(*args))
         _plan.cache_clear()
@@ -1354,12 +1357,12 @@ class TestCertifiedTable:
         assert max(built) == k and dense == []
         monkeypatch.undo()
         reading = _shot_plan(enc.circuit).reading(enc.checks, enc.decode)
-        dense = _bit_distribution(enc.circuit)
-        _assert_same_outcomes(reading.table, dense)
-        xs = dict(zip(reading.table.ints, reading.xs.tolist()))
+        dense = exact_bit_distribution(enc.circuit)
+        _assert_same_outcomes(reading, dense)
+        xs = dict(zip(reading.words, reading.xs.tolist()))
         oracle = _dense_model(enc.circuit, enc.decode)
         assert oracle is not None
-        assert oracle.xs.tolist() == [xs[w] for w in dense.ints]
+        assert oracle.xs.tolist() == [xs[_word(b)] for b in sorted(dense)]
         assert (oracle.probs == reading.model.probs).all()
 
     @pytest.mark.parametrize("name", ["x_between_rotations",
@@ -1417,8 +1420,7 @@ class TestCertifiedTable:
             if certified:
                 kept += 1
                 assert reading.guard == guard
-                _assert_same_outcomes(reading.table,
-                                      _bit_distribution(mutant))
+                _assert_same_outcomes(reading, exact_bit_distribution(mutant))
             else:
                 refused += 1
         assert kept and refused
@@ -1431,7 +1433,7 @@ class TestCertifiedTable:
         circ, checks, decode = _mutant("rxx_on_b")
         reading = _shot_plan(circ).reading(checks, decode)
         assert reading.guard is not None
-        _assert_same_outcomes(reading.table, _bit_distribution(circ))
+        _assert_same_outcomes(reading, exact_bit_distribution(circ))
         assert _dense_model(circ, decode) is not None
 
     def test_k14_above_the_dense_cap(self, monkeypatch):
@@ -1607,8 +1609,8 @@ def test_stacked_pass_equals_one_row_passes(which):
 
 
 # ---------------------------------------------------------------------------
-# The noiseless table built one entry at a time, as the simulator once built
-# it: the oracle of its array construction; and the dense checks the
+# The noiseless outcomes built one entry at a time, as the simulator once
+# built them: the oracle of exact_bit_distribution; and the dense checks the
 # stabilizer certificate replaced, as oracles of the certificate
 # ---------------------------------------------------------------------------
 
@@ -1618,16 +1620,18 @@ def _dense_model(circuit, decode):
     None unless every reset is deterministic (a random reset leaves a
     mixture that no one logical state stands for), every logical x has an
     entry and the model's P_L is the table's decoded marginal to 1e-12;
-    else the model, with each entry's logical (`xs`) and that marginal."""
+    else the model, with each entry's logical (`xs`) and that marginal,
+    the entries in the order sorted() gives their bit tuples."""
     ops = _model_ops(_shot_plan(circuit), decode)
     if ops is None or not reference_bit_distribution(circuit)[1]:
         return None
     k = len(decode)
-    dense = _bit_distribution(circuit)
-    _, _, logical = _Readout((), decode, circuit.num_clbits).decode_words(
-        dense.words)
-    xs = logical.astype(np.intp)
-    marginal = np.bincount(xs, weights=dense.probs, minlength=1 << k)
+    dense = sorted(exact_bit_distribution(circuit).items())
+    readout = _Readout((), decode, circuit.num_clbits)
+    xs = np.array([readout.decode_word(_word(b))[2] for b, _ in dense],
+                  dtype=np.intp)
+    marginal = np.bincount(xs, weights=[p for _, p in dense],
+                           minlength=1 << k)
     if not marginal.all():
         return None
     model = _LogicalModel(k, ops)
@@ -1739,10 +1743,9 @@ def reference_tables(circuit, checks, decode):
     dist, _ = reference_bit_distribution(circuit)
     ideal = sorted(dist.items())
     bits_list = [b for b, _ in ideal]
-    probs = [p for _, p in ideal]
     out = {"dist": list(dist.items()),
-           "words": [_word(b) for b in bits_list], "probs": probs,
-           "cum": np.cumsum(probs).tolist(),
+           "words": [_word(b) for b in bits_list],
+           "probs": [p for _, p in ideal],
            "records": [make_record(b, checks, decode) for b in bits_list],
            "guard": _dense_guard(circuit, checks, dist)}
 
@@ -1797,11 +1800,35 @@ def _wide_circuit():
     return c
 
 
+def _branching_circuit(width):
+    # `width` clbits: two random resets whose four branches each reach all
+    # four trailing outcomes of qubits 3 and 1 (clbits 1 and 2), random
+    # mid-circuit outcomes of qubit 2 in clbits 62, 63 and 64 and the top
+    # one, where there are, and deterministic ones of qubit 0 in the rest
+    c = PhysicalCircuit(4, width)
+    for q, theta in ((0, 0.3), (1, 0.7)):
+        c.rxx(q, 3, theta)
+        c.reset(q)
+    for b in (0, *range(3, width)):
+        if b in (62, 63, 64, width - 1):
+            c.h(2)
+            c.mz(2, b)
+        else:
+            if b % 3 == 0:
+                c.x(0)
+            c.mz(0, b)
+    c.h(3)
+    c.rxx(1, 3, 0.9)
+    c.mz(3, 1)
+    c.mz(1, 2)
+    return c
+
+
 class TestIdealTableOracle:
-    """The dense array table of noiseless outcomes (_bit_distribution)
-    against the dict built one entry at a time: the same words in the same
-    order, the same floats summed in the same order, and the same exact
-    distributions.  A reading the certificate refuses has no table, no
+    """exact_bit_distribution against the dict built one entry at a time
+    (reference_bit_distribution): the same keys in the same order, the
+    same floats summed in the same order, and the same exact logical
+    distribution.  A reading the certificate refuses has no table, no
     guard and no model, and its readout gives the dict's records.  A
     certified reading has the dense outcomes (_assert_same_outcomes) and
     the dict's guard, logicals and records.  The dense model oracle
@@ -1813,23 +1840,20 @@ class TestIdealTableOracle:
         ref = reference_tables(circuit, checks, decode)
         _plan.cache_clear()
         plan = _shot_plan(circuit)
-        assert list(exact_bit_distribution(circuit).items()) == ref["dist"]
-        dense = _bit_distribution(circuit)
-        assert dense.ints == ref["words"]
-        assert dense.probs.tolist() == ref["probs"]
-        assert dense.cum.tolist() == ref["cum"]
+        dense = exact_bit_distribution(circuit)
+        assert list(dense.items()) == ref["dist"]
         reading = plan.reading(checks, decode)
         assert (reading.guard is not None) == has_model
         assert (reading.model is not None) == has_model
         if has_model:
-            _assert_same_outcomes(reading.table, dense)
+            _assert_same_outcomes(reading, dense)
             assert reading.guard == ref["guard"]
-            entry = {w: i for i, w in enumerate(reading.table.ints)}
+            entry = {w: i for i, w in enumerate(reading.words)}
             rows = [entry[w] for w in ref["words"]]
             assert reading.xs[rows].tolist() == ref["xs"]
             assert [reading.record(i, 0) for i in rows] == ref["records"]
         else:
-            assert reading.table is None
+            assert reading.words is None and reading.cum is None
             assert [reading.readout.record(_bit_tuple(w, circuit.num_clbits))
                     for w in ref["words"]] == ref["records"]
         model = _dense_model(circuit, decode)
@@ -1886,24 +1910,20 @@ class TestIdealTableOracle:
         assert {r.bits for r in sample_shots(
             circ, NoiseModel(scale=0.0), 50, 3)} == {(0, 0), (0, 1)}
 
-    @pytest.mark.parametrize("width", [40, 100, 150])
-    def test_merge_over_limbs(self, width):
-        # rows of 1-3 limbs with repeats merge as a dict filled one row at a
-        # time: the probabilities summed in reach order, the entries sorted
-        # as bit tuples and `first` in first-reach order
-        rng = np.random.default_rng(width)
-        for rows in (1, 2, 7, 40):
-            # at most (rows + 1) // 2 distinct rows, so some repeat
-            base = rng.integers(0, 2, ((rows + 1) // 2, width), dtype=np.uint8)
-            bits = base[rng.integers(0, len(base), rows)]
-            probs = rng.random(rows)
-            ref: dict[tuple, float] = {}
-            for row, p in zip(map(tuple, bits.tolist()), probs.tolist()):
-                ref[row] = ref.get(row, 0.0) + p
-            out = _merged(bits, probs)
-            assert list(map(tuple, out.bits.tolist())) == sorted(ref)
-            assert out.probs.tolist() == [ref[r] for r in sorted(ref)]
-            assert list(map(tuple, out.bits[out.first].tolist())) == list(ref)
+    @pytest.mark.parametrize("width", [63, 64, 65, 130])
+    def test_branches_merging_around_64_clbits(self, width):
+        # random outcomes in the clbits on both sides of bit 64 and in the
+        # top one, and four reset branches that each reach every trailing
+        # outcome: the entries merge as the dict's, in the same order, and
+        # a logical above bit 63 decodes as the dict's
+        circ = _branching_circuit(width)
+        dist, _ = reference_bit_distribution(circ)
+        assert len(dist) == 4 << len({62, 63, 64, width - 1} &
+                                     set(range(width)))
+        top = min(width - 1, 64)
+        self.check(circ, (ParityCheck(frozenset({1, top})),),
+                   {1: frozenset({2}), 65: frozenset({62, width - 1})},
+                   False)
 
     @pytest.mark.parametrize("build, checks, decode", [
         (_merging_reset_circuit, (ParityCheck(frozenset({1})),),
@@ -2010,7 +2030,10 @@ class TestRecordGolden:
     circuit: 1,000 shots, seed 0, noise scale 1.0.  A change that moves any
     draw or any amplitude's rounding shows here; it must update these, and
     say why.  VERDICTS digests the same encoded records without the bits of
-    rejected shots: every verdict, check value and accepted record."""
+    rejected shots: every verdict, check value and accepted record.  DENSE
+    digests the dense oracle on the encoded circuit: the items of
+    exact_bit_distribution and exact_logical_distribution with no fault,
+    then with one Pauli after every 16th gate before the trailing block."""
 
     ENCODED = ("79cafb78e9293bd48f5d3d13fc795168"
                "259100c28e91982fad06f8a8bf4625de")
@@ -2018,6 +2041,8 @@ class TestRecordGolden:
                 "cd2aed2c938c08b195529bf0ebfd4850")
     UNENCODED = ("7fc6ce2ca1cda0bd894cefbda5e605b5"
                  "6b727b051aad3ec2b3a6e4f96308ce6c")
+    DENSE = ("6d170fe9d076db14158e5a89534a8032"
+             "eab6002eb129209f69c1012ab7182ca9")
 
     graph = generate_instance(GraphKind.REGULAR_3, 10, seed=0)
     params = ramp_params(3)
@@ -2032,12 +2057,15 @@ class TestRecordGolden:
         return h.hexdigest()
 
     @pytest.fixture(scope="class")
-    def encoded_records(self):
-        enc = compile_cooptimized(self.graph, self.params, CompileConfig(
+    def encoded(self):
+        return compile_cooptimized(self.graph, self.params, CompileConfig(
             num_syndromes=1, gadget_set=GadgetSet.NEW, queue_cap=200,
             resynthesize=True, use_z2=True))
-        return sample_shots(enc.circuit, NoiseModel(scale=1.0), 1000, 0,
-                            checks=enc.checks, decode=enc.decode)
+
+    @pytest.fixture(scope="class")
+    def encoded_records(self, encoded):
+        return sample_shots(encoded.circuit, NoiseModel(scale=1.0), 1000, 0,
+                            checks=encoded.checks, decode=encoded.decode)
 
     def test_encoded(self, encoded_records):
         assert self._digest(encoded_records) == self.ENCODED
@@ -2050,6 +2078,20 @@ class TestRecordGolden:
         lc = build_qaoa(self.graph, self.params)
         recs = sample_logical_shots(lc, NoiseModel(scale=1.0), 1000, 0)
         assert self._digest(recs) == self.UNENCODED
+
+    def test_dense(self, encoded):
+        circ, gates = encoded.circuit, encoded.circuit.gates
+        sites = [gi for gi in range(_trailing_start(gates))
+                 if gates[gi].kind is not GateKind.BARRIER][::16]
+        h = hashlib.sha256()
+        for inject in [()] + [[(gi, PauliString.from_ops(
+                [(gates[gi].qubits[-1], "XYZ"[n % 3])]))]
+                for n, gi in enumerate(sites)]:
+            acc, logical = exact_logical_distribution(
+                circ, encoded.checks, encoded.decode, inject)
+            h.update(f"{list(exact_bit_distribution(circ, inject).items())} "
+                     f"{acc!r} {list(logical.items())}\n".encode())
+        assert h.hexdigest() == self.DENSE
 
 
 class TestEnergyTools:

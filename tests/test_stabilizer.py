@@ -13,8 +13,8 @@ from icecomp.compiler import CompileConfig, GadgetSet, compile_baseline
 from icecomp.gadgets import ParityCheck
 from icecomp.maxcut import GraphKind, generate_instance, ramp_params
 from icecomp.simulator import (NoiseModel, StateVector, _apply_gate,
-                               _bit_distribution, _model_ops, _ShotPlan,
-                               _trailing_start, sample_shots)
+                               _model_ops, _ShotPlan, _trailing_start,
+                               exact_bit_distribution, sample_shots)
 from icecomp.stabilizer import CliffordRun, _Tableau
 from test_simulator import (_assert_same_outcomes, _count_trajectories,
                             _dense_guard, _dense_model,
@@ -168,7 +168,7 @@ def test_toy_circuits(middle, certified):
             and _dense_model(circuit, _DECODE) is not None) == certified
     if certified:
         assert reading.guard == _dense_guard(circuit, _CHECKS)
-        _assert_same_outcomes(reading.table, _bit_distribution(circuit))
+        _assert_same_outcomes(reading, exact_bit_distribution(circuit))
 
 
 def test_random_ancilla_measurement_has_no_model(monkeypatch):

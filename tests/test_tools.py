@@ -14,7 +14,11 @@ from icecomp.faults import check_gadget_ft, context_for_gadget, fault_reports
 from icecomp.gadgets import GadgetKind, build_gadget
 from icecomp.maxcut import (GraphKind, build_qaoa, generate_instance,
                             ramp_params)
-from icecomp.simulator import NoiseModel, sample_logical_shots, sample_shots
+from icecomp.circuit import GateKind
+from icecomp.simulator import (NoiseModel, _trailing_start,
+                               exact_bit_distribution,
+                               exact_logical_distribution,
+                               sample_logical_shots, sample_shots)
 
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
 _spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
@@ -110,6 +114,30 @@ def test_record_digest_folds_each_record():
     assert {len(c.decode) for c in circuits} == {record_digest.K}
     assert record_digest.SHOTS == 1000
     assert record_digest.NOISE == NoiseModel(scale=1.0)
+    # the dense line: per circuit, no fault, then one Pauli after every
+    # STRIDE-th gate before the trailing block that is not a barrier
+    got = record_digest.dense_digest([enc])
+    assert record_digest.dense_digest([enc]) == got
+    gates = enc.circuit.gates
+    injects = record_digest.faults(enc)
+    assert injects[0] == ()
+    sites = [gi for ((gi, pauli),) in injects[1:]]
+    assert sites[0] == 0 and len(sites) > 3
+    for a, b in zip(sites, sites[1:]):
+        between = [g for g in gates[a:b] if g.kind is not GateKind.BARRIER]
+        assert len(between) == record_digest.STRIDE
+    assert sites[-1] < _trailing_start(gates)
+    assert [(p.xmask | p.zmask).bit_count()
+            for ((_, p),) in injects[1:]] == [1] * len(sites)
+    h = hashlib.sha256()
+    for inject in injects:
+        acc, logical = exact_logical_distribution(
+            enc.circuit, enc.checks, enc.decode, inject)
+        h.update(repr((list(exact_bit_distribution(enc.circuit,
+                                                   inject).items()),
+                       acc, list(logical.items()))).encode())
+    assert got == h.hexdigest()
+    assert record_digest.dense_digest([enc, enc]) != got
 
 
 def test_summarize_counts_wins_by_direction():
